@@ -1,0 +1,10 @@
+"""Make ``benchmarks.perf`` and ``repro`` importable however pytest is
+started (``python -m pytest benchmarks/perf/tests -q`` from the root)."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[3]
+for entry in (str(ROOT), str(ROOT / "src")):
+    if entry not in sys.path:
+        sys.path.insert(0, entry)
