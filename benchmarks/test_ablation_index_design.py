@@ -38,6 +38,7 @@ def test_index_design_race(benchmark, show):
     rng = np.random.default_rng(2015)
     reps = random_representative_fovs(N, rng)
     paper = FoVIndex.bulk(reps)
+    paper.rtree()       # STR-load the paper's tree before any timing
     spatial = SpatialFirstIndex(reps)
     temporal = TemporalFirstIndex(reps)
 

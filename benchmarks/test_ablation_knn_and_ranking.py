@@ -28,6 +28,7 @@ def test_knn_vs_radius_sweep(benchmark, show):
     rng = np.random.default_rng(2015)
     reps = random_representative_fovs(20_000, rng)
     idx = FoVIndex.bulk(reps)
+    idx.rtree()         # STR-load the tree before any timing
 
     # A client that must guess the radius sweeps until it has k hits.
     def radius_sweep(center, t, k):

@@ -51,6 +51,7 @@ def test_fig6c_rtree_vs_linear(benchmark, show):
     for n in SIZES:
         subset = reps[:n]
         rt = FoVIndex.bulk(subset)
+        rt.rtree()      # STR-load the paper's tree before any timing
         ln = FoVIndex(backend="linear")
         ln.insert_many(subset)
         queries = _queries(np.random.default_rng(n), subset, N_QUERIES)

@@ -14,8 +14,11 @@ records):
   duplicate / 5% corrupt channel: attempts per bundle and the parity
   guarantee that makes the overhead worth paying;
 * **commit-group ingest** -- ``ingest_batch`` with vectorized decode
-  and one epoch bump per group, gated at >= 10x the per-bundle path
-  with a bit-identical content digest;
+  and one epoch bump per group, with a bit-identical content digest.
+  Both it and the per-bundle path are gated at an absolute floor (the
+  batched rate of the eager-R-tree index): since ``insert_many`` is an
+  O(batch) column append neither path pays a tree descent, so the old
+  ">= 10x the per-bundle path" ratio has no premise left;
 * **WAL durability** -- the batched path with an fsynced write-ahead
   log in front, plus a replay that reconverges from the log alone;
 * **back-pressure** -- a saturated admission queue shedding the tail
@@ -60,6 +63,10 @@ def _timed(fn, *args):
 
 
 GROUP = 200     # commit-group size for the batched sections
+#: Floor for the per-bundle and the batched ingest path alike, bundles/s
+#: (what the batched path reached while every record still descended
+#: the R-tree: 1921 in the PR 11 BENCH_ingest_path.json).
+MIN_BUNDLES_PER_S = 1_900.0
 
 
 def test_ingest_resilience(corpus, camera, show, bench_export, tmp_path):
@@ -95,7 +102,7 @@ def test_ingest_resilience(corpus, camera, show, bench_export, tmp_path):
     assert faulty.indexed_count == server.indexed_count
     assert faulty.stats.bundles_rejected == channel.stats.corrupted
 
-    # -- commit-group ingest: the tentpole gate -----------------------
+    # -- commit-group ingest: digest parity + the throughput floor ----
     def groups(payloads):
         return [payloads[i:i + GROUP]
                 for i in range(0, len(payloads), GROUP)]
@@ -106,9 +113,10 @@ def test_ingest_resilience(corpus, camera, show, bench_export, tmp_path):
         batched.ingest_batch(group)
     t_batch = time.perf_counter() - t0
     assert batched.index.content_digest() == server.index.content_digest()
-    assert t_ingest >= 10.0 * t_batch, (
-        f"batched ingest gate: {t_ingest:.3f}s sequential vs "
-        f"{t_batch:.3f}s batched is only {t_ingest / t_batch:.1f}x")
+    for path, seconds in (("per-bundle", t_ingest), ("batched", t_batch)):
+        assert N_BUNDLES / seconds >= MIN_BUNDLES_PER_S, (
+            f"ingest gate: {path} path ran {N_BUNDLES / seconds:.0f} "
+            f"bundles/s, floor is {MIN_BUNDLES_PER_S:.0f}")
 
     # -- WAL-durable batched ingest + replay --------------------------
     from repro.core.wal import WriteAheadLog
@@ -156,8 +164,9 @@ def test_ingest_resilience(corpus, camera, show, bench_export, tmp_path):
     table.add("WAL replay (recovery)", round(t_replay * 1e3, 1),
               f"{N_BUNDLES / t_replay:.0f} bundles/s")
     show(table)
-    show(f"batched speedup: {t_ingest / t_batch:.1f}x over per-bundle "
-         f"ingest (gate: >= 10x), digest bit-identical; WAL adds "
+    show(f"batched vs per-bundle ingest: {t_ingest / t_batch:.1f}x "
+         f"(gate: both >= {MIN_BUNDLES_PER_S:.0f} bundles/s), digest "
+         f"bit-identical; WAL adds "
          f"{wal.stats.syncs} fsyncs; back-pressure shed {n_shed} of "
          f"{2 * GROUP} at capacity {GROUP}")
     show(f"faulty run: {uploader.stats.attempts} attempts for {N_BUNDLES} "
@@ -180,7 +189,6 @@ def test_ingest_resilience(corpus, camera, show, bench_export, tmp_path):
         "corrupt_copies_quarantined": channel.stats.corrupted,
         "commit_group": GROUP,
         "ingest_batched_bundles_s": round(N_BUNDLES / t_batch, 1),
-        "batched_speedup_x": round(t_ingest / t_batch, 1),
         "wal_ingest_batched_bundles_s": round(N_BUNDLES / t_wal, 1),
         "wal_replay_bundles_s": round(N_BUNDLES / t_replay, 1),
         "wal_syncs": wal.stats.syncs,

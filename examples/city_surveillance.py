@@ -42,7 +42,7 @@ def main() -> None:
         server.register_client(city.clients[rec.device_id])
         server._owners[rec.video_id] = rec.device_id
 
-    stats = tree_stats(server.index._index)
+    stats = tree_stats(server.index.rtree())
     print(f"  index: {stats.size} segments, R-tree height {stats.height}, "
           f"{stats.leaf_count} leaves, "
           f"avg leaf fill {stats.avg_leaf_fill:.1f}")

@@ -22,7 +22,7 @@ justification rather than widening the model until the bug class
 escapes with it.
 
 **The fixpoint walker.**  Private helpers are routinely called with the
-caller's lock already held (``_widen_bounds`` under ``_locks[i]`` in
+caller's lock already held (``_sync_shard_gauges`` under ``_locks[i]`` in
 the sharded router).  :func:`solve_guaranteed_locks` propagates that
 context over the intra-class call graph: a private method's
 *guaranteed* lock set is the intersection, over every intra-class call

@@ -268,7 +268,7 @@ def _cmd_inspect(args) -> int:
     t0 = min(r.t_start for r in records)
     t1 = max(r.t_end for r in records)
     videos = {r.video_id for r in records}
-    stats = tree_stats(index._index)
+    stats = tree_stats(index.rtree())
     print(f"records: {len(records)} segments from {len(videos)} videos")
     print(f"area: lat [{min(lats):.5f}, {max(lats):.5f}], "
           f"lng [{min(lngs):.5f}, {max(lngs):.5f}]")

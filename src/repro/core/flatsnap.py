@@ -202,7 +202,7 @@ def unpack_snapshot(buf, *, verify: bool = True) -> PackedFoVIndex:
                            x0, y0, t0, x1, y1, t1,
                            inv_cw, inv_ch, inv_ct, max_dur,
                            cell_offsets, row_ids, fused)
-    return PackedFoVIndex.from_columns(
+    return PackedFoVIndex(
         lat=lat, lng=lng, theta=theta, t_start=t_start, t_end=t_end,
         video_ids=video_ids, segment_ids=segment_ids, key_rank=key_rank,
         grid=grid, epoch=epoch)

@@ -14,7 +14,7 @@ or the linear-scan baseline for the Fig. 6(c) comparison.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,23 +26,11 @@ from repro.spatial.bulk import str_bulk_load
 from repro.spatial.grid import PackedPointGrid
 from repro.spatial.knn import knn_search, mindist
 from repro.spatial.linear import LinearScanIndex
-from repro.spatial.packed import PackedRTree, SearchObserver
+from repro.spatial.packed import SearchObserver
 from repro.spatial.rtree import RTree, RTreeConfig
 
-__all__ = ["FoVIndex", "PackedFoVIndex", "fov_box", "query_box",
+__all__ = ["Bounds", "FoVIndex", "PackedFoVIndex", "fov_box", "query_box",
            "query_box_floats"]
-
-#: Batch size at which ``insert_many`` stops descending the R-tree per
-#: record and instead STR bulk-rebuilds the whole tree (existing
-#: records + batch) in one O(n log n) pass.  A per-record insert costs
-#: ~100x a bulk-loaded record, so the rebuild wins whenever the batch
-#: is a non-trivial fraction of the index; see also
-#: :data:`BULK_APPEND_MAX_RATIO`.
-BULK_APPEND_MIN = 512
-#: The bulk rebuild is skipped when the existing index is more than
-#: this many times larger than the incoming batch (rebuilding 1M
-#: records to append 1k would be a regression).
-BULK_APPEND_MAX_RATIO = 64
 
 
 def fov_box(fov: RepresentativeFoV) -> tuple[np.ndarray, np.ndarray]:
@@ -150,83 +138,48 @@ class PackedFoVIndex:
     engine consumes candidates by fancy-indexing these columns instead
     of touching Python attributes per candidate.
 
-    ``tree`` retains the level-order packed R-tree when the snapshot
-    was built from a dynamic index (``None`` on zero-copy attach): the
-    grid answers the same box queries in fewer passes, but the tree
-    remains the reference structure for cross-checks and kNN-style
-    descents.
+    Nothing is copied: the columns are the index's own column store
+    (:meth:`FoVIndex.packed_view`) or views of a shared flat-snapshot
+    buffer (:mod:`repro.core.flatsnap`, which also passes the attached
+    ``key_rank`` and ``grid`` so construction is O(1) in record count;
+    both are derived from the columns when omitted).
 
     ``epoch`` records the backing index's mutation counter at snapshot
     time; ``FoVIndex.packed_view`` rebuilds the snapshot when they
     diverge.
     """
 
-    __slots__ = ("tree", "records", "lat", "lng", "theta",
+    __slots__ = ("records", "lat", "lng", "theta",
                  "t_start", "t_end", "video_ids", "segment_ids",
                  "key_rank", "grid", "epoch")
 
-    def __init__(self, tree: PackedRTree, epoch: int = 0) -> None:
-        self.tree = tree
+    def __init__(self, *, lat: np.ndarray, lng: np.ndarray,
+                 theta: np.ndarray, t_start: np.ndarray,
+                 t_end: np.ndarray, video_ids: np.ndarray,
+                 segment_ids: np.ndarray,
+                 key_rank: np.ndarray | None = None,
+                 grid: PackedPointGrid | None = None,
+                 records: Sequence[RepresentativeFoV] | None = None,
+                 epoch: int = 0) -> None:
         self.epoch = epoch
-        recs: list[RepresentativeFoV] = list(tree.items)
-        self.records: Sequence[RepresentativeFoV] = recs
-        n = len(recs)
-        self.lat = np.fromiter((r.lat for r in recs), dtype=float, count=n)
-        self.lng = np.fromiter((r.lng for r in recs), dtype=float, count=n)
-        self.theta = np.fromiter((r.theta for r in recs), dtype=float, count=n)
-        self.t_start = np.fromiter((r.t_start for r in recs), dtype=float,
-                                   count=n)
-        self.t_end = np.fromiter((r.t_end for r in recs), dtype=float, count=n)
-        if n:
-            self.video_ids = np.array([r.video_id for r in recs])
-            self.segment_ids = np.fromiter((r.segment_id for r in recs),
-                                           dtype=np.int64, count=n)
-        else:
-            self.video_ids = np.empty(0, dtype="<U1")
-            self.segment_ids = np.empty(0, dtype=np.int64)
-        self.key_rank = _key_rank(self.video_ids, self.segment_ids)
-        self.grid = PackedPointGrid.build(self.lng, self.lat,
-                                          self.t_start, self.t_end,
-                                          self.theta)
+        self.lat = lat
+        self.lng = lng
+        self.theta = theta
+        self.t_start = t_start
+        self.t_end = t_end
+        self.video_ids = video_ids
+        self.segment_ids = segment_ids
+        self.key_rank = (key_rank if key_rank is not None
+                         else _key_rank(video_ids, segment_ids))
+        self.grid = (grid if grid is not None
+                     else PackedPointGrid.build(lng, lat, t_start, t_end,
+                                                theta))
+        self.records = (records if records is not None
+                        else _ColumnRecords(lat, lng, theta, t_start, t_end,
+                                            video_ids, segment_ids))
 
     def __len__(self) -> int:
         return len(self.records)
-
-    @classmethod
-    def from_rtree(cls, tree: RTree, epoch: int = 0) -> "PackedFoVIndex":
-        """Snapshot a dynamic R-tree of representative FoVs."""
-        return cls(PackedRTree.from_rtree(tree), epoch=epoch)
-
-    @classmethod
-    def from_columns(cls, *, lat: np.ndarray, lng: np.ndarray,
-                     theta: np.ndarray, t_start: np.ndarray,
-                     t_end: np.ndarray, video_ids: np.ndarray,
-                     segment_ids: np.ndarray, key_rank: np.ndarray,
-                     grid: PackedPointGrid, epoch: int = 0
-                     ) -> "PackedFoVIndex":
-        """Assemble a snapshot directly from columns (zero-copy attach).
-
-        Used by the flat snapshot codec (:mod:`repro.core.flatsnap`):
-        the columns and grid typically view a shared buffer, nothing is
-        copied, and ``records`` materialises objects lazily -- so this
-        constructor is O(1) in record count.  ``tree`` is ``None``; all
-        range searches go through the grid.
-        """
-        view = cls.__new__(cls)
-        view.tree = None
-        view.epoch = epoch
-        view.lat = lat
-        view.lng = lng
-        view.theta = theta
-        view.t_start = t_start
-        view.t_end = t_end
-        view.video_ids = video_ids
-        view.segment_ids = segment_ids
-        view.key_rank = key_rank
-        view.grid = grid
-        view.records = _ColumnRecords(lat, lng, theta, t_start, t_end,
-                                      video_ids, segment_ids)
-        return view
 
     def range_search_ids(self, query: Query,
                          observer: SearchObserver | None = None
@@ -255,6 +208,142 @@ class PackedFoVIndex:
                                      observer=observer)
 
 
+#: Rows of the column store's geometry matrix (``RepresentativeFoV``
+#: field order, which is also the packed view's column order).
+_LAT, _LNG, _THETA, _T_START, _T_END = range(5)
+
+
+class _ColumnStore:
+    """Append-only record list plus growable parallel columns.
+
+    The rtree backend's single source of truth: the objects a result
+    hands back, and the ``lat``/``lng``/``theta``/``t_start``/``t_end``/
+    ``video_ids``/``segment_ids`` columns the serving path reads, in
+    insertion order.  An append is O(batch) amortised (capacity
+    doubling); a removal compresses every column with one mask.
+
+    Rows ``[:n]`` of a buffer are never rewritten -- appends fill spare
+    capacity or move to a larger buffer, removals compress into fresh
+    arrays -- so a :class:`PackedFoVIndex` over ``[:n]`` slices stays
+    frozen without copying a column.
+    """
+
+    __slots__ = ("records", "generation", "_geom", "_video_ids",
+                 "_segment_ids")
+
+    def __init__(self, capacity: int = 64) -> None:
+        self.records: list[RepresentativeFoV] = []
+        #: Bumped by every :meth:`compress`: within one generation the
+        #: rows are append-only, so ``(generation, len)`` names a content.
+        self.generation = 0
+        self._geom = np.empty((5, capacity), dtype=float)
+        self._video_ids = np.zeros(capacity, dtype="<U1")
+        self._segment_ids = np.empty(capacity, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    @property
+    def lat(self) -> np.ndarray:
+        return self._geom[_LAT, :len(self.records)]
+
+    @property
+    def lng(self) -> np.ndarray:
+        return self._geom[_LNG, :len(self.records)]
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self._geom[_THETA, :len(self.records)]
+
+    @property
+    def t_start(self) -> np.ndarray:
+        return self._geom[_T_START, :len(self.records)]
+
+    @property
+    def t_end(self) -> np.ndarray:
+        return self._geom[_T_END, :len(self.records)]
+
+    @property
+    def video_ids(self) -> np.ndarray:
+        return self._video_ids[:len(self.records)]
+
+    @property
+    def segment_ids(self) -> np.ndarray:
+        return self._segment_ids[:len(self.records)]
+
+    def boxes(self, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(mins, maxs)`` of the degenerate 3-D boxes of rows ``start:``."""
+        lng, lat = self.lng[start:], self.lat[start:]
+        return (np.column_stack((lng, lat, self.t_start[start:])),
+                np.column_stack((lng, lat, self.t_end[start:])))
+
+    def append(self, items: list[RepresentativeFoV],
+               geom: np.ndarray) -> None:
+        """Append ``items``; ``geom`` is their ``(m, 5)`` geometry matrix."""
+        n, m = len(self.records), len(items)
+        video_ids = np.array([f.video_id for f in items])
+        capacity = self._segment_ids.shape[0]
+        vid_dtype = max(video_ids.dtype, self._video_ids.dtype,
+                        key=lambda dt: dt.itemsize)
+        if n + m > capacity or vid_dtype != self._video_ids.dtype:
+            if n + m > capacity:
+                capacity = max(2 * capacity, n + m)
+            geom_buf = np.empty((5, capacity), dtype=float)
+            geom_buf[:, :n] = self._geom[:, :n]
+            vid_buf = np.zeros(capacity, dtype=vid_dtype)
+            vid_buf[:n] = self._video_ids[:n]
+            sid_buf = np.empty(capacity, dtype=np.int64)
+            sid_buf[:n] = self._segment_ids[:n]
+            self._geom, self._video_ids, self._segment_ids = (
+                geom_buf, vid_buf, sid_buf)
+        self._geom[:, n:n + m] = geom.T
+        self._video_ids[n:n + m] = video_ids
+        self._segment_ids[n:n + m] = [f.segment_id for f in items]
+        self.records.extend(items)
+
+    def compress(self, keep: np.ndarray) -> None:
+        """Drop every row whose ``keep`` flag is false."""
+        n = len(self.records)
+        self._geom = self._geom[:, :n].compress(keep, axis=1)
+        self._video_ids = self._video_ids[:n][keep]
+        self._segment_ids = self._segment_ids[:n][keep]
+        self.records = [f for f, k in zip(self.records, keep.tolist()) if k]
+        self.generation += 1
+
+    def find(self, fov: RepresentativeFoV) -> int:
+        """Row of the first record equal to ``fov`` (``-1`` if absent)."""
+        rows = np.flatnonzero((self.segment_ids == fov.segment_id)
+                              & (self.lat == fov.lat)
+                              & (self.lng == fov.lng)
+                              & (self.t_start == fov.t_start)
+                              & (self.t_end == fov.t_end))
+        for row in rows.tolist():
+            if self.records[row] == fov:
+                return row
+        return -1
+
+
+class _TreeView(NamedTuple):
+    """A materialised R-tree and the store state it reflects."""
+
+    tree: RTree
+    count: int          # records indexed, a prefix of the column store
+    generation: int     # the store's removal generation at build time
+
+
+#: Tree catch-up: at this many pending appends the derived R-tree is
+#: STR bulk-rebuilt instead of descended per record (a per-record
+#: insert costs ~100x a bulk-loaded one) ...
+_TREE_REBUILD_MIN = 512
+#: ... unless the tree is more than this many times larger than the
+#: pending run (rebuilding 1M records to append 1k would be a loss).
+_TREE_REBUILD_MAX_RATIO = 64
+
+#: ``(lng_lo, lng_hi, lat_lo, lat_hi, t_lo, t_hi)`` -- axis order matches
+#: the 3-D boxes.
+Bounds = tuple[float, float, float, float, float, float]
+
+
 class FoVIndex:
     """Dynamic index of representative FoVs with 3-D range lookup.
 
@@ -266,6 +355,15 @@ class FoVIndex:
     rtree_config : RTreeConfig, optional
         Structural parameters for the R-tree backend.
 
+    The rtree backend *stores* records in a column store (an
+    append-only record list plus growable parallel columns): a write is
+    an O(batch) append, and both read-optimised forms are views derived
+    from it lazily -- :meth:`packed_view` (columns + cell grid, what
+    ``engine="packed"`` serves from) and :meth:`rtree` (the Section V-A
+    R-tree, what :meth:`range_search`, :meth:`count_in_range` and
+    :meth:`nearest` descend).  A deployment that only serves packed
+    never builds a tree.
+
     Every mutation bumps :attr:`epoch`, which invalidates derived
     read-optimised state (the packed snapshot, server-side result
     caches) without those consumers scanning the index.
@@ -275,104 +373,154 @@ class FoVIndex:
                  rtree_config: RTreeConfig | None = None):
         self.backend = backend
         self._rtree_config = rtree_config
+        self._store: _ColumnStore | LinearScanIndex
         if backend == "rtree":
-            self._index = RTree(3, config=rtree_config)
+            self._store = _ColumnStore()
         elif backend == "linear":
             if rtree_config is not None:
                 raise ValueError("rtree_config only applies to the rtree backend")
-            self._index = LinearScanIndex(3)
+            self._store = LinearScanIndex(3)
         else:
             raise ValueError(f"unknown backend {backend!r}")
         self._epoch = 0
+        self._bounds: Bounds | None = None
         self._packed: PackedFoVIndex | None = None
+        self._tree: _TreeView | None = None
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._store)
 
     @property
     def epoch(self) -> int:
         """Mutation counter; changes whenever indexed content changes."""
         return self._epoch
 
+    def _columns(self, caller: str) -> _ColumnStore:
+        if not isinstance(self._store, _ColumnStore):
+            raise TypeError(f"{caller} requires the rtree backend")
+        return self._store
+
     def packed_view(self) -> PackedFoVIndex:
         """The current columnar snapshot, rebuilt lazily per epoch.
 
-        Requires the R-tree backend (the linear baseline has no tree to
-        pack).  Successive calls between mutations return the same
-        object, so a query burst pays the packing cost once.
+        Requires the R-tree backend (the linear baseline keeps no
+        columns).  The snapshot shares the column store's arrays and
+        derives only ``key_rank`` and the cell grid.  Successive calls
+        between mutations return the same object, so a query burst pays
+        that cost once.
         """
-        if not isinstance(self._index, RTree):
-            raise TypeError("packed_view() requires the rtree backend")
+        store = self._columns("packed_view()")
         if self._packed is None or self._packed.epoch != self._epoch:
-            self._packed = PackedFoVIndex.from_rtree(self._index,
-                                                     epoch=self._epoch)
+            self._packed = PackedFoVIndex(
+                lat=store.lat, lng=store.lng, theta=store.theta,
+                t_start=store.t_start, t_end=store.t_end,
+                video_ids=store.video_ids, segment_ids=store.segment_ids,
+                records=list(store.records), epoch=self._epoch)
         return self._packed
+
+    def rtree(self) -> RTree:
+        """The Section V-A R-tree over the current records.
+
+        A derived view like :meth:`packed_view`: materialised on first
+        use (one STR bulk load), caught up when only appends happened
+        since -- per record, or by a bulk rebuild when the pending run
+        is a non-trivial share of the index -- and bulk-rebuilt after a
+        removal.  Requires the R-tree backend.
+        """
+        store = self._columns("rtree()")
+        view, n = self._tree, len(store)
+        if view is not None and view.generation != store.generation:
+            view = None                 # a removal: nothing to catch up from
+        if view is not None and view.count == n:
+            return view.tree
+        pending = n if view is None else n - view.count
+        if view is None or (pending >= _TREE_REBUILD_MIN
+                            and view.count <= pending * _TREE_REBUILD_MAX_RATIO):
+            tree = str_bulk_load(*store.boxes(0), store.records, dim=3,
+                                 config=self._rtree_config)
+        else:
+            tree = view.tree
+            mins, maxs = store.boxes(view.count)
+            for i, fov in enumerate(store.records[view.count:]):
+                tree.insert(mins[i], maxs[i], fov)
+        self._tree = _TreeView(tree, n, store.generation)
+        return tree
+
+    def _searchable(self) -> RTree | LinearScanIndex:
+        if isinstance(self._store, LinearScanIndex):
+            return self._store
+        return self.rtree()
 
     def insert(self, fov: RepresentativeFoV) -> None:
         """Index one uploaded representative FoV."""
-        bmin, bmax = fov_box(fov)
-        self._index.insert(bmin, bmax, fov)
-        self._epoch += 1
+        self.insert_many((fov,))
 
     def insert_many(self, fovs: Iterable[RepresentativeFoV]) -> int:
         """Index a batch of records atomically; returns the count.
 
-        All boxes are computed and checked finite *before* the first
-        insert, so a bad record rejects the whole batch with the index
-        untouched (no partial bundles), and the epoch bumps once for
-        the batch instead of once per record -- one cache/packed-view
-        invalidation per commit group, however many bundles it merged.
+        The batch's geometry matrix is built and checked finite *before*
+        anything is stored, so a bad record rejects the whole batch with
+        the index untouched (no partial bundles), and the epoch bumps
+        once for the batch instead of once per record -- one
+        cache/packed-view invalidation per commit group, however many
+        bundles it merged.
 
-        Geometry validation is one vectorised pass over the batch's
-        box matrix.  Large batches on the R-tree backend
-        (:data:`BULK_APPEND_MIN`, :data:`BULK_APPEND_MAX_RATIO`) are
-        appended by STR bulk-rebuilding the tree over existing plus new
-        records instead of descending per record -- the ~100x
-        amortisation the streaming ingest pipeline's commit groups rely
-        on (docs/PERFORMANCE.md).
+        On the R-tree backend the batch is then appended to the column
+        store: O(batch), no tree descent.  Derived views catch up when
+        next asked for (:meth:`packed_view`, :meth:`rtree`).
         """
         items = list(fovs)
         if not items:
             return 0
-        mins = np.array([[f.lng, f.lat, f.t_start] for f in items],
-                        dtype=float)
-        maxs = np.array([[f.lng, f.lat, f.t_end] for f in items], dtype=float)
-        finite = np.isfinite(mins).all(axis=1) & np.isfinite(maxs).all(axis=1)
+        geom = np.array([(f.lat, f.lng, f.theta, f.t_start, f.t_end)
+                         for f in items], dtype=float)
+        finite = np.isfinite(
+            geom[:, (_LAT, _LNG, _T_START, _T_END)]).all(axis=1)
         if not bool(finite.all()):
             bad = items[int(np.argmin(finite))]
             raise ValueError(
                 f"non-finite geometry in record {bad.key()!r}; "
                 f"nothing from this batch was indexed"
             )
-        n = len(items)
-        if (self.backend == "rtree" and n >= BULK_APPEND_MIN
-                and len(self._index) <= n * BULK_APPEND_MAX_RATIO):
-            existing = list(self._index.items())
-            if existing:
-                old_mins = np.array([b for b, _, _ in existing], dtype=float)
-                old_maxs = np.array([b for _, b, _ in existing], dtype=float)
-                mins = np.vstack([old_mins, mins])
-                maxs = np.vstack([old_maxs, maxs])
-                merged = [f for _, _, f in existing] + items
-            else:
-                merged = items
-            self._index = str_bulk_load(mins, maxs, merged, dim=3,
-                                        config=self._rtree_config)
+        if isinstance(self._store, _ColumnStore):
+            self._store.append(items, geom)
         else:
+            mins = geom[:, (_LNG, _LAT, _T_START)]
+            maxs = geom[:, (_LNG, _LAT, _T_END)]
             for i, fov in enumerate(items):
-                self._index.insert(mins[i].copy(), maxs[i].copy(), fov)
+                self._store.insert(mins[i], maxs[i], fov)
+        lo, hi = geom.min(axis=0).tolist(), geom.max(axis=0).tolist()
+        box = (lo[_LNG], hi[_LNG], lo[_LAT], hi[_LAT],
+               lo[_T_START], hi[_T_END])
+        old = self._bounds
+        self._bounds = box if old is None else (
+            min(old[0], box[0]), max(old[1], box[1]),
+            min(old[2], box[2]), max(old[3], box[3]),
+            min(old[4], box[4]), max(old[5], box[5]))
         self._epoch += 1
-        return n
+        return len(items)
+
+    def bounds(self) -> Bounds | None:
+        """Conservative content box, ``None`` before the first insert.
+
+        ``(lng_lo, lng_hi, lat_lo, lat_hi, t_lo, t_hi)`` over every
+        record ever indexed, widened from each batch's geometry matrix;
+        removals leave it as-is (a stale, wider box still prunes
+        safely).
+        """
+        return self._bounds
 
     def records(self) -> list[RepresentativeFoV]:
         """Every indexed record (index order; audits and parity checks)."""
-        return [fov for _, _, fov in self._index.items()]
+        if isinstance(self._store, _ColumnStore):
+            return list(self._store.records)
+        return [fov for _, _, fov in self._store.items()]
 
     def content_digest(self) -> str:
         """Order-independent SHA-256 over the canonical record tuples.
 
         Two indexes hold bit-identical content iff their digests match,
-        regardless of insertion order or tree shape -- the convergence
+        regardless of insertion order or backend -- the convergence
         check for fault-injection and WAL crash-replay runs
         (``repr`` round-trips floats exactly, so equal digests mean
         equal bits, not merely close values).
@@ -388,8 +536,15 @@ class FoVIndex:
 
     def delete(self, fov: RepresentativeFoV) -> bool:
         """Remove one record (e.g. a provider revoking a contribution)."""
-        bmin, bmax = fov_box(fov)
-        deleted = self._index.delete(bmin, bmax, fov)
+        if isinstance(self._store, _ColumnStore):
+            row = self._store.find(fov)
+            deleted = row >= 0
+            if deleted:
+                keep = np.ones(len(self._store), dtype=bool)
+                keep[row] = False
+                self._store.compress(keep)
+        else:
+            deleted = self._store.delete(*fov_box(fov), fov)
         if deleted:
             self._epoch += 1
         return deleted
@@ -401,13 +556,20 @@ class FoVIndex:
         bounded window (storage, policy, or provider consent expiry).
         Returns the number of records evicted.
         """
-        victims = [(bmin, bmax, fov) for bmin, bmax, fov in self._index.items()
-                   if fov.t_end < cutoff_t]
-        for bmin, bmax, fov in victims:
-            self._index.delete(bmin, bmax, fov)
-        if victims:
+        if isinstance(self._store, _ColumnStore):
+            keep = ~(self._store.t_end < cutoff_t)
+            evicted = int(keep.size - np.count_nonzero(keep))
+            if evicted:
+                self._store.compress(keep)
+        else:
+            victims = [entry for entry in self._store.items()
+                       if entry[2].t_end < cutoff_t]
+            for bmin, bmax, fov in victims:
+                self._store.delete(bmin, bmax, fov)
+            evicted = len(victims)
+        if evicted:
             self._epoch += 1
-        return len(victims)
+        return evicted
 
     def range_search(self, query: Query) -> list[RepresentativeFoV]:
         """All records whose 3-D rectangles intersect the query box.
@@ -416,12 +578,12 @@ class FoVIndex:
         ranking live in :mod:`repro.core.retrieval`.
         """
         bmin, bmax = query_box(query)
-        return self._index.search(bmin, bmax)
+        return self._searchable().search(bmin, bmax)
 
     def count_in_range(self, query: Query) -> int:
         """Number of records the query box intersects."""
         bmin, bmax = query_box(query)
-        return self._index.count_intersecting(bmin, bmax)
+        return self._searchable().count_intersecting(bmin, bmax)
 
     def nearest(self, center: GeoPoint, t: float, k: int = 10,
                 time_weight_m_per_s: float = 0.0
@@ -441,12 +603,10 @@ class FoVIndex:
         available on the R-tree backend (the linear baseline answers
         the same question via :meth:`range_search` sweeps).
         """
-        if not isinstance(self._index, RTree):
-            raise TypeError("nearest() requires the rtree backend")
         m_lng, m_lat = metres_per_degree(center.lat)
         weights = np.array([m_lng, m_lat, time_weight_m_per_s])
         point = np.array([center.lng, center.lat, t])
-        return knn_search(self._index, point, k, weights=weights)
+        return knn_search(self.rtree(), point, k, weights=weights)
 
     def nearest_bruteforce(self, center: GeoPoint, t: float, k: int = 10,
                            time_weight_m_per_s: float = 0.0
@@ -456,7 +616,8 @@ class FoVIndex:
         weights = np.array([m_lng, m_lat, time_weight_m_per_s])
         point = np.array([center.lng, center.lat, t])
         rows = []
-        for bmin, bmax, item in self._index.items():
+        for item in self.records():
+            bmin, bmax = fov_box(item)
             d = float(mindist(point, bmin[None, :], bmax[None, :], weights)[0])
             rows.append((d, item))
         rows.sort(key=lambda r: r[0])
@@ -465,10 +626,11 @@ class FoVIndex:
     @classmethod
     def bulk(cls, fovs: list[RepresentativeFoV],
              rtree_config: RTreeConfig | None = None) -> "FoVIndex":
-        """STR bulk-load an index from a collected dataset (O(n log n))."""
+        """Index a collected dataset in one batch.
+
+        The first :meth:`rtree` use STR bulk-loads the tree over it
+        (O(n log n)); a packed deployment never pays for that.
+        """
         idx = cls(backend="rtree", rtree_config=rtree_config)
-        if fovs:
-            mins = np.array([[f.lng, f.lat, f.t_start] for f in fovs])
-            maxs = np.array([[f.lng, f.lat, f.t_end] for f in fovs])
-            idx._index = str_bulk_load(mins, maxs, fovs, dim=3, config=rtree_config)
+        idx.insert_many(fovs)
         return idx

@@ -8,7 +8,7 @@ The server answers with a relevance-ranked list of representative FoVs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 from repro.core.fov import RepresentativeFoV
 from repro.geo.coords import GeoPoint
@@ -94,24 +94,37 @@ class RankedFoV(NamedTuple):
     score: float = 0.0
 
 
-class QueryResult(NamedTuple):
-    """Ranked answer plus the funnel counters the evaluation reports.
-
-    ``candidates`` is how many index entries the range search returned;
-    ``after_filter`` how many survived the orientation filter;
-    ``elapsed_s`` the server-side wall time of the whole lookup.
-    (``NamedTuple`` for the same construction-cost reason as
-    :class:`RankedFoV` -- one is built per query on the latency path.)
-    """
-
+class _QueryResultFields(NamedTuple):
     query: Query
     ranked: list[RankedFoV] = []
     candidates: int = 0
     after_filter: int = 0
     elapsed_s: float = 0.0
 
+
+class QueryResult(_QueryResultFields):
+    """Ranked answer plus the funnel counters the evaluation reports.
+
+    ``candidates`` is how many index entries the range search returned;
+    ``after_filter`` how many survived the orientation filter;
+    ``elapsed_s`` the server-side wall time of the whole lookup.
+    (``NamedTuple`` fields for the same construction-cost reason as
+    :class:`RankedFoV` -- one is built per query on the latency path.)
+
+    ``len(result)`` is the number of ranked rows, not of fields.
+    """
+
+    __slots__ = ()
+
     def __len__(self) -> int:
         return len(self.ranked)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "QueryResult":
+        # The generated _make (which _replace goes through) checks
+        # len(result) against the field count; with __len__ meaning
+        # ranked rows that raises "Expected 5 arguments, got 0".
+        return cls(*iterable)
 
     def fovs(self) -> list[RepresentativeFoV]:
         """The ranked records, best first."""

@@ -258,7 +258,7 @@ class CloudServer:
         whenever the index mutates (insert, delete, eviction) via the
         index epoch, so a hit always equals the cold recomputation.
     index : FoVIndex, optional
-        Use an existing index (e.g. an STR bulk-loaded snapshot)
+        Use an existing index (e.g. a loaded snapshot)
         instead of building an empty one; ``backend``/``rtree_config``
         are ignored when given.
     quarantine_capacity : int

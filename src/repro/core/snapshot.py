@@ -5,7 +5,9 @@ FoVs must survive.  A snapshot is simply the concatenation of
 per-video descriptor bundles (the same wire format clients upload,
 :mod:`repro.net.protocol`), wrapped in a small header with a record
 count and a CRC32 -- so the on-disk format is the on-wire format, and
-loading is an STR bulk-build (O(n log n)) rather than n inserts.
+loading is one batch append (:meth:`FoVIndex.bulk`): the R-tree, if a
+reader ever asks for it, is STR bulk-built then (O(n log n)) rather
+than by n inserts.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def save_snapshot(path, fovs: list[RepresentativeFoV]) -> int:
 
 def load_snapshot(path, rtree_config: RTreeConfig | None = None
                   ) -> tuple[FoVIndex, list[RepresentativeFoV]]:
-    """Load a snapshot and STR bulk-build the index.
+    """Load a snapshot into a fresh index (:meth:`FoVIndex.bulk`).
 
     Returns ``(index, records)``; raises ``ValueError`` on a corrupt or
     truncated file (magic, CRC and length are all checked).

@@ -42,7 +42,7 @@ from repro.core.camera import CameraModel
 from repro.core.cache import QueryResultCache, query_cache_key
 from repro.core.flatsnap import pack_snapshot
 from repro.core.fov import RepresentativeFoV
-from repro.core.index import query_box
+from repro.core.index import Bounds, query_box
 from repro.core.ingest import AdmissionQueue
 from repro.core.query import Query, QueryResult, RankedFoV
 from repro.core.quarantine import QuarantineStore
@@ -77,10 +77,6 @@ class ShardUnavailableError(RuntimeError):
     def __init__(self, shard_id: int) -> None:
         super().__init__(f"shard {shard_id} is down")
         self.shard_id = shard_id
-
-#: (lng_lo, lng_hi, lat_lo, lat_hi, t_lo, t_hi) -- axis order matches
-#: the index's 3-D boxes.
-_Bounds = tuple[float, float, float, float, float, float]
 
 
 def _rank_key(row: RankedFoV) -> tuple[float, tuple[str, int]]:
@@ -153,7 +149,9 @@ class ShardedCloudServer:
             self.spawn_shard_server() for _ in range(n_shards)
         ]
         self._locks = [threading.RLock() for _ in range(n_shards)]
-        self._bounds: list[_Bounds | None] = [None] * n_shards
+        # Each shard index's content box as of its last ingest; the
+        # router's copy outlives the primary (kill_shard).
+        self._bounds: list[Bounds | None] = [None] * n_shards
         self._ingest_lock = threading.Lock()
         self._down: frozenset[int] = frozenset()
         self._cache_lock = threading.Lock()
@@ -325,22 +323,6 @@ class ShardedCloudServer:
 
     # -- ingest -----------------------------------------------------------
 
-    def _widen_bounds(self, sid: int,
-                      fovs: Sequence[RepresentativeFoV]) -> None:
-        """Grow shard ``sid``'s content bounding box (caller holds lock)."""
-        lng_lo = min(f.lng for f in fovs)
-        lng_hi = max(f.lng for f in fovs)
-        lat_lo = min(f.lat for f in fovs)
-        lat_hi = max(f.lat for f in fovs)
-        t_lo = min(f.t_start for f in fovs)
-        t_hi = max(f.t_end for f in fovs)
-        old = self._bounds[sid]
-        if old is not None:
-            lng_lo, lng_hi = min(lng_lo, old[0]), max(lng_hi, old[1])
-            lat_lo, lat_hi = min(lat_lo, old[2]), max(lat_hi, old[3])
-            t_lo, t_hi = min(t_lo, old[4]), max(t_hi, old[5])
-        self._bounds[sid] = (lng_lo, lng_hi, lat_lo, lat_hi, t_lo, t_hi)
-
     def _sync_shard_gauges(self, sid: int) -> None:
         shard = self.shards[sid]
         self._epoch_gauge.labels(shard=str(sid)).set(shard.index.epoch)
@@ -361,7 +343,7 @@ class ShardedCloudServer:
                 continue
             with self._locks[sid]:
                 n += self.shards[sid].ingest(part)
-                self._widen_bounds(sid, part)
+                self._bounds[sid] = self.shards[sid].index.bounds()
                 self._sync_shard_gauges(sid)
             self._route.labels(shard=str(sid)).inc(len(part))
         return n

@@ -21,9 +21,11 @@ Nodes are packed level by level (root first).  Level ``l`` stores the
 Because level ``l + 1``'s nodes are packed in the entry order of level
 ``l``, the child *node* index of entry row ``e`` is simply ``e`` -- no
 pointer arrays are needed.  At the leaf level, entry row ``e`` is the
-payload id: ``items[e]`` is the stored object, and callers keep their
-own columnar side tables aligned to the same row order (see
-``repro.core.index.PackedFoVIndex``).
+payload id: ``items[e]`` is the stored object, and callers keep any
+columnar side tables of their own aligned to the same row order.  (The
+serving path no longer packs a tree: ``repro.core.index.PackedFoVIndex``
+is built straight from the index's columns and searches a
+:class:`~repro.spatial.grid.PackedPointGrid`.)
 
 Search therefore never recurses: a frontier of candidate rows is
 refined level by level, and :meth:`PackedRTree.search_many` carries a
@@ -105,7 +107,7 @@ class PackedRTree:
     burst) and route reads through :meth:`search_ids` /
     :meth:`search_many`.  The snapshot does not observe later tree
     mutations; owners tag snapshots with an epoch and rebuild when the
-    backing index changes (see ``FoVIndex.packed_view``).
+    backing tree changes.
     """
 
     __slots__ = ("dim", "levels", "items", "_fused")

@@ -124,20 +124,25 @@ class TestInsertMany:
         assert idx.epoch == epoch + 1
 
     def test_bulk_append_branch_matches_loop(self, rng):
-        # Above BULK_APPEND_MIN the rtree backend rebuilds the whole
-        # tree via STR bulk load; the result must be indistinguishable
-        # from per-record insertion.
-        from repro.core.index import BULK_APPEND_MIN
-        n = BULK_APPEND_MIN + 50
+        # A materialised tree catches up on a long pending run with one
+        # STR bulk rebuild and on a short one per record; the result
+        # must be indistinguishable.
+        from repro.core.index import _TREE_REBUILD_MIN
+        n = _TREE_REBUILD_MIN + 50
         reps = random_representative_fovs(n, rng)
         seed = random_representative_fovs(10, np.random.default_rng(7))
         bulk = FoVIndex()
         bulk.insert_many(seed)
-        assert bulk.insert_many(reps) == n          # rebuild branch
+        built = bulk.rtree()
+        assert bulk.insert_many(reps) == n
+        assert bulk.rtree() is not built            # rebuild branch
         loop = FoVIndex()
         loop.insert_many(seed)
-        for rep in reps:                            # per-record branch
+        built = loop.rtree()
+        for rep in reps:
             loop.insert(rep)
+            assert loop.rtree() is built            # per-record branch
+        assert len(built) == len(bulk.rtree()) == n + 10
         assert bulk.content_digest() == loop.content_digest()
         q = Query(t_start=0.0, t_end=86400.0, center=P, radius=3000.0)
         assert sorted(f.key() for f in bulk.range_search(q)) == \
@@ -153,6 +158,73 @@ class TestInsertMany:
             idx.insert_many(good[:3] + [bad] + good[3:])
         assert idx.epoch == epoch
         assert idx.content_digest() == digest
+
+    def test_non_finite_batch_leaves_columns_and_tree_untouched(self, rng):
+        idx = FoVIndex()
+        idx.insert_many(random_representative_fovs(20, rng))
+        tree, view = idx.rtree(), idx.packed_view()
+        records, bounds = idx.records(), idx.bounds()
+        bad = rep_at(40.0, float("inf"), 0.0, 1.0, vid="bad")
+        with pytest.raises(ValueError, match="nothing from this batch"):
+            idx.insert_many(random_representative_fovs(5, rng) + [bad])
+        assert idx.records() == records and idx.bounds() == bounds
+        assert idx.rtree() is tree and len(tree) == 20
+        assert idx.packed_view() is view and len(view.lat) == 20
+
+    def test_insert_many_builds_no_view(self, rng, monkeypatch):
+        # The write path is an append: derived views catch up when a
+        # reader next asks, never inside the mutator.
+        def boom(self):
+            raise AssertionError("a mutator materialised a derived view")
+        idx = FoVIndex()
+        idx.insert_many(random_representative_fovs(10, rng))
+        idx.rtree(), idx.packed_view()
+        monkeypatch.setattr(FoVIndex, "packed_view", boom)
+        monkeypatch.setattr(FoVIndex, "rtree", boom)
+        reps = random_representative_fovs(30, rng)
+        idx.insert_many(reps)
+        idx.insert(reps[0])
+        assert idx.delete(reps[0])
+        idx.evict_older_than(40_000.0)
+
+    def test_packed_view_is_rebuilt_per_epoch_only(self, rng):
+        idx = FoVIndex()
+        views = [idx.packed_view()]
+        assert idx.packed_view() is views[0]
+        reps = random_representative_fovs(30, rng, horizon_s=1000.0)
+        for mutate in (lambda: idx.insert_many(reps[:20]),
+                       lambda: idx.insert(reps[20]),
+                       lambda: idx.delete(reps[3]),
+                       lambda: idx.evict_older_than(500.0)):
+            mutate()
+            view = idx.packed_view()
+            assert all(view is not v for v in views)
+            assert idx.packed_view() is view and view.epoch == idx.epoch
+            views.append(view)
+        # An earlier snapshot stays frozen while the index moves on.
+        assert len(views[1]) == len(views[1].lat) == 20
+        assert [f.key() for f in views[1].records] == \
+            [f.key() for f in reps[:20]]
+
+    def test_bounds_cover_every_record_ever_indexed(self, rng):
+        for backend in ("rtree", "linear"):
+            idx = FoVIndex(backend=backend)
+            assert idx.bounds() is None
+            reps = random_representative_fovs(40, rng, horizon_s=1000.0)
+            idx.insert_many(reps[:25])
+            idx.insert_many(reps[25:])
+            want = (min(r.lng for r in reps), max(r.lng for r in reps),
+                    min(r.lat for r in reps), max(r.lat for r in reps),
+                    min(r.t_start for r in reps), max(r.t_end for r in reps))
+            assert idx.bounds() == want
+            idx.evict_older_than(500.0)         # removals never shrink it
+            assert idx.bounds() == want
+
+    def test_derived_views_need_the_rtree_backend(self):
+        lin = FoVIndex(backend="linear")
+        for read in (lin.rtree, lin.packed_view):
+            with pytest.raises(TypeError, match="requires the rtree backend"):
+                read()
 
     def test_content_digest_is_order_independent(self, rng):
         reps = random_representative_fovs(50, rng)

@@ -122,7 +122,7 @@ class TestEviction:
         assert server.evict_older_than(cutoff) == expected
         assert server.indexed_count == 300 - expected
         # No surviving record ended before the cutoff.
-        for _, _, fov in server.index._index.items():
+        for fov in server.index.records():
             assert fov.t_end >= cutoff
 
     def test_queries_correct_after_eviction(self, camera, rng):

@@ -56,3 +56,21 @@ class TestQueryResult:
         assert len(res) == 3
         assert res.keys() == [("v", 0), ("v", 1), ("v", 2)]
         assert [f.segment_id for f in res.fovs()] == [0, 1, 2]
+
+    def test_replace_keeps_len_meaning_ranked_rows(self):
+        # len(result) is the ranked-row count, which the generated
+        # NamedTuple._make mistook for the field count: _replace raised
+        # "Expected 5 arguments, got 0" on every result.
+        q = Query(t_start=0.0, t_end=1.0, center=P, radius=1.0)
+        rows = [RankedFoV(fov=self._rep(i), distance=float(i), covers=True)
+                for i in range(2)]
+        for ranked in ([], rows, rows * 3):
+            res = QueryResult(query=q, ranked=ranked, candidates=7)
+            timed = res._replace(elapsed_s=0.25)
+            assert type(timed) is QueryResult
+            assert len(timed) == len(res) == len(ranked)
+            assert timed == res[:4] + (0.25,)
+            assert res.elapsed_s == 0.0             # original untouched
+        assert QueryResult._make(res) == res
+        with pytest.raises(ValueError, match="unexpected field"):
+            res._replace(rows=[])

@@ -22,7 +22,7 @@ class TestServiceLifecycle:
     def test_snapshot_after_service_roundtrips(self, served, tmp_path):
         """Nightly snapshot: dump the live index, reload, same answers."""
         server = served.server
-        records = [fov for _, _, fov in server.index._index.items()]
+        records = server.index.records()
         assert records, "the simulated service must have indexed something"
         path = tmp_path / "nightly.fov"
         save_snapshot(path, records)
@@ -39,8 +39,7 @@ class TestServiceLifecycle:
         server = served.server
         before = server.indexed_count
         cutoff = 900.0
-        old = sum(1 for _, _, f in server.index._index.items()
-                  if f.t_end < cutoff)
+        old = sum(1 for f in server.index.records() if f.t_end < cutoff)
         evicted = server.evict_older_than(cutoff)
         assert evicted == old
         assert server.indexed_count == before - evicted
@@ -52,7 +51,7 @@ class TestServiceLifecycle:
                    for f in server.index.range_search(early))
         # ...and the index is still structurally sound.
         from repro.spatial.metrics import check_invariants
-        check_invariants(server.index._index)
+        check_invariants(server.index.rtree())
 
     def test_stats_reflect_lifecycle(self, served):
         stats = served.server.stats

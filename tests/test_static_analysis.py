@@ -758,6 +758,45 @@ def test_rf011_bump_via_callee_helper_counts():
     assert lint_source(src, modname=_SNIPPET_MOD, select=["RF011"]) == []
 
 
+def test_rf011_lazy_derived_view_needs_no_bump():
+    # The FoVIndex.rtree()/packed_view() shape: mutators touch content
+    # only; the derived view is (re)assigned inside its getter alone,
+    # tagged with the content state it reflects, and caught up through
+    # a local.  Rebinding a derived attribute is not a storage mutation.
+    src = _EPOCH_HEAD + (
+        "        self._view = None\n"
+        "    def insert_many(self, rs):\n"
+        "        self._records.extend(rs)\n"
+        "        self._epoch += 1\n"
+        "    def view(self):\n"
+        "        view = self._view\n"
+        "        if view is None:\n"
+        "            view = (list(self._records), len(self._records))\n"
+        "        else:\n"
+        "            tree, count = view\n"
+        "            tree.extend(self._records[count:])\n"
+        "            view = (tree, len(self._records))\n"
+        "        self._view = view\n"
+        "        return view[0]\n"
+    )
+    assert lint_source(src, modname=_SNIPPET_MOD, select=["RF011"]) == []
+
+
+def test_rf011_flags_getter_mutating_view_through_self():
+    # The sloppy variant: the same catch-up written against the
+    # attribute looks exactly like an unbumped content mutation.
+    src = _EPOCH_HEAD + (
+        "        self._tree = []\n"
+        "        self._count = 0\n"
+        "    def tree(self):\n"
+        "        self._tree.extend(self._records[self._count:])\n"
+        "        self._count = len(self._records)\n"
+        "        return self._tree\n"
+    )
+    vs = lint_source(src, modname=_SNIPPET_MOD, select=["RF011"])
+    assert len(vs) == 1 and "'self._tree'" in vs[0].message
+
+
 def test_rf011_epochless_class_is_out_of_scope():
     src = (
         "class S:\n"
