@@ -35,12 +35,10 @@ def main() -> None:
     reps = city.all_representatives()
 
     # A long-running service would bulk-load its nightly snapshot.
-    server = CloudServer(city.camera)
-    server.index = FoVIndex.bulk(reps)
-    server.engine.index = server.index
+    server = CloudServer(city.camera, index=FoVIndex.bulk(reps))
     for rec in city.recordings:
         server.register_client(city.clients[rec.device_id])
-        server._owners[rec.video_id] = rec.device_id
+        server.register_owner(rec.video_id, rec.device_id)
 
     stats = tree_stats(server.index.rtree())
     print(f"  index: {stats.size} segments, R-tree height {stats.height}, "

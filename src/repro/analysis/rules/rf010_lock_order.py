@@ -1,8 +1,8 @@
 """RF010: lock acquisitions must follow one global order per class.
 
-The sharded router holds up to three locks (``_ingest_lock``, the
-per-shard ``_locks[i]`` family, ``_cache_lock``); the scatter-gather
-path touches several shards per query.  Two threads acquiring the same
+The sharded router holds two kinds of lock (``_ingest_lock`` and the
+per-shard ``_locks[i]`` family); the scatter-gather path touches
+several shards per query.  Two threads acquiring the same
 pair of locks in opposite orders deadlock -- silently, under load,
 never in a unit test.  This rule derives the class's **lock-acquisition
 graph** and flags the shapes that can deadlock:

@@ -16,14 +16,15 @@ independent of traffic volume.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable, Sequence
 
 from repro.core.query import Query
 from repro.obs.journal import EventJournal
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 
-__all__ = ["QueryResultCache", "query_cache_key"]
+__all__ = ["QueryResultCache", "query_cache_key", "read_through"]
 
 
 def query_cache_key(query: Query) -> tuple[float, float, float, float, float, int]:
@@ -58,9 +59,11 @@ class QueryResultCache:
     hit/miss tallies reconcile exactly with the cache's own.  LRU
     evictions are also journaled (``cache.evicted``) when a journal is
     attached.
+
+    ``get`` / ``put`` / ``clear`` run under the cache's own lock.
     """
 
-    __slots__ = ("_capacity", "_entries", "_journal",
+    __slots__ = ("_capacity", "_entries", "_journal", "_lock",
                  "_hits", "_misses", "_stale", "_evictions")
 
     def __init__(self, capacity: int = 1024,
@@ -71,6 +74,7 @@ class QueryResultCache:
         self._capacity = capacity
         self._entries: OrderedDict[Hashable, tuple[Hashable, Any]] = OrderedDict()
         self._journal = journal
+        self._lock = threading.Lock()
         reg = registry if registry is not None else MetricsRegistry()
         self._hits = reg.counter(
             "cache.hits", "Query-cache lookups answered from cache")
@@ -88,7 +92,8 @@ class QueryResultCache:
         return self._capacity
 
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:
+            return len(self._entries)
 
     @property
     def hits(self) -> int:
@@ -112,29 +117,63 @@ class QueryResultCache:
 
     def get(self, key: Hashable, epoch: Hashable) -> Any | None:
         """The cached value, or None on a miss or an epoch mismatch."""
-        entry = self._entries.get(key)
-        if entry is None:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] == epoch:
+                self._entries.move_to_end(key)
+                self._hits.inc()
+                return entry[1]
+            if entry is not None:
+                del self._entries[key]
+                self._stale.inc()
             self._misses.inc()
             return None
-        if entry[0] != epoch:
-            del self._entries[key]
-            self._stale.inc()
-            self._misses.inc()
-            return None
-        self._entries.move_to_end(key)
-        self._hits.inc()
-        return entry[1]
 
     def put(self, key: Hashable, epoch: Hashable, value: Any) -> None:
         """Store a value computed under ``epoch``; evicts LRU overflow."""
-        self._entries[key] = (epoch, value)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self._capacity:
-            self._entries.popitem(last=False)
-            self._evictions.inc()
-            if self._journal is not None:
-                self._journal.emit("cache.evicted", capacity=self._capacity)
+        with self._lock:
+            self._entries[key] = (epoch, value)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self._capacity:
+                self._entries.popitem(last=False)
+                self._evictions.inc()
+                if self._journal is not None:
+                    self._journal.emit("cache.evicted",
+                                       capacity=self._capacity)
 
     def clear(self) -> None:
         """Drop every cached entry (e.g. on index replacement)."""
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
+
+
+def read_through(cache: QueryResultCache | None, keys: Sequence[Hashable],
+                 epoch: Callable[[], Hashable],
+                 compute: Callable[[list[int]], Sequence[Any]],
+                 hits: Counter, misses: Counter) -> list[Any]:
+    """One value per key: cached where possible, computed otherwise.
+
+    ``compute(missed)`` gets the positions in ``keys`` that fell
+    through and returns one value per position.  ``epoch()`` -- one
+    index epoch, or the router's epoch vector -- is read before the
+    lookups and again after ``compute``: results are always *served*
+    but cached only when the two reads agree, so an answer that raced
+    a mutation is never stored under a tag it was not computed from.
+    ``hits`` / ``misses`` are the owner's tallies; without a cache
+    every key is computed and neither is touched.
+    """
+    if cache is None:
+        return list(compute(list(range(len(keys)))))
+    pre = epoch()
+    results = [cache.get(key, pre) for key in keys]
+    missed = [i for i, cached in enumerate(results) if cached is None]
+    hits.inc(len(keys) - len(missed))
+    misses.inc(len(missed))
+    if missed:
+        computed = compute(missed)
+        cacheable = epoch() == pre
+        for i, value in zip(missed, computed):
+            results[i] = value
+            if cacheable:
+                cache.put(keys[i], pre, value)
+    return results

@@ -13,71 +13,34 @@ rejected payloads land in a bounded
 :class:`~repro.core.quarantine.QuarantineStore` with their rejection
 reason instead of vanishing.
 
-Three streaming-ingest extensions (``docs/PROTOCOL.md``):
-
-* :meth:`CloudServer.ingest_batch` commits a whole group of delivered
-  bundles at once -- vectorised decode, one WAL fsync, one index
-  insert (one epoch bump) -- with per-bundle outcomes identical to
-  offering the bundles one at a time.
-* An optional :class:`~repro.core.wal.WriteAheadLog` makes accepted
-  payloads durable *before* they are indexed;
-  :meth:`CloudServer.replay_wal` recovers them after a crash
-  (idempotent via the digest dedup).
-* An optional :class:`~repro.core.ingest.AdmissionQueue` caps
-  in-flight bundles; the excess is ``SHED`` -- a retryable ack the
-  uploader backoff already understands.
+Commit groups, the optional write-ahead log and admission
+back-pressure are :class:`~repro.core.ingest.IngestCoordinator`'s; this
+facade supplies only where accepted records land (its index).
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
-from enum import Enum
+from typing import Callable, Sequence
 
-from repro.core.cache import QueryResultCache, query_cache_key
+from repro.core.cache import QueryResultCache, query_cache_key, read_through
 from repro.core.camera import CameraModel
 from repro.core.fov import RepresentativeFoV
 from repro.core.index import FoVIndex
-from repro.core.ingest import AdmissionQueue
+from repro.core.ingest import IngestCoordinator, IngestOutcome, IngestStatus
 from repro.core.pipeline import ClientPipeline, StoredSegment
 from repro.core.quarantine import QuarantineStore
 from repro.core.query import Query, QueryResult
 from repro.core.retrieval import RetrievalEngine
-from repro.core.wal import ENTRY_OVERHEAD, WriteAheadLog
-from repro.core.wal import replay as wal_replay
+from repro.core.wal import WriteAheadLog
 from repro.net.channel import FaultyChannel, RetryPolicy, RetryingUploader
-from repro.net.protocol import BundleColumns, decode_bundle, \
-    decode_bundle_columns
 from repro.net.traffic import TrafficModel, VideoProfile
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import Observability
 from repro.spatial.rtree import RTreeConfig
 from repro.video.retrieval import VideoQuery, VideoQueryResult, \
-    VideoQueryStats, retrieve_videos
+    VideoQueryStats, serve_video_query
 
 __all__ = ["CloudServer", "IngestOutcome", "IngestStatus", "ServerStats"]
-
-
-class IngestStatus(Enum):
-    """What happened to one delivered bundle."""
-
-    ACCEPTED = "accepted"
-    DUPLICATE = "duplicate"
-    REJECTED = "rejected"
-    #: Refused admission by back-pressure; retryable (the uploader
-    #: backs off and re-offers), unlike the terminal ``REJECTED``.
-    SHED = "shed"
-
-
-@dataclass(frozen=True)
-class IngestOutcome:
-    """The ingest path's acknowledgement for one delivered payload."""
-
-    status: IngestStatus
-    records_indexed: int
-    digest: str
-    video_id: str | None = None
-    reason: str | None = None
 
 
 class ServerStats:
@@ -323,11 +286,11 @@ class CloudServer:
             if cache_size > 0 else None
         )
         self._clients: dict[str, ClientPipeline] = {}
-        self._owners: dict[str, str] = {}  # video_id -> device_id
-        self._seen_digests: set[str] = set()
         self.wal = wal
-        self._admission = (AdmissionQueue(admission_capacity)
-                           if admission_capacity is not None else None)
+        self._ingest = IngestCoordinator(
+            self._land, stats=self.stats, journal=self.obs.journal,
+            quarantine=self.quarantine, wal=wal,
+            admission_capacity=admission_capacity)
 
     def _sync_index_gauges(self, cause: str) -> None:
         """Refresh the live-population and epoch gauges after a mutation,
@@ -345,184 +308,54 @@ class CloudServer:
         """Make a provider reachable for segment fetches."""
         self._clients[client.device_id] = client
 
+    def register_owner(self, video_id: str, device_id: str) -> None:
+        """Name the provider device holding ``video_id``'s footage."""
+        self._ingest.register_owner(video_id, device_id)
+
+    @property
+    def seen_digests(self) -> frozenset[str]:
+        """Content digests of every bundle indexed so far (read-only)."""
+        return self._ingest.seen_digests
+
     def ingest_bundle(self, payload: bytes,
                       device_id: str | None = None) -> IngestOutcome:
         """Ingest one delivered bundle; never raises on bad payloads.
 
-        The at-least-once ack path: when back-pressure is configured
-        and saturated the payload is ``SHED`` untouched (retryable); a
-        malformed or corrupt payload is quarantined and ``REJECTED``;
-        a byte-identical redelivery of an already-indexed bundle is
-        acknowledged ``DUPLICATE`` without touching the index
-        (exactly-once indexing); otherwise every record is validated
-        before any is indexed, the payload is made durable in the WAL
-        (when configured), the whole bundle lands atomically via
-        ``insert_many`` (one epoch bump), and the outcome is
-        ``ACCEPTED``.
+        The at-least-once ack path, a commit group of one
+        (:class:`~repro.core.ingest.IngestCoordinator`): when
+        back-pressure is configured and saturated the payload is
+        ``SHED`` untouched (retryable); a malformed or corrupt payload
+        is quarantined and ``REJECTED``; a byte-identical redelivery of
+        an already-indexed bundle is acknowledged ``DUPLICATE`` without
+        touching the index (exactly-once indexing); otherwise every
+        record is validated before any is indexed, the payload is made
+        durable in the WAL (when configured), the whole bundle lands
+        atomically via ``insert_many`` (one epoch bump), and the
+        outcome is ``ACCEPTED``.
         """
         with self.obs.tracer.span("server.ingest_bundle", bytes=len(payload)):
-            if self._admission is not None and not self._admission.try_admit():
-                return self._shed_outcome(payload)
-            try:
-                return self._ingest_one(payload, device_id)
-            finally:
-                if self._admission is not None:
-                    self._admission.release()
+            return self._ingest.commit([payload], [device_id])[0]
 
-    def _shed_outcome(self, payload: bytes) -> IngestOutcome:
-        digest = hashlib.sha256(payload).hexdigest()
-        self.stats._shed.inc()
-        self.obs.journal.emit("ingest.shed", digest=digest)
-        return IngestOutcome(status=IngestStatus.SHED,
-                             records_indexed=0, digest=digest,
-                             reason="admission queue full")
-
-    def _ingest_one(self, payload: bytes,
-                    device_id: str | None) -> IngestOutcome:
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest in self._seen_digests:
-            self.stats._duplicated.inc()
-            self.obs.journal.emit("ingest.duplicate", digest=digest)
-            return IngestOutcome(status=IngestStatus.DUPLICATE,
-                                 records_indexed=0, digest=digest)
-        try:
-            video_id, fovs = decode_bundle(payload)
-        except ValueError as exc:
-            self.stats._rejected.inc()
-            self.quarantine.add(payload, str(exc))
-            self.obs.journal.emit("ingest.rejected", digest=digest,
-                                  reason=str(exc))
-            return IngestOutcome(status=IngestStatus.REJECTED,
-                                 records_indexed=0, digest=digest,
-                                 reason=str(exc))
-        if self.wal is not None:
-            self._wal_append([payload])
-        n = self.index.insert_many(fovs)
-        self._seen_digests.add(digest)
-        if device_id is not None:
-            self._owners[video_id] = device_id
-        self.stats._accepted.inc()
-        self.stats._records_indexed.inc(n)
-        self.stats._bytes_in.inc(len(payload))
-        self._sync_index_gauges("ingest")
-        self.obs.journal.emit("ingest.accepted", digest=digest,
-                              video_id=video_id, records=n)
-        return IngestOutcome(status=IngestStatus.ACCEPTED,
-                             records_indexed=n, digest=digest,
-                             video_id=video_id)
-
-    def _wal_append(self, payloads: list[bytes]) -> None:
-        """Make a commit group's accepted payloads durable: buffered
-        appends, then exactly one fsync."""
-        assert self.wal is not None
-        for payload in payloads:
-            self.wal.append(payload)
-            self.stats._wal_appends.inc()
-            self.stats._wal_bytes.inc(len(payload) + ENTRY_OVERHEAD)
-        self.wal.commit()
-        self.stats._wal_syncs.inc()
-
-    def ingest_batch(self, payloads: list[bytes],
-                     device_ids: list[str | None] | None = None,
+    def ingest_batch(self, payloads: Sequence[bytes],
+                     device_ids: Sequence[str | None] | None = None,
                      ) -> list[IngestOutcome]:
         """Ingest a commit group of delivered bundles in one pass.
 
         Per-bundle outcomes (and the final index content, dedup state,
         owners, and quarantine) are identical to calling
         :meth:`ingest_bundle` on each payload in order; what changes is
-        the amortisation: decode is vectorised per bundle, the WAL is
-        fsynced once for the whole group, and all accepted records land
-        in a single ``insert_many`` -- one epoch bump and one
-        cache/packed-view invalidation per *group* instead of per
-        bundle.  Under back-pressure the group is partially admitted in
-        order: the first ``capacity - in_flight`` bundles proceed, the
-        tail is ``SHED`` for the uploader to re-offer.
+        the amortisation: the WAL is fsynced once for the whole group,
+        and all accepted records land in a single ``insert_many`` --
+        one epoch bump and one cache/packed-view invalidation per
+        *group* instead of per bundle.  Under back-pressure the group
+        is partially admitted in order: the first ``capacity -
+        in_flight`` bundles proceed, the tail is ``SHED`` for the
+        uploader to re-offer.
         """
-        outcomes = self._ingest_group(payloads, device_ids,
-                                      durable=self.wal is not None,
-                                      admit=True)
-        return outcomes
+        with self.obs.tracer.span("server.ingest_batch", batch=len(payloads)):
+            return self._ingest.commit(payloads, device_ids)
 
-    def _ingest_group(self, payloads: list[bytes],
-                      device_ids: list[str | None] | None,
-                      *, durable: bool, admit: bool,
-                      replaying: bool = False) -> list[IngestOutcome]:
-        if device_ids is None:
-            device_ids = [None] * len(payloads)
-        if len(device_ids) != len(payloads):
-            raise ValueError("device_ids must match payloads one to one")
-        with self.obs.tracer.span("server.ingest_batch",
-                                  batch=len(payloads)):
-            admitted = len(payloads)
-            if admit and self._admission is not None:
-                admitted = self._admission.try_admit(len(payloads))
-            try:
-                outcomes: list[IngestOutcome | None] = [None] * len(payloads)
-                group: list[tuple[int, str, str | None, bytes,
-                                  BundleColumns]] = []
-                group_digests: set[str] = set()
-                for pos, (payload, dev) in enumerate(
-                        zip(payloads[:admitted], device_ids[:admitted])):
-                    digest = hashlib.sha256(payload).hexdigest()
-                    if digest in self._seen_digests or digest in group_digests:
-                        self.stats._duplicated.inc()
-                        self.obs.journal.emit("ingest.duplicate",
-                                              digest=digest)
-                        outcomes[pos] = IngestOutcome(
-                            status=IngestStatus.DUPLICATE,
-                            records_indexed=0, digest=digest)
-                        continue
-                    try:
-                        columns = decode_bundle_columns(payload)
-                    except ValueError as exc:
-                        self.stats._rejected.inc()
-                        self.quarantine.add(payload, str(exc))
-                        self.obs.journal.emit("ingest.rejected",
-                                              digest=digest,
-                                              reason=str(exc))
-                        outcomes[pos] = IngestOutcome(
-                            status=IngestStatus.REJECTED,
-                            records_indexed=0, digest=digest,
-                            reason=str(exc))
-                        continue
-                    group_digests.add(digest)
-                    group.append((pos, digest, dev, payload, columns))
-                if group:
-                    if durable:
-                        self._wal_append([p for _, _, _, p, _ in group])
-                    merged: list[RepresentativeFoV] = []
-                    for _, _, _, _, columns in group:
-                        merged.extend(columns.records())
-                    self.index.insert_many(merged)
-                    for pos, digest, dev, payload, columns in group:
-                        n = len(columns)
-                        self._seen_digests.add(digest)
-                        if dev is not None:
-                            self._owners[columns.video_id] = dev
-                        self.stats._accepted.inc()
-                        self.stats._records_indexed.inc(n)
-                        self.stats._bytes_in.inc(len(payload))
-                        if replaying:
-                            self.stats._wal_replayed.inc()
-                        self.obs.journal.emit("ingest.accepted",
-                                              digest=digest,
-                                              video_id=columns.video_id,
-                                              records=n)
-                        outcomes[pos] = IngestOutcome(
-                            status=IngestStatus.ACCEPTED,
-                            records_indexed=n, digest=digest,
-                            video_id=columns.video_id)
-                    self._sync_index_gauges("ingest")
-            finally:
-                if admit and self._admission is not None and admitted:
-                    self._admission.release(admitted)
-            for pos in range(admitted, len(payloads)):
-                outcomes[pos] = self._shed_outcome(payloads[pos])
-            done = [o for o in outcomes if o is not None]
-            assert len(done) == len(payloads)
-            return done
-
-    def replay_wal(self, path: "str | None" = None) -> int:
+    def replay_wal(self, path: str | None = None) -> int:
         """Recover bundles from a write-ahead log after a crash.
 
         Re-offers every committed payload through the normal ingest
@@ -532,18 +365,8 @@ class CloudServer:
         bundles were recovered (newly indexed).  Back-pressure does not
         apply to recovery.
         """
-        if path is None:
-            if self.wal is None:
-                raise ValueError("no WAL configured and no path given")
-            path = self.wal.path
-        payloads = wal_replay(path)
-        outcomes = self._ingest_group(payloads, None, durable=False,
-                                      admit=False, replaying=True)
-        recovered = sum(1 for o in outcomes
-                        if o.status is IngestStatus.ACCEPTED)
-        self.obs.journal.emit("ingest.wal_replay", offered=len(payloads),
-                              recovered=recovered)
-        return recovered
+        with self.obs.tracer.span("server.ingest_batch"):
+            return self._ingest.replay_wal(path)
 
     def receive_bundle(self, payload: bytes, device_id: str | None = None) -> int:
         """Ingest one upload bundle; returns the number of records indexed.
@@ -565,39 +388,41 @@ class CloudServer:
         Retransmissions are counted into ``stats.bundles_retried`` so
         the operator sees the at-least-once traffic the channel cost.
         """
-        def _on_retry() -> None:
-            self.stats._retried.inc()
-
-        return RetryingUploader(channel, self.ingest_bundle, policy=policy,
-                                on_retry=_on_retry,
-                                registry=self.obs.registry,
-                                journal=self.obs.journal)
+        return self._ingest.make_uploader(self.ingest_bundle, channel, policy)
 
     def ingest(self, fovs: list[RepresentativeFoV]) -> int:
         """Directly index already-decoded records (dataset loading)."""
-        n = self.index.insert_many(fovs)
+        n = self._land(fovs)
         self.stats._records_indexed.inc(n)
+        return n
+
+    def _land(self, fovs: list[RepresentativeFoV]) -> int:
+        """One atomic ``insert_many`` (one epoch bump) plus gauge sync."""
+        n = self.index.insert_many(fovs)
         self._sync_index_gauges("ingest")
         return n
 
     # -- inquirer side ------------------------------------------------------
 
+    def _epoch(self) -> int:
+        return self.index.epoch
+
+    def _read_points(self, queries: Sequence[Query],
+                     execute: Callable[[list[Query]], Sequence[QueryResult]],
+                     ) -> list[QueryResult]:
+        """Point queries through the epoch-tagged result cache; only
+        the misses reach ``execute``."""
+        self.stats._queries.inc(len(queries))
+        return read_through(
+            self._cache, [query_cache_key(q) for q in queries], self._epoch,
+            lambda missed: execute([queries[i] for i in missed]),
+            self.stats._cache_hits, self.stats._cache_misses)
+
     def query(self, query: Query) -> QueryResult:
         """Answer one ranked spatio-temporal query (cache-aware)."""
         with self.obs.tracer.span("server.query"):
-            self.stats._queries.inc()
-            if self._cache is None:
-                return self.engine.execute(query)
-            key = query_cache_key(query)
-            epoch = self.index.epoch
-            cached = self._cache.get(key, epoch)
-            if cached is not None:
-                self.stats._cache_hits.inc()
-                return cached
-            self.stats._cache_misses.inc()
-            result = self.engine.execute(query)
-            self._cache.put(key, epoch, result)
-            return result
+            return self._read_points(
+                [query], lambda qs: [self.engine.execute(q) for q in qs])[0]
 
     def query_many(self, queries: list[Query],
                    shards: int | None = None) -> list[QueryResult]:
@@ -608,29 +433,8 @@ class CloudServer:
         """
         batch = list(queries)
         with self.obs.tracer.span("server.query_many", batch=len(batch)):
-            self.stats._queries.inc(len(batch))
-            if self._cache is None:
-                return self.engine.execute_many(batch, shards=shards)
-            epoch = self.index.epoch
-            results: list[QueryResult | None] = []
-            misses: list[Query] = []
-            miss_pos: list[int] = []
-            for i, q in enumerate(batch):
-                cached = self._cache.get(query_cache_key(q), epoch)
-                if cached is not None:
-                    self.stats._cache_hits.inc()
-                    results.append(cached)
-                else:
-                    self.stats._cache_misses.inc()
-                    results.append(None)
-                    misses.append(q)
-                    miss_pos.append(i)
-            if misses:
-                answered = self.engine.execute_many(misses, shards=shards)
-                for i, result in zip(miss_pos, answered):
-                    results[i] = result
-                    self._cache.put(query_cache_key(batch[i]), epoch, result)
-            return [r for r in results if r is not None]
+            return self._read_points(
+                batch, lambda qs: self.engine.execute_many(qs, shards=shards))
 
     def query_video(self, video_query: VideoQuery) -> VideoQueryResult:
         """Answer one video-to-video retrieval request (cache-aware).
@@ -643,23 +447,10 @@ class CloudServer:
         :class:`~repro.video.retrieval.VideoQuery` is its own key, and
         any index mutation invalidates via the epoch tag.
         """
-        with self.obs.tracer.span("video.query",
-                                  segments=len(video_query.segments)):
-            self.video_stats._queries.inc()
-            epoch = self.index.epoch
-            if self._video_cache is not None:
-                cached = self._video_cache.get(video_query, epoch)
-                if cached is not None:
-                    self.video_stats._cache_hits.inc()
-                    return cached
-                self.video_stats._cache_misses.inc()
-            result = retrieve_videos(video_query, self.query_many,
-                                     self.camera, tracer=self.obs.tracer)
-            if self._video_cache is not None:
-                self._video_cache.put(video_query, epoch, result)
-            self.video_stats._segments_harvested.inc(result.segments_harvested)
-            self.video_stats._videos_ranked.inc(len(result.ranked))
-            return result
+        return serve_video_query(
+            video_query, self.query_many, self.camera,
+            cache=self._video_cache, epoch=self._epoch,
+            stats=self.video_stats, tracer=self.obs.tracer)
 
     def fetch_segment(self, fov: RepresentativeFoV) -> StoredSegment:
         """Pull one matched segment from its owning client.
@@ -667,7 +458,7 @@ class CloudServer:
         This is the only step that moves video-scale bytes, and only
         for segments an inquirer actually selected.
         """
-        device_id = self._owners.get(fov.video_id)
+        device_id = self._ingest.owner_of(fov.video_id)
         if device_id is None or device_id not in self._clients:
             raise KeyError(f"no registered owner for video {fov.video_id!r}")
         segment = self._clients[device_id].fetch_segment(fov.video_id, fov.segment_id)

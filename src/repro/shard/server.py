@@ -23,42 +23,40 @@
 
 Thread safety: each shard has its own lock serialising index access
 (a bundle's records land in a shard atomically -- ``insert_many`` is
-one epoch bump), the digest/owner maps sit behind an ingest lock, and
-the (not internally thread-safe) result cache behind a cache lock.
-Metric increments are already thread-safe per family.
+one epoch bump); the digest/owner maps and the result caches lock
+themselves (:class:`~repro.core.ingest.IngestCoordinator`,
+:class:`~repro.core.cache.QueryResultCache`), and the router's own
+ingest lock guards only the set of down shards.  Metric increments are
+already thread-safe per family.
 """
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import threading
 from itertools import islice
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.camera import CameraModel
-from repro.core.cache import QueryResultCache, query_cache_key
+from repro.core.cache import QueryResultCache, query_cache_key, read_through
 from repro.core.flatsnap import pack_snapshot
 from repro.core.fov import RepresentativeFoV
 from repro.core.index import Bounds, query_box
-from repro.core.ingest import AdmissionQueue
+from repro.core.ingest import IngestCoordinator
 from repro.core.query import Query, QueryResult, RankedFoV
 from repro.core.quarantine import QuarantineStore
-from repro.core.server import CloudServer, IngestOutcome, IngestStatus, ServerStats
-from repro.core.wal import ENTRY_OVERHEAD, WriteAheadLog
-from repro.core.wal import replay as wal_replay
+from repro.core.server import CloudServer, IngestOutcome, ServerStats
+from repro.core.wal import WriteAheadLog
 from repro.geo.coords import GeoPoint
 from repro.net.channel import FaultyChannel, RetryPolicy, RetryingUploader
 from repro.net.clock import default_timer
-from repro.net.protocol import BundleColumns, decode_bundle, \
-    decode_bundle_columns
 from repro.obs.runtime import Observability
 from repro.shard.partition import DEFAULT_CELL_M, GridPartitioner
 from repro.spatial.rtree import RTreeConfig
 from repro.video.retrieval import VideoQuery, VideoQueryResult, \
-    VideoQueryStats, retrieve_videos
+    VideoQueryStats, serve_video_query
 
 __all__ = ["ShardedCloudServer", "ShardUnavailableError"]
 
@@ -154,16 +152,15 @@ class ShardedCloudServer:
         self._bounds: list[Bounds | None] = [None] * n_shards
         self._ingest_lock = threading.Lock()
         self._down: frozenset[int] = frozenset()
-        self._cache_lock = threading.Lock()
-        self._seen_digests: set[str] = set()
-        self._owners: dict[str, str] = {}
         self.wal = wal
-        self._admission = (AdmissionQueue(admission_capacity)
-                           if admission_capacity is not None else None)
         self.stats = ServerStats(registry=self.obs.registry)
         self.quarantine = QuarantineStore(capacity=quarantine_capacity,
                                           journal=self.obs.journal,
                                           registry=self.obs.registry)
+        self._ingest = IngestCoordinator(
+            self._land, stats=self.stats, journal=self.obs.journal,
+            quarantine=self.quarantine, wal=wal,
+            admission_capacity=admission_capacity)
         self._cache = (
             QueryResultCache(cache_size, registry=self.obs.registry,
                              journal=self.obs.journal)
@@ -236,8 +233,7 @@ class ShardedCloudServer:
 
     def _check_fleet_up(self) -> None:
         """Writes are refused while any primary is absent (fail-stop)."""
-        with self._ingest_lock:
-            down = self._down
+        down = self.down_shards
         if down:
             raise ShardUnavailableError(min(down))
 
@@ -315,11 +311,9 @@ class ShardedCloudServer:
         self._clear_result_caches()
 
     def _clear_result_caches(self) -> None:
-        with self._cache_lock:
-            if self._cache is not None:
-                self._cache.clear()
-            if self._video_cache is not None:
-                self._video_cache.clear()
+        for cache in (self._cache, self._video_cache):
+            if cache is not None:
+                cache.clear()
 
     # -- ingest -----------------------------------------------------------
 
@@ -368,94 +362,43 @@ class ShardedCloudServer:
                 f"nothing from this batch was indexed"
             )
 
+    def _land(self, fovs: list[RepresentativeFoV]) -> int:
+        """Split one record set across the fleet and land every slice;
+        refused up front while any primary is down (fail-stop)."""
+        self._check_fleet_up()
+        return self._ingest_parts(self.partitioner.split(fovs))
+
     def ingest(self, fovs: list[RepresentativeFoV]) -> int:
         """Directly index already-decoded records (dataset loading)."""
-        self._check_fleet_up()
         self._validate_geometry(fovs)
-        n = self._ingest_parts(self.partitioner.split(fovs))
+        n = self._land(fovs)
         self.stats._records_indexed.inc(n)
         return n
+
+    def register_owner(self, video_id: str, device_id: str) -> None:
+        """Name the provider device holding ``video_id``'s footage."""
+        self._ingest.register_owner(video_id, device_id)
+
+    @property
+    def seen_digests(self) -> frozenset[str]:
+        """Content digests of every bundle indexed so far (read-only)."""
+        return self._ingest.seen_digests
 
     def ingest_bundle(self, payload: bytes,
                       device_id: str | None = None) -> IngestOutcome:
         """Ingest one delivered bundle; never raises on bad payloads.
 
-        Same acknowledgement contract as the single server
-        (:meth:`repro.core.server.CloudServer.ingest_bundle`), with
-        fleet-wide exactly-once semantics: the content digest is
-        *reserved* before decoding, so a concurrent byte-identical
-        redelivery acks ``DUPLICATE`` instead of double-indexing; a
-        rejected payload releases its reservation (redelivering a bad
-        payload deterministically rejects again).
+        The single server's contract
+        (:meth:`repro.core.server.CloudServer.ingest_bundle`),
+        exactly-once fleet-wide.  While a primary is down it raises
+        :class:`ShardUnavailableError` (retryable; nothing indexed or
+        remembered).
         """
         with self.obs.tracer.span("shard.ingest_bundle", bytes=len(payload)):
-            if self._admission is not None and not self._admission.try_admit():
-                return self._shed_outcome(payload)
-            try:
-                return self._ingest_one(payload, device_id)
-            finally:
-                if self._admission is not None:
-                    self._admission.release()
+            return self._ingest.commit([payload], [device_id])[0]
 
-    def _shed_outcome(self, payload: bytes) -> IngestOutcome:
-        digest = hashlib.sha256(payload).hexdigest()
-        self.stats._shed.inc()
-        self.obs.journal.emit("ingest.shed", digest=digest)
-        return IngestOutcome(status=IngestStatus.SHED,
-                             records_indexed=0, digest=digest,
-                             reason="admission queue full")
-
-    def _wal_append(self, payloads: list[bytes]) -> None:
-        """Buffered appends plus exactly one fsync for a commit group."""
-        assert self.wal is not None
-        for payload in payloads:
-            self.wal.append(payload)
-            self.stats._wal_appends.inc()
-            self.stats._wal_bytes.inc(len(payload) + ENTRY_OVERHEAD)
-        self.wal.commit()
-        self.stats._wal_syncs.inc()
-
-    def _ingest_one(self, payload: bytes,
-                    device_id: str | None) -> IngestOutcome:
-        self._check_fleet_up()
-        digest = hashlib.sha256(payload).hexdigest()
-        with self._ingest_lock:
-            if digest in self._seen_digests:
-                self.stats._duplicated.inc()
-                self.obs.journal.emit("ingest.duplicate", digest=digest)
-                return IngestOutcome(status=IngestStatus.DUPLICATE,
-                                     records_indexed=0, digest=digest)
-            self._seen_digests.add(digest)
-        try:
-            video_id, fovs = decode_bundle(payload)
-            self._validate_geometry(fovs)
-        except ValueError as exc:
-            with self._ingest_lock:
-                self._seen_digests.discard(digest)
-            self.stats._rejected.inc()
-            self.quarantine.add(payload, str(exc))
-            self.obs.journal.emit("ingest.rejected", digest=digest,
-                                  reason=str(exc))
-            return IngestOutcome(status=IngestStatus.REJECTED,
-                                 records_indexed=0, digest=digest,
-                                 reason=str(exc))
-        if self.wal is not None:
-            self._wal_append([payload])
-        n = self._ingest_parts(self.partitioner.split(fovs))
-        if device_id is not None:
-            with self._ingest_lock:
-                self._owners[video_id] = device_id
-        self.stats._accepted.inc()
-        self.stats._records_indexed.inc(n)
-        self.stats._bytes_in.inc(len(payload))
-        self.obs.journal.emit("ingest.accepted", digest=digest,
-                              video_id=video_id, records=n)
-        return IngestOutcome(status=IngestStatus.ACCEPTED,
-                             records_indexed=n, digest=digest,
-                             video_id=video_id)
-
-    def ingest_batch(self, payloads: list[bytes],
-                     device_ids: list[str | None] | None = None,
+    def ingest_batch(self, payloads: Sequence[bytes],
+                     device_ids: Sequence[str | None] | None = None,
                      ) -> list[IngestOutcome]:
         """Ingest a commit group across the fleet in one pass.
 
@@ -466,129 +409,20 @@ class ShardedCloudServer:
         per *shard* per group instead of per bundle.  Under
         back-pressure the tail beyond the free capacity is ``SHED``.
         """
-        return self._ingest_group(payloads, device_ids,
-                                  durable=self.wal is not None,
-                                  admit=True)
-
-    def _ingest_group(self, payloads: list[bytes],
-                      device_ids: list[str | None] | None,
-                      *, durable: bool, admit: bool,
-                      replaying: bool = False) -> list[IngestOutcome]:
-        if device_ids is None:
-            device_ids = [None] * len(payloads)
-        if len(device_ids) != len(payloads):
-            raise ValueError("device_ids must match payloads one to one")
-        self._check_fleet_up()
         with self.obs.tracer.span("shard.ingest_batch", batch=len(payloads)):
-            admitted = len(payloads)
-            if admit and self._admission is not None:
-                admitted = self._admission.try_admit(len(payloads))
-            try:
-                outcomes: list[IngestOutcome | None] = [None] * len(payloads)
-                group: list[tuple[int, str, str | None, bytes,
-                                  BundleColumns]] = []
-                for pos, (payload, dev) in enumerate(
-                        zip(payloads[:admitted], device_ids[:admitted])):
-                    digest = hashlib.sha256(payload).hexdigest()
-                    with self._ingest_lock:
-                        if digest in self._seen_digests:
-                            self.stats._duplicated.inc()
-                            self.obs.journal.emit("ingest.duplicate",
-                                                  digest=digest)
-                            outcomes[pos] = IngestOutcome(
-                                status=IngestStatus.DUPLICATE,
-                                records_indexed=0, digest=digest)
-                            continue
-                        self._seen_digests.add(digest)
-                    try:
-                        # Wire decode already proves every coordinate
-                        # finite and in range, so the separate
-                        # geometry pass of the record path is not
-                        # needed here.
-                        columns = decode_bundle_columns(payload)
-                    except ValueError as exc:
-                        with self._ingest_lock:
-                            self._seen_digests.discard(digest)
-                        self.stats._rejected.inc()
-                        self.quarantine.add(payload, str(exc))
-                        self.obs.journal.emit("ingest.rejected",
-                                              digest=digest, reason=str(exc))
-                        outcomes[pos] = IngestOutcome(
-                            status=IngestStatus.REJECTED,
-                            records_indexed=0, digest=digest,
-                            reason=str(exc))
-                        continue
-                    group.append((pos, digest, dev, payload, columns))
-                if group:
-                    if durable:
-                        self._wal_append([p for _, _, _, p, _ in group])
-                    merged: list[RepresentativeFoV] = []
-                    for _, _, _, _, columns in group:
-                        merged.extend(columns.records())
-                    n = self._ingest_parts(self.partitioner.split(merged))
-                    self.stats._records_indexed.inc(n)
-                    for pos, digest, dev, payload, columns in group:
-                        if dev is not None:
-                            with self._ingest_lock:
-                                self._owners[columns.video_id] = dev
-                        self.stats._accepted.inc()
-                        self.stats._bytes_in.inc(len(payload))
-                        if replaying:
-                            self.stats._wal_replayed.inc()
-                        self.obs.journal.emit("ingest.accepted",
-                                              digest=digest,
-                                              video_id=columns.video_id,
-                                              records=len(columns))
-                        outcomes[pos] = IngestOutcome(
-                            status=IngestStatus.ACCEPTED,
-                            records_indexed=len(columns), digest=digest,
-                            video_id=columns.video_id)
-            finally:
-                if admit and self._admission is not None and admitted:
-                    self._admission.release(admitted)
-            for pos in range(admitted, len(payloads)):
-                outcomes[pos] = self._shed_outcome(payloads[pos])
-            done = [o for o in outcomes if o is not None]
-            assert len(done) == len(payloads)
-            return done
+            return self._ingest.commit(payloads, device_ids)
 
-    def replay_wal(self, path: "str | None" = None) -> int:
-        """Recover bundles from a write-ahead log after a crash.
-
-        Same contract as the single server's
-        (:meth:`repro.core.server.CloudServer.replay_wal`): re-offers
-        committed payloads without re-appending, deduplicates the ones
-        that landed before the crash, and returns how many were newly
-        indexed.
-        """
-        if path is None:
-            if self.wal is None:
-                raise ValueError("no WAL configured and no path given")
-            path = self.wal.path
-        payloads = wal_replay(path)
-        outcomes = self._ingest_group(payloads, None, durable=False,
-                                      admit=False, replaying=True)
-        recovered = sum(1 for o in outcomes
-                        if o.status is IngestStatus.ACCEPTED)
-        self.obs.journal.emit("ingest.wal_replay", offered=len(payloads),
-                              recovered=recovered)
-        return recovered
+    def replay_wal(self, path: str | None = None) -> int:
+        """Recover bundles from a write-ahead log after a crash (see
+        :meth:`repro.core.server.CloudServer.replay_wal`)."""
+        with self.obs.tracer.span("shard.ingest_batch"):
+            return self._ingest.replay_wal(path)
 
     def make_uploader(self, channel: FaultyChannel,
                       policy: RetryPolicy | None = None) -> RetryingUploader:
-        """A retrying uploader wired to this router's ingest path.
-
-        Same contract as the single server's
-        (:meth:`repro.core.server.CloudServer.make_uploader`):
-        retransmissions count into ``stats.bundles_retried``.
-        """
-        def _on_retry() -> None:
-            self.stats._retried.inc()
-
-        return RetryingUploader(channel, self.ingest_bundle, policy=policy,
-                                on_retry=_on_retry,
-                                registry=self.obs.registry,
-                                journal=self.obs.journal)
+        """A retrying uploader wired to this router's ingest path (see
+        :meth:`repro.core.server.CloudServer.make_uploader`)."""
+        return self._ingest.make_uploader(self.ingest_bundle, channel, policy)
 
     def evict_older_than(self, cutoff_t: float) -> int:
         """Enforce a retention window fleet-wide; returns the count.
@@ -621,8 +455,7 @@ class ShardedCloudServer:
         """Fan one query out to the surviving shards, merge canonically."""
         t0 = self._clock()
         targets = self.partitioner.shards_for_query(query)
-        with self._ingest_lock:
-            down = self._down
+        down = self.down_shards
         bmin, bmax = query_box(query)
         parts: list[QueryResult] = []
         for sid in targets:
@@ -656,37 +489,21 @@ class ShardedCloudServer:
     def query_many(self, queries: list[Query]) -> list[QueryResult]:
         """Answer a batch; hits merge from the epoch-vector-tagged cache.
 
-        The epoch vector is read before the scatter and again after:
-        results are always *served*, but only cached when the two reads
-        agree -- a batch that raced an ingest cannot poison the cache
-        with a torn snapshot of the fleet.
+        The epoch vector is read before the scatter and again after
+        (:func:`~repro.core.cache.read_through`): results are always
+        *served*, but only cached when the two reads agree -- a batch
+        that raced an ingest cannot poison the cache with a torn
+        snapshot of the fleet.
         """
         batch = list(queries)
         with self.obs.tracer.span("shard.query_many", batch=len(batch)):
             self.stats._queries.inc(len(batch))
-            # The cache binding is fixed at construction (only cleared,
-            # never rebound), so the None-check needs no lock.
-            if self._cache is None:  # fovlint: disable=RF009
-                return [self._scatter_gather(q) for q in batch]
-            pre = self.epoch_vector()
-            results: list[QueryResult | None] = [None] * len(batch)
-            misses: list[tuple[int, Query]] = []
-            with self._cache_lock:
-                for i, q in enumerate(batch):
-                    cached = self._cache.get(query_cache_key(q), pre)
-                    if cached is not None:
-                        self.stats._cache_hits.inc()
-                        results[i] = cached
-                    else:
-                        self.stats._cache_misses.inc()
-                        misses.append((i, q))
-            for i, q in misses:
-                results[i] = self._scatter_gather(q)
-            if misses and self.epoch_vector() == pre:
-                with self._cache_lock:
-                    for i, q in misses:
-                        self._cache.put(query_cache_key(q), pre, results[i])
-            return [r for r in results if r is not None]
+            return read_through(
+                self._cache, [query_cache_key(q) for q in batch],
+                self.epoch_vector,
+                lambda missed: [self._scatter_gather(batch[i])
+                                for i in missed],
+                self.stats._cache_hits, self.stats._cache_misses)
 
     def query_video(self, video_query: VideoQuery) -> VideoQueryResult:
         """Answer one video retrieval request over the fleet (cache-aware).
@@ -694,32 +511,14 @@ class ShardedCloudServer:
         The harvest batch rides :meth:`query_many`'s pruned
         scatter-gather, whose merged rankings are bit-identical to a
         single server holding every record -- so the video top-k is
-        too.  Caching follows the router's epoch-vector discipline:
-        the vector is read before the harvest and compared after, and
-        a result that raced an ingest is served but never cached.
+        too.  Caching follows the same epoch-vector discipline: a
+        result that raced an ingest is served but never cached.
         """
-        with self.obs.tracer.span("video.query",
-                                  segments=len(video_query.segments)):
-            self.video_stats._queries.inc()
-            pre = self.epoch_vector()
-            # Binding fixed at construction; see query_many.
-            if self._video_cache is not None:  # fovlint: disable=RF009
-                with self._cache_lock:
-                    cached = self._video_cache.get(video_query, pre)
-                if cached is not None:
-                    self.video_stats._cache_hits.inc()
-                    return cached
-                self.video_stats._cache_misses.inc()
-            result = retrieve_videos(video_query, self.query_many,
-                                     self.camera, clock=self._clock,
-                                     tracer=self.obs.tracer)
-            if (self._video_cache is not None  # fovlint: disable=RF009
-                    and self.epoch_vector() == pre):
-                with self._cache_lock:
-                    self._video_cache.put(video_query, pre, result)
-            self.video_stats._segments_harvested.inc(result.segments_harvested)
-            self.video_stats._videos_ranked.inc(len(result.ranked))
-            return result
+        return serve_video_query(
+            video_query, self.query_many, self.camera,
+            cache=self._video_cache, epoch=self.epoch_vector,
+            stats=self.video_stats, clock=self._clock,
+            tracer=self.obs.tracer)
 
     def close(self) -> None:
         """Release per-shard engine resources (idempotent)."""

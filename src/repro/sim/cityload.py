@@ -499,7 +499,7 @@ class ReplayReport:
 def _fleet_digest(server: ShardedCloudServer) -> str:
     """Record keys + dedup digests: the fleet state parity compares."""
     keys = sorted(f"{r.video_id}:{r.segment_id}" for r in server.records())
-    seen = sorted(server._seen_digests)
+    seen = sorted(server.seen_digests)
     h = hashlib.sha256()
     h.update("\n".join(keys).encode())
     h.update(b"|")

@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from repro.core.cache import QueryResultCache, read_through
 from repro.core.camera import CameraModel
 from repro.core.fov import RepresentativeFoV
 from repro.core.query import Query, QueryResult
@@ -40,6 +41,7 @@ __all__ = [
     "VideoQueryResult",
     "VideoQueryStats",
     "retrieve_videos",
+    "serve_video_query",
 ]
 
 #: Sequence scorers a :class:`VideoQuery` may name.
@@ -254,8 +256,8 @@ def retrieve_videos(video_query: VideoQuery,
     """Answer one video query against any engine's ``query_many``.
 
     Three spans cover the pipeline stages (``video.harvest``,
-    ``video.score``, ``video.rank``); the caller wraps the whole call
-    in ``video.query`` and owns caching and counters.
+    ``video.score``, ``video.rank``); :func:`serve_video_query` wraps
+    the whole call in ``video.query`` and owns caching and counters.
     """
     timer = clock if clock is not None else default_timer
     t0 = timer()
@@ -289,3 +291,31 @@ def retrieve_videos(video_query: VideoQuery,
         segments_harvested=len(harvested),
         elapsed_s=timer() - t0,
     )
+
+
+def serve_video_query(video_query: VideoQuery,
+                      query_many: Callable[[list[Query]], list[QueryResult]],
+                      camera: CameraModel, *,
+                      cache: QueryResultCache | None,
+                      epoch: Callable[[], object],
+                      stats: VideoQueryStats,
+                      clock: Callable[[], float] | None = None,
+                      tracer: TracerLike = NULL_TRACER) -> VideoQueryResult:
+    """:func:`retrieve_videos` as a server answers it: cached, counted.
+
+    Both server facades call this.  The frozen :class:`VideoQuery` is
+    its own cache key, tagged by whatever ``epoch`` returns (one index
+    epoch, or the router's epoch vector) under the served-but-never-
+    cached rule of :func:`repro.core.cache.read_through`.
+    """
+    def retrieve(_missed: list[int]) -> list[VideoQueryResult]:
+        result = retrieve_videos(video_query, query_many, camera,
+                                 clock=clock, tracer=tracer)
+        stats._segments_harvested.inc(result.segments_harvested)
+        stats._videos_ranked.inc(len(result.ranked))
+        return [result]
+
+    with tracer.span("video.query", segments=len(video_query.segments)):
+        stats._queries.inc()
+        return read_through(cache, [video_query], epoch, retrieve,
+                            stats._cache_hits, stats._cache_misses)[0]

@@ -1,27 +1,44 @@
 """Commit-group ingest, WAL durability, and back-pressure
-(``CloudServer.ingest_batch`` / ``replay_wal`` / ``AdmissionQueue``).
+(``ingest_bundle`` / ``ingest_batch`` / ``replay_wal`` /
+``AdmissionQueue``): one contract, three fleets.
 
 The batched path must be observationally identical to one-at-a-time
 ingest -- same content digest, same dedup decisions, same quarantine
 entries -- while amortising the epoch bump and fsync across the group.
+Both server facades run the same
+:class:`~repro.core.ingest.IngestCoordinator`, so every fleet-bound
+class below runs against ``CloudServer`` and is re-bound, by the
+subclasses at the bottom, to a one-shard and a three-shard
+``ShardedCloudServer``.  (Subclasses rather than a parametrised
+fixture: the ``CloudServer`` test ids stay what they always were.)
 """
 
 import threading
+import zlib
+from functools import partial
 
 import pytest
 
-from repro import CameraModel, CloudServer
+from repro import CloudServer
 from repro.core.fov import RepresentativeFoV
 from repro.core.ingest import AdmissionQueue
 from repro.core.server import IngestStatus
 from repro.core.wal import WriteAheadLog
+from repro.geo.coords import GeoPoint
 from repro.net.channel import FaultProfile, FaultyChannel, RetryPolicy
 from repro.net.protocol import encode_bundle
+from repro.shard import ShardedCloudServer
+
+ORIGIN = GeoPoint(lat=40.0, lng=116.3)
 
 
 def bundle(vid="vid-x", n=5, lat=40.0):
+    # Each video sits on its own street and walks ~450 m per segment,
+    # so a commit group of a few bundles reaches every shard.
+    lng = 116.3 + (zlib.crc32(vid.encode()) % 50) * 0.003
     return encode_bundle(vid, [
-        RepresentativeFoV(lat=lat, lng=116.3, theta=(30.0 * i) % 360.0,
+        RepresentativeFoV(lat=lat + 0.004 * i, lng=lng,
+                          theta=(30.0 * i) % 360.0,
                           t_start=float(i), t_end=float(i) + 2.0,
                           video_id=vid, segment_id=i)
         for i in range(n)
@@ -34,12 +51,67 @@ def corrupt(payload: bytes) -> bytes:
     return bytes(flipped)
 
 
+def one_shard(camera, **kwargs):
+    return ShardedCloudServer(camera, n_shards=1, origin=ORIGIN, **kwargs)
+
+
+def three_shards(camera, **kwargs):
+    return ShardedCloudServer(camera, n_shards=3, origin=ORIGIN, **kwargs)
+
+
+def indexes(server):
+    """The fleet's indexes: the server's own, or one per shard."""
+    return [s.index for s in getattr(server, "shards", [server])]
+
+
+def digests(server):
+    return [index.content_digest() for index in indexes(server)]
+
+
+def epochs(server):
+    return [index.epoch for index in indexes(server)]
+
+
+class FlakyWal(WriteAheadLog):
+    """A log whose next ``failures`` fsyncs raise (disk full, EIO)."""
+
+    failures = 0
+
+    def commit(self):
+        if self.failures:
+            self.failures -= 1
+            raise OSError("fsync failed")
+        super().commit()
+
+
+class StallingWal(WriteAheadLog):
+    """A log whose fsync parks until released: holds a bundle in flight."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.stalled = threading.Event()
+        self.resume = threading.Event()
+
+    def commit(self):
+        self.stalled.set()
+        assert self.resume.wait(timeout=10)
+        super().commit()
+
+
 @pytest.fixture
-def server(camera):
-    return CloudServer(camera)
+def make(request, camera):
+    """Server factory for the fleet shape the test class is bound to."""
+    return partial(request.cls.fleet, camera)
+
+
+@pytest.fixture
+def server(make):
+    return make()
 
 
 class TestIngestBatch:
+    fleet = CloudServer
+
     def test_outcomes_positional_and_mixed(self, server):
         dup = bundle("dup")
         server.ingest_bundle(dup)
@@ -59,20 +131,23 @@ class TestIngestBatch:
         assert server.indexed_count == 5
 
     def test_one_epoch_bump_per_group(self, server):
-        epoch = server.index.epoch
-        server.ingest_batch([bundle(f"v{i}") for i in range(8)])
-        assert server.index.epoch == epoch + 1
+        # Two commit groups, each wide enough to touch every shard:
+        # one bump per index per group, however many bundles it holds.
+        for group in ("v", "w"):
+            before = epochs(server)
+            server.ingest_batch([bundle(f"{group}{i}") for i in range(8)])
+            assert epochs(server) == [e + 1 for e in before]
 
-    def test_bit_identical_to_one_at_a_time(self, camera):
+    def test_bit_identical_to_one_at_a_time(self, make):
         payloads = [bundle(f"v{i}", n=10, lat=40.0 + i * 1e-3)
                     for i in range(6)]
         payloads[3] = corrupt(payloads[3])
-        one = CloudServer(camera)
-        for p in payloads:
-            one.ingest_bundle(p)
-        batched = CloudServer(camera)
-        batched.ingest_batch(payloads)
-        assert batched.index.content_digest() == one.index.content_digest()
+        one = make()
+        sequential = [one.ingest_bundle(p) for p in payloads]
+        batched = make()
+        assert batched.ingest_batch(payloads) == sequential
+        assert digests(batched) == digests(one)
+        assert batched.seen_digests == one.seen_digests
         assert batched.indexed_count == one.indexed_count
         assert len(batched.quarantine) == len(one.quarantine) == 1
         (b_entry,) = list(batched.quarantine)
@@ -80,28 +155,35 @@ class TestIngestBatch:
         assert b_entry.payload == o_entry.payload
         assert b_entry.reason == o_entry.reason
 
-    def test_corrupt_bundle_mid_group_isolated(self, camera):
+    def test_corrupt_bundle_mid_group_isolated(self, make):
         # The corrupt member is quarantined alone; everything else in
         # the commit group lands exactly as if it had never been there.
         clean = [bundle(f"v{i}", n=7) for i in range(5)]
         with_bad = clean[:2] + [corrupt(bundle("evil"))] + clean[2:]
-        reference = CloudServer(camera)
+        reference = make()
         reference.ingest_batch(clean)
-        victim = CloudServer(camera)
+        victim = make()
         outcomes = victim.ingest_batch(with_bad)
         assert outcomes[2].status is IngestStatus.REJECTED
         assert sum(o.status is IngestStatus.ACCEPTED for o in outcomes) == 5
-        assert victim.index.content_digest() == \
-            reference.index.content_digest()
+        assert digests(victim) == digests(reference)
 
     def test_empty_group(self, server):
         assert server.ingest_batch([]) == []
 
+    def test_device_ids_must_match_payloads(self, server):
+        with pytest.raises(ValueError, match="one to one"):
+            server.ingest_batch([bundle("a"), bundle("b")], ["dev-a"])
+        assert server.indexed_count == 0
+        assert server.seen_digests == frozenset()
+
 
 class TestWalDurability:
-    def test_batch_appends_then_one_sync(self, tmp_path, camera):
+    fleet = CloudServer
+
+    def test_batch_appends_then_one_sync(self, tmp_path, make):
         wal = WriteAheadLog(tmp_path / "ingest.wal")
-        server = CloudServer(camera, wal=wal)
+        server = make(wal=wal)
         server.ingest_batch([bundle(f"v{i}") for i in range(10)])
         assert wal.stats.appends == 10
         assert wal.stats.syncs == 1
@@ -109,35 +191,66 @@ class TestWalDurability:
         assert server.stats.wal_syncs == 1
         assert server.stats.wal_bytes > 0
 
-    def test_rejected_and_duplicate_not_logged(self, tmp_path, camera):
+    def test_rejected_and_duplicate_not_logged(self, tmp_path, make):
         wal = WriteAheadLog(tmp_path / "ingest.wal")
-        server = CloudServer(camera, wal=wal)
+        server = make(wal=wal)
         good = bundle("good")
         server.ingest_batch([good, good, corrupt(bundle("bad"))])
         assert wal.stats.appends == 1
 
-    def test_replay_converges_to_same_digest(self, tmp_path, camera):
+    def test_replay_converges_to_same_digest(self, tmp_path, make):
         path = tmp_path / "ingest.wal"
         with WriteAheadLog(path) as wal:
-            origin = CloudServer(camera, wal=wal)
+            origin = make(wal=wal)
             origin.ingest_batch([bundle(f"v{i}", n=8) for i in range(12)])
-            want = origin.index.content_digest()
-        recovered = CloudServer(camera)
+            want = digests(origin)
+        recovered = make()
         assert recovered.replay_wal(path) == 12
-        assert recovered.index.content_digest() == want
+        assert digests(recovered) == want
         assert recovered.stats.wal_replayed == 12
 
-    def test_replay_is_idempotent_against_dedup(self, tmp_path, camera):
+    def test_replay_is_idempotent_against_dedup(self, tmp_path, make):
         # Crash *after* index insert: the bundle is both in the WAL and
         # the index; replay must dedup it, not double-insert.
         path = tmp_path / "ingest.wal"
         with WriteAheadLog(path) as wal:
-            server = CloudServer(camera, wal=wal)
+            server = make(wal=wal)
             server.ingest_batch([bundle("v0"), bundle("v1")])
-            want = server.index.content_digest()
+            want = digests(server)
             assert server.replay_wal() == 0   # all duplicates
-            assert server.index.content_digest() == want
+            assert digests(server) == want
             assert server.indexed_count == 10
+
+    def test_replay_needs_a_log(self, server):
+        with pytest.raises(ValueError, match="no WAL configured"):
+            server.replay_wal()
+
+    @pytest.mark.parametrize("path", ["ingest_bundle", "ingest_batch"])
+    def test_failed_fsync_releases_the_digest(self, tmp_path, make, path):
+        # Nothing was indexed when the WAL write raised, so the retry
+        # must be ACCEPTED -- not acked DUPLICATE with zero records.
+        def offer(server, payload):
+            if path == "ingest_bundle":
+                return server.ingest_bundle(payload)
+            return server.ingest_batch([payload])[0]
+
+        with FlakyWal(tmp_path / "ingest.wal") as wal:
+            server = make(wal=wal)
+            payload = bundle("v0")
+            wal.failures = 1
+            with pytest.raises(OSError):
+                offer(server, payload)
+            assert server.indexed_count == 0
+            assert server.seen_digests == frozenset()
+            retry = offer(server, payload)
+            assert retry.status is IngestStatus.ACCEPTED
+            assert server.indexed_count == retry.records_indexed == 5
+            assert server.seen_digests == {retry.digest}
+        # The failed attempt's buffered entry may have reached the log
+        # too; recovery dedups it.
+        recovered = make()
+        assert recovered.replay_wal(wal.path) == 1
+        assert digests(recovered) == digests(server)
 
 
 class TestAdmissionQueue:
@@ -179,8 +292,10 @@ class TestAdmissionQueue:
 
 
 class TestBackPressure:
-    def test_batch_sheds_tail_and_releases(self, camera):
-        server = CloudServer(camera, admission_capacity=4)
+    fleet = CloudServer
+
+    def test_batch_sheds_tail_and_releases(self, make):
+        server = make(admission_capacity=4)
         outcomes = server.ingest_batch([bundle(f"v{i}") for i in range(7)])
         statuses = [o.status for o in outcomes]
         assert statuses.count(IngestStatus.ACCEPTED) == 4
@@ -190,10 +305,10 @@ class TestBackPressure:
         again = server.ingest_batch([bundle(f"w{i}") for i in range(4)])
         assert all(o.status is IngestStatus.ACCEPTED for o in again)
 
-    def test_shed_outcome_is_retryable(self, camera):
+    def test_shed_outcome_is_retryable(self, make):
         # An uploader facing a saturated server retries shed bundles
         # until they land -- shed is not an ack and not a reject.
-        server = CloudServer(camera, admission_capacity=1)
+        server = make(admission_capacity=1)
         channel = FaultyChannel(FaultProfile(), seed=7)
         uploader = server.make_uploader(channel, RetryPolicy(max_attempts=5))
         receipts = [uploader.upload(bundle(f"v{i}")) for i in range(6)]
@@ -201,12 +316,48 @@ class TestBackPressure:
         assert server.indexed_count == 30
         assert uploader.stats.acks_shed == 0  # serial sends never saturate
 
-    def test_single_bundle_shed_when_saturated(self, camera):
-        server = CloudServer(camera, admission_capacity=1)
-        assert server._admission.try_admit() == 1   # simulate an in-flight peer
-        outcome = server.ingest_bundle(bundle("v"))
-        assert outcome.status is IngestStatus.SHED
-        assert outcome.records_indexed == 0
-        server._admission.release()
-        assert server.ingest_bundle(bundle("v")).status is \
-            IngestStatus.ACCEPTED
+    def test_single_bundle_shed_when_saturated(self, tmp_path, make):
+        # A peer's bundle is parked in its fsync, holding the only slot.
+        with StallingWal(tmp_path / "ingest.wal") as wal:
+            server = make(admission_capacity=1, wal=wal)
+            peer = threading.Thread(target=server.ingest_bundle,
+                                    args=(bundle("peer"),))
+            peer.start()
+            try:
+                assert wal.stalled.wait(timeout=10)
+                outcome = server.ingest_bundle(bundle("v"))
+            finally:
+                wal.resume.set()
+                peer.join()
+            assert outcome.status is IngestStatus.SHED
+            assert outcome.records_indexed == 0
+            assert server.stats.bundles_shed == 1
+            assert server.ingest_bundle(bundle("v")).status is \
+                IngestStatus.ACCEPTED
+            assert server.indexed_count == 10
+
+
+# -- the same contract on the sharded router ---------------------------------
+
+class TestIngestBatchOneShard(TestIngestBatch):
+    fleet = staticmethod(one_shard)
+
+
+class TestIngestBatchThreeShards(TestIngestBatch):
+    fleet = staticmethod(three_shards)
+
+
+class TestWalDurabilityOneShard(TestWalDurability):
+    fleet = staticmethod(one_shard)
+
+
+class TestWalDurabilityThreeShards(TestWalDurability):
+    fleet = staticmethod(three_shards)
+
+
+class TestBackPressureOneShard(TestBackPressure):
+    fleet = staticmethod(one_shard)
+
+
+class TestBackPressureThreeShards(TestBackPressure):
+    fleet = staticmethod(three_shards)

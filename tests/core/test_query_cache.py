@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import CameraModel, CloudServer, Query
-from repro.core.cache import QueryResultCache, query_cache_key
+from repro.core.cache import QueryResultCache, query_cache_key, read_through
 from repro.core.index import FoVIndex
+from repro.obs.metrics import MetricsRegistry
 from repro.traces.dataset import random_representative_fovs
 
 CAMERA = CameraModel(half_angle=30.0, radius=100.0)
@@ -69,6 +70,47 @@ class TestQueryResultCache:
         q3 = Query(t_start=0.0, t_end=10.0, center=rep.point, radius=100.0,
                    top_n=3)
         assert query_cache_key(q1) != query_cache_key(q3)
+
+
+class TestReadThrough:
+    def setup_method(self):
+        reg = MetricsRegistry()
+        self.hits = reg.counter("query.cache_hits", "")
+        self.misses = reg.counter("query.cache_misses", "")
+        self.epoch = 0
+        self.computed = []
+
+    def read(self, cache, keys, bump=False):
+        def compute(missed):
+            self.computed.append(list(missed))
+            if bump:                       # a writer lands mid-compute
+                self.epoch += 1
+            return [keys[i].upper() for i in missed]
+        return read_through(cache, keys, lambda: self.epoch, compute,
+                            self.hits, self.misses)
+
+    def test_only_misses_are_computed_and_then_cached(self):
+        cache = QueryResultCache(8)
+        cache.put("b", 0, "B")
+        assert self.read(cache, ["a", "b", "c"]) == ["A", "B", "C"]
+        assert self.computed == [[0, 2]]
+        assert (self.hits.value, self.misses.value) == (1, 2)
+        assert self.read(cache, ["a", "b", "c"]) == ["A", "B", "C"]
+        assert self.computed == [[0, 2]]          # second pass: all hits
+        assert (self.hits.value, self.misses.value) == (4, 2)
+        assert (cache.hits, cache.misses) == (4, 2)
+
+    def test_result_that_raced_a_mutation_is_served_not_cached(self):
+        cache = QueryResultCache(8)
+        assert self.read(cache, ["a"], bump=True) == ["A"]
+        assert len(cache) == 0
+        assert self.read(cache, ["a"]) == ["A"]   # quiet this time: cached
+        assert len(cache) == 1 and self.computed == [[0], [0]]
+
+    def test_without_a_cache_everything_is_computed_uncounted(self):
+        assert self.read(None, ["a", "b"]) == ["A", "B"]
+        assert self.computed == [[0, 1]]
+        assert (self.hits.value, self.misses.value) == (0, 0)
 
 
 def make_server(seed=5, n=400, **kw):

@@ -77,6 +77,26 @@ class TestQueryAndFetch:
         assert server.stats.segments_fetched == 1
         assert server.stats.segment_bytes_moved > 0
 
+    def test_register_owner_for_preloaded_records(self, server, camera):
+        # A bulk-loaded index has no bundle to name the owner: the
+        # operator registers it, and the batched path's device ids do
+        # the same as ingest_bundle's.
+        client = ClientPipeline("alice", camera)
+        server.register_client(client)
+        bundle = client.record_trace(walk_scenario(
+            duration_s=60, fps=10, noise=SensorNoiseModel.ideal()))
+        server.ingest(bundle.representatives)
+        rep = bundle.representatives[0]
+        with pytest.raises(KeyError):
+            server.fetch_segment(rep)
+        server.register_owner(rep.video_id, "alice")
+        assert len(server.fetch_segment(rep).records) >= 1
+
+        batched = CloudServer(camera)
+        batched.register_client(client)
+        batched.ingest_batch([bundle.payload], ["alice"])
+        assert len(batched.fetch_segment(rep).records) >= 1
+
     def test_fetch_unregistered_owner_raises(self, server, camera, rng):
         reps = random_representative_fovs(1, rng)
         server.ingest(reps)

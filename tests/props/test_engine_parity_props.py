@@ -19,9 +19,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core.camera import CameraModel
 from repro.core.fov import RepresentativeFoV
 from repro.core.query import Query
-from repro.core.server import CloudServer
+from repro.core.server import CloudServer, IngestStatus
 from repro.geo.coords import GeoPoint
 from repro.geo.earth import LocalProjection
+from repro.net.protocol import encode_bundle
 from repro.shard import ShardedCloudServer
 from repro.video import VideoQuery
 
@@ -211,3 +212,81 @@ def test_routing_never_loses_a_shard(recs, qs, n_shards, seed):
         for sid, shard in enumerate(sharded.shards):
             if shard.index.count_in_range(q) > 0:
                 assert sid in targets
+
+
+@st.composite
+def delivery_schedules(draw):
+    """Commit groups of fresh, redelivered and bit-flipped bundles."""
+    pool = []
+    for b in range(draw(st.integers(1, 5))):
+        recs = [RepresentativeFoV(
+            lat=(p := PROJ.to_geo(draw(lattice_m), draw(lattice_m))).lat,
+            lng=p.lng, theta=draw(theta_deg), t_start=0.0, t_end=300.0,
+            video_id=f"b{b}", segment_id=i)
+            for i in range(draw(st.integers(1, 4)))]
+        pool.append(encode_bundle(f"b{b}", recs))
+    groups = []
+    for _ in range(draw(st.integers(1, 5))):
+        group = []
+        for _ in range(draw(st.integers(1, 5))):
+            payload = draw(st.sampled_from(pool))   # repeats = redeliveries
+            if draw(st.integers(0, 3)) == 0:        # corrupted in transit
+                at = draw(st.integers(0, len(payload) - 1))
+                payload = (payload[:at] + bytes([payload[at] ^ 0x5A])
+                           + payload[at + 1:])
+            group.append(payload)
+        groups.append(group)
+    return groups
+
+
+def offer_batched(server, groups):
+    """Commit each group, re-offering its shed tail until it lands."""
+    outcomes = []
+    for pending in groups:
+        while pending:
+            acks = server.ingest_batch(pending)
+            outcomes += [a for a in acks if a.status is not IngestStatus.SHED]
+            pending = [p for p, a in zip(pending, acks)
+                       if a.status is IngestStatus.SHED]
+    return outcomes
+
+
+@settings(max_examples=40, deadline=None)
+@given(delivery_schedules(), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from([150.0, 2000.0]))
+def test_ingest_outcomes_identical_across_paths_and_fleets(
+        groups, n_shards, capacity, cell_m):
+    """One ingest contract: bundle-at-a-time and commit-group ingest, on
+    a single server and on any sharding, acknowledge a delivery
+    schedule identically and end in the same state."""
+    camera = CameraModel()
+
+    def fleets():
+        return (CloudServer(camera, admission_capacity=capacity),
+                ShardedCloudServer(camera, n_shards=n_shards, origin=ORIGIN,
+                                   cell_m=cell_m,
+                                   admission_capacity=capacity))
+
+    # A serial client never saturates admission one bundle at a time; a
+    # commit group sheds whatever exceeds the capacity, every round.
+    shed = 0
+    for group in groups:
+        left = len(group)
+        while left > capacity:
+            left -= capacity
+            shed += left
+    runs = [(server, [server.ingest_bundle(p) for g in groups for p in g], 0)
+            for server in fleets()]
+    runs += [(server, offer_batched(server, groups), shed)
+             for server in fleets()]
+
+    base, acks, _ = runs[0]
+    for server, outcomes, shed_want in runs:
+        assert outcomes == acks
+        assert (sorted(f.key() for f in server.records())
+                == sorted(f.key() for f in base.records()))
+        assert server.seen_digests == base.seen_digests
+        assert len(server.quarantine) == len(base.quarantine)
+        assert (server.quarantine.total_quarantined
+                == base.quarantine.total_quarantined)
+        assert server.stats.bundles_shed == shed_want

@@ -107,7 +107,7 @@ def test_kill_promote_is_bit_identical_to_control(victim):
         assert rows(srv.query(q)) == rows(ctrl.query(q))
     assert (sorted(r.key() for r in srv.records())
             == sorted(r.key() for r in ctrl.records()))
-    assert srv._seen_digests == ctrl._seen_digests
+    assert srv.seen_digests == ctrl.seen_digests
 
 
 def test_down_shard_is_fail_stop():
@@ -132,8 +132,11 @@ def test_down_shard_is_fail_stop():
     extra = make_records(5, seed=21, tag="x")
     with pytest.raises(ShardUnavailableError):
         srv.ingest(extra)
+    refused = bundles(extra, tag="x")
     with pytest.raises(ShardUnavailableError):
-        srv.ingest_batch(bundles(extra, tag="x"))
+        srv.ingest_batch(refused)
+    with pytest.raises(ShardUnavailableError):
+        srv.ingest_bundle(refused[0])
     with pytest.raises(ShardUnavailableError):
         srv.evict_older_than(100.0)
 
@@ -141,6 +144,10 @@ def test_down_shard_is_fail_stop():
     replicas.promote(victim)
     assert srv.query(wide).candidates > 0
     srv.ingest(extra)
+    # A refused bundle was not remembered: its retry is indexed, not
+    # acked as a duplicate of nothing.
+    (retry,) = srv.ingest_batch(refused)
+    assert (retry.status.value, retry.records_indexed) == ("accepted", 5)
 
 
 def test_tampered_replica_is_rejected():

@@ -160,27 +160,13 @@ class TestQuery:
 
 
 class TestBatchedIngest:
+    # The commit-group contract itself (outcomes, WAL, back-pressure)
+    # runs against this router in tests/core/test_ingest_batch.py.
+
     def _payloads(self, rng, n_bundles=12, per=20):
         recs = make_records(n_bundles * per, rng)
         return [encode_bundle(f"vid-{i}", recs[i * per:(i + 1) * per])
                 for i in range(n_bundles)]
-
-    def test_batched_matches_sequential_fleet(self, camera):
-        rng = np.random.default_rng(5)
-        payloads = self._payloads(rng)
-        flipped = bytearray(payloads[4])
-        flipped[-2] ^= 0xFF
-        payloads[4] = bytes(flipped)
-
-        seq = ShardedCloudServer(camera, n_shards=4, origin=ORIGIN)
-        for p in payloads:
-            seq.ingest_bundle(p)
-        batched = ShardedCloudServer(camera, n_shards=4, origin=ORIGIN)
-        outcomes = batched.ingest_batch(payloads)
-        assert outcomes[4].status is IngestStatus.REJECTED
-        assert batched.indexed_count == seq.indexed_count
-        assert [s.index.content_digest() for s in batched.shards] == \
-            [s.index.content_digest() for s in seq.shards]
 
     def test_one_epoch_bump_per_shard_per_group(self, camera):
         rng = np.random.default_rng(6)
@@ -190,28 +176,3 @@ class TestBatchedIngest:
                                            n_bundles=8))
         # Two commit groups, wide enough to touch every shard each time.
         assert server.epoch_vector() == (2, 2, 2, 2)
-
-    def test_wal_replay_restores_fleet(self, camera, tmp_path):
-        from repro.core.wal import WriteAheadLog
-
-        rng = np.random.default_rng(8)
-        payloads = self._payloads(rng)
-        with WriteAheadLog(tmp_path / "fleet.wal") as wal:
-            origin_srv = ShardedCloudServer(camera, n_shards=4,
-                                            origin=ORIGIN, wal=wal)
-            origin_srv.ingest_batch(payloads)
-            want = [s.index.content_digest() for s in origin_srv.shards]
-        recovered = ShardedCloudServer(camera, n_shards=4, origin=ORIGIN)
-        assert recovered.replay_wal(tmp_path / "fleet.wal") == len(payloads)
-        assert [s.index.content_digest() for s in recovered.shards] == want
-
-    def test_back_pressure_sheds_tail(self, camera):
-        rng = np.random.default_rng(9)
-        server = ShardedCloudServer(camera, n_shards=2, origin=ORIGIN,
-                                    admission_capacity=3)
-        outcomes = server.ingest_batch(self._payloads(rng, n_bundles=5))
-        statuses = [o.status for o in outcomes]
-        assert statuses.count(IngestStatus.ACCEPTED) == 3
-        assert statuses.count(IngestStatus.SHED) == 2
-        again = server.ingest_batch(self._payloads(rng, n_bundles=3))
-        assert all(o.status is IngestStatus.ACCEPTED for o in again)
