@@ -57,8 +57,10 @@ def query_box_floats(
     ``(min_lng, min_lat, min_t, max_lng, max_lat, max_t)`` -- the same
     arithmetic as :func:`query_box` (both derive from this function), so
     every engine tests candidates against bit-identical box corners.
-    The single-query latency path uses this form to skip two ndarray
-    constructions per query.
+    The packed descents take this form: a single query
+    (:meth:`PackedFoVIndex.range_search_ids`) hands the grid plain
+    floats and builds no ndarray, and a batch
+    (:meth:`PackedFoVIndex.search_many_ids`) stacks one row per query.
     """
     r_lng, r_lat = radius_to_degrees(query.radius, query.center.lat)
     return (query.center.lng - r_lng, query.center.lat - r_lat,

@@ -82,10 +82,11 @@ class RankedFoV(NamedTuple):
     sharded scatter-gather merge per-shard answers back into exactly
     the single-server ranking (docs/SHARDING.md).
 
-    A ``NamedTuple`` rather than a frozen dataclass: the packed
-    engine's scalar fast path materialises one of these per result row
-    inside the single-query latency budget, and tuple construction
-    skips the per-field ``object.__setattr__`` a frozen dataclass pays.
+    A ``NamedTuple`` rather than a frozen dataclass: the packed funnel
+    materialises one of these per returned row, inside the
+    single-query latency budget when the batch is one query, and tuple
+    construction skips the per-field ``object.__setattr__`` a frozen
+    dataclass pays.
     """
 
     fov: RepresentativeFoV

@@ -37,17 +37,20 @@ class DistanceRanker:
                dist: np.ndarray, dtheta: np.ndarray,
                t_start: np.ndarray, t_end: np.ndarray) -> np.ndarray:
         """Higher-is-better scores: negated distance to the query centre."""
-        return -np.asarray(dist, dtype=float)
+        return self.scores_batch(camera, query.t_start, query.t_end,
+                                 dist, dtheta, t_start, t_end)
 
     def scores_batch(self, camera: CameraModel,
-                     q_t_start: np.ndarray, q_t_end: np.ndarray,
+                     q_t_start: np.ndarray | float,
+                     q_t_end: np.ndarray | float,
                      dist: np.ndarray, dtheta: np.ndarray,
                      t_start: np.ndarray, t_end: np.ndarray) -> np.ndarray:
-        """Cross-query form of :meth:`scores` (see the module note).
+        """Cross-query form of :meth:`scores`, and its one formula.
 
         Rows may belong to different queries; ``q_t_start``/``q_t_end``
-        carry each row's query window.  Every operation is elementwise,
-        so row ``i`` equals ``scores(query_i, ...)`` bit for bit -- the
+        carry each row's query window (scalars broadcast: that is how
+        :meth:`scores` calls this).  Every operation is elementwise, so
+        row ``i`` equals ``scores(query_i, ...)`` bit for bit -- the
         batched engine relies on that for parity with the sequential
         path.
         """
@@ -85,33 +88,20 @@ class CompositeRanker:
                dist: np.ndarray, dtheta: np.ndarray,
                t_start: np.ndarray, t_end: np.ndarray) -> np.ndarray:
         """Weighted sum of the three normalised components, in [0, 1]."""
-        dist = np.asarray(dist, dtype=float)
-        dtheta = np.asarray(dtheta, dtype=float)
-        t_start = np.asarray(t_start, dtype=float)
-        t_end = np.asarray(t_end, dtype=float)
-
-        proximity = np.clip(1.0 - dist / camera.radius, 0.0, 1.0)
-        window = max(query.t_end - query.t_start, 1e-9)
-        overlap = (np.minimum(t_end, query.t_end)
-                   - np.maximum(t_start, query.t_start))
-        temporal = np.clip(overlap / window, 0.0, 1.0)
-        centrality = np.clip(1.0 - dtheta / camera.half_angle, 0.0, 1.0)
-
-        total = self.w_distance + self.w_temporal + self.w_centrality
-        return (self.w_distance * proximity
-                + self.w_temporal * temporal
-                + self.w_centrality * centrality) / total
+        return self.scores_batch(camera, query.t_start, query.t_end,
+                                 dist, dtheta, t_start, t_end)
 
     def scores_batch(self, camera: CameraModel,
-                     q_t_start: np.ndarray, q_t_end: np.ndarray,
+                     q_t_start: np.ndarray | float,
+                     q_t_end: np.ndarray | float,
                      dist: np.ndarray, dtheta: np.ndarray,
                      t_start: np.ndarray, t_end: np.ndarray) -> np.ndarray:
-        """Cross-query form of :meth:`scores`.
+        """Cross-query form of :meth:`scores`, and its one formula.
 
-        ``q_t_start``/``q_t_end`` carry each row's query window.  The
-        window clamp uses ``np.maximum`` elementwise where the scalar
-        path uses ``max``; both produce the same doubles, so batched
-        scores match the per-query path bit for bit.
+        ``q_t_start``/``q_t_end`` carry each row's query window;
+        :meth:`scores` passes its query's two scalars, which broadcast.
+        Every operation is elementwise, so batched scores match the
+        per-query ones bit for bit.
         """
         dist = np.asarray(dist, dtype=float)
         dtheta = np.asarray(dtheta, dtype=float)

@@ -17,15 +17,19 @@ The engine therefore:
 Two execution engines share that pipeline:
 
 * ``"dynamic"`` -- the seed path: search the mutable R-tree, then build
-  evidence arrays from the candidate objects.  Right for ingest-heavy
-  workloads where the index churns between queries.
+  evidence arrays from the candidate objects and rank with a Python
+  tie-run sort.  Right for ingest-heavy workloads where the index churns
+  between queries, and the independent reference the parity suites and
+  the perf ledger's oracle compare against.
 * ``"packed"`` -- the read-optimised path: search the frozen
   structure-of-arrays snapshot (``FoVIndex.packed_view``) and gather
-  evidence by fancy-indexing its columns; ``execute_many`` additionally
-  answers the whole batch per tree level and runs one combined
-  orientation-filter pass across all (query, candidate) pairs.  Both
-  engines produce identical rankings and funnel counters (the parity
-  tests pin this), so the choice is purely a throughput trade.
+  evidence by fancy-indexing its columns.  It has exactly one
+  filter->rank implementation, :func:`_batch_execute`: ``execute_many``
+  answers a whole batch in shared passes over all (query, candidate)
+  pairs, and ``execute`` is that funnel's ``n = 1`` case -- the same
+  kernels on scalar operands, with or without instruments attached.
+  Both engines produce identical rankings and funnel counters (the
+  parity tests pin this), so the choice is purely a throughput trade.
 
 Latency accounting never reads a clock directly (fovlint RF005): the
 engine takes an injectable ``clock`` callable, defaulting to
@@ -35,22 +39,22 @@ bundle and emits per-stage spans (tree descent, projection, orientation
 filter, rank) through its tracer -- a no-op
 :data:`~repro.obs.trace.NULL_TRACER` unless the owner opted into
 tracing -- plus packed-descent counters through a
-:class:`~repro.obs.runtime.PackedSearchRecorder`.
+:class:`~repro.obs.runtime.PackedSearchRecorder`.  Instruments observe
+the funnel; they never select a different one.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.core.camera import CameraModel
 from repro.core.fov import RepresentativeFoV
-from repro.core.index import FoVIndex, PackedFoVIndex, query_box_floats
+from repro.core.index import FoVIndex, PackedFoVIndex
 from repro.core.query import Query, QueryResult, RankedFoV
 from repro.core.ranking import DistanceRanker
-from repro.geo.earth import _M_PER_DEG, LocalProjection, pairwise_local_xy
+from repro.geo.earth import LocalProjection, pairwise_local_xy
 from repro.geometry.angles import angular_difference
 from repro.net.clock import default_timer
 from repro.obs.runtime import Observability, PackedSearchRecorder
@@ -153,205 +157,6 @@ def _ranked_rows(query: Query, camera: CameraModel, ranker: Any,
     ]
 
 
-def _rank_survivors(view: PackedFoVIndex, ids: np.ndarray, query: Query,
-                    camera: CameraModel, ranker: Any,
-                    dist: np.ndarray, dtheta: np.ndarray,
-                    covers_center: np.ndarray, keep: np.ndarray
-                    ) -> tuple[list[RankedFoV], int]:
-    """Vectorised canonical rank of one packed query's survivors.
-
-    The single-query counterpart of the batch rank pass: the mask is
-    applied first (the ranker only ever sees survivors), the canonical
-    ``(-score, key)`` order comes from one ``np.lexsort`` over the
-    precomputed ``key_rank`` column, and only the ``top_n`` winning
-    rows are materialised into :class:`RankedFoV` objects.  Returns
-    ``(ranked rows, survivor count)``.
-    """
-    kept = np.flatnonzero(keep)
-    n_kept = int(kept.size)
-    if n_kept == 0:
-        return [], 0
-    kids = ids[kept]
-    scores = np.asarray(ranker.scores(
-        query, camera, dist[kept], dtheta[kept],
-        view.t_start[kids], view.t_end[kids]), dtype=float)
-    order = np.lexsort((view.key_rank[kids], -scores))
-    records = view.records
-    ranked = []
-    for p in order[: query.top_n].tolist():
-        row = int(kept[p])
-        ranked.append(RankedFoV(fov=records[int(kids[p])],
-                                distance=float(dist[row]),
-                                covers=bool(covers_center[row]),
-                                score=float(scores[p])))
-    return ranked, n_kept
-
-
-#: Candidate-count ceiling for the scalar single-query path: below it,
-#: per-element Python floats beat NumPy's fixed per-op dispatch cost
-#: (a handful of candidates is the common case for the paper's V-B
-#: radii); above it the vectorised kernels win and we fall back.
-_SCALAR_MAX_CANDIDATES = 16
-
-#: Scanned-row ceiling for the fused grid fast path: above it the grid
-#: falls back to ``search_ids`` + the vectorised rank, which wins once
-#: the frontier is large enough to amortise NumPy dispatch.
-_SCAN_MAX_ROWS = 256
-
-
-def _query_packed_fused(view: PackedFoVIndex, rows: list[list[float]],
-                        query: Query, camera: CameraModel,
-                        strict_cover: bool, ranker: Any
-                        ) -> tuple[list[RankedFoV], int]:
-    """Single-loop scalar twin of filter + rank over fused hit rows.
-
-    ``rows`` is a grid hit set (:meth:`PackedPointGrid.search_rows`) --
-    the query box's exact matches, each row ``[lng, -lng, lat, -lat,
-    t_s, -t_e, theta, row_id]`` in plain floats.  One Python loop runs
-    the same scalar projection/sector arithmetic as
-    :func:`_rank_packed_scalar` straight off those rows, so the
-    few-candidate common case never touches the column arrays or pays
-    NumPy per-op dispatch.  Returns ``(ranked, survivors)``.
-
-    Scalar/vector bit-parity holds for the reasons spelled out in
-    :func:`_rank_packed_scalar`; the parity props drive this path
-    against the dynamic engine on both sides of every cutoff.
-    """
-    olat, olng = query.center.lat, query.center.lng
-    radius = query.radius
-    half, cam_r = camera.half_angle, camera.radius
-    cos, radians, sqrt = math.cos, math.radians, math.sqrt
-    atan2, degrees, asin = math.atan2, math.degrees, math.asin
-    kept: list[int] = []
-    dists: list[float] = []
-    dthetas: list[float] = []
-    covers: list[bool] = []
-    for r in rows:
-        lat = r[2]
-        # LocalProjection.to_local_arrays, one row:
-        scale = cos(radians((olat + lat) / 2.0))
-        x = _M_PER_DEG * scale * (r[0] - olng)
-        y = _M_PER_DEG * (lat - olat)
-        # _sector_evidence, one row:
-        dist = sqrt(x * x + y * y)
-        bearing = degrees(atan2(-x, -y))
-        d = abs((r[6] - bearing) % 360.0)
-        dtheta = min(d, 360.0 - d)
-        covers_center = (dtheta <= half or dist == 0.0) and dist <= cam_r
-        if strict_cover:
-            keep = covers_center
-        else:
-            half_width = degrees(asin(
-                min(max(radius / max(dist, 1e-9), 0.0), 1.0)))
-            keep = (covers_center or dist <= radius
-                    or (dtheta <= half + half_width
-                        and dist <= cam_r + radius))
-        if keep:
-            kept.append(int(r[7]))
-            dists.append(dist)
-            dthetas.append(dtheta)
-            covers.append(covers_center)
-    n_kept = len(kept)
-    if n_kept == 0:
-        return [], 0
-    if type(ranker) is DistanceRanker:
-        scores: list[float] = [-v for v in dists]
-    else:
-        kid_arr = np.asarray(kept, dtype=np.intp)
-        scores = np.asarray(ranker.scores(
-            query, camera, np.asarray(dists), np.asarray(dthetas),
-            view.t_start[kid_arr], view.t_end[kid_arr]),
-            dtype=float).tolist()
-    # Canonical (-score, key) order via a decorated sort of plain
-    # tuples -- same order np.lexsort((key_rank, -scores)) yields.
-    krank = view.key_rank.item
-    order = sorted(zip([-s for s in scores],
-                       [krank(i) for i in kept], range(n_kept)))
-    records = view.records
-    ranked = [RankedFoV(fov=records[kept[p]], distance=dists[p],
-                        covers=covers[p], score=scores[p])
-              for _, _, p in order[: query.top_n]]
-    return ranked, n_kept
-
-
-def _rank_packed_scalar(view: PackedFoVIndex, ids: np.ndarray, query: Query,
-                        camera: CameraModel, strict_cover: bool, ranker: Any
-                        ) -> tuple[list[RankedFoV], int]:
-    """Scalar-math twin of projection + `_sector_evidence` + rank.
-
-    For the few-candidate case the vectorised pipeline pays ~30 NumPy
-    dispatches to process a handful of rows; this path runs the same
-    arithmetic per candidate in plain Python floats.  Every expression
-    mirrors its array counterpart operation for operation
-    (``LocalProjection.to_local_arrays``, :func:`_sector_evidence`,
-    :func:`repro.geometry.angles.angular_difference`), and libm scalar
-    ops produce the same doubles as NumPy's elementwise loops, so
-    results are bit-identical to the vector path -- the engine parity
-    props exercise both sides of the `_SCALAR_MAX_CANDIDATES` cutoff.
-    The ranker still receives survivor *arrays* (its contract), and the
-    canonical ``(-score, key_rank)`` order is identical to the
-    ``np.lexsort`` used by the vector rank.
-    """
-    olat, olng = query.center.lat, query.center.lng
-    radius = query.radius
-    half, cam_r = camera.half_angle, camera.radius
-    lat_at, lng_at, th_at = view.lat.item, view.lng.item, view.theta.item
-    cos, radians, sqrt = math.cos, math.radians, math.sqrt
-    atan2, degrees, asin = math.atan2, math.degrees, math.asin
-    kept: list[int] = []
-    dists: list[float] = []
-    dthetas: list[float] = []
-    covers: list[bool] = []
-    for i in ids.tolist():
-        lat = lat_at(i)
-        # LocalProjection.to_local_arrays, one row:
-        scale = cos(radians((olat + lat) / 2.0))
-        x = _M_PER_DEG * scale * (lng_at(i) - olng)
-        y = _M_PER_DEG * (lat - olat)
-        # _sector_evidence, one row:
-        dist = sqrt(x * x + y * y)
-        bearing = degrees(atan2(-x, -y))
-        d = abs((th_at(i) - bearing) % 360.0)
-        dtheta = min(d, 360.0 - d)
-        covers_center = (dtheta <= half or dist == 0.0) and dist <= cam_r
-        if strict_cover:
-            keep = covers_center
-        else:
-            half_width = degrees(asin(
-                min(max(radius / max(dist, 1e-9), 0.0), 1.0)))
-            keep = (covers_center or dist <= radius
-                    or (dtheta <= half + half_width
-                        and dist <= cam_r + radius))
-        if keep:
-            kept.append(i)
-            dists.append(dist)
-            dthetas.append(dtheta)
-            covers.append(covers_center)
-    n_kept = len(kept)
-    if n_kept == 0:
-        return [], 0
-    if type(ranker) is DistanceRanker:
-        # The default ranker's score is exactly ``-dist`` (its array
-        # form is ``-np.asarray(dist)``); negating the Python floats we
-        # already hold gives the same doubles without round-tripping
-        # four arrays through the ranker protocol.
-        scores: list[float] = [-d for d in dists]
-    else:
-        kid_arr = np.asarray(kept, dtype=np.intp)
-        scores = np.asarray(ranker.scores(
-            query, camera, np.asarray(dists), np.asarray(dthetas),
-            view.t_start[kid_arr], view.t_end[kid_arr]),
-            dtype=float).tolist()
-    key_rank = view.key_rank
-    order = sorted(range(n_kept),
-                   key=lambda p: (-scores[p], key_rank[kept[p]]))
-    records = view.records
-    ranked = [RankedFoV(fov=records[kept[p]], distance=dists[p],
-                        covers=covers[p], score=scores[p])
-              for p in order[: query.top_n]]
-    return ranked, n_kept
-
-
 def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
                    strict_cover: bool, ranker: Any,
                    queries: list[Query],
@@ -361,15 +166,24 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
                    ) -> list[QueryResult]:
     """Answer a query batch against a packed snapshot in shared passes.
 
-    Every stage of the funnel is one array kernel over the combined
-    ``(query, candidate)`` pair arrays: the grid/tree descent, the
-    local projection, the orientation filter, scoring (via the ranker's
-    ``scores_batch`` when it has one -- rankers without it are scored
-    per query on their survivor segments, preserving mask-first
-    semantics for custom rankers), and a single ``np.lexsort`` under
-    ``(query, -score, key_rank)`` that yields every query's canonical
-    ranking at once.  Only the winning ``top_n`` rows per query are
-    materialised into Python objects.
+    The one packed filter->rank funnel.  Every stage is one array kernel
+    over the combined ``(query, candidate)`` pair arrays: the grid
+    descent, the local projection, the orientation filter, scoring (via
+    the ranker's ``scores_batch`` when it has one -- rankers without it
+    are scored per query on their survivor segments, preserving
+    mask-first semantics for custom rankers), and a single
+    ``np.lexsort`` under ``(query, -score, key_rank)`` that yields every
+    query's canonical ranking at once.  Only the winning ``top_n`` rows
+    per query are materialised into Python objects.
+
+    A single query (``RetrievalEngine.execute``) is the ``n = 1`` case
+    of the same kernels.  Only the operands differ, so that it never
+    pays for batch assembly: one ``range_search_ids`` instead of the
+    batched descent, the query's scalar origin and radius broadcast
+    where a batch gathers per-pair ``[qids]`` columns, one
+    ``ranker.scores`` call, and a single trivial segment instead of
+    ``searchsorted`` bounds.  Every kernel is elementwise per pair, so
+    the rows equal the batched ones bit for bit.
 
     ``elapsed_s`` is the batch wall time split evenly across the
     queries -- per-query timing has no meaning once the funnel is
@@ -379,75 +193,95 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
     """
     t0 = clock()
     n_q = len(queries)
+    one = queries[0] if n_q == 1 else None
     with tracer.span("query.tree_descent", queries=n_q):
-        qids, ids = view.search_many_ids(queries, observer=observer)
+        if one is not None:
+            ids = view.range_search_ids(one, observer=observer)
+        else:
+            qids, ids = view.search_many_ids(queries, observer=observer)
+    if ids.size == 0:           # no query, no record, or no box hit
+        share = (clock() - t0) / max(n_q, 1)
+        return [QueryResult(query=q, ranked=[], candidates=0,
+                            after_filter=0, elapsed_s=share)
+                for q in queries]
 
     with tracer.span("query.projection", pairs=int(ids.size)):
-        origin_lat = np.fromiter((q.center.lat for q in queries), dtype=float,
-                                 count=n_q)
-        origin_lng = np.fromiter((q.center.lng for q in queries), dtype=float,
-                                 count=n_q)
-        radii = np.fromiter((q.radius for q in queries), dtype=float,
-                            count=n_q)
-        xy = pairwise_local_xy(origin_lat[qids], origin_lng[qids],
+        if one is not None:
+            origin_lat: Any = one.center.lat
+            origin_lng: Any = one.center.lng
+            radii: Any = one.radius
+        else:
+            origin_lat = np.fromiter((q.center.lat for q in queries),
+                                     dtype=float, count=n_q)[qids]
+            origin_lng = np.fromiter((q.center.lng for q in queries),
+                                     dtype=float, count=n_q)[qids]
+            radii = np.fromiter((q.radius for q in queries), dtype=float,
+                                count=n_q)[qids]
+        xy = pairwise_local_xy(origin_lat, origin_lng,
                                view.lat[ids], view.lng[ids])
 
     with tracer.span("query.orientation_filter"):
         dist, dtheta, covers_center, keep = _sector_evidence(
-            camera, strict_cover, xy, view.theta[ids], radii[qids])
-        bounds = np.searchsorted(qids, np.arange(n_q + 1))
+            camera, strict_cover, xy, view.theta[ids], radii)
 
     with tracer.span("query.rank"):
         kept = np.flatnonzero(keep)
-        kq = qids[kept]                    # sorted: qids is sorted
         kids = ids[kept]
         kdist = dist[kept]
         kdtheta = dtheta[kept]
         kcov = covers_center[kept]
         kts = view.t_start[kids]
         kte = view.t_end[kids]
-        kbounds = np.searchsorted(kq, np.arange(n_q + 1))
-        scores_batch = getattr(ranker, "scores_batch", None)
-        if scores_batch is not None:
-            q_ts = np.fromiter((q.t_start for q in queries), dtype=float,
-                               count=n_q)
-            q_te = np.fromiter((q.t_end for q in queries), dtype=float,
-                               count=n_q)
-            scores = np.asarray(scores_batch(
-                camera, q_ts[kq], q_te[kq], kdist, kdtheta, kts, kte),
-                dtype=float)
-        else:
-            # Mask-first fallback for custom rankers: each query's
-            # ranker call sees exactly its survivor segment, same as
-            # the sequential path.
-            scores = np.empty(kept.size, dtype=float)
-            for qi, q in enumerate(queries):
-                lo, hi = int(kbounds[qi]), int(kbounds[qi + 1])
-                if lo == hi:
-                    continue
-                scores[lo:hi] = np.asarray(ranker.scores(
-                    q, camera, kdist[lo:hi], kdtheta[lo:hi],
-                    kts[lo:hi], kte[lo:hi]), dtype=float)
-        # One global canonical sort: primary query id (keeps segments
-        # contiguous at their searchsorted bounds), then descending
-        # score, then canonical record key -- each query's segment of
+        # ``bounds`` / ``kbounds``: each query's run of candidate /
+        # survivor rows.  ``order``: one canonical sort -- primary query
+        # id (keeps runs contiguous at their bounds), then descending
+        # score, then canonical record key -- so each query's run of
         # ``order`` is its full canonical ranking.
-        order = np.lexsort((view.key_rank[kids], -scores, kq))
+        if one is not None:
+            bounds, kbounds = [0, int(ids.size)], [0, int(kept.size)]
+            # Mask-first: with no survivor the ranker is never called.
+            scores = (np.asarray(ranker.scores(
+                one, camera, kdist, kdtheta, kts, kte), dtype=float)
+                if kept.size else np.empty(0))
+            order = np.lexsort((view.key_rank[kids], -scores))
+        else:
+            kq = qids[kept]                    # sorted: qids is sorted
+            edges = np.arange(n_q + 1)
+            bounds = np.searchsorted(qids, edges).tolist()
+            kbounds = np.searchsorted(kq, edges).tolist()
+            scores_batch = getattr(ranker, "scores_batch", None)
+            if scores_batch is not None:
+                q_ts = np.fromiter((q.t_start for q in queries),
+                                   dtype=float, count=n_q)
+                q_te = np.fromiter((q.t_end for q in queries),
+                                   dtype=float, count=n_q)
+                scores = np.asarray(scores_batch(
+                    camera, q_ts[kq], q_te[kq], kdist, kdtheta, kts, kte),
+                    dtype=float)
+            else:
+                # Mask-first fallback for custom rankers: each query's
+                # ranker call sees exactly its survivor run, as when
+                # the query is asked alone.
+                scores = np.empty(kept.size, dtype=float)
+                for q, lo, hi in zip(queries, kbounds, kbounds[1:]):
+                    if hi > lo:
+                        scores[lo:hi] = ranker.scores(
+                            q, camera, kdist[lo:hi], kdtheta[lo:hi],
+                            kts[lo:hi], kte[lo:hi])
+            order = np.lexsort((view.key_rank[kids], -scores, kq))
         records = view.records
         rows: list[tuple[Query, list[RankedFoV], int, int]] = []
         for qi, q in enumerate(queries):
-            lo, hi = int(kbounds[qi]), int(kbounds[qi + 1])
+            lo, hi = kbounds[qi], kbounds[qi + 1]
             ranked = []
             for p in order[lo: min(hi, lo + q.top_n)].tolist():
                 ranked.append(RankedFoV(fov=records[int(kids[p])],
                                         distance=float(kdist[p]),
                                         covers=bool(kcov[p]),
                                         score=float(scores[p])))
-            rows.append((q, ranked, int(bounds[qi + 1] - bounds[qi]),
-                         hi - lo))
+            rows.append((q, ranked, bounds[qi + 1] - bounds[qi], hi - lo))
 
-    elapsed = clock() - t0
-    share = elapsed / n_q if n_q else 0.0
+    share = (clock() - t0) / n_q
     return [
         QueryResult(query=q, ranked=ranked, candidates=n_cand,
                     after_filter=n_kept, elapsed_s=share)
@@ -488,8 +322,7 @@ class RetrievalEngine:
         orientation filter, rank) and packed descents feed the
         ``packed.*`` counter families via a
         :class:`~repro.obs.runtime.PackedSearchRecorder`.  When omitted
-        the engine runs bare: the no-op tracer, no recorder, zero
-        bookkeeping on the hot path.
+        the same code runs against the no-op tracer and no recorder.
     """
 
     def __init__(self, index: FoVIndex, camera: CameraModel,
@@ -497,7 +330,6 @@ class RetrievalEngine:
                  engine: str = "dynamic",
                  clock: Callable[[], float] | None = None,
                  obs: Observability | None = None):
-        from repro.core.ranking import DistanceRanker
         if engine not in _ENGINES:
             raise ValueError(f"unknown engine {engine!r}; choose from {_ENGINES}")
         self.index = index
@@ -514,50 +346,15 @@ class RetrievalEngine:
         self._pool: Any = None
 
     def execute(self, query: Query) -> QueryResult:
-        """Run the full filter/rank pipeline; returns a timed result."""
-        if (self.engine == "packed" and self._tracer is NULL_TRACER
-                and self._recorder is None):
-            # Bare latency path: no span contexts, no recorder -- the
-            # arithmetic is identical to the traced path below (same
-            # kernels, same clock reads), only the bookkeeping differs.
-            t0 = self._clock()
-            view = self.index.packed_view()
-            box = query_box_floats(query)
-            rows = view.grid.search_rows(box[:3], box[3:], _SCAN_MAX_ROWS)
-            if rows is not None:
-                ranked, survivors = _query_packed_fused(
-                    view, rows, query, self.camera,
-                    self.strict_cover, self.ranker)
-                elapsed = self._clock() - t0
-                return QueryResult(query=query, ranked=ranked,
-                                   candidates=len(rows),
-                                   after_filter=survivors,
-                                   elapsed_s=elapsed)
-            ids = view.range_search_ids(query)
-            if ids.size <= _SCALAR_MAX_CANDIDATES:
-                ranked, survivors = _rank_packed_scalar(
-                    view, ids, query, self.camera, self.strict_cover,
-                    self.ranker)
-            else:
-                ranked, survivors = self._rank_packed(view, ids, query,
-                                                      traced=False)
-            elapsed = self._clock() - t0
-            return QueryResult(query=query, ranked=ranked,
-                               candidates=int(ids.size),
-                               after_filter=survivors, elapsed_s=elapsed)
+        """Run the full filter/rank pipeline; returns a timed result.
+
+        On the packed engine this is the ``n = 1`` case of the batched
+        funnel (:func:`_batch_execute`), instrumented or not.
+        """
         with self._tracer.span("query.execute", engine=self.engine):
-            t0 = self._clock()
             if self.engine == "packed":
-                view = self.index.packed_view()
-                with self._tracer.span("query.tree_descent"):
-                    ids = view.range_search_ids(query,
-                                                observer=self._recorder)
-                ranked, survivors = self._rank_packed(view, ids, query)
-                elapsed = self._clock() - t0
-                return QueryResult(query=query, ranked=ranked,
-                                   candidates=int(ids.size),
-                                   after_filter=survivors,
-                                   elapsed_s=elapsed)
+                return self._execute_packed([query])[0]
+            t0 = self._clock()
             with self._tracer.span("query.tree_descent"):
                 candidates = self.index.range_search(query)
             ranked = self._filter_and_rank(candidates, query)
@@ -595,11 +392,14 @@ class RetrievalEngine:
             return self._execute_sharded(batch, shards)
         if self.engine == "packed":
             with self._tracer.span("query.execute_many", batch=len(batch)):
-                return _batch_execute(self.index.packed_view(), self.camera,
-                                      self.strict_cover, self.ranker, batch,
-                                      self._clock, tracer=self._tracer,
-                                      observer=self._recorder)
+                return self._execute_packed(batch)
         return [self.execute(q) for q in batch]
+
+    def _execute_packed(self, queries: list[Query]) -> list[QueryResult]:
+        return _batch_execute(self.index.packed_view(), self.camera,
+                              self.strict_cover, self.ranker, queries,
+                              self._clock, tracer=self._tracer,
+                              observer=self._recorder)
 
     def _execute_sharded(self, queries: list[Query],
                          shards: int) -> list[QueryResult]:
@@ -619,38 +419,6 @@ class RetrievalEngine:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-
-    def _rank_packed(self, view: PackedFoVIndex, ids: np.ndarray,
-                     query: Query, traced: bool = True
-                     ) -> tuple[list[RankedFoV], int]:
-        """Filter/rank candidates given as packed-snapshot payload ids.
-
-        Returns ``(top_n ranked rows, survivor count)``.  With
-        ``traced=False`` the same kernels run without span contexts
-        (the bare single-query latency path).
-        """
-        if ids.size == 0:
-            return [], 0
-        if not traced:
-            proj = LocalProjection(query.center)
-            xy = proj.to_local_arrays(view.lat[ids], view.lng[ids])
-            dist, dtheta, covers_center, keep = _sector_evidence(
-                self.camera, self.strict_cover, xy, view.theta[ids],
-                query.radius)
-            return _rank_survivors(view, ids, query, self.camera,
-                                   self.ranker, dist, dtheta,
-                                   covers_center, keep)
-        with self._tracer.span("query.projection", candidates=int(ids.size)):
-            proj = LocalProjection(query.center)
-            xy = proj.to_local_arrays(view.lat[ids], view.lng[ids])
-        with self._tracer.span("query.orientation_filter"):
-            dist, dtheta, covers_center, keep = _sector_evidence(
-                self.camera, self.strict_cover, xy, view.theta[ids],
-                query.radius)
-        with self._tracer.span("query.rank"):
-            return _rank_survivors(view, ids, query, self.camera,
-                                   self.ranker, dist, dtheta,
-                                   covers_center, keep)
 
     def _filter_and_rank(self, candidates: list[RepresentativeFoV],
                          query: Query) -> list[RankedFoV]:

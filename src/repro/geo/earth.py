@@ -107,15 +107,16 @@ def radius_to_degrees(radius_m: float, lat_deg: float) -> tuple[float, float]:
     return (radius_m / m_per_deg_lng, radius_m / m_per_deg_lat)
 
 
-def pairwise_local_xy(origin_lats: np.ndarray, origin_lngs: np.ndarray,
+def pairwise_local_xy(origin_lats: np.ndarray | float,
+                      origin_lngs: np.ndarray | float,
                       lats: np.ndarray, lngs: np.ndarray) -> np.ndarray:
     """Project point ``i`` into the local plane anchored at origin ``i``.
 
-    The batched-query counterpart of
-    :meth:`LocalProjection.to_local_arrays`: row ``i`` equals
-    ``LocalProjection(origin_i).to_local_arrays(lats[i], lngs[i])``
-    bit-for-bit (same expression, same operation order), but one call
-    projects a whole batch of (query origin, candidate) pairs at once.
+    One call projects a whole batch of (query origin, candidate) pairs;
+    a scalar origin broadcasts, which is how
+    :meth:`LocalProjection.to_local_arrays` projects every point into
+    one plane.  Every operation is elementwise, so row ``i`` is the same
+    doubles whichever way its origin arrived.
 
     Returns ``(n, 2)`` local ``(x=East, y=North)`` metres.
     """
@@ -146,12 +147,7 @@ class LocalProjection:
 
     def to_local_arrays(self, lats, lngs) -> np.ndarray:
         """Vectorised projection of arrays of fixes -> (n, 2) metres."""
-        lats = np.asarray(lats, dtype=float)
-        lngs = np.asarray(lngs, dtype=float)
-        scale = np.cos(np.radians((self.origin.lat + lats) / 2.0))
-        x = _M_PER_DEG * scale * (lngs - self.origin.lng)
-        y = _M_PER_DEG * (lats - self.origin.lat)
-        return np.stack([x, y], axis=-1)
+        return pairwise_local_xy(self.origin.lat, self.origin.lng, lats, lngs)
 
     def to_geo(self, x: float, y: float) -> GeoPoint:
         """Inverse projection: local metres back to a GPS fix."""

@@ -5,6 +5,11 @@ these tests pin the bit-identical half of it on seeded workloads, for
 single queries, batched ``execute_many``, and the process-sharded
 fan-out; plus the injectable-clock determinism and the mask-first
 ranking invariant.
+
+Every packed engine here is built twice: bare (``obs=None``) and the
+way a server owns one (``obs=Observability.default()``).  Both run the
+one packed funnel -- a single query is its ``n = 1`` case -- so both
+are held to the dynamic engine's answers directly.
 """
 
 import numpy as np
@@ -16,6 +21,9 @@ from repro.core.index import FoVIndex
 from repro.core.query import Query
 from repro.core.ranking import CompositeRanker
 from repro.core.retrieval import RetrievalEngine
+from repro.geo.coords import GeoPoint
+from repro.obs import Observability
+from repro.spatial import grid as grid_mod
 from repro.traces.dataset import random_representative_fovs
 from repro.traces.scenarios import CITY_ORIGIN
 
@@ -37,6 +45,12 @@ def workload(seed, n_records, n_queries, radius_hi=400.0):
     return FoVIndex.bulk(reps), queries
 
 
+#: How a packed engine's instruments are built: none, or a server's.
+OBS_FACTORIES = {"bare": lambda: None, "server-owned": Observability.default}
+obs_configs = pytest.mark.parametrize("make_obs", OBS_FACTORIES.values(),
+                                      ids=OBS_FACTORIES.keys())
+
+
 def ranking(result):
     return [(r.fov.key(), r.distance, r.covers) for r in result.ranked]
 
@@ -48,18 +62,23 @@ def assert_same(got, want):
 
 
 class TestPackedParity:
+    make_obs = staticmethod(OBS_FACTORIES["bare"])
+
+    def packed(self, index, **kwargs):
+        return RetrievalEngine(index, CAMERA, engine="packed",
+                               obs=self.make_obs(), **kwargs)
+
     @pytest.mark.parametrize("strict", [True, False])
     def test_execute_matches_dynamic(self, strict):
         index, queries = workload(7, 2000, 40)
         dyn = RetrievalEngine(index, CAMERA, strict_cover=strict)
-        pck = RetrievalEngine(index, CAMERA, strict_cover=strict,
-                              engine="packed")
+        pck = self.packed(index, strict_cover=strict)
         for q in queries:
             assert_same(pck.execute(q), dyn.execute(q))
 
     def test_execute_many_matches_sequential(self):
         index, queries = workload(11, 2000, 48)
-        pck = RetrievalEngine(index, CAMERA, engine="packed")
+        pck = self.packed(index)
         batched = pck.execute_many(queries)
         for got, q in zip(batched, queries):
             assert_same(got, pck.execute(q))
@@ -68,13 +87,13 @@ class TestPackedParity:
         index, queries = workload(13, 1500, 24)
         ranker = CompositeRanker()
         dyn = RetrievalEngine(index, CAMERA, ranker=ranker)
-        pck = RetrievalEngine(index, CAMERA, ranker=ranker, engine="packed")
+        pck = self.packed(index, ranker=ranker)
         for got, q in zip(pck.execute_many(queries), queries):
             assert_same(got, dyn.execute(q))
 
     def test_sharded_matches_sequential(self):
         index, queries = workload(17, 1500, 32)
-        pck = RetrievalEngine(index, CAMERA, engine="packed")
+        pck = self.packed(index)
         sharded = pck.execute_many(queries, shards=2)
         assert len(sharded) == len(queries)
         for got, q in zip(sharded, queries):
@@ -83,7 +102,7 @@ class TestPackedParity:
     def test_packed_tracks_mutations_via_epoch(self):
         index, queries = workload(19, 400, 8)
         dyn = RetrievalEngine(index, CAMERA)
-        pck = RetrievalEngine(index, CAMERA, engine="packed")
+        pck = self.packed(index)
         for q in queries:
             assert_same(pck.execute(q), dyn.execute(q))
         extra = random_representative_fovs(50, np.random.default_rng(20))
@@ -101,7 +120,7 @@ class TestPackedParity:
         """
         index, queries = workload(43, 600, 10)
         dyn = RetrievalEngine(index, CAMERA)
-        pck = RetrievalEngine(index, CAMERA, engine="packed")
+        pck = self.packed(index)
         stale = index.packed_view()
         victim = index.records()[0]
         assert index.delete(victim)
@@ -118,8 +137,7 @@ class TestPackedParity:
 
     def test_empty_batch(self):
         index, _ = workload(23, 100, 1)
-        pck = RetrievalEngine(index, CAMERA, engine="packed")
-        assert pck.execute_many([]) == []
+        assert self.packed(index).execute_many([]) == []
 
     def test_unknown_engine_rejected(self):
         index, _ = workload(23, 10, 1)
@@ -127,23 +145,172 @@ class TestPackedParity:
             RetrievalEngine(index, CAMERA, engine="turbo")
 
     def test_packed_requires_rtree_backend(self):
-        idx = FoVIndex(backend="linear")
-        eng = RetrievalEngine(idx, CAMERA, engine="packed")
+        eng = self.packed(FoVIndex(backend="linear"))
         with pytest.raises(TypeError):
             eng.execute(Query(t_start=0.0, t_end=1.0, center=CITY_ORIGIN,
                               radius=100.0))
 
 
+class TestPackedParityServerOwned(TestPackedParity):
+    """The same contract for the engine a ``CloudServer`` constructs."""
+
+    make_obs = staticmethod(OBS_FACTORIES["server-owned"])
+
+
 @settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 10_000), strict=st.booleans())
-def test_prop_batched_equals_sequential(seed, strict):
+@given(seed=st.integers(0, 10_000), strict=st.booleans(),
+       obs=st.sampled_from(sorted(OBS_FACTORIES)))
+def test_prop_batched_equals_sequential(seed, strict, obs):
     """execute_many on the packed engine == one-at-a-time, any workload."""
     index, queries = workload(seed, 300, 12)
     dyn = RetrievalEngine(index, CAMERA, strict_cover=strict)
-    pck = RetrievalEngine(index, CAMERA, strict_cover=strict, engine="packed")
+    pck = RetrievalEngine(index, CAMERA, strict_cover=strict, engine="packed",
+                          obs=OBS_FACTORIES[obs]())
     want = [dyn.execute(q) for q in queries]
     for got, ref in zip(pck.execute_many(queries), want):
         assert_same(got, ref)
+    for q, ref in zip(queries, want):
+        assert_same(pck.execute(q), ref)
+
+
+class ScoresOnlyRanker:
+    """A custom ranker: ``scores`` but no ``scores_batch``."""
+
+    def __init__(self):
+        self.seen: list[int] = []
+
+    def scores(self, query, camera, dist, dtheta, t_start, t_end):
+        self.seen.append(len(dist))
+        return -np.asarray(dist, dtype=float) - 0.01 * np.asarray(dtheta)
+
+
+def rows(result):
+    """Everything a result carries except its wall time."""
+    return (result.query, result.ranked, result.candidates,
+            result.after_filter)
+
+
+#: Five degrees off the city: its box touches no record.
+FAR_AWAY = Query(t_start=0.0, t_end=1.0, radius=50.0, center=GeoPoint(
+    lat=CITY_ORIGIN.lat + 5.0, lng=CITY_ORIGIN.lng + 5.0))
+
+
+@obs_configs
+class TestSingleQueryIsTheBatchOfOne:
+    """``execute(q) == execute_many([q])[0] == execute_many(batch)[i]``.
+
+    Equality is on whole rows -- record, distance, covers *and* score
+    -- plus both funnel counters: the single query runs the batched
+    kernels on scalar operands, so not one double may differ.
+    """
+
+    def check(self, index, queries, make_obs, **kwargs):
+        pck = RetrievalEngine(index, CAMERA, engine="packed",
+                              obs=make_obs(), **kwargs)
+        dyn = RetrievalEngine(index, CAMERA, **kwargs)
+        batched = pck.execute_many(queries)
+        assert len(batched) == len(queries)
+        for q, from_batch in zip(queries, batched):
+            single = pck.execute(q)
+            [batch_of_one] = pck.execute_many([q])
+            assert rows(single) == rows(batch_of_one) == rows(from_batch)
+            assert_same(single, dyn.execute(q))
+        return batched
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_both_cover_predicates(self, make_obs, strict):
+        index, queries = workload(47, 2000, 24)
+        batched = self.check(index, queries, make_obs, strict_cover=strict)
+        assert any(r.after_filter for r in batched)
+
+    @pytest.mark.parametrize("ranker", [CompositeRanker(), ScoresOnlyRanker()],
+                             ids=["scores_batch", "scores-only"])
+    def test_rankers_with_and_without_scores_batch(self, make_obs, ranker):
+        index, queries = workload(53, 1500, 16)
+        self.check(index, queries, make_obs, ranker=ranker)
+
+    def test_empty_index(self, make_obs):
+        index, queries = workload(59, 50, 3)
+        empty = FoVIndex()
+        for result in self.check(empty, queries, make_obs):
+            assert rows(result)[1:] == ([], 0, 0)
+
+    def test_zero_candidate_query_alone_and_inside_a_batch(self, make_obs):
+        index, queries = workload(61, 800, 6)
+        mixed = queries[:3] + [FAR_AWAY] + queries[3:]
+        batched = self.check(index, mixed, make_obs)
+        assert rows(batched[3])[1:] == ([], 0, 0)
+        self.check(index, [FAR_AWAY], make_obs)
+
+    def test_zero_survivors_never_reach_the_ranker(self, make_obs):
+        """Mask-first on the packed funnel, single and batched."""
+        index, queries = workload(37, 1000, 12)
+        ranker = ScoresOnlyRanker()
+        eng = RetrievalEngine(index, CAMERA, engine="packed", ranker=ranker,
+                              obs=make_obs())
+        for q in queries + [FAR_AWAY]:
+            ranker.seen.clear()
+            res = eng.execute(q)
+            assert ranker.seen == ([res.after_filter] if res.after_filter
+                                   else [])
+        ranker.seen.clear()
+        results = eng.execute_many(queries + [FAR_AWAY])
+        assert ranker.seen == [r.after_filter for r in results
+                               if r.after_filter]
+
+    def test_a_candidate_nothing_covers(self, make_obs):
+        """In the box, outside every sector: counted, never scored."""
+        [lone] = random_representative_fovs(1, np.random.default_rng(41))
+        # ~167 m north of a camera whose sector reaches 100 m.
+        behind = Query(t_start=lone.t_start, t_end=lone.t_end, radius=400.0,
+                       center=GeoPoint(lat=lone.lat + 0.0015, lng=lone.lng))
+        ranker = ScoresOnlyRanker()
+        for result in self.check(FoVIndex.bulk([lone]), [behind, behind],
+                                 make_obs, ranker=ranker):
+            assert rows(result)[1:] == ([], 1, 0)
+        assert ranker.seen == []
+
+    @pytest.mark.parametrize("slab_loop_max", [0, 10**9],
+                             ids=["vectorised-scan", "slab-loop"])
+    def test_either_side_of_the_grid_slab_cutoff(self, make_obs, monkeypatch,
+                                                 slab_loop_max):
+        """Narrow and city-wide boxes through each ``search_ids`` branch."""
+        index, queries = workload(67, 6000, 10)
+        citywide = Query(t_start=0.0, t_end=1e9, center=queries[0].center,
+                         radius=50_000.0, top_n=25)
+        grid = index.packed_view().grid
+        assert grid.slices * grid.height > grid_mod._SLAB_LOOP_MAX
+        monkeypatch.setattr(grid_mod, "_SLAB_LOOP_MAX", slab_loop_max)
+        batched = self.check(index, queries + [citywide], make_obs)
+        assert batched[-1].candidates == len(index)
+
+
+class TestSingleQueryBookkeeping:
+    @obs_configs
+    def test_two_clock_reads_per_execute(self, make_obs):
+        index, queries = workload(71, 300, 6)
+        reads: list[float] = []
+
+        def clock():
+            reads.append(float(len(reads)))
+            return reads[-1]
+
+        eng = RetrievalEngine(index, CAMERA, engine="packed", clock=clock,
+                              obs=make_obs())
+        for n, q in enumerate(queries + [FAR_AWAY], start=1):
+            assert eng.execute(q).elapsed_s == 1.0
+            assert len(reads) == 2 * n
+
+    def test_one_descent_counted_per_execute(self):
+        obs = Observability.default()
+        index, queries = workload(73, 300, 6)
+        eng = RetrievalEngine(index, CAMERA, engine="packed", obs=obs)
+        descents = obs.registry.get("packed.descents")
+        for n, q in enumerate(queries + [FAR_AWAY], start=1):
+            eng.execute(q)
+            assert descents.value == n
+        eng.execute_many(queries)
+        assert descents.value == len(queries) + 2   # one per batch
 
 
 class TestClockInjection:
@@ -172,18 +339,12 @@ class TestClockInjection:
 class TestMaskFirstRanking:
     def test_ranker_sees_only_survivors(self):
         index, queries = workload(37, 1000, 12)
-        seen: list[int] = []
-
-        class RecordingRanker:
-            def scores(self, query, camera, dist, dtheta, t_start, t_end):
-                seen.append(len(dist))
-                return -np.asarray(dist, dtype=float)
-
-        eng = RetrievalEngine(index, CAMERA, ranker=RecordingRanker())
+        ranker = ScoresOnlyRanker()
+        eng = RetrievalEngine(index, CAMERA, ranker=ranker)
         for q in queries:
-            seen.clear()
+            ranker.seen.clear()
             res = eng.execute(q)
             if res.after_filter == 0:
-                assert seen == []          # nothing survived: never called
+                assert ranker.seen == []   # nothing survived: never called
             else:
-                assert seen == [res.after_filter]
+                assert ranker.seen == [res.after_filter]
