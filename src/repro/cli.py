@@ -14,8 +14,8 @@ Python::
     python -m repro.cli video-query --snapshot city.fov \
         --video-id device-003-video-0 --scorer lcv --top 5 --poi 3
 
-Snapshots use the binary format of :mod:`repro.core.snapshot` (the
-on-wire descriptor bundles, CRC-protected).
+Snapshots are flat ``FOVPACK1`` files (:mod:`repro.core.flatsnap`:
+float64 columns plus cell grid, CRC-protected, mmap-attachable, exact).
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ import sys
 import numpy as np
 
 from repro.core.camera import CameraModel
+from repro.core.flatsnap import load_snapshot_file, write_snapshot_file
+from repro.core.fov import RepresentativeFoV
 from repro.core.index import FoVIndex
 from repro.core.query import Query
 from repro.core.retrieval import RetrievalEngine
-from repro.core.snapshot import load_snapshot, save_snapshot
 from repro.geo.coords import GeoPoint
 from repro.spatial.metrics import tree_stats
 from repro.traces.dataset import CityDataset
@@ -192,17 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="exposition format for the snapshot "
                           "(classic Prometheus text, or JSON)")
 
-    pk = sub.add_parser("pack",
-                        help="compile a descriptor snapshot into a flat "
-                             "``.fovpack`` packed snapshot (mmap/shared-"
-                             "memory attachable, zero-copy; see "
-                             "docs/PERFORMANCE.md)")
-    pk.add_argument("--snapshot", required=True,
-                    help="input descriptor snapshot (.fov)")
-    pk.add_argument("--out", default=None,
-                    help="output path (default: the input path with "
-                         "a .fovpack suffix)")
-
     city = sub.add_parser("cityload",
                           help="run the deterministic city-scale workload "
                                "(skewed load, flash crowd, shard failover) "
@@ -247,10 +237,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_fovpack(path: str) -> tuple[FoVIndex, list[RepresentativeFoV]]:
+    """Attach a ``FOVPACK1`` file (verified) and index its records."""
+    records = list(load_snapshot_file(path).records)
+    return FoVIndex.bulk(records), records
+
+
 def _cmd_generate(args) -> int:
     dataset = CityDataset(n_providers=args.providers, seed=args.seed)
     reps = dataset.all_representatives()
-    written = save_snapshot(args.out, reps)
+    written = write_snapshot_file(args.out,
+                                  FoVIndex.bulk(reps).packed_view())
     t0, t1 = dataset.time_span()
     print(f"generated {args.providers} providers, {len(reps)} segments, "
           f"time span [{t0:.0f}, {t1:.0f}] s")
@@ -259,7 +256,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    index, records = load_snapshot(args.snapshot)
+    index, records = _read_fovpack(args.snapshot)
     if not records:
         print("snapshot is empty")
         return 0
@@ -282,7 +279,7 @@ def _cmd_inspect(args) -> int:
 def _cmd_query(args) -> int:
     from repro.obs import Observability, format_span_tree
 
-    index, records = load_snapshot(args.snapshot)
+    index, records = _read_fovpack(args.snapshot)
     camera = CameraModel(half_angle=args.half_angle)
     obs = Observability.tracing() if args.trace else None
     query = Query(t_start=args.t0, t_end=args.t1,
@@ -326,7 +323,7 @@ def _cmd_video_query(args) -> int:
     from repro.obs import Observability, format_span_tree
     from repro.video import VideoQuery, discover_pois
 
-    index, records = load_snapshot(args.snapshot)
+    index, records = _read_fovpack(args.snapshot)
     segs = sorted((r for r in records if r.video_id == args.video_id),
                   key=lambda r: r.segment_id)
     if not segs:
@@ -394,7 +391,7 @@ def _cmd_video_query(args) -> int:
 
 
 def _cmd_nearest(args) -> int:
-    index, _ = load_snapshot(args.snapshot)
+    index, _ = _read_fovpack(args.snapshot)
     rows = index.nearest(GeoPoint(args.lat, args.lng), t=args.t, k=args.k,
                          time_weight_m_per_s=args.time_weight)
     for rank, (dist, rep) in enumerate(rows, start=1):
@@ -408,7 +405,7 @@ def _cmd_nearest(args) -> int:
 def _cmd_coverage(args) -> int:
     from repro.eval.coverage_map import build_coverage_map
     from repro.geo.earth import LocalProjection
-    _, records = load_snapshot(args.snapshot)
+    _, records = _read_fovpack(args.snapshot)
     if not records:
         print("snapshot is empty")
         return 0
@@ -548,7 +545,8 @@ def _cmd_ingest(args) -> int:
     if args.admission_capacity is not None:
         report["shed"] = faulty.stats.bundles_shed
     if args.out:
-        save_snapshot(args.out, faulty.records())
+        write_snapshot_file(args.out,
+                            FoVIndex.bulk(faulty.records()).packed_view())
         report["snapshot"] = args.out
     if args.json:
         import json
@@ -598,7 +596,7 @@ def _cmd_metrics(args) -> int:
     from repro.core.server import CloudServer
     from repro.obs import Observability
 
-    index, records = load_snapshot(args.snapshot)
+    index, records = _read_fovpack(args.snapshot)
     obs = Observability.tracing()
     camera = CameraModel(half_angle=args.half_angle)
     server = CloudServer(camera, engine=args.engine, index=index, obs=obs)
@@ -618,30 +616,6 @@ def _cmd_metrics(args) -> int:
         print(jsonlib.dumps(obs.registry.render_json(), indent=2))
     else:
         print(obs.registry.render_prometheus(), end="")
-    return 0
-
-
-def _cmd_pack(args) -> int:
-    from pathlib import Path
-
-    from repro.core.flatsnap import (FLATSNAP_VERSION, FOVPACK_SUFFIX,
-                                     load_snapshot_file, write_snapshot_file)
-    index, records = load_snapshot(args.snapshot)
-    out = args.out or str(Path(args.snapshot).with_suffix(FOVPACK_SUFFIX))
-    view = index.packed_view()
-    written = write_snapshot_file(out, view)
-    # Read it straight back (CRC + structure): a snapshot that cannot
-    # be attached is not a snapshot.
-    attached = load_snapshot_file(out)
-    if len(attached) != len(records):
-        print(f"pack verification failed: {len(attached)} of "
-              f"{len(records)} records attach", file=sys.stderr)
-        return 1
-    grid = view.grid
-    print(f"packed {len(records)} records "
-          f"(schema v{FLATSNAP_VERSION}, epoch {view.epoch}, "
-          f"grid {grid.width}x{grid.height}x{grid.slices})")
-    print(f"wrote {written} bytes to {out} (verified)")
     return 0
 
 
@@ -726,7 +700,6 @@ _COMMANDS = {
     "coverage": _cmd_coverage,
     "ingest": _cmd_ingest,
     "metrics": _cmd_metrics,
-    "pack": _cmd_pack,
     "cityload": _cmd_cityload,
     "lint": _cmd_lint,
 }

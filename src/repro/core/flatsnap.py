@@ -5,8 +5,8 @@ A :class:`~repro.core.index.PackedFoVIndex` is eleven parallel arrays
 plus a handful of grid scalars.  This module lays all of them out in
 **one** contiguous buffer so that a consumer in another process -- a
 persistent pool worker attaching shared memory, or a loader mmapping a
-``.fovpack`` sidecar file -- reconstructs the snapshot with
-``np.frombuffer`` views into that buffer: no per-worker record-set
+``.fovpack`` file, the one persisted form -- reconstructs the snapshot
+with ``np.frombuffer`` views into that buffer: no per-worker record-set
 copy, no grid rebuild, O(1) attach time in record count.
 
 Layout (version 1)::
@@ -50,15 +50,12 @@ from repro.core.index import PackedFoVIndex
 from repro.spatial.grid import PackedPointGrid
 
 __all__ = ["FLATSNAP_MAGIC", "FLATSNAP_VERSION", "pack_snapshot",
-           "unpack_snapshot", "write_snapshot_file", "load_snapshot_file",
-           "FOVPACK_SUFFIX"]
+           "unpack_snapshot", "write_snapshot_file", "load_snapshot_file"]
 
 FLATSNAP_MAGIC = b"FOVPACK1"
 #: Schema version of the flat layout; bumped on any layout change and
 #: stamped into benchmark exports so trajectories stay comparable.
 FLATSNAP_VERSION = 1
-#: Conventional filename suffix for on-disk flat snapshots.
-FOVPACK_SUFFIX = ".fovpack"
 
 # magic, version, reserved, crc32, total bytes, record count, epoch,
 # video-id chars, grid width/height/slices, cell-offset count, then the
@@ -154,8 +151,9 @@ def unpack_snapshot(buf, *, verify: bool = True) -> PackedFoVIndex:
     guaranteed, e.g. a shared-memory segment the parent just published.
 
     Raises ``ValueError`` on bad magic, unsupported version,
-    truncation, trailing bytes, a CRC mismatch, or an incoherent
-    section table.
+    truncation, a CRC mismatch, or an incoherent section table; bytes
+    past the declared length are ignored (shared memory rounds up to a
+    page -- :func:`load_snapshot_file` is stricter).
     """
     mv = memoryview(buf)
     if len(mv) < _HEADER_SIZE:
@@ -221,7 +219,16 @@ def load_snapshot_file(path: str | Path) -> PackedFoVIndex:
     The mapping stays alive for as long as the returned snapshot's
     arrays do (``np.frombuffer`` holds the buffer), so no handle needs
     to be kept; the file descriptor is closed before returning.
+    Raises ``ValueError`` for everything :func:`unpack_snapshot`
+    refuses, for an empty file, and for a file longer than its header
+    declares (nothing rounds a file up, so extra bytes are damage).
     """
     with open(path, "rb") as fh:
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    return unpack_snapshot(mapped, verify=True)
+    view = unpack_snapshot(mapped, verify=True)
+    total = _FIXED.unpack_from(mapped, 0)[4]
+    if len(mapped) != total:
+        raise ValueError(
+            f"flat snapshot file holds {len(mapped)} bytes, header "
+            f"declares {total}")
+    return view

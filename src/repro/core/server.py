@@ -36,7 +36,6 @@ from repro.net.channel import FaultyChannel, RetryPolicy, RetryingUploader
 from repro.net.traffic import TrafficModel, VideoProfile
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import Observability
-from repro.spatial.rtree import RTreeConfig
 from repro.video.retrieval import VideoQuery, VideoQueryResult, \
     VideoQueryStats, serve_video_query
 
@@ -206,7 +205,6 @@ class CloudServer:
         orientation filter).
     backend : {"rtree", "linear"}
         Index backend; ``"linear"`` swaps in the brute-force baseline.
-    rtree_config : RTreeConfig, optional
     strict_cover : bool
         Orientation-filter mode (see :class:`RetrievalEngine`).
     video_profile : VideoProfile, optional
@@ -221,9 +219,9 @@ class CloudServer:
         whenever the index mutates (insert, delete, eviction) via the
         index epoch, so a hit always equals the cold recomputation.
     index : FoVIndex, optional
-        Use an existing index (e.g. a loaded snapshot)
-        instead of building an empty one; ``backend``/``rtree_config``
-        are ignored when given.
+        Use an existing index (``FoVIndex.bulk`` over a loaded
+        ``.fovpack``'s records, or one built with an ``rtree_config``)
+        instead of building an empty one; ``backend`` is then ignored.
     quarantine_capacity : int
         How many rejected payloads the dead-letter store retains
         (older entries age out but stay counted).
@@ -246,7 +244,6 @@ class CloudServer:
     """
 
     def __init__(self, camera: CameraModel, backend: str = "rtree",
-                 rtree_config: RTreeConfig | None = None,
                  strict_cover: bool = True,
                  video_profile: VideoProfile | None = None,
                  engine: str = "dynamic",
@@ -258,10 +255,7 @@ class CloudServer:
                  admission_capacity: int | None = None):
         self.camera = camera
         self.obs = obs if obs is not None else Observability.default()
-        if index is not None:
-            self.index = index
-        else:
-            self.index = FoVIndex(backend=backend, rtree_config=rtree_config)
+        self.index = index if index is not None else FoVIndex(backend=backend)
         self.engine = RetrievalEngine(self.index, camera,
                                       strict_cover=strict_cover,
                                       engine=engine, obs=self.obs)

@@ -17,9 +17,8 @@ package partitions the index by *where the cameras stood*:
   attach it zero-copy (O(1) init, no per-worker record copy);
 * :mod:`repro.shard.shm` -- the shared-memory publish/attach layer
   under the pool (:mod:`repro.core.flatsnap` buffers);
-* :mod:`repro.shard.persist` -- per-shard snapshot save/load built on
-  :mod:`repro.core.snapshot`, plus mmap-attachable ``.fovpack`` packed
-  sidecars;
+* :mod:`repro.shard.persist` -- fleet save/load as one mmap-attachable
+  ``.fovpack`` (``FOVPACK1``) file per shard plus a routing manifest;
 * :mod:`repro.shard.replica` -- :class:`ReplicaSet`, one warm
   ``FOVPACK1`` standby per shard with manifest-verified promotion
   after a primary is killed (:class:`ShardUnavailableError` is the

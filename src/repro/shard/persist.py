@@ -1,28 +1,24 @@
-"""Sharded snapshots: persist a fleet's records as per-shard files.
+"""Sharded snapshots: persist a fleet as one ``FOVPACK1`` file per shard.
 
-Layout: one directory holding ``shard-NNN.fovsnap`` files -- each an
-ordinary single-index snapshot (:mod:`repro.core.snapshot`, so each
-shard's file is independently loadable and CRC-checked) -- plus a
+Layout: one directory holding ``shard-NNN.fovpack`` files -- each the
+shard's frozen columnar view in the flat, CRC-protected ``FOVPACK1``
+buffer (:mod:`repro.core.flatsnap`), exactly what
+:meth:`ShardedCloudServer.capture_shard` hands a warm standby -- plus a
 ``manifest.json`` recording the routing parameters ``(n_shards,
-origin, cell_m, seed)`` and per-shard record counts.
+origin, cell_m, seed)`` and per-shard record counts.  Both readers use
+the same files: :func:`load_sharded_snapshot` rebuilds the mutable
+fleet the way replica promotion rebuilds a shard (verified attach ->
+``view.records`` -> ``ingest``); :func:`load_packed_shard_views` mmaps
+each shard's serving columns as ``np.frombuffer`` views, with no record
+decoding and no index or grid rebuild.
 
-Because routing is a pure function of those parameters
+Because routing is a pure function of the manifest's parameters
 (:mod:`repro.shard.partition`), reload does not trust the file
 boundaries: records are re-routed through the partitioner, which by
 determinism lands every record back on the shard whose file held it.
 A manifest whose parameters were tampered with therefore cannot
 scatter records onto the wrong shards -- the counts check fails
-instead.
-
-Next to each record snapshot, :func:`save_sharded_snapshot` also
-writes a ``shard-NNN.fovpack`` **packed sidecar**: the shard's frozen
-columnar view serialised into one flat ``FOVPACK1`` buffer
-(:mod:`repro.core.flatsnap`).  The record files remain the source of
-truth -- :func:`load_sharded_snapshot` rebuilds the mutable fleet from
-them alone -- while the sidecars let a read-only consumer
-(:func:`load_packed_shard_views`) mmap each shard's serving columns
-directly: CRC-verified once, attached as ``np.frombuffer`` views, no
-record decoding and no index or grid rebuild.
+instead.  Only files the manifest names under ``packed`` are read.
 """
 
 from __future__ import annotations
@@ -31,14 +27,12 @@ import json
 from pathlib import Path
 
 from repro.core.camera import CameraModel
-from repro.core.flatsnap import load_snapshot_file, write_snapshot_file
-from repro.core.fov import RepresentativeFoV
+from repro.core.flatsnap import load_snapshot_file, unpack_snapshot
 from repro.core.index import PackedFoVIndex
-from repro.core.snapshot import load_snapshot, save_snapshot
 from repro.geo.coords import GeoPoint
 from repro.obs.runtime import Observability
-from repro.shard.server import ShardedCloudServer
-from repro.spatial.rtree import RTreeConfig
+from repro.shard.partition import GridPartitioner
+from repro.shard.server import ShardedCloudServer, ShardUnavailableError
 
 __all__ = ["save_sharded_snapshot", "load_sharded_snapshot",
            "load_packed_shard_views", "MANIFEST_NAME", "MANIFEST_FORMAT"]
@@ -47,36 +41,32 @@ MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "fov-sharded-snapshot-v1"
 
 
-def _shard_filename(sid: int) -> str:
-    return f"shard-{sid:03d}.fovsnap"
-
-
-def _sidecar_filename(sid: int) -> str:
-    return f"shard-{sid:03d}.fovpack"
-
-
 def save_sharded_snapshot(dirpath: str | Path,
                           server: ShardedCloudServer) -> int:
-    """Write every shard's records plus the manifest; returns total bytes.
+    """Write every shard's packed view plus the manifest; returns total bytes.
 
-    The directory is created if missing.  Empty shards still get a
-    (valid, empty) snapshot file, so the manifest fully enumerates the
-    fleet.
+    The directory is created if missing.  Each shard is read once,
+    under its lock (:meth:`ShardedCloudServer.capture_shard`), so its
+    file and manifest count describe the same epoch; empty shards
+    still get a (valid, empty) file.  Raises
+    :class:`ShardUnavailableError` while any primary is down: a killed
+    slot is an empty placeholder, and saving it would write a snapshot
+    that reloads cleanly with that shard's data missing.
     """
+    down = server.down_shards
+    if down:
+        raise ShardUnavailableError(min(down))
     root = Path(dirpath)
     root.mkdir(parents=True, exist_ok=True)
     part = server.partitioner
     total = 0
     shard_rows: list[dict[str, object]] = []
-    for sid, shard in enumerate(server.shards):
-        records = shard.records()
-        name = _shard_filename(sid)
-        total += save_snapshot(root / name, records)
-        sidecar = _sidecar_filename(sid)
-        total += write_snapshot_file(root / sidecar,
-                                     shard.index.packed_view())
-        shard_rows.append({"file": name, "packed": sidecar,
-                           "records": len(records)})
+    for sid in range(server.n_shards):
+        _, packed = server.capture_shard(sid)
+        name = f"shard-{sid:03d}.fovpack"
+        total += (root / name).write_bytes(packed)
+        count = len(unpack_snapshot(packed, verify=False))
+        shard_rows.append({"packed": name, "records": count})
     manifest = {
         "format": MANIFEST_FORMAT,
         "n_shards": part.n_shards,
@@ -87,13 +77,72 @@ def save_sharded_snapshot(dirpath: str | Path,
         "records_total": sum(int(r["records"]) for r in shard_rows),
     }
     blob = json.dumps(manifest, indent=2).encode()
-    (root / MANIFEST_NAME).write_bytes(blob)
-    return total + len(blob)
+    return total + (root / MANIFEST_NAME).write_bytes(blob)
+
+
+def _field(obj: object, key: str, kind: type | tuple[type, ...]):
+    """``obj[key]``, or ``ValueError`` unless it is a ``kind`` (JSON
+    booleans never stand in for numbers)."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"manifest field {key!r} is missing or mistyped: "
+                         f"{value!r}")
+    return value
+
+
+def _read_manifest(root: Path
+                   ) -> tuple[GridPartitioner, list[tuple[str, int]]]:
+    """The saved routing function and each shard's ``(file name, record
+    count)``; an incoherent manifest (absent, not JSON, unknown format,
+    missing, mistyped or out-of-range field, shard list disagreeing
+    with ``n_shards``) is a ``ValueError``."""
+    path = root / MANIFEST_NAME
+    if not path.is_file():
+        raise ValueError(f"no {MANIFEST_NAME} in {root}")
+    manifest = json.loads(path.read_bytes())    # JSONDecodeError is a ValueError
+    if not isinstance(manifest, dict) or \
+            manifest.get("format") != MANIFEST_FORMAT:
+        raise ValueError(f"unknown snapshot format in {path}")
+    origin = _field(manifest, "origin", dict)
+    part = GridPartitioner(
+        n_shards=_field(manifest, "n_shards", int),
+        origin=GeoPoint(lat=float(_field(origin, "lat", (int, float))),
+                        lng=float(_field(origin, "lng", (int, float)))),
+        cell_m=float(_field(manifest, "cell_m", (int, float))),
+        seed=_field(manifest, "seed", int))
+    rows = _field(manifest, "shards", list)
+    if len(rows) != part.n_shards:
+        raise ValueError(f"manifest lists {len(rows)} shard files for "
+                         f"{part.n_shards} shards")
+    shards = []
+    for sid, row in enumerate(rows):
+        if isinstance(row, dict) and "packed" not in row:
+            raise ValueError(
+                f"shard {sid} has no packed sidecar; re-save the snapshot")
+        shards.append((_field(row, "packed", str),
+                       _field(row, "records", int)))
+    return part, shards
+
+
+def _load_shard_views(root: Path, shards: list[tuple[str, int]]
+                      ) -> list[PackedFoVIndex]:
+    """Attach every file the manifest names (CRC, magic, version and
+    length verified) and hold each to its manifest record count."""
+    views: list[PackedFoVIndex] = []
+    for name, count in shards:
+        if not (root / name).is_file():
+            raise ValueError(f"manifest names {name!r}, not a file in {root}")
+        view = load_snapshot_file(root / name)
+        if len(view) != count:
+            raise ValueError(
+                f"shard file {name!r} holds {len(view)} records, "
+                f"manifest says {count}")
+        views.append(view)
+    return views
 
 
 def load_sharded_snapshot(dirpath: str | Path, camera: CameraModel,
                           strict_cover: bool = True, engine: str = "packed",
-                          rtree_config: RTreeConfig | None = None,
                           cache_size: int = 1024,
                           obs: Observability | None = None
                           ) -> ShardedCloudServer:
@@ -102,81 +151,38 @@ def load_sharded_snapshot(dirpath: str | Path, camera: CameraModel,
     Routing parameters come from the manifest (so the reloaded fleet
     routes exactly like the one that saved it); serving parameters
     (camera, engine, cache) come from the caller.  Raises
-    ``ValueError`` on a missing/incoherent manifest, a corrupt shard
-    file (per-file CRC), or a per-shard record count that disagrees
+    ``ValueError`` on a missing/incoherent manifest, a corrupt,
+    truncated or extended shard file, a file whose record count
+    disagrees with the manifest, or a per-shard count that disagrees
     with the manifest after re-routing.
     """
     root = Path(dirpath)
-    manifest_path = root / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise ValueError(f"no {MANIFEST_NAME} in {root}")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise ValueError(f"unknown snapshot format {manifest.get('format')!r}")
-    n_shards = int(manifest["n_shards"])
-    shard_rows = manifest["shards"]
-    if len(shard_rows) != n_shards:
-        raise ValueError(
-            f"manifest lists {len(shard_rows)} shard files for "
-            f"{n_shards} shards"
-        )
-    origin = GeoPoint(lat=float(manifest["origin"]["lat"]),
-                      lng=float(manifest["origin"]["lng"]))
+    part, shards = _read_manifest(root)
     server = ShardedCloudServer(
-        camera, n_shards=n_shards, origin=origin,
-        cell_m=float(manifest["cell_m"]), seed=int(manifest["seed"]),
-        strict_cover=strict_cover, engine=engine,
-        rtree_config=rtree_config, cache_size=cache_size, obs=obs)
-    records: list[RepresentativeFoV] = []
-    for row in shard_rows:
-        _, fovs = load_snapshot(root / str(row["file"]))
-        if len(fovs) != int(row["records"]):
-            raise ValueError(
-                f"shard file {row['file']!r} holds {len(fovs)} records, "
-                f"manifest says {row['records']}"
-            )
-        records.extend(fovs)
-    server.ingest(records)
-    for sid, row in enumerate(shard_rows):
+        camera, n_shards=part.n_shards, origin=part.origin,
+        cell_m=part.cell_m, seed=part.seed, strict_cover=strict_cover,
+        engine=engine, cache_size=cache_size, obs=obs)
+    server.ingest([fov for view in _load_shard_views(root, shards)
+                   for fov in view.records])
+    for sid, (_, count) in enumerate(shards):
         live = len(server.shards[sid].index)
-        if live != int(row["records"]):
+        if live != count:
             raise ValueError(
                 f"re-routing landed {live} records on shard {sid}, "
-                f"manifest says {row['records']} -- routing parameters "
+                f"manifest says {count} -- routing parameters "
                 f"disagree with the files"
             )
     return server
 
 
 def load_packed_shard_views(dirpath: str | Path) -> list[PackedFoVIndex]:
-    """mmap every shard's ``.fovpack`` sidecar as a read-only packed view.
+    """mmap every shard's ``.fovpack`` file as a read-only packed view.
 
     The zero-copy read path: each view's columns and grid alias the
     file mapping (CRC-verified on open), so a read-only serving process
     attaches a whole fleet's worth of snapshots without decoding a
-    single record.  Raises ``ValueError`` on a missing/incoherent
-    manifest, a snapshot directory written before sidecars existed, a
-    corrupt sidecar, or a record count disagreeing with the manifest.
+    single record.  Raises ``ValueError`` for the same manifest and
+    per-file failures as :func:`load_sharded_snapshot`.
     """
     root = Path(dirpath)
-    manifest_path = root / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise ValueError(f"no {MANIFEST_NAME} in {root}")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise ValueError(f"unknown snapshot format {manifest.get('format')!r}")
-    views: list[PackedFoVIndex] = []
-    for sid, row in enumerate(manifest["shards"]):
-        sidecar = row.get("packed")
-        if sidecar is None:
-            raise ValueError(
-                f"shard {sid} has no packed sidecar; re-save the snapshot"
-            )
-        view = load_snapshot_file(root / str(sidecar))
-        if len(view) != int(row["records"]):
-            raise ValueError(
-                f"sidecar {sidecar!r} holds {len(view)} records, "
-                f"manifest says {row['records']}"
-            )
-        views.append(view)
-    return views
+    return _load_shard_views(root, _read_manifest(root)[1])

@@ -54,7 +54,6 @@ from repro.net.channel import FaultyChannel, RetryPolicy, RetryingUploader
 from repro.net.clock import default_timer
 from repro.obs.runtime import Observability
 from repro.shard.partition import DEFAULT_CELL_M, GridPartitioner
-from repro.spatial.rtree import RTreeConfig
 from repro.video.retrieval import VideoQuery, VideoQueryResult, \
     VideoQueryStats, serve_video_query
 
@@ -98,7 +97,7 @@ class ShardedCloudServer:
     cell_m, seed :
         Grid pitch and hash seed (see
         :class:`~repro.shard.partition.GridPartitioner`).
-    strict_cover, engine, rtree_config :
+    strict_cover, engine :
         Forwarded to each per-shard server/engine.
     cache_size : int
         Router-level result cache capacity (``0`` disables).  Shard
@@ -128,7 +127,6 @@ class ShardedCloudServer:
     def __init__(self, camera: CameraModel, n_shards: int, origin: GeoPoint,
                  cell_m: float = DEFAULT_CELL_M, seed: int = 0,
                  strict_cover: bool = True, engine: str = "packed",
-                 rtree_config: RTreeConfig | None = None,
                  cache_size: int = 1024,
                  quarantine_capacity: int = 256,
                  obs: Observability | None = None,
@@ -142,7 +140,6 @@ class ShardedCloudServer:
         self._clock = clock if clock is not None else default_timer
         self._strict_cover = strict_cover
         self._engine = engine
-        self._rtree_config = rtree_config
         self.shards: list[CloudServer] = [
             self.spawn_shard_server() for _ in range(n_shards)
         ]
@@ -250,8 +247,7 @@ class ShardedCloudServer:
         failed shard into one of these before :meth:`install_shard`
         swaps it into the slot.
         """
-        return CloudServer(self.camera, rtree_config=self._rtree_config,
-                           strict_cover=self._strict_cover,
+        return CloudServer(self.camera, strict_cover=self._strict_cover,
                            engine=self._engine, cache_size=0,
                            obs=Observability.default())
 

@@ -158,39 +158,29 @@ class TestCoverage:
         assert "covered:" in out and "hotspot" in out
 
     def test_coverage_empty_snapshot(self, tmp_path, capsys):
-        from repro.core.snapshot import save_snapshot
+        from repro.core.flatsnap import write_snapshot_file
+        from repro.core.index import FoVIndex
         path = tmp_path / "empty.fov"
-        save_snapshot(path, [])
+        write_snapshot_file(path, FoVIndex().packed_view())
         assert main(["coverage", "--snapshot", str(path)]) == 0
         assert "empty" in capsys.readouterr().out
 
 
 class TestPack:
-    def test_pack_writes_attachable_fovpack(self, snapshot, tmp_path, capsys):
-        out = tmp_path / "city.fovpack"
-        rc = main(["pack", "--snapshot", str(snapshot),
-                   "--out", str(out)])
-        assert rc == 0
-        text = capsys.readouterr().out
-        assert "verified" in text and "schema v1" in text
-        # The file is a genuine flat snapshot: attach and compare.
-        from repro.core.flatsnap import load_snapshot_file
-        from repro.core.snapshot import load_snapshot
-        index, records = load_snapshot(snapshot)
-        attached = load_snapshot_file(out)
-        assert len(attached) == len(records)
-        assert attached.epoch == index.epoch
-
-    def test_pack_defaults_to_fovpack_suffix(self, snapshot, capsys):
-        assert main(["pack", "--snapshot", str(snapshot)]) == 0
-        sidecar = snapshot.with_suffix(".fovpack")
-        assert sidecar.exists()
-        assert str(sidecar) in capsys.readouterr().out
-
-    def test_pack_missing_snapshot_is_an_error(self, tmp_path, capsys):
-        rc = main(["pack", "--snapshot", str(tmp_path / "nope.fov")])
-        assert rc == 2
-        assert "error" in capsys.readouterr().err
+    def test_pack_writes_attachable_fovpack(self, snapshot, capsys):
+        """There is no pack step: what ``generate`` writes *is* the flat
+        ``FOVPACK1`` snapshot, attachable zero-copy as it stands."""
+        from repro.core.flatsnap import FLATSNAP_MAGIC, load_snapshot_file
+        from repro.traces.dataset import CityDataset
+        assert snapshot.read_bytes()[:8] == FLATSNAP_MAGIC
+        attached = load_snapshot_file(snapshot)
+        reps = CityDataset(n_providers=4, seed=7).all_representatives()
+        assert len(attached) == len(reps)
+        assert list(attached.records) == reps       # float64, exact
+        assert not attached.lat.flags.writeable
+        with pytest.raises(SystemExit):             # the subcommand is gone
+            main(["pack", "--snapshot", str(snapshot)])
+        capsys.readouterr()
 
 
 class TestIngestBatchFlags:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repro import CameraModel, CloudServer, Query
-from repro.core.snapshot import load_snapshot, save_snapshot
+from repro.core.flatsnap import load_snapshot_file, write_snapshot_file
+from repro.core.index import FoVIndex
 from repro.sim.simulation import ServiceSimulation, SimulationConfig
 
 
@@ -24,10 +25,11 @@ class TestServiceLifecycle:
         server = served.server
         records = server.index.records()
         assert records, "the simulated service must have indexed something"
-        path = tmp_path / "nightly.fov"
-        save_snapshot(path, records)
-        restored, loaded = load_snapshot(path)
+        path = tmp_path / "nightly.fovpack"
+        write_snapshot_file(path, server.index.packed_view())
+        restored = FoVIndex.bulk(list(load_snapshot_file(path).records))
         assert len(restored) == server.indexed_count
+        assert restored.content_digest() == server.index.content_digest()
 
         q = Query(t_start=0.0, t_end=1800.0,
                   center=records[0].point, radius=300.0, top_n=50)

@@ -25,7 +25,8 @@ from repro.geo.coords import GeoPoint
 from repro.geo.earth import LocalProjection
 from repro.net.protocol import encode_bundle
 from repro.shard import (ReplicaSet, ShardedCloudServer,
-                         ShardUnavailableError)
+                         ShardUnavailableError, load_sharded_snapshot,
+                         save_sharded_snapshot)
 
 ORIGIN = GeoPoint(lat=40.0, lng=116.3)
 N_SHARDS = 3
@@ -148,6 +149,29 @@ def test_down_shard_is_fail_stop():
     # acked as a duplicate of nothing.
     (retry,) = srv.ingest_batch(refused)
     assert (retry.status.value, retry.records_indexed) == ("accepted", 5)
+
+
+def test_degraded_fleet_refuses_to_snapshot(tmp_path):
+    """A killed slot is an empty placeholder: saving it would write a
+    directory that reloads cleanly with the shard's records missing."""
+    srv = make_server()
+    srv.ingest(make_records(60, seed=22))
+    replicas = ReplicaSet(srv)
+    replicas.sync()
+    victim = 1
+    assert len(srv.shards[victim].index) > 0
+    replicas.kill(victim)
+    with pytest.raises(ShardUnavailableError) as exc:
+        save_sharded_snapshot(tmp_path, srv)
+    assert exc.value.shard_id == victim
+    assert list(tmp_path.iterdir()) == []       # refused before any write
+
+    replicas.promote(victim)
+    save_sharded_snapshot(tmp_path, srv)
+    reloaded = load_sharded_snapshot(tmp_path, CAMERA)
+    assert reloaded.indexed_count == 60
+    assert ([s.index.content_digest() for s in reloaded.shards]
+            == [s.index.content_digest() for s in srv.shards])
 
 
 def test_tampered_replica_is_rejected():

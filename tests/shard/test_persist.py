@@ -42,6 +42,9 @@ class TestRoundTrip:
         for sid in range(server.n_shards):
             assert (len(reloaded.shards[sid].index)
                     == len(server.shards[sid].index))
+            # float64 thetas survive to the bit, shard by shard.
+            assert (reloaded.shards[sid].index.content_digest()
+                    == server.shards[sid].index.content_digest())
 
         queries = make_queries(48, rng)
         for a, b in zip(server.query_many(queries),
@@ -115,13 +118,18 @@ class TestPackedSidecars:
             load_packed_shard_views(tmp_path)
 
     def test_sidecars_do_not_affect_record_reload(self, camera, tmp_path):
-        """Deleting every sidecar leaves the record reload path intact."""
+        """Only ``.fovpack`` files are written or read: a stray or garbage
+        ``shard-000.fovsnap`` from an older release changes nothing."""
         server, _ = build_fleet(camera, n_shards=3, n_records=60)
         save_sharded_snapshot(tmp_path, server)
-        for p in tmp_path.glob("*.fovpack"):
-            p.unlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            MANIFEST_NAME, "shard-000.fovpack", "shard-001.fovpack",
+            "shard-002.fovpack"]
+        (tmp_path / "shard-000.fovsnap").write_bytes(b"FOVSNAP1 garbage")
         reloaded = load_sharded_snapshot(tmp_path, camera)
-        assert reloaded.indexed_count == server.indexed_count
+        assert ([s.index.content_digest() for s in reloaded.shards]
+                == [s.index.content_digest() for s in server.shards])
+        assert len(load_packed_shard_views(tmp_path)) == 3
 
 
 class TestFailureModes:
@@ -137,10 +145,78 @@ class TestFailureModes:
     def test_corrupt_shard_file(self, camera, tmp_path):
         server, _ = build_fleet(camera, n_records=60)
         save_sharded_snapshot(tmp_path, server)
-        victim = tmp_path / "shard-000.fovsnap"
+        victim = tmp_path / "shard-000.fovpack"
         blob = bytearray(victim.read_bytes())
         blob[-1] ^= 0xFF
         victim.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="CRC32"):
+            load_sharded_snapshot(tmp_path, camera)
+
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda blob: blob[:-9], id="truncated"),
+        pytest.param(lambda blob: blob[:40], id="header-only"),
+        pytest.param(lambda blob: b"", id="empty"),
+        pytest.param(lambda blob: blob + b"\x00" * 64, id="extended"),
+    ])
+    def test_resized_shard_file(self, camera, tmp_path, damage):
+        server, _ = build_fleet(camera, n_records=60)
+        save_sharded_snapshot(tmp_path, server)
+        victim = tmp_path / "shard-001.fovpack"
+        victim.write_bytes(damage(victim.read_bytes()))
+        for load in (lambda: load_sharded_snapshot(tmp_path, camera),
+                     lambda: load_packed_shard_views(tmp_path)):
+            with pytest.raises(ValueError):
+                load()
+
+    def test_shard_file_count_mismatch(self, camera, tmp_path):
+        """A valid file holding the wrong number of records (here: two
+        shards' files swapped) is caught before anything is ingested."""
+        server, _ = build_fleet(camera, n_shards=3, n_records=61)
+        save_sharded_snapshot(tmp_path, server)
+        sizes = [len(s.index) for s in server.shards]
+        a, b = next((i, j) for i in range(3) for j in range(3)
+                    if sizes[i] != sizes[j])
+        fa, fb = (tmp_path / f"shard-{i:03d}.fovpack" for i in (a, b))
+        blob_a, blob_b = fa.read_bytes(), fb.read_bytes()
+        fa.write_bytes(blob_b)
+        fb.write_bytes(blob_a)
+        with pytest.raises(ValueError, match="manifest says"):
+            load_sharded_snapshot(tmp_path, camera)
+
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda m: m.pop("n_shards"), id="no-n_shards"),
+        pytest.param(lambda m: m.pop("seed"), id="no-seed"),
+        pytest.param(lambda m: m["origin"].pop("lat"), id="no-origin-lat"),
+        pytest.param(lambda m: m["shards"][1].pop("records"), id="no-row-records"),
+        pytest.param(lambda m: m.update(n_shards="5"), id="str-n_shards"),
+        pytest.param(lambda m: m.update(n_shards=True), id="bool-n_shards"),
+        pytest.param(lambda m: m.update(origin=[40.0, 116.3]), id="list-origin"),
+        pytest.param(lambda m: m.update(cell_m=None), id="null-cell_m"),
+        pytest.param(lambda m: m.update(cell_m=-500.0), id="negative-cell_m"),
+        pytest.param(lambda m: m.update(shards={"0": "shard-000.fovpack"}), id="dict-shards"),
+        pytest.param(lambda m: m["shards"][0].update(records="12"), id="str-row-records"),
+        pytest.param(lambda m: m["shards"][2].update(packed=7), id="int-row-packed"),
+        pytest.param(lambda m: m["shards"].pop(), id="short-shards"),
+        pytest.param(lambda m: m.update(n_shards=6), id="long-n_shards"),
+    ])
+    def test_incoherent_manifest_is_a_value_error(self, camera, tmp_path,
+                                                  mutate):
+        """Missing key, wrong type, or a ``shards`` list disagreeing with
+        ``n_shards``: both loaders refuse with ``ValueError``, never
+        ``KeyError``/``TypeError``."""
+        server, _ = build_fleet(camera, n_shards=5, n_records=60)
+        save_sharded_snapshot(tmp_path, server)
+        manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+        mutate(manifest)
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        for load in (lambda: load_sharded_snapshot(tmp_path, camera),
+                     lambda: load_packed_shard_views(tmp_path)):
+            with pytest.raises(ValueError):
+                load()
+
+    @pytest.mark.parametrize("text", ["", "[1, 2]", "{not json", "null"])
+    def test_manifest_that_is_not_an_object(self, camera, tmp_path, text):
+        (tmp_path / MANIFEST_NAME).write_text(text)
         with pytest.raises(ValueError):
             load_sharded_snapshot(tmp_path, camera)
 
