@@ -9,11 +9,11 @@ sanctioned scalar funnel, a single ``.tolist()`` that converts the
 whole column to plain Python floats up front.
 
 The rule is a vectorisation *ratchet* for the modules on the query hot
-path (the packed grid, the packed R-tree, retrieval, the column store,
-ranking): it flags any ``for`` statement whose iterable is named like
-a packed column (``lat``, ``theta``, ``fused``, ``offsets``,
-``rows``, ``ids``, ...), including slices of one and columns threaded
-through ``enumerate``/``zip``/``reversed``.  Iterating the explicit
+path (the packed grid, retrieval, the column store, ranking): it
+flags any ``for`` statement whose iterable is named like a packed
+column (``lat``, ``theta``, ``fused``, ``offsets``, ``rows``,
+``ids``, ...), including slices of one and columns threaded through
+``enumerate``/``zip``/``reversed``.  Iterating the explicit
 ``.tolist()`` / ``.item()`` funnel is exempt -- that is the documented
 fast path for sub-slab candidate sets -- and the one deliberate
 scalar-funnel loop that remains (``PackedPointGrid.search_rows`` in
@@ -34,7 +34,6 @@ __all__ = ["RF015ColumnLoop"]
 # Cold modules (persistence, traces, CLI) may loop freely.
 _HOT_MODULES = frozenset({
     "repro.spatial.grid",
-    "repro.spatial.packed",
     "repro.core.retrieval",
     "repro.core.index",
     "repro.core.ranking",

@@ -32,7 +32,6 @@ from repro.core.index import FoVIndex
 from repro.core.query import Query
 from repro.core.retrieval import RetrievalEngine
 from repro.geo.coords import GeoPoint
-from repro.spatial.metrics import tree_stats
 from repro.traces.dataset import CityDataset
 
 __all__ = ["main", "build_parser"]
@@ -256,6 +255,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
+    from repro.spatial.metrics import tree_stats
+
     index, records = _read_fovpack(args.snapshot)
     if not records:
         print("snapshot is empty")

@@ -7,14 +7,19 @@ A query ``Q = (t_s, t_e, p, r)`` becomes a full 3-D box after the
 metre radius is converted to local degree scales (Section V-B /
 :func:`repro.geo.earth.radius_to_degrees`).
 
-The backing structure is pluggable: the from-scratch R-tree by default,
-or the linear-scan baseline for the Fig. 6(c) comparison.
+Records live in an append-only column store; the cell grid the servers
+answer from and the Section V-A R-tree are views derived from it on
+demand.  The tree family (:mod:`repro.spatial.rtree` and friends) is
+imported only inside :meth:`FoVIndex.rtree`, :meth:`FoVIndex.nearest`
+and :meth:`FoVIndex.nearest_bruteforce`, so a process that serves
+packed never loads it.  ``backend="linear"`` swaps the store for the
+linear-scan baseline of the Fig. 6(c) comparison.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Literal, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,12 +27,11 @@ from repro.core.fov import RepresentativeFoV
 from repro.core.query import Query
 from repro.geo.coords import GeoPoint
 from repro.geo.earth import metres_per_degree, radius_to_degrees
-from repro.spatial.bulk import str_bulk_load
-from repro.spatial.grid import PackedPointGrid
-from repro.spatial.knn import knn_search, mindist
+from repro.spatial.grid import PackedPointGrid, SearchObserver
 from repro.spatial.linear import LinearScanIndex
-from repro.spatial.packed import SearchObserver
-from repro.spatial.rtree import RTree, RTreeConfig
+
+if TYPE_CHECKING:
+    from repro.spatial.rtree import RTree, RTreeConfig
 
 __all__ = ["Bounds", "FoVIndex", "PackedFoVIndex", "fov_box", "query_box",
            "query_box_floats"]
@@ -189,10 +193,6 @@ class PackedFoVIndex:
         """Payload ids of records intersecting the query's 3-D box."""
         b = query_box_floats(query)
         return self.grid.search_ids(b[:3], b[3:], observer=observer)
-
-    def range_search(self, query: Query) -> list[RepresentativeFoV]:
-        """Same candidate set as ``FoVIndex.range_search`` (as objects)."""
-        return [self.records[i] for i in self.range_search_ids(query)]
 
     def search_many_ids(self, queries: list[Query],
                         observer: SearchObserver | None = None
@@ -435,6 +435,7 @@ class FoVIndex:
             view = None                 # a removal: nothing to catch up from
         if view is not None and view.count == n:
             return view.tree
+        from repro.spatial.bulk import str_bulk_load
         pending = n if view is None else n - view.count
         if view is None or (pending >= _TREE_REBUILD_MIN
                             and view.count <= pending * _TREE_REBUILD_MAX_RATIO):
@@ -476,8 +477,7 @@ class FoVIndex:
             return 0
         geom = np.array([(f.lat, f.lng, f.theta, f.t_start, f.t_end)
                          for f in items], dtype=float)
-        finite = np.isfinite(
-            geom[:, (_LAT, _LNG, _T_START, _T_END)]).all(axis=1)
+        finite = np.isfinite(geom).all(axis=1)
         if not bool(finite.all()):
             bad = items[int(np.argmin(finite))]
             raise ValueError(
@@ -605,6 +605,7 @@ class FoVIndex:
         available on the R-tree backend (the linear baseline answers
         the same question via :meth:`range_search` sweeps).
         """
+        from repro.spatial.knn import knn_search
         m_lng, m_lat = metres_per_degree(center.lat)
         weights = np.array([m_lng, m_lat, time_weight_m_per_s])
         point = np.array([center.lng, center.lat, t])
@@ -614,6 +615,7 @@ class FoVIndex:
                            time_weight_m_per_s: float = 0.0
                            ) -> list[tuple[float, RepresentativeFoV]]:
         """Reference O(n) implementation of :meth:`nearest` (tests)."""
+        from repro.spatial.knn import mindist
         m_lng, m_lat = metres_per_degree(center.lat)
         weights = np.array([m_lng, m_lat, time_weight_m_per_s])
         point = np.array([center.lng, center.lat, t])

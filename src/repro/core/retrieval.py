@@ -59,7 +59,7 @@ from repro.geometry.angles import angular_difference
 from repro.net.clock import default_timer
 from repro.obs.runtime import Observability, PackedSearchRecorder
 from repro.obs.trace import NULL_TRACER, TracerLike
-from repro.spatial.packed import SearchObserver
+from repro.spatial.grid import SearchObserver
 
 __all__ = ["RetrievalEngine"]
 
@@ -373,14 +373,13 @@ class RetrievalEngine:
 
         Semantically identical to ``[execute(q) for q in queries]`` --
         same rankings, same funnel counters -- but the ``"packed"``
-        engine answers the whole batch per tree level and shares the
+        engine answers the whole batch in one grid pass and shares the
         orientation-filter pass across queries, and ``shards > 1``
         opts in to a *persistent* process fan-out
-        (:class:`repro.shard.pool.PersistentQueryPool`): workers are
-        initialised once with the packed snapshot and later batches
-        ship only the insert deltas since that epoch, so the
-        serialisation cost is amortised across the engine's lifetime
-        instead of being paid per call.  Requires the R-tree backend;
+        (:class:`repro.shard.pool.PersistentQueryPool`): workers attach
+        the packed snapshot from one shared-memory segment, republished
+        once per index epoch, so the serialisation cost is paid per
+        epoch instead of per call.  Requires the R-tree backend;
         call :meth:`close` (or ``CloudServer.close``) to release the
         worker processes.
 

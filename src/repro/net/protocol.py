@@ -58,7 +58,6 @@ import struct
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -78,8 +77,6 @@ __all__ = [
     "decode_bundle_columns",
     "bundle_size",
     "crc32_rows",
-    "frame_bundles",
-    "deframe_bundles",
 ]
 
 _RECORD = struct.Struct("<ddfddI")
@@ -441,34 +438,3 @@ def bundle_size(video_id: str, n_records: int,
     if version != 2:
         raise ValueError(f"cannot size bundle version {version}")
     return _V2_HEADER_SIZE + vid_len + n_records * FOV_RECORD_SIZE_V2
-
-
-def frame_bundles(bundles: Iterable[bytes]) -> bytes:
-    """Concatenate bundles with a 4-byte length prefix each.
-
-    The framing used wherever several bundles share one byte stream
-    (snapshot files, batched uplinks); :func:`deframe_bundles` is the
-    validated inverse.
-    """
-    return b"".join(_FRAME_PREFIX.pack(len(b)) + b for b in bundles)
-
-
-def deframe_bundles(payload: bytes) -> list[bytes]:
-    """Split a length-prefixed bundle stream; raises on truncation.
-
-    The whole payload must be consumed exactly: a frame running past
-    the end or a partial trailing prefix raises ``ValueError``.
-    """
-    frames: list[bytes] = []
-    offset = 0
-    n = len(payload)
-    while offset < n:
-        if offset + _FRAME_PREFIX.size > n:
-            raise ValueError("frame stream truncated inside a length prefix")
-        (size,) = _FRAME_PREFIX.unpack_from(payload, offset)
-        offset += _FRAME_PREFIX.size
-        if offset + size > n:
-            raise ValueError("frame stream truncated inside a bundle frame")
-        frames.append(payload[offset: offset + size])
-        offset += size
-    return frames

@@ -79,7 +79,7 @@ METRICS: Final[Mapping[str, tuple[str, str]]] = {
     "video.segments_harvested": ("counter", "distinct segments harvest surfaced"),
     "video.videos_ranked": ("counter", "candidate videos scored and ranked"),
     # -- packed-index instrumentation (obs/runtime.py) ----------------------
-    "packed.descents": ("counter", "packed-tree descents executed"),
+    "packed.descents": ("counter", "packed-grid searches executed"),
     "packed.entries_tested": ("counter", "packed entries tested during descent"),
     "packed.entries_matched": ("counter", "packed entries passing all filters"),
     "packed.frontier_width_peak": ("gauge", "widest frontier seen in a descent"),
@@ -88,7 +88,7 @@ METRICS: Final[Mapping[str, tuple[str, str]]] = {
 }
 
 SPANS: Final[Mapping[str, str]] = {
-    "query.tree_descent": "R-tree / packed-tree candidate descent",
+    "query.tree_descent": "R-tree / packed-grid candidate descent",
     "query.projection": "FoV polygon projection over candidates",
     "query.orientation_filter": "orientation cone filtering",
     "query.rank": "overlap scoring and ranking",

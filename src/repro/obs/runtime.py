@@ -17,7 +17,7 @@ regimes:
   deterministic tests.
 
 :class:`PackedSearchRecorder` adapts the registry to the
-``SearchObserver`` protocol of :mod:`repro.spatial.packed`, turning
+``SearchObserver`` protocol of :mod:`repro.spatial.grid`, turning
 per-level descent statistics (entries tested, survivors, frontier
 width) into counters and gauges without the spatial layer ever
 importing ``repro.obs``.
@@ -67,9 +67,9 @@ class Observability:
 
 
 class PackedSearchRecorder:
-    """Registry-backed observer for packed R-tree descents.
+    """Registry-backed observer for packed-grid searches.
 
-    Implements the ``repro.spatial.packed.SearchObserver`` protocol
+    Implements the ``repro.spatial.grid.SearchObserver`` protocol
     structurally: :meth:`on_descent` counts one search; :meth:`on_level`
     accumulates how many entry boxes were tested and how many survived
     at each level, and tracks the widest frontier seen -- the numbers
@@ -79,7 +79,7 @@ class PackedSearchRecorder:
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self._descents = registry.counter(
-            "packed.descents", "Packed R-tree searches started")
+            "packed.descents", "Packed-grid searches started")
         self._tested = registry.counter(
             "packed.entries_tested",
             "Entry boxes overlap-tested during packed descents",

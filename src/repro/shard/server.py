@@ -348,8 +348,8 @@ class ShardedCloudServer:
         """
         if not fovs:
             return
-        geom = np.array([[f.lng, f.lat, f.t_start, f.t_end] for f in fovs],
-                        dtype=float)
+        geom = np.array([[f.lat, f.lng, f.theta, f.t_start, f.t_end]
+                         for f in fovs], dtype=float)
         finite = np.isfinite(geom).all(axis=1)
         if not bool(finite.all()):
             bad = fovs[int(np.argmin(finite))]

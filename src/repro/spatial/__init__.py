@@ -1,31 +1,15 @@
-"""Spatial indexing substrate: a from-scratch Guttman R-tree.
+"""Spatial indexing substrate: the serving grid and the Section V trees.
 
-The paper indexes representative FoVs in an R-tree (ref. [11]); no
-native R-tree library is assumed here, so :mod:`repro.spatial.rtree`
-implements the classic structure -- ChooseLeaf by least enlargement,
-linear/quadratic node splits, condense-and-reinsert deletion -- over
-NumPy-stacked bounding boxes so that every per-node scan is one
-vectorised pass.  :mod:`repro.spatial.bulk` adds Sort-Tile-Recursive
-bulk loading, and :mod:`repro.spatial.linear` provides the brute-force
-baseline the paper compares against in Fig. 6(c).
-:mod:`repro.spatial.packed` freezes a built tree into a level-order
-structure-of-arrays snapshot whose (batched) range search is a few
-vectorised passes per tree level -- the read-optimised serving path.
+The serving path answers from :mod:`repro.spatial.grid` (a flat CSR
+cell grid over the degenerate record boxes), with
+:mod:`repro.spatial.linear` as the brute-force oracle and the paper's
+Fig. 6(c) baseline.  Everything else is the paper's Section V family,
+reached only through ``FoVIndex.rtree()`` / ``nearest()`` and the
+Fig./ablation benchmarks: :mod:`repro.spatial.rtree` is a from-scratch
+Guttman R-tree (ref. [11]) over NumPy-stacked bounding boxes,
+:mod:`repro.spatial.bulk` adds Sort-Tile-Recursive bulk loading, and
+:mod:`repro.spatial.knn`, :mod:`repro.spatial.metrics`,
+:mod:`repro.spatial.hybrid` and :mod:`repro.spatial.intervaltree`
+build on it.  Import the submodule you need; this package re-exports
+nothing, so importing the grid does not load the trees.
 """
-
-from repro.spatial.rtree import RTree, RTreeConfig
-from repro.spatial.linear import LinearScanIndex
-from repro.spatial.bulk import str_bulk_load
-from repro.spatial.metrics import TreeStats, tree_stats
-from repro.spatial.packed import PackedLevel, PackedRTree
-
-__all__ = [
-    "RTree",
-    "RTreeConfig",
-    "LinearScanIndex",
-    "str_bulk_load",
-    "TreeStats",
-    "tree_stats",
-    "PackedLevel",
-    "PackedRTree",
-]

@@ -1,13 +1,12 @@
 """Uniform 3-D cell grid over FoV records -- the serving candidate kernel.
 
-The packed R-tree (:mod:`repro.spatial.packed`) answers range queries
-over arbitrary boxes, but the FoV serving path stores a very specific
-shape: every record is a *point* ``(lng, lat)`` with a short time
-interval ``[t_s, t_e]``.  For that shape a flat uniform grid beats a
-tree descent: candidate gathering is a small set of contiguous-slab
-slices (cells of one grid row are adjacent in the CSR layout), and the
-exact box test is **one** fused vectorised comparison instead of one
-pass per level per dimension.
+An R-tree answers range queries over arbitrary boxes, but the FoV
+serving path stores a very specific shape: every record is a *point*
+``(lng, lat)`` with a short time interval ``[t_s, t_e]``.  For that
+shape a flat uniform grid beats a tree descent: candidate gathering is
+a small set of contiguous-slab slices (cells of one grid row are
+adjacent in the CSR layout), and the exact box test is **one** fused
+vectorised comparison instead of one pass per level per dimension.
 
 Cell layout
 -----------
@@ -50,20 +49,18 @@ The grid only *prunes*: cell membership uses the same monotone
 rectangles, so every record intersecting the query box lands in a
 scanned cell, and the fused test re-checks the exact box.  Results are
 therefore exactly the records intersecting the box -- the same set a
-:class:`~repro.spatial.packed.PackedRTree` search over the degenerate
-record boxes returns (the engine parity props pin this).
+Section V-A R-tree search over the degenerate record boxes returns
+(the engine parity props pin this).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro.spatial.packed import SearchObserver, _expand_ranges
-
-__all__ = ["PackedPointGrid"]
+__all__ = ["PackedPointGrid", "SearchObserver"]
 
 #: Aimed-for mean records per *spatial* column of cells; the cell count
 #: adapts to the record count so the candidate slab stays a small
@@ -81,6 +78,38 @@ MAX_TIME_SLICES = 64
 _SLAB_LOOP_MAX = 64
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
+
+
+class SearchObserver(Protocol):
+    """Descent statistics sink for packed searches.
+
+    The spatial layer stays dependency-free: it only *calls* this
+    protocol when a caller passes an observer into a search, and the
+    observability subsystem provides the registry-backed implementation
+    (``repro.obs.runtime.PackedSearchRecorder``).  Recording must not
+    mutate search state; observers see, per level, how many entry
+    boxes entered the overlap test (the frontier width) and how many
+    survived.  No clock is involved, so observed searches replay
+    bit-identically (RF005).
+    """
+
+    def on_descent(self, queries: int) -> None:
+        """One search started, covering ``queries`` query boxes."""
+        ...
+
+    def on_level(self, level: int, tested: int, matched: int) -> None:
+        """One level pass tested ``tested`` entries; ``matched`` survived."""
+        ...
+
+
+def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenate ``[arange(s, s + c) for s, c in zip(starts, counts)]``
+    without a Python loop (the CSR-range gather of a grid search)."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.intp)
+    exclusive = np.cumsum(counts) - counts
+    return np.repeat(starts - exclusive, counts) + np.arange(total)
 
 
 class PackedPointGrid:
@@ -101,7 +130,7 @@ class PackedPointGrid:
         column 6 carries the camera azimuth and column 7 the original
         record id as a float (ids are array indices, far below 2**53,
         so the round-trip is exact).  The two extra columns let the
-        single-query fast path (:meth:`scan_rows`) hand a complete
+        single-query fast path (:meth:`search_rows`) hand a complete
         evidence row to the retrieval layer in one gather -- no second
         trip through the column arrays.
     max_dur : float
@@ -351,11 +380,11 @@ class PackedPointGrid:
         """Batched box search: ``(query_ids, record_ids)`` hit pairs.
 
         ``query_ids`` comes back sorted ascending (query-major), so each
-        query's hits form a contiguous run -- the same contract as
-        :meth:`repro.spatial.packed.PackedRTree.search_many`.  The whole
-        batch is answered by one two-level slab expansion (``(query,
-        time, row)`` triples, then CSR ranges) plus one fused compare
-        over the combined ``(query, candidate)`` frontier.
+        query's hits form a contiguous run recoverable with
+        ``np.searchsorted``.  The whole batch is answered by one
+        two-level slab expansion (``(query, time, row)`` triples, then
+        CSR ranges) plus one fused compare over the combined ``(query,
+        candidate)`` frontier.
         """
         bmins = np.atleast_2d(np.asarray(bmins, dtype=float))
         bmaxs = np.atleast_2d(np.asarray(bmaxs, dtype=float))

@@ -171,6 +171,19 @@ class TestInsertMany:
         assert idx.rtree() is tree and len(tree) == 20
         assert idx.packed_view() is view and len(view.lat) == 20
 
+    @pytest.mark.parametrize("backend", ["rtree", "linear"])
+    def test_non_finite_theta_rejected(self, rng, backend):
+        # The wire decoder refuses theta=nan; direct insertion must too,
+        # or a record at a query centre (dist == 0) ranks as covering.
+        idx = FoVIndex(backend=backend)
+        idx.insert_many(random_representative_fovs(20, rng))
+        epoch, digest = idx.epoch, idx.content_digest()
+        bad = rep_at(40.0, 116.3, 0.0, 1.0, theta=float("nan"), vid="bad")
+        with pytest.raises(ValueError, match="non-finite geometry in record "
+                                             r"\('bad', 0\); nothing from"):
+            idx.insert_many(random_representative_fovs(5, rng) + [bad])
+        assert idx.epoch == epoch and idx.content_digest() == digest
+
     def test_insert_many_builds_no_view(self, rng, monkeypatch):
         # The write path is an append: derived views catch up when a
         # reader next asks, never inside the mutator.

@@ -15,10 +15,8 @@ from repro.net.protocol import (
     bundle_size,
     decode_bundle,
     decode_fov,
-    deframe_bundles,
     encode_bundle,
     encode_fov,
-    frame_bundles,
 )
 
 
@@ -223,25 +221,3 @@ class TestWireValidation:
         header = struct.pack("<4sBHI", b"FOV1", 1, len(vid), 2)
         with pytest.raises(ValueError, match="record 1"):
             decode_bundle(header + vid + body)
-
-
-class TestFraming:
-    def test_roundtrip(self):
-        bundles = [encode_bundle(f"v{i}", [rep(j, vid=f"v{i}")
-                                           for j in range(i)])
-                   for i in range(4)]
-        assert deframe_bundles(frame_bundles(bundles)) == bundles
-
-    def test_empty_stream(self):
-        assert frame_bundles([]) == b""
-        assert deframe_bundles(b"") == []
-
-    def test_truncated_prefix_rejected(self):
-        stream = frame_bundles([b"abcd"])
-        with pytest.raises(ValueError, match="length prefix"):
-            deframe_bundles(stream + b"\x01")
-
-    def test_truncated_frame_rejected(self):
-        stream = frame_bundles([b"abcd", b"efgh"])
-        with pytest.raises(ValueError, match="bundle frame"):
-            deframe_bundles(stream[:-1])

@@ -100,6 +100,19 @@ class TestIngest:
         assert server.indexed_count == 120 - expect
         assert server.stats.records_evicted == expect
 
+    def test_non_finite_theta_rejected_before_any_shard(self, camera):
+        server = ShardedCloudServer(camera, n_shards=4, origin=ORIGIN)
+        rng = np.random.default_rng(4)
+        server.ingest(make_records(40, rng))
+        epochs, count = server.epoch_vector, server.indexed_count
+        bad = RepresentativeFoV(lat=40.0, lng=116.3, theta=float("nan"),
+                                t_start=0.0, t_end=60.0,
+                                video_id="bad", segment_id=0)
+        with pytest.raises(ValueError, match="nothing from this batch"):
+            server.ingest(make_records(10, rng) + [bad])
+        assert server.epoch_vector == epochs
+        assert server.indexed_count == count
+
 
 class TestQuery:
     def test_matches_single_server(self, camera):

@@ -1,25 +1,8 @@
-"""Unit tests for the packed (SoA) R-tree snapshot."""
+"""Unit tests for the packed grid's range-expansion helper."""
 
 import numpy as np
-import pytest
 
-from repro.spatial.bulk import str_bulk_load
-from repro.spatial.packed import PackedLevel, PackedRTree, _expand_ranges
-from repro.spatial.rtree import RTree, RTreeConfig
-
-
-def random_boxes(rng, n, dim=3, extent=100.0, size=3.0):
-    mins = rng.uniform(0, extent, (n, dim))
-    maxs = mins + rng.uniform(0, size, (n, dim))
-    return mins, maxs
-
-
-def insert_built(rng, n, dim=3):
-    mins, maxs = random_boxes(rng, n, dim=dim)
-    tree = RTree(dim, RTreeConfig(max_entries=8))
-    for i in range(n):
-        tree.insert(mins[i], maxs[i], i)
-    return tree
+from repro.spatial.grid import _expand_ranges
 
 
 class TestExpandRanges:
@@ -35,105 +18,3 @@ class TestExpandRanges:
     def test_empty(self):
         assert _expand_ranges(np.empty(0, dtype=np.intp),
                               np.empty(0, dtype=np.intp)).size == 0
-
-
-class TestConstruction:
-    def test_empty_tree(self):
-        packed = PackedRTree.from_rtree(RTree(3))
-        assert len(packed) == 0
-        assert packed.height == 1
-        assert packed.search_ids([0, 0, 0], [1, 1, 1]).size == 0
-        assert packed.search([0, 0, 0], [1, 1, 1]) == []
-
-    def test_single_item(self):
-        tree = RTree(2)
-        tree.insert([0, 0], [1, 1], "a")
-        packed = PackedRTree.from_rtree(tree)
-        assert len(packed) == 1
-        assert packed.search([0.5, 0.5], [2, 2]) == ["a"]
-        assert packed.search([2, 2], [3, 3]) == []
-
-    def test_level_offsets_partition_entries(self, rng):
-        packed = PackedRTree.from_rtree(insert_built(rng, 500))
-        for lvl in packed.levels:
-            assert lvl.offsets[0] == 0
-            assert lvl.offsets[-1] == lvl.n_entries
-            assert np.all(np.diff(lvl.offsets) >= 0)
-        # Level l's entries are level l+1's nodes (implicit child map).
-        for parent, child in zip(packed.levels, packed.levels[1:]):
-            assert parent.n_entries == child.n_nodes
-        assert packed.levels[-1].n_entries == len(packed)
-
-    def test_rejects_mismatched_items(self):
-        level = PackedLevel(mins=np.zeros((2, 2)), maxs=np.ones((2, 2)),
-                            offsets=np.array([0, 2]))
-        with pytest.raises(ValueError):
-            PackedRTree(2, [level], items=["only-one"])
-
-    def test_rejects_bad_dim(self):
-        with pytest.raises(ValueError):
-            PackedRTree(0, [], items=[])
-
-
-class TestSearchParity:
-    def test_matches_dynamic_insert_built(self, rng):
-        tree = insert_built(rng, 1200)
-        packed = PackedRTree.from_rtree(tree)
-        assert len(packed) == len(tree)
-        for _ in range(40):
-            q0 = rng.uniform(0, 100, 3)
-            q1 = q0 + rng.uniform(0, 30, 3)
-            assert sorted(packed.search(q0, q1)) == sorted(tree.search(q0, q1))
-            assert packed.count_intersecting(q0, q1) == \
-                tree.count_intersecting(q0, q1)
-
-    def test_matches_dynamic_bulk_loaded(self, rng):
-        mins, maxs = random_boxes(rng, 1500)
-        tree = str_bulk_load(mins, maxs, list(range(1500)), dim=3)
-        packed = PackedRTree.from_rtree(tree)
-        for _ in range(40):
-            q0 = rng.uniform(0, 100, 3)
-            q1 = q0 + rng.uniform(0, 30, 3)
-            assert sorted(packed.search(q0, q1)) == sorted(tree.search(q0, q1))
-
-    def test_point_boxes(self):
-        tree = RTree(3)
-        tree.insert([1, 2, 3], [1, 2, 3], "pt")
-        packed = PackedRTree.from_rtree(tree)
-        assert packed.search([1, 2, 3], [1, 2, 3]) == ["pt"]
-        assert packed.search([0, 0, 0], [0.9, 5, 5]) == []
-
-    def test_box_validation(self, rng):
-        packed = PackedRTree.from_rtree(insert_built(rng, 10))
-        with pytest.raises(ValueError):
-            packed.search_ids([0, 0], [1, 1])           # wrong dimension
-        with pytest.raises(ValueError):
-            packed.search_ids([1, 1, 1], [0, 0, 0])     # inverted box
-
-
-class TestSearchMany:
-    def test_matches_per_query_search_ids(self, rng):
-        packed = PackedRTree.from_rtree(insert_built(rng, 800))
-        q0 = rng.uniform(0, 100, (25, 3))
-        q1 = q0 + rng.uniform(0, 30, (25, 3))
-        qids, rows = packed.search_many(q0, q1)
-        assert np.all(np.diff(qids) >= 0), "query ids must come back sorted"
-        bounds = np.searchsorted(qids, np.arange(26))
-        for qi in range(25):
-            got = rows[bounds[qi]: bounds[qi + 1]]
-            want = packed.search_ids(q0[qi], q1[qi])
-            assert sorted(got.tolist()) == sorted(want.tolist())
-
-    def test_empty_batch_frontier(self, rng):
-        packed = PackedRTree.from_rtree(insert_built(rng, 100))
-        # Boxes far outside the data extent: every frontier dies at root.
-        q0 = np.full((4, 3), 1e6)
-        qids, rows = packed.search_many(q0, q0 + 1.0)
-        assert qids.size == 0 and rows.size == 0
-
-    def test_shape_validation(self, rng):
-        packed = PackedRTree.from_rtree(insert_built(rng, 10))
-        with pytest.raises(ValueError):
-            packed.search_many(np.zeros((3, 2)), np.ones((3, 2)))
-        with pytest.raises(ValueError):
-            packed.search_many(np.ones((3, 3)), np.zeros((3, 3)))
