@@ -35,7 +35,8 @@ __all__ = ["GridPartitioner", "DEFAULT_CELL_M"]
 
 #: Default grid pitch, metres.  Cities in the paper's evaluation span a
 #: few kilometres; 500 m cells keep a typical query (radius <= ~250 m,
-#: Section V-B presets) inside at most a 2x2 cell neighbourhood.
+#: Section V-B presets, so a box at most one cell wide) inside at most
+#: a 2x2 cell neighbourhood, and a 20-100 m one usually inside one cell.
 DEFAULT_CELL_M = 500.0
 
 _MASK = (1 << 64) - 1
@@ -44,6 +45,18 @@ _MASK = (1 << 64) - 1
 #: neighbourhood costs more than just asking every shard -- fall back
 #: to the full fan-out (still correct, merely unpruned).
 _MAX_CELLS = 4096
+
+#: Metres by which :meth:`GridPartitioner.shards_for_box` pushes each
+#: end of the box's metre interval outward before flooring.  It has to
+#: absorb one thing: a record's coordinate and the corner coordinate
+#: that bounds it each come out of :func:`~repro.geo.earth.displacement`
+#: with their own rounding (one subtraction, one cosine of a mean
+#: latitude, two products -- ~1e-15 of ``metres-per-degree x delta_lng``,
+#: which :class:`GeoPoint`'s range check caps at 4e7 m), so the two can
+#: disagree with their real-number order by under 1e-7 m anywhere on
+#: the sphere.  A micrometre is ten times that, and adds a cell only to
+#: a box whose edge already lies within a micrometre of a cell edge.
+_COVER_EPS_M = 1e-6
 
 
 def _mix_cell(cx: int, cy: int, seed: int) -> int:
@@ -113,19 +126,27 @@ class GridPartitioner:
     def _all_shards(self) -> tuple[int, ...]:
         return tuple(range(self.n_shards))
 
+    def _cell_span(self, lo_m: float, hi_m: float) -> tuple[int, int]:
+        """Cells covering ``[lo_m, hi_m]`` once widened by the epsilon."""
+        return (math.floor((lo_m - _COVER_EPS_M) / self.cell_m),
+                math.floor((hi_m + _COVER_EPS_M) / self.cell_m))
+
     def shards_for_box(self, lat_lo: float, lat_hi: float,
                        lng_lo: float, lng_hi: float) -> tuple[int, ...]:
         """Shards whose cells could intersect a lat/lng box (sorted).
 
-        Conservative cover of the box's image in the local plane.  The
-        northing ``y`` is linear in latitude, but the easting ``x``
-        scales longitude by ``cos((origin.lat + lat) / 2)``, which is
-        *not* monotonic in latitude -- it peaks where ``lat ==
+        Exact conservative cover of the box's image in the local plane:
+        every cell the image touches, and no ring of neighbours around
+        them.  The northing ``y`` is linear in latitude, but the easting
+        ``x`` scales longitude by ``cos((origin.lat + lat) / 2)``, which
+        is *not* monotonic in latitude -- it peaks where ``lat ==
         -origin.lat``.  The extrema of ``x`` over the box are therefore
         attained at a sampled latitude: the box's edges, plus that peak
-        latitude when the box straddles it.  The cell range is padded by
-        one cell on every side to absorb floor/rounding at boundaries,
-        so routing errs toward extra shards, never missed ones.
+        latitude when the box straddles it.  Each end of the sampled
+        metre interval is pushed outward by :data:`_COVER_EPS_M` before
+        flooring, which is what keeps a record sitting exactly on a box
+        or cell edge on the covered side of any rounding disagreement;
+        routing errs toward an extra shard, never a missed one.
         """
         if self.n_shards == 1:
             return (0,)
@@ -139,10 +160,8 @@ class GridPartitioner:
                 x, y = displacement(self.origin, GeoPoint(lat=lat, lng=lng))
                 xs.append(x)
                 ys.append(y)
-        cx_lo = math.floor(min(xs) / self.cell_m) - 1
-        cx_hi = math.floor(max(xs) / self.cell_m) + 1
-        cy_lo = math.floor(min(ys) / self.cell_m) - 1
-        cy_hi = math.floor(max(ys) / self.cell_m) + 1
+        cx_lo, cx_hi = self._cell_span(min(xs), max(xs))
+        cy_lo, cy_hi = self._cell_span(min(ys), max(ys))
         n_cells = (cx_hi - cx_lo + 1) * (cy_hi - cy_lo + 1)
         if n_cells > _MAX_CELLS:
             return self._all_shards()

@@ -10,10 +10,19 @@ ranking are all deterministic functions of those lists, so the video
 top-k inherits the bit-identical parity for free
 (``docs/VIDEO_RETRIEVAL.md`` spells out the argument).
 
-The harvest is ONE batched call: every representative FoV of the query
-trajectory becomes one point query, and the whole batch goes through
-the engine's vectorised ``execute_many`` funnel in a single pass --
-the benchmark gates this at >= 5x the per-segment sequential loop.
+The harvest is ONE ``query_many`` call: every representative FoV of the
+query trajectory becomes one point query.  On a
+:class:`~repro.core.server.CloudServer` the whole batch goes through
+the engine's vectorised ``execute_many`` funnel in a single pass (the
+benchmark gates this at >= 5x the per-segment sequential loop); the
+sharded router answers the same batch one scatter-gather per query.
+
+Scoring is ONE pass too, candidate-major: all harvested segments of all
+candidate videos are projected and run through Eq. 10 in a single
+:func:`~repro.core.similarity.cross_similarity` call, and the stacked
+scorers of :mod:`repro.video.scoring` reduce every candidate at once --
+one LCV call per query, plus one DTW call when that is the scorer,
+however many videos the harvest surfaced.
 """
 
 from __future__ import annotations
@@ -231,21 +240,39 @@ def _harvest(video_query: VideoQuery,
     return by_video
 
 
-def _score_video(video_query: VideoQuery, projection: LocalProjection,
-                 xy_q: np.ndarray, theta_q: np.ndarray,
-                 segs: list[RepresentativeFoV],
-                 camera: CameraModel) -> tuple[float, int]:
-    """``(score, lcv_run)`` of one candidate video's harvested segments."""
+def _score_videos(video_query: VideoQuery, segs: list[RepresentativeFoV],
+                  lengths: list[int],
+                  camera: CameraModel) -> tuple[np.ndarray, np.ndarray]:
+    """``(scores, lcv_runs)``, one entry per candidate video.
+
+    ``segs`` holds every candidate's harvested segments back to back,
+    ``lengths[v]`` of them for video ``v``.  Candidate-major: all of
+    them are projected once, one :func:`cross_similarity` call fills
+    the ``(n_q, sum(lengths))`` matrix of the query against the lot,
+    and its columns are gathered into the ``(V, n_q, max(lengths))``
+    stack each scorer reduces in one pass (:mod:`repro.video.scoring`).
+    Eq. 10 is elementwise per pair, so a video's block of the stack
+    holds the same doubles a matrix of its own would.
+    """
+    query_segs = video_query.segments
+    projection = LocalProjection(query_segs[0].point)
+    xy_q = projection.to_local_arrays([s.lat for s in query_segs],
+                                      [s.lng for s in query_segs])
     xy_s = projection.to_local_arrays([f.lat for f in segs],
                                       [f.lng for f in segs])
-    theta_s = np.array([f.theta for f in segs], dtype=float)
-    sim = cross_similarity(xy_q, theta_q, xy_s, theta_s, camera)
-    run = lcv_run_length(sim, video_query.sim_threshold)
+    sim = cross_similarity(
+        xy_q, np.array([s.theta for s in query_segs], dtype=float),
+        xy_s, np.array([f.theta for f in segs], dtype=float), camera)
+    m_of = np.array(lengths)
+    # Row-major over the real (video, column) slots is exactly the
+    # back-to-back order of ``segs``, i.e. of ``sim``'s columns.
+    slots = np.zeros((len(m_of), int(m_of.max()), len(query_segs)))
+    slots[np.arange(slots.shape[1]) < m_of[:, None]] = sim.T
+    stack = slots.transpose(0, 2, 1)
+    runs = lcv_run_length(stack, video_query.sim_threshold, m_of)
     if video_query.scorer == "lcv":
-        score = run / sim.shape[0]
-    else:
-        score = alignment_score(sim)
-    return score, run
+        return runs / len(query_segs), runs
+    return alignment_score(stack, m_of), runs
 
 
 def retrieve_videos(video_query: VideoQuery,
@@ -264,25 +291,24 @@ def retrieve_videos(video_query: VideoQuery,
     with tracer.span("video.harvest", segments=len(video_query.segments)):
         by_video = _harvest(video_query, query_many)
     with tracer.span("video.score", videos=len(by_video)):
-        projection = LocalProjection(video_query.segments[0].point)
-        xy_q = projection.to_local_arrays(
-            [s.lat for s in video_query.segments],
-            [s.lng for s in video_query.segments])
-        theta_q = np.array([s.theta for s in video_query.segments],
-                           dtype=float)
+        video_ids = sorted(by_video)
+        lengths = [len(by_video[vid]) for vid in video_ids]
+        # Canonical (video_id, segment_id) order, which also lays each
+        # video's segments out back to back for the stacked scorers.
+        harvested = [by_video[vid][sid] for vid in video_ids
+                     for sid in sorted(by_video[vid])]
         matches: list[VideoMatch] = []
-        for vid in sorted(by_video):
-            segs = [by_video[vid][sid] for sid in sorted(by_video[vid])]
-            score, run = _score_video(video_query, projection, xy_q, theta_q,
-                                      segs, camera)
-            matches.append(VideoMatch(video_id=vid, score=score, lcv=run,
-                                      segments_matched=len(segs)))
+        if harvested:
+            scores, runs = _score_videos(video_query, harvested, lengths,
+                                         camera)
+            matches = [
+                VideoMatch(video_id=vid, score=score, lcv=run,
+                           segments_matched=matched)
+                for vid, score, run, matched
+                in zip(video_ids, scores.tolist(), runs.tolist(), lengths)]
     with tracer.span("video.rank", videos=len(matches)):
         matches.sort(key=_match_key)
         top = matches[:video_query.top_k]
-        harvested = sorted(
-            (rep for segs in by_video.values() for rep in segs.values()),
-            key=RepresentativeFoV.key)
     return VideoQueryResult(
         query=video_query,
         ranked=top,
@@ -312,7 +338,7 @@ def serve_video_query(video_query: VideoQuery,
         result = retrieve_videos(video_query, query_many, camera,
                                  clock=clock, tracer=tracer)
         stats._segments_harvested.inc(result.segments_harvested)
-        stats._videos_ranked.inc(len(result.ranked))
+        stats._videos_ranked.inc(result.videos_considered)
         return [result]
 
     with tracer.span("video.query", segments=len(video_query.segments)):

@@ -21,6 +21,17 @@ Each reduction ships twice: a vectorised NumPy kernel (the serving
 path, RF015-clean) and a plain-Python scalar reference.  The kernels
 perform the identical float operations in the identical order, so the
 property suite pins them **bit-identical**, not merely close.
+
+The kernels are *stacked*: given a ``(V, n, m_max)`` stack of ``V``
+candidate videos' matrices plus ``lengths`` (``lengths[v]`` is video
+``v``'s real column count ``m_v``; columns past it are padding whose
+values never reach a result) they reduce every video in one pass and
+return one score per video.  A single ``(n, m)`` matrix is the stack of
+one and yields a scalar -- there is no second kernel.  Every operation
+stays elementwise per cell, so a video's score is the same double
+whether it was reduced alone or beside 150 others; what changes is
+that a video query costs a fixed number of NumPy dispatches instead of
+one set per candidate (:func:`repro.video.retrieval.retrieve_videos`).
 """
 
 from __future__ import annotations
@@ -45,7 +56,26 @@ def _as_matrix(sim: ArrayLike) -> np.ndarray:
     return out
 
 
-def lcv_run_length(sim: ArrayLike, threshold: float) -> int:
+def _as_stack(sim: ArrayLike, lengths: ArrayLike | None
+              ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """``(stack, lengths, stacked)``: a lone matrix is the stack of one."""
+    out = np.asarray(sim, dtype=float)
+    if out.ndim == 2 and lengths is None:
+        return out[None], np.array([out.shape[1]]), False
+    if out.ndim != 3 or lengths is None:
+        raise ValueError("sim must be a 2-D matrix, or a 3-D stack with "
+                         f"lengths; got shape {out.shape}")
+    m_of = np.asarray(lengths, dtype=np.int64)
+    if m_of.shape != out.shape[:1] or (m_of < 1).any() \
+            or (m_of > out.shape[2]).any():
+        raise ValueError(
+            "lengths must give every matrix of the stack a column count in "
+            f"[1, {out.shape[2]}], got {m_of.tolist()}")
+    return out, m_of, True
+
+
+def lcv_run_length(sim: ArrayLike, threshold: float,
+                   lengths: ArrayLike | None = None) -> int | np.ndarray:
     """Length of the largest common view, in segment pairs.
 
     The longest run ``sim[i, j], sim[i+1, j+1], ...`` with every entry
@@ -55,21 +85,28 @@ def lcv_run_length(sim: ArrayLike, threshold: float) -> int:
     diagonal ``j - i`` lands in column ``j - i + n - 1``), and the
     longest True-run per column falls out of one cumulative-sum /
     running-maximum pass.
+
+    With a ``(V, n, m_max)`` stack and ``lengths`` the same pass runs
+    over every matrix at once and returns a ``(V,)`` integer array;
+    columns ``>= lengths[v]`` are masked to False, so padding can
+    neither start nor extend a run.
     """
-    mask = _as_matrix(sim) >= threshold
-    n, m = mask.shape
-    if n == 0 or m == 0 or not mask.any():
-        return 0
-    sheared = np.zeros((n, n + m - 1), dtype=bool)
-    shear_cols = np.arange(m)[None, :] - np.arange(n)[:, None] + (n - 1)
-    sheared[np.arange(n)[:, None], shear_cols] = mask
-    seen = np.cumsum(sheared, axis=0)
-    # Runs restart after a False: subtracting the running maximum of
-    # the cumulative count *at* False positions leaves, at each True
-    # position, the length of the run ending there.
-    breaks = np.where(sheared, 0, seen)
-    runs = seen - np.maximum.accumulate(breaks, axis=0)
-    return int(runs.max())
+    stack, m_of, stacked = _as_stack(sim, lengths)
+    n_videos, n, m = stack.shape
+    mask = (stack >= threshold) & (np.arange(m) < m_of[:, None, None])
+    if mask.any():
+        sheared = np.zeros((n_videos, n, n + m - 1), dtype=bool)
+        shear_cols = np.arange(m)[None, :] - np.arange(n)[:, None] + (n - 1)
+        sheared[:, np.arange(n)[:, None], shear_cols] = mask
+        seen = np.cumsum(sheared, axis=1)
+        # Runs restart after a False: subtracting the running maximum of
+        # the cumulative count *at* False positions leaves, at each True
+        # position, the length of the run ending there.
+        breaks = np.where(sheared, 0, seen)
+        runs = (seen - np.maximum.accumulate(breaks, axis=1)).max(axis=(1, 2))
+    else:
+        runs = np.zeros(n_videos, dtype=np.int64)
+    return runs if stacked else int(runs[0])
 
 
 def lcv_run_length_ref(sim: ArrayLike, threshold: float) -> int:
@@ -110,7 +147,8 @@ def lcv_score(sim: ArrayLike, threshold: float) -> float:
     return lcv_run_length(matrix, threshold) / n
 
 
-def alignment_score(sim: ArrayLike) -> float:
+def alignment_score(sim: ArrayLike,
+                    lengths: ArrayLike | None = None) -> float | np.ndarray:
     """Best monotonic alignment of the two sequences, in ``[0, 1]``.
 
     DTW-style accumulation ``acc[i, j] = sim[i, j] + max(acc[i-1, j],
@@ -121,24 +159,30 @@ def alignment_score(sim: ArrayLike) -> float:
     one vectorised gather-max-add.  The padded accumulator carries
     ``-inf`` sentinels for out-of-range predecessors, which ``max``
     ignores exactly as the scalar reference's bounds checks do.
+
+    With a ``(V, n, m_max)`` stack and ``lengths`` one wavefront sweeps
+    every matrix and returns a ``(V,)`` float array, video ``v`` read
+    at its own corner ``(n-1, lengths[v]-1)``.  A cell's predecessors
+    all have lower-or-equal column indices, so whatever the sweep
+    computes in the padding never flows back into a real column.
     """
-    matrix = _as_matrix(sim)
-    n, m = matrix.shape
+    stack, m_of, stacked = _as_stack(sim, lengths)
+    n_videos, n, m = stack.shape
     if n == 0 or m == 0:
-        return 0.0
-    padded = np.full((n + 1, m + 1), -np.inf)
-    padded[1, 1] = matrix[0, 0]
-    for d in range(1, n + m - 1):
-        lo = max(0, d - m + 1)
-        hi = min(n - 1, d)
-        i = np.arange(lo, hi + 1)
-        j = d - i
-        pred = np.maximum(
-            np.maximum(padded[i, j + 1], padded[i + 1, j]),  # up, left
-            padded[i, j],                                    # diagonal
-        )
-        padded[i + 1, j + 1] = matrix[i, j] + pred
-    return float(padded[n, m]) / (n + m - 1)
+        scores = np.zeros(n_videos)
+    else:
+        padded = np.full((n_videos, n + 1, m + 1), -np.inf)
+        padded[:, 1, 1] = stack[:, 0, 0]
+        for d in range(1, n + m - 1):
+            lo = max(0, d - m + 1)
+            hi = min(n - 1, d)
+            i = np.arange(lo, hi + 1)
+            j = d - i
+            up, left = padded[:, i, j + 1], padded[:, i + 1, j]
+            pred = np.maximum(np.maximum(up, left), padded[:, i, j])
+            padded[:, i + 1, j + 1] = stack[:, i, j] + pred
+        scores = padded[np.arange(n_videos), n, m_of] / (n + m_of - 1)
+    return scores if stacked else float(scores[0])
 
 
 def alignment_score_ref(sim: ArrayLike) -> float:

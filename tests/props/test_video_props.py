@@ -59,6 +59,33 @@ def test_alignment_kernel_bit_identical(sim):
     assert alignment_score(sim) == alignment_score_ref(sim)
 
 
+@st.composite
+def sim_stacks(draw, max_side=12, max_videos=6):
+    """Ragged stacks: ``(stack, lengths)`` with arbitrary padding."""
+    n = draw(st.integers(1, max_side))
+    lengths = draw(st.lists(st.integers(1, max_side), min_size=1,
+                            max_size=max_videos))
+    cells = len(lengths) * n * max(lengths)
+    flat = draw(st.lists(sim_value, min_size=cells, max_size=cells))
+    return (np.array(flat, dtype=float).reshape(len(lengths), n, -1),
+            lengths)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sim_stacks(), thresholds)
+def test_stacked_kernels_equal_per_video_equal_reference(stacked, thr):
+    """One pass over V videos == V passes over one == the scalar DP,
+    whatever sits in the columns past each video's length."""
+    stack, lengths = stacked
+    runs = lcv_run_length(stack, thr, lengths)
+    scores = alignment_score(stack, lengths)
+    for v, m in enumerate(lengths):
+        own = stack[v, :, :m]
+        assert runs[v] == lcv_run_length(own, thr) \
+            == lcv_run_length_ref(own, thr)
+        assert scores[v] == alignment_score(own) == alignment_score_ref(own)
+
+
 @settings(max_examples=100, deadline=None)
 @given(sim_matrices(), thresholds, thresholds)
 def test_lcv_antitone_in_threshold(sim, a, b):

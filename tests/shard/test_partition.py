@@ -1,12 +1,16 @@
 """Unit tests for the deterministic geo-grid partitioner."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.fov import RepresentativeFoV
+from repro.core.index import query_box
 from repro.core.query import Query
 from repro.geo.coords import GeoPoint
-from repro.geo.earth import LocalProjection
+from repro.geo.earth import LocalProjection, displacement, metres_per_degree
 from repro.shard.partition import DEFAULT_CELL_M, GridPartitioner
 
 ORIGIN = GeoPoint(lat=40.0, lng=116.3)
@@ -134,3 +138,130 @@ class TestRouting:
             f = RepresentativeFoV(lat=lat, lng=10.0, theta=0.0, t_start=0.0,
                                   t_end=1.0, video_id="v", segment_id=0)
             assert part.shard_of(f) in shards
+
+
+# ---------------------------------------------------------------------------
+# Exact cover: the edges the old one-cell pad used to hide.
+# ---------------------------------------------------------------------------
+
+#: With a million shards the cell -> shard hash is effectively
+#: injective over the few cells a box touches, so "the record's shard is
+#: targeted" means "the record's *cell* is covered" -- a neighbouring
+#: cell that happens to share a shard cannot mask a hole in the cover.
+MANY = 1_000_003
+
+EDGE_ORIGINS = [
+    GeoPoint(lat=40.0, lng=116.3),
+    GeoPoint(lat=-33.9, lng=18.4),
+    GeoPoint(lat=0.002, lng=10.0),      # queries straddle lat == -origin.lat
+    GeoPoint(lat=64.1, lng=-21.9),
+]
+
+#: Where in the closed query box the record sits, per axis:
+#: ``lo``/``hi`` are the box's own edges (both at once is a corner),
+#: ``cell`` is a partition-cell edge inside the box, ``in`` anywhere.
+placement = st.sampled_from(["lo", "hi", "cell", "in"])
+
+
+def _edge_case(origin, cell_m, kx, ky, frac, radius, on_cell_edge,
+               place_x, place_y, u, v):
+    """``(query, record)`` with the record inside ``query_box(query)``.
+
+    The box is anchored near cell ``(kx, ky)`` (negative indices too);
+    ``on_cell_edge`` slides it so its own low edge lands on the cell
+    edge ``x == kx * cell_m`` / ``y == ky * cell_m``.
+    """
+    proj = LocalProjection(origin)
+    off = radius if on_cell_edge else frac * cell_m
+    q = Query(t_start=0.0, t_end=10.0, radius=radius,
+              center=proj.to_geo(kx * cell_m + off, ky * cell_m + off))
+    (lng_lo, lat_lo, _), (lng_hi, lat_hi, _) = query_box(q)
+
+    def place(how, lo, hi, t, cell_edge):
+        if how == "cell" and lo <= cell_edge <= hi:
+            return cell_edge
+        return {"lo": lo, "hi": hi}.get(how, min(hi, lo + t * (hi - lo)))
+
+    # The first cell edge at or above the box's low corner, mapped back
+    # to degrees (the easting at the record's own latitude, since the
+    # longitude scale depends on it); used when it crosses the box.
+    cx, cy = proj.to_local(GeoPoint(lat=lat_lo, lng=lng_lo))
+    edge_x = math.ceil(cx / cell_m) * cell_m
+    edge_y = math.ceil(cy / cell_m) * cell_m
+    lat = place(place_y, float(lat_lo), float(lat_hi), v,
+                proj.to_geo(edge_x, edge_y).lat)
+    _, y = proj.to_local(GeoPoint(lat=lat, lng=origin.lng))
+    lng = place(place_x, float(lng_lo), float(lng_hi), u,
+                proj.to_geo(edge_x, y).lng)
+    rec = RepresentativeFoV(lat=lat, lng=lng, theta=0.0, t_start=0.0,
+                            t_end=5.0, video_id="v", segment_id=0)
+    assert lat_lo <= rec.lat <= lat_hi and lng_lo <= rec.lng <= lng_hi
+    return q, rec
+
+
+edge_cases = st.tuples(
+    st.sampled_from(EDGE_ORIGINS),
+    st.sampled_from([50.0, 300.0, 500.0, 1000.0]),          # cell_m
+    st.integers(-40, 40), st.integers(-40, 40),             # kx, ky
+    st.floats(0.0, 1.0),                                    # frac
+    st.sampled_from([20.0, 100.0, 250.0, 700.0]),           # radius
+    st.booleans(),                                          # on_cell_edge
+    placement, placement,
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+
+def _covered(case) -> bool:
+    origin, cell_m = case[0], case[1]
+    part = GridPartitioner(n_shards=MANY, origin=origin, cell_m=cell_m)
+    q, rec = _edge_case(*case)
+    return part.shard_of(rec) in part.shards_for_query(q)
+
+
+class TestExactCover:
+    @settings(max_examples=600, deadline=None)
+    @given(edge_cases)
+    def test_every_record_in_the_box_is_routed_to(self, case):
+        """Corners, box edges, cell edges, negative cells, the mirror
+        latitude: a record inside the closed box is never missed."""
+        assert _covered(case)
+
+    def test_property_catches_a_cover_shrunk_by_a_millimetre(
+            self, monkeypatch):
+        """Mutation check: with the epsilon's sign flipped (and grown to
+        a visible size) the very same edge cases must find the hole --
+        otherwise the property above would pass on anything."""
+        from repro.shard import partition
+        rng = np.random.default_rng(5)
+        cases = [(EDGE_ORIGINS[i % 4], 500.0, int(kx), int(ky), 0.5, 100.0,
+                  True, "lo", "lo", 0.0, 0.0)
+                 for i, (kx, ky) in enumerate(rng.integers(-40, 40, (40, 2)))]
+        assert all(_covered(c) for c in cases)
+        monkeypatch.setattr(partition, "_COVER_EPS_M", -1e-3)
+        assert not all(_covered(c) for c in cases)
+
+    def test_mirror_latitude_sample_is_load_bearing(self):
+        """A box straddling ``-origin.lat`` whose four corners all fall
+        just short of a cell edge that the peak latitude crosses."""
+        origin = GeoPoint(lat=30.0, lng=0.0)
+        part = GridPartitioner(n_shards=MANY, origin=origin, cell_m=500.0)
+        k = 222
+        lng_hi = (k * 500.0 + 2e-4) / metres_per_degree(0.0)[0]
+        rec = RepresentativeFoV(lat=-30.0, lng=lng_hi, theta=0.0,
+                                t_start=0.0, t_end=1.0, video_id="v",
+                                segment_id=0)
+        assert part.cell_of(-30.0, lng_hi)[0] == k
+        for lat in (-30.01, -29.99):        # beyond the epsilon's reach
+            x, _ = displacement(origin, GeoPoint(lat=lat, lng=lng_hi))
+            assert x < k * 500.0 - 1e-4
+        assert part.shard_of(rec) in part.shards_for_box(
+            -30.01, -29.99, lng_hi - 0.001, lng_hi)
+
+    @pytest.mark.parametrize("n_shards", [2, 4, 8, 61])
+    @pytest.mark.parametrize("kx,ky", [(0, 0), (3, -2), (-7, 5), (-1, -1)])
+    def test_small_query_mid_cell_routes_to_one_shard(self, n_shards, kx, ky):
+        """The converse pin: no ring of neighbour cells any more."""
+        part = GridPartitioner(n_shards=n_shards, origin=ORIGIN)
+        centre = PROJ.to_geo((kx + 0.5) * DEFAULT_CELL_M,
+                             (ky + 0.5) * DEFAULT_CELL_M)
+        q = Query(t_start=0, t_end=10, center=centre, radius=20.0)
+        assert part.shards_for_query(q) == (part.shard_of_cell(kx, ky),)

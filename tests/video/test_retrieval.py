@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core.camera import CameraModel
+from repro.core.fov import RepresentativeFoV
 from repro.core.server import CloudServer
+from repro.core.similarity import cross_similarity
+from repro.geo.earth import LocalProjection
 from repro.shard import ShardedCloudServer
 from repro.traces.dataset import random_video_trajectories
 from repro.traces.scenarios import CITY_ORIGIN
-from repro.video import VideoQuery, retrieve_videos
+from repro.video import (VideoMatch, VideoQuery, VideoQueryResult,
+                         retrieve_videos)
+from repro.video.scoring import alignment_score_ref, lcv_run_length_ref
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +178,126 @@ class TestTracing:
         names = {span.name for _, span in trace.walk()}
         assert {"video.query", "video.harvest", "video.score",
                 "video.rank"} <= names
+
+
+def per_video_oracle(vq, query_many, camera):
+    """The pre-stacking pipeline, kept verbatim as a test-local oracle:
+    one projection, one ``cross_similarity`` and one scorer call *per
+    candidate video*, with the scalar reference scorers."""
+    by_video = {}
+    for answer in query_many(vq.harvest_queries()):
+        for row in answer.ranked:
+            rep = row.fov
+            if rep.video_id not in vq.exclude:
+                by_video.setdefault(rep.video_id, {})[rep.segment_id] = rep
+    projection = LocalProjection(vq.segments[0].point)
+    xy_q = projection.to_local_arrays([s.lat for s in vq.segments],
+                                      [s.lng for s in vq.segments])
+    theta_q = np.array([s.theta for s in vq.segments], dtype=float)
+    matches = []
+    for vid in sorted(by_video):
+        segs = [by_video[vid][sid] for sid in sorted(by_video[vid])]
+        xy_s = projection.to_local_arrays([f.lat for f in segs],
+                                          [f.lng for f in segs])
+        theta_s = np.array([f.theta for f in segs], dtype=float)
+        sim = cross_similarity(xy_q, theta_q, xy_s, theta_s, camera)
+        run = lcv_run_length_ref(sim, vq.sim_threshold)
+        score = (run / sim.shape[0] if vq.scorer == "lcv"
+                 else alignment_score_ref(sim))
+        matches.append(VideoMatch(video_id=vid, score=score, lcv=run,
+                                  segments_matched=len(segs)))
+    matches.sort(key=lambda m: (-m.score, m.video_id))
+    harvested = sorted(
+        (rep for segs in by_video.values() for rep in segs.values()),
+        key=RepresentativeFoV.key)
+    return VideoQueryResult(query=vq, ranked=matches[:vq.top_k],
+                            harvested=harvested,
+                            videos_considered=len(by_video),
+                            segments_harvested=len(harvested), elapsed_s=0.0)
+
+
+class TestStackedScoringMatchesPerVideoLoop:
+    """Whole results, ``==`` on every float: scoring all candidates in
+    one pass changes how often NumPy is entered, not one bit of output."""
+
+    @pytest.fixture(scope="class")
+    def server(self, workload):
+        server = CloudServer(CameraModel(), engine="packed", cache_size=0)
+        server.ingest(workload)
+        return server
+
+    def check(self, server, vq):
+        got = retrieve_videos(vq, server.query_many, server.camera)
+        want = per_video_oracle(vq, server.query_many, server.camera)
+        assert got._replace(elapsed_s=0.0) == want
+        for match in got.ranked:
+            assert type(match.score) is float and type(match.lcv) is int
+        return got
+
+    @pytest.mark.parametrize("scorer", ["lcv", "dtw"])
+    @pytest.mark.parametrize("video_id",
+                             ["vid-00012", "vid-00100", "vid-00377"])
+    def test_dense_city(self, server, workload, scorer, video_id):
+        got = self.check(server, video_query_for(
+            workload, video_id, scorer=scorer, top_k=1000))
+        # Ragged on purpose: candidates contribute 1..8 segments each.
+        assert len({m.segments_matched for m in got.ranked}) > 2
+
+    @pytest.mark.parametrize("scorer", ["lcv", "dtw"])
+    def test_exclude_drops_candidates_before_scoring(self, server, workload,
+                                                     scorer):
+        full = self.check(server, video_query_for(
+            workload, "vid-00012", scorer=scorer, top_k=1000))
+        dropped = frozenset(full.keys()[:3]) | {"vid-00012"}
+        rest = self.check(server, video_query_for(
+            workload, "vid-00012", scorer=scorer, top_k=1000,
+            exclude=dropped))
+        assert rest.videos_considered == full.videos_considered - 3
+        assert rest.ranked == [m for m in full.ranked
+                               if m.video_id not in dropped]
+
+    @pytest.mark.parametrize("scorer", ["lcv", "dtw"])
+    def test_empty_harvest(self, server, workload, scorer):
+        got = self.check(server, video_query_for(
+            workload, "vid-00012", scorer=scorer, t_start=9e8, t_end=9e8 + 1))
+        assert got.ranked == [] and got.harvested == []
+        assert got.videos_considered == got.segments_harvested == 0
+
+    @pytest.mark.parametrize("scorer", ["lcv", "dtw"])
+    def test_single_candidate(self, server, workload, scorer):
+        vq = video_query_for(workload, "vid-00012", scorer=scorer)
+        best = self.check(server, vq).keys()[0]
+        lone = CloudServer(CameraModel(), engine="packed", cache_size=0)
+        lone.ingest([r for r in workload
+                     if r.video_id in ("vid-00012", best)])
+        got = self.check(lone, vq)
+        assert got.keys() == [best] and got.videos_considered == 1
+
+
+class TestVideosRankedCountsCandidates:
+    """``video.videos_ranked`` is candidates scored, not rows returned."""
+
+    @pytest.mark.parametrize("facade", ["single", "sharded"])
+    def test_counts_videos_considered_once_per_computed_query(self, workload,
+                                                              facade):
+        if facade == "single":
+            server = CloudServer(CameraModel(), engine="packed",
+                                 cache_size=16)
+        else:
+            server = ShardedCloudServer(CameraModel(), n_shards=4,
+                                        origin=CITY_ORIGIN, cache_size=16)
+        server.ingest(workload)
+        first = server.query_video(video_query_for(workload, "vid-00012",
+                                                   top_k=2))
+        assert len(first.ranked) == 2 < first.videos_considered
+        assert server.video_stats.videos_ranked == first.videos_considered
+        # A cached repeat scores nothing, so it adds nothing.
+        server.query_video(video_query_for(workload, "vid-00012", top_k=2))
+        assert server.video_stats.cache_hits == 1
+        assert server.video_stats.videos_ranked == first.videos_considered
+        other = server.query_video(video_query_for(workload, "vid-00100",
+                                                   top_k=2))
+        assert server.video_stats.videos_ranked == \
+            first.videos_considered + other.videos_considered
+        assert server.obs.registry.get("video.videos_ranked").value == \
+            server.video_stats.videos_ranked

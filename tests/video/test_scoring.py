@@ -107,3 +107,100 @@ class TestAlignment:
         # Single query segment: the path must traverse the whole row.
         assert alignment_score(row) == pytest.approx((0.5 + 0.25 + 0.125) / 3)
         assert alignment_score(row.T) == alignment_score(row)
+
+
+def pad_stack(matrices, fill=0.0):
+    """``(stack, lengths)`` of same-height matrices, padded with ``fill``."""
+    lengths = [mat.shape[1] for mat in matrices]
+    stack = np.full((len(matrices), matrices[0].shape[0], max(lengths)),
+                    fill, dtype=float)
+    for v, mat in enumerate(matrices):
+        stack[v, :, :mat.shape[1]] = mat
+    return stack, lengths
+
+
+class TestStacked:
+    """A stack reduces to exactly what each matrix reduces to alone."""
+
+    def test_ragged_stack_equals_per_video_equals_reference(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            n = int(rng.integers(1, 13))
+            mats = [rng.random((n, int(m)))
+                    for m in rng.integers(1, 13, size=rng.integers(1, 9))]
+            thr = float(rng.random())
+            stack, lengths = pad_stack(mats)
+            runs = lcv_run_length(stack, thr, lengths)
+            scores = alignment_score(stack, lengths)
+            assert runs.shape == scores.shape == (len(mats),)
+            assert runs.dtype.kind == "i" and scores.dtype == np.float64
+            for v, mat in enumerate(mats):
+                sliced = stack[v, :, :lengths[v]]
+                assert runs[v] == lcv_run_length(sliced, thr) \
+                    == lcv_run_length_ref(mat, thr)
+                # == on floats: same adds, same maxes, same division.
+                assert scores[v] == alignment_score(sliced) \
+                    == alignment_score_ref(mat)
+
+    @pytest.mark.parametrize("fill", [0.0, 1.0, -7.0, 1e300, np.nan])
+    def test_padding_values_never_reach_a_result(self, fill):
+        rng = np.random.default_rng(43)
+        mats = [rng.random((6, m)) for m in (1, 9, 4, 9, 2)]
+        base, lengths = pad_stack(mats)
+        stack, _ = pad_stack(mats, fill=fill)
+        for thr in (0.0, 0.3, 1.0):
+            assert lcv_run_length(stack, thr, lengths).tolist() == \
+                lcv_run_length(base, thr, lengths).tolist()
+        assert alignment_score(stack, lengths).tolist() == \
+            alignment_score(base, lengths).tolist()
+
+    def test_thresholds_at_zero_one_and_exact_cell_values(self):
+        grid = np.array([[0.0, 0.25, 1.0], [0.25, 0.25, 0.5], [1.0, 0.0, 0.25]])
+        mats = [grid, grid[:, :2], grid[:, 2:], grid.T.copy()]
+        stack, lengths = pad_stack(mats)
+        for thr in (0.0, 0.25, 0.5, 1.0):
+            assert lcv_run_length(stack, thr, lengths).tolist() == \
+                [lcv_run_length_ref(mat, thr) for mat in mats]
+        # At threshold 0 every real cell clears; padding still must not.
+        assert lcv_run_length(stack, 0.0, lengths).tolist() == [3, 2, 1, 3]
+
+    def test_dead_video_beside_an_all_ones_video(self):
+        stack, lengths = pad_stack([np.zeros((4, 2)), np.ones((4, 7)),
+                                    np.full((4, 3), 0.2)])
+        assert lcv_run_length(stack, 0.5, lengths).tolist() == [0, 4, 0]
+        assert alignment_score(stack, lengths).tolist() == \
+            [0.0, 1.0, alignment_score_ref(np.full((4, 3), 0.2))]
+        # ... and when nothing anywhere clears, the early exit agrees.
+        assert lcv_run_length(stack[[0, 2]], 0.5, [2, 3]).tolist() == [0, 0]
+
+    def test_stack_of_one_is_the_matrix(self):
+        sim = np.random.default_rng(47).random((5, 8))
+        assert lcv_run_length(sim[None], 0.4, [8]).tolist() == \
+            [lcv_run_length(sim, 0.4)]
+        assert alignment_score(sim[None], [8]).tolist() == \
+            [alignment_score(sim)]
+        # A matrix in, a scalar out -- the pre-stack contract.
+        assert type(lcv_run_length(sim, 0.4)) is int
+        assert type(alignment_score(sim)) is float
+
+    def test_empty_stack(self):
+        none = np.zeros((0, 4, 3))
+        assert lcv_run_length(none, 0.5, []).shape == (0,)
+        assert alignment_score(none, []).shape == (0,)
+
+    def test_rejects_malformed_input(self):
+        stack = np.zeros((2, 3, 4))
+        for bad in (np.zeros(4), np.zeros((1, 2, 3, 4))):
+            with pytest.raises(ValueError):
+                lcv_run_length(bad, 0.5)
+            with pytest.raises(ValueError):
+                alignment_score(bad)
+        with pytest.raises(ValueError):
+            lcv_run_length(stack, 0.5)              # a stack needs lengths
+        with pytest.raises(ValueError):
+            alignment_score(np.zeros((3, 4)), [4])  # a matrix takes none
+        for lengths in ([4], [4, 5], [0, 4], [4, -1]):
+            with pytest.raises(ValueError):
+                lcv_run_length(stack, 0.5, lengths)
+            with pytest.raises(ValueError):
+                alignment_score(stack, lengths)
