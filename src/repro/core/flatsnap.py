@@ -9,7 +9,7 @@ persistent pool worker attaching shared memory, or a loader mmapping a
 with ``np.frombuffer`` views into that buffer: no per-worker record-set
 copy, no grid rebuild, O(1) attach time in record count.
 
-Layout (version 1)::
+Layout (version 2)::
 
     offset 0     fixed header  -- magic ``FOVPACK1``, version, CRC32,
                  total length, record count, epoch, video-id width,
@@ -22,6 +22,13 @@ Layout (version 1)::
     aligned      section bytes -- each section starts on a 64-byte
                  boundary (zero padding between), so every attached
                  array is cache-line aligned regardless of the mapping
+
+The grid sections are stored as the grid holds them: ``cell_offsets``
+over space-major cells ``(iy * width + ix) * slices + it`` and
+``fused`` with shape ``(8, n)`` (one row per fused field, one column
+per record).
+Version 1 held time-major cells and an ``(n, 8)`` ``fused`` block; it
+is refused, not converted.
 
 Integrity follows the ``net/protocol.py`` v2 conventions: an explicit
 total length (truncation reports as truncation, not a shape error) and
@@ -55,7 +62,9 @@ __all__ = ["FLATSNAP_MAGIC", "FLATSNAP_VERSION", "pack_snapshot",
 FLATSNAP_MAGIC = b"FOVPACK1"
 #: Schema version of the flat layout; bumped on any layout change and
 #: stamped into benchmark exports so trajectories stay comparable.
-FLATSNAP_VERSION = 1
+#: A version-1 buffer has the same byte count as a version-2 one, so
+#: only this field keeps it from attaching with wrong candidates.
+FLATSNAP_VERSION = 2
 
 # magic, version, reserved, crc32, total bytes, record count, epoch,
 # video-id chars, grid width/height/slices, cell-offset count, then the
@@ -194,7 +203,7 @@ def unpack_snapshot(buf, *, verify: bool = True) -> PackedFoVIndex:
     video_ids = _attach(mv, f"<U{vid_chars}", n, *spans[7])
     cell_offsets = _attach(mv, np.int64, n_offsets, *spans[8])
     row_ids = _attach(mv, np.int64, n, *spans[9])
-    fused = _attach(mv, np.float64, n * 8, *spans[10]).reshape(n, 8)
+    fused = _attach(mv, np.float64, n * 8, *spans[10]).reshape(8, n)
 
     grid = PackedPointGrid(n, width, height, slices,
                            x0, y0, t0, x1, y1, t1,

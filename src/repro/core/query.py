@@ -7,6 +7,7 @@ The server answers with a relevance-ranked list of representative FoVs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple
 
@@ -47,6 +48,15 @@ class Query:
     top_n: int = 10
 
     def __post_init__(self) -> None:
+        # NaN and +-inf pass every ordered comparison below, then break
+        # the engines differently (overflow on binning, or a silently
+        # empty sharded answer), so they are refused here.
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+            raise ValueError(
+                f"query interval must be finite, got "
+                f"[{self.t_start}, {self.t_end}]")
+        if not math.isfinite(self.radius):
+            raise ValueError(f"query radius must be finite, got {self.radius}")
         if self.t_end < self.t_start:
             raise ValueError(
                 f"query interval ends ({self.t_end}) before it starts ({self.t_start})"

@@ -79,10 +79,13 @@ def _sector_evidence(camera: CameraModel, strict_cover: bool,
 
     Returns ``(dist, dtheta, covers_center, keep)``.
     """
-    dist = np.linalg.norm(xy, axis=-1)             # (n,)
+    # x*x + y*y is exactly the two-element reduction ``np.linalg.norm``
+    # performs, without its per-call dispatch overhead.
+    x, y = xy[:, 0], xy[:, 1]
+    dist = np.sqrt(x * x + y * y)                  # (n,)
 
     # Bearing from each camera to the query centre (the origin).
-    bearings = np.degrees(np.arctan2(-xy[:, 0], -xy[:, 1]))
+    bearings = np.degrees(np.arctan2(-x, -y))
     dtheta = np.asarray(angular_difference(bearings, thetas))
     in_wedge = (dtheta <= camera.half_angle) | (dist == 0.0)
     covers_center = in_wedge & (dist <= camera.radius)

@@ -4,23 +4,32 @@ An R-tree answers range queries over arbitrary boxes, but the FoV
 serving path stores a very specific shape: every record is a *point*
 ``(lng, lat)`` with a short time interval ``[t_s, t_e]``.  For that
 shape a flat uniform grid beats a tree descent: candidate gathering is
-a small set of contiguous-slab slices (cells of one grid row are
-adjacent in the CSR layout), and the exact box test is **one** fused
-vectorised comparison instead of one pass per level per dimension.
+a few contiguous CSR ranges (the time slices of one cell, and the
+cells of one grid row, are adjacent), and the exact box test is
+**one** fused vectorised comparison instead of one pass per level per
+dimension.
 
 Cell layout
 -----------
-Cells are keyed ``(it, iy, ix)`` -- time-major, then latitude row,
-then longitude -- flattened as ``(it * height + iy) * width + ix``, so
-the cells a query touches in one ``(it, iy)`` pair are one contiguous
-CSR bucket range.  Records are bucketed by their *start* time
-``t_s``; a query widens its time range by the maximum record duration
-(``max_dur``) before binning, so a record whose interval merely
-*extends into* the query window is still gathered (the fused test then
-applies the exact interval-overlap predicate).  Time is a first-class
-grid axis because it is the strongest discriminator of the paper's
-workload: a city's records spread over a day, while a query window
-covers minutes.
+Cells are keyed ``(iy, ix, it)`` -- space-major: latitude row, then
+longitude, with time innermost -- flattened as
+``(iy * width + ix) * slices + it``.  The time slices a query touches
+in one spatial cell are therefore one contiguous CSR range
+``[off[cell(iy, ix, it0)], off[cell(iy, ix, it1) + 1])``, and when
+that span covers every slice the ranges of neighbouring cells in a
+grid row abut: a search coalesces a range that starts where the
+previous one ended, so a query whose time bins span the whole extent
+reads **one** range per touched grid row, and a windowed query one
+range per touched cell.  Space goes outside because every query is a
+small disc (tens of metres against a city) while its time window may
+be anything up to the whole horizon; the time axis still prunes a
+windowed query to exactly the slices it touches.
+
+Records are bucketed by their *start* time ``t_s``; a query widens its
+time range by the maximum record duration (``max_dur``) before
+binning, so a record whose interval merely *extends into* the query
+window is still gathered (the fused test then applies the exact
+interval-overlap predicate).
 
 Fused box test
 --------------
@@ -37,12 +46,14 @@ into a single elementwise comparison against one 6-vector::
                                             bmax1, -bmin1,
                                             bmax2, -bmin2]
 
-so the hot loop is ``(F <= b).all(axis=1)`` -- one compare, one
-reduction, no Python per-entry work (float negation is exact, so the
-candidate set is bit-identical to the six separate tests).  ``F`` is
-precomputed in CSR order at build time; it is pure derived data and
-serialises into the flat snapshot so zero-copy consumers pay no
-rebuild cost.
+``F`` stores those six values (plus ``theta`` and the record id) as
+the rows of an ``(8, n)`` block, one column per record in CSR order,
+so the hot loop is
+``(F[:6, cand] <= b[:, None]).all(axis=0)`` -- one compare, one
+reduction along the long candidate axis, no Python per-entry work
+(float negation is exact, so the candidate set is bit-identical to the
+six separate tests).  ``F`` is pure derived data and serialises into
+the flat snapshot so zero-copy consumers pay no rebuild cost.
 
 The grid only *prunes*: cell membership uses the same monotone
 ``floor((v - origin) * inv_cell)`` mapping for records and for query
@@ -73,9 +84,17 @@ MAX_CELLS_PER_AXIS = 1024
 #: Hard cap on time slices.
 MAX_TIME_SLICES = 64
 
-#: Single-query slab budget below which a plain Python gather loop
-#: beats the vectorised slab enumeration (NumPy dispatch bound).
-_SLAB_LOOP_MAX = 64
+#: Single-query budget of touched spatial cells up to which
+#: :meth:`PackedPointGrid.search_ids` gathers with a plain Python loop
+#: instead of the vectorised range enumeration (NumPy dispatch bound).
+#: Measured on the 24 x 24 x 24 ``city_read`` shard grids
+#: (docs/PERFORMANCE.md §2): with a 60-900 s window every cell is its
+#: own range and the vectorised path wins from 16-25 cells on; with
+#: the whole horizon the loop reads one range per grid row and stays
+#: ahead up to 100 cells, by 19 % at 25 and 3 % at 100.  16 is the
+#: largest measured budget at which the loop never loses.  The perf ledger's
+#: queries touch 1-4 cells.
+_CELL_LOOP_MAX = 16
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 
@@ -118,21 +137,20 @@ class PackedPointGrid:
     Attributes
     ----------
     width, height, slices : int
-        Cells per axis; cell ``(it, iy, ix)`` is CSR bucket
-        ``(it * height + iy) * width + ix``.
+        Cells per axis; cell ``(iy, ix, it)`` is CSR bucket
+        ``(iy * width + ix) * slices + it``.
     cell_offsets : ndarray, shape (width * height * slices + 1,)
         CSR bucket boundaries into ``row_ids``.
     row_ids : ndarray, shape (n,)
         Original record ids in CSR (cell-major) order.
-    fused : ndarray, shape (n, 8)
-        ``[lng, -lng, lat, -lat, t_start, -t_end, theta, row_id]`` per
-        record, in CSR order.  Columns 0..5 feed the fused ``<=`` test;
-        column 6 carries the camera azimuth and column 7 the original
-        record id as a float (ids are array indices, far below 2**53,
-        so the round-trip is exact).  The two extra columns let the
-        single-query fast path (:meth:`search_rows`) hand a complete
-        evidence row to the retrieval layer in one gather -- no second
-        trip through the column arrays.
+    fused : ndarray, shape (8, n)
+        Rows ``[lng, -lng, lat, -lat, t_start, -t_end, theta, row_id]``,
+        one column per record in CSR order.  Rows 0..5 feed the fused
+        ``<=`` test; row 6 carries the camera azimuth and row 7 the
+        original record id as a float (ids are array indices, far below
+        2**53, so the round-trip is exact).  The two extra rows let
+        :meth:`search_rows` hand a complete evidence row to the caller
+        in one gather -- no second trip through the column arrays.
     max_dur : float
         Maximum record duration; queries widen their lower time bound
         by this much before binning (see the module note).
@@ -167,7 +185,8 @@ class PackedPointGrid:
         self.cell_offsets = cell_offsets
         self.row_ids = row_ids
         self.fused = fused
-        # Scalar mirror of ``fused`` (list of 8-float lists, CSR order),
+        # Scalar mirror of ``fused.T`` (one 8-float list per record, CSR
+        # order),
         # built lazily by :meth:`search_rows` in processes that serve
         # single-query traffic.  Derived data only -- never serialised,
         # and zero-copy consumers that only run batched kernels never
@@ -191,7 +210,7 @@ class PackedPointGrid:
                        0.0, 0.0, 0.0, 0.0,
                        np.zeros(2, dtype=np.int64),
                        np.empty(0, dtype=np.int64),
-                       np.empty((0, 8), dtype=float))
+                       np.empty((8, 0), dtype=float))
         x0, x1 = float(lng.min()), float(lng.max())
         y0, y1 = float(lat.min()), float(lat.max())
         t0, t1 = float(t_start.min()), float(t_start.max())
@@ -210,26 +229,79 @@ class PackedPointGrid:
         iy = np.minimum(((lat - y0) * inv_ch).astype(np.int64), height - 1)
         it = np.minimum(((t_start - t0) * inv_ct).astype(np.int64),
                         slices - 1)
-        cell = (it * height + iy) * width + ix
+        cell = (iy * width + ix) * slices + it
         order = np.argsort(cell, kind="stable").astype(np.int64)
         counts = np.bincount(cell, minlength=width * height * slices)
         cell_offsets = np.zeros(width * height * slices + 1, dtype=np.int64)
         np.cumsum(counts, out=cell_offsets[1:])
-        fused = np.empty((n, 8), dtype=float)
-        fused[:, 0] = lng[order]
-        np.negative(fused[:, 0], out=fused[:, 1])
-        fused[:, 2] = lat[order]
-        np.negative(fused[:, 2], out=fused[:, 3])
-        fused[:, 4] = t_start[order]
-        np.negative(t_end[order], out=fused[:, 5])
-        fused[:, 6] = theta[order]
-        fused[:, 7] = order
+        fused = np.empty((8, n), dtype=float)
+        fused[0] = lng[order]
+        np.negative(fused[0], out=fused[1])
+        fused[2] = lat[order]
+        np.negative(fused[2], out=fused[3])
+        fused[4] = t_start[order]
+        np.negative(t_end[order], out=fused[5])
+        fused[6] = theta[order]
+        fused[7] = order
         return cls(n, width, height, slices, x0, y0, t0, x1, y1, t1,
                    inv_cw, inv_ch, inv_ct, max_dur,
                    cell_offsets, order, fused)
 
     # ------------------------------------------------------------------
     # search
+
+    def _cell_span(self, qx0: float, qy0: float, qt0: float,
+                   qx1: float, qy1: float, qt1: float
+                   ) -> tuple[int, int, int, int, int, int] | None:
+        """Clamped bins ``(ix0, ix1, iy0, iy1, it0, it1)`` of a closed
+        query box, or ``None`` when the box misses the grid's extent.
+
+        The lower time bound is widened by ``max_dur`` (records bucket
+        by start time).  Lower bins are clamped to ``axis - 1`` too:
+        records at the extent's upper edge are clamped into the last bin
+        at build time, and a closed-box query touching exactly that edge
+        maps one past it.
+        """
+        if self.n == 0 or qx1 < self.x0 or qx0 > self.x1 \
+                or qy1 < self.y0 or qy0 > self.y1 \
+                or qt1 < self.t0 or qt0 > self.t1 + self.max_dur:
+            return None
+        w1, h1, s1 = self.width - 1, self.height - 1, self.slices - 1
+        return (min(w1, max(0, int((qx0 - self.x0) * self.inv_cw))),
+                min(w1, int((qx1 - self.x0) * self.inv_cw)),
+                min(h1, max(0, int((qy0 - self.y0) * self.inv_ch))),
+                min(h1, int((qy1 - self.y0) * self.inv_ch)),
+                min(s1, max(0, int((qt0 - self.max_dur - self.t0)
+                                   * self.inv_ct))),
+                min(s1, int((qt1 - self.t0) * self.inv_ct)))
+
+    def _cell_ranges(self, span: tuple[int, int, int, int, int, int]
+                     ) -> tuple[list[int], list[int]]:
+        """Non-empty CSR ranges ``(los, his)`` of the cells in ``span``.
+
+        One range per touched cell, over its slices ``it0..it1``, in
+        CSR order; a range starting where the previous one ended
+        extends it instead, so a span covering every time slice yields
+        at most one range per touched grid row.
+        """
+        ix0, ix1, iy0, iy1, it0, it1 = span
+        w, s = self.width, self.slices
+        item = self.cell_offsets.item
+        los: list[int] = []
+        his: list[int] = []
+        for iy in range(iy0, iy1 + 1):
+            row = iy * w
+            for ix in range(ix0, ix1 + 1):
+                base = (row + ix) * s
+                lo = item(base + it0)
+                hi = item(base + it1 + 1)
+                if hi > lo:
+                    if his and his[-1] == lo:
+                        his[-1] = hi
+                    else:
+                        los.append(lo)
+                        his.append(hi)
+        return los, his
 
     def search_ids(self, bmin: Sequence[float], bmax: Sequence[float],
                    observer: SearchObserver | None = None) -> np.ndarray:
@@ -244,67 +316,48 @@ class PackedPointGrid:
         qx1, qy1, qt1 = float(bmax[0]), float(bmax[1]), float(bmax[2])
         if observer is not None:
             observer.on_descent(1)
-        if self.n == 0 or qx1 < self.x0 or qx0 > self.x1 \
-                or qy1 < self.y0 or qy0 > self.y1 \
-                or qt1 < self.t0 or qt0 > self.t1 + self.max_dur:
+        span = self._cell_span(qx0, qy0, qt0, qx1, qy1, qt1)
+        if span is None:
             if observer is not None:
                 observer.on_level(0, 0, 0)
             return _EMPTY_IDS
-        # Lower bins are clamped to axis-1 too: records at the extent's
-        # upper edge are clamped into the last bin at build time, and a
-        # closed-box query touching exactly that edge maps one past it.
-        ix0 = min(self.width - 1, max(0, int((qx0 - self.x0) * self.inv_cw)))
-        ix1 = min(self.width - 1, int((qx1 - self.x0) * self.inv_cw))
-        iy0 = min(self.height - 1, max(0, int((qy0 - self.y0) * self.inv_ch)))
-        iy1 = min(self.height - 1, int((qy1 - self.y0) * self.inv_ch))
-        it0 = min(self.slices - 1,
-                  max(0, int((qt0 - self.max_dur - self.t0) * self.inv_ct)))
-        it1 = min(self.slices - 1, int((qt1 - self.t0) * self.inv_ct))
-        w, h = self.width, self.height
-        n_slabs = (it1 - it0 + 1) * (iy1 - iy0 + 1)
-        if n_slabs <= _SLAB_LOOP_MAX:
-            # Typical query: a handful of slabs.  A plain Python loop
-            # collecting contiguous views costs less than the ~15 NumPy
+        ix0, ix1, iy0, iy1, it0, it1 = span
+        f6, rid = self.fused[:6], self.row_ids
+        b = np.array([qx1, -qx0, qy1, -qy0, qt1, -qt0])[:, None]
+        if (iy1 - iy0 + 1) * (ix1 - ix0 + 1) <= _CELL_LOOP_MAX:
+            # Typical query: a handful of cells.  A plain Python loop
+            # collecting contiguous ranges costs less than the ~15 NumPy
             # dispatches of the vectorised enumeration below -- per-op
             # dispatch (~1 us) dominates at this frontier size.
-            item = self.cell_offsets.item
-            fused = self.fused
-            parts: list[np.ndarray] = []
-            for it in range(it0, it1 + 1):
-                row0 = it * h
-                for iy in range(iy0, iy1 + 1):
-                    base = (row0 + iy) * w
-                    lo = item(base + ix0)
-                    hi = item(base + ix1 + 1)
-                    if hi > lo:
-                        parts.append(fused[lo:hi])
-            if not parts:
+            los, his = self._cell_ranges(span)
+            if not los:
                 if observer is not None:
                     observer.on_level(0, 0, 0)
                 return _EMPTY_IDS
-            cand = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            mask = (cand[:, :6]
-                    <= np.array([qx1, -qx0, qy1, -qy0, qt1, -qt0])
-                    ).all(axis=1)
-            hits = cand[mask, 7].astype(np.int64)
+            if len(los) == 1:
+                cand, ids = f6[:, los[0]:his[0]], rid[los[0]:his[0]]
+            else:
+                # Concatenating a few contiguous slices is a memcpy each;
+                # a gather by index array costs several times more here.
+                cand = np.concatenate(
+                    [f6[:, lo:hi] for lo, hi in zip(los, his)], axis=1)
+                ids = np.concatenate(
+                    [rid[lo:hi] for lo, hi in zip(los, his)])
         else:
             off = self.cell_offsets
-            bases = ((np.arange(it0, it1 + 1)[:, None] * h
-                      + np.arange(iy0, iy1 + 1)[None, :]) * w).ravel()
-            lo_a = off[bases + ix0]
-            cnt = off[bases + ix1 + 1] - lo_a
-            pos = _expand_ranges(lo_a, cnt)
+            bases = ((np.arange(iy0, iy1 + 1)[:, None] * self.width
+                      + np.arange(ix0, ix1 + 1)[None, :])
+                     * self.slices).ravel()
+            lo_a = off[bases + it0]
+            pos = _expand_ranges(lo_a, off[bases + it1 + 1] - lo_a)
             if pos.size == 0:
                 if observer is not None:
                     observer.on_level(0, 0, 0)
                 return _EMPTY_IDS
-            cand = self.fused[pos]
-            mask = (cand[:, :6]
-                    <= np.array([qx1, -qx0, qy1, -qy0, qt1, -qt0])
-                    ).all(axis=1)
-            hits = self.row_ids[pos[mask]]
+            cand, ids = f6.take(pos, axis=1), rid[pos]
+        hits = ids[(cand <= b).all(axis=0)]
         if observer is not None:
-            observer.on_level(0, int(cand.shape[0]), int(hits.size))
+            observer.on_level(0, int(cand.shape[1]), int(hits.size))
         return hits
 
     def search_rows(self, bmin: Sequence[float], bmax: Sequence[float],
@@ -320,58 +373,39 @@ class PackedPointGrid:
         inside NumPy for the fused mask test.
 
         Returns ``None`` when the scan would gather more than ``limit``
-        rows or touch more than ``_SLAB_LOOP_MAX`` slabs -- callers
+        rows or touch more than ``_CELL_LOOP_MAX`` cells -- callers
         fall back to the vectorised :meth:`search_ids` pipeline, which
         wins at that frontier size.
 
         This path is deliberately NumPy-free: at a typical frontier of
-        a few dozen rows, six early-exit float compares per row (time
-        first -- the workload's strongest discriminator) cost less than
-        one array dispatch, so the whole scan runs on a lazily built
-        Python mirror of ``fused``.  ``tolist`` round-trips doubles
+        a few dozen rows, six early-exit float compares per row cost
+        less than one array dispatch, so the whole scan runs on a lazily
+        built Python mirror of ``fused.T``.  ``tolist`` round-trips doubles
         exactly, so the compares see the very same values as the
         vectorised mask and the hit set is bit-identical.
         """
         qx0, qy0, qt0 = float(bmin[0]), float(bmin[1]), float(bmin[2])
         qx1, qy1, qt1 = float(bmax[0]), float(bmax[1]), float(bmax[2])
-        if self.n == 0 or qx1 < self.x0 or qx0 > self.x1 \
-                or qy1 < self.y0 or qy0 > self.y1 \
-                or qt1 < self.t0 or qt0 > self.t1 + self.max_dur:
+        span = self._cell_span(qx0, qy0, qt0, qx1, qy1, qt1)
+        if span is None:
             return []
-        # Same two-sided clamp as search_ids (see the note there).
-        ix0 = min(self.width - 1, max(0, int((qx0 - self.x0) * self.inv_cw)))
-        ix1 = min(self.width - 1, int((qx1 - self.x0) * self.inv_cw))
-        iy0 = min(self.height - 1, max(0, int((qy0 - self.y0) * self.inv_ch)))
-        iy1 = min(self.height - 1, int((qy1 - self.y0) * self.inv_ch))
-        it0 = min(self.slices - 1,
-                  max(0, int((qt0 - self.max_dur - self.t0) * self.inv_ct)))
-        it1 = min(self.slices - 1, int((qt1 - self.t0) * self.inv_ct))
-        w, h = self.width, self.height
-        if (it1 - it0 + 1) * (iy1 - iy0 + 1) > _SLAB_LOOP_MAX:
+        ix0, ix1, iy0, iy1, _it0, _it1 = span
+        if (iy1 - iy0 + 1) * (ix1 - ix0 + 1) > _CELL_LOOP_MAX:
+            return None
+        los, his = self._cell_ranges(span)
+        if sum(his) - sum(los) > limit:
             return None
         rows = self._pyrows
         if rows is None:
-            rows = self._pyrows = self.fused.tolist()
-        item = self.cell_offsets.item
+            rows = self._pyrows = self.fused.T.tolist()
         nqx0, nqy0, nqt0 = -qx0, -qy0, -qt0
         out: list[list[float]] = []
-        total = 0
-        for it in range(it0, it1 + 1):
-            row0 = it * h
-            for iy in range(iy0, iy1 + 1):
-                base = (row0 + iy) * w
-                lo = item(base + ix0)
-                hi = item(base + ix1 + 1)
-                if hi <= lo:
-                    continue
-                total += hi - lo
-                if total > limit:
-                    return None
-                for r in rows[lo:hi]:
-                    if (r[4] <= qt1 and r[5] <= nqt0 and r[0] <= qx1
-                            and r[1] <= nqx0 and r[2] <= qy1
-                            and r[3] <= nqy0):
-                        out.append(r)
+        for lo, hi in zip(los, his):
+            for r in rows[lo:hi]:
+                if (r[4] <= qt1 and r[5] <= nqt0 and r[0] <= qx1
+                        and r[1] <= nqx0 and r[2] <= qy1
+                        and r[3] <= nqy0):
+                    out.append(r)
         return out
 
     def search_many(self, bmins: np.ndarray, bmaxs: np.ndarray,
@@ -382,9 +416,9 @@ class PackedPointGrid:
         ``query_ids`` comes back sorted ascending (query-major), so each
         query's hits form a contiguous run recoverable with
         ``np.searchsorted``.  The whole batch is answered by one
-        two-level slab expansion (``(query, time, row)`` triples, then
-        CSR ranges) plus one fused compare over the combined ``(query,
-        candidate)`` frontier.
+        two-level expansion (``(query, iy, ix)`` cell triples, then each
+        cell's CSR range over the query's time slices) plus one fused
+        compare over the combined ``(query, candidate)`` frontier.
         """
         bmins = np.atleast_2d(np.asarray(bmins, dtype=float))
         bmaxs = np.atleast_2d(np.asarray(bmaxs, dtype=float))
@@ -412,10 +446,10 @@ class PackedPointGrid:
                        ).astype(np.int64), 0, self.slices - 1)
         it1 = np.clip(((bmaxs[:, 2] - self.t0) * self.inv_ct
                        ).astype(np.int64), 0, self.slices - 1)
-        # Two-level expansion: one (query, it, iy) triple per scanned
-        # slab, enumerated query-major so hits stay sorted by query.
-        n_y = iy1 - iy0 + 1
-        n_pairs = np.where(nonempty, (it1 - it0 + 1) * n_y, 0)
+        # Two-level expansion: one (query, iy, ix) triple per touched
+        # cell, enumerated query-major so hits stay sorted by query.
+        n_x = ix1 - ix0 + 1
+        n_pairs = np.where(nonempty, (iy1 - iy0 + 1) * n_x, 0)
         pair_q = np.repeat(np.arange(n_q), n_pairs)
         if pair_q.size == 0:
             if observer is not None:
@@ -424,12 +458,12 @@ class PackedPointGrid:
         total = int(n_pairs.sum())
         k = (np.arange(total)
              - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs))
-        ny_q = n_y[pair_q]
-        it = it0[pair_q] + k // ny_q
-        iy = iy0[pair_q] + k % ny_q
-        base = (it * self.height + iy) * self.width
-        lo = self.cell_offsets[base + ix0[pair_q]]
-        hi = self.cell_offsets[base + ix1[pair_q] + 1]
+        nx_q = n_x[pair_q]
+        iy = iy0[pair_q] + k // nx_q
+        ix = ix0[pair_q] + k % nx_q
+        base = (iy * self.width + ix) * self.slices
+        lo = self.cell_offsets[base + it0[pair_q]]
+        hi = self.cell_offsets[base + it1[pair_q] + 1]
         counts = hi - lo
         cand = _expand_ranges(lo, counts)
         cqid = np.repeat(pair_q, counts)
@@ -437,14 +471,15 @@ class PackedPointGrid:
             if observer is not None:
                 observer.on_level(0, 0, 0)
             return empty
-        qb = np.empty((n_q, 6), dtype=float)
-        qb[:, 0] = bmaxs[:, 0]
-        np.negative(bmins[:, 0], out=qb[:, 1])
-        qb[:, 2] = bmaxs[:, 1]
-        np.negative(bmins[:, 1], out=qb[:, 3])
-        qb[:, 4] = bmaxs[:, 2]
-        np.negative(bmins[:, 2], out=qb[:, 5])
-        keep = (self.fused[cand, :6] <= qb[cqid]).all(axis=1)
+        qb = np.empty((6, n_q), dtype=float)
+        qb[0] = bmaxs[:, 0]
+        np.negative(bmins[:, 0], out=qb[1])
+        qb[2] = bmaxs[:, 1]
+        np.negative(bmins[:, 1], out=qb[3])
+        qb[4] = bmaxs[:, 2]
+        np.negative(bmins[:, 2], out=qb[5])
+        keep = (self.fused[:6].take(cand, axis=1)
+                <= qb.take(cqid, axis=1)).all(axis=0)
         cqid_hit = cqid[keep]
         rows_hit = self.row_ids[cand[keep]]
         if observer is not None:

@@ -27,6 +27,7 @@ however many videos the harvest surfaced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -103,6 +104,14 @@ class VideoQuery:
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("a video query needs at least one segment")
+        # Same finiteness rule as Query: NaN and +-inf pass the ordered
+        # comparisons below.
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+            raise ValueError(
+                f"query window must be finite, got "
+                f"[{self.t_start}, {self.t_end}]")
+        if not math.isfinite(self.radius):
+            raise ValueError(f"radius must be finite, got {self.radius}")
         if self.t_end < self.t_start:
             raise ValueError(
                 f"query window ends ({self.t_end}) before it starts "

@@ -279,8 +279,8 @@ class TestSingleQueryIsTheBatchOfOne:
         citywide = Query(t_start=0.0, t_end=1e9, center=queries[0].center,
                          radius=50_000.0, top_n=25)
         grid = index.packed_view().grid
-        assert grid.slices * grid.height > grid_mod._SLAB_LOOP_MAX
-        monkeypatch.setattr(grid_mod, "_SLAB_LOOP_MAX", slab_loop_max)
+        assert grid.width * grid.height > grid_mod._CELL_LOOP_MAX
+        monkeypatch.setattr(grid_mod, "_CELL_LOOP_MAX", slab_loop_max)
         batched = self.check(index, queries + [citywide], make_obs)
         assert batched[-1].candidates == len(index)
 

@@ -8,13 +8,16 @@ halves: the attached view must be *bit-identical* to the source view
 rejected loudly.
 """
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from repro import CameraModel
-from repro.core.flatsnap import (FLATSNAP_MAGIC, load_snapshot_file,
-                                 pack_snapshot, unpack_snapshot,
-                                 write_snapshot_file)
+from repro.core.flatsnap import (FLATSNAP_MAGIC, FLATSNAP_VERSION,
+                                 load_snapshot_file, pack_snapshot,
+                                 unpack_snapshot, write_snapshot_file)
 from repro.core.index import FoVIndex
 from repro.core.query import Query
 from repro.core.retrieval import RetrievalEngine, _batch_execute
@@ -36,6 +39,20 @@ def workload(seed=3, n_records=1500, n_queries=24):
             center=anchor.point,
             radius=float(rng.uniform(50.0, 400.0))))
     return FoVIndex.bulk(reps), queries
+
+
+def restamp(blob, version):
+    """``blob`` with its header's version field set to ``version`` and
+    the CRC32 recomputed, so only the version can make it fail.
+
+    Header: magic (8 bytes), version u16 at 8, reserved u16 at 10,
+    CRC32 u32 at 12 covering every byte except itself.
+    """
+    buf = bytearray(blob)
+    struct.pack_into("<H", buf, 8, version)
+    struct.pack_into("<I", buf, 12,
+                     zlib.crc32(buf[16:], zlib.crc32(buf[:12])))
+    return bytes(buf)
 
 
 def ranking(result):
@@ -165,6 +182,18 @@ class TestIntegrity:
         bad[8] = 99                        # version field
         with pytest.raises(ValueError, match="version"):
             unpack_snapshot(bytes(bad))
+
+    def test_version_1_layout_refused(self, blob):
+        """Version 1 (time-major cells, ``(n, 8)`` fused block) has the
+        same byte count as version 2, so a CRC-clean v1 buffer would
+        attach and return wrong candidates if the version went
+        unchecked."""
+        assert FLATSNAP_VERSION == 2
+        old = restamp(blob, 1)
+        with pytest.raises(ValueError, match="version 1"):
+            unpack_snapshot(old)
+        # Nothing but the version field differs:
+        assert len(unpack_snapshot(restamp(old, FLATSNAP_VERSION))) == 300
 
     def test_skip_verify_trusts_buffer(self, blob):
         # verify=False skips only the checksum -- structure checks stay.

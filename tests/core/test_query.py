@@ -1,12 +1,38 @@
 """Unit tests for query/result types."""
 
+import numpy as np
 import pytest
 
-from repro.core.query import AREA_RADII, Query, QueryResult, RankedFoV
+from repro.core.camera import CameraModel
 from repro.core.fov import RepresentativeFoV
+from repro.core.query import AREA_RADII, Query, QueryResult, RankedFoV
+from repro.core.server import CloudServer
 from repro.geo.coords import GeoPoint
+from repro.shard.server import ShardedCloudServer
+from repro.traces.dataset import random_representative_fovs
 
 P = GeoPoint(40.0, 116.3)
+INF, NAN = float("inf"), float("nan")
+
+#: Query fields that pass ordered comparisons but are not a query box.
+NON_FINITE = [
+    pytest.param(dict(t_start=-INF, t_end=INF, radius=50.0), id="inf-window"),
+    pytest.param(dict(t_start=0.0, t_end=INF, radius=50.0), id="inf-end"),
+    pytest.param(dict(t_start=NAN, t_end=NAN, radius=50.0), id="nan-window"),
+    pytest.param(dict(t_start=0.0, t_end=3600.0, radius=NAN), id="nan-radius"),
+    pytest.param(dict(t_start=0.0, t_end=3600.0, radius=INF), id="inf-radius"),
+]
+
+
+def _serving(kind):
+    reps = random_representative_fovs(60, np.random.default_rng(5))
+    if kind == "sharded":
+        server = ShardedCloudServer(CameraModel(), n_shards=3,
+                                    origin=reps[0].point)
+    else:
+        server = CloudServer(CameraModel(), engine=kind)
+    server.ingest(reps)
+    return server, reps[0].point
 
 
 class TestQuery:
@@ -40,6 +66,25 @@ class TestQuery:
     def test_for_area_unknown_raises(self):
         with pytest.raises(ValueError):
             Query.for_area(0.0, 1.0, P, area="ocean")
+
+
+class TestNonFiniteQuery:
+    """NaN / +-inf bounds used to reach the engines, which disagreed:
+    ``OverflowError`` from the packed grid and the sharded router,
+    ``ValueError`` from the dynamic tree, and a silently empty answer
+    from the router for a NaN window.  Construction refuses them now,
+    so every server path fails the same way."""
+
+    @pytest.mark.parametrize("fields", NON_FINITE)
+    @pytest.mark.parametrize("kind", ["dynamic", "packed", "sharded"])
+    def test_refused_on_every_server(self, kind, fields):
+        server, center = _serving(kind)
+        with pytest.raises(ValueError, match="finite"):
+            server.query(Query(center=center, **fields))
+        # The server keeps answering well-formed queries afterwards.
+        ok = server.query(Query(t_start=0.0, t_end=86400.0, center=center,
+                                radius=300.0))
+        assert ok.candidates > 0
 
 
 class TestQueryResult:

@@ -14,6 +14,7 @@ from repro.shard import (ShardedCloudServer, load_packed_shard_views,
                          load_sharded_snapshot, save_sharded_snapshot)
 from repro.shard.persist import MANIFEST_NAME
 
+from tests.core.test_flatsnap import restamp
 from tests.shard.test_sharded_server import (ORIGIN, make_queries,
                                              make_records)
 
@@ -151,6 +152,18 @@ class TestFailureModes:
         victim.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="CRC32"):
             load_sharded_snapshot(tmp_path, camera)
+
+    def test_version_1_shard_file(self, camera, tmp_path):
+        """A CRC-clean ``.fovpack`` of the retired v1 layout is refused
+        by both loaders instead of attaching with wrong cell order."""
+        server, _ = build_fleet(camera, n_records=60)
+        save_sharded_snapshot(tmp_path, server)
+        victim = tmp_path / "shard-001.fovpack"
+        victim.write_bytes(restamp(victim.read_bytes(), 1))
+        for load in (lambda: load_sharded_snapshot(tmp_path, camera),
+                     lambda: load_packed_shard_views(tmp_path)):
+            with pytest.raises(ValueError, match="version 1"):
+                load()
 
     @pytest.mark.parametrize("damage", [
         pytest.param(lambda blob: blob[:-9], id="truncated"),

@@ -8,12 +8,26 @@ query touching exactly that edge mapped its lower bin one past the
 last bin and scanned nothing -- while the batched ``search_many``
 (which ``np.clip``s both ends) found the record.  The engine-parity
 hypothesis suite caught this as a dynamic-vs-sharded ranking split.
+
+The layout suites below pin the space-major cell order on a grid with
+at least 8 cells per axis: every search path, on both sides of the
+single-query loop cutoff, equals brute force on whole-horizon,
+one-slice, slice-edge, instant and gap-spanning boxes, and a
+whole-horizon box gathers at most one CSR range per grid row.
+``FUZZ_SEED`` (set by the CI fuzz-smoke matrix) picks the random boxes
+of :class:`TestFuzzedBoxParity`; a red run reproduces locally with
+``FUZZ_SEED=<n> pytest <this file>``.
 """
+
+import os
 
 import numpy as np
 import pytest
 
+import repro.spatial.grid as grid_mod
 from repro.spatial.grid import PackedPointGrid
+
+FUZZ_SEED = int(os.environ.get("FUZZ_SEED", "0"))
 
 
 def build_grid(n=300, seed=7):
@@ -117,3 +131,174 @@ class TestRandomBoxParity:
             want = brute_ids(cols, bmin, bmax)
             ids, via_rows, via_many = all_paths(grid, bmin, bmax)
             assert ids == via_rows == via_many == want
+
+
+# ----------------------------------------------------------------------
+# space-major layout on a grid with >= 8 cells per axis
+
+HOTSPOTS = np.array([[116.05, 39.85], [116.55, 39.85],
+                     [116.05, 40.15], [116.55, 40.15]])
+
+
+@pytest.fixture(scope="module")
+def hotspot():
+    """n=4000 -> 9 x 9 x 9 cells; four tight hotspots in the corners
+    leave the middle cells empty, so a box can span empty cells between
+    occupied ones."""
+    rng = np.random.default_rng(11)
+    n = 4000
+    k = rng.integers(0, len(HOTSPOTS), n)
+    lng = HOTSPOTS[k, 0] + rng.normal(0.0, 0.02, n)
+    lat = HOTSPOTS[k, 1] + rng.normal(0.0, 0.015, n)
+    t_start = rng.uniform(0.0, 3600.0, n)
+    cols = (lng, lat, t_start, t_start + rng.uniform(5.0, 60.0, n),
+            rng.uniform(0.0, 360.0, n))
+    grid = PackedPointGrid.build(*cols)
+    assert min(grid.width, grid.height, grid.slices) >= 8
+    return grid, cols
+
+
+def every_path(grid, bmin, bmax, monkeypatch):
+    """Hit sets of search_ids on both sides of the loop cutoff, plus
+    search_rows and search_many; each sorted."""
+    monkeypatch.setattr(grid_mod, "_CELL_LOOP_MAX", 10**9)
+    ids, via_rows, via_many = all_paths(grid, bmin, bmax)
+    monkeypatch.setattr(grid_mod, "_CELL_LOOP_MAX", 0)
+    vectorised = sorted(grid.search_ids(bmin, bmax).tolist())
+    return ids, vectorised, via_rows, via_many
+
+
+def slice_width(grid):
+    return (grid.t1 - grid.t0) / grid.slices
+
+
+SPACES = {
+    "whole-extent": lambda g: ((g.x0, g.y0), (g.x1, g.y1)),
+    "one-hotspot": lambda g: ((116.02, 39.83), (116.09, 39.88)),
+    "across-gap": lambda g: ((116.03, 39.84), (116.57, 39.87)),
+    "diagonal-gap": lambda g: ((116.04, 39.84), (116.56, 40.16)),
+}
+
+WINDOWS = {
+    "horizon-exact": lambda g: (g.t0 - g.max_dur, g.t1),
+    "horizon-wide": lambda g: (g.t0 - 1e4, g.t1 + 1e4),
+    "one-slice": lambda g: (g.t0 + 3 * slice_width(g) + g.max_dur + 1.0,
+                            g.t0 + 4 * slice_width(g) - 1.0),
+    "slice-edge": lambda g: (g.t0 + 4 * slice_width(g) - 20.0,
+                             g.t0 + 4 * slice_width(g) + 20.0),
+    "instant": lambda g: (g.t0 + 4 * slice_width(g),) * 2,
+}
+
+
+def layout_box(grid, space, window):
+    (x0, y0), (x1, y1) = SPACES[space](grid)
+    t0, t1 = WINDOWS[window](grid)
+    return (x0, y0, t0), (x1, y1, t1)
+
+
+def binned_rows(grid, cols, span):
+    """How many records sit in the (cell, slice) bins of ``span`` --
+    the candidate rows any layout of this grid must gather."""
+    lng, lat, t_start, _t_end, _theta = cols
+    ix = np.minimum(((lng - grid.x0) * grid.inv_cw).astype(np.int64),
+                    grid.width - 1)
+    iy = np.minimum(((lat - grid.y0) * grid.inv_ch).astype(np.int64),
+                    grid.height - 1)
+    it = np.minimum(((t_start - grid.t0) * grid.inv_ct).astype(np.int64),
+                    grid.slices - 1)
+    ix0, ix1, iy0, iy1, it0, it1 = span
+    return int(((ix >= ix0) & (ix <= ix1) & (iy >= iy0) & (iy <= iy1)
+                & (it >= it0) & (it <= it1)).sum())
+
+
+class TestSpaceMajorParity:
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    @pytest.mark.parametrize("space", sorted(SPACES))
+    def test_every_path_matches_brute_force(self, hotspot, monkeypatch,
+                                            space, window):
+        grid, cols = hotspot
+        bmin, bmax = layout_box(grid, space, window)
+        want = brute_ids(cols, bmin, bmax)
+        assert want, "every layout box holds at least one record"
+        ids, vectorised, via_rows, via_many = every_path(
+            grid, bmin, bmax, monkeypatch)
+        assert ids == vectorised == via_rows == via_many == want
+
+    def test_windows_bin_as_named(self, hotspot):
+        grid, _ = hotspot
+        last = grid.slices - 1
+        spans = {w: layout_box(grid, "whole-extent", w) for w in WINDOWS}
+        bins = {w: grid._cell_span(*b[0], *b[1])[4:]
+                for w, b in spans.items()}
+        assert bins["horizon-exact"] == bins["horizon-wide"] == (0, last)
+        assert bins["one-slice"] == (3, 3)
+        assert bins["slice-edge"] == (3, 4)
+        assert bins["instant"][1] == 4
+
+
+class TestRangeCoalescing:
+    """A whole-horizon box reads one CSR range per touched grid row;
+    the time-major layout read one per (slice, row) slab."""
+
+    @pytest.mark.parametrize("space", sorted(SPACES))
+    def test_whole_horizon_reads_at_most_one_range_per_row(
+            self, hotspot, space):
+        grid, cols = hotspot
+        bmin, bmax = layout_box(grid, space, "horizon-exact")
+        span = grid._cell_span(*bmin, *bmax)
+        ix0, ix1, iy0, iy1, it0, it1 = span
+        assert (it0, it1) == (0, grid.slices - 1)
+        los, his = grid._cell_ranges(span)
+        assert len(los) <= iy1 - iy0 + 1
+        assert sum(his) - sum(los) == binned_rows(grid, cols, span)
+
+    def test_the_pin_has_cells_to_coalesce(self, hotspot):
+        """Precondition: the one-hotspot box has more occupied cells
+        than rows, so one-range-per-row is not just one-per-cell."""
+        grid, _ = hotspot
+        bmin, bmax = layout_box(grid, "one-hotspot", "horizon-exact")
+        ix0, ix1, iy0, iy1, _, _ = grid._cell_span(*bmin, *bmax)
+        off, s, w = grid.cell_offsets, grid.slices, grid.width
+        occupied = sum(int(off[(iy * w + ix + 1) * s] > off[(iy * w + ix) * s])
+                       for iy in range(iy0, iy1 + 1)
+                       for ix in range(ix0, ix1 + 1))
+        assert occupied > iy1 - iy0 + 1
+
+    @pytest.mark.parametrize("window", ["one-slice", "slice-edge", "instant"])
+    @pytest.mark.parametrize("space", sorted(SPACES))
+    def test_windowed_box_reads_its_bins_and_no_more(self, hotspot, space,
+                                                     window):
+        grid, cols = hotspot
+        bmin, bmax = layout_box(grid, space, window)
+        span = grid._cell_span(*bmin, *bmax)
+        ix0, ix1, iy0, iy1, _, _ = span
+        los, his = grid._cell_ranges(span)
+        assert len(los) <= (ix1 - ix0 + 1) * (iy1 - iy0 + 1)
+        assert all(lo < hi for lo, hi in zip(los, his))
+        assert all(a < b for a, b in zip(his, los[1:]))   # disjoint, sorted
+        assert sum(his) - sum(los) == binned_rows(grid, cols, span)
+
+
+class TestFuzzedBoxParity:
+    """Random boxes over the hotspot grid, drawn from ``FUZZ_SEED``."""
+
+    def test_random_boxes_match_brute_force(self, hotspot, monkeypatch):
+        grid, cols = hotspot
+        rng = np.random.default_rng(FUZZ_SEED)
+        hits = 0
+        for _ in range(150):
+            cx, cy = HOTSPOTS[rng.integers(len(HOTSPOTS))]
+            cx += rng.normal(0.0, 0.05)
+            cy += rng.normal(0.0, 0.04)
+            hx, hy = rng.uniform(0.0, 0.3, 2) ** 2
+            span_s = rng.choice([0.0, 60.0, 300.0, 900.0, 3600.0, 1e5])
+            t_lo = rng.uniform(grid.t0 - 200.0, grid.t1 + 200.0)
+            bmin = (cx - hx, cy - hy, t_lo - span_s / 2)
+            bmax = (cx + hx, cy + hy, t_lo + span_s / 2)
+            want = brute_ids(cols, bmin, bmax)
+            ids, vectorised, via_rows, via_many = every_path(
+                grid, bmin, bmax, monkeypatch)
+            assert ids == vectorised == via_rows == via_many == want, (
+                f"FUZZ_SEED={FUZZ_SEED}: box {bmin} .. {bmax}")
+            hits += len(want)
+        assert hits > 0

@@ -52,6 +52,16 @@ class TestVideoQueryValidation:
         with pytest.raises(ValueError):
             video_query_for(workload, "vid-00012", sim_threshold=1.5)
 
+    @pytest.mark.parametrize("fields", [
+        dict(t_start=-np.inf, t_end=np.inf), dict(t_end=np.inf),
+        dict(t_start=np.nan, t_end=np.nan), dict(radius=np.nan),
+        dict(radius=np.inf),
+    ], ids=["inf-window", "inf-end", "nan-window", "nan-radius",
+            "inf-radius"])
+    def test_rejects_non_finite_window_and_radius(self, workload, fields):
+        with pytest.raises(ValueError, match="finite"):
+            video_query_for(workload, "vid-00012", **fields)
+
     def test_hashable_frozen(self, workload):
         vq = video_query_for(workload, "vid-00012")
         assert hash(vq) == hash(video_query_for(workload, "vid-00012"))
