@@ -215,6 +215,30 @@ class PackedFoVIndex:
 _LAT, _LNG, _THETA, _T_START, _T_END = range(5)
 
 
+def _checked_geometry(fovs: Sequence[RepresentativeFoV]) -> np.ndarray:
+    """A batch's ``(m, 5)`` geometry matrix, refused unless indexable.
+
+    Every column must be finite, latitude in ``[-90, 90]`` and
+    longitude in ``[-180, 180]`` -- what :class:`GeoPoint` accepts, so
+    a batch the sharded router cannot place is refused by a single
+    server too.  Both facades run this before anything lands, which is
+    what keeps a batch all-or-nothing; the first offending record is
+    named.
+    """
+    geom = np.array([(f.lat, f.lng, f.theta, f.t_start, f.t_end)
+                     for f in fovs], dtype=float).reshape(-1, 5)
+    finite = np.isfinite(geom).all(axis=1)
+    ok = (finite & (np.abs(geom[:, _LAT]) <= 90.0)
+          & (np.abs(geom[:, _LNG]) <= 180.0))
+    if not bool(ok.all()):
+        i = int(np.argmin(ok))
+        what = ("non-finite geometry" if not finite[i]
+                else "latitude/longitude out of range")
+        raise ValueError(f"{what} in record {fovs[i].key()!r}; "
+                         f"nothing from this batch was indexed")
+    return geom
+
+
 class _ColumnStore:
     """Append-only record list plus growable parallel columns.
 
@@ -461,12 +485,12 @@ class FoVIndex:
     def insert_many(self, fovs: Iterable[RepresentativeFoV]) -> int:
         """Index a batch of records atomically; returns the count.
 
-        The batch's geometry matrix is built and checked finite *before*
-        anything is stored, so a bad record rejects the whole batch with
-        the index untouched (no partial bundles), and the epoch bumps
-        once for the batch instead of once per record -- one
-        cache/packed-view invalidation per commit group, however many
-        bundles it merged.
+        The batch's geometry matrix is built and checked finite and in
+        range *before* anything is stored, so a bad record rejects the
+        whole batch with the index untouched (no partial bundles), and
+        the epoch bumps once for the batch instead of once per record --
+        one cache/packed-view invalidation per commit group, however
+        many bundles it merged.
 
         On the R-tree backend the batch is then appended to the column
         store: O(batch), no tree descent.  Derived views catch up when
@@ -475,15 +499,7 @@ class FoVIndex:
         items = list(fovs)
         if not items:
             return 0
-        geom = np.array([(f.lat, f.lng, f.theta, f.t_start, f.t_end)
-                         for f in items], dtype=float)
-        finite = np.isfinite(geom).all(axis=1)
-        if not bool(finite.all()):
-            bad = items[int(np.argmin(finite))]
-            raise ValueError(
-                f"non-finite geometry in record {bad.key()!r}; "
-                f"nothing from this batch was indexed"
-            )
+        geom = _checked_geometry(items)
         if isinstance(self._store, _ColumnStore):
             self._store.append(items, geom)
         else:

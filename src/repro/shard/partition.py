@@ -2,9 +2,11 @@
 
 Records are assigned to shards by *where the camera stood*: the
 representative-FoV position is projected into the deployment's local
-Euclidean plane (the paper's Eq. 12 / :func:`repro.geo.earth.displacement`),
-snapped to a square grid cell, and the cell coordinate is hashed to a
-shard with a splitmix64-style integer mix.  Two properties matter:
+Euclidean plane (the paper's Eq. 12, evaluated over a whole batch by
+:func:`repro.geo.earth.pairwise_local_xy` -- the same expression as
+:func:`~repro.geo.earth.displacement`), snapped to a square grid cell,
+and the cell coordinate is hashed to a shard with a splitmix64-style
+integer mix.  Two properties matter:
 
 * **Determinism.**  The shard of a record is a pure function of
   ``(origin, cell_m, seed, n_shards)`` and the record's position --
@@ -25,11 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
+import numpy as np
+
+from repro._types import ArrayLike
 from repro.core.fov import RepresentativeFoV
 from repro.core.query import Query
 from repro.geo.coords import GeoPoint
-from repro.geo.earth import displacement, radius_to_degrees
+from repro.geo.earth import displacement, pairwise_local_xy, radius_to_degrees
 
 __all__ = ["GridPartitioner", "DEFAULT_CELL_M"]
 
@@ -64,12 +70,29 @@ def _mix_cell(cx: int, cy: int, seed: int) -> int:
 
     Python's unbounded ints emulate uint64 wrap-around with ``& _MASK``;
     negative cell coordinates contribute their two's-complement image,
-    exactly as an int64 -> uint64 cast would.
+    exactly as an int64 -> uint64 cast would.  The scalar form serves
+    the handful of cells a query box covers; :func:`_mix_cells` is the
+    same hash over columns, and the tests pin the two equal.
     """
     z = (seed ^ (cx * 0x9E3779B97F4A7C15) ^ (cy * 0xC2B2AE3D27D4EB4F)) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
+
+
+def _mix_cells(cx: np.ndarray, cy: np.ndarray, seed: int) -> np.ndarray:
+    """:func:`_mix_cell` over int64 cell columns, as uint64.
+
+    uint64 array arithmetic wraps modulo 2**64, which is what the scalar
+    form's ``& _MASK`` emulates; viewing an int64 column as uint64 is the
+    two's-complement cast, and the seed is reduced by the same mask.
+    """
+    u64 = np.uint64
+    z = (u64(seed & _MASK) ^ (cx.view(u64) * u64(0x9E3779B97F4A7C15))
+         ^ (cy.view(u64) * u64(0xC2B2AE3D27D4EB4F)))
+    z = (z ^ (z >> u64(30))) * u64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
+    return z ^ (z >> u64(31))
 
 
 @dataclass(frozen=True)
@@ -85,7 +108,7 @@ class GridPartitioner:
         routes -- ingest, query scatter, snapshot reload -- must use
         the same origin, or cells (and therefore shards) disagree.
     cell_m : float
-        Grid pitch in metres (> 0).
+        Grid pitch in metres, wider than the cover epsilon (1e-6 m).
     seed : int
         Decorrelates cell->shard assignment between deployments.
     """
@@ -98,29 +121,69 @@ class GridPartitioner:
     def __post_init__(self) -> None:
         if self.n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {self.n_shards}")
-        if not (self.cell_m > 0.0 and math.isfinite(self.cell_m)):
-            raise ValueError(f"cell_m must be positive, got {self.cell_m}")
+        # A cell narrower than the cover epsilon is meaningless, and the
+        # floor keeps |x / cell_m| (|x| <= ~4e7 m) exact in int64.
+        if not (self.cell_m > _COVER_EPS_M and math.isfinite(self.cell_m)):
+            raise ValueError(
+                f"cell_m must exceed {_COVER_EPS_M} m, got {self.cell_m}")
+
+    def _cells(self, lat: ArrayLike, lng: ArrayLike
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """int64 grid cells of GPS fixes (Eq. 12 over the pitch, floored).
+
+        Refuses what :class:`GeoPoint` refuses -- NaN, +/-inf or an
+        out-of-range coordinate -- before a NaN can be cast to an
+        arbitrary int64 cell.
+        """
+        lat = np.asarray(lat, dtype=float)
+        lng = np.asarray(lng, dtype=float)
+        for name, col, bound in (("latitude", lat, 90.0),
+                                 ("longitude", lng, 180.0)):
+            bad = ~(np.abs(col) <= bound)
+            if bad.any():
+                raise ValueError(
+                    f"{name} out of range: {col[np.argmax(bad)]}")
+        xy = pairwise_local_xy(self.origin.lat, self.origin.lng, lat, lng)
+        cells = np.floor(xy / self.cell_m).astype(np.int64)
+        return cells[..., 0], cells[..., 1]
 
     def cell_of(self, lat: float, lng: float) -> tuple[int, int]:
         """Grid cell of a GPS fix: floor of its local (x, y) over the pitch."""
-        x, y = displacement(self.origin, GeoPoint(lat=lat, lng=lng))
-        return (math.floor(x / self.cell_m), math.floor(y / self.cell_m))
+        cx, cy = self._cells([lat], [lng])
+        return (int(cx[0]), int(cy[0]))
 
     def shard_of_cell(self, cx: int, cy: int) -> int:
         """Owning shard of one grid cell."""
         return _mix_cell(cx, cy, self.seed) % self.n_shards
 
+    def shards_of(self, lat: ArrayLike, lng: ArrayLike) -> np.ndarray:
+        """Owning shards of positions given as lat/lng columns (intp).
+
+        Raises ``ValueError`` on a non-finite or out-of-range coordinate.
+        """
+        cx, cy = self._cells(lat, lng)
+        sids = _mix_cells(cx, cy, self.seed) % np.uint64(self.n_shards)
+        return sids.astype(np.intp)
+
     def shard_of(self, fov: RepresentativeFoV) -> int:
         """Owning shard of one representative FoV (by camera position)."""
-        cx, cy = self.cell_of(fov.lat, fov.lng)
-        return self.shard_of_cell(cx, cy)
+        return int(self.shards_of([fov.lat], [fov.lng])[0])
 
-    def split(self, fovs: list[RepresentativeFoV]
+    def split(self, fovs: Sequence[RepresentativeFoV]
               ) -> list[list[RepresentativeFoV]]:
-        """Partition records into ``n_shards`` lists (input order kept)."""
+        """Partition records into ``n_shards`` lists (input order kept).
+
+        One columnar pass: every position is projected and hashed by
+        :meth:`shards_of`, so a bad coordinate raises before any slice
+        is returned; what stays per record is one list append (cheaper
+        than a stable argsort plus gather).
+        """
+        n = len(fovs)
+        sids = self.shards_of(np.fromiter((f.lat for f in fovs), float, n),
+                              np.fromiter((f.lng for f in fovs), float, n))
         parts: list[list[RepresentativeFoV]] = [[] for _ in range(self.n_shards)]
-        for fov in fovs:
-            parts[self.shard_of(fov)].append(fov)
+        for sid, fov in zip(sids.tolist(), fovs):
+            parts[sid].append(fov)
         return parts
 
     def _all_shards(self) -> tuple[int, ...]:

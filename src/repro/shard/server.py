@@ -43,7 +43,7 @@ from repro.core.camera import CameraModel
 from repro.core.cache import QueryResultCache, query_cache_key, read_through
 from repro.core.flatsnap import pack_snapshot
 from repro.core.fov import RepresentativeFoV
-from repro.core.index import Bounds, query_box
+from repro.core.index import Bounds, _checked_geometry, query_box
 from repro.core.ingest import IngestCoordinator
 from repro.core.query import Query, QueryResult, RankedFoV
 from repro.core.quarantine import QuarantineStore
@@ -338,26 +338,6 @@ class ShardedCloudServer:
             self._route.labels(shard=str(sid)).inc(len(part))
         return n
 
-    @staticmethod
-    def _validate_geometry(fovs: Sequence[RepresentativeFoV]) -> None:
-        """Reject the whole batch before any shard indexes a record.
-
-        One vectorised finiteness pass over the batch's geometry
-        matrix; the first offending record is named, matching the old
-        per-record loop.
-        """
-        if not fovs:
-            return
-        geom = np.array([[f.lat, f.lng, f.theta, f.t_start, f.t_end]
-                         for f in fovs], dtype=float)
-        finite = np.isfinite(geom).all(axis=1)
-        if not bool(finite.all()):
-            bad = fovs[int(np.argmin(finite))]
-            raise ValueError(
-                f"non-finite geometry in record {bad.key()!r}; "
-                f"nothing from this batch was indexed"
-            )
-
     def _land(self, fovs: list[RepresentativeFoV]) -> int:
         """Split one record set across the fleet and land every slice;
         refused up front while any primary is down (fail-stop)."""
@@ -365,8 +345,11 @@ class ShardedCloudServer:
         return self._ingest_parts(self.partitioner.split(fovs))
 
     def ingest(self, fovs: list[RepresentativeFoV]) -> int:
-        """Directly index already-decoded records (dataset loading)."""
-        self._validate_geometry(fovs)
+        """Directly index already-decoded records (dataset loading).
+
+        The whole batch is checked before any shard indexes a record.
+        """
+        _checked_geometry(fovs)
         n = self._land(fovs)
         self.stats._records_indexed.inc(n)
         return n

@@ -15,6 +15,7 @@ fixture: the ``CloudServer`` test ids stay what they always were.)
 
 import threading
 import zlib
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -32,17 +33,19 @@ from repro.shard import ShardedCloudServer
 ORIGIN = GeoPoint(lat=40.0, lng=116.3)
 
 
-def bundle(vid="vid-x", n=5, lat=40.0):
+def records(vid="vid-x", n=5, lat=40.0):
     # Each video sits on its own street and walks ~450 m per segment,
     # so a commit group of a few bundles reaches every shard.
     lng = 116.3 + (zlib.crc32(vid.encode()) % 50) * 0.003
-    return encode_bundle(vid, [
-        RepresentativeFoV(lat=lat + 0.004 * i, lng=lng,
-                          theta=(30.0 * i) % 360.0,
-                          t_start=float(i), t_end=float(i) + 2.0,
-                          video_id=vid, segment_id=i)
-        for i in range(n)
-    ])
+    return [RepresentativeFoV(lat=lat + 0.004 * i, lng=lng,
+                              theta=(30.0 * i) % 360.0,
+                              t_start=float(i), t_end=float(i) + 2.0,
+                              video_id=vid, segment_id=i)
+            for i in range(n)]
+
+
+def bundle(vid="vid-x", n=5, lat=40.0):
+    return encode_bundle(vid, records(vid, n, lat))
 
 
 def corrupt(payload: bytes) -> bytes:
@@ -57,6 +60,10 @@ def one_shard(camera, **kwargs):
 
 def three_shards(camera, **kwargs):
     return ShardedCloudServer(camera, n_shards=3, origin=ORIGIN, **kwargs)
+
+
+def packed(camera, **kwargs):
+    return CloudServer(camera, engine="packed", **kwargs)
 
 
 def indexes(server):
@@ -335,6 +342,27 @@ class TestBackPressure:
             assert server.ingest_bundle(bundle("v")).status is \
                 IngestStatus.ACCEPTED
             assert server.indexed_count == 10
+
+
+class TestBadGeometryRefused:
+    """Direct ``ingest`` refuses what :class:`GeoPoint` refuses on every
+    facade, before any index (or shard) takes a record."""
+
+    @pytest.mark.parametrize("fleet", [CloudServer, packed, three_shards],
+                             ids=["dynamic", "packed", "three-shards"])
+    @pytest.mark.parametrize("bad", [
+        {"lat": 95.0}, {"lng": -181.0}, {"lat": float("nan")},
+        {"theta": float("inf")}], ids=["lat-95", "lng-181", "nan-lat",
+                                      "inf-theta"])
+    def test_refused_before_anything_lands(self, camera, fleet, bad):
+        server = fleet(camera)
+        server.ingest([f for i in range(6) for f in records(f"v{i}")])
+        before = (epochs(server), server.indexed_count)
+        batch = [f for i in range(6) for f in records(f"w{i}")]
+        batch[7] = replace(batch[7], **bad)
+        with pytest.raises(ValueError, match="nothing from this batch"):
+            server.ingest(batch)
+        assert (epochs(server), server.indexed_count) == before
 
 
 # -- the same contract on the sharded router ---------------------------------

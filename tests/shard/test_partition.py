@@ -1,7 +1,16 @@
-"""Unit tests for the deterministic geo-grid partitioner."""
+"""Unit tests for the deterministic geo-grid partitioner.
+
+:class:`TestColumnarSplit` pins the columnar ``split`` to the per-record
+loop it replaced; ``FUZZ_SEED`` (set by the CI fuzz-smoke matrix) seeds
+its Hypothesis draws, so a red run reproduces locally with
+``FUZZ_SEED=<n> pytest <this file>``.
+"""
 
 import math
+import os
+from dataclasses import replace
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +20,10 @@ from repro.core.index import query_box
 from repro.core.query import Query
 from repro.geo.coords import GeoPoint
 from repro.geo.earth import LocalProjection, displacement, metres_per_degree
-from repro.shard.partition import DEFAULT_CELL_M, GridPartitioner
+from repro.shard.partition import (
+    _COVER_EPS_M, DEFAULT_CELL_M, GridPartitioner, _mix_cell, _mix_cells)
+
+FUZZ_SEED = int(os.environ.get("FUZZ_SEED", "0"))
 
 ORIGIN = GeoPoint(lat=40.0, lng=116.3)
 PROJ = LocalProjection(ORIGIN)
@@ -32,6 +44,16 @@ class TestConstruction:
             GridPartitioner(n_shards=4, origin=ORIGIN, cell_m=0.0)
         with pytest.raises(ValueError):
             GridPartitioner(n_shards=4, origin=ORIGIN, cell_m=float("nan"))
+
+    def test_cell_must_be_wider_than_the_cover_epsilon(self):
+        # Keeps |x / cell_m| exact in the int64 floor the columnar route
+        # casts to.
+        for cell_m in (_COVER_EPS_M, _COVER_EPS_M / 2):
+            with pytest.raises(ValueError, match="cell_m must exceed"):
+                GridPartitioner(n_shards=4, origin=ORIGIN, cell_m=cell_m)
+        part = GridPartitioner(n_shards=4, origin=ORIGIN,
+                               cell_m=2 * _COVER_EPS_M)
+        assert part.shards_of([-90.0, 90.0], [-180.0, 180.0]).shape == (2,)
 
     def test_defaults(self):
         part = GridPartitioner(n_shards=4, origin=ORIGIN)
@@ -89,6 +111,24 @@ class TestAssignment:
         for sid, chunk in enumerate(parts):
             for f in chunk:
                 assert part.shard_of(f) == sid
+
+    @pytest.mark.parametrize("lat,lng", [
+        (float("nan"), 116.3), (float("inf"), 116.3), (-float("inf"), 116.3),
+        (40.0, float("nan")), (40.0, float("inf")), (40.0, -float("inf")),
+        (95.0, 116.3), (-90.5, 116.3), (40.0, 200.0), (40.0, -181.0)])
+    def test_refuses_what_geopoint_refuses(self, lat, lng):
+        """A NaN cast to int64 would route silently; the columnar path
+        raises GeoPoint's own error, and ``split`` returns nothing."""
+        part = GridPartitioner(n_shards=4, origin=ORIGIN)
+        with pytest.raises(ValueError) as geo:
+            GeoPoint(lat=lat, lng=lng)
+        with pytest.raises(ValueError) as vec:
+            part.shards_of([40.0, lat, 40.0], [116.3, lng, 116.3])
+        assert str(vec.value) == str(geo.value)
+        bad = RepresentativeFoV(lat=lat, lng=lng, theta=0.0, t_start=0.0,
+                                t_end=1.0, video_id="bad")
+        with pytest.raises(ValueError, match="out of range"):
+            part.split([fov_at(0.0, 0.0), bad])
 
 
 class TestRouting:
@@ -265,3 +305,89 @@ class TestExactCover:
                              (ky + 0.5) * DEFAULT_CELL_M)
         q = Query(t_start=0, t_end=10, center=centre, radius=20.0)
         assert part.shards_for_query(q) == (part.shard_of_cell(kx, ky),)
+
+
+# ---------------------------------------------------------------------------
+# Columnar split: pinned to the per-record loop it replaced.
+# ---------------------------------------------------------------------------
+
+#: Seeds whose uint64 image is not the int itself: two's complement,
+#: past int64, past uint64.
+HASH_SEEDS = [0, -1, 2**63 + 5, 2**64 + 3]
+SHARD_COUNTS = [*range(1, 10), MANY]
+int64s = st.integers(-2**63, 2**63 - 1)
+
+
+def scalar_split(part, fovs):
+    """The per-record loop ``split`` replaced, as ``{shard: records}``:
+    Eq. 12 through ``displacement``, ``math.floor``, the Python-int hash."""
+    parts = {}
+    for f in fovs:
+        x, y = displacement(part.origin, GeoPoint(lat=f.lat, lng=f.lng))
+        sid = _mix_cell(math.floor(x / part.cell_m),
+                        math.floor(y / part.cell_m), part.seed) % part.n_shards
+        parts.setdefault(sid, []).append(f)
+    return parts
+
+
+def _corner_case(origin, cell_m, kx, ky, radius):
+    """A record exactly on the cell corner ``(kx, ky) * cell_m`` and a
+    query centred on it."""
+    p = LocalProjection(origin).to_geo(kx * cell_m, ky * cell_m)
+    rec = RepresentativeFoV(lat=p.lat, lng=p.lng, theta=0.0, t_start=0.0,
+                            t_end=5.0, video_id="v")
+    return Query(t_start=0.0, t_end=10.0, center=p, radius=radius), rec
+
+
+@st.composite
+def routed_batches(draw):
+    """A partitioner and a batch of ``(query, record)`` pairs, each record
+    inside its query's box: on cell corners, box edges and cell edges,
+    in negative cells, and around an origin whose boxes straddle
+    ``-origin.lat``."""
+    origin = draw(st.sampled_from(EDGE_ORIGINS))
+    cell_m = draw(st.sampled_from([50.0, 300.0, 500.0, 1000.0]))
+    part = GridPartitioner(n_shards=draw(st.sampled_from(SHARD_COUNTS)),
+                           origin=origin, cell_m=cell_m,
+                           seed=draw(st.sampled_from(HASH_SEEDS)))
+    corner = st.tuples(st.integers(-40, 40), st.integers(-40, 40),
+                       st.sampled_from([20.0, 100.0, 250.0, 700.0]))
+    cases = draw(st.lists(st.one_of(
+        corner.map(lambda c: _corner_case(origin, cell_m, *c)),
+        edge_cases.map(lambda c: _edge_case(origin, cell_m, *c[2:]))),
+        max_size=24))
+    return part, [(q, replace(rec, segment_id=i))
+                  for i, (q, rec) in enumerate(cases)]
+
+
+class TestColumnarSplit:
+    @hypothesis.seed(FUZZ_SEED)
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(int64s, int64s), min_size=1, max_size=40),
+           st.one_of(st.sampled_from(HASH_SEEDS),
+                     st.integers(-2**80, 2**80)))
+    def test_vector_hash_equals_scalar(self, cells, seed):
+        cx, cy = np.array(cells, dtype=np.int64).T
+        assert (_mix_cells(cx, cy, seed).tolist()
+                == [_mix_cell(a, b, seed) for a, b in cells])
+
+    @hypothesis.seed(FUZZ_SEED)
+    @settings(max_examples=120, deadline=None)
+    @given(routed_batches())
+    def test_split_matches_the_scalar_loop_and_the_cover(self, batch):
+        part, cases = batch
+        recs = [rec for _, rec in cases]
+        parts = part.split(recs)
+        assert len(parts) == part.n_shards
+        # order-preserving partition, each record in the loop's shard
+        assert {sid: p for sid, p in enumerate(parts) if p} \
+            == scalar_split(part, recs)
+        for sid, chunk in enumerate(parts):
+            for rec in chunk:
+                q = cases[rec.segment_id][0]
+                assert sid in part.shards_for_query(q), (q, rec)
+
+    @pytest.mark.parametrize("n_shards", [1, 9, MANY])
+    def test_empty_input_yields_empty_parts(self, n_shards):
+        parts = GridPartitioner(n_shards=n_shards, origin=ORIGIN).split([])
+        assert len(parts) == n_shards and not any(parts)
