@@ -33,8 +33,8 @@ from repro.spatial.linear import LinearScanIndex
 if TYPE_CHECKING:
     from repro.spatial.rtree import RTree, RTreeConfig
 
-__all__ = ["Bounds", "FoVIndex", "PackedFoVIndex", "fov_box", "query_box",
-           "query_box_floats"]
+__all__ = ["Bounds", "ContentMark", "FoVIndex", "PackedFoVIndex", "fov_box",
+           "query_box", "query_box_floats"]
 
 
 def fov_box(fov: RepresentativeFoV) -> tuple[np.ndarray, np.ndarray]:
@@ -254,14 +254,15 @@ class _ColumnStore:
     frozen without copying a column.
     """
 
-    __slots__ = ("records", "generation", "_geom", "_video_ids",
+    __slots__ = ("records", "token", "_geom", "_video_ids",
                  "_segment_ids")
 
     def __init__(self, capacity: int = 64) -> None:
         self.records: list[RepresentativeFoV] = []
-        #: Bumped by every :meth:`compress`: within one generation the
-        #: rows are append-only, so ``(generation, len)`` names a content.
-        self.generation = 0
+        #: Minted here and by every :meth:`compress`, compared with
+        #: ``is``: under one token the rows are append-only, so
+        #: ``(token, len)`` names a content no other store can share.
+        self.token = object()
         self._geom = np.empty((5, capacity), dtype=float)
         self._video_ids = np.zeros(capacity, dtype="<U1")
         self._segment_ids = np.empty(capacity, dtype=np.int64)
@@ -334,7 +335,7 @@ class _ColumnStore:
         self._video_ids = self._video_ids[:n][keep]
         self._segment_ids = self._segment_ids[:n][keep]
         self.records = [f for f, k in zip(self.records, keep.tolist()) if k]
-        self.generation += 1
+        self.token = object()
 
     def find(self, fov: RepresentativeFoV) -> int:
         """Row of the first record equal to ``fov`` (``-1`` if absent)."""
@@ -354,7 +355,21 @@ class _TreeView(NamedTuple):
 
     tree: RTree
     count: int          # records indexed, a prefix of the column store
-    generation: int     # the store's removal generation at build time
+    token: object       # the store's removal token at build time
+
+
+class ContentMark(NamedTuple):
+    """Which rows an index held: its removal token and row count.
+
+    Within one token rows ``[:count]`` are never rewritten, so a later
+    mark with the same token holds them plus an appended tail
+    (:meth:`FoVIndex.packed_tail`).  The token is a fresh object per
+    column store and per removal, compared with ``is``: a mark never
+    matches another index, nor the same index after a removal.
+    """
+
+    token: object
+    count: int
 
 
 #: Tree catch-up: at this many pending appends the derived R-tree is
@@ -437,12 +452,36 @@ class FoVIndex:
         """
         store = self._columns("packed_view()")
         if self._packed is None or self._packed.epoch != self._epoch:
-            self._packed = PackedFoVIndex(
-                lat=store.lat, lng=store.lng, theta=store.theta,
-                t_start=store.t_start, t_end=store.t_end,
-                video_ids=store.video_ids, segment_ids=store.segment_ids,
-                records=list(store.records), epoch=self._epoch)
+            self._packed = self._rows_from(store, 0)
         return self._packed
+
+    @property
+    def mark(self) -> ContentMark:
+        """The current :class:`ContentMark` (R-tree backend only)."""
+        store = self._columns("mark")
+        return ContentMark(store.token, len(store))
+
+    def packed_tail(self, since: ContentMark) -> PackedFoVIndex | None:
+        """Frozen snapshot of the rows appended after ``since``.
+
+        ``None`` unless ``since`` carries this store's current token (a
+        removal, or a mark taken from another index, leaves nothing to
+        extend).  Built like :meth:`packed_view` over rows
+        ``[since.count:]`` only, so its ``key_rank`` and grid cover the
+        tail alone and cost O(tail); ``epoch`` is the current one.
+        """
+        store = self._columns("packed_tail()")
+        if since.token is not store.token:
+            return None
+        return self._rows_from(store, since.count)
+
+    def _rows_from(self, store: _ColumnStore, start: int) -> PackedFoVIndex:
+        return PackedFoVIndex(
+            lat=store.lat[start:], lng=store.lng[start:],
+            theta=store.theta[start:], t_start=store.t_start[start:],
+            t_end=store.t_end[start:], video_ids=store.video_ids[start:],
+            segment_ids=store.segment_ids[start:],
+            records=store.records[start:], epoch=self._epoch)
 
     def rtree(self) -> RTree:
         """The Section V-A R-tree over the current records.
@@ -455,7 +494,7 @@ class FoVIndex:
         """
         store = self._columns("rtree()")
         view, n = self._tree, len(store)
-        if view is not None and view.generation != store.generation:
+        if view is not None and view.token is not store.token:
             view = None                 # a removal: nothing to catch up from
         if view is not None and view.count == n:
             return view.tree
@@ -470,7 +509,7 @@ class FoVIndex:
             mins, maxs = store.boxes(view.count)
             for i, fov in enumerate(store.records[view.count:]):
                 tree.insert(mins[i], maxs[i], fov)
-        self._tree = _TreeView(tree, n, store.generation)
+        self._tree = _TreeView(tree, n, store.token)
         return tree
 
     def _searchable(self) -> RTree | LinearScanIndex:

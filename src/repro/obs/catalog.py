@@ -65,7 +65,9 @@ METRICS: Final[Mapping[str, tuple[str, str]]] = {
     # -- shard replica tier (shard/replica.py) ------------------------------
     "failover.kills": ("counter", "shard primaries killed mid-run"),
     "failover.promotions": ("counter", "warm standbys promoted to primary"),
-    "failover.replica_syncs": ("counter", "standby captures of a shard view"),
+    "failover.replica_syncs": ("counter",
+                               "standby captures of a shard view, by kind "
+                               "(full / tail)"),
     "failover.replica_bytes": ("counter", "packed bytes captured by syncs"),
     "failover.dropped_queries": ("counter", "queries refused during downtime"),
     "failover.downtime_s": ("gauge", "kill-to-promotion seconds, by shard"),

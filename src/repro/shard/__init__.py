@@ -19,10 +19,11 @@ package partitions the index by *where the cameras stood*:
   under the pool (:mod:`repro.core.flatsnap` buffers);
 * :mod:`repro.shard.persist` -- fleet save/load as one mmap-attachable
   ``.fovpack`` (``FOVPACK1``) file per shard plus a routing manifest;
-* :mod:`repro.shard.replica` -- :class:`ReplicaSet`, one warm
-  ``FOVPACK1`` standby per shard with manifest-verified promotion
-  after a primary is killed (:class:`ShardUnavailableError` is the
-  fail-stop signal while a slot is empty).
+* :mod:`repro.shard.replica` -- :class:`ReplicaSet`, one warm standby
+  per shard (a base ``FOVPACK1`` buffer plus tail segments of the rows
+  appended since) with per-segment manifest-verified promotion after a
+  primary is killed (:class:`ShardUnavailableError` is the fail-stop
+  signal while a slot is empty).
 
 Design notes, routing invariants and the merge-stability argument live
 in ``docs/SHARDING.md``.
@@ -35,7 +36,8 @@ from repro.shard.persist import (load_packed_shard_views,
                                  load_sharded_snapshot,
                                  save_sharded_snapshot)
 from repro.shard.pool import PersistentQueryPool
-from repro.shard.replica import ReplicaManifest, ReplicaSet, ShardReplica
+from repro.shard.replica import (ReplicaManifest, ReplicaSegment, ReplicaSet,
+                                 ShardReplica)
 from repro.shard.server import ShardedCloudServer, ShardUnavailableError
 from repro.shard.shm import SharedSnapshot
 
@@ -43,6 +45,7 @@ __all__ = [
     "GridPartitioner",
     "PersistentQueryPool",
     "ReplicaManifest",
+    "ReplicaSegment",
     "ReplicaSet",
     "ShardReplica",
     "ShardedCloudServer",

@@ -27,7 +27,7 @@ import json
 from pathlib import Path
 
 from repro.core.camera import CameraModel
-from repro.core.flatsnap import load_snapshot_file, unpack_snapshot
+from repro.core.flatsnap import load_snapshot_file
 from repro.core.index import PackedFoVIndex
 from repro.geo.coords import GeoPoint
 from repro.obs.runtime import Observability
@@ -62,11 +62,10 @@ def save_sharded_snapshot(dirpath: str | Path,
     total = 0
     shard_rows: list[dict[str, object]] = []
     for sid in range(server.n_shards):
-        _, packed = server.capture_shard(sid)
+        capture = server.capture_shard(sid)
         name = f"shard-{sid:03d}.fovpack"
-        total += (root / name).write_bytes(packed)
-        count = len(unpack_snapshot(packed, verify=False))
-        shard_rows.append({"packed": name, "records": count})
+        total += (root / name).write_bytes(capture.packed)
+        shard_rows.append({"packed": name, "records": capture.mark.count})
     manifest = {
         "format": MANIFEST_FORMAT,
         "n_shards": part.n_shards,

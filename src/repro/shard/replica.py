@@ -1,58 +1,77 @@
 """Warm shard replicas: capture, verify, promote.
 
 Each shard of a :class:`~repro.shard.server.ShardedCloudServer` can
-keep one **warm standby**: the shard's frozen columnar view packed
-into the same flat ``FOVPACK1`` buffer the republish pool ships to its
-zero-copy workers (:meth:`ShardedCloudServer.capture_shard`), plus a
-small manifest pinning what the buffer must contain.  A standby that
+keep one **warm standby**: a *base* ``FOVPACK1`` buffer of the shard's
+frozen columnar view plus an ordered tuple of *tail* segments, each the
+``FOVPACK1`` buffer of the rows appended since the capture before it
+(:meth:`ShardedCloudServer.capture_shard`).  Every segment carries a
+small manifest pinning what its buffer must contain.  A standby that
 re-syncs after every commit group is always one epoch behind at most
 -- and because writes are refused fleet-wide while a primary is absent
 (fail-stop, :class:`~repro.shard.server.ShardUnavailableError`), "at
 most one epoch behind at the moment of death" means *exactly the
 primary's content*, which is what makes promotion bit-identical.
 
-Promotion is paranoid by design, mirroring the sharded-snapshot
-loader's tamper checks (``docs/SHARDING.md``):
+A sync ships what changed.  Beside each standby the set keeps the
+primary's epoch and :class:`~repro.core.index.ContentMark` at the last
+capture (process-local, never serialised).  :meth:`ReplicaSet.sync`
+skips a shard whose mark is unchanged.  Otherwise it packs and hashes
+only the rows appended since, as a new tail, while the mark's token
+still matches and the tails stay smaller than the base.  Every other
+case *folds*: one full capture replaces base and tails -- after a
+removal (a new token), after a kill or install (a new index), or once
+the tails would reach the base's row count.  The standby therefore at
+most doubles between folds, and a sync costs amortised O(batch).
 
-1. the buffer's sha256 must match the manifest digest recorded at
+Promotion is paranoid by design, per segment, mirroring the
+sharded-snapshot loader's tamper checks (``docs/SHARDING.md``):
+
+1. each buffer's sha256 must match its manifest digest recorded at
    sync time (a tampered or torn standby is rejected before any byte
    is trusted);
-2. :func:`repro.core.flatsnap.unpack_snapshot` re-verifies the
+2. :func:`repro.core.flatsnap.unpack_snapshot` re-verifies each
    ``FOVPACK1`` CRC and structure;
-3. the record count and epoch must match the manifest.
+3. each segment's record count and epoch must match its manifest;
+4. segment epochs must strictly increase, the newest must equal the
+   primary's epoch at the last sync, and the segments' records must
+   add up to the primary's count then (a dropped or reordered segment
+   fails here).
 
-Only then is a fresh per-shard server rebuilt from the buffer's
-records and swapped into the slot
-(:meth:`ShardedCloudServer.install_shard`).  The rebuilt index's
-ranking is bit-identical to the dead primary's because retrieval
-ranks under the canonical ``(-score, key)`` total order, which is
-insensitive to insertion order (the engine-parity property suite pins
+Only then is a fresh per-shard server rebuilt from the segments'
+records, base first -- one ``ingest``, so one epoch bump -- and
+swapped into the slot (:meth:`ShardedCloudServer.install_shard`).  The
+rebuilt index holds the dead primary's rows in the same order, and its
+ranking is bit-identical because retrieval ranks under the canonical
+``(-score, key)`` total order (the engine-parity property suite pins
 this).
 
 Failure accounting lands in the router's registry as ``failover.*``
-families: kills, promotions, replica syncs, dropped queries and the
-measured promotion downtime -- the availability numbers the
-city-scale harness (:mod:`repro.sim.cityload`) reports next to its
-latency percentiles.
+families: kills, promotions, replica syncs (by ``kind``, ``full`` or
+``tail``), dropped queries and the measured promotion downtime -- the
+availability numbers the city-scale harness
+(:mod:`repro.sim.cityload`) reports next to its latency percentiles.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 from repro.core.flatsnap import unpack_snapshot
+from repro.core.fov import RepresentativeFoV
+from repro.core.index import ContentMark
 from repro.core.server import CloudServer
 from repro.net.clock import default_timer
-from repro.shard.server import ShardedCloudServer
+from repro.shard.server import ShardCapture, ShardedCloudServer
 
-__all__ = ["ReplicaManifest", "ShardReplica", "ReplicaSet"]
+__all__ = ["ReplicaManifest", "ReplicaSegment", "ShardReplica",
+           "ReplicaSet"]
 
 
 @dataclass(frozen=True)
 class ReplicaManifest:
-    """What a standby's packed buffer must decode to, pinned at sync."""
+    """What one standby buffer must decode to, pinned at sync."""
 
     shard_id: int
     epoch: int
@@ -61,14 +80,44 @@ class ReplicaManifest:
 
 
 @dataclass(frozen=True)
-class ShardReplica:
-    """One warm standby: a packed ``FOVPACK1`` buffer plus its manifest."""
+class ReplicaSegment:
+    """One packed ``FOVPACK1`` buffer of a standby plus its manifest."""
 
     manifest: ReplicaManifest
     packed: bytes
 
+
+@dataclass(frozen=True)
+class ShardReplica:
+    """One warm standby: a base buffer and manifest, then its tails.
+
+    ``manifest`` and ``packed`` are the base segment; ``tails`` holds
+    the segments synced since, oldest first.  ``len()`` is the
+    standby's total record count.
+    """
+
+    manifest: ReplicaManifest
+    packed: bytes
+    tails: tuple[ReplicaSegment, ...] = ()
+
+    def segments(self) -> tuple[ReplicaSegment, ...]:
+        """Every segment in row order: the base, then the tails."""
+        return (ReplicaSegment(self.manifest, self.packed),) + self.tails
+
+    @property
+    def epoch(self) -> int:
+        """The newest segment's epoch."""
+        return self.segments()[-1].manifest.epoch
+
     def __len__(self) -> int:
-        return self.manifest.records
+        return sum(s.manifest.records for s in self.segments())
+
+
+class _Synced(NamedTuple):
+    """What a shard's primary held at its standby's last capture."""
+
+    epoch: int
+    mark: ContentMark
 
 
 class ReplicaSet:
@@ -88,6 +137,7 @@ class ReplicaSet:
         self._server = server
         self._clock = clock if clock is not None else default_timer
         self._replicas: list[ShardReplica | None] = [None] * server.n_shards
+        self._synced: list[_Synced | None] = [None] * server.n_shards
         self._killed_at: dict[int, float] = {}
         self._downtime_s: dict[int, float] = {}
         reg = server.obs.registry
@@ -96,7 +146,9 @@ class ReplicaSet:
         self._promotions = reg.counter(
             "failover.promotions", "warm standbys promoted to primary")
         self._syncs = reg.counter(
-            "failover.replica_syncs", "standby captures of a shard's view")
+            "failover.replica_syncs",
+            "standby captures of a shard's view, by kind (full / tail)",
+            labelnames=("kind",))
         self._sync_bytes = reg.counter(
             "failover.replica_bytes", "packed bytes captured by standby syncs")
         self._dropped = reg.counter(
@@ -117,37 +169,68 @@ class ReplicaSet:
 
     def epochs(self) -> tuple[int, ...]:
         """Per-shard standby epochs (``-1`` where nothing is captured)."""
-        return tuple(-1 if r is None else r.manifest.epoch
-                     for r in self._replicas)
+        return tuple(-1 if r is None else r.epoch for r in self._replicas)
 
     # -- sync -------------------------------------------------------------
 
     def sync_shard(self, sid: int) -> ShardReplica:
-        """Capture shard ``sid``'s current view into its standby slot."""
-        epoch, packed = self._server.capture_shard(sid)
-        view = unpack_snapshot(packed, verify=False)
-        manifest = ReplicaManifest(
-            shard_id=sid, epoch=epoch, records=len(view),
-            digest=hashlib.sha256(packed).hexdigest())
-        replica = ShardReplica(manifest=manifest, packed=packed)
+        """Bring shard ``sid``'s standby up to its primary's content.
+
+        Captures nothing while the primary's mark is the one last
+        captured.  Ships the rows appended since as a tail when the
+        mark's token matches and the tails stay below the base's row
+        count; folds into one full capture otherwise.
+        """
+        replica, synced = self._replicas[sid], self._synced[sid]
+        mark = self._server.shard_mark(sid)
+        since = None
+        if replica is not None and synced is not None:
+            if synced.mark == mark:
+                return replica
+            base = replica.manifest.records
+            if mark.token is synced.mark.token and mark.count - base < base:
+                since = synced.mark
+        capture = self._server.capture_shard(sid, since=since)
+        if capture.tail and replica is not None and since is not None:
+            tail = self._segment(sid, capture, since.count)
+            replica = replace(replica, tails=replica.tails + (tail,))
+        else:
+            full = self._segment(sid, capture, 0)
+            replica = ShardReplica(manifest=full.manifest, packed=full.packed)
         self._replicas[sid] = replica
-        self._syncs.inc()
-        self._sync_bytes.inc(len(packed))
+        self._synced[sid] = _Synced(capture.epoch, capture.mark)
+        self._syncs.labels(kind="tail" if capture.tail else "full").inc()
+        self._sync_bytes.inc(len(capture.packed))
         return replica
 
-    def sync(self) -> int:
-        """Re-capture every shard whose epoch moved; returns how many.
+    @staticmethod
+    def _segment(sid: int, capture: ShardCapture,
+                 first_row: int) -> ReplicaSegment:
+        """Pin a captured buffer holding the primary's rows from
+        ``first_row`` to its mark's count."""
+        return ReplicaSegment(
+            ReplicaManifest(shard_id=sid, epoch=capture.epoch,
+                            records=capture.mark.count - first_row,
+                            digest=hashlib.sha256(capture.packed).hexdigest()),
+            capture.packed)
 
-        Cheap to call after every commit group: a shard whose epoch
-        matches its standby's is skipped without packing a byte.
+    def sync(self) -> int:
+        """Bring every serving shard's standby up to date; returns how
+        many captured anything.
+
+        Cheap to call after every commit group: a shard whose content
+        mark is unchanged is skipped without packing a byte.  A down
+        shard is skipped too -- its slot is an empty placeholder, and
+        its standby is what promotion needs.
         """
+        down = self._server.down_shards
         synced = 0
-        epochs = self._server.epoch_vector()
-        for sid, replica in enumerate(self._replicas):
-            if replica is not None and replica.manifest.epoch == epochs[sid]:
+        for sid in range(self.n_shards):
+            if sid in down:
                 continue
-            self.sync_shard(sid)
-            synced += 1
+            before = self._replicas[sid]
+            if self.sync_shard(sid) is not before:
+                synced += 1
         return synced
 
     # -- failure and promotion --------------------------------------------
@@ -175,35 +258,21 @@ class ReplicaSet:
     def promote(self, sid: int) -> CloudServer:
         """Verify shard ``sid``'s standby and promote it to primary.
 
-        Raises ``ValueError`` when the standby is missing, its buffer
-        digest disagrees with the manifest (tampered/torn), the
-        ``FOVPACK1`` CRC fails, or the decoded record count or epoch
-        drifts from the manifest.  On success the rebuilt server is
-        installed, the slot serves again, and the measured downtime is
-        recorded.
+        Raises ``ValueError`` when the standby is missing or fails any
+        per-segment check (module docstring): a buffer digest that
+        disagrees with its manifest (tampered/torn), a ``FOVPACK1`` CRC
+        failure, a decoded record count or epoch that drifts from its
+        manifest, or segments that are out of order, missing, or do not
+        add up to the primary's last synced epoch and count.  On success
+        the rebuilt server is installed, the slot serves again, and the
+        measured downtime is recorded.
         """
-        replica = self._replicas[sid]
-        if replica is None:
+        replica, synced = self._replicas[sid], self._synced[sid]
+        if replica is None or synced is None:
             raise ValueError(f"no standby captured for shard {sid}")
-        manifest = replica.manifest
         with self._server.obs.tracer.span("failover.promote", shard=sid):
-            digest = hashlib.sha256(replica.packed).hexdigest()
-            if digest != manifest.digest:
-                raise ValueError(
-                    f"standby for shard {sid} rejected: buffer digest "
-                    f"{digest[:12]} != manifest {manifest.digest[:12]} "
-                    f"(tampered or torn replica)")
-            view = unpack_snapshot(replica.packed)      # CRC re-verified
-            if len(view) != manifest.records:
-                raise ValueError(
-                    f"standby for shard {sid} rejected: {len(view)} "
-                    f"records decoded, manifest says {manifest.records}")
-            if view.epoch != manifest.epoch:
-                raise ValueError(
-                    f"standby for shard {sid} rejected: snapshot epoch "
-                    f"{view.epoch}, manifest says {manifest.epoch}")
+            records = _verified_records(sid, replica, synced)
             fresh = self._server.spawn_shard_server()
-            records = list(view.records)
             if records:
                 fresh.ingest(records)
             self._server.install_shard(sid, fresh)
@@ -214,3 +283,43 @@ class ReplicaSet:
             self._downtime_s[sid] = downtime
             self._downtime.labels(shard=str(sid)).set(downtime)
         return fresh
+
+
+def _verified_records(sid: int, replica: ShardReplica,
+                      synced: _Synced) -> list[RepresentativeFoV]:
+    """A standby's records in row order, or ``ValueError`` naming the
+    first check that failed."""
+    def rejected(why: str) -> ValueError:
+        return ValueError(f"standby for shard {sid} rejected: {why}")
+
+    records: list[RepresentativeFoV] = []
+    newest: int | None = None
+    for i, segment in enumerate(replica.segments()):
+        manifest = segment.manifest
+        digest = hashlib.sha256(segment.packed).hexdigest()
+        if digest != manifest.digest:
+            raise rejected(
+                f"segment {i} buffer digest {digest[:12]} != manifest "
+                f"{manifest.digest[:12]} (tampered or torn replica)")
+        view = unpack_snapshot(segment.packed)      # CRC re-verified
+        if len(view) != manifest.records:
+            raise rejected(
+                f"segment {i}: {len(view)} records decoded, manifest "
+                f"says {manifest.records}")
+        if view.epoch != manifest.epoch:
+            raise rejected(
+                f"segment {i}: snapshot epoch {view.epoch}, manifest "
+                f"says {manifest.epoch}")
+        if newest is not None and manifest.epoch <= newest:
+            raise rejected(
+                f"segment {i} epoch {manifest.epoch} does not follow "
+                f"{newest} (epoch chain broken)")
+        newest = manifest.epoch
+        records.extend(view.records)
+    if newest != synced.epoch:
+        raise rejected(f"newest segment epoch {newest}, last sync saw "
+                       f"{synced.epoch} (epoch chain broken)")
+    if len(records) != synced.mark.count:
+        raise rejected(f"segments hold {len(records)} records, last sync "
+                       f"saw {synced.mark.count} (record count)")
+    return records

@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 import threading
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,7 +43,8 @@ from repro.core.camera import CameraModel
 from repro.core.cache import QueryResultCache, query_cache_key, read_through
 from repro.core.flatsnap import pack_snapshot
 from repro.core.fov import RepresentativeFoV
-from repro.core.index import Bounds, _checked_geometry, query_box
+from repro.core.index import (Bounds, ContentMark, _checked_geometry,
+                              query_box)
 from repro.core.ingest import IngestCoordinator
 from repro.core.query import Query, QueryResult, RankedFoV
 from repro.core.quarantine import QuarantineStore
@@ -57,7 +58,16 @@ from repro.shard.partition import DEFAULT_CELL_M, GridPartitioner
 from repro.video.retrieval import VideoQuery, VideoQueryResult, \
     VideoQueryStats, serve_video_query
 
-__all__ = ["ShardedCloudServer", "ShardUnavailableError"]
+__all__ = ["ShardCapture", "ShardedCloudServer", "ShardUnavailableError"]
+
+
+class ShardCapture(NamedTuple):
+    """One shard read by :meth:`ShardedCloudServer.capture_shard`."""
+
+    epoch: int              #: the shard's epoch, stamped in ``packed``
+    mark: ContentMark       #: the shard's content mark at capture
+    packed: bytes           #: ``FOVPACK1`` buffer of the captured rows
+    tail: bool              #: rows after ``since`` only, not the whole view
 
 
 class ShardUnavailableError(RuntimeError):
@@ -251,19 +261,34 @@ class ShardedCloudServer:
                            engine=self._engine, cache_size=0,
                            obs=Observability.default())
 
-    def capture_shard(self, sid: int) -> tuple[int, bytes]:
-        """``(epoch, FOVPACK1 buffer)`` of shard ``sid``'s frozen view.
+    def shard_mark(self, sid: int) -> ContentMark:
+        """Shard ``sid``'s :class:`~repro.core.index.ContentMark`, read
+        under its lock (the token and count are two fields)."""
+        self._check_sid(sid)
+        with self._locks[sid]:
+            return self.shards[sid].index.mark
 
-        The same flat packed segment the republish pool ships to its
-        workers (:mod:`repro.core.flatsnap`), so a warm standby holds
-        exactly what a zero-copy reader would attach.  The view is
-        snapped under the shard lock; serialisation happens outside it
-        (the view is immutable).
+    def capture_shard(self, sid: int,
+                      since: ContentMark | None = None) -> ShardCapture:
+        """Shard ``sid``'s frozen view as one ``FOVPACK1`` buffer.
+
+        The same flat packed segment a zero-copy reader attaches
+        (:mod:`repro.core.flatsnap`).  With ``since`` -- a mark an
+        earlier capture returned -- the buffer holds only the rows
+        appended after it (``tail=True``) when the shard's token still
+        matches, and the whole view otherwise.  The mark and view are
+        taken together under the shard lock; serialisation happens
+        outside it (the view is immutable).
         """
         self._check_sid(sid)
         with self._locks[sid]:
-            view = self.shards[sid].index.packed_view()
-        return view.epoch, pack_snapshot(view)
+            index = self.shards[sid].index
+            mark = index.mark
+            view = None if since is None else index.packed_tail(since)
+            tail = view is not None
+            if view is None:
+                view = index.packed_view()
+        return ShardCapture(view.epoch, mark, pack_snapshot(view), tail)
 
     def kill_shard(self, sid: int) -> CloudServer:
         """Simulate losing shard ``sid``'s primary mid-run.

@@ -219,6 +219,29 @@ class TestInsertMany:
         assert [f.key() for f in views[1].records] == \
             [f.key() for f in reps[:20]]
 
+    def test_packed_tail_holds_the_rows_after_a_mark(self, rng):
+        from repro.core.flatsnap import pack_snapshot, unpack_snapshot
+        idx = FoVIndex()
+        reps = random_representative_fovs(30, rng, horizon_s=1000.0)
+        idx.insert_many(reps[:20])
+        mark = idx.mark
+        assert mark.count == 20 and idx.mark == mark
+        idx.insert_many(reps[20:])
+        assert idx.mark.token is mark.token and idx.mark.count == 30
+        tail = idx.packed_tail(mark)
+        assert list(tail.records) == reps[20:] and tail.epoch == idx.epoch
+        assert list(unpack_snapshot(pack_snapshot(tail)).records) == reps[20:]
+        full = idx.packed_view()
+        assert tail.lat.tolist() == full.lat[20:].tolist()
+        # a mark never extends another index, nor the same one past a
+        # removal
+        other = FoVIndex()
+        other.insert_many(reps[:20])
+        assert other.mark != mark and other.packed_tail(mark) is None
+        idx.evict_older_than(500.0)
+        assert idx.mark.token is not mark.token
+        assert idx.packed_tail(mark) is None
+
     def test_bounds_cover_every_record_ever_indexed(self, rng):
         for backend in ("rtree", "linear"):
             idx = FoVIndex(backend=backend)
@@ -235,7 +258,7 @@ class TestInsertMany:
 
     def test_derived_views_need_the_rtree_backend(self):
         lin = FoVIndex(backend="linear")
-        for read in (lin.rtree, lin.packed_view):
+        for read in (lin.rtree, lin.packed_view, lambda: lin.mark):
             with pytest.raises(TypeError, match="requires the rtree backend"):
                 read()
 

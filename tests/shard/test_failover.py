@@ -11,20 +11,27 @@ The replica tier's contract (docs/CITY_SCALE.md):
   refused (so the dedup set cannot record a bundle the index never
   saw), and queries the routing prunes away still succeed;
 * a standby whose packed buffer does not hash to its manifest digest
-  is rejected before a single byte of it is trusted.
+  is rejected before a single byte of it is trusted;
+* a standby is a base plus tail segments: a sync ships only the rows
+  appended since the last capture, folds into a full capture after a
+  removal, a promotion, or once the tails reach the base's size, and
+  a damaged, dropped or reordered segment is refused at promotion.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.camera import CameraModel
+from repro.core.flatsnap import unpack_snapshot
 from repro.core.query import Query
 from repro.geo.coords import GeoPoint
 from repro.geo.earth import LocalProjection
 from repro.net.protocol import encode_bundle
-from repro.shard import (ReplicaSet, ShardedCloudServer,
+from repro.shard import (ReplicaSegment, ReplicaSet, ShardedCloudServer,
                          ShardUnavailableError, load_sharded_snapshot,
                          save_sharded_snapshot)
 
@@ -77,6 +84,29 @@ def bundles(records, per=10, tag="b"):
         out.append(encode_bundle(f"{tag}-{i // per:03d}",
                                  records[i:i + per]))
     return out
+
+
+def standby_records(replica):
+    """A standby's records in row order: the base, then each tail."""
+    return [fov for segment in replica.segments()
+            for fov in unpack_snapshot(segment.packed).records]
+
+
+def sync_counts(srv):
+    syncs = srv.obs.registry.get("failover.replica_syncs")
+    return {kind: syncs.labels(kind=kind).value for kind in ("full", "tail")}
+
+
+def tailed_fleet():
+    """A fleet whose every standby holds a base plus three tails."""
+    srv = make_server()
+    srv.ingest(make_records(150, seed=80))
+    replicas = ReplicaSet(srv)
+    replicas.sync()
+    for i in range(3):
+        srv.ingest(make_records(12, seed=81 + i, tag=f"t{i}"))
+        assert replicas.sync() == N_SHARDS
+    return srv, replicas
 
 
 @pytest.mark.parametrize("victim", range(N_SHARDS))
@@ -217,3 +247,146 @@ def test_sync_skips_unchanged_epochs():
     srv.ingest(make_records(6, seed=51, tag="y"))
     assert 1 <= replicas.sync() <= N_SHARDS     # only touched shards
     assert replicas.epochs() == srv.epoch_vector()
+
+
+def test_sync_after_promotion_tracks_content_not_epoch():
+    """A promoted primary restarts its epoch at 1.  Once commit groups
+    bring it back to its standby's stale epoch, the standby must still
+    re-capture -- the content differs -- or a second failover loses
+    acknowledged writes."""
+    srv, ctrl = make_server(), make_server()
+
+    def ingest(records):
+        srv.ingest(records)
+        ctrl.ingest(records)
+
+    for i in range(4):
+        ingest(make_records(15, seed=60 + i, tag=f"a{i}"))
+    replicas = ReplicaSet(srv)
+    replicas.sync()
+    assert replicas.epochs() == (4, 4, 4)
+
+    replicas.kill(0)
+    replicas.promote(0)
+    assert srv.epoch_vector()[0] == 1
+    group = 0
+    while srv.epoch_vector()[0] < 4:
+        ingest(make_records(15, seed=70 + group, tag=f"b{group}"))
+        group += 1
+    assert srv.epoch_vector()[0] == 4
+    assert replicas.sync() == N_SHARDS
+
+    replicas.kill(0)
+    replicas.promote(0)
+    assert ([s.index.content_digest() for s in srv.shards]
+            == [s.index.content_digest() for s in ctrl.shards])
+
+
+def test_sync_skips_a_down_shard():
+    """A killed slot is an empty placeholder; syncing it would replace
+    the standby promotion needs with nothing."""
+    srv = make_server()
+    srv.ingest(make_records(30, seed=52))
+    replicas = ReplicaSet(srv)
+    replicas.sync()
+    victim = 1
+    good = replicas.replica(victim)
+    digest = srv.shards[victim].index.content_digest()
+    replicas.kill(victim)
+    assert replicas.sync() == 0
+    assert replicas.replica(victim) is good
+    replicas.promote(victim)
+    assert srv.shards[victim].index.content_digest() == digest
+
+
+def test_sync_ships_tails_that_rebuild_the_primary_in_order():
+    srv, replicas = tailed_fleet()
+    assert sync_counts(srv) == {"full": N_SHARDS, "tail": 3 * N_SHARDS}
+    for sid in range(N_SHARDS):
+        replica = replicas.replica(sid)
+        assert len(replica.tails) == 3
+        assert all(len(t.packed) < len(replica.packed)
+                   for t in replica.tails)
+        assert standby_records(replica) == srv.shards[sid].records()
+        assert len(replica) == len(srv.shards[sid].index)
+        assert replica.epoch == srv.epoch_vector()[sid]
+    assert replicas.sync() == 0                 # nothing moved
+
+    victim = 1
+    rows_before = srv.shards[victim].records()
+    replicas.kill(victim)
+    replicas.promote(victim)
+    assert srv.shards[victim].records() == rows_before
+
+
+def _flip_a_tail_byte(replica):
+    tail = replica.tails[1]
+    corrupt = bytearray(tail.packed)
+    corrupt[len(corrupt) // 2] ^= 0xFF
+    damaged = ReplicaSegment(tail.manifest, bytes(corrupt))
+    return replace(replica, tails=(replica.tails[0], damaged,
+                                   replica.tails[2]))
+
+
+@pytest.mark.parametrize("tamper, reason", [
+    (_flip_a_tail_byte, "tampered or torn"),
+    (lambda r: replace(r, tails=r.tails[:1] + r.tails[2:]),
+     "record count|epoch chain"),
+    (lambda r: replace(r, tails=(r.tails[1], r.tails[0], r.tails[2])),
+     "epoch chain"),
+], ids=["byte-flipped", "middle-dropped", "swapped"])
+def test_tampered_tail_is_rejected(tamper, reason):
+    srv, replicas = tailed_fleet()
+    victim = 2
+    good = replicas.replica(victim)
+    replicas._replicas[victim] = tamper(good)
+    replicas.kill(victim)
+    with pytest.raises(ValueError, match=reason):
+        replicas.promote(victim)
+    # the fleet stays degraded: the bad standby was never installed
+    assert srv.down_shards == frozenset({victim})
+    replicas._replicas[victim] = good
+    replicas.promote(victim)
+    assert srv.down_shards == frozenset()
+    assert len(srv.shards[victim].index) == len(good)
+
+
+def test_eviction_folds_the_standby():
+    srv, replicas = tailed_fleet()
+    assert srv.evict_older_than(20.0) > 0
+    assert replicas.sync() == N_SHARDS
+    assert sync_counts(srv) == {"full": 2 * N_SHARDS, "tail": 3 * N_SHARDS}
+    for sid in range(N_SHARDS):
+        replica = replicas.replica(sid)
+        assert replica.tails == ()
+        assert standby_records(replica) == srv.shards[sid].records()
+
+
+def test_kill_and_install_fold_the_standby():
+    """A promoted primary is a new index: its next sync is a full
+    capture even though no record changed."""
+    srv, replicas = tailed_fleet()
+    replicas.kill(0)
+    replicas.promote(0)
+    assert replicas.sync() == 1
+    assert sync_counts(srv) == {"full": N_SHARDS + 1, "tail": 3 * N_SHARDS}
+    assert replicas.replica(0).tails == ()
+    assert [len(replicas.replica(s).tails) for s in (1, 2)] == [3, 3]
+    assert standby_records(replicas.replica(0)) == srv.shards[0].records()
+
+
+def test_tails_fold_once_they_reach_the_base():
+    srv = make_server()
+    srv.ingest(make_records(30, seed=90))
+    replicas = ReplicaSet(srv)
+    replicas.sync()
+    for i in range(8):
+        srv.ingest(make_records(6, seed=91 + i, tag=f"g{i}"))
+        replicas.sync()
+        for sid in range(N_SHARDS):
+            replica = replicas.replica(sid)
+            assert len(replica) - replica.manifest.records \
+                < replica.manifest.records
+            assert standby_records(replica) == srv.shards[sid].records()
+    counts = sync_counts(srv)
+    assert counts["full"] > N_SHARDS and counts["tail"] > 0
