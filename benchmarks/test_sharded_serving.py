@@ -1,20 +1,16 @@
 """Geo-sharded serving tier -- scale-out without giving up bit-parity.
 
 The ROADMAP's production story splits the city across shards; this
-benchmark pins the tier's three claims on a 100k-record / 256-query
-workload (2x the Fig. 6 city, same query mix):
+benchmark pins the tier's claims on a 100k-record / 256-query workload
+(2x the Fig. 6 city, same query mix):
 
 * **parity** -- the sharded router's scatter-gather merge returns
   exactly the single packed server's rankings, scores and funnel
   counters;
-* **throughput** -- the *persistent* worker pool answers the batch at
-  >= 1.5x the seed sequential path once warm (the old per-call pool
-  was 0.8x: it re-pickled the snapshot every batch);
-* **incrementality** -- an ingest between batches costs the pool one
-  shared-memory republish, not a worker restart;
-* **zero-copy** -- workers attach the flat ``FOVPACK1`` segment
-  without copying records, so attach time is independent of record
-  count (asserted 2k vs 100k).
+* **pruning** -- a query reaches only the shards whose grid cells its
+  box touches (mean fan-out gated at <= 3 of 4 shards);
+* **latency shape** -- per-query p50/p99 from the router's
+  ``shard.query_many`` spans.
 
 Numbers land in ``BENCH_sharded_serving.json`` at the repo root.
 """
@@ -28,12 +24,9 @@ import pytest
 
 from repro.core.index import FoVIndex
 from repro.core.query import Query
-from repro.core.retrieval import RetrievalEngine
 from repro.core.server import CloudServer
-from repro.eval.harness import Table
 from repro.obs import Observability
 from repro.shard import ShardedCloudServer
-from repro.shard.shm import SharedSnapshot, attach
 from repro.traces.dataset import CITY_ORIGIN, random_representative_fovs
 
 N_RECORDS = 100_000
@@ -104,119 +97,6 @@ def test_router_parity_and_pruning(workload, camera, show, bench_export):
         "router_batch_s": t_router,
         "router_mean_fanout": mean_fanout,
     }, records=N_RECORDS, queries=N_QUERIES, engine="packed")
-
-
-def test_persistent_pool_speedup_and_delta_sync(workload, camera, show,
-                                                bench_export):
-    """The tentpole perf gate: warm pool >= 1.5x the seed sequential
-    path on 100k records, and an epoch bump costs one shared-memory
-    republish, not a worker restart."""
-    reps, queries = workload
-    index = FoVIndex.bulk(reps)
-    dynamic = RetrievalEngine(index, camera)                      # seed path
-    packed = RetrievalEngine(index, camera, engine="packed")
-    want = packed.execute_many(queries)
-
-    # Warm-up: worker spawn plus the first shared-memory publish
-    # happen here, outside the timed region.
-    dynamic.execute_many(queries[:16])
-    packed.execute_many(queries[:16], shards=N_SHARDS)
-    assert packed._pool is not None and packed._pool.restarts == 1
-
-    t0 = time.perf_counter()
-    dynamic.execute_many(queries)
-    t_seq = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    got = packed.execute_many(queries, shards=N_SHARDS)
-    t_shard = time.perf_counter() - t0
-    _assert_parity(got, want)
-    assert packed._pool.restarts == 1      # still the warm-up workers
-
-    # Ingest between batches: the pool republishes one fresh segment
-    # that workers re-attach zero-copy -- no worker restart, no
-    # per-worker copy of the 100k records.
-    extra = random_representative_fovs(64, np.random.default_rng(99))
-    index.insert_many(extra)
-    fresh_want = RetrievalEngine(index, camera,
-                                 engine="packed").execute_many(queries)
-    t0 = time.perf_counter()
-    got = packed.execute_many(queries, shards=N_SHARDS)
-    t_delta = time.perf_counter() - t0
-    _assert_parity(got, fresh_want)
-    assert packed._pool.restarts == 1      # no restart...
-    assert packed._pool.delta_batches == 1  # ...one incremental sync
-    restarts = packed._pool.restarts
-    packed.close()
-
-    speedup = t_seq / t_shard
-    table = Table(
-        f"Sharded serving -- {N_RECORDS} records, {N_QUERIES} queries",
-        ["path", "batch (ms)", "per-query (us)"])
-    table.add("dynamic execute_many (seed)", round(t_seq * 1e3, 2),
-              round(t_seq / N_QUERIES * 1e6, 1))
-    table.add("persistent pool (warm)", round(t_shard * 1e3, 2),
-              round(t_shard / N_QUERIES * 1e6, 1))
-    table.add("persistent pool (delta sync)", round(t_delta * 1e3, 2),
-              round(t_delta / N_QUERIES * 1e6, 1))
-    show(table)
-    show(f"sharded speedup: {speedup:.1f}x (gate: 1.5x)")
-
-    bench_export("sharded_serving", {
-        "seq_batch_s": t_seq,
-        "sharded_batch_s": t_shard,
-        "sharded_vs_seq_x": speedup,
-        "delta_sync_batch_s": t_delta,
-        "pool_restarts": restarts,
-    })
-    assert speedup >= 1.5, (
-        f"sharded serving {speedup:.2f}x below the 1.5x acceptance gate")
-
-
-def _min_attach_s(view, passes=20):
-    """Best-of-passes time to attach a published snapshot zero-copy."""
-    shared = SharedSnapshot.publish(view)
-    best = float("inf")
-    try:
-        for _ in range(passes):
-            t0 = time.perf_counter()
-            attached, shm = attach(shared.name)
-            dt = time.perf_counter() - t0
-            assert len(attached) == len(view)
-            attached = None
-            shm.close()
-            best = min(best, dt)
-    finally:
-        shared.unlink()
-    return best
-
-
-def test_worker_attach_is_o1_in_record_count(workload, show, bench_export):
-    """Zero-copy means attach cost must not scale with the index.
-
-    The old pool pickled every record into every worker (O(n) per
-    worker, ~seconds at 100k); attaching the flat shared segment is a
-    header parse plus eleven ``np.frombuffer`` views.  50x more records
-    must not buy a 10x slower attach.
-    """
-    reps, _ = workload
-    small_view = FoVIndex.bulk(reps[:2_000]).packed_view()
-    big_view = FoVIndex.bulk(reps).packed_view()
-
-    t_small = _min_attach_s(small_view)
-    t_big = _min_attach_s(big_view)
-    ratio = t_big / t_small
-    show(f"shared-segment attach: {t_small * 1e6:.0f} us at 2k records, "
-         f"{t_big * 1e6:.0f} us at {N_RECORDS // 1000}k ({ratio:.1f}x)")
-    bench_export("sharded_serving", {
-        "attach_2k_s": t_small,
-        "attach_100k_s": t_big,
-        "attach_ratio_100k_vs_2k": ratio,
-    })
-    assert ratio < 10.0, (
-        f"attach scaled {ratio:.1f}x for 50x the records -- "
-        f"the zero-copy path is copying")
-    assert t_big < 0.005, f"attach took {t_big * 1e3:.2f} ms at 100k records"
 
 
 def test_router_span_latency_percentiles(workload, camera, show,

@@ -3,9 +3,9 @@
 A lock in this codebase guards nanoseconds of in-memory state; a
 blocking call holds it for milliseconds to forever.  ``time.sleep``
 under the ingest lock stalls every concurrent uploader;
-``future.result()`` under a shard lock while the pool needs that same
-lock to make progress is a deadlock; file or socket I/O under the
-cache lock turns the scatter-gather fan-in into a convoy.  The fix is
+``future.result()`` under a shard lock while the worker it waits on
+needs that same lock to make progress is a deadlock; file or socket
+I/O under the cache lock turns the scatter-gather fan-in into a convoy.  The fix is
 always the same shape: compute under the lock, block outside it
 (snapshot-then-send, as ``obs/journal.py`` and the shard router
 already do).

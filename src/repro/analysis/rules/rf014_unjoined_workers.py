@@ -3,10 +3,9 @@
 A ``Thread`` nobody joins outlives the test that spawned it and fails
 some *other* test's assertion; a ``ProcessPoolExecutor`` nobody shuts
 down leaks OS processes until the interpreter dies -- on the ingest
-path that is one leaked pool per server restart.  The persistent query
-pool (``shard/pool.py``) is the house pattern: the executor is bound
-to an attribute at creation, and ``close()`` (plus the restart path)
-shuts it down.
+path that is one leaked pool per server restart.  The house pattern:
+bind the executor to an attribute at creation, and shut it down in the
+owner's ``close()`` (plus any restart path).
 
 The model records three worker lifecycle facts per function body:
 *create* (a ``Thread``/``Timer``/``ThreadPoolExecutor``/

@@ -3,11 +3,10 @@
 A :class:`~repro.core.index.PackedFoVIndex` is eleven parallel arrays
 (seven record columns, ``key_rank``, and the three CSR grid arrays)
 plus a handful of grid scalars.  This module lays all of them out in
-**one** contiguous buffer so that a consumer in another process -- a
-persistent pool worker attaching shared memory, or a loader mmapping a
-``.fovpack`` file, the one persisted form -- reconstructs the snapshot
-with ``np.frombuffer`` views into that buffer: no per-worker record-set
-copy, no grid rebuild, O(1) attach time in record count.
+**one** contiguous buffer so that a consumer -- a loader mmapping a
+``.fovpack`` file (the one persisted form), or a replica promoting its
+standby buffers -- reconstructs the snapshot with ``np.frombuffer``
+views into that buffer: no record-set copy, no grid rebuild.
 
 Layout (version 2)::
 
@@ -31,17 +30,13 @@ Version 1 held time-major cells and an ``(n, 8)`` ``fused`` block; it
 is refused, not converted.
 
 Integrity follows the ``net/protocol.py`` v2 conventions: an explicit
-total length (truncation reports as truncation, not a shape error) and
-a CRC32 over the whole buffer minus the CRC field itself, stored at a
-fixed offset inside the header.  Verification is optional on attach
-(``verify=False``): a shared-memory segment published and checksummed
-by the parent process moments earlier does not need an O(bytes) rescan
-in every worker -- that would defeat the O(1) attach -- while files
-coming off disk are always verified.
+total length (truncation reports as truncation, not a shape error; a
+longer buffer is refused too) and a CRC32 over the whole buffer minus
+the CRC field itself, stored at a fixed offset inside the header.
+Every attach checks both.
 
-The arrays in the returned snapshot are marked read-only: they alias a
-buffer other processes may map, and the packed view is frozen by
-contract.
+The arrays in the returned snapshot are marked read-only: they alias
+the caller's buffer, and the packed view is frozen by contract.
 """
 
 from __future__ import annotations
@@ -148,21 +143,18 @@ def _attach(buf, dtype, count: int, offset: int, nbytes: int) -> np.ndarray:
     return arr
 
 
-def unpack_snapshot(buf, *, verify: bool = True) -> PackedFoVIndex:
+def unpack_snapshot(buf) -> PackedFoVIndex:
     """Attach a :class:`PackedFoVIndex` over a flat snapshot buffer.
 
-    ``buf`` may be ``bytes``, a ``memoryview``, an ``mmap``, or a
-    shared-memory buffer; every column becomes an ``np.frombuffer``
-    view into it (nothing is copied), so the returned snapshot keeps
-    ``buf`` alive and attaching is O(1) in record count -- except the
-    optional CRC verification, which is O(bytes) and should be skipped
-    (``verify=False``) only when the buffer's integrity is already
-    guaranteed, e.g. a shared-memory segment the parent just published.
+    ``buf`` may be ``bytes``, a ``memoryview`` or an ``mmap``; every
+    column becomes an ``np.frombuffer`` view into it (nothing is
+    copied), so the returned snapshot keeps ``buf`` alive.  The CRC
+    check is the only O(bytes) step.
 
-    Raises ``ValueError`` on bad magic, unsupported version,
-    truncation, a CRC mismatch, or an incoherent section table; bytes
-    past the declared length are ignored (shared memory rounds up to a
-    page -- :func:`load_snapshot_file` is stricter).
+    Raises ``ValueError`` on bad magic, unsupported version, a buffer
+    whose length differs from the length its header declares
+    (truncated or extended), a CRC mismatch, or an incoherent section
+    table.
     """
     mv = memoryview(buf)
     if len(mv) < _HEADER_SIZE:
@@ -179,13 +171,11 @@ def unpack_snapshot(buf, *, verify: bool = True) -> PackedFoVIndex:
         raise ValueError(
             f"flat snapshot truncated: got {len(mv)} of {total} bytes")
     if len(mv) > total:
-        # A shared-memory segment may round its size up to a page; only
-        # the declared span is the snapshot.
-        mv = mv[:total]
-    if verify:
-        actual = zlib.crc32(mv[_CRC_END:], zlib.crc32(mv[:_CRC_OFF]))
-        if actual != crc:
-            raise ValueError("flat snapshot failed its CRC32 check")
+        raise ValueError(
+            f"flat snapshot holds {len(mv)} bytes, header declares {total}")
+    actual = zlib.crc32(mv[_CRC_END:], zlib.crc32(mv[:_CRC_OFF]))
+    if actual != crc:
+        raise ValueError("flat snapshot failed its CRC32 check")
 
     spans = [_SECTION.unpack_from(mv, _FIXED.size + i * _SECTION.size)
              for i in range(_N_SECTIONS)]
@@ -229,15 +219,8 @@ def load_snapshot_file(path: str | Path) -> PackedFoVIndex:
     arrays do (``np.frombuffer`` holds the buffer), so no handle needs
     to be kept; the file descriptor is closed before returning.
     Raises ``ValueError`` for everything :func:`unpack_snapshot`
-    refuses, for an empty file, and for a file longer than its header
-    declares (nothing rounds a file up, so extra bytes are damage).
+    refuses and for an empty file.
     """
     with open(path, "rb") as fh:
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    view = unpack_snapshot(mapped, verify=True)
-    total = _FIXED.unpack_from(mapped, 0)[4]
-    if len(mapped) != total:
-        raise ValueError(
-            f"flat snapshot file holds {len(mapped)} bytes, header "
-            f"declares {total}")
-    return view
+    return unpack_snapshot(mapped)

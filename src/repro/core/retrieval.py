@@ -344,9 +344,6 @@ class RetrievalEngine:
         self._tracer: TracerLike = obs.tracer if obs is not None else NULL_TRACER
         self._recorder: PackedSearchRecorder | None = (
             PackedSearchRecorder(obs.registry) if obs is not None else None)
-        # Persistent process fan-out, created lazily on the first
-        # execute_many(shards=N) call (see repro.shard.pool).
-        self._pool: Any = None
 
     def execute(self, query: Query) -> QueryResult:
         """Run the full filter/rank pipeline; returns a timed result.
@@ -370,28 +367,20 @@ class RetrievalEngine:
                 elapsed_s=elapsed,
             )
 
-    def execute_many(self, queries: Sequence[Query],
-                     shards: int | None = None) -> list[QueryResult]:
+    def execute_many(self, queries: Sequence[Query]) -> list[QueryResult]:
         """Answer a batch of queries.
 
         Semantically identical to ``[execute(q) for q in queries]`` --
         same rankings, same funnel counters -- but the ``"packed"``
         engine answers the whole batch in one grid pass and shares the
-        orientation-filter pass across queries, and ``shards > 1``
-        opts in to a *persistent* process fan-out
-        (:class:`repro.shard.pool.PersistentQueryPool`): workers attach
-        the packed snapshot from one shared-memory segment, republished
-        once per index epoch, so the serialisation cost is paid per
-        epoch instead of per call.  Requires the R-tree backend;
-        call :meth:`close` (or ``CloudServer.close``) to release the
-        worker processes.
+        orientation-filter pass across queries.  Scaling out is the
+        geo-partitioned router's job (:mod:`repro.shard`), not the
+        engine's.
 
-        Batched and sharded paths report ``elapsed_s`` as the batch
-        wall time split evenly across its queries.
+        The batched path reports ``elapsed_s`` as the batch wall time
+        split evenly across its queries.
         """
         batch = list(queries)
-        if shards is not None and shards > 1 and len(batch) > 1:
-            return self._execute_sharded(batch, shards)
         if self.engine == "packed":
             with self._tracer.span("query.execute_many", batch=len(batch)):
                 return self._execute_packed(batch)
@@ -402,25 +391,6 @@ class RetrievalEngine:
                               self.strict_cover, self.ranker, queries,
                               self._clock, tracer=self._tracer,
                               observer=self._recorder)
-
-    def _execute_sharded(self, queries: list[Query],
-                         shards: int) -> list[QueryResult]:
-        from repro.shard.pool import PersistentQueryPool
-        if self._pool is None:
-            self._pool = PersistentQueryPool(
-                self.index, self.camera, self.strict_cover, self.ranker)
-        parts = self._pool.run(queries, shards)
-        return [result for part in parts for result in part]
-
-    def close(self) -> None:
-        """Release the persistent worker pool, if one was started.
-
-        Idempotent; the engine stays usable (a later sharded call
-        starts a fresh pool).
-        """
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
 
     def _filter_and_rank(self, candidates: list[RepresentativeFoV],
                          query: Query) -> list[RankedFoV]:

@@ -418,17 +418,15 @@ class CloudServer:
             return self._read_points(
                 [query], lambda qs: [self.engine.execute(q) for q in qs])[0]
 
-    def query_many(self, queries: list[Query],
-                   shards: int | None = None) -> list[QueryResult]:
+    def query_many(self, queries: list[Query]) -> list[QueryResult]:
         """Answer a batch of queries (see RetrievalEngine.execute_many).
 
         Cached hits are merged in place; only the misses reach the
-        engine's (batched, optionally process-sharded) funnel.
+        engine's batched funnel.
         """
         batch = list(queries)
         with self.obs.tracer.span("server.query_many", batch=len(batch)):
-            return self._read_points(
-                batch, lambda qs: self.engine.execute_many(qs, shards=shards))
+            return self._read_points(batch, self.engine.execute_many)
 
     def query_video(self, video_query: VideoQuery) -> VideoQueryResult:
         """Answer one video-to-video retrieval request (cache-aware).
@@ -479,8 +477,11 @@ class CloudServer:
         return self.index.records()
 
     def close(self) -> None:
-        """Release engine-held resources (the persistent shard pool)."""
-        self.engine.close()
+        """Release server-held resources (idempotent).
+
+        There is currently nothing to release; the call stays so that
+        owners can shut a server down without knowing what it holds.
+        """
 
     @property
     def indexed_count(self) -> int:

@@ -95,7 +95,7 @@ SPANS: Final[Mapping[str, str]] = {
     "query.orientation_filter": "orientation cone filtering",
     "query.rank": "overlap scoring and ranking",
     "query.execute": "one end-to-end ranked query",
-    "query.execute_many": "one query batch on the persistent pool",
+    "query.execute_many": "one query batch through the packed funnel",
     "server.ingest_bundle": "single-node server bundle ingest",
     "server.ingest_batch": "single-node server commit-group ingest",
     "server.query": "single-node server query",

@@ -11,12 +11,6 @@ package partitions the index by *where the cameras stood*:
   routes ingest by representative-FoV cell, and answers queries by
   pruned scatter-gather with a merge that is bit-identical to the
   single-server ranking;
-* :mod:`repro.shard.pool` -- :class:`PersistentQueryPool`, the
-  process fan-out for large offline batches: the parent publishes one
-  flat packed snapshot into shared memory per index epoch and workers
-  attach it zero-copy (O(1) init, no per-worker record copy);
-* :mod:`repro.shard.shm` -- the shared-memory publish/attach layer
-  under the pool (:mod:`repro.core.flatsnap` buffers);
 * :mod:`repro.shard.persist` -- fleet save/load as one mmap-attachable
   ``.fovpack`` (``FOVPACK1``) file per shard plus a routing manifest;
 * :mod:`repro.shard.replica` -- :class:`ReplicaSet`, one warm standby
@@ -35,22 +29,18 @@ from repro.shard.partition import GridPartitioner
 from repro.shard.persist import (load_packed_shard_views,
                                  load_sharded_snapshot,
                                  save_sharded_snapshot)
-from repro.shard.pool import PersistentQueryPool
 from repro.shard.replica import (ReplicaManifest, ReplicaSegment, ReplicaSet,
                                  ShardReplica)
 from repro.shard.server import ShardedCloudServer, ShardUnavailableError
-from repro.shard.shm import SharedSnapshot
 
 __all__ = [
     "GridPartitioner",
-    "PersistentQueryPool",
     "ReplicaManifest",
     "ReplicaSegment",
     "ReplicaSet",
     "ShardReplica",
     "ShardedCloudServer",
     "ShardUnavailableError",
-    "SharedSnapshot",
     "load_packed_shard_views",
     "load_sharded_snapshot",
     "save_sharded_snapshot",

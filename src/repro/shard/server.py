@@ -525,7 +525,9 @@ class ShardedCloudServer:
             tracer=self.obs.tracer)
 
     def close(self) -> None:
-        """Release per-shard engine resources (idempotent)."""
-        for sid in range(self.n_shards):
-            with self._locks[sid]:
-                self.shards[sid].close()
+        """Release fleet-held resources (idempotent).
+
+        There is currently nothing to release, so no shard lock is
+        taken; the call stays so that owners can shut a fleet down
+        without knowing what it holds.
+        """

@@ -1,10 +1,9 @@
-"""Packed-engine parity, batching, sharding, and clock injection.
+"""Packed-engine parity, batching, and clock injection.
 
 The packed engine's whole contract is "identical results, faster":
 these tests pin the bit-identical half of it on seeded workloads, for
-single queries, batched ``execute_many``, and the process-sharded
-fan-out; plus the injectable-clock determinism and the mask-first
-ranking invariant.
+single queries and batched ``execute_many``; plus the injectable-clock
+determinism and the mask-first ranking invariant.
 
 Every packed engine here is built twice: bare (``obs=None``) and the
 way a server owns one (``obs=Observability.default()``).  Both run the
@@ -91,14 +90,6 @@ class TestPackedParity:
         for got, q in zip(pck.execute_many(queries), queries):
             assert_same(got, dyn.execute(q))
 
-    def test_sharded_matches_sequential(self):
-        index, queries = workload(17, 1500, 32)
-        pck = self.packed(index)
-        sharded = pck.execute_many(queries, shards=2)
-        assert len(sharded) == len(queries)
-        for got, q in zip(sharded, queries):
-            assert_same(got, pck.execute(q))
-
     def test_packed_tracks_mutations_via_epoch(self):
         index, queries = workload(19, 400, 8)
         dyn = RetrievalEngine(index, CAMERA)
@@ -113,7 +104,7 @@ class TestPackedParity:
     def test_packed_invalidated_by_delete_and_evict(self):
         """Non-incremental mutations must invalidate the packed view.
 
-        The zero-copy serving story (flat snapshots, pool republish)
+        The packed serving story (flat snapshots, result caching)
         hangs off the epoch: a delete or retention eviction bumps it,
         so the next packed read rebuilds instead of serving a stale
         snapshot containing the removed records.

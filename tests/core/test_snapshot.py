@@ -103,7 +103,7 @@ class TestCorruption:
         save_snapshot(path, records[:5])
         blob = path.read_bytes()
         # The CRC covers the declared span only, so appended bytes leave
-        # it intact: the file-length check alone must trip.
+        # it intact: the declared-length check alone must trip.
         path.write_bytes(blob + b"JUNK")
         with pytest.raises(ValueError, match="declares"):
             load_snapshot(path)

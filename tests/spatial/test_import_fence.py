@@ -1,4 +1,5 @@
-"""The serving import graph must not reach the Section V tree family.
+"""The serving import graph must not reach the Section V tree family,
+nor any process-pool or shared-memory module.
 
 Runs in a fresh interpreter so modules other tests imported cannot mask
 a leak, and checks ``sys.modules`` after *using* the stack, so it sees
@@ -28,6 +29,10 @@ from repro.traces.dataset import random_representative_fovs
 TREES = {"repro.spatial." + m for m in (
     "rtree", "split", "bulk", "knn", "hybrid", "intervaltree", "metrics",
     "packed")}
+# Scaling out is the geo-partitioned router's job; no process pool or
+# shared-memory segment sits on the serving path.
+PROCESS_FANOUT = {"multiprocessing", "multiprocessing.shared_memory",
+                  "concurrent.futures.process"}
 
 recs = random_representative_fovs(50, np.random.default_rng(7))
 camera = CameraModel()
@@ -39,6 +44,8 @@ assert any(len(fleet.query(q)) for q in queries)
 assert len(fleet.query_many(queries)) == len(queries)
 leaked = sorted(TREES & set(sys.modules))
 assert not leaked, f"serving path imported {leaked}"
+spawned = sorted(PROCESS_FANOUT & set(sys.modules))
+assert not spawned, f"serving path imported {spawned}"
 
 index = max((s.index for s in fleet.shards), key=len)
 index.rtree()
