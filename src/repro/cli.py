@@ -192,25 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="exposition format for the snapshot "
                           "(classic Prometheus text, or JSON)")
 
-    city = sub.add_parser("cityload",
-                          help="run the deterministic city-scale workload "
-                               "(skewed load, flash crowd, shard failover) "
-                               "and report per-phase tail latency "
-                               "(docs/CITY_SCALE.md)")
-    city.add_argument("--seed", type=int, default=0)
-    city.add_argument("--shards", type=int, default=4)
-    city.add_argument("--scale", type=float, default=1.0,
-                      help="multiply every per-phase event count "
-                           "(1.0 = smoke-sized defaults)")
-    city.add_argument("--out", default=None,
-                      help="write the BENCH-style payload to this JSON file")
-    city.add_argument("--json", action="store_true", dest="as_json",
-                      help="print the full payload as JSON instead of the "
-                           "summary lines")
-    city.add_argument("--no-wal", action="store_true", dest="no_wal",
-                      help="skip the write-ahead log (ingest still runs "
-                           "through commit groups)")
-
     lint = sub.add_parser("lint",
                           help="run the domain-aware FoV lint rules "
                                "(RF001-RF015) over source trees")
@@ -620,63 +601,6 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def _cmd_cityload(args) -> int:
-    import json as jsonlib
-    import math
-    import tempfile
-
-    from repro.sim.cityload import CityLoadConfig, run_city_scale
-
-    s = args.scale
-    if not (s > 0.0 and math.isfinite(s)):
-        print(f"error: --scale must be positive, got {s}", file=sys.stderr)
-        return 2
-    base = CityLoadConfig()
-    config = CityLoadConfig(
-        seed=args.seed, n_shards=args.shards,
-        hotspot_queries=max(1, round(base.hotspot_queries * s)),
-        hotspot_bundles=max(1, round(base.hotspot_bundles * s)),
-        video_queries=max(1, round(base.video_queries * s)),
-        flash_events=max(2, round(base.flash_events * s)),
-        daynight_queries=max(1, round(base.daynight_queries * s)),
-        mixed_queries=max(1, round(base.mixed_queries * s)),
-        adversarial_queries=max(1, round(base.adversarial_queries * s)),
-        failover_queries=max(2, round(base.failover_queries * s)),
-        base_records=max(1, round(base.base_records * s)),
-    )
-    with tempfile.TemporaryDirectory() as td:
-        result = run_city_scale(config,
-                                wal_dir=None if args.no_wal else td)
-    payload = result.bench_payload()
-    if args.out:
-        with open(args.out, "w") as fh:
-            jsonlib.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"wrote {args.out}")
-    if args.as_json:
-        print(jsonlib.dumps(payload, indent=2, sort_keys=True))
-    else:
-        w = payload["workload"]
-        print(f"workload digest {w['digest'][:16]}  "
-              f"({sum(w['phase_counts'].values())} events, "
-              f"{w['n_shards']} shards, seed {w['seed']})")
-        for phase in sorted({k.rsplit('_', 2)[0] for k in payload
-                             if k.endswith('_p99')}):
-            p50 = payload.get(f"{phase}_query_p50")
-            p99 = payload.get(f"{phase}_query_p99")
-            p999 = payload.get(f"{phase}_query_p999")
-            if p50 is not None:
-                print(f"  {phase:<18} query p50 {p50 * 1e3:7.3f} ms   "
-                      f"p99 {p99 * 1e3:7.3f} ms   p999 {p999 * 1e3:7.3f} ms")
-        print(f"failover: shard {w['failover_shard']} killed, "
-              f"{w['dropped_queries']} of {w['queries_issued']} queries "
-              f"dropped, downtime "
-              f"{payload['failover_downtime_s'] * 1e3:.1f} ms")
-        print(f"parity: {'ok' if w['parity_ok'] else 'MISMATCH'} "
-              f"(fleet digests "
-              f"{'match' if w['fleet_digest_match'] else 'DIVERGE'})")
-    return 0 if payload["workload"]["parity_ok"] else 1
-
-
 def _cmd_lint(args) -> int:
     from pathlib import Path
 
@@ -701,7 +625,6 @@ _COMMANDS = {
     "coverage": _cmd_coverage,
     "ingest": _cmd_ingest,
     "metrics": _cmd_metrics,
-    "cityload": _cmd_cityload,
     "lint": _cmd_lint,
 }
 

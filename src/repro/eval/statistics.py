@@ -20,7 +20,8 @@ def percentile(samples, q: float) -> float:
     """Empirical percentile with the reporting layer's edge-case contract.
 
     The one shared definition used by the simulation report and the
-    city-scale workload harness, so their latency summaries agree:
+    perf ledger (``benchmarks/perf/metrics.py``), so their latency
+    summaries agree:
 
     * ``q`` is in **percent** (``50`` = median, ``99.9`` = p999) and
       must lie in ``[0, 100]`` -- anything else raises ``ValueError``

@@ -62,6 +62,7 @@ METRICS: Final[Mapping[str, tuple[str, str]]] = {
     "shard.fanout_width": ("histogram", "shards consulted per scatter query"),
     "shard.epoch": ("gauge", "per-shard index epoch"),
     "shard.records_live": ("gauge", "per-shard live record count"),
+    "failover.dropped_queries": ("counter", "queries refused during downtime"),
     # -- shard replica tier (shard/replica.py) ------------------------------
     "failover.kills": ("counter", "shard primaries killed mid-run"),
     "failover.promotions": ("counter", "warm standbys promoted to primary"),
@@ -69,11 +70,7 @@ METRICS: Final[Mapping[str, tuple[str, str]]] = {
                                "standby captures of a shard view, by kind "
                                "(full / tail)"),
     "failover.replica_bytes": ("counter", "packed bytes captured by syncs"),
-    "failover.dropped_queries": ("counter", "queries refused during downtime"),
     "failover.downtime_s": ("gauge", "kill-to-promotion seconds, by shard"),
-    # -- city-scale workload harness (sim/cityload.py) ----------------------
-    "city.events": ("counter", "workload events replayed, by phase"),
-    "city.ingest_groups": ("counter", "ingest commit groups flushed"),
     # -- video-to-video retrieval (video/retrieval.py) ----------------------
     "video.queries": ("counter", "video-to-video retrieval requests answered"),
     "video.cache_hits": ("counter", "video queries answered from the cache"),

@@ -1,55 +1,15 @@
 """Warm shard replicas: capture, verify, promote.
 
-Each shard of a :class:`~repro.shard.server.ShardedCloudServer` can
-keep one **warm standby**: a *base* ``FOVPACK1`` buffer of the shard's
-frozen columnar view plus an ordered tuple of *tail* segments, each the
-``FOVPACK1`` buffer of the rows appended since the capture before it
-(:meth:`ShardedCloudServer.capture_shard`).  Every segment carries a
-small manifest pinning what its buffer must contain.  A standby that
-re-syncs after every commit group is always one epoch behind at most
--- and because writes are refused fleet-wide while a primary is absent
-(fail-stop, :class:`~repro.shard.server.ShardUnavailableError`), "at
-most one epoch behind at the moment of death" means *exactly the
-primary's content*, which is what makes promotion bit-identical.
+One standby per shard of a
+:class:`~repro.shard.server.ShardedCloudServer`: a base ``FOVPACK1``
+buffer plus tail segments of the rows appended since, each pinned by a
+manifest and checked at promotion.  The sync rules (skip / tail /
+fold), fail-stop, the promotion checks and the parity contract are
+specified once, in docs/SHARDING.md §10 ("Failover protocol").
 
-A sync ships what changed.  Beside each standby the set keeps the
-primary's epoch and :class:`~repro.core.index.ContentMark` at the last
-capture (process-local, never serialised).  :meth:`ReplicaSet.sync`
-skips a shard whose mark is unchanged.  Otherwise it packs and hashes
-only the rows appended since, as a new tail, while the mark's token
-still matches and the tails stay smaller than the base.  Every other
-case *folds*: one full capture replaces base and tails -- after a
-removal (a new token), after a kill or install (a new index), or once
-the tails would reach the base's row count.  The standby therefore at
-most doubles between folds, and a sync costs amortised O(batch).
-
-Promotion is paranoid by design, per segment, mirroring the
-sharded-snapshot loader's tamper checks (``docs/SHARDING.md``):
-
-1. each buffer's sha256 must match its manifest digest recorded at
-   sync time (a tampered or torn standby is rejected before any byte
-   is trusted);
-2. :func:`repro.core.flatsnap.unpack_snapshot` re-verifies each
-   ``FOVPACK1`` CRC and structure;
-3. each segment's record count and epoch must match its manifest;
-4. segment epochs must strictly increase, the newest must equal the
-   primary's epoch at the last sync, and the segments' records must
-   add up to the primary's count then (a dropped or reordered segment
-   fails here).
-
-Only then is a fresh per-shard server rebuilt from the segments'
-records, base first -- one ``ingest``, so one epoch bump -- and
-swapped into the slot (:meth:`ShardedCloudServer.install_shard`).  The
-rebuilt index holds the dead primary's rows in the same order, and its
-ranking is bit-identical because retrieval ranks under the canonical
-``(-score, key)`` total order (the engine-parity property suite pins
-this).
-
-Failure accounting lands in the router's registry as ``failover.*``
-families: kills, promotions, replica syncs (by ``kind``, ``full`` or
-``tail``), dropped queries and the measured promotion downtime -- the
-availability numbers the city-scale harness
-(:mod:`repro.sim.cityload`) reports next to its latency percentiles.
+Kills, promotions, syncs (by ``kind``, ``full`` or ``tail``), captured
+bytes and the measured downtime land in the router's registry as
+``failover.*`` families.
 """
 
 from __future__ import annotations
@@ -151,9 +111,6 @@ class ReplicaSet:
             labelnames=("kind",))
         self._sync_bytes = reg.counter(
             "failover.replica_bytes", "packed bytes captured by standby syncs")
-        self._dropped = reg.counter(
-            "failover.dropped_queries",
-            "queries refused while a needed shard was down")
         self._downtime = reg.gauge(
             "failover.downtime_s",
             "seconds between the last kill and its promotion",
@@ -242,14 +199,6 @@ class ReplicaSet:
         self._kills.inc()
         return dead
 
-    def note_dropped_query(self) -> None:
-        """Count one query refused because a needed shard was down."""
-        self._dropped.inc()
-
-    @property
-    def dropped_queries(self) -> int:
-        return int(self._dropped.value)
-
     def downtime_s(self, sid: int) -> float:
         """Measured kill-to-promotion seconds for shard ``sid`` (0 if
         never killed or not yet promoted)."""
@@ -259,7 +208,7 @@ class ReplicaSet:
         """Verify shard ``sid``'s standby and promote it to primary.
 
         Raises ``ValueError`` when the standby is missing or fails any
-        per-segment check (module docstring): a buffer digest that
+        per-segment check (docs/SHARDING.md §10): a buffer digest that
         disagrees with its manifest (tampered/torn), a ``FOVPACK1`` CRC
         failure, a decoded record count or epoch that drifts from its
         manifest, or segments that are out of order, missing, or do not

@@ -196,6 +196,9 @@ class ShardedCloudServer:
         self._live_gauge = reg.gauge(
             "shard.records_live", "Per-shard index population",
             labelnames=("shard",))
+        self._dropped = reg.counter(
+            "failover.dropped_queries",
+            "queries refused while a needed shard was down")
         for sid in range(n_shards):
             self._epoch_gauge.labels(shard=str(sid)).set(0)
             self._live_gauge.labels(shard=str(sid)).set(0)
@@ -471,6 +474,7 @@ class ShardedCloudServer:
                     # The merged answer would silently miss this
                     # shard's rows; failing loudly lets the caller
                     # retry after a replica is promoted.
+                    self._dropped.inc()
                     raise ShardUnavailableError(sid)
                 parts.append(self.shards[sid].engine.execute(query))
         self._pruned.inc(self.n_shards - len(targets))

@@ -9,25 +9,15 @@ delay), Poisson query arrivals and periodic clock resynchronisation,
 against the real server/index/pipeline code -- no mocks.
 """
 
-from repro.sim.cityload import (CityEvent, CityLoadConfig, CityScaleResult,
-                                CityWorkload, build_city_workload,
-                                replay_workload, run_city_scale,
-                                zipf_weights)
+from repro.sim.cityload import zipf_weights
 from repro.sim.events import Event, EventQueue
 from repro.sim.simulation import ServiceSimulation, SimulationConfig, SimulationReport
 
 __all__ = [
-    "CityEvent",
-    "CityLoadConfig",
-    "CityScaleResult",
-    "CityWorkload",
     "Event",
     "EventQueue",
     "ServiceSimulation",
     "SimulationConfig",
     "SimulationReport",
-    "build_city_workload",
-    "replay_workload",
-    "run_city_scale",
     "zipf_weights",
 ]

@@ -79,7 +79,7 @@ class SimulationReport:
         ``q`` is in percent (``50``/``99``/``99.9``); the edge-case
         contract (empty samples, ``q=0``/``q=100``, single sample) is
         the shared :func:`repro.eval.statistics.percentile` helper's,
-        which the city-scale harness uses too.
+        which the perf ledger uses too.
         """
         return percentile(self.query_latencies_ms, q)
 

@@ -1,9 +1,9 @@
 """The shared percentile helper's edge-case contract.
 
 ``repro.eval.statistics.percentile`` is the one definition both
-``SimulationReport.latency_percentile`` and the city-scale harness
-report through; these tests pin the edges that used to be easy to get
-wrong when each caller hand-rolled ``np.percentile``:
+``SimulationReport.latency_percentile`` and the perf ledger report
+through; these tests pin the edges that used to be easy to get wrong
+when each caller hand-rolled ``np.percentile``:
 
 * empty samples report 0.0 (a stage that never ran renders as zero,
   not a crash);

@@ -1,6 +1,6 @@
 """Shard failover: kill/promote parity, fail-stop writes, tamper checks.
 
-The replica tier's contract (docs/CITY_SCALE.md):
+The replica tier's contract (docs/SHARDING.md §10):
 
 * promoting a warm standby restores the fleet to **bit-identical**
   serving state -- every query result and the fleet's dedup digests
@@ -141,23 +141,46 @@ def test_kill_promote_is_bit_identical_to_control(victim):
     assert srv.seen_digests == ctrl.seen_digests
 
 
+def dropped_queries(srv):
+    return srv.obs.registry.get("failover.dropped_queries").value
+
+
 def test_down_shard_is_fail_stop():
     srv = make_server()
-    srv.ingest_batch(bundles(make_records(60, seed=20)))
+    records = make_records(60, seed=20)
+    srv.ingest_batch(bundles(records))
     replicas = ReplicaSet(srv)
     replicas.sync()
     victim = 1
+
+    # A narrow query around a record whose route avoids the victim.
+    narrow = next(
+        q for q in (Query(t_start=0.0, t_end=1000.0,
+                          center=GeoPoint(lat=r.lat, lng=r.lng),
+                          radius=20.0, top_n=8) for r in records)
+        if victim not in srv.partitioner.shards_for_query(q))
+    narrow_rows = rows(srv.query(narrow))
+    assert narrow_rows
     replicas.kill(victim)
 
-    # A wide query that needs every shard is refused and identifies
-    # the culprit.
+    # A wide query that needs every shard is refused, identifies the
+    # culprit, and the router counts it.
     wide = Query(t_start=0.0, t_end=1000.0, center=ORIGIN,
                  radius=3000.0, top_n=8)
     with pytest.raises(ShardUnavailableError) as exc:
         srv.query(wide)
     assert exc.value.shard_id == victim
-    replicas.note_dropped_query()
-    assert replicas.dropped_queries == 1
+    assert dropped_queries(srv) == 1
+
+    # Queries the routing or the content bounds prune away from the
+    # victim still answer: one whose route avoids it, and one whose
+    # time window lies after every record's t_end.
+    assert rows(srv.query(narrow)) == narrow_rows
+    late = Query(t_start=2000.0, t_end=3000.0, center=ORIGIN,
+                 radius=3000.0, top_n=8)
+    assert victim in srv.partitioner.shards_for_query(late)
+    assert srv.query(late).ranked == []
+    assert dropped_queries(srv) == 1
 
     # Every write path is refused while the fleet is degraded.
     extra = make_records(5, seed=21, tag="x")

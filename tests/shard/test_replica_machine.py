@@ -3,11 +3,18 @@
 A Hypothesis state machine drives a fleet with a :class:`ReplicaSet`
 beside a never-failed control fleet through interleaved commit groups,
 evictions, standby syncs, and kill + promote of a drawn shard.  The
-invariants:
+invariants (the parity contract of docs/SHARDING.md §10):
 
 * after every sync, each standby's base + tail records equal its
   primary's ``records()``, in order;
-* after every promotion, a fixed probe-query set and each shard's
+* while the victim is down, each probe query -- wide 1200 m ones, and
+  narrow 20 m ones (some centred on stored records, so they answer
+  rows) of which some route around the victim -- either returns the
+  control fleet's rows or raises
+  :class:`ShardUnavailableError` naming the victim, and only when the
+  partitioner routes it there; the router's
+  ``failover.dropped_queries`` rises by exactly the refusals;
+* after every promotion, the probes, a video query and each shard's
   ``content_digest()`` equal the control fleet's.
 
 A promotion is drawn only while every standby is current (a sync ran
@@ -19,21 +26,44 @@ red run reproduces locally with ``FUZZ_SEED=<n> pytest <this file>``.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import hypothesis
 from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, precondition,
                                  rule)
 
-from repro.shard import ReplicaSet
+from repro.core.query import Query
+from repro.geo.coords import GeoPoint
+from repro.shard import ReplicaSet, ShardUnavailableError
+from repro.video.retrieval import VideoQuery
 
-from tests.shard.test_failover import (N_SHARDS, bundles, make_queries,
-                                       make_records, make_server, rows,
-                                       standby_records)
+from tests.shard.test_failover import (N_SHARDS, bundles, dropped_queries,
+                                       make_queries, make_records,
+                                       make_server, rows, standby_records)
 
 FUZZ_SEED = int(os.environ.get("FUZZ_SEED", "0"))
 
-PROBES = make_queries(6, seed=99)
+PROBES = make_queries(6, seed=99) + make_queries(4, seed=98, radius=20.0)
+
+
+def record_probes(records):
+    """20 m probes centred on about six of ``records`` (so they answer
+    rows), and a video probe whose trajectory visits the first four."""
+    picked = records[::max(1, len(records) // 6)]
+    narrow = [Query(t_start=0.0, t_end=1000.0,
+                    center=GeoPoint(lat=r.lat, lng=r.lng),
+                    radius=20.0, top_n=8) for r in picked]
+    trajectory = (picked or make_records(1, seed=97))[:4]
+    video = VideoQuery(
+        segments=tuple(replace(r, video_id="probe", segment_id=i)
+                       for i, r in enumerate(trajectory)),
+        t_start=0.0, t_end=1000.0, radius=100.0, top_k=5)
+    return narrow, video
+
+
+def video_rows(result):
+    return result.ranked, result.harvested
 
 
 @hypothesis.seed(FUZZ_SEED)
@@ -72,10 +102,27 @@ class ReplicaMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.current)
     @rule(sid=st.integers(0, N_SHARDS - 1))
     def kill_and_promote(self, sid):
+        narrow, video = record_probes(self.control.records())
+        probes = PROBES + narrow
         self.replicas.kill(sid)
+        dropped_before = dropped_queries(self.fleet)
+        refused = 0
+        for q in probes:
+            try:
+                got = rows(self.fleet.query(q))
+            except ShardUnavailableError as exc:
+                assert exc.shard_id == sid
+                assert sid in self.fleet.partitioner.shards_for_query(q)
+                refused += 1
+            else:
+                assert got == rows(self.control.query(q))
+        assert dropped_queries(self.fleet) - dropped_before == refused
+
         self.replicas.promote(sid)
-        for q in PROBES:
+        for q in probes:
             assert rows(self.fleet.query(q)) == rows(self.control.query(q))
+        assert (video_rows(self.fleet.query_video(video))
+                == video_rows(self.control.query_video(video)))
         assert ([s.index.content_digest() for s in self.fleet.shards]
                 == [s.index.content_digest() for s in self.control.shards])
 

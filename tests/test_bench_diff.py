@@ -48,13 +48,6 @@ class TestClassifyKey:
         ("ingest_clean_bundles_s", "higher"),
         ("ingest_batched_bundles_s", "higher"),
         ("wal_ingest_batched_bundles_s", "higher"),
-        # latency percentiles (BENCH_city_scale.json): lower is better
-        ("hotspot_query_p50", "lower"),
-        ("flash_crowd_query_p99", "lower"),
-        ("cache_adversarial_query_p999", "lower"),
-        ("failover_query_p999", "lower"),
-        ("hotspot_ingest_p99", "lower"),
-        ("hotspot_video_p50", "lower"),
         # unsuffixed counters: informational, never diffed
         ("faulty_retries", None),
         ("bundles", None),
@@ -93,13 +86,6 @@ class TestClassifyKey:
         assert bench_diff.classify_key("speedup_x")[1] == "less speedup"
         assert bench_diff.classify_key(
             "decode_mb_s")[1] == "lower throughput"
-
-    def test_p999_is_not_misread_as_p99(self):
-        # "x_p999".endswith("_p99") is False, so the two rules cannot
-        # collide; pin the labels so a rename is a conscious change.
-        assert bench_diff.classify_key("q_p999")[1] == "slower (p999)"
-        assert bench_diff.classify_key("q_p99")[1] == "slower (p99)"
-        assert bench_diff.classify_key("q_p50")[1] == "slower (p50)"
 
 
 class TestDirections:
@@ -157,14 +143,6 @@ class TestDirections:
         assert _keys(rows) == ["batched_speedup_x",
                                "ingest_batched_bundles_s",
                                "ingest_clean_s"]
-
-    def test_tail_latency_regression_warns(self):
-        old = {"hotspot_query_p99": 0.010, "hotspot_query_p50": 0.001}
-        new = {"hotspot_query_p99": 0.020, "hotspot_query_p50": 0.001}
-        rows = bench_diff.regressions(old, new, 0.20)
-        assert _keys(rows) == ["hotspot_query_p99"]
-        # a tail *improvement* stays quiet
-        assert bench_diff.regressions(new, old, 0.20) == []
 
     def test_within_threshold_is_quiet(self):
         assert bench_diff.regressions(

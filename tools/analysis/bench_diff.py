@@ -13,8 +13,6 @@ the naming convention the exports already follow:
   better;
 * keys ending in a rate suffix (``_mb_s``, ``_bundles_s``) are
   throughputs -- higher is better, despite the trailing ``_s``;
-* keys ending ``_p50`` / ``_p99`` / ``_p999`` are latency percentiles
-  (the city-scale harness exports) -- lower is better;
 * everything else (counts, workload shape, schema stamps) is
   informational and never warned about.
 
@@ -52,11 +50,6 @@ SUFFIX_RULES: dict[str, tuple[str, str]] = {
     "_mb_s": ("higher", "lower throughput"),
     "_bundles_s": ("higher", "lower throughput"),
     "_records_s": ("higher", "lower throughput"),
-    # Latency percentiles: longest-suffix precedence keeps these
-    # unambiguous ("x_p999" does not end with "_p99").
-    "_p50": ("lower", "slower (p50)"),
-    "_p99": ("lower", "slower (p99)"),
-    "_p999": ("lower", "slower (p999)"),
 }
 
 
