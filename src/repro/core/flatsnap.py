@@ -97,8 +97,12 @@ def pack_snapshot(view: PackedFoVIndex) -> bytes:
 
     The buffer is self-describing (header + section table) and
     self-checking (total length + CRC32); :func:`unpack_snapshot` is
-    the zero-copy inverse.
+    the zero-copy inverse.  A view with a tail is folded first
+    (:meth:`PackedFoVIndex.folded`), before its grid or any section is
+    read, so it packs byte for byte like a fresh full build and
+    unpacks as one segment.
     """
+    view = view.folded()
     arrays = _column_arrays(view)
     vid = arrays[7]
     if vid.dtype.kind != "U":

@@ -19,7 +19,9 @@ linear-scan baseline of the Fig. 6(c) comparison.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Iterable, Literal, NamedTuple, Sequence
+from itertools import islice
+from typing import (TYPE_CHECKING, Any, Iterable, Literal, NamedTuple,
+                    Sequence)
 
 import numpy as np
 
@@ -34,7 +36,7 @@ if TYPE_CHECKING:
     from repro.spatial.rtree import RTree, RTreeConfig
 
 __all__ = ["Bounds", "ContentMark", "FoVIndex", "PackedFoVIndex", "fov_box",
-           "query_box", "query_box_floats"]
+           "must_fold", "query_box", "query_box_floats"]
 
 
 def fov_box(fov: RepresentativeFoV) -> tuple[np.ndarray, np.ndarray]:
@@ -112,6 +114,33 @@ class _ColumnRecords(Sequence):
         )
 
 
+class _RecordPrefix(Sequence):
+    """Rows ``[:n]`` of the column store's record list, without a copy.
+
+    Under one token the list is only ever extended -- a removal builds
+    a new one (:meth:`_ColumnStore.compress`) -- so bounding it by
+    length keeps a view's records frozen while later appends land.
+    """
+
+    __slots__ = ("_items", "_n")
+
+    def __init__(self, items: list[RepresentativeFoV], n: int) -> None:
+        self._items = items
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        rows = range(self._n)[i]
+        if isinstance(rows, range):
+            return [self._items[j] for j in rows]
+        return self._items[rows]
+
+    def __iter__(self):
+        return islice(self._items, self._n)
+
+
 def _key_rank(video_ids: np.ndarray, segment_ids: np.ndarray) -> np.ndarray:
     """Canonical rank of each record's ``(video_id, segment_id)`` key.
 
@@ -128,6 +157,38 @@ def _key_rank(video_ids: np.ndarray, segment_ids: np.ndarray) -> np.ndarray:
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n, dtype=np.int64)
     return rank
+
+
+def _tail_rank(base_vids: np.ndarray, base_sids: np.ndarray,
+               base_order: np.ndarray, tail: PackedFoVIndex) -> np.ndarray:
+    """Tie keys of a tail's rows in its base's ``key_rank`` space.
+
+    ``at[j]`` counts the base rows whose key is ``<=`` tail row ``j``'s:
+    a ``searchsorted`` over the base's video ids in key order
+    (``base_order``, the base rows sorted by key) brackets the run of
+    rows sharing the video id, and one vectorised bisection
+    over that run's (ascending) segment ids finishes the count -- O(tail
+    · log base), no pass over the base.  Row ``j`` then gets
+    ``at[j] * span + tail.key_rank[j]`` and base row ``i``
+    ``key_rank[i] * span + span - 1`` (:meth:`PackedFoVIndex.tie_rank`),
+    with ``span = len(tail) + 1``: a base row sorts before a tail row
+    iff its key is ``<=``, and tail rows sharing a slot keep their own
+    key order -- exactly the order of a full rebuild's ``key_rank``,
+    whose stable lexsort puts equal keys in payload order.
+    """
+    vids, sids = tail.video_ids, tail.segment_ids
+    lo = np.searchsorted(base_vids, vids, side="left", sorter=base_order)
+    hi = np.searchsorted(base_vids, vids, side="right", sorter=base_order)
+    last = int(base_order.shape[0]) - 1
+    while True:
+        open_ = lo < hi
+        if not bool(open_.any()):
+            break
+        mid = (lo + hi) >> 1
+        le = base_sids[base_order[np.minimum(mid, last)]] <= sids
+        lo = np.where(open_ & le, mid + 1, lo)
+        hi = np.where(open_ & ~le, mid, hi)
+    return lo * (len(tail) + 1) + tail.key_rank
 
 
 class PackedFoVIndex:
@@ -150,14 +211,25 @@ class PackedFoVIndex:
     ``key_rank`` and ``grid`` so construction is O(1) in record count;
     both are derived from the columns when omitted).
 
+    A view may carry one ``tail``: the columns and ``records`` then span
+    every row, while ``grid`` and ``key_rank`` are a base's and cover
+    rows ``[:len(grid)]`` only, and ``tail`` is a frozen segment over
+    the rows after them with its own grid and ``key_rank``.  The
+    searches visit both grids and return global row ids, and
+    :meth:`tie_rank` orders rows across the boundary exactly as a full
+    rebuild's ``key_rank`` would (``tail_rank`` holds the tail's side,
+    :func:`_tail_rank`).  :meth:`folded` turns such a view into one
+    segment.
+
     ``epoch`` records the backing index's mutation counter at snapshot
-    time; ``FoVIndex.packed_view`` rebuilds the snapshot when they
-    diverge.
+    time; ``FoVIndex.packed_view`` hands out a new view when they
+    diverge -- the base plus a tail of the rows appended since, or a
+    full rebuild when the fold rule (:func:`must_fold`) says so.
     """
 
     __slots__ = ("records", "lat", "lng", "theta",
                  "t_start", "t_end", "video_ids", "segment_ids",
-                 "key_rank", "grid", "epoch")
+                 "key_rank", "grid", "epoch", "tail", "tail_rank")
 
     def __init__(self, *, lat: np.ndarray, lng: np.ndarray,
                  theta: np.ndarray, t_start: np.ndarray,
@@ -166,7 +238,9 @@ class PackedFoVIndex:
                  key_rank: np.ndarray | None = None,
                  grid: PackedPointGrid | None = None,
                  records: Sequence[RepresentativeFoV] | None = None,
-                 epoch: int = 0) -> None:
+                 epoch: int = 0,
+                 tail: PackedFoVIndex | None = None,
+                 tail_rank: np.ndarray | None = None) -> None:
         self.epoch = epoch
         self.lat = lat
         self.lng = lng
@@ -183,16 +257,51 @@ class PackedFoVIndex:
         self.records = (records if records is not None
                         else _ColumnRecords(lat, lng, theta, t_start, t_end,
                                             video_ids, segment_ids))
+        self.tail = tail
+        self.tail_rank = tail_rank
 
     def __len__(self) -> int:
         return len(self.records)
+
+    def folded(self) -> PackedFoVIndex:
+        """This view as one segment: itself when it has no tail, else a
+        full rebuild over its columns -- ``key_rank`` and grid derived
+        over every row, exactly what a fresh build holds."""
+        if self.tail is None:
+            return self
+        return PackedFoVIndex(
+            lat=self.lat, lng=self.lng, theta=self.theta,
+            t_start=self.t_start, t_end=self.t_end,
+            video_ids=self.video_ids, segment_ids=self.segment_ids,
+            records=self.records, epoch=self.epoch)
+
+    def tie_rank(self, rows: np.ndarray) -> np.ndarray:
+        """Integers ordering ``rows`` by record key, then by row.
+
+        ``key_rank[rows]`` on a one-segment view.  With a tail, base
+        ranks are spread ``span = len(tail) + 1`` apart so that each
+        tail row lands in its key's slot between them (:func:`_tail_rank`).
+        """
+        if self.tail is None:
+            return self.key_rank[rows]
+        nb, span = self.grid.n, len(self.tail) + 1
+        in_tail = rows >= nb
+        out = self.key_rank[np.where(in_tail, 0, rows)] * span + (span - 1)
+        out[in_tail] = self.tail_rank[rows[in_tail] - nb]
+        return out
 
     def range_search_ids(self, query: Query,
                          observer: SearchObserver | None = None
                          ) -> np.ndarray:
         """Payload ids of records intersecting the query's 3-D box."""
         b = query_box_floats(query)
-        return self.grid.search_ids(b[:3], b[3:], observer=observer)
+        ids = self.grid.search_ids(b[:3], b[3:], observer=observer)
+        if self.tail is None:
+            return ids
+        more = self.tail.grid.search_ids(b[:3], b[3:], observer=observer)
+        if more.size == 0:
+            return ids
+        return np.concatenate((ids, more + self.grid.n))
 
     def search_many_ids(self, queries: list[Query],
                         observer: SearchObserver | None = None
@@ -206,8 +315,17 @@ class PackedFoVIndex:
         if not queries:
             return (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
         boxes = np.array([query_box_floats(q) for q in queries], dtype=float)
-        return self.grid.search_many(boxes[:, :3], boxes[:, 3:],
-                                     observer=observer)
+        qids, ids = self.grid.search_many(boxes[:, :3], boxes[:, 3:],
+                                          observer=observer)
+        if self.tail is None:
+            return qids, ids
+        tq, more = self.tail.grid.search_many(boxes[:, :3], boxes[:, 3:],
+                                              observer=observer)
+        if more.size == 0:
+            return qids, ids
+        qids = np.concatenate((qids, tq))
+        order = np.argsort(qids, kind="stable")
+        return qids[order], np.concatenate((ids, more + self.grid.n))[order]
 
 
 #: Rows of the column store's geometry matrix (``RepresentativeFoV``
@@ -372,6 +490,33 @@ class ContentMark(NamedTuple):
     count: int
 
 
+def must_fold(base: ContentMark, mark: ContentMark) -> bool:
+    """The fold rule for a base plus one tail of appended rows.
+
+    ``True`` when ``mark`` no longer extends ``base`` -- a removal
+    minted a new token -- or when the rows appended since ``base`` have
+    reached its row count (so an empty base always folds).  A base is
+    then more than half of what it serves, the whole at most doubles
+    between folds, and the rebuild work per appended row is O(1)
+    amortised.  The serving view (:meth:`FoVIndex.packed_view`) and the
+    warm standby (``repro.shard.replica.ReplicaSet.sync_shard``) both
+    fold by this one predicate.
+    """
+    return (mark.token is not base.token
+            or mark.count - base.count >= base.count)
+
+
+class _ServingBase(NamedTuple):
+    """The full rebuild that :meth:`FoVIndex.packed_view` extends."""
+
+    mark: ContentMark
+    grid: PackedPointGrid
+    key_rank: np.ndarray
+    #: The rows in key order (``key_rank``'s inverse), derived at the
+    #: first tail, so a base that no append follows never holds it.
+    key_order: np.ndarray | None = None
+
+
 #: Tree catch-up: at this many pending appends the derived R-tree is
 #: STR bulk-rebuilt instead of descended per record (a per-record
 #: insert costs ~100x a bulk-loaded one) ...
@@ -426,6 +571,7 @@ class FoVIndex:
         self._epoch = 0
         self._bounds: Bounds | None = None
         self._packed: PackedFoVIndex | None = None
+        self._base: _ServingBase | None = None
         self._tree: _TreeView | None = None
 
     def __len__(self) -> int:
@@ -442,18 +588,45 @@ class FoVIndex:
         return self._store
 
     def packed_view(self) -> PackedFoVIndex:
-        """The current columnar snapshot, rebuilt lazily per epoch.
+        """The current columnar snapshot, a new frozen view per epoch.
 
         Requires the R-tree backend (the linear baseline keeps no
-        columns).  The snapshot shares the column store's arrays and
-        derives only ``key_rank`` and the cell grid.  Successive calls
-        between mutations return the same object, so a query burst pays
-        that cost once.
+        columns).  Successive calls between mutations return the same
+        object, so a query burst pays for it once.  The view shares the
+        column store's arrays; what it derives depends on what changed
+        since the last full rebuild, its *base*:
+
+        * only appends, fewer rows than the base holds
+          (:func:`must_fold`): the base's grid and ``key_rank`` plus a
+          ``tail`` over the rows since, built like :meth:`packed_tail`
+          in O(rows since the base) -- no column, rank or record list
+          of the base is copied;
+        * a removal, or a tail grown to the base's size: ``key_rank``
+          and the cell grid over every row, which become the new base.
         """
         store = self._columns("packed_view()")
-        if self._packed is None or self._packed.epoch != self._epoch:
-            self._packed = self._rows_from(store, 0)
-        return self._packed
+        view = self._packed
+        if view is not None and view.epoch == self._epoch:
+            return view
+        mark, base = self.mark, self._base
+        if base is None or must_fold(base.mark, mark):
+            view = self._rows_from(store, 0)
+            self._base = _ServingBase(mark, view.grid, view.key_rank)
+        else:
+            nb = base.mark.count
+            if base.key_order is None:
+                order = np.empty(nb, dtype=np.int64)
+                order[base.key_rank] = np.arange(nb, dtype=np.int64)
+                base = self._base = base._replace(key_order=order)
+            tail = self._rows_from(store, nb)
+            view = self._rows_from(
+                store, 0, records=_RecordPrefix(store.records, mark.count),
+                key_rank=base.key_rank, grid=base.grid, tail=tail,
+                tail_rank=_tail_rank(store.video_ids[:nb],
+                                     store.segment_ids[:nb],
+                                     base.key_order, tail))
+        self._packed = view
+        return view
 
     @property
     def mark(self) -> ContentMark:
@@ -475,13 +648,16 @@ class FoVIndex:
             return None
         return self._rows_from(store, since.count)
 
-    def _rows_from(self, store: _ColumnStore, start: int) -> PackedFoVIndex:
+    def _rows_from(self, store: _ColumnStore, start: int,
+                   records: Sequence[RepresentativeFoV] | None = None,
+                   **derived: Any) -> PackedFoVIndex:
         return PackedFoVIndex(
             lat=store.lat[start:], lng=store.lng[start:],
             theta=store.theta[start:], t_start=store.t_start[start:],
             t_end=store.t_end[start:], video_ids=store.video_ids[start:],
             segment_ids=store.segment_ids[start:],
-            records=store.records[start:], epoch=self._epoch)
+            records=store.records[start:] if records is None else records,
+            epoch=self._epoch, **derived)
 
     def rtree(self) -> RTree:
         """The Section V-A R-tree over the current records.

@@ -23,8 +23,12 @@ Two execution engines share that pipeline:
   the perf ledger's oracle compare against.
 * ``"packed"`` -- the read-optimised path: search the frozen
   structure-of-arrays snapshot (``FoVIndex.packed_view``) and gather
-  evidence by fancy-indexing its columns.  It has exactly one
-  filter->rank implementation, :func:`_batch_execute`: ``execute_many``
+  evidence by fancy-indexing its columns.  After appends the snapshot
+  is a base grid plus one tail segment of the rows since; the funnel
+  sees global row ids from both and breaks ties with
+  ``PackedFoVIndex.tie_rank``, so it ranks as over one full rebuild.
+  It has exactly one filter->rank implementation,
+  :func:`_batch_execute`: ``execute_many``
   answers a whole batch in shared passes over all (query, candidate)
   pairs, and ``execute`` is that funnel's ``n = 1`` case -- the same
   kernels on scalar operands, with or without instruments attached.
@@ -175,9 +179,11 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
     the ranker's ``scores_batch`` when it has one -- rankers without it
     are scored per query on their survivor segments, preserving
     mask-first semantics for custom rankers), and a single
-    ``np.lexsort`` under ``(query, -score, key_rank)`` that yields every
-    query's canonical ranking at once.  Only the winning ``top_n`` rows
-    per query are materialised into Python objects.
+    ``np.lexsort`` under ``(query, -score, tie_rank)`` that yields every
+    query's canonical ranking at once (``tie_rank`` is ``key_rank`` on
+    a one-segment view, and keeps that order across a tail).  Only the
+    winning ``top_n`` rows per query are materialised into Python
+    objects.
 
     A single query (``RetrievalEngine.execute``) is the ``n = 1`` case
     of the same kernels.  Only the operands differ, so that it never
@@ -246,7 +252,7 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
             scores = (np.asarray(ranker.scores(
                 one, camera, kdist, kdtheta, kts, kte), dtype=float)
                 if kept.size else np.empty(0))
-            order = np.lexsort((view.key_rank[kids], -scores))
+            order = np.lexsort((view.tie_rank(kids), -scores))
         else:
             kq = qids[kept]                    # sorted: qids is sorted
             edges = np.arange(n_q + 1)
@@ -271,7 +277,7 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
                         scores[lo:hi] = ranker.scores(
                             q, camera, kdist[lo:hi], kdtheta[lo:hi],
                             kts[lo:hi], kte[lo:hi])
-            order = np.lexsort((view.key_rank[kids], -scores, kq))
+            order = np.lexsort((view.tie_rank(kids), -scores, kq))
         records = view.records
         rows: list[tuple[Query, list[RankedFoV], int, int]] = []
         for qi, q in enumerate(queries):

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 from repro.core.flatsnap import unpack_snapshot
 from repro.core.fov import RepresentativeFoV
-from repro.core.index import ContentMark
+from repro.core.index import ContentMark, must_fold
 from repro.core.server import CloudServer
 from repro.net.clock import default_timer
 from repro.shard.server import ShardCapture, ShardedCloudServer
@@ -134,9 +134,11 @@ class ReplicaSet:
         """Bring shard ``sid``'s standby up to its primary's content.
 
         Captures nothing while the primary's mark is the one last
-        captured.  Ships the rows appended since as a tail when the
-        mark's token matches and the tails stay below the base's row
-        count; folds into one full capture otherwise.
+        captured.  Ships the rows appended since as a tail unless the
+        fold rule the serving view uses
+        (:func:`repro.core.index.must_fold`) says the base no longer
+        carries them -- a removal, or tails that reached the base's row
+        count -- and folds into one full capture then.
         """
         replica, synced = self._replicas[sid], self._synced[sid]
         mark = self._server.shard_mark(sid)
@@ -144,8 +146,8 @@ class ReplicaSet:
         if replica is not None and synced is not None:
             if synced.mark == mark:
                 return replica
-            base = replica.manifest.records
-            if mark.token is synced.mark.token and mark.count - base < base:
+            base = ContentMark(synced.mark.token, replica.manifest.records)
+            if not must_fold(base, mark):
                 since = synced.mark
         capture = self._server.capture_shard(sid, since=since)
         if capture.tail and replica is not None and since is not None:

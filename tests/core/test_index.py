@@ -242,6 +242,131 @@ class TestInsertMany:
         assert idx.mark.token is not mark.token
         assert idx.packed_tail(mark) is None
 
+    def test_packed_view_after_appends_is_the_base_plus_one_tail(self, rng):
+        idx = FoVIndex()
+        reps = random_representative_fovs(70, rng, horizon_s=1000.0)
+        idx.insert_many(reps[:40])
+        base = idx.packed_view()
+        assert base.tail is None and len(base.grid) == 40
+        idx.insert_many(reps[40:50])
+        one = idx.packed_view()
+        assert one is not base and idx.packed_view() is one
+        assert one.grid is base.grid and one.key_rank is base.key_rank
+        assert len(one) == 50 and list(one.records) == reps[:50]
+        assert list(one.tail.records) == reps[40:50]
+        assert one.tail.lat.tolist() == one.lat[40:].tolist()
+        idx.insert(reps[50])
+        two = idx.packed_view()
+        assert two.grid is base.grid and list(two.tail.records) == reps[40:51]
+        # the earlier view stayed frozen while the tail grew
+        assert len(one) == len(one.lat) == 50 and len(one.tail) == 10
+        assert list(one.records) == reps[:50]
+
+    def test_tailed_view_answers_with_global_rows_and_full_ranking(self, rng):
+        reps = random_representative_fovs(60, rng, horizon_s=1000.0)
+        idx = FoVIndex()
+        idx.insert_many(reps[:40])
+        idx.packed_view()
+        idx.insert_many(reps[40:])
+        view, full = idx.packed_view(), FoVIndex.bulk(reps).packed_view()
+        assert view.tail is not None and full.tail is None
+        q = Query(t_start=0.0, t_end=1000.0, center=P, radius=50_000.0)
+        assert sorted(view.range_search_ids(q).tolist()) == list(range(60))
+        qids, ids = view.search_many_ids([q, q])
+        assert qids.tolist() == [0] * 60 + [1] * 60
+        assert sorted(ids[:60].tolist()) == list(range(60))
+        rows = np.arange(60)
+        assert (np.argsort(view.tie_rank(rows), kind="stable").tolist()
+                == np.argsort(full.key_rank, kind="stable").tolist())
+
+    def test_tie_across_the_boundary_ranks_by_key(self):
+        from repro.core.camera import CameraModel
+        from repro.core.retrieval import RetrievalEngine
+        idx = FoVIndex()
+        idx.insert_many([rep_at(P.lat, P.lng, 0.0, 1.0, vid="b", sid=s)
+                         for s in range(3)])
+        engine = RetrievalEngine(idx, CameraModel(), engine="packed")
+        q = Query(t_start=0.0, t_end=1.0, center=P, radius=10.0)
+        assert [r.fov.key() for r in engine.execute(q).ranked] == [
+            ("b", 0), ("b", 1), ("b", 2)]
+        # two tail rows at the same spot: one keys before every base row,
+        # one between two of them
+        idx.insert_many([rep_at(P.lat, P.lng, 0.0, 1.0, vid="b", sid=1),
+                         rep_at(P.lat, P.lng, 0.0, 1.0, vid="a", sid=9)])
+        assert idx.packed_view().tail is not None
+        want = [("a", 9), ("b", 0), ("b", 1), ("b", 1), ("b", 2)]
+        assert [r.fov.key() for r in engine.execute(q).ranked] == want
+        assert [r.fov.key() for r in engine.execute_many([q])[0].ranked] \
+            == want
+
+    @pytest.mark.parametrize("remove", ["delete", "evict"])
+    def test_removal_rebuilds_the_view_in_full(self, rng, remove):
+        idx = FoVIndex()
+        reps = random_representative_fovs(50, rng, horizon_s=1000.0)
+        idx.insert_many(reps[:40])
+        base = idx.packed_view()
+        idx.insert_many(reps[40:])
+        assert idx.packed_view().tail is not None
+        if remove == "delete":
+            assert idx.delete(reps[0])
+        else:
+            assert idx.evict_older_than(500.0) > 0
+        view = idx.packed_view()
+        assert view.tail is None and view.grid is not base.grid
+        assert len(view.grid) == len(view) == len(idx)
+
+    def test_tail_folds_once_it_reaches_the_base(self, rng, monkeypatch):
+        import repro.core.index as index_mod
+        import repro.shard.replica as replica_mod
+        calls = []
+
+        def spy(base, mark):
+            calls.append((base, mark))
+            return fold(base, mark)
+        fold = index_mod.must_fold
+        monkeypatch.setattr(index_mod, "must_fold", spy)
+        idx = FoVIndex()
+        reps = random_representative_fovs(41, rng, horizon_s=1000.0)
+        idx.insert_many(reps[:20])
+        base = idx.packed_view()
+        idx.insert_many(reps[20:39])
+        assert idx.packed_view().grid is base.grid       # 19 < 20: a tail
+        assert calls[-1][0].count == 20 and calls[-1][1].count == 39
+        idx.insert(reps[39])
+        view = idx.packed_view()                         # 20 rows: folds
+        assert view.tail is None and len(view.grid) == 40
+        idx.insert(reps[40])
+        assert idx.packed_view().grid is view.grid       # the new base
+        # the standby folds by the very same function
+        assert replica_mod.must_fold is fold
+        mark = idx.mark
+        assert not fold(index_mod.ContentMark(mark.token, 21), mark)
+        assert fold(index_mod.ContentMark(mark.token, 20), mark)
+        assert fold(index_mod.ContentMark(object(), 40), mark)
+        assert fold(index_mod.ContentMark(mark.token, 0), mark)
+
+    def test_tailed_view_packs_like_a_fresh_full_build(self, rng):
+        from repro.core.flatsnap import pack_snapshot, unpack_snapshot
+        from repro.core.index import PackedFoVIndex
+        idx = FoVIndex()
+        reps = random_representative_fovs(60, rng, horizon_s=1000.0)
+        reps += [rep_at(P.lat, P.lng, 0.0, 1.0, vid="a-much-longer-id")]
+        idx.insert_many(reps[:40])
+        idx.packed_view()
+        idx.insert_many(reps[40:])
+        view = idx.packed_view()
+        assert view.tail is not None
+        fresh = PackedFoVIndex(
+            lat=view.lat.copy(), lng=view.lng.copy(),
+            theta=view.theta.copy(), t_start=view.t_start.copy(),
+            t_end=view.t_end.copy(), video_ids=view.video_ids.copy(),
+            segment_ids=view.segment_ids.copy(), epoch=view.epoch)
+        blob = pack_snapshot(view)
+        assert blob == pack_snapshot(fresh)
+        assert view.tail is not None            # packing left it as it was
+        attached = unpack_snapshot(blob)
+        assert attached.tail is None and list(attached.records) == reps
+
     def test_bounds_cover_every_record_ever_indexed(self, rng):
         for backend in ("rtree", "linear"):
             idx = FoVIndex(backend=backend)

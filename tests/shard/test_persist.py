@@ -91,6 +91,9 @@ class TestPackedSidecars:
         assert len(views) == server.n_shards
         for sid, view in enumerate(views):
             live = server.shards[sid].index.packed_view()
+            # one ingest: the live view is a full rebuild, whose key_rank
+            # and grid cover every row (a tailed view's are its base's)
+            assert live.tail is None
             assert len(view) == len(live)
             assert np.array_equal(view.key_rank, live.key_rank)
             assert np.array_equal(view.grid.fused, live.grid.fused)

@@ -2,8 +2,8 @@
 
 A Hypothesis state machine drives a fleet with a :class:`ReplicaSet`
 beside a never-failed control fleet through interleaved commit groups,
-evictions, standby syncs, and kill + promote of a drawn shard.  The
-invariants (the parity contract of docs/SHARDING.md §10):
+evictions, standby syncs, reads, and kill + promote of a drawn shard.
+The invariants (the parity contract of docs/SHARDING.md §10):
 
 * after every sync, each standby's base + tail records equal its
   primary's ``records()``, in order;
@@ -15,7 +15,14 @@ invariants (the parity contract of docs/SHARDING.md §10):
   partitioner routes it there; the router's
   ``failover.dropped_queries`` rises by exactly the refusals;
 * after every promotion, the probes, a video query and each shard's
-  ``content_digest()`` equal the control fleet's.
+  ``content_digest()`` equal the control fleet's;
+* a read between writes -- the probes and a video query, answered
+  from shard views that are a base plus a tail of the commit groups
+  since -- equals a single linear-scan, dynamic-engine
+  :class:`CloudServer` fed the same commit groups and evictions.  The
+  control fleet runs the same packed code, so only this oracle can
+  tell a wrong ranking; the reads also leave tailed views in place for
+  the syncs, captures and kills that follow.
 
 A promotion is drawn only while every standby is current (a sync ran
 after the last write): the replica tier promises no more than that.
@@ -33,7 +40,9 @@ from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, precondition,
                                  rule)
 
+from repro.core.camera import CameraModel
 from repro.core.query import Query
+from repro.core.server import CloudServer
 from repro.geo.coords import GeoPoint
 from repro.shard import ReplicaSet, ShardUnavailableError
 from repro.video.retrieval import VideoQuery
@@ -71,6 +80,8 @@ class ReplicaMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.fleet, self.control = make_server(), make_server()
+        self.oracle = CloudServer(CameraModel(), backend="linear",
+                                  engine="dynamic", cache_size=0)
         self.replicas = ReplicaSet(self.fleet)
         self.groups = 0
         self.current = False        # every standby holds its primary's rows
@@ -80,7 +91,7 @@ class ReplicaMachine(RuleBasedStateMachine):
         tag = f"g{self.groups}"
         self.groups += 1
         payloads = bundles(make_records(n, seed, tag=tag), per=8, tag=tag)
-        for srv in (self.fleet, self.control):
+        for srv in (self.fleet, self.control, self.oracle):
             srv.ingest_batch(payloads)
         self.current = False
 
@@ -88,8 +99,17 @@ class ReplicaMachine(RuleBasedStateMachine):
     def evict_older_than(self, cutoff):
         evicted = self.fleet.evict_older_than(float(cutoff))
         assert self.control.evict_older_than(float(cutoff)) == evicted
+        assert self.oracle.evict_older_than(float(cutoff)) == evicted
         if evicted:
             self.current = False
+
+    @rule()
+    def query(self):
+        narrow, video = record_probes(self.oracle.records())
+        for q in PROBES + narrow:
+            assert rows(self.fleet.query(q)) == rows(self.oracle.query(q))
+        assert (video_rows(self.fleet.query_video(video))
+                == video_rows(self.oracle.query_video(video)))
 
     @rule()
     def sync(self):
