@@ -8,10 +8,10 @@ forms, and wire payloads decode only through the validated protocol
 layer.  This package mechanises those conventions as AST lint rules
 (RF001-RF008) plus a second, whole-program phase: a cross-module
 :class:`~repro.analysis.model.ProjectModel` of locks, guarded regions,
-epochs, call edges and worker lifecycles that the concurrency rules
-(RF009-RF014) check for lock discipline, lock-order cycles, epoch
-protocol, blocking-under-lock, instrument-catalog drift, and leaked
-workers.  See ``docs/STATIC_ANALYSIS.md``.
+epochs and call edges that the concurrency rules (RF009-RF013) check
+for lock discipline, lock-order cycles, epoch protocol,
+blocking-under-lock and instrument-catalog drift.  See
+``docs/STATIC_ANALYSIS.md``.
 
 Entry points:
 

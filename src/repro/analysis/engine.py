@@ -158,7 +158,7 @@ class ProjectInfo:
         """The phase-1 cross-module model, built once on first demand.
 
         Per-file rules never pay for it; the concurrency rules
-        (RF009-RF014) all share the one instance.
+        (RF009-RF013) all share the one instance.
         """
         if self._model is None:
             from repro.analysis.model import build_model
@@ -179,7 +179,7 @@ class Rule(Protocol):
 
 
 def all_rules() -> list[Rule]:
-    """Fresh instances of the RF rules (RF001-RF014), in id order."""
+    """Fresh instances of the RF rules (RF001-RF015), in id order."""
     from repro.analysis.rules import RULES
     return [cls() for cls in RULES]
 

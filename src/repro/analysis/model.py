@@ -1,7 +1,7 @@
 """Phase 1 of the cross-module analyzer: the whole-program model.
 
 The per-file rules (RF001-RF008) see one module at a time; the
-concurrency rules (RF009-RF014, ``docs/STATIC_ANALYSIS.md``) need the
+concurrency rules (RF009-RF013, ``docs/STATIC_ANALYSIS.md``) need the
 *project* shape: which classes own locks, which attribute accesses run
 under which locks, what calls what, where epochs bump.  This module
 builds that shape once per lint invocation -- a :class:`ProjectModel`
@@ -61,7 +61,6 @@ __all__ = [
     "InstrumentUse",
     "MethodModel",
     "ProjectModel",
-    "WorkerSite",
     "build_model",
     "canonical_lock_name",
     "solve_guaranteed_locks",
@@ -95,13 +94,6 @@ _BLOCKING_LAST = frozenset({
 })
 _BLOCKING_FIRST = frozenset({"subprocess", "requests", "socket", "urllib"})
 _BLOCKING_BARE = frozenset({"open", "input"})
-
-#: Executor/worker constructors RF014 tracks from creation to release.
-_WORKER_FACTORIES = frozenset({
-    "Thread", "Timer", "ThreadPoolExecutor", "ProcessPoolExecutor", "Pool",
-})
-#: Calls that release a tracked worker.
-_RELEASE_METHODS = frozenset({"join", "shutdown", "terminate", "close"})
 
 #: Instrument-binding callees (shared with RF008): a literal first
 #: argument is a metric-family or span name.
@@ -182,16 +174,6 @@ class InstrumentUse:
     col: int
 
 
-@dataclass(frozen=True)
-class WorkerSite:
-    """One worker/executor lifecycle fact inside a function body."""
-
-    target: str          # local name, "self.<attr>", or "" when unbound
-    line: int
-    col: int
-    kind: str            # "create" | "release" | "context"
-
-
 @dataclass
 class MethodModel:
     """Everything phase 2 needs to know about one function body."""
@@ -205,7 +187,6 @@ class MethodModel:
     calls: list[CallSite] = field(default_factory=list)
     blocking: list[BlockingSite] = field(default_factory=list)
     epoch_bumps: list[EpochBump] = field(default_factory=list)
-    workers: list[WorkerSite] = field(default_factory=list)
     #: Filled by the fixpoint: locks every intra-class caller guarantees.
     guaranteed_locks: frozenset[str] = frozenset()
 
@@ -252,8 +233,6 @@ class ProjectModel:
     """The phase-1 product: every class model plus project-wide facts."""
 
     classes: dict[str, ClassModel] = field(default_factory=dict)
-    #: Module-level functions, for lifecycle facts outside classes.
-    functions: dict[str, MethodModel] = field(default_factory=dict)
     instrument_uses: list[InstrumentUse] = field(default_factory=list)
 
     def classes_in_module(self, modname: str) -> list[ClassModel]:
@@ -373,14 +352,12 @@ class _BodyWalker:
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 self._store_target(target)
-            self._expr(node.value, top_ctx="assign")
-            self._maybe_worker_create(node)
+            self._expr(node.value)
             return
         if isinstance(node, ast.AnnAssign):
             self._store_target(node.target)
             if node.value is not None:
-                self._expr(node.value, top_ctx="assign")
-                self._maybe_worker_create(node)
+                self._expr(node.value)
             return
         if isinstance(node, ast.Delete):
             for target in node.targets:
@@ -465,41 +442,14 @@ class _BodyWalker:
         if isinstance(target, ast.Starred):
             self._store_target(target.value, deleting=deleting)
 
-    def _maybe_worker_create(self, node: ast.Assign | ast.AnnAssign) -> None:
-        value = node.value
-        if not isinstance(value, ast.Call):
-            return
-        chain = _attr_chain(value.func)
-        if not chain or chain[-1] not in _WORKER_FACTORIES:
-            return
-        targets = (node.targets if isinstance(node, ast.Assign)
-                   else [node.target])
-        for target in targets:
-            name = self._target_name(target)
-            if name is not None:
-                self._m.workers.append(WorkerSite(
-                    target=name, line=value.lineno, col=value.col_offset,
-                    kind="create"))
-
-    @staticmethod
-    def _target_name(target: ast.expr) -> str | None:
-        if isinstance(target, ast.Name):
-            return target.id
-        if (isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"):
-            return f"self.{target.attr}"
-        return None
-
     # -- expressions -------------------------------------------------------
 
     def _expr(self, node: ast.expr, top_ctx: str | None = None) -> None:
         """Scan one expression tree.
 
-        ``top_ctx`` marks how the *outermost* node is consumed --
-        ``"with"`` (a context-manager expression: its worker factory is
-        scope-bound) or ``"assign"`` (an assignment's right side: the
-        binding is recorded separately by :meth:`_maybe_worker_create`).
+        ``top_ctx`` marks how the *outermost* node is consumed:
+        ``"with"`` for a context-manager expression, whose call is the
+        manager's construction, not a blocking call.
         """
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
@@ -522,23 +472,6 @@ class _BodyWalker:
             self._m.calls.append(CallSite(
                 method=chain[1], line=node.lineno, col=node.col_offset,
                 locks_held=self._held_set()))
-        # worker lifecycle: x.join() / self.pool.shutdown() / with Pool():
-        if chain and chain[-1] in _RELEASE_METHODS and len(chain) >= 2:
-            owner = (f"self.{chain[1]}" if chain[0] == "self"
-                     and len(chain) >= 3 else chain[0])
-            self._m.workers.append(WorkerSite(
-                target=owner, line=node.lineno, col=node.col_offset,
-                kind="release"))
-        if chain and chain[-1] in _WORKER_FACTORIES:
-            if top_ctx == "with":
-                self._m.workers.append(WorkerSite(
-                    target="", line=node.lineno, col=node.col_offset,
-                    kind="context"))
-            elif top_ctx != "assign":
-                # Constructed and never bound: nothing can join it.
-                self._m.workers.append(WorkerSite(
-                    target="", line=node.lineno, col=node.col_offset,
-                    kind="create"))
         # blocking calls (RF012): only interesting under a lock, but the
         # model records them unconditionally; the rule filters.
         blocked = self._blocking_name(chain, func)
@@ -712,14 +645,5 @@ def build_model(project: "ProjectInfo") -> ProjectModel:
                 cls = _build_class_model(module, node)
                 solve_guaranteed_locks(cls)
                 model.classes[cls.qualname] = cls
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                fn = MethodModel(
-                    name=node.name,
-                    qualname=f"{module.modname}.{node.name}",
-                    line=node.lineno,
-                    is_private=node.name.startswith("_"),
-                )
-                _BodyWalker(fn, set(), set()).walk(node.body)
-                model.functions[fn.qualname] = fn
         _collect_instrument_uses(module, model.instrument_uses)
     return model

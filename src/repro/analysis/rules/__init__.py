@@ -1,10 +1,10 @@
-"""The domain lint rules (RF001-RF015).
+"""The domain lint rules (RF001-RF015; RF014 is retired).
 
 Each rule lives in its own module and registers here; the engine
 instantiates :data:`RULES` fresh per run.  RF001-RF008 are per-file
-AST rules; RF009-RF014 are the phase-2 concurrency/invariant rules
+AST rules; RF009-RF013 are the phase-2 concurrency/invariant rules
 over the shared :class:`~repro.analysis.model.ProjectModel`; RF015 is
-the hot-path vectorisation ratchet.  See
+the hot-path vectorisation ratchet.  Rule ids are never reused.  See
 ``docs/STATIC_ANALYSIS.md`` for the rationale and a bad/good example
 of every rule.
 """
@@ -26,7 +26,6 @@ from repro.analysis.rules.rf012_blocking_under_lock import (
 from repro.analysis.rules.rf013_registration_drift import (
     RF013RegistrationDrift,
 )
-from repro.analysis.rules.rf014_unjoined_workers import RF014UnjoinedWorkers
 from repro.analysis.rules.rf015_columnloops import RF015ColumnLoop
 
 RULES = (
@@ -43,7 +42,6 @@ RULES = (
     RF011EpochProtocol,
     RF012BlockingUnderLock,
     RF013RegistrationDrift,
-    RF014UnjoinedWorkers,
     RF015ColumnLoop,
 )
 
@@ -62,6 +60,5 @@ __all__ = [
     "RF011EpochProtocol",
     "RF012BlockingUnderLock",
     "RF013RegistrationDrift",
-    "RF014UnjoinedWorkers",
     "RF015ColumnLoop",
 ]

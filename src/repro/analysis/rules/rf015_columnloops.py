@@ -42,8 +42,8 @@ _HOT_MODULES = frozenset({
     "repro.video.poi",
 })
 
-# Names the packed columns and their derived candidate sets travel
-# under (flatsnap section names, split on ``name_tokens`` boundaries).
+# Names the packed view's columns, its grid's arrays and their derived
+# candidate sets travel under (split on ``name_tokens`` boundaries).
 _COLUMN_TOKENS = frozenset({
     "lat", "lats", "lng", "lngs", "theta", "thetas",
     "fused", "offsets", "rank", "ranks", "ids",

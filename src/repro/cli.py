@@ -15,7 +15,7 @@ Python::
         --video-id device-003-video-0 --scorer lcv --top 5 --poi 3
 
 Snapshots are flat ``FOVPACK1`` files (:mod:`repro.core.flatsnap`:
-float64 columns plus cell grid, CRC-protected, mmap-attachable, exact).
+seven record columns, CRC-protected, mmap-attachable, exact).
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_fovpack(path: str) -> tuple[FoVIndex, list[RepresentativeFoV]]:
     """Attach a ``FOVPACK1`` file (verified) and index its records."""
-    records = list(load_snapshot_file(path).records)
+    records = list(load_snapshot_file(path))
     return FoVIndex.bulk(records), records
 
 
@@ -227,7 +227,7 @@ def _cmd_generate(args) -> int:
     dataset = CityDataset(n_providers=args.providers, seed=args.seed)
     reps = dataset.all_representatives()
     written = write_snapshot_file(args.out,
-                                  FoVIndex.bulk(reps).packed_view())
+                                  FoVIndex.bulk(reps).record_columns())
     t0, t1 = dataset.time_span()
     print(f"generated {args.providers} providers, {len(reps)} segments, "
           f"time span [{t0:.0f}, {t1:.0f}] s")
@@ -528,7 +528,7 @@ def _cmd_ingest(args) -> int:
         report["shed"] = faulty.stats.bundles_shed
     if args.out:
         write_snapshot_file(args.out,
-                            FoVIndex.bulk(faulty.records()).packed_view())
+                            FoVIndex.bulk(faulty.records()).record_columns())
         report["snapshot"] = args.out
     if args.json:
         import json

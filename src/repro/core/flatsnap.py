@@ -1,33 +1,26 @@
-"""Flat, versioned, CRC-protected serialisation of a packed snapshot.
+"""Flat, versioned, CRC-protected serialisation of a record snapshot.
 
-A :class:`~repro.core.index.PackedFoVIndex` is eleven parallel arrays
-(seven record columns, ``key_rank``, and the three CSR grid arrays)
-plus a handful of grid scalars.  This module lays all of them out in
-**one** contiguous buffer so that a consumer -- a loader mmapping a
-``.fovpack`` file (the one persisted form), or a replica promoting its
-standby buffers -- reconstructs the snapshot with ``np.frombuffer``
-views into that buffer: no record-set copy, no grid rebuild.
+A snapshot is its records: a :class:`~repro.core.index.RecordColumns`,
+seven parallel columns plus the epoch they were taken at.  This module
+lays them out in **one** contiguous buffer -- a ``.fovpack`` file (the
+one persisted form), or a warm standby's segment -- and attaches them
+back as ``np.frombuffer`` views into that buffer, with no record-set
+copy.  Every reader re-indexes the records it loads, so no search
+structure (grid, ``key_rank``) is stored.
 
-Layout (version 2)::
+Layout (version 3)::
 
     offset 0     fixed header  -- magic ``FOVPACK1``, version, CRC32,
-                 total length, record count, epoch, video-id width,
-                 grid shape (width/height/slices/offset count) and the
-                 ten grid scalars (extents, inverse cell sizes, max
-                 duration)
+                 total length, record count, epoch, video-id width
     ...          section table -- (offset, nbytes) per section, fixed
                  order (lat, lng, theta, t_start, t_end, segment_ids,
-                 key_rank, video_ids, cell_offsets, row_ids, fused)
+                 video_ids)
     aligned      section bytes -- each section starts on a 64-byte
                  boundary (zero padding between), so every attached
                  array is cache-line aligned regardless of the mapping
 
-The grid sections are stored as the grid holds them: ``cell_offsets``
-over space-major cells ``(iy * width + ix) * slices + it`` and
-``fused`` with shape ``(8, n)`` (one row per fused field, one column
-per record).
-Version 1 held time-major cells and an ``(n, 8)`` ``fused`` block; it
-is refused, not converted.
+Versions 1 and 2 also stored a cell grid and ``key_rank``; they are
+refused by the version field, not converted.
 
 Integrity follows the ``net/protocol.py`` v2 conventions: an explicit
 total length (truncation reports as truncation, not a shape error; a
@@ -35,8 +28,8 @@ longer buffer is refused too) and a CRC32 over the whole buffer minus
 the CRC field itself, stored at a fixed offset inside the header.
 Every attach checks both.
 
-The arrays in the returned snapshot are marked read-only: they alias
-the caller's buffer, and the packed view is frozen by contract.
+The arrays of an attached snapshot are marked read-only: they alias
+the caller's buffer.
 """
 
 from __future__ import annotations
@@ -48,8 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.index import PackedFoVIndex
-from repro.spatial.grid import PackedPointGrid
+from repro.core.index import RecordColumns
 
 __all__ = ["FLATSNAP_MAGIC", "FLATSNAP_VERSION", "pack_snapshot",
            "unpack_snapshot", "write_snapshot_file", "load_snapshot_file"]
@@ -57,22 +49,19 @@ __all__ = ["FLATSNAP_MAGIC", "FLATSNAP_VERSION", "pack_snapshot",
 FLATSNAP_MAGIC = b"FOVPACK1"
 #: Schema version of the flat layout; bumped on any layout change and
 #: stamped into benchmark exports so trajectories stay comparable.
-#: A version-1 buffer has the same byte count as a version-2 one, so
-#: only this field keeps it from attaching with wrong candidates.
-FLATSNAP_VERSION = 2
+FLATSNAP_VERSION = 3
 
 # magic, version, reserved, crc32, total bytes, record count, epoch,
-# video-id chars, grid width/height/slices, cell-offset count, then the
-# ten grid scalars x0 y0 t0 x1 y1 t1 inv_cw inv_ch inv_ct max_dur.
-_FIXED = struct.Struct("<8sHHIQQqIIIIQ10d")
+# video-id chars.
+_FIXED = struct.Struct("<8sHHIQQqI")
 #: CRC32 field location: everything before it and after it is covered.
 _CRC_OFF = 12
 _CRC_END = _CRC_OFF + 4
 _SECTION = struct.Struct("<QQ")
 
-#: Section order is part of the format; names are documentation only.
+#: Section order is part of the format.
 _SECTIONS = ("lat", "lng", "theta", "t_start", "t_end", "segment_ids",
-             "key_rank", "video_ids", "cell_offsets", "row_ids", "fused")
+             "video_ids")
 _N_SECTIONS = len(_SECTIONS)
 _HEADER_SIZE = _FIXED.size + _N_SECTIONS * _SECTION.size
 
@@ -83,32 +72,19 @@ def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
 
 
-def _column_arrays(view: PackedFoVIndex) -> list[np.ndarray]:
-    """The eleven sections as contiguous little-endian arrays."""
-    g = view.grid
-    cols = [view.lat, view.lng, view.theta, view.t_start, view.t_end,
-            view.segment_ids, view.key_rank, view.video_ids,
-            g.cell_offsets, g.row_ids, g.fused]
-    return [np.ascontiguousarray(c) for c in cols]
-
-
-def pack_snapshot(view: PackedFoVIndex) -> bytes:
-    """Serialise a packed snapshot into one flat buffer.
+def pack_snapshot(columns: RecordColumns) -> bytes:
+    """Serialise a record snapshot into one flat buffer.
 
     The buffer is self-describing (header + section table) and
     self-checking (total length + CRC32); :func:`unpack_snapshot` is
-    the zero-copy inverse.  A view with a tail is folded first
-    (:meth:`PackedFoVIndex.folded`), before its grid or any section is
-    read, so it packs byte for byte like a fresh full build and
-    unpacks as one segment.
+    the zero-copy inverse.
     """
-    view = view.folded()
-    arrays = _column_arrays(view)
-    vid = arrays[7]
+    arrays = [np.ascontiguousarray(getattr(columns, name))
+              for name in _SECTIONS]
+    vid = arrays[-1]
     if vid.dtype.kind != "U":
         raise TypeError(f"video_ids must be a unicode column, got {vid.dtype}")
     vid_chars = max(1, vid.dtype.itemsize // 4)
-    g = view.grid
 
     offsets: list[int] = []
     pos = _aligned(_HEADER_SIZE)
@@ -119,12 +95,8 @@ def pack_snapshot(view: PackedFoVIndex) -> bytes:
     total = pos
 
     buf = bytearray(total)
-    _FIXED.pack_into(
-        buf, 0, FLATSNAP_MAGIC, FLATSNAP_VERSION, 0, 0, total,
-        g.n, view.epoch, vid_chars,
-        g.width, g.height, g.slices, int(g.cell_offsets.shape[0]),
-        g.x0, g.y0, g.t0, g.x1, g.y1, g.t1,
-        g.inv_cw, g.inv_ch, g.inv_ct, g.max_dur)
+    _FIXED.pack_into(buf, 0, FLATSNAP_MAGIC, FLATSNAP_VERSION, 0, 0, total,
+                     len(columns), columns.epoch, vid_chars)
     for i, (arr, off) in enumerate(zip(arrays, offsets)):
         _SECTION.pack_into(buf, _FIXED.size + i * _SECTION.size,
                            off, arr.nbytes)
@@ -147,8 +119,9 @@ def _attach(buf, dtype, count: int, offset: int, nbytes: int) -> np.ndarray:
     return arr
 
 
-def unpack_snapshot(buf) -> PackedFoVIndex:
-    """Attach a :class:`PackedFoVIndex` over a flat snapshot buffer.
+def unpack_snapshot(buf) -> RecordColumns:
+    """Attach a :class:`~repro.core.index.RecordColumns` over a flat
+    snapshot buffer.
 
     ``buf`` may be ``bytes``, a ``memoryview`` or an ``mmap``; every
     column becomes an ``np.frombuffer`` view into it (nothing is
@@ -163,10 +136,8 @@ def unpack_snapshot(buf) -> PackedFoVIndex:
     mv = memoryview(buf)
     if len(mv) < _HEADER_SIZE:
         raise ValueError("flat snapshot shorter than its header")
-    (magic, version, _reserved, crc, total, n, epoch, vid_chars,
-     width, height, slices, n_offsets,
-     x0, y0, t0, x1, y1, t1,
-     inv_cw, inv_ch, inv_ct, max_dur) = _FIXED.unpack_from(mv, 0)
+    (magic, version, _reserved, crc, total, n, epoch,
+     vid_chars) = _FIXED.unpack_from(mv, 0)
     if magic != FLATSNAP_MAGIC:
         raise ValueError(f"bad flat snapshot magic {bytes(magic)!r}")
     if version != FLATSNAP_VERSION:
@@ -192,31 +163,21 @@ def unpack_snapshot(buf) -> PackedFoVIndex:
 
     lat, lng, theta, t_start, t_end = (
         _attach(mv, np.float64, n, *spans[i]) for i in range(5))
-    segment_ids = _attach(mv, np.int64, n, *spans[5])
-    key_rank = _attach(mv, np.int64, n, *spans[6])
-    video_ids = _attach(mv, f"<U{vid_chars}", n, *spans[7])
-    cell_offsets = _attach(mv, np.int64, n_offsets, *spans[8])
-    row_ids = _attach(mv, np.int64, n, *spans[9])
-    fused = _attach(mv, np.float64, n * 8, *spans[10]).reshape(8, n)
-
-    grid = PackedPointGrid(n, width, height, slices,
-                           x0, y0, t0, x1, y1, t1,
-                           inv_cw, inv_ch, inv_ct, max_dur,
-                           cell_offsets, row_ids, fused)
-    return PackedFoVIndex(
+    return RecordColumns(
         lat=lat, lng=lng, theta=theta, t_start=t_start, t_end=t_end,
-        video_ids=video_ids, segment_ids=segment_ids, key_rank=key_rank,
-        grid=grid, epoch=epoch)
+        segment_ids=_attach(mv, np.int64, n, *spans[5]),
+        video_ids=_attach(mv, f"<U{vid_chars}", n, *spans[6]),
+        epoch=epoch)
 
 
-def write_snapshot_file(path: str | Path, view: PackedFoVIndex) -> int:
+def write_snapshot_file(path: str | Path, columns: RecordColumns) -> int:
     """Write a ``.fovpack`` flat snapshot; returns the byte count."""
-    blob = pack_snapshot(view)
+    blob = pack_snapshot(columns)
     Path(path).write_bytes(blob)
     return len(blob)
 
 
-def load_snapshot_file(path: str | Path) -> PackedFoVIndex:
+def load_snapshot_file(path: str | Path) -> RecordColumns:
     """mmap a ``.fovpack`` file and attach it zero-copy (CRC-verified).
 
     The mapping stays alive for as long as the returned snapshot's

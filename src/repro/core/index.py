@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 from itertools import islice
 from typing import (TYPE_CHECKING, Any, Iterable, Literal, NamedTuple,
-                    Sequence)
+                    Sequence, overload)
 
 import numpy as np
 
@@ -35,8 +35,9 @@ from repro.spatial.linear import LinearScanIndex
 if TYPE_CHECKING:
     from repro.spatial.rtree import RTree, RTreeConfig
 
-__all__ = ["Bounds", "ContentMark", "FoVIndex", "PackedFoVIndex", "fov_box",
-           "must_fold", "query_box", "query_box_floats"]
+__all__ = ["Bounds", "ContentMark", "FoVIndex", "PackedFoVIndex",
+           "RecordColumns", "fov_box", "must_fold", "query_box",
+           "query_box_floats"]
 
 
 def fov_box(fov: RepresentativeFoV) -> tuple[np.ndarray, np.ndarray]:
@@ -75,42 +76,52 @@ def query_box_floats(
             query.t_end)
 
 
-class _ColumnRecords(Sequence):
-    """Lazy ``records`` side table over snapshot columns.
+class RecordColumns(Sequence[RepresentativeFoV]):
+    """A frozen run of records as seven parallel columns plus an epoch.
 
-    Zero-copy consumers (flat snapshot attach, docs/PERFORMANCE.md)
-    reconstruct columns without ever holding Python record objects;
-    this sequence materialises a :class:`RepresentativeFoV` only when a
-    ranked result actually needs one, so attaching a shared snapshot
-    stays O(1) in record count.
+    What a snapshot is (:mod:`repro.core.flatsnap`): the columns of
+    :meth:`FoVIndex.record_columns` -- slices of the column store -- or
+    ``np.frombuffer`` views of an attached ``FOVPACK1`` buffer.  As a
+    sequence it materialises a :class:`RepresentativeFoV` per row only
+    when one is read, so taking or attaching a snapshot stays O(1) in
+    record count.  The attributes cannot be rebound.
     """
 
-    __slots__ = ("_lat", "_lng", "_theta", "_t_start", "_t_end",
-                 "_video_ids", "_segment_ids")
+    __slots__ = ("lat", "lng", "theta", "t_start", "t_end",
+                 "video_ids", "segment_ids", "epoch")
+    lat: np.ndarray
+    lng: np.ndarray
+    theta: np.ndarray
+    t_start: np.ndarray
+    t_end: np.ndarray
+    video_ids: np.ndarray
+    segment_ids: np.ndarray
+    epoch: int
 
-    def __init__(self, lat: np.ndarray, lng: np.ndarray, theta: np.ndarray,
-                 t_start: np.ndarray, t_end: np.ndarray,
-                 video_ids: np.ndarray, segment_ids: np.ndarray) -> None:
-        self._lat = lat
-        self._lng = lng
-        self._theta = theta
-        self._t_start = t_start
-        self._t_end = t_end
-        self._video_ids = video_ids
-        self._segment_ids = segment_ids
+    def __init__(self, *, lat: np.ndarray, lng: np.ndarray,
+                 theta: np.ndarray, t_start: np.ndarray, t_end: np.ndarray,
+                 video_ids: np.ndarray, segment_ids: np.ndarray,
+                 epoch: int) -> None:
+        for name, value in zip(self.__slots__, (lat, lng, theta, t_start,
+                                                t_end, video_ids,
+                                                segment_ids, epoch)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"RecordColumns is frozen: cannot set {name!r}")
 
     def __len__(self) -> int:
-        return int(self._lat.shape[0])
+        return int(self.lat.shape[0])
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
         return RepresentativeFoV(
-            lat=float(self._lat[i]), lng=float(self._lng[i]),
-            theta=float(self._theta[i]),
-            t_start=float(self._t_start[i]), t_end=float(self._t_end[i]),
-            video_id=str(self._video_ids[i]),
-            segment_id=int(self._segment_ids[i]),
+            lat=float(self.lat[i]), lng=float(self.lng[i]),
+            theta=float(self.theta[i]),
+            t_start=float(self.t_start[i]), t_end=float(self.t_end[i]),
+            video_id=str(self.video_ids[i]),
+            segment_id=int(self.segment_ids[i]),
         )
 
 
@@ -200,16 +211,13 @@ class PackedFoVIndex:
     cell grid answering range queries over the (degenerate) record
     boxes, a precomputed ``key_rank`` column encoding the canonical
     ``(video_id, segment_id)`` order for vectorised ranking, and a
-    ``records`` sequence mapping payload id back to the indexed object
-    (lazy when the snapshot was attached zero-copy).  The retrieval
-    engine consumes candidates by fancy-indexing these columns instead
-    of touching Python attributes per candidate.
+    ``records`` sequence mapping payload id back to the indexed object.
+    The retrieval engine consumes candidates by fancy-indexing these
+    columns instead of touching Python attributes per candidate.
 
-    Nothing is copied: the columns are the index's own column store
-    (:meth:`FoVIndex.packed_view`) or views of a shared flat-snapshot
-    buffer (:mod:`repro.core.flatsnap`, which also passes the attached
-    ``key_rank`` and ``grid`` so construction is O(1) in record count;
-    both are derived from the columns when omitted).
+    No column is copied: they are slices of the index's own column
+    store (:meth:`FoVIndex.packed_view`).  ``key_rank`` and ``grid``
+    are derived from the columns when omitted.
 
     A view may carry one ``tail``: the columns and ``records`` then span
     every row, while ``grid`` and ``key_rank`` are a base's and cover
@@ -218,8 +226,7 @@ class PackedFoVIndex:
     searches visit both grids and return global row ids, and
     :meth:`tie_rank` orders rows across the boundary exactly as a full
     rebuild's ``key_rank`` would (``tail_rank`` holds the tail's side,
-    :func:`_tail_rank`).  :meth:`folded` turns such a view into one
-    segment.
+    :func:`_tail_rank`).
 
     ``epoch`` records the backing index's mutation counter at snapshot
     time; ``FoVIndex.packed_view`` hands out a new view when they
@@ -235,9 +242,9 @@ class PackedFoVIndex:
                  theta: np.ndarray, t_start: np.ndarray,
                  t_end: np.ndarray, video_ids: np.ndarray,
                  segment_ids: np.ndarray,
+                 records: Sequence[RepresentativeFoV],
                  key_rank: np.ndarray | None = None,
                  grid: PackedPointGrid | None = None,
-                 records: Sequence[RepresentativeFoV] | None = None,
                  epoch: int = 0,
                  tail: PackedFoVIndex | None = None,
                  tail_rank: np.ndarray | None = None) -> None:
@@ -254,26 +261,12 @@ class PackedFoVIndex:
         self.grid = (grid if grid is not None
                      else PackedPointGrid.build(lng, lat, t_start, t_end,
                                                 theta))
-        self.records = (records if records is not None
-                        else _ColumnRecords(lat, lng, theta, t_start, t_end,
-                                            video_ids, segment_ids))
+        self.records = records
         self.tail = tail
         self.tail_rank = tail_rank
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def folded(self) -> PackedFoVIndex:
-        """This view as one segment: itself when it has no tail, else a
-        full rebuild over its columns -- ``key_rank`` and grid derived
-        over every row, exactly what a fresh build holds."""
-        if self.tail is None:
-            return self
-        return PackedFoVIndex(
-            lat=self.lat, lng=self.lng, theta=self.theta,
-            t_start=self.t_start, t_end=self.t_end,
-            video_ids=self.video_ids, segment_ids=self.segment_ids,
-            records=self.records, epoch=self.epoch)
 
     def tie_rank(self, rows: np.ndarray) -> np.ndarray:
         """Integers ordering ``rows`` by record key, then by row.
@@ -481,7 +474,7 @@ class ContentMark(NamedTuple):
 
     Within one token rows ``[:count]`` are never rewritten, so a later
     mark with the same token holds them plus an appended tail
-    (:meth:`FoVIndex.packed_tail`).  The token is a fresh object per
+    (:meth:`FoVIndex.record_columns`).  The token is a fresh object per
     column store and per removal, compared with ``is``: a mark never
     matches another index, nor the same index after a removal.
     """
@@ -598,9 +591,9 @@ class FoVIndex:
 
         * only appends, fewer rows than the base holds
           (:func:`must_fold`): the base's grid and ``key_rank`` plus a
-          ``tail`` over the rows since, built like :meth:`packed_tail`
-          in O(rows since the base) -- no column, rank or record list
-          of the base is copied;
+          ``tail`` over the rows since, with its own grid and
+          ``key_rank`` built in O(rows since the base) -- no column,
+          rank or record list of the base is copied;
         * a removal, or a tail grown to the base's size: ``key_rank``
           and the cell grid over every row, which become the new base.
         """
@@ -634,19 +627,33 @@ class FoVIndex:
         store = self._columns("mark")
         return ContentMark(store.token, len(store))
 
-    def packed_tail(self, since: ContentMark) -> PackedFoVIndex | None:
-        """Frozen snapshot of the rows appended after ``since``.
+    @overload
+    def record_columns(self, since: None = None) -> RecordColumns: ...
+
+    @overload
+    def record_columns(self, since: ContentMark) -> RecordColumns | None: ...
+
+    def record_columns(self, since: ContentMark | None = None
+                       ) -> RecordColumns | None:
+        """The rows appended after ``since`` (every row for ``None``).
 
         ``None`` unless ``since`` carries this store's current token (a
         removal, or a mark taken from another index, leaves nothing to
-        extend).  Built like :meth:`packed_view` over rows
-        ``[since.count:]`` only, so its ``key_rank`` and grid cover the
-        tail alone and cost O(tail); ``epoch`` is the current one.
+        extend).  O(1): the columns are frozen slices of the column
+        store -- no grid, no ``key_rank``, no record list -- and
+        ``epoch`` is the current one.
         """
-        store = self._columns("packed_tail()")
-        if since.token is not store.token:
-            return None
-        return self._rows_from(store, since.count)
+        store = self._columns("record_columns()")
+        start = 0
+        if since is not None:
+            if since.token is not store.token:
+                return None
+            start = since.count
+        return RecordColumns(
+            lat=store.lat[start:], lng=store.lng[start:],
+            theta=store.theta[start:], t_start=store.t_start[start:],
+            t_end=store.t_end[start:], video_ids=store.video_ids[start:],
+            segment_ids=store.segment_ids[start:], epoch=self._epoch)
 
     def _rows_from(self, store: _ColumnStore, start: int,
                    records: Sequence[RepresentativeFoV] | None = None,

@@ -11,8 +11,8 @@ package partitions the index by *where the cameras stood*:
   routes ingest by representative-FoV cell, and answers queries by
   pruned scatter-gather with a merge that is bit-identical to the
   single-server ranking;
-* :mod:`repro.shard.persist` -- fleet save/load as one mmap-attachable
-  ``.fovpack`` (``FOVPACK1``) file per shard plus a routing manifest;
+* :mod:`repro.shard.persist` -- fleet save/load as one ``.fovpack``
+  (``FOVPACK1``) record file per shard plus a routing manifest;
 * :mod:`repro.shard.replica` -- :class:`ReplicaSet`, one warm standby
   per shard (a base ``FOVPACK1`` buffer plus tail segments of the rows
   appended since) with per-segment manifest-verified promotion after a
@@ -26,9 +26,7 @@ in ``docs/SHARDING.md``.
 from __future__ import annotations
 
 from repro.shard.partition import GridPartitioner
-from repro.shard.persist import (load_packed_shard_views,
-                                 load_sharded_snapshot,
-                                 save_sharded_snapshot)
+from repro.shard.persist import load_sharded_snapshot, save_sharded_snapshot
 from repro.shard.replica import (ReplicaManifest, ReplicaSegment, ReplicaSet,
                                  ShardReplica)
 from repro.shard.server import ShardedCloudServer, ShardUnavailableError
@@ -41,7 +39,6 @@ __all__ = [
     "ShardReplica",
     "ShardedCloudServer",
     "ShardUnavailableError",
-    "load_packed_shard_views",
     "load_sharded_snapshot",
     "save_sharded_snapshot",
 ]

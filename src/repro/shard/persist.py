@@ -1,16 +1,14 @@
 """Sharded snapshots: persist a fleet as one ``FOVPACK1`` file per shard.
 
 Layout: one directory holding ``shard-NNN.fovpack`` files -- each the
-shard's frozen columnar view in the flat, CRC-protected ``FOVPACK1``
-buffer (:mod:`repro.core.flatsnap`), exactly what
+shard's records in the flat, CRC-protected ``FOVPACK1`` buffer
+(:mod:`repro.core.flatsnap`), exactly what
 :meth:`ShardedCloudServer.capture_shard` hands a warm standby -- plus a
 ``manifest.json`` recording the routing parameters ``(n_shards,
-origin, cell_m, seed)`` and per-shard record counts.  Both readers use
-the same files: :func:`load_sharded_snapshot` rebuilds the mutable
-fleet the way replica promotion rebuilds a shard (verified attach ->
-``view.records`` -> ``ingest``); :func:`load_packed_shard_views` mmaps
-each shard's serving columns as ``np.frombuffer`` views, with no record
-decoding and no index or grid rebuild.
+origin, cell_m, seed)`` and per-shard record counts.  Saving builds no
+search structure; :func:`load_sharded_snapshot` rebuilds the fleet the
+way replica promotion rebuilds a shard (verified attach -> records ->
+``ingest``).
 
 Because routing is a pure function of the manifest's parameters
 (:mod:`repro.shard.partition`), reload does not trust the file
@@ -28,14 +26,14 @@ from pathlib import Path
 
 from repro.core.camera import CameraModel
 from repro.core.flatsnap import load_snapshot_file
-from repro.core.index import PackedFoVIndex
+from repro.core.fov import RepresentativeFoV
 from repro.geo.coords import GeoPoint
 from repro.obs.runtime import Observability
 from repro.shard.partition import GridPartitioner
 from repro.shard.server import ShardedCloudServer, ShardUnavailableError
 
 __all__ = ["save_sharded_snapshot", "load_sharded_snapshot",
-           "load_packed_shard_views", "MANIFEST_NAME", "MANIFEST_FORMAT"]
+           "MANIFEST_NAME", "MANIFEST_FORMAT"]
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "fov-sharded-snapshot-v1"
@@ -43,7 +41,7 @@ MANIFEST_FORMAT = "fov-sharded-snapshot-v1"
 
 def save_sharded_snapshot(dirpath: str | Path,
                           server: ShardedCloudServer) -> int:
-    """Write every shard's packed view plus the manifest; returns total bytes.
+    """Write every shard's records plus the manifest; returns total bytes.
 
     The directory is created if missing.  Each shard is read once,
     under its lock (:meth:`ShardedCloudServer.capture_shard`), so its
@@ -123,23 +121,6 @@ def _read_manifest(root: Path
     return part, shards
 
 
-def _load_shard_views(root: Path, shards: list[tuple[str, int]]
-                      ) -> list[PackedFoVIndex]:
-    """Attach every file the manifest names (CRC, magic, version and
-    length verified) and hold each to its manifest record count."""
-    views: list[PackedFoVIndex] = []
-    for name, count in shards:
-        if not (root / name).is_file():
-            raise ValueError(f"manifest names {name!r}, not a file in {root}")
-        view = load_snapshot_file(root / name)
-        if len(view) != count:
-            raise ValueError(
-                f"shard file {name!r} holds {len(view)} records, "
-                f"manifest says {count}")
-        views.append(view)
-    return views
-
-
 def load_sharded_snapshot(dirpath: str | Path, camera: CameraModel,
                           strict_cover: bool = True, engine: str = "packed",
                           cache_size: int = 1024,
@@ -157,12 +138,21 @@ def load_sharded_snapshot(dirpath: str | Path, camera: CameraModel,
     """
     root = Path(dirpath)
     part, shards = _read_manifest(root)
+    records: list[RepresentativeFoV] = []
+    for name, count in shards:
+        if not (root / name).is_file():
+            raise ValueError(f"manifest names {name!r}, not a file in {root}")
+        columns = load_snapshot_file(root / name)   # CRC, length verified
+        if len(columns) != count:
+            raise ValueError(
+                f"shard file {name!r} holds {len(columns)} records, "
+                f"manifest says {count}")
+        records.extend(columns)
     server = ShardedCloudServer(
         camera, n_shards=part.n_shards, origin=part.origin,
         cell_m=part.cell_m, seed=part.seed, strict_cover=strict_cover,
         engine=engine, cache_size=cache_size, obs=obs)
-    server.ingest([fov for view in _load_shard_views(root, shards)
-                   for fov in view.records])
+    server.ingest(records)
     for sid, (_, count) in enumerate(shards):
         live = len(server.shards[sid].index)
         if live != count:
@@ -172,16 +162,3 @@ def load_sharded_snapshot(dirpath: str | Path, camera: CameraModel,
                 f"disagree with the files"
             )
     return server
-
-
-def load_packed_shard_views(dirpath: str | Path) -> list[PackedFoVIndex]:
-    """mmap every shard's ``.fovpack`` file as a read-only packed view.
-
-    The zero-copy read path: each view's columns and grid alias the
-    file mapping (CRC-verified on open), so a read-only serving process
-    attaches a whole fleet's worth of snapshots without decoding a
-    single record.  Raises ``ValueError`` for the same manifest and
-    per-file failures as :func:`load_sharded_snapshot`.
-    """
-    root = Path(dirpath)
-    return _load_shard_views(root, _read_manifest(root)[1])

@@ -3,9 +3,11 @@
 One standby per shard of a
 :class:`~repro.shard.server.ShardedCloudServer`: a base ``FOVPACK1``
 buffer plus tail segments of the rows appended since, each pinned by a
-manifest and checked at promotion.  The sync rules (skip / tail /
-fold), fail-stop, the promotion checks and the parity contract are
-specified once, in docs/SHARDING.md §10 ("Failover protocol").
+manifest and checked at promotion.  A segment holds records only; a
+sync builds no search structure, and promotion re-indexes the
+records.  The sync rules (skip / tail / fold), fail-stop, the
+promotion checks and the parity contract are specified once, in
+docs/SHARDING.md §10 ("Failover protocol").
 
 Kills, promotions, syncs (by ``kind``, ``full`` or ``tail``), captured
 bytes and the measured downtime land in the router's registry as
@@ -23,7 +25,8 @@ from repro.core.fov import RepresentativeFoV
 from repro.core.index import ContentMark, must_fold
 from repro.core.server import CloudServer
 from repro.net.clock import default_timer
-from repro.shard.server import ShardCapture, ShardedCloudServer
+from repro.shard.server import (ShardCapture, ShardedCloudServer,
+                                ShardUnavailableError)
 
 __all__ = ["ReplicaManifest", "ReplicaSegment", "ShardReplica",
            "ReplicaSet"]
@@ -139,7 +142,14 @@ class ReplicaSet:
         (:func:`repro.core.index.must_fold`) says the base no longer
         carries them -- a removal, or tails that reached the base's row
         count -- and folds into one full capture then.
+
+        Raises :class:`~repro.shard.server.ShardUnavailableError` while
+        the shard is down: its slot is an empty placeholder, and
+        capturing it would replace the standby promotion needs with
+        nothing.
         """
+        if sid in self._server.down_shards:
+            raise ShardUnavailableError(sid)
         replica, synced = self._replicas[sid], self._synced[sid]
         mark = self._server.shard_mark(sid)
         since = None
@@ -179,8 +189,7 @@ class ReplicaSet:
 
         Cheap to call after every commit group: a shard whose content
         mark is unchanged is skipped without packing a byte.  A down
-        shard is skipped too -- its slot is an empty placeholder, and
-        its standby is what promotion needs.
+        shard is skipped too (:meth:`sync_shard` refuses it).
         """
         down = self._server.down_shards
         synced = 0
@@ -252,21 +261,21 @@ def _verified_records(sid: int, replica: ShardReplica,
             raise rejected(
                 f"segment {i} buffer digest {digest[:12]} != manifest "
                 f"{manifest.digest[:12]} (tampered or torn replica)")
-        view = unpack_snapshot(segment.packed)      # CRC re-verified
-        if len(view) != manifest.records:
+        columns = unpack_snapshot(segment.packed)   # CRC re-verified
+        if len(columns) != manifest.records:
             raise rejected(
-                f"segment {i}: {len(view)} records decoded, manifest "
+                f"segment {i}: {len(columns)} records decoded, manifest "
                 f"says {manifest.records}")
-        if view.epoch != manifest.epoch:
+        if columns.epoch != manifest.epoch:
             raise rejected(
-                f"segment {i}: snapshot epoch {view.epoch}, manifest "
+                f"segment {i}: snapshot epoch {columns.epoch}, manifest "
                 f"says {manifest.epoch}")
         if newest is not None and manifest.epoch <= newest:
             raise rejected(
                 f"segment {i} epoch {manifest.epoch} does not follow "
                 f"{newest} (epoch chain broken)")
         newest = manifest.epoch
-        records.extend(view.records)
+        records.extend(columns)
     if newest != synced.epoch:
         raise rejected(f"newest segment epoch {newest}, last sync saw "
                        f"{synced.epoch} (epoch chain broken)")

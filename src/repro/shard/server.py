@@ -67,7 +67,7 @@ class ShardCapture(NamedTuple):
     epoch: int              #: the shard's epoch, stamped in ``packed``
     mark: ContentMark       #: the shard's content mark at capture
     packed: bytes           #: ``FOVPACK1`` buffer of the captured rows
-    tail: bool              #: rows after ``since`` only, not the whole view
+    tail: bool              #: rows after ``since`` only, not every row
 
 
 class ShardUnavailableError(RuntimeError):
@@ -273,25 +273,26 @@ class ShardedCloudServer:
 
     def capture_shard(self, sid: int,
                       since: ContentMark | None = None) -> ShardCapture:
-        """Shard ``sid``'s frozen view as one ``FOVPACK1`` buffer.
+        """Shard ``sid``'s records as one ``FOVPACK1`` buffer.
 
-        The same flat packed segment a zero-copy reader attaches
-        (:mod:`repro.core.flatsnap`).  With ``since`` -- a mark an
-        earlier capture returned -- the buffer holds only the rows
-        appended after it (``tail=True``) when the shard's token still
-        matches, and the whole view otherwise.  The mark and view are
-        taken together under the shard lock; serialisation happens
-        outside it (the view is immutable).
+        With ``since`` -- a mark an earlier capture returned -- the
+        buffer holds only the rows appended after it (``tail=True``)
+        when the shard's token still matches, and every row otherwise.
+        The mark and the column slices
+        (:meth:`~repro.core.index.FoVIndex.record_columns`) are taken
+        together under the shard lock; packing happens outside it (the
+        slices are frozen).  No search structure is built, and the
+        shard's serving view is left as it was.
         """
         self._check_sid(sid)
         with self._locks[sid]:
             index = self.shards[sid].index
             mark = index.mark
-            view = None if since is None else index.packed_tail(since)
-            tail = view is not None
-            if view is None:
-                view = index.packed_view()
-        return ShardCapture(view.epoch, mark, pack_snapshot(view), tail)
+            columns = None if since is None else index.record_columns(since)
+            tail = columns is not None
+            if columns is None:
+                columns = index.record_columns()
+        return ShardCapture(columns.epoch, mark, pack_snapshot(columns), tail)
 
     def kill_shard(self, sid: int) -> CloudServer:
         """Simulate losing shard ``sid``'s primary mid-run.

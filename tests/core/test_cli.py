@@ -161,7 +161,7 @@ class TestCoverage:
         from repro.core.flatsnap import write_snapshot_file
         from repro.core.index import FoVIndex
         path = tmp_path / "empty.fov"
-        write_snapshot_file(path, FoVIndex().packed_view())
+        write_snapshot_file(path, FoVIndex().record_columns())
         assert main(["coverage", "--snapshot", str(path)]) == 0
         assert "empty" in capsys.readouterr().out
 
@@ -176,7 +176,7 @@ class TestPack:
         attached = load_snapshot_file(snapshot)
         reps = CityDataset(n_providers=4, seed=7).all_representatives()
         assert len(attached) == len(reps)
-        assert list(attached.records) == reps       # float64, exact
+        assert list(attached) == reps               # float64, exact
         assert not attached.lat.flags.writeable
         with pytest.raises(SystemExit):             # the subcommand is gone
             main(["pack", "--snapshot", str(snapshot)])

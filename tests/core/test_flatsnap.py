@@ -1,11 +1,10 @@
 """Flat snapshot codec: round-trip, zero-copy attach, integrity.
 
-The ``FOVPACK1`` buffer is the contract between the code that built a
-packed view and everything that serves from it (read-only loaders over
-mmap, promoted replica standbys) -- so these tests pin both halves:
-the attached view must be *bit-identical* to the source view (columns,
-grid, and query answers), and any damaged buffer must be rejected
-loudly.
+The ``FOVPACK1`` buffer is the contract between the code that took a
+snapshot and everything that loads one (``.fovpack`` files over mmap,
+promoted replica standbys) -- so these tests pin both halves: the
+attached columns must be *bit-identical* to the source columns, and
+any damaged buffer must be rejected loudly.
 """
 
 import struct
@@ -18,10 +17,9 @@ from repro import CameraModel
 from repro.core.flatsnap import (FLATSNAP_MAGIC, FLATSNAP_VERSION,
                                  load_snapshot_file, pack_snapshot,
                                  unpack_snapshot, write_snapshot_file)
-from repro.core.index import FoVIndex
+from repro.core.index import FoVIndex, RecordColumns
 from repro.core.query import Query
-from repro.core.retrieval import RetrievalEngine, _batch_execute
-from repro.net.clock import default_timer
+from repro.core.retrieval import RetrievalEngine
 from repro.traces.dataset import random_representative_fovs
 
 CAMERA = CameraModel(half_angle=30.0, radius=100.0)
@@ -61,81 +59,77 @@ def ranking(result):
 
 
 _COLUMNS = ("lat", "lng", "theta", "t_start", "t_end",
-            "segment_ids", "key_rank", "video_ids")
-_GRID_ARRAYS = ("cell_offsets", "row_ids", "fused")
-_GRID_SCALARS = ("n", "width", "height", "slices", "x0", "y0", "t0",
-                 "x1", "y1", "t1", "inv_cw", "inv_ch", "inv_ct", "max_dur")
+            "segment_ids", "video_ids")
 
 
 class TestRoundTrip:
-    def test_columns_and_grid_bit_identical(self):
+    def test_columns_and_epoch_bit_identical(self):
         index, _ = workload()
-        view = index.packed_view()
-        attached = unpack_snapshot(pack_snapshot(view))
-        assert len(attached) == len(view)
-        assert attached.epoch == view.epoch
+        columns = index.record_columns()
+        attached = unpack_snapshot(pack_snapshot(columns))
+        assert isinstance(attached, RecordColumns)
+        assert len(attached) == len(columns) == len(index)
+        assert attached.epoch == columns.epoch == index.epoch
         for name in _COLUMNS:
-            assert np.array_equal(getattr(attached, name),
-                                  getattr(view, name)), name
-        for name in _GRID_ARRAYS:
-            assert np.array_equal(getattr(attached.grid, name),
-                                  getattr(view.grid, name)), name
-        for name in _GRID_SCALARS:
-            assert getattr(attached.grid, name) == getattr(view.grid, name)
-
-    def test_query_parity_through_attached_view(self):
-        index, queries = workload()
-        view = index.packed_view()
-        attached = unpack_snapshot(pack_snapshot(view))
-        engine = RetrievalEngine(index, CAMERA, engine="packed")
-        want = engine.execute_many(queries)
-        got = _batch_execute(attached, CAMERA, True, engine.ranker,
-                             queries, default_timer)
-        for a, b in zip(got, want):
-            assert a.candidates == b.candidates
-            assert a.after_filter == b.after_filter
-            assert ranking(a) == ranking(b)
+            got, want = getattr(attached, name), getattr(columns, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
 
     def test_attach_is_zero_copy_and_read_only(self):
         index, _ = workload(n_records=200, n_queries=1)
-        blob = pack_snapshot(index.packed_view())
-        attached = unpack_snapshot(blob)
-        # Views alias the buffer (no copy)...
-        assert attached.lat.base is not None
-        assert attached.grid.fused.base is not None
-        # ...and are frozen, as the packed-view contract requires.
+        attached = unpack_snapshot(pack_snapshot(index.record_columns()))
+        for name in _COLUMNS:
+            column = getattr(attached, name)
+            # Views alias the buffer (no copy) and are frozen ...
+            assert column.base is not None, name
+            assert not column.flags.writeable, name
+            # ... and no attribute can be rebound.
+            with pytest.raises(AttributeError):
+                setattr(attached, name, column.copy())
         with pytest.raises(ValueError):
             attached.lat[0] = 0.0
-        with pytest.raises(ValueError):
-            attached.grid.fused[0, 0] = 0.0
-        # Lazy records: only materialised on access, never stored.
-        rec = attached.records[0]
-        assert rec == index.records()[0] or rec in index.records()
+        # Lazy records: materialised per row on access, never stored.
+        assert not hasattr(attached, "__dict__")
+        assert attached[7] == index.records()[7]
+        assert attached[-1] == index.records()[-1]
+        assert list(attached) == index.records()
 
     def test_empty_index_round_trips(self):
         index = FoVIndex.bulk([])
-        attached = unpack_snapshot(pack_snapshot(index.packed_view()))
-        assert len(attached) == 0
-        q = Query(t_start=0.0, t_end=1.0,
-                  center=workload(n_records=10, n_queries=1)[1][0].center,
-                  radius=100.0)
-        [res] = _batch_execute(attached, CAMERA, True,
-                               RetrievalEngine(index, CAMERA).ranker,
-                               [q], default_timer)
-        assert res.candidates == 0 and res.ranked == []
+        attached = unpack_snapshot(pack_snapshot(index.record_columns()))
+        assert len(attached) == 0 and list(attached) == []
+        assert attached.epoch == index.epoch
+
+    def test_buffer_is_header_plus_seven_aligned_sections(self):
+        """A 44-byte fixed header and a 7 x 16-byte section table, then
+        each column on a 64-byte boundary: 48 B per record plus 4 B per
+        video-id character, and nothing else."""
+        index, _ = workload(n_records=333, n_queries=1)
+        columns = index.record_columns()
+        blob = pack_snapshot(columns)
+        n, chars = len(columns), columns.video_ids.dtype.itemsize // 4
+
+        def aligned(offset):
+            return -(-offset // 64) * 64
+
+        end = 44 + 7 * 16
+        for nbytes in [8 * n] * 6 + [4 * chars * n]:
+            end = aligned(end) + nbytes
+        assert len(blob) == end
 
     def test_file_write_and_mmap_load(self, tmp_path):
         index, queries = workload(n_records=600, n_queries=8)
-        view = index.packed_view()
         path = tmp_path / "city.fovpack"
-        nbytes = write_snapshot_file(path, view)
+        nbytes = write_snapshot_file(path, index.record_columns())
         assert path.stat().st_size == nbytes
         loaded = load_snapshot_file(path)
-        assert np.array_equal(loaded.grid.fused, view.grid.fused)
+        assert list(loaded) == index.records()
+        # The loaded records, re-indexed, answer like the original.
         engine = RetrievalEngine(index, CAMERA, engine="packed")
-        for q, want in zip(queries, engine.execute_many(queries)):
-            [got] = _batch_execute(loaded, CAMERA, True, engine.ranker,
-                                   [q], default_timer)
+        reloaded = RetrievalEngine(FoVIndex.bulk(list(loaded)), CAMERA,
+                                   engine="packed")
+        for want, got in zip(engine.execute_many(queries),
+                             reloaded.execute_many(queries)):
             assert ranking(got) == ranking(want)
 
 
@@ -143,7 +137,7 @@ class TestIntegrity:
     @pytest.fixture()
     def blob(self):
         index, _ = workload(n_records=300, n_queries=1)
-        return pack_snapshot(index.packed_view())
+        return pack_snapshot(index.record_columns())
 
     def test_bit_flip_fails_crc(self, blob):
         for pos in (100, len(blob) // 2, len(blob) - 1):
@@ -185,13 +179,16 @@ class TestIntegrity:
             unpack_snapshot(bytes(bad))
 
     def test_version_1_layout_refused(self, blob):
-        """Version 1 (time-major cells, ``(n, 8)`` fused block) has the
-        same byte count as version 2, so a CRC-clean v1 buffer would
-        attach and return wrong candidates if the version went
-        unchecked."""
-        assert FLATSNAP_VERSION == 2
+        """Versions 1 and 2 stored a cell grid and ``key_rank`` after
+        the columns; only the version field tells such a buffer apart,
+        so it is refused by that field, never guessed."""
+        assert FLATSNAP_VERSION == 3 and FLATSNAP_MAGIC == b"FOVPACK1"
         old = restamp(blob, 1)
         with pytest.raises(ValueError, match="version 1"):
             unpack_snapshot(old)
         # Nothing but the version field differs:
         assert len(unpack_snapshot(restamp(old, FLATSNAP_VERSION))) == 300
+
+    def test_version_2_layout_refused(self, blob):
+        with pytest.raises(ValueError, match="version 2"):
+            unpack_snapshot(restamp(blob, 2))

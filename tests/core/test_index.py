@@ -219,28 +219,32 @@ class TestInsertMany:
         assert [f.key() for f in views[1].records] == \
             [f.key() for f in reps[:20]]
 
-    def test_packed_tail_holds_the_rows_after_a_mark(self, rng):
+    def test_record_columns_hold_the_rows_after_a_mark(self, rng):
         from repro.core.flatsnap import pack_snapshot, unpack_snapshot
         idx = FoVIndex()
         reps = random_representative_fovs(30, rng, horizon_s=1000.0)
         idx.insert_many(reps[:20])
         mark = idx.mark
         assert mark.count == 20 and idx.mark == mark
+        everything = idx.record_columns()
         idx.insert_many(reps[20:])
         assert idx.mark.token is mark.token and idx.mark.count == 30
-        tail = idx.packed_tail(mark)
-        assert list(tail.records) == reps[20:] and tail.epoch == idx.epoch
-        assert list(unpack_snapshot(pack_snapshot(tail)).records) == reps[20:]
-        full = idx.packed_view()
-        assert tail.lat.tolist() == full.lat[20:].tolist()
+        tail = idx.record_columns(mark)
+        assert list(tail) == reps[20:] and tail.epoch == idx.epoch
+        assert list(unpack_snapshot(pack_snapshot(tail))) == reps[20:]
+        assert list(idx.record_columns()) == reps
+        # an earlier snapshot stays frozen while appends land
+        assert list(everything) == reps[:20] and everything.epoch == 1
+        # no search structure: the serving view was never built
+        assert idx._packed is None and idx._base is None
         # a mark never extends another index, nor the same one past a
         # removal
         other = FoVIndex()
         other.insert_many(reps[:20])
-        assert other.mark != mark and other.packed_tail(mark) is None
+        assert other.mark != mark and other.record_columns(mark) is None
         idx.evict_older_than(500.0)
         assert idx.mark.token is not mark.token
-        assert idx.packed_tail(mark) is None
+        assert idx.record_columns(mark) is None
 
     def test_packed_view_after_appends_is_the_base_plus_one_tail(self, rng):
         idx = FoVIndex()
@@ -345,28 +349,6 @@ class TestInsertMany:
         assert fold(index_mod.ContentMark(object(), 40), mark)
         assert fold(index_mod.ContentMark(mark.token, 0), mark)
 
-    def test_tailed_view_packs_like_a_fresh_full_build(self, rng):
-        from repro.core.flatsnap import pack_snapshot, unpack_snapshot
-        from repro.core.index import PackedFoVIndex
-        idx = FoVIndex()
-        reps = random_representative_fovs(60, rng, horizon_s=1000.0)
-        reps += [rep_at(P.lat, P.lng, 0.0, 1.0, vid="a-much-longer-id")]
-        idx.insert_many(reps[:40])
-        idx.packed_view()
-        idx.insert_many(reps[40:])
-        view = idx.packed_view()
-        assert view.tail is not None
-        fresh = PackedFoVIndex(
-            lat=view.lat.copy(), lng=view.lng.copy(),
-            theta=view.theta.copy(), t_start=view.t_start.copy(),
-            t_end=view.t_end.copy(), video_ids=view.video_ids.copy(),
-            segment_ids=view.segment_ids.copy(), epoch=view.epoch)
-        blob = pack_snapshot(view)
-        assert blob == pack_snapshot(fresh)
-        assert view.tail is not None            # packing left it as it was
-        attached = unpack_snapshot(blob)
-        assert attached.tail is None and list(attached.records) == reps
-
     def test_bounds_cover_every_record_ever_indexed(self, rng):
         for backend in ("rtree", "linear"):
             idx = FoVIndex(backend=backend)
@@ -383,7 +365,8 @@ class TestInsertMany:
 
     def test_derived_views_need_the_rtree_backend(self):
         lin = FoVIndex(backend="linear")
-        for read in (lin.rtree, lin.packed_view, lambda: lin.mark):
+        for read in (lin.rtree, lin.packed_view, lin.record_columns,
+                     lambda: lin.mark):
             with pytest.raises(TypeError, match="requires the rtree backend"):
                 read()
 

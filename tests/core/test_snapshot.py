@@ -16,11 +16,11 @@ def records(rng):
 
 
 def save_snapshot(path, records):
-    return write_snapshot_file(path, FoVIndex.bulk(records).packed_view())
+    return write_snapshot_file(path, FoVIndex.bulk(records).record_columns())
 
 
 def load_snapshot(path):
-    loaded = list(load_snapshot_file(path).records)
+    loaded = list(load_snapshot_file(path))
     return FoVIndex.bulk(loaded), loaded
 
 

@@ -1,5 +1,5 @@
 # fovlint: module=repro.shard.conc_fixture
-"""Seeded-violation fixture for the concurrency rules (RF009-RF014).
+"""Seeded-violation fixture for the concurrency rules (RF009-RF013).
 
 One small class per rule, each reproducing the bug shape the rule
 exists for; the acceptance test pins that every rule id fires on this
@@ -12,7 +12,6 @@ This module is never imported -- it is linted as text only.
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 
 class RacyCounter:
@@ -98,17 +97,3 @@ def typo_metrics(registry):
     miss = registry.counter("cache.hit")      # typo'd family: RF013
     drift = registry.gauge("cache.hits")      # counter bound as gauge: RF013
     return miss, drift
-
-
-class LeakyWorkers:
-    """RF014: thread and pool with no reachable join/shutdown."""
-
-    def __init__(self):
-        self._pool = ThreadPoolExecutor(max_workers=2)   # no shutdown: RF014
-
-    def fire_and_forget(self, fn):
-        threading.Thread(target=fn).start()   # unbound thread: RF014
-
-    def run_local(self, fn):
-        worker = threading.Thread(target=fn)  # local, never joined: RF014
-        worker.start()

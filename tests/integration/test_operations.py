@@ -26,8 +26,8 @@ class TestServiceLifecycle:
         records = server.index.records()
         assert records, "the simulated service must have indexed something"
         path = tmp_path / "nightly.fovpack"
-        write_snapshot_file(path, server.index.packed_view())
-        restored = FoVIndex.bulk(list(load_snapshot_file(path).records))
+        write_snapshot_file(path, server.index.record_columns())
+        restored = FoVIndex.bulk(list(load_snapshot_file(path)))
         assert len(restored) == server.indexed_count
         assert restored.content_digest() == server.index.content_digest()
 

@@ -89,7 +89,7 @@ def bundles(records, per=10, tag="b"):
 def standby_records(replica):
     """A standby's records in row order: the base, then each tail."""
     return [fov for segment in replica.segments()
-            for fov in unpack_snapshot(segment.packed).records]
+            for fov in unpack_snapshot(segment.packed)]
 
 
 def sync_counts(srv):
@@ -320,6 +320,63 @@ def test_sync_skips_a_down_shard():
     assert replicas.replica(victim) is good
     replicas.promote(victim)
     assert srv.shards[victim].index.content_digest() == digest
+
+
+def test_sync_shard_refuses_a_down_shard():
+    """A direct ``sync_shard`` of a killed slot would capture the empty
+    placeholder in full and promotion would install an empty shard."""
+    srv = make_server()
+    srv.ingest(make_records(300, seed=53))
+    replicas = ReplicaSet(srv)
+    replicas.sync()
+    victim = 1
+    good = replicas.replica(victim)
+    digest = srv.shards[victim].index.content_digest()
+    assert len(srv.shards[victim].index) > 0
+    replicas.kill(victim)
+    with pytest.raises(ShardUnavailableError) as exc:
+        replicas.sync_shard(victim)
+    assert exc.value.shard_id == victim
+    assert replicas.replica(victim) is good
+    replicas.promote(victim)
+    assert srv.shards[victim].index.content_digest() == digest
+
+
+def test_standby_sync_and_snapshot_save_build_nothing(tmp_path, monkeypatch):
+    """Full captures, tail captures and a saved snapshot pack record
+    columns only: no grid or ``key_rank`` is built, and no shard's
+    serving view is touched."""
+    import repro.core.index as index_mod
+    from repro.spatial.grid import PackedPointGrid
+
+    built = {"grid": 0, "key_rank": 0}
+    grid_build, key_rank = PackedPointGrid.build.__func__, index_mod._key_rank
+
+    def counting_build(cls, *args, **kwargs):
+        built["grid"] += 1
+        return grid_build(cls, *args, **kwargs)
+
+    def counting_key_rank(*args):
+        built["key_rank"] += 1
+        return key_rank(*args)
+
+    monkeypatch.setattr(PackedPointGrid, "build", classmethod(counting_build))
+    monkeypatch.setattr(index_mod, "_key_rank", counting_key_rank)
+
+    srv = make_server()
+    srv.ingest(make_records(90, seed=54))                   # no query
+    views = [s.index._packed for s in srv.shards]
+    replicas = ReplicaSet(srv)
+    assert replicas.sync() == N_SHARDS                      # full captures
+    srv.ingest(make_records(12, seed=55, tag="t"))
+    assert replicas.sync() == N_SHARDS                      # tails
+    assert sync_counts(srv) == {"full": N_SHARDS, "tail": N_SHARDS}
+    save_sharded_snapshot(tmp_path, srv)
+    assert built == {"grid": 0, "key_rank": 0}
+    assert all(s.index._packed is v for s, v in zip(srv.shards, views))
+    # the counters do count: a read builds the views it searches
+    srv.query(make_queries(1, seed=56, radius=5000.0)[0])
+    assert built["grid"] == built["key_rank"] > 0
 
 
 def test_sync_ships_tails_that_rebuild_the_primary_in_order():

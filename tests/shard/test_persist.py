@@ -10,8 +10,8 @@ from repro.core.fov import RepresentativeFoV
 from repro.core.query import Query
 from repro.geo.coords import GeoPoint
 from repro.geo.earth import LocalProjection
-from repro.shard import (ShardedCloudServer, load_packed_shard_views,
-                         load_sharded_snapshot, save_sharded_snapshot)
+from repro.shard import (ShardedCloudServer, load_sharded_snapshot,
+                         save_sharded_snapshot)
 from repro.shard.persist import MANIFEST_NAME
 
 from tests.core.test_flatsnap import restamp
@@ -83,25 +83,6 @@ class TestRoundTrip:
 
 
 class TestPackedSidecars:
-    def test_sidecar_views_match_live_fleet(self, camera, tmp_path):
-        """The mmapped ``.fovpack`` views ARE the shards' packed views."""
-        server, _ = build_fleet(camera, n_shards=4, n_records=400)
-        save_sharded_snapshot(tmp_path, server)
-        views = load_packed_shard_views(tmp_path)
-        assert len(views) == server.n_shards
-        for sid, view in enumerate(views):
-            live = server.shards[sid].index.packed_view()
-            # one ingest: the live view is a full rebuild, whose key_rank
-            # and grid cover every row (a tailed view's are its base's)
-            assert live.tail is None
-            assert len(view) == len(live)
-            assert np.array_equal(view.key_rank, live.key_rank)
-            assert np.array_equal(view.grid.fused, live.grid.fused)
-            # Zero-copy: the columns alias the file mapping.
-            if len(view):
-                assert view.lat.base is not None
-                assert not view.lat.flags.writeable
-
     def test_missing_sidecar_rejected(self, camera, tmp_path):
         server, _ = build_fleet(camera, n_shards=3, n_records=60)
         save_sharded_snapshot(tmp_path, server)
@@ -109,7 +90,7 @@ class TestPackedSidecars:
         del manifest["shards"][1]["packed"]
         (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="sidecar"):
-            load_packed_shard_views(tmp_path)
+            load_sharded_snapshot(tmp_path, camera)
 
     def test_corrupt_sidecar_rejected(self, camera, tmp_path):
         server, _ = build_fleet(camera, n_shards=3, n_records=60)
@@ -119,7 +100,7 @@ class TestPackedSidecars:
         blob[len(blob) // 2] ^= 0x01
         victim.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="CRC32"):
-            load_packed_shard_views(tmp_path)
+            load_sharded_snapshot(tmp_path, camera)
 
     def test_sidecars_do_not_affect_record_reload(self, camera, tmp_path):
         """Only ``.fovpack`` files are written or read: a stray or garbage
@@ -133,7 +114,6 @@ class TestPackedSidecars:
         reloaded = load_sharded_snapshot(tmp_path, camera)
         assert ([s.index.content_digest() for s in reloaded.shards]
                 == [s.index.content_digest() for s in server.shards])
-        assert len(load_packed_shard_views(tmp_path)) == 3
 
 
 class TestFailureModes:
@@ -157,16 +137,14 @@ class TestFailureModes:
             load_sharded_snapshot(tmp_path, camera)
 
     def test_version_1_shard_file(self, camera, tmp_path):
-        """A CRC-clean ``.fovpack`` of the retired v1 layout is refused
-        by both loaders instead of attaching with wrong cell order."""
+        """A CRC-clean ``.fovpack`` stamped with a retired layout
+        version is refused, not guessed at."""
         server, _ = build_fleet(camera, n_records=60)
         save_sharded_snapshot(tmp_path, server)
         victim = tmp_path / "shard-001.fovpack"
         victim.write_bytes(restamp(victim.read_bytes(), 1))
-        for load in (lambda: load_sharded_snapshot(tmp_path, camera),
-                     lambda: load_packed_shard_views(tmp_path)):
-            with pytest.raises(ValueError, match="version 1"):
-                load()
+        with pytest.raises(ValueError, match="version 1"):
+            load_sharded_snapshot(tmp_path, camera)
 
     @pytest.mark.parametrize("damage", [
         pytest.param(lambda blob: blob[:-9], id="truncated"),
@@ -179,10 +157,8 @@ class TestFailureModes:
         save_sharded_snapshot(tmp_path, server)
         victim = tmp_path / "shard-001.fovpack"
         victim.write_bytes(damage(victim.read_bytes()))
-        for load in (lambda: load_sharded_snapshot(tmp_path, camera),
-                     lambda: load_packed_shard_views(tmp_path)):
-            with pytest.raises(ValueError):
-                load()
+        with pytest.raises(ValueError):
+            load_sharded_snapshot(tmp_path, camera)
 
     def test_shard_file_count_mismatch(self, camera, tmp_path):
         """A valid file holding the wrong number of records (here: two
@@ -218,17 +194,15 @@ class TestFailureModes:
     def test_incoherent_manifest_is_a_value_error(self, camera, tmp_path,
                                                   mutate):
         """Missing key, wrong type, or a ``shards`` list disagreeing with
-        ``n_shards``: both loaders refuse with ``ValueError``, never
+        ``n_shards``: the loader refuses with ``ValueError``, never
         ``KeyError``/``TypeError``."""
         server, _ = build_fleet(camera, n_shards=5, n_records=60)
         save_sharded_snapshot(tmp_path, server)
         manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
         mutate(manifest)
         (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
-        for load in (lambda: load_sharded_snapshot(tmp_path, camera),
-                     lambda: load_packed_shard_views(tmp_path)):
-            with pytest.raises(ValueError):
-                load()
+        with pytest.raises(ValueError):
+            load_sharded_snapshot(tmp_path, camera)
 
     @pytest.mark.parametrize("text", ["", "[1, 2]", "{not json", "null"])
     def test_manifest_that_is_not_an_object(self, camera, tmp_path, text):

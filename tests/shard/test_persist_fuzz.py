@@ -5,8 +5,9 @@ A deterministic seed-matrix sweep (the CI fuzz-smoke job sets
 ``FUZZ_SEED=<n> pytest <this file>``).  Each round restores a pristine
 directory, applies one mutation -- flip, truncate or extend a
 ``.fovpack``; drop or retype a manifest key at any depth -- and loads
-it through both readers.  The contract: every mutation either loads to
-the saved fleet's per-shard content digests or raises ``ValueError``;
+it as a fleet and file by file.  The contract: every mutation either
+loads to the saved fleet's per-shard content digests (and each file to
+exactly its shard's records, in row order) or raises ``ValueError``;
 never ``KeyError``/``TypeError``/``OSError``, never a silently shorter
 or differently-sharded fleet.
 """
@@ -18,11 +19,12 @@ import numpy as np
 import pytest
 
 from repro.core.camera import CameraModel
+from repro.core.flatsnap import load_snapshot_file
 from repro.core.fov import RepresentativeFoV
 from repro.geo.coords import GeoPoint
 from repro.geo.earth import LocalProjection
-from repro.shard import (ShardedCloudServer, load_packed_shard_views,
-                         load_sharded_snapshot, save_sharded_snapshot)
+from repro.shard import (ShardedCloudServer, load_sharded_snapshot,
+                         save_sharded_snapshot)
 from repro.shard.persist import MANIFEST_NAME
 
 FUZZ_SEED = int(os.environ.get("FUZZ_SEED", "0"))
@@ -37,8 +39,9 @@ RETYPES = (None, True, 1.5, "x", [], {})
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
-    """``(files, digests)`` of one saved fleet: name -> bytes of every
-    file in the directory, and the per-shard content digests."""
+    """``(files, digests, rows)`` of one saved fleet: name -> bytes of
+    every file in the directory, the per-shard content digests, and each
+    shard's records in row order."""
     proj = LocalProjection(ORIGIN)
     rng = np.random.default_rng(1234)
     records = []
@@ -58,7 +61,8 @@ def saved(tmp_path_factory):
     save_sharded_snapshot(root, fleet)
     files = {p.name: p.read_bytes() for p in root.iterdir()}
     assert len(files) == N_SHARDS + 1       # one file per shard + manifest
-    return files, [s.index.content_digest() for s in fleet.shards]
+    return (files, [s.index.content_digest() for s in fleet.shards],
+            [s.records() for s in fleet.shards])
 
 
 def restore(root, files):
@@ -66,8 +70,9 @@ def restore(root, files):
         (root / name).write_bytes(blob)
 
 
-def check_loads_exactly_or_refuses(root, digests) -> bool:
-    """Run both readers; returns whether the directory was refused."""
+def check_loads_exactly_or_refuses(root, digests, rows) -> bool:
+    """Load the fleet, then each shard file on its own; returns whether
+    anything was refused."""
     refused = False
     try:
         fleet = load_sharded_snapshot(root, CAMERA)
@@ -75,19 +80,15 @@ def check_loads_exactly_or_refuses(root, digests) -> bool:
         refused = True
     else:
         assert [s.index.content_digest() for s in fleet.shards] == digests
-    try:
-        views = load_packed_shard_views(root)
-    except ValueError:
-        refused = True
-    else:
-        # The read-only path does not re-route, so it is held to the
-        # files themselves: every shard present, none shorter.
-        assert len(views) == N_SHARDS
-        rebuilt = ShardedCloudServer(CAMERA, n_shards=N_SHARDS,
-                                     origin=ORIGIN, seed=3)
-        for view in views:
-            rebuilt.ingest(list(view.records))
-        assert [s.index.content_digest() for s in rebuilt.shards] == digests
+    # A file read on its own is not re-routed, so it is held to the
+    # records its shard saved, in row order.
+    for sid, want in enumerate(rows):
+        try:
+            columns = load_snapshot_file(root / f"shard-{sid:03d}.fovpack")
+        except ValueError:
+            refused = True
+        else:
+            assert list(columns) == want
     return refused
 
 
@@ -110,7 +111,7 @@ def mutate_pack(blob: bytes, rng) -> bytes:
 
 
 def test_fovpack_byte_mutations(saved, tmp_path):
-    files, digests = saved
+    files, digests, rows = saved
     rng = np.random.default_rng(FUZZ_SEED)
     packs = sorted(n for n in files if n.endswith(".fovpack"))
     refused = 0
@@ -119,7 +120,7 @@ def test_fovpack_byte_mutations(saved, tmp_path):
         victim = packs[int(rng.integers(0, len(packs)))]
         mutated = mutate_pack(files[victim], rng)
         (tmp_path / victim).write_bytes(mutated)
-        was_refused = check_loads_exactly_or_refuses(tmp_path, digests)
+        was_refused = check_loads_exactly_or_refuses(tmp_path, digests, rows)
         # A CRC-32 over the whole buffer plus an exact length: anything
         # that changed a byte must be refused, not merely survive.
         assert was_refused == (mutated != files[victim])
@@ -137,7 +138,7 @@ def manifest_slots(node, path=()):
 
 
 def test_manifest_key_mutations(saved, tmp_path):
-    files, digests = saved
+    files, digests, rows = saved
     rng = np.random.default_rng(FUZZ_SEED)
     pristine = json.loads(files[MANIFEST_NAME])
     slots = list(manifest_slots(pristine))
@@ -157,7 +158,8 @@ def test_manifest_key_mutations(saved, tmp_path):
                            if type(v) is not type(node[key])]
                 node[key] = options[int(rng.integers(0, len(options)))]
             (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
-            refused += check_loads_exactly_or_refuses(tmp_path, digests)
+            refused += check_loads_exactly_or_refuses(tmp_path, digests,
+                                                      rows)
     # Only ``records_total`` (informational) may be dropped or retyped
     # without a refusal; ``file`` keys of older manifests are not written.
     assert refused == 2 * (len(slots) - 1)

@@ -13,7 +13,8 @@ The invariants (the parity contract of docs/SHARDING.md §10):
   control fleet's rows or raises
   :class:`ShardUnavailableError` naming the victim, and only when the
   partitioner routes it there; the router's
-  ``failover.dropped_queries`` rises by exactly the refusals;
+  ``failover.dropped_queries`` rises by exactly the refusals; and a
+  direct ``sync_shard`` of the victim is refused, its standby kept;
 * after every promotion, the probes, a video query and each shard's
   ``content_digest()`` equal the control fleet's;
 * a read between writes -- the probes and a video query, answered
@@ -36,6 +37,7 @@ import os
 from dataclasses import replace
 
 import hypothesis
+import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, precondition,
                                  rule)
@@ -137,6 +139,12 @@ class ReplicaMachine(RuleBasedStateMachine):
             else:
                 assert got == rows(self.control.query(q))
         assert dropped_queries(self.fleet) - dropped_before == refused
+        # the placeholder is never captured over the standby
+        standby = self.replicas.replica(sid)
+        with pytest.raises(ShardUnavailableError) as refusal:
+            self.replicas.sync_shard(sid)
+        assert refusal.value.shard_id == sid
+        assert self.replicas.replica(sid) is standby
 
         self.replicas.promote(sid)
         for q in probes:

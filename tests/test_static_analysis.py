@@ -7,7 +7,7 @@ Three tiers of coverage:
 * acceptance -- the seeded fixtures (``tests/fixtures/fovlint_bad.py``
   for the per-file rules RF001-RF008,
   ``tests/fixtures/fovlint_concurrency_bad.py`` for the whole-program
-  rules RF009-RF014) trigger every rule, and the shipped ``src/repro``
+  rules RF009-RF013) trigger every rule, and the shipped ``src/repro``
   tree is clean;
 * regression -- the concrete violations fixed when the linter first ran
   (``__all__`` drift in similarity/segmentation/rtree; the torn-read
@@ -945,75 +945,6 @@ def test_rf013_shipped_catalog_matches_tree():
 
 
 # ---------------------------------------------------------------------------
-# RF014: unjoined threads / unclosed pools
-
-
-def test_rf014_flags_attribute_pool_without_shutdown():
-    src = (
-        "from concurrent.futures import ThreadPoolExecutor\n"
-        "class S:\n"
-        "    def __init__(self):\n"
-        "        self._pool = ThreadPoolExecutor()\n"
-    )
-    vs = lint_source(src, modname=_SNIPPET_MOD, select=["RF014"])
-    assert len(vs) == 1 and "self._pool" in vs[0].message
-
-
-def test_rf014_accepts_pool_released_in_close():
-    src = (
-        "from concurrent.futures import ThreadPoolExecutor\n"
-        "class S:\n"
-        "    def __init__(self):\n"
-        "        self._pool = ThreadPoolExecutor()\n"
-        "    def close(self):\n"
-        "        self._pool.shutdown(wait=True)\n"
-    )
-    assert lint_source(src, modname=_SNIPPET_MOD, select=["RF014"]) == []
-
-
-def test_rf014_flags_unbound_thread():
-    src = (
-        "import threading\n"
-        "def fire(fn):\n"
-        "    threading.Thread(target=fn).start()\n"
-    )
-    vs = lint_source(src, modname=_SNIPPET_MOD, select=["RF014"])
-    assert len(vs) == 1 and "without binding" in vs[0].message
-
-
-def test_rf014_flags_local_thread_never_joined():
-    src = (
-        "import threading\n"
-        "def run(fn):\n"
-        "    t = threading.Thread(target=fn)\n"
-        "    t.start()\n"
-    )
-    vs = lint_source(src, modname=_SNIPPET_MOD, select=["RF014"])
-    assert len(vs) == 1 and "'t'" in vs[0].message
-
-
-def test_rf014_accepts_joined_local_thread():
-    src = (
-        "import threading\n"
-        "def run(fn):\n"
-        "    t = threading.Thread(target=fn)\n"
-        "    t.start()\n"
-        "    t.join()\n"
-    )
-    assert lint_source(src, modname=_SNIPPET_MOD, select=["RF014"]) == []
-
-
-def test_rf014_accepts_context_managed_pool():
-    src = (
-        "from concurrent.futures import ThreadPoolExecutor\n"
-        "def run(fn):\n"
-        "    with ThreadPoolExecutor() as pool:\n"
-        "        pool.submit(fn)\n"
-    )
-    assert lint_source(src, modname=_SNIPPET_MOD, select=["RF014"]) == []
-
-
-# ---------------------------------------------------------------------------
 # RF015: for-loops over packed columns on the hot path
 
 _HOT_MOD = "repro.core.retrieval"
@@ -1079,7 +1010,6 @@ def test_severities_are_stamped_per_rule():
     assert by_rule["RF009"] == "error"
     assert by_rule["RF012"] == "warning"
     assert by_rule["RF013"] == "warning"
-    assert by_rule["RF014"] == "error"
 
 
 def test_baseline_round_trip(tmp_path):
@@ -1240,7 +1170,7 @@ def test_concurrency_fixture_triggers_every_whole_program_rule():
     report = lint_paths([CONC_FIXTURE])
     assert not report.ok
     assert rule_ids(report.violations) == {
-        "RF009", "RF010", "RF011", "RF012", "RF013", "RF014",
+        "RF009", "RF010", "RF011", "RF012", "RF013",
     }
 
 
@@ -1305,7 +1235,7 @@ def test_cli_sarif_and_json_formats(capsys):
     assert log["version"] == "2.1.0" and log["runs"][0]["results"]
     assert main(["lint", str(CONC_FIXTURE), "--format", "json"]) == 1
     rows = json.loads(capsys.readouterr().out)
-    assert {r["rule"] for r in rows} >= {"RF009", "RF014"}
+    assert {r["rule"] for r in rows} >= {"RF009", "RF013"}
 
 
 def test_cli_baseline_workflow(tmp_path, capsys):

@@ -39,7 +39,7 @@ def main(argv: list[str] | None = None) -> int:
                     "unpacking, metric-name literals) plus whole-program "
                     "concurrency rules (lock discipline, lock-order "
                     "cycles, epoch protocol, blocking-under-lock, "
-                    "instrument-catalog drift, unjoined workers) and the "
+                    "instrument-catalog drift) and the "
                     "hot-path vectorisation ratchet.",
     )
     parser.add_argument("paths", nargs="*", default=[str(_SRC / "repro")],
