@@ -219,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_fovpack(path: str) -> tuple[FoVIndex, list[RepresentativeFoV]]:
     """Attach a ``FOVPACK1`` file (verified) and index its records."""
-    records = list(load_snapshot_file(path))
-    return FoVIndex.bulk(records), records
+    columns = load_snapshot_file(path)
+    return FoVIndex.bulk(columns), list(columns)
 
 
 def _cmd_generate(args) -> int:

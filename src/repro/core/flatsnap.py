@@ -1,6 +1,6 @@
 """Flat, versioned, CRC-protected serialisation of a record snapshot.
 
-A snapshot is its records: a :class:`~repro.core.index.RecordColumns`,
+A snapshot is its records: a :class:`~repro.core.fov.RecordColumns`,
 seven parallel columns plus the epoch they were taken at.  This module
 lays them out in **one** contiguous buffer -- a ``.fovpack`` file (the
 one persisted form), or a warm standby's segment -- and attaches them
@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.index import RecordColumns
+from repro.core.fov import RecordColumns
 
 __all__ = ["FLATSNAP_MAGIC", "FLATSNAP_VERSION", "pack_snapshot",
            "unpack_snapshot", "write_snapshot_file", "load_snapshot_file"]
@@ -120,7 +120,7 @@ def _attach(buf, dtype, count: int, offset: int, nbytes: int) -> np.ndarray:
 
 
 def unpack_snapshot(buf) -> RecordColumns:
-    """Attach a :class:`~repro.core.index.RecordColumns` over a flat
+    """Attach a :class:`~repro.core.fov.RecordColumns` over a flat
     snapshot buffer.
 
     ``buf`` may be ``bytes``, a ``memoryview`` or an ``mmap``; every

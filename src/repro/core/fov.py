@@ -10,7 +10,8 @@ the columnar (structure-of-arrays) form all vectorised kernels consume;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -18,7 +19,8 @@ from repro._types import ArrayLike
 from repro.geo.coords import GeoPoint
 from repro.geo.earth import LocalProjection
 
-__all__ = ["FoV", "FoVTrace", "VideoSegment", "RepresentativeFoV"]
+__all__ = ["FoV", "FoVTrace", "VideoSegment", "RepresentativeFoV",
+           "RecordColumns"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,3 +218,134 @@ class RepresentativeFoV:
     def key(self) -> tuple[str, int]:
         """Stable identity ``(video_id, segment_id)`` used system-wide."""
         return (self.video_id, self.segment_id)
+
+
+#: The columns of a :class:`RecordColumns`, in ``RepresentativeFoV``
+#: field order (so a row's values are that record's positional args).
+_COLUMNS = ("lat", "lng", "theta", "t_start", "t_end", "video_ids",
+            "segment_ids")
+
+
+class RecordColumns(Sequence[RepresentativeFoV]):
+    """A frozen run of records as seven parallel columns plus an epoch.
+
+    The one form records take from the wire to the index: a commit
+    group, a shard's slice of it, the column store's rows, a snapshot
+    (slices of the store, or ``np.frombuffer`` views of a ``FOVPACK1``
+    buffer).  As a sequence it builds a :class:`RepresentativeFoV` per
+    row only when one is read.  The attributes cannot be rebound.
+    """
+
+    __slots__ = _COLUMNS + ("epoch",)
+    lat: np.ndarray
+    lng: np.ndarray
+    theta: np.ndarray
+    t_start: np.ndarray
+    t_end: np.ndarray
+    video_ids: np.ndarray
+    segment_ids: np.ndarray
+    epoch: int
+
+    def __init__(self, *, lat: np.ndarray, lng: np.ndarray,
+                 theta: np.ndarray, t_start: np.ndarray, t_end: np.ndarray,
+                 video_ids: np.ndarray, segment_ids: np.ndarray,
+                 epoch: int = 0) -> None:
+        for name, value in zip(RecordColumns.__slots__,
+                               (lat, lng, theta, t_start, t_end, video_ids,
+                                segment_ids, epoch)):
+            object.__setattr__(self, name, value)
+
+    @staticmethod
+    def of(fovs: RecordColumns | Iterable[RepresentativeFoV]
+           ) -> RecordColumns:
+        """``fovs`` as columns: itself, or one pass over the objects,
+        which are kept as the rows' records (:class:`_MemoRows`).
+
+        Refuses a video id containing NUL (``ValueError``): a unicode
+        column drops trailing NULs, so the id would not survive.
+        """
+        if isinstance(fovs, RecordColumns):
+            return fovs
+        recs = list(fovs)
+        ids = [f.video_id for f in recs]
+        if "\x00" in "".join(set(ids)):
+            raise ValueError("a video id contains NUL; nothing from this "
+                             "batch was indexed")
+        n = len(recs)
+        geom = np.empty((5, n))
+        for row, name in enumerate(_COLUMNS[:5]):
+            geom[row] = np.fromiter(map(attrgetter(name), recs), float, n)
+        return _MemoRows(recs, lat=geom[0], lng=geom[1], theta=geom[2],
+                         t_start=geom[3], t_end=geom[4],
+                         video_ids=np.array(ids, dtype=str),
+                         segment_ids=np.fromiter(
+                             map(attrgetter("segment_id"), recs), np.int64, n))
+
+    @staticmethod
+    def concat(parts: Sequence[RecordColumns]) -> RecordColumns:
+        """The rows of ``parts`` (at least one) end to end."""
+        return RecordColumns(**{name: np.concatenate([getattr(p, name)
+                                                      for p in parts])
+                                for name in _COLUMNS})
+
+    def select(self, which: slice | np.ndarray) -> RecordColumns:
+        """The rows ``which`` picks: a slice, or an array of row numbers."""
+        return RecordColumns(**self._picked(which), epoch=self.epoch)
+
+    def _picked(self, which: slice | np.ndarray) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name)[which] for name in _COLUMNS}
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"RecordColumns is frozen: cannot set {name!r}")
+
+    def __len__(self) -> int:
+        return int(self.lat.shape[0])
+
+    def __getitem__(self, i):
+        rows = range(len(self))[i]
+        if isinstance(rows, range):
+            return self.take(rows)
+        return self.take((rows,))[0]
+
+    def __iter__(self) -> Iterator[RepresentativeFoV]:
+        return iter(self.take(range(len(self))))
+
+    def take(self, at: Sequence[int]) -> list[RepresentativeFoV]:
+        """The records at rows ``at`` (non-negative), one gather per
+        column."""
+        idx = np.asarray(at, dtype=np.intp)
+        return [RepresentativeFoV(*row) for row in zip(
+            *(getattr(self, name)[idx].tolist() for name in _COLUMNS))]
+
+
+class _MemoRows(RecordColumns):
+    """Columns plus the record objects already built for their rows.
+
+    ``memo[i]`` is row ``i``'s :class:`RepresentativeFoV`, or ``None``
+    until a result asks for it; it is then built once and kept.  The
+    memo is the caller's objects (:meth:`RecordColumns.of`) or the
+    column store's list, which only grows under one token (a removal
+    gives the store a new one), so it may run past the columns.
+    """
+
+    __slots__ = ("_memo",)
+
+    def __init__(self, memo: list[RepresentativeFoV | None],
+                 **columns: Any) -> None:
+        super().__init__(**columns)
+        object.__setattr__(self, "_memo", memo)
+
+    def select(self, which: slice | np.ndarray) -> RecordColumns:
+        memo = (self._memo[which] if isinstance(which, slice)
+                else [self._memo[i] for i in which.tolist()])
+        return _MemoRows(memo, **self._picked(which), epoch=self.epoch)
+
+    def take(self, at: Sequence[int]) -> list[RepresentativeFoV]:
+        memo = self._memo
+        out = [memo[i] for i in at]
+        miss = [j for j, fov in enumerate(out) if fov is None]
+        if miss:
+            build = [at[j] for j in miss]
+            for j, i, fov in zip(miss, build, super().take(build)):
+                out[j] = memo[i] = fov
+        return out

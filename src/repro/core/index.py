@@ -19,13 +19,13 @@ linear-scan baseline of the Fig. 6(c) comparison.
 from __future__ import annotations
 
 import hashlib
-from itertools import islice
-from typing import (TYPE_CHECKING, Any, Iterable, Literal, NamedTuple,
-                    Sequence, overload)
+from itertools import compress
+from typing import TYPE_CHECKING, Iterable, Literal, NamedTuple, overload
 
 import numpy as np
 
-from repro.core.fov import RepresentativeFoV
+from repro.core.fov import (_COLUMNS, RecordColumns, RepresentativeFoV,
+                            _MemoRows)
 from repro.core.query import Query
 from repro.geo.coords import GeoPoint
 from repro.geo.earth import metres_per_degree, radius_to_degrees
@@ -36,8 +36,7 @@ if TYPE_CHECKING:
     from repro.spatial.rtree import RTree, RTreeConfig
 
 __all__ = ["Bounds", "ContentMark", "FoVIndex", "PackedFoVIndex",
-           "RecordColumns", "fov_box", "must_fold", "query_box",
-           "query_box_floats"]
+           "fov_box", "must_fold", "query_box", "query_box_floats"]
 
 
 def fov_box(fov: RepresentativeFoV) -> tuple[np.ndarray, np.ndarray]:
@@ -74,82 +73,6 @@ def query_box_floats(
             query.t_start,
             query.center.lng + r_lng, query.center.lat + r_lat,
             query.t_end)
-
-
-class RecordColumns(Sequence[RepresentativeFoV]):
-    """A frozen run of records as seven parallel columns plus an epoch.
-
-    What a snapshot is (:mod:`repro.core.flatsnap`): the columns of
-    :meth:`FoVIndex.record_columns` -- slices of the column store -- or
-    ``np.frombuffer`` views of an attached ``FOVPACK1`` buffer.  As a
-    sequence it materialises a :class:`RepresentativeFoV` per row only
-    when one is read, so taking or attaching a snapshot stays O(1) in
-    record count.  The attributes cannot be rebound.
-    """
-
-    __slots__ = ("lat", "lng", "theta", "t_start", "t_end",
-                 "video_ids", "segment_ids", "epoch")
-    lat: np.ndarray
-    lng: np.ndarray
-    theta: np.ndarray
-    t_start: np.ndarray
-    t_end: np.ndarray
-    video_ids: np.ndarray
-    segment_ids: np.ndarray
-    epoch: int
-
-    def __init__(self, *, lat: np.ndarray, lng: np.ndarray,
-                 theta: np.ndarray, t_start: np.ndarray, t_end: np.ndarray,
-                 video_ids: np.ndarray, segment_ids: np.ndarray,
-                 epoch: int) -> None:
-        for name, value in zip(self.__slots__, (lat, lng, theta, t_start,
-                                                t_end, video_ids,
-                                                segment_ids, epoch)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"RecordColumns is frozen: cannot set {name!r}")
-
-    def __len__(self) -> int:
-        return int(self.lat.shape[0])
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return RepresentativeFoV(
-            lat=float(self.lat[i]), lng=float(self.lng[i]),
-            theta=float(self.theta[i]),
-            t_start=float(self.t_start[i]), t_end=float(self.t_end[i]),
-            video_id=str(self.video_ids[i]),
-            segment_id=int(self.segment_ids[i]),
-        )
-
-
-class _RecordPrefix(Sequence):
-    """Rows ``[:n]`` of the column store's record list, without a copy.
-
-    Under one token the list is only ever extended -- a removal builds
-    a new one (:meth:`_ColumnStore.compress`) -- so bounding it by
-    length keeps a view's records frozen while later appends land.
-    """
-
-    __slots__ = ("_items", "_n")
-
-    def __init__(self, items: list[RepresentativeFoV], n: int) -> None:
-        self._items = items
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i):
-        rows = range(self._n)[i]
-        if isinstance(rows, range):
-            return [self._items[j] for j in rows]
-        return self._items[rows]
-
-    def __iter__(self):
-        return islice(self._items, self._n)
 
 
 def _key_rank(video_ids: np.ndarray, segment_ids: np.ndarray) -> np.ndarray:
@@ -210,14 +133,15 @@ class PackedFoVIndex:
     payload order, a :class:`~repro.spatial.grid.PackedPointGrid` CSR
     cell grid answering range queries over the (degenerate) record
     boxes, a precomputed ``key_rank`` column encoding the canonical
-    ``(video_id, segment_id)`` order for vectorised ranking, and a
-    ``records`` sequence mapping payload id back to the indexed object.
+    ``(video_id, segment_id)`` order for vectorised ranking, and
+    ``records``, the same rows as a :class:`RecordColumns`, which builds
+    a row's :class:`RepresentativeFoV` only when a result asks for it.
     The retrieval engine consumes candidates by fancy-indexing these
     columns instead of touching Python attributes per candidate.
 
-    No column is copied: they are slices of the index's own column
-    store (:meth:`FoVIndex.packed_view`).  ``key_rank`` and ``grid``
-    are derived from the columns when omitted.
+    No column is copied: they are ``records``' own, slices of the
+    index's column store (:meth:`FoVIndex.packed_view`).  ``key_rank``
+    and ``grid`` are derived from the columns when omitted.
 
     A view may carry one ``tail``: the columns and ``records`` then span
     every row, while ``grid`` and ``key_rank`` are a base's and cover
@@ -228,40 +152,37 @@ class PackedFoVIndex:
     rebuild's ``key_rank`` would (``tail_rank`` holds the tail's side,
     :func:`_tail_rank`).
 
-    ``epoch`` records the backing index's mutation counter at snapshot
-    time; ``FoVIndex.packed_view`` hands out a new view when they
-    diverge -- the base plus a tail of the rows appended since, or a
-    full rebuild when the fold rule (:func:`must_fold`) says so.
+    ``epoch`` -- ``records.epoch`` -- records the backing index's
+    mutation counter at snapshot time; ``FoVIndex.packed_view`` hands
+    out a new view when they diverge -- the base plus a tail of the
+    rows appended since, or a full rebuild when the fold rule
+    (:func:`must_fold`) says so.
     """
 
     __slots__ = ("records", "lat", "lng", "theta",
                  "t_start", "t_end", "video_ids", "segment_ids",
                  "key_rank", "grid", "epoch", "tail", "tail_rank")
 
-    def __init__(self, *, lat: np.ndarray, lng: np.ndarray,
-                 theta: np.ndarray, t_start: np.ndarray,
-                 t_end: np.ndarray, video_ids: np.ndarray,
-                 segment_ids: np.ndarray,
-                 records: Sequence[RepresentativeFoV],
+    def __init__(self, records: RecordColumns, *,
                  key_rank: np.ndarray | None = None,
                  grid: PackedPointGrid | None = None,
-                 epoch: int = 0,
                  tail: PackedFoVIndex | None = None,
                  tail_rank: np.ndarray | None = None) -> None:
-        self.epoch = epoch
-        self.lat = lat
-        self.lng = lng
-        self.theta = theta
-        self.t_start = t_start
-        self.t_end = t_end
-        self.video_ids = video_ids
-        self.segment_ids = segment_ids
-        self.key_rank = (key_rank if key_rank is not None
-                         else _key_rank(video_ids, segment_ids))
-        self.grid = (grid if grid is not None
-                     else PackedPointGrid.build(lng, lat, t_start, t_end,
-                                                theta))
         self.records = records
+        self.epoch = records.epoch
+        self.lat = records.lat
+        self.lng = records.lng
+        self.theta = records.theta
+        self.t_start = records.t_start
+        self.t_end = records.t_end
+        self.video_ids = records.video_ids
+        self.segment_ids = records.segment_ids
+        self.key_rank = (key_rank if key_rank is not None
+                         else _key_rank(self.video_ids, self.segment_ids))
+        self.grid = (grid if grid is not None
+                     else PackedPointGrid.build(self.lng, self.lat,
+                                                self.t_start, self.t_end,
+                                                self.theta))
         self.tail = tail
         self.tail_rank = tail_rank
 
@@ -321,43 +242,44 @@ class PackedFoVIndex:
         return qids[order], np.concatenate((ids, more + self.grid.n))[order]
 
 
-#: Rows of the column store's geometry matrix (``RepresentativeFoV``
-#: field order, which is also the packed view's column order).
-_LAT, _LNG, _THETA, _T_START, _T_END = range(5)
+def _checked_geometry(columns: RecordColumns) -> None:
+    """Refuse a batch unless every row is indexable.
 
-
-def _checked_geometry(fovs: Sequence[RepresentativeFoV]) -> np.ndarray:
-    """A batch's ``(m, 5)`` geometry matrix, refused unless indexable.
-
-    Every column must be finite, latitude in ``[-90, 90]`` and
+    Every geometry column must be finite, latitude in ``[-90, 90]``,
     longitude in ``[-180, 180]`` -- what :class:`GeoPoint` accepts, so
     a batch the sharded router cannot place is refused by a single
-    server too.  Both facades run this before anything lands, which is
-    what keeps a batch all-or-nothing; the first offending record is
+    server too -- and no segment may end before it starts (what
+    :class:`RepresentativeFoV` refuses, so no stored row fails to
+    materialise).  Both facades run this before anything lands, which
+    is what keeps a batch all-or-nothing; the first offending record is
     named.
     """
-    geom = np.array([(f.lat, f.lng, f.theta, f.t_start, f.t_end)
-                     for f in fovs], dtype=float).reshape(-1, 5)
-    finite = np.isfinite(geom).all(axis=1)
-    ok = (finite & (np.abs(geom[:, _LAT]) <= 90.0)
-          & (np.abs(geom[:, _LNG]) <= 180.0))
+    lat, lng = columns.lat, columns.lng
+    finite = (np.isfinite(lat) & np.isfinite(lng)
+              & np.isfinite(columns.theta) & np.isfinite(columns.t_start)
+              & np.isfinite(columns.t_end))
+    placed = finite & (np.abs(lat) <= 90.0) & (np.abs(lng) <= 180.0)
+    ok = placed & (columns.t_end >= columns.t_start)
     if not bool(ok.all()):
         i = int(np.argmin(ok))
         what = ("non-finite geometry" if not finite[i]
-                else "latitude/longitude out of range")
-        raise ValueError(f"{what} in record {fovs[i].key()!r}; "
+                else "latitude/longitude out of range" if not placed[i]
+                else "segment ends before it starts")
+        key = (str(columns.video_ids[i]), int(columns.segment_ids[i]))
+        raise ValueError(f"{what} in record {key!r}; "
                          f"nothing from this batch was indexed")
-    return geom
 
 
 class _ColumnStore:
-    """Append-only record list plus growable parallel columns.
+    """Append-only growable parallel columns, plus a record memo.
 
-    The rtree backend's single source of truth: the objects a result
-    hands back, and the ``lat``/``lng``/``theta``/``t_start``/``t_end``/
-    ``video_ids``/``segment_ids`` columns the serving path reads, in
-    insertion order.  An append is O(batch) amortised (capacity
+    The rtree backend's single source of truth: the seven
+    :data:`_COLUMNS` the serving path reads, in insertion order, the
+    five geometry ones as the rows of one ``(5, capacity)`` matrix.  An
+    append copies a batch's columns in, O(batch) amortised (capacity
     doubling); a removal compresses every column with one mask.
+    ``_memo`` holds one slot per row: the object a caller handed in,
+    else ``None`` until a result asks for it (:class:`_MemoRows`).
 
     Rows ``[:n]`` of a buffer are never rewritten -- appends fill spare
     capacity or move to a larger buffer, removals compress into fresh
@@ -365,63 +287,48 @@ class _ColumnStore:
     frozen without copying a column.
     """
 
-    __slots__ = ("records", "token", "_geom", "_video_ids",
-                 "_segment_ids")
+    __slots__ = ("token", "_n", "_geom", "_video_ids", "_segment_ids",
+                 "_memo")
 
     def __init__(self, capacity: int = 64) -> None:
-        self.records: list[RepresentativeFoV] = []
         #: Minted here and by every :meth:`compress`, compared with
         #: ``is``: under one token the rows are append-only, so
         #: ``(token, len)`` names a content no other store can share.
         self.token = object()
+        self._n = 0
         self._geom = np.empty((5, capacity), dtype=float)
         self._video_ids = np.zeros(capacity, dtype="<U1")
         self._segment_ids = np.empty(capacity, dtype=np.int64)
+        self._memo: list[RepresentativeFoV | None] = []
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._n
 
-    @property
-    def lat(self) -> np.ndarray:
-        return self._geom[_LAT, :len(self.records)]
+    def _columns(self, start: int) -> dict[str, np.ndarray]:
+        n = self._n
+        return dict(zip(_COLUMNS[:5], self._geom[:, start:n]),
+                    video_ids=self._video_ids[start:n],
+                    segment_ids=self._segment_ids[start:n])
 
-    @property
-    def lng(self) -> np.ndarray:
-        return self._geom[_LNG, :len(self.records)]
+    def rows(self, start: int = 0, epoch: int = 0) -> RecordColumns:
+        """Rows ``start:`` as frozen column slices."""
+        return RecordColumns(**self._columns(start), epoch=epoch)
 
-    @property
-    def theta(self) -> np.ndarray:
-        return self._geom[_THETA, :len(self.records)]
-
-    @property
-    def t_start(self) -> np.ndarray:
-        return self._geom[_T_START, :len(self.records)]
-
-    @property
-    def t_end(self) -> np.ndarray:
-        return self._geom[_T_END, :len(self.records)]
-
-    @property
-    def video_ids(self) -> np.ndarray:
-        return self._video_ids[:len(self.records)]
-
-    @property
-    def segment_ids(self) -> np.ndarray:
-        return self._segment_ids[:len(self.records)]
+    def served(self, epoch: int) -> _MemoRows:
+        """Every row, building each record at most once (the memo)."""
+        return _MemoRows(self._memo, **self._columns(0), epoch=epoch)
 
     def boxes(self, start: int) -> tuple[np.ndarray, np.ndarray]:
         """``(mins, maxs)`` of the degenerate 3-D boxes of rows ``start:``."""
-        lng, lat = self.lng[start:], self.lat[start:]
-        return (np.column_stack((lng, lat, self.t_start[start:])),
-                np.column_stack((lng, lat, self.t_end[start:])))
+        lat, lng, _, t_start, t_end = self._geom[:, start:self._n]
+        return (np.column_stack((lng, lat, t_start)),
+                np.column_stack((lng, lat, t_end)))
 
-    def append(self, items: list[RepresentativeFoV],
-               geom: np.ndarray) -> None:
-        """Append ``items``; ``geom`` is their ``(m, 5)`` geometry matrix."""
-        n, m = len(self.records), len(items)
-        video_ids = np.array([f.video_id for f in items])
+    def append(self, columns: RecordColumns) -> None:
+        """Copy ``columns``' rows in after the last row."""
+        n, m = self._n, len(columns)
         capacity = self._segment_ids.shape[0]
-        vid_dtype = max(video_ids.dtype, self._video_ids.dtype,
+        vid_dtype = max(columns.video_ids.dtype, self._video_ids.dtype,
                         key=lambda dt: dt.itemsize)
         if n + m > capacity or vid_dtype != self._video_ids.dtype:
             if n + m > capacity:
@@ -434,31 +341,34 @@ class _ColumnStore:
             sid_buf[:n] = self._segment_ids[:n]
             self._geom, self._video_ids, self._segment_ids = (
                 geom_buf, vid_buf, sid_buf)
-        self._geom[:, n:n + m] = geom.T
-        self._video_ids[n:n + m] = video_ids
-        self._segment_ids[n:n + m] = [f.segment_id for f in items]
-        self.records.extend(items)
+        for row, name in enumerate(_COLUMNS[:5]):
+            self._geom[row, n:n + m] = getattr(columns, name)
+        self._video_ids[n:n + m] = columns.video_ids
+        self._segment_ids[n:n + m] = columns.segment_ids
+        self._memo += (columns._memo[:m] if isinstance(columns, _MemoRows)
+                       else [None] * m)
+        self._n = n + m
 
     def compress(self, keep: np.ndarray) -> None:
         """Drop every row whose ``keep`` flag is false."""
-        n = len(self.records)
+        n = self._n
         self._geom = self._geom[:, :n].compress(keep, axis=1)
         self._video_ids = self._video_ids[:n][keep]
         self._segment_ids = self._segment_ids[:n][keep]
-        self.records = [f for f, k in zip(self.records, keep.tolist()) if k]
+        self._memo = list(compress(self._memo, keep.tolist()))
+        self._n = len(self._memo)
         self.token = object()
 
     def find(self, fov: RepresentativeFoV) -> int:
         """Row of the first record equal to ``fov`` (``-1`` if absent)."""
-        rows = np.flatnonzero((self.segment_ids == fov.segment_id)
-                              & (self.lat == fov.lat)
-                              & (self.lng == fov.lng)
-                              & (self.t_start == fov.t_start)
-                              & (self.t_end == fov.t_end))
-        for row in rows.tolist():
-            if self.records[row] == fov:
-                return row
-        return -1
+        c = self.rows()
+        rows = np.flatnonzero((c.segment_ids == fov.segment_id)
+                              & (c.lat == fov.lat) & (c.lng == fov.lng)
+                              & (c.theta == fov.theta)
+                              & (c.t_start == fov.t_start)
+                              & (c.t_end == fov.t_end)
+                              & (c.video_ids == fov.video_id))
+        return int(rows[0]) if rows.size else -1
 
 
 class _TreeView(NamedTuple):
@@ -534,9 +444,9 @@ class FoVIndex:
     rtree_config : RTreeConfig, optional
         Structural parameters for the R-tree backend.
 
-    The rtree backend *stores* records in a column store (an
-    append-only record list plus growable parallel columns): a write is
-    an O(batch) append, and both read-optimised forms are views derived
+    The rtree backend *stores* records in a column store (growable
+    parallel columns, no record objects): a write is an O(batch) copy
+    of the batch's columns, and both read-optimised forms are views derived
     from it lazily -- :meth:`packed_view` (columns + cell grid, what
     ``engine="packed"`` serves from) and :meth:`rtree` (the Section V-A
     R-tree, what :meth:`range_search`, :meth:`count_in_range` and
@@ -592,8 +502,8 @@ class FoVIndex:
         * only appends, fewer rows than the base holds
           (:func:`must_fold`): the base's grid and ``key_rank`` plus a
           ``tail`` over the rows since, with its own grid and
-          ``key_rank`` built in O(rows since the base) -- no column,
-          rank or record list of the base is copied;
+          ``key_rank`` built in O(rows since the base) -- no column
+          or rank of the base is copied;
         * a removal, or a tail grown to the base's size: ``key_rank``
           and the cell grid over every row, which become the new base.
         """
@@ -602,8 +512,9 @@ class FoVIndex:
         if view is not None and view.epoch == self._epoch:
             return view
         mark, base = self.mark, self._base
+        rows = store.served(self._epoch)
         if base is None or must_fold(base.mark, mark):
-            view = self._rows_from(store, 0)
+            view = PackedFoVIndex(rows)
             self._base = _ServingBase(mark, view.grid, view.key_rank)
         else:
             nb = base.mark.count
@@ -611,12 +522,11 @@ class FoVIndex:
                 order = np.empty(nb, dtype=np.int64)
                 order[base.key_rank] = np.arange(nb, dtype=np.int64)
                 base = self._base = base._replace(key_order=order)
-            tail = self._rows_from(store, nb)
-            view = self._rows_from(
-                store, 0, records=_RecordPrefix(store.records, mark.count),
-                key_rank=base.key_rank, grid=base.grid, tail=tail,
-                tail_rank=_tail_rank(store.video_ids[:nb],
-                                     store.segment_ids[:nb],
+            tail = PackedFoVIndex(store.rows(nb, self._epoch))
+            view = PackedFoVIndex(
+                rows, key_rank=base.key_rank, grid=base.grid, tail=tail,
+                tail_rank=_tail_rank(rows.video_ids[:nb],
+                                     rows.segment_ids[:nb],
                                      base.key_order, tail))
         self._packed = view
         return view
@@ -640,7 +550,7 @@ class FoVIndex:
         ``None`` unless ``since`` carries this store's current token (a
         removal, or a mark taken from another index, leaves nothing to
         extend).  O(1): the columns are frozen slices of the column
-        store -- no grid, no ``key_rank``, no record list -- and
+        store -- no grid, no ``key_rank``, no record object -- and
         ``epoch`` is the current one.
         """
         store = self._columns("record_columns()")
@@ -649,22 +559,7 @@ class FoVIndex:
             if since.token is not store.token:
                 return None
             start = since.count
-        return RecordColumns(
-            lat=store.lat[start:], lng=store.lng[start:],
-            theta=store.theta[start:], t_start=store.t_start[start:],
-            t_end=store.t_end[start:], video_ids=store.video_ids[start:],
-            segment_ids=store.segment_ids[start:], epoch=self._epoch)
-
-    def _rows_from(self, store: _ColumnStore, start: int,
-                   records: Sequence[RepresentativeFoV] | None = None,
-                   **derived: Any) -> PackedFoVIndex:
-        return PackedFoVIndex(
-            lat=store.lat[start:], lng=store.lng[start:],
-            theta=store.theta[start:], t_start=store.t_start[start:],
-            t_end=store.t_end[start:], video_ids=store.video_ids[start:],
-            segment_ids=store.segment_ids[start:],
-            records=store.records[start:] if records is None else records,
-            epoch=self._epoch, **derived)
+        return store.rows(start, self._epoch)
 
     def rtree(self) -> RTree:
         """The Section V-A R-tree over the current records.
@@ -673,7 +568,9 @@ class FoVIndex:
         use (one STR bulk load), caught up when only appends happened
         since -- per record, or by a bulk rebuild when the pending run
         is a non-trivial share of the index -- and bulk-rebuilt after a
-        removal.  Requires the R-tree backend.
+        removal.  Its payloads are the records, so a tree builds every
+        row's object (once: the serving rows' memo keeps it).  Requires
+        the R-tree backend.
         """
         store = self._columns("rtree()")
         view, n = self._tree, len(store)
@@ -685,12 +582,14 @@ class FoVIndex:
         pending = n if view is None else n - view.count
         if view is None or (pending >= _TREE_REBUILD_MIN
                             and view.count <= pending * _TREE_REBUILD_MAX_RATIO):
-            tree = str_bulk_load(*store.boxes(0), store.records, dim=3,
-                                 config=self._rtree_config)
+            tree = str_bulk_load(*store.boxes(0),
+                                 store.served(self._epoch).take(range(n)),
+                                 dim=3, config=self._rtree_config)
         else:
             tree = view.tree
             mins, maxs = store.boxes(view.count)
-            for i, fov in enumerate(store.records[view.count:]):
+            fovs = store.served(self._epoch).take(range(view.count, n))
+            for i, fov in enumerate(fovs):
                 tree.insert(mins[i], maxs[i], fov)
         self._tree = _TreeView(tree, n, store.token)
         return tree
@@ -704,70 +603,77 @@ class FoVIndex:
         """Index one uploaded representative FoV."""
         self.insert_many((fov,))
 
-    def insert_many(self, fovs: Iterable[RepresentativeFoV]) -> int:
+    def insert_many(self, fovs: RecordColumns | Iterable[RepresentativeFoV]
+                    ) -> int:
         """Index a batch of records atomically; returns the count.
 
-        The batch's geometry matrix is built and checked finite and in
-        range *before* anything is stored, so a bad record rejects the
-        whole batch with the index untouched (no partial bundles), and
-        the epoch bumps once for the batch instead of once per record --
-        one cache/packed-view invalidation per commit group, however
-        many bundles it merged.
+        ``fovs`` is a :class:`RecordColumns` or record objects
+        (:meth:`RecordColumns.of`).  The columns are checked *before*
+        anything is stored, so a bad record rejects the whole batch
+        with the index untouched (no partial bundles), and the epoch
+        bumps once for the batch instead of once per record -- one
+        cache/packed-view invalidation per commit group, however many
+        bundles it merged.
 
-        On the R-tree backend the batch is then appended to the column
-        store: O(batch), no tree descent.  Derived views catch up when
-        next asked for (:meth:`packed_view`, :meth:`rtree`).
+        On the R-tree backend the columns are then copied into the
+        column store: O(batch), no tree descent, no record object.
+        Derived views catch up when next asked for (:meth:`packed_view`,
+        :meth:`rtree`).
         """
-        items = list(fovs)
-        if not items:
+        columns = RecordColumns.of(fovs)
+        if not len(columns):
             return 0
-        geom = _checked_geometry(items)
+        _checked_geometry(columns)
         if isinstance(self._store, _ColumnStore):
-            self._store.append(items, geom)
+            self._store.append(columns)
         else:
-            mins = geom[:, (_LNG, _LAT, _T_START)]
-            maxs = geom[:, (_LNG, _LAT, _T_END)]
-            for i, fov in enumerate(items):
+            mins = np.column_stack((columns.lng, columns.lat,
+                                    columns.t_start))
+            maxs = np.column_stack((columns.lng, columns.lat, columns.t_end))
+            for i, fov in enumerate(columns):
                 self._store.insert(mins[i], maxs[i], fov)
-        lo, hi = geom.min(axis=0).tolist(), geom.max(axis=0).tolist()
-        box = (lo[_LNG], hi[_LNG], lo[_LAT], hi[_LAT],
-               lo[_T_START], hi[_T_END])
+        box = (float(columns.lng.min()), float(columns.lng.max()),
+               float(columns.lat.min()), float(columns.lat.max()),
+               float(columns.t_start.min()), float(columns.t_end.max()))
         old = self._bounds
         self._bounds = box if old is None else (
             min(old[0], box[0]), max(old[1], box[1]),
             min(old[2], box[2]), max(old[3], box[3]),
             min(old[4], box[4]), max(old[5], box[5]))
         self._epoch += 1
-        return len(items)
+        return len(columns)
 
     def bounds(self) -> Bounds | None:
         """Conservative content box, ``None`` before the first insert.
 
         ``(lng_lo, lng_hi, lat_lo, lat_hi, t_lo, t_hi)`` over every
-        record ever indexed, widened from each batch's geometry matrix;
+        record ever indexed, widened from each batch's columns;
         removals leave it as-is (a stale, wider box still prunes
         safely).
         """
         return self._bounds
 
     def records(self) -> list[RepresentativeFoV]:
-        """Every indexed record (index order; audits and parity checks)."""
+        """Every indexed record (index order; audits and parity checks),
+        built afresh from the columns on the R-tree backend."""
         if isinstance(self._store, _ColumnStore):
-            return list(self._store.records)
+            return list(self.record_columns())
         return [fov for _, _, fov in self._store.items()]
 
     def content_digest(self) -> str:
         """Order-independent SHA-256 over the canonical record tuples.
 
         Two indexes hold bit-identical content iff their digests match,
-        regardless of insertion order or backend -- the convergence
+        regardless of insertion order or backend (coordinates hash as
+        the float64 values the column store holds, so a record built
+        with ``lat=40`` and one with ``lat=40.0`` agree) -- the convergence
         check for fault-injection and WAL crash-replay runs
         (``repr`` round-trips floats exactly, so equal digests mean
         equal bits, not merely close values).
         """
         canon = sorted(
-            (f.video_id, f.segment_id, f.lat, f.lng, f.theta,
-             f.t_start, f.t_end)
+            (f.video_id, f.segment_id, float(f.lat), float(f.lng),
+             float(f.theta), float(f.t_start), float(f.t_end))
             for f in self.records()
         )
         h = hashlib.sha256()
@@ -797,7 +703,7 @@ class FoVIndex:
         Returns the number of records evicted.
         """
         if isinstance(self._store, _ColumnStore):
-            keep = ~(self._store.t_end < cutoff_t)
+            keep = ~(self._store.rows().t_end < cutoff_t)
             evicted = int(keep.size - np.count_nonzero(keep))
             if evicted:
                 self._store.compress(keep)
@@ -866,7 +772,7 @@ class FoVIndex:
         return rows[:k]
 
     @classmethod
-    def bulk(cls, fovs: list[RepresentativeFoV],
+    def bulk(cls, fovs: RecordColumns | list[RepresentativeFoV],
              rtree_config: RTreeConfig | None = None) -> "FoVIndex":
         """Index a collected dataset in one batch.
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.core.fov import RepresentativeFoV
+from repro.core.fov import RecordColumns
 from repro.core.quarantine import QuarantineStore
 from repro.core.wal import ENTRY_OVERHEAD, WriteAheadLog
 from repro.core.wal import replay as wal_replay
@@ -105,8 +105,9 @@ class AdmissionQueue:
 class IngestCoordinator:
     """Commit-group ingest: admit -> dedup -> decode -> WAL -> land -> ack.
 
-    One instance per server facade, which supplies only ``land(records)
-    -> int``: index every accepted record of the group in one
+    One instance per server facade, which supplies only ``land(columns)
+    -> int``: index every accepted record of the group -- its decoded
+    columns end to end, no record object built -- in one
     all-or-nothing call (one epoch bump per index touched) and return
     the count.  ``CloudServer`` lands in its index, ``ShardedCloudServer``
     splits across the fleet; a single shard is the n=1 case.
@@ -120,7 +121,7 @@ class IngestCoordinator:
     not be acked as a duplicate.
     """
 
-    def __init__(self, land: Callable[[list[RepresentativeFoV]], int], *,
+    def __init__(self, land: Callable[[RecordColumns], int], *,
                  stats: ServerStats, journal: EventJournal,
                  quarantine: QuarantineStore,
                  wal: WriteAheadLog | None = None,
@@ -229,10 +230,7 @@ class IngestCoordinator:
                     self._stats._wal_bytes.inc(len(payload) + ENTRY_OVERHEAD)
                 self._wal.commit()
                 self._stats._wal_syncs.inc()
-            records: list[RepresentativeFoV] = []
-            for _, _, _, columns in group:
-                records.extend(columns.records())
-            indexed = self._land(records)
+            indexed = self._land(RecordColumns.concat([c for *_, c in group]))
         except BaseException:
             with self._lock:
                 self._seen.difference_update(reserved)

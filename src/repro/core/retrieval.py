@@ -183,7 +183,8 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
     query's canonical ranking at once (``tie_rank`` is ``key_rank`` on
     a one-segment view, and keeps that order across a tail).  Only the
     winning ``top_n`` rows per query are materialised into Python
-    objects.
+    objects, and a row's record is built the first time any result
+    wins it (``view.records.take``).
 
     A single query (``RetrievalEngine.execute``) is the ``n = 1`` case
     of the same kernels.  Only the operands differ, so that it never
@@ -282,12 +283,13 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
         rows: list[tuple[Query, list[RankedFoV], int, int]] = []
         for qi, q in enumerate(queries):
             lo, hi = kbounds[qi], kbounds[qi + 1]
-            ranked = []
-            for p in order[lo: min(hi, lo + q.top_n)].tolist():
-                ranked.append(RankedFoV(fov=records[int(kids[p])],
-                                        distance=float(kdist[p]),
-                                        covers=bool(kcov[p]),
-                                        score=float(scores[p])))
+            win = order[lo: min(hi, lo + q.top_n)]
+            ranked = [
+                RankedFoV(fov=fov, distance=d, covers=c, score=s)
+                for fov, d, c, s in zip(records.take(kids[win].tolist()),
+                                        kdist[win].tolist(),
+                                        kcov[win].tolist(),
+                                        scores[win].tolist())]
             rows.append((q, ranked, bounds[qi + 1] - bounds[qi], hi - lo))
 
     share = (clock() - t0) / n_q

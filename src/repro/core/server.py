@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 from repro.core.cache import QueryResultCache, query_cache_key, read_through
 from repro.core.camera import CameraModel
-from repro.core.fov import RepresentativeFoV
+from repro.core.fov import RecordColumns, RepresentativeFoV
 from repro.core.index import FoVIndex
 from repro.core.ingest import IngestCoordinator, IngestOutcome, IngestStatus
 from repro.core.pipeline import ClientPipeline, StoredSegment
@@ -384,13 +384,17 @@ class CloudServer:
         """
         return self._ingest.make_uploader(self.ingest_bundle, channel, policy)
 
-    def ingest(self, fovs: list[RepresentativeFoV]) -> int:
-        """Directly index already-decoded records (dataset loading)."""
+    def ingest(self, fovs: RecordColumns | Sequence[RepresentativeFoV]
+               ) -> int:
+        """Directly index already-decoded records (dataset loading):
+        record objects, or columns (a loaded snapshot, a shard's slice
+        of a commit group)."""
         n = self._land(fovs)
         self.stats._records_indexed.inc(n)
         return n
 
-    def _land(self, fovs: list[RepresentativeFoV]) -> int:
+    def _land(self, fovs: RecordColumns | Sequence[RepresentativeFoV]
+              ) -> int:
         """One atomic ``insert_many`` (one epoch bump) plus gauge sync."""
         n = self.index.insert_many(fovs)
         self._sync_index_gauges("ingest")

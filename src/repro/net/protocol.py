@@ -56,12 +56,11 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from repro.core.fov import RepresentativeFoV
+from repro.core.fov import RecordColumns, RepresentativeFoV
 
 __all__ = [
     "FOV_RECORD_SIZE",
@@ -179,10 +178,15 @@ def encode_bundle(video_id: str, fovs: list[RepresentativeFoV],
 
 
 def _decode_video_id(raw: bytes) -> str:
+    """The bundle's video id; refused unless UTF-8 without NUL (the
+    index keeps ids in a unicode column, which drops trailing NULs)."""
     try:
-        return raw.decode("utf-8")
+        video_id = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"video id is not valid UTF-8: {exc}") from None
+    if "\x00" in video_id:
+        raise ValueError("video id contains NUL")
+    return video_id
 
 
 def _decode_records_v1(payload: bytes, offset: int, count: int,
@@ -235,35 +239,23 @@ def crc32_rows(rows: "np.ndarray") -> "np.ndarray":
     return crc ^ np.uint32(0xFFFFFFFF)
 
 
-@dataclass(frozen=True)
-class BundleColumns:
-    """One decoded recording as parallel columns (SoA), the form the
+class BundleColumns(RecordColumns):
+    """One decoded recording as record columns plus its ``video_id``
+    (which the ``video_ids`` column repeats per row): the form the
     batched ingest path feeds straight into the index without
-    materialising per-record objects first."""
+    materialising per-record objects first.  ``theta`` is widened from
+    the float32 wire field."""
 
-    video_id: str
-    lat: "np.ndarray"          # float64
-    lng: "np.ndarray"          # float64
-    theta: "np.ndarray"        # float64 (widened from the float32 wire field)
-    t_start: "np.ndarray"      # float64
-    t_end: "np.ndarray"        # float64
-    segment_ids: "np.ndarray"  # int64
+    __slots__ = ("video_id",)
 
-    def __len__(self) -> int:
-        return self.lat.shape[0]
+    def __init__(self, video_id: str, **columns: np.ndarray) -> None:
+        super().__init__(video_ids=np.full(len(columns["lat"]), video_id),
+                         **columns)
+        object.__setattr__(self, "video_id", video_id)
 
     def records(self) -> list[RepresentativeFoV]:
         """Materialise the columns as the classic record objects."""
-        vid = self.video_id
-        return [
-            RepresentativeFoV(lat=la, lng=ln, theta=th,
-                              t_start=ts, t_end=te,
-                              video_id=vid, segment_id=sid)
-            for la, ln, th, ts, te, sid in zip(
-                self.lat.tolist(), self.lng.tolist(), self.theta.tolist(),
-                self.t_start.tolist(), self.t_end.tolist(),
-                self.segment_ids.tolist())
-        ]
+        return list(self)
 
 
 def _decode_records_v2(payload: bytes, offset: int, count: int,
@@ -406,8 +398,8 @@ def decode_bundle(payload: bytes) -> tuple[str, list[RepresentativeFoV]]:
 
     Raises ``ValueError`` -- and only ``ValueError`` -- on any
     malformed input: bad magic, unsupported version, truncation,
-    trailing bytes, checksum mismatch, undecodable video id, or a
-    record failing semantic validation.
+    trailing bytes, checksum mismatch, an undecodable video id or one
+    containing NUL, or a record failing semantic validation.
     """
     if len(payload) < _HEADER.size:
         raise ValueError("bundle shorter than its header")

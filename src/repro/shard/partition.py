@@ -27,12 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from repro._types import ArrayLike
-from repro.core.fov import RepresentativeFoV
+from repro.core.fov import RecordColumns, RepresentativeFoV
 from repro.core.query import Query
 from repro.geo.coords import GeoPoint
 from repro.geo.earth import displacement, pairwise_local_xy, radius_to_degrees
@@ -169,22 +167,21 @@ class GridPartitioner:
         """Owning shard of one representative FoV (by camera position)."""
         return int(self.shards_of([fov.lat], [fov.lng])[0])
 
-    def split(self, fovs: Sequence[RepresentativeFoV]
-              ) -> list[list[RepresentativeFoV]]:
-        """Partition records into ``n_shards`` lists (input order kept).
+    def split(self, columns: RecordColumns) -> list[RecordColumns]:
+        """Partition a run of columns into ``n_shards`` column runs
+        (input order kept within each).
 
-        One columnar pass: every position is projected and hashed by
-        :meth:`shards_of`, so a bad coordinate raises before any slice
-        is returned; what stays per record is one list append (cheaper
-        than a stable argsort plus gather).
+        Every position is projected and hashed by :meth:`shards_of`, so
+        a bad coordinate raises before any slice is returned; then one
+        stable argsort by shard, and each shard's run of it gathers that
+        shard's rows.  The runs are separate copies, so a caller can
+        drop each once it has landed.  No record object is built.
         """
-        n = len(fovs)
-        sids = self.shards_of(np.fromiter((f.lat for f in fovs), float, n),
-                              np.fromiter((f.lng for f in fovs), float, n))
-        parts: list[list[RepresentativeFoV]] = [[] for _ in range(self.n_shards)]
-        for sid, fov in zip(sids.tolist(), fovs):
-            parts[sid].append(fov)
-        return parts
+        sids = self.shards_of(columns.lat, columns.lng)
+        order = np.argsort(sids, kind="stable")
+        ends = np.cumsum(np.bincount(sids, minlength=self.n_shards)).tolist()
+        return [columns.select(order[lo:hi])
+                for lo, hi in zip([0] + ends[:-1], ends)]
 
     def _all_shards(self) -> tuple[int, ...]:
         return tuple(range(self.n_shards))

@@ -7,8 +7,8 @@ shard's records in the flat, CRC-protected ``FOVPACK1`` buffer
 ``manifest.json`` recording the routing parameters ``(n_shards,
 origin, cell_m, seed)`` and per-shard record counts.  Saving builds no
 search structure; :func:`load_sharded_snapshot` rebuilds the fleet the
-way replica promotion rebuilds a shard (verified attach -> records ->
-``ingest``).
+way replica promotion rebuilds a shard (verified attach -> columns ->
+``ingest``, no record object built).
 
 Because routing is a pure function of the manifest's parameters
 (:mod:`repro.shard.partition`), reload does not trust the file
@@ -26,7 +26,7 @@ from pathlib import Path
 
 from repro.core.camera import CameraModel
 from repro.core.flatsnap import load_snapshot_file
-from repro.core.fov import RepresentativeFoV
+from repro.core.fov import RecordColumns
 from repro.geo.coords import GeoPoint
 from repro.obs.runtime import Observability
 from repro.shard.partition import GridPartitioner
@@ -138,7 +138,7 @@ def load_sharded_snapshot(dirpath: str | Path, camera: CameraModel,
     """
     root = Path(dirpath)
     part, shards = _read_manifest(root)
-    records: list[RepresentativeFoV] = []
+    parts: list[RecordColumns] = []
     for name, count in shards:
         if not (root / name).is_file():
             raise ValueError(f"manifest names {name!r}, not a file in {root}")
@@ -147,12 +147,12 @@ def load_sharded_snapshot(dirpath: str | Path, camera: CameraModel,
             raise ValueError(
                 f"shard file {name!r} holds {len(columns)} records, "
                 f"manifest says {count}")
-        records.extend(columns)
+        parts.append(columns)
     server = ShardedCloudServer(
         camera, n_shards=part.n_shards, origin=part.origin,
         cell_m=part.cell_m, seed=part.seed, strict_cover=strict_cover,
         engine=engine, cache_size=cache_size, obs=obs)
-    server.ingest(records)
+    server.ingest(RecordColumns.concat(parts))
     for sid, (_, count) in enumerate(shards):
         live = len(server.shards[sid].index)
         if live != count:

@@ -3,11 +3,12 @@
 One standby per shard of a
 :class:`~repro.shard.server.ShardedCloudServer`: a base ``FOVPACK1``
 buffer plus tail segments of the rows appended since, each pinned by a
-manifest and checked at promotion.  A segment holds records only; a
-sync builds no search structure, and promotion re-indexes the
-records.  The sync rules (skip / tail / fold), fail-stop, the
-promotion checks and the parity contract are specified once, in
-docs/SHARDING.md §10 ("Failover protocol").
+manifest and checked at promotion.  A segment holds record columns
+only; a sync builds no search structure, and promotion re-indexes the
+segments' columns without building a record object.  The sync rules
+(skip / tail / fold), fail-stop, the promotion checks and the parity
+contract are specified once, in docs/SHARDING.md §10 ("Failover
+protocol").
 
 Kills, promotions, syncs (by ``kind``, ``full`` or ``tail``), captured
 bytes and the measured downtime land in the router's registry as
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 from repro.core.flatsnap import unpack_snapshot
-from repro.core.fov import RepresentativeFoV
+from repro.core.fov import RecordColumns
 from repro.core.index import ContentMark, must_fold
 from repro.core.server import CloudServer
 from repro.net.clock import default_timer
@@ -231,10 +232,10 @@ class ReplicaSet:
         if replica is None or synced is None:
             raise ValueError(f"no standby captured for shard {sid}")
         with self._server.obs.tracer.span("failover.promote", shard=sid):
-            records = _verified_records(sid, replica, synced)
+            columns = _verified_columns(sid, replica, synced)
             fresh = self._server.spawn_shard_server()
-            if records:
-                fresh.ingest(records)
+            if len(columns):
+                fresh.ingest(columns)
             self._server.install_shard(sid, fresh)
         self._promotions.inc()
         killed_at = self._killed_at.pop(sid, None)
@@ -245,14 +246,14 @@ class ReplicaSet:
         return fresh
 
 
-def _verified_records(sid: int, replica: ShardReplica,
-                      synced: _Synced) -> list[RepresentativeFoV]:
-    """A standby's records in row order, or ``ValueError`` naming the
-    first check that failed."""
+def _verified_columns(sid: int, replica: ShardReplica,
+                      synced: _Synced) -> RecordColumns:
+    """A standby's segments as one run of columns in row order, or
+    ``ValueError`` naming the first check that failed."""
     def rejected(why: str) -> ValueError:
         return ValueError(f"standby for shard {sid} rejected: {why}")
 
-    records: list[RepresentativeFoV] = []
+    parts: list[RecordColumns] = []
     newest: int | None = None
     for i, segment in enumerate(replica.segments()):
         manifest = segment.manifest
@@ -275,11 +276,12 @@ def _verified_records(sid: int, replica: ShardReplica,
                 f"segment {i} epoch {manifest.epoch} does not follow "
                 f"{newest} (epoch chain broken)")
         newest = manifest.epoch
-        records.extend(columns)
+        parts.append(columns)
     if newest != synced.epoch:
         raise rejected(f"newest segment epoch {newest}, last sync saw "
                        f"{synced.epoch} (epoch chain broken)")
-    if len(records) != synced.mark.count:
-        raise rejected(f"segments hold {len(records)} records, last sync "
+    held = sum(len(p) for p in parts)
+    if held != synced.mark.count:
+        raise rejected(f"segments hold {held} records, last sync "
                        f"saw {synced.mark.count} (record count)")
-    return records
+    return RecordColumns.concat(parts)

@@ -42,7 +42,7 @@ import numpy as np
 from repro.core.camera import CameraModel
 from repro.core.cache import QueryResultCache, query_cache_key, read_through
 from repro.core.flatsnap import pack_snapshot
-from repro.core.fov import RepresentativeFoV
+from repro.core.fov import RecordColumns, RepresentativeFoV
 from repro.core.index import (Bounds, ContentMark, _checked_geometry,
                               query_box)
 from repro.core.ingest import IngestCoordinator
@@ -348,17 +348,20 @@ class ShardedCloudServer:
         self._live_gauge.labels(shard=str(sid)).set(len(shard.index))
         self.stats._live.set(self.indexed_count)
 
-    def _ingest_parts(self, parts: list[list[RepresentativeFoV]]) -> int:
+    def _ingest_parts(self, parts: list[RecordColumns | None]) -> int:
         """Land a pre-split record set, shard by shard; returns the count.
 
-        Each shard's slice lands atomically under that shard's lock
-        (``insert_many`` -- one epoch bump, all-or-nothing within the
-        shard); geometry was validated before this is called, so no
-        shard can reject its slice after a sibling already indexed.
+        Each shard's column slice lands atomically under that shard's
+        lock (``insert_many`` -- one epoch bump, all-or-nothing within
+        the shard); geometry was validated before this is called, so no
+        shard can reject its slice after a sibling already indexed.  A
+        slice is dropped from ``parts`` once taken, so the split batch
+        and the rows it has become in the stores are never both held.
         """
         n = 0
         for sid, part in enumerate(parts):
-            if not part:
+            parts[sid] = None
+            if part is None or not len(part):
                 continue
             with self._locks[sid]:
                 n += self.shards[sid].ingest(part)
@@ -367,19 +370,23 @@ class ShardedCloudServer:
             self._route.labels(shard=str(sid)).inc(len(part))
         return n
 
-    def _land(self, fovs: list[RepresentativeFoV]) -> int:
-        """Split one record set across the fleet and land every slice;
-        refused up front while any primary is down (fail-stop)."""
+    def _land(self, columns: RecordColumns) -> int:
+        """Check one run of columns, split it across the fleet and land
+        every slice; refused up front while any primary is down
+        (fail-stop).  The whole batch is checked before any shard
+        indexes a record."""
         self._check_fleet_up()
-        return self._ingest_parts(self.partitioner.split(fovs))
+        _checked_geometry(columns)
+        return self._ingest_parts(list(self.partitioner.split(columns)))
 
-    def ingest(self, fovs: list[RepresentativeFoV]) -> int:
-        """Directly index already-decoded records (dataset loading).
+    def ingest(self, fovs: RecordColumns | Sequence[RepresentativeFoV]
+               ) -> int:
+        """Directly index already-decoded records (dataset loading):
+        record objects, or columns such as a loaded snapshot.
 
         The whole batch is checked before any shard indexes a record.
         """
-        _checked_geometry(fovs)
-        n = self._land(fovs)
+        n = self._land(RecordColumns.of(fovs))
         self.stats._records_indexed.inc(n)
         return n
 

@@ -41,7 +41,10 @@ def bundle_for(vid, n):
     return encode_bundle(vid, [rep(i, vid) for i in range(n)])
 
 
-video_ids = st.text(max_size=60)  # full unicode, incl. multi-byte/astral
+# Full unicode, incl. multi-byte/astral, minus NUL (refused below).
+video_ids = st.text(st.characters(blacklist_categories=("Cs",),
+                                  blacklist_characters="\x00"),
+                    max_size=60)
 
 fov_lists = st.lists(
     st.tuples(st.floats(-89.0, 89.0), st.floats(-179.0, 179.0),
@@ -64,6 +67,18 @@ def test_roundtrip_any_unicode_video_id(video_id, rows):
     vid, back = decode_bundle(encode_bundle(video_id, fovs))
     assert vid == video_id
     assert [f.key() for f in back] == [f.key() for f in fovs]
+
+
+@settings(max_examples=40)
+@given(video_ids, st.data())
+def test_a_video_id_containing_nul_is_refused(video_id, data):
+    """The index keeps video ids in a unicode column, which drops
+    trailing NULs, so an id with one would come back as another."""
+    at = data.draw(st.integers(0, len(video_id)))
+    vid = video_id[:at] + "\x00" + video_id[at:]
+    for version in (1, 2):
+        with pytest.raises(ValueError, match="NUL"):
+            decode_bundle(encode_bundle(vid, [rep(0, vid)], version=version))
 
 
 @settings(max_examples=120)

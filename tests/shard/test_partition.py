@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.fov import RepresentativeFoV
+from repro.core.fov import RecordColumns, RepresentativeFoV
 from repro.core.index import query_box
 from repro.core.query import Query
 from repro.geo.coords import GeoPoint
@@ -105,7 +105,7 @@ class TestAssignment:
     def test_split_partitions_input(self):
         part = GridPartitioner(n_shards=6, origin=ORIGIN)
         fovs = [fov_at(300.0 * i, -170.0 * i, i) for i in range(60)]
-        parts = part.split(fovs)
+        parts = part.split(RecordColumns.of(fovs))
         assert len(parts) == 6
         assert sum(len(p) for p in parts) == len(fovs)
         for sid, chunk in enumerate(parts):
@@ -128,7 +128,7 @@ class TestAssignment:
         bad = RepresentativeFoV(lat=lat, lng=lng, theta=0.0, t_start=0.0,
                                 t_end=1.0, video_id="bad")
         with pytest.raises(ValueError, match="out of range"):
-            part.split([fov_at(0.0, 0.0), bad])
+            part.split(RecordColumns.of([fov_at(0.0, 0.0), bad]))
 
 
 class TestRouting:
@@ -377,10 +377,10 @@ class TestColumnarSplit:
     def test_split_matches_the_scalar_loop_and_the_cover(self, batch):
         part, cases = batch
         recs = [rec for _, rec in cases]
-        parts = part.split(recs)
+        parts = part.split(RecordColumns.of(recs))
         assert len(parts) == part.n_shards
         # order-preserving partition, each record in the loop's shard
-        assert {sid: p for sid, p in enumerate(parts) if p} \
+        assert {sid: list(p) for sid, p in enumerate(parts) if p} \
             == scalar_split(part, recs)
         for sid, chunk in enumerate(parts):
             for rec in chunk:
@@ -389,5 +389,6 @@ class TestColumnarSplit:
 
     @pytest.mark.parametrize("n_shards", [1, 9, MANY])
     def test_empty_input_yields_empty_parts(self, n_shards):
-        parts = GridPartitioner(n_shards=n_shards, origin=ORIGIN).split([])
+        parts = GridPartitioner(n_shards=n_shards, origin=ORIGIN).split(
+            RecordColumns.of([]))
         assert len(parts) == n_shards and not any(parts)

@@ -17,13 +17,17 @@ The invariants (the parity contract of docs/SHARDING.md §10):
   direct ``sync_shard`` of the victim is refused, its standby kept;
 * after every promotion, the probes, a video query and each shard's
   ``content_digest()`` equal the control fleet's;
+* after every commit group, the fleet holds exactly the records of a
+  single linear-scan, dynamic-engine :class:`CloudServer` fed the
+  scalar decoder's record objects (``decode_bundle``) instead of the
+  group: the fleet lands each group as columns, so this is the check
+  that columns, ``split`` and the store agree with the wire;
 * a read between writes -- the probes and a video query, answered
   from shard views that are a base plus a tail of the commit groups
-  since -- equals a single linear-scan, dynamic-engine
-  :class:`CloudServer` fed the same commit groups and evictions.  The
-  control fleet runs the same packed code, so only this oracle can
-  tell a wrong ranking; the reads also leave tailed views in place for
-  the syncs, captures and kills that follow.
+  since -- equals that oracle.  The control fleet runs the same packed
+  code, so only the oracle can tell a wrong ranking; the reads also
+  leave tailed views in place for the syncs, captures and kills that
+  follow.
 
 A promotion is drawn only while every standby is current (a sync ran
 after the last write): the replica tier promises no more than that.
@@ -46,6 +50,7 @@ from repro.core.camera import CameraModel
 from repro.core.query import Query
 from repro.core.server import CloudServer
 from repro.geo.coords import GeoPoint
+from repro.net.protocol import decode_bundle
 from repro.shard import ReplicaSet, ShardUnavailableError
 from repro.video.retrieval import VideoQuery
 
@@ -77,6 +82,11 @@ def video_rows(result):
     return result.ranked, result.harvested
 
 
+def content(records):
+    return sorted((f.video_id, f.segment_id, f.lat, f.lng, f.theta,
+                   f.t_start, f.t_end) for f in records)
+
+
 @hypothesis.seed(FUZZ_SEED)
 class ReplicaMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
@@ -93,8 +103,11 @@ class ReplicaMachine(RuleBasedStateMachine):
         tag = f"g{self.groups}"
         self.groups += 1
         payloads = bundles(make_records(n, seed, tag=tag), per=8, tag=tag)
-        for srv in (self.fleet, self.control, self.oracle):
+        for srv in (self.fleet, self.control):
             srv.ingest_batch(payloads)
+        self.oracle.ingest([fov for payload in payloads
+                            for fov in decode_bundle(payload)[1]])
+        assert content(self.fleet.records()) == content(self.oracle.records())
         self.current = False
 
     @rule(cutoff=st.integers(0, 30))
