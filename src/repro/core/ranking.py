@@ -52,9 +52,9 @@ class DistanceRanker:
         :meth:`scores` calls this).  Every operation is elementwise, so
         row ``i`` equals ``scores(query_i, ...)`` bit for bit -- the
         batched engine relies on that for parity with the sequential
-        path.
+        path.  ``dist`` is the engines' float64 array, negated as is.
         """
-        return -np.asarray(dist, dtype=float)
+        return -dist
 
 
 @dataclass(frozen=True)

@@ -58,8 +58,7 @@ from repro.core.fov import RepresentativeFoV
 from repro.core.index import FoVIndex, PackedFoVIndex
 from repro.core.query import Query, QueryResult, RankedFoV
 from repro.core.ranking import DistanceRanker
-from repro.geo.earth import LocalProjection, pairwise_local_xy
-from repro.geometry.angles import angular_difference
+from repro.geo.earth import pairwise_local_xy
 from repro.net.clock import default_timer
 from repro.obs.runtime import Observability, PackedSearchRecorder
 from repro.obs.trace import NULL_TRACER, TracerLike
@@ -71,12 +70,14 @@ _ENGINES = ("dynamic", "packed")
 
 
 def _sector_evidence(camera: CameraModel, strict_cover: bool,
-                     xy: np.ndarray, thetas: np.ndarray, radii: Any
+                     x: np.ndarray, y: np.ndarray, thetas: np.ndarray,
+                     radii: Any
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Orientation-filter evidence for candidate cameras.
 
-    ``xy`` holds camera positions in each query's local plane (query
-    centre at the origin); ``radii`` is the query radius -- a scalar for
+    ``x``/``y`` hold camera positions in each query's local plane (query
+    centre at the origin) and ``thetas`` their azimuths, all float64;
+    ``radii`` is the query radius -- a scalar for
     a single query or a per-row array for a cross-query batch.  Every
     operation is elementwise, so batching queries together produces
     bit-identical per-row results to running them one at a time.
@@ -85,12 +86,15 @@ def _sector_evidence(camera: CameraModel, strict_cover: bool,
     """
     # x*x + y*y is exactly the two-element reduction ``np.linalg.norm``
     # performs, without its per-call dispatch overhead.
-    x, y = xy[:, 0], xy[:, 1]
     dist = np.sqrt(x * x + y * y)                  # (n,)
 
-    # Bearing from each camera to the query centre (the origin).
+    # Bearing from each camera to the query centre (the origin), and
+    # Eq. 2's angular difference to the camera azimuth -- the
+    # expression ``angular_difference`` evaluates, without its
+    # scalar-or-array handling.
     bearings = np.degrees(np.arctan2(-x, -y))
-    dtheta = np.asarray(angular_difference(bearings, thetas))
+    d = np.abs(np.mod(thetas - bearings, 360.0))
+    dtheta = np.minimum(d, 360.0 - d)
     in_wedge = (dtheta <= camera.half_angle) | (dist == 0.0)
     covers_center = in_wedge & (dist <= camera.radius)
 
@@ -132,7 +136,7 @@ def _ranked_rows(query: Query, camera: CameraModel, ranker: Any,
     (docs/SHARDING.md).  Tie runs are re-sorted at Python level, so the
     common all-distinct case stays one vectorised argsort.
     """
-    kept = np.flatnonzero(keep)
+    kept = keep.nonzero()[0]
     if kept.size == 0:
         return []
     scores = np.asarray(ranker.scores(
@@ -227,15 +231,15 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
                                      dtype=float, count=n_q)[qids]
             radii = np.fromiter((q.radius for q in queries), dtype=float,
                                 count=n_q)[qids]
-        xy = pairwise_local_xy(origin_lat, origin_lng,
-                               view.lat[ids], view.lng[ids])
+        x, y = pairwise_local_xy(origin_lat, origin_lng,
+                                 view.lat[ids], view.lng[ids])
 
     with tracer.span("query.orientation_filter"):
         dist, dtheta, covers_center, keep = _sector_evidence(
-            camera, strict_cover, xy, view.theta[ids], radii)
+            camera, strict_cover, x, y, view.theta[ids], radii)
 
     with tracer.span("query.rank"):
-        kept = np.flatnonzero(keep)
+        kept = keep.nonzero()[0]
         kids = ids[kept]
         kdist = dist[kept]
         kdtheta = dtheta[kept]
@@ -406,14 +410,15 @@ class RetrievalEngine:
             return []
         with self._tracer.span("query.projection",
                                candidates=len(candidates)):
-            proj = LocalProjection(query.center)
-            lats = np.array([f.lat for f in candidates])
-            lngs = np.array([f.lng for f in candidates])
-            thetas = np.array([f.theta for f in candidates])
-            xy = proj.to_local_arrays(lats, lngs)   # camera positions, query at origin
+            lats = np.array([f.lat for f in candidates], dtype=float)
+            lngs = np.array([f.lng for f in candidates], dtype=float)
+            thetas = np.array([f.theta for f in candidates], dtype=float)
+            # camera positions, query centre at the origin
+            x, y = pairwise_local_xy(query.center.lat, query.center.lng,
+                                     lats, lngs)
         with self._tracer.span("query.orientation_filter"):
             dist, dtheta, covers_center, keep = _sector_evidence(
-                self.camera, self.strict_cover, xy, thetas, query.radius)
+                self.camera, self.strict_cover, x, y, thetas, query.radius)
         with self._tracer.span("query.rank"):
             t_start = np.array([f.t_start for f in candidates])
             t_end = np.array([f.t_end for f in candidates])

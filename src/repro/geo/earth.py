@@ -109,7 +109,8 @@ def radius_to_degrees(radius_m: float, lat_deg: float) -> tuple[float, float]:
 
 def pairwise_local_xy(origin_lats: np.ndarray | float,
                       origin_lngs: np.ndarray | float,
-                      lats: np.ndarray, lngs: np.ndarray) -> np.ndarray:
+                      lats: np.ndarray, lngs: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Project point ``i`` into the local plane anchored at origin ``i``.
 
     One call projects a whole batch of (query origin, candidate) pairs;
@@ -118,16 +119,13 @@ def pairwise_local_xy(origin_lats: np.ndarray | float,
     one plane.  Every operation is elementwise, so row ``i`` is the same
     doubles whichever way its origin arrived.
 
-    Returns ``(n, 2)`` local ``(x=East, y=North)`` metres.
+    Operands are float64 arrays or plain floats (no conversion is done
+    here).  Returns local ``(x=East, y=North)`` metres as two arrays,
+    the form the orientation filter and the partitioner consume.
     """
-    origin_lats = np.asarray(origin_lats, dtype=float)
-    origin_lngs = np.asarray(origin_lngs, dtype=float)
-    lats = np.asarray(lats, dtype=float)
-    lngs = np.asarray(lngs, dtype=float)
     scale = np.cos(np.radians((origin_lats + lats) / 2.0))
-    x = _M_PER_DEG * scale * (lngs - origin_lngs)
-    y = _M_PER_DEG * (lats - origin_lats)
-    return np.stack([x, y], axis=-1)
+    return (_M_PER_DEG * scale * (lngs - origin_lngs),
+            _M_PER_DEG * (lats - origin_lats))
 
 
 @dataclass(frozen=True)
@@ -147,7 +145,10 @@ class LocalProjection:
 
     def to_local_arrays(self, lats, lngs) -> np.ndarray:
         """Vectorised projection of arrays of fixes -> (n, 2) metres."""
-        return pairwise_local_xy(self.origin.lat, self.origin.lng, lats, lngs)
+        return np.stack(pairwise_local_xy(
+            self.origin.lat, self.origin.lng,
+            np.asarray(lats, dtype=float), np.asarray(lngs, dtype=float)),
+            axis=-1)
 
     def to_geo(self, x: float, y: float) -> GeoPoint:
         """Inverse projection: local metres back to a GPS fix."""

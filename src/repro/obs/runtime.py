@@ -26,7 +26,7 @@ importing ``repro.obs``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 from repro.obs.journal import EventJournal
 from repro.obs.metrics import MetricsRegistry
@@ -91,6 +91,10 @@ class PackedSearchRecorder:
         self._peak = registry.gauge(
             "packed.frontier_width_peak",
             "Widest (query, entry) frontier observed in one level pass")
+        #: ``level -> (tested child, matched child)``, resolved at a
+        #: level's first pass: ``labels()`` validates and locks, once
+        #: per level rather than twice per search.
+        self._levels: dict[int, tuple[Any, Any]] = {}
 
     def on_descent(self, queries: int) -> None:
         """Record the start of one search over ``queries`` query boxes."""
@@ -98,8 +102,13 @@ class PackedSearchRecorder:
 
     def on_level(self, level: int, tested: int, matched: int) -> None:
         """Record one level pass: boxes tested and survivors."""
-        label = str(level)
-        self._tested.labels(level=label).inc(tested)
-        self._matched.labels(level=label).inc(matched)
+        children = self._levels.get(level)
+        if children is None:
+            label = str(level)
+            children = self._levels[level] = (
+                self._tested.labels(level=label),
+                self._matched.labels(level=label))
+        children[0].inc(tested)
+        children[1].inc(matched)
         if tested > self._peak.value:
             self._peak.set(tested)

@@ -33,7 +33,8 @@ from repro._types import ArrayLike
 from repro.core.fov import RecordColumns, RepresentativeFoV
 from repro.core.query import Query
 from repro.geo.coords import GeoPoint
-from repro.geo.earth import displacement, pairwise_local_xy, radius_to_degrees
+from repro.geo.earth import (metres_per_degree, pairwise_local_xy,
+                             radius_to_degrees)
 
 __all__ = ["GridPartitioner", "DEFAULT_CELL_M"]
 
@@ -141,9 +142,9 @@ class GridPartitioner:
             if bad.any():
                 raise ValueError(
                     f"{name} out of range: {col[np.argmax(bad)]}")
-        xy = pairwise_local_xy(self.origin.lat, self.origin.lng, lat, lng)
-        cells = np.floor(xy / self.cell_m).astype(np.int64)
-        return cells[..., 0], cells[..., 1]
+        x, y = pairwise_local_xy(self.origin.lat, self.origin.lng, lat, lng)
+        return (np.floor(x / self.cell_m).astype(np.int64),
+                np.floor(y / self.cell_m).astype(np.int64))
 
     def cell_of(self, lat: float, lng: float) -> tuple[int, int]:
         """Grid cell of a GPS fix: floor of its local (x, y) over the pitch."""
@@ -207,29 +208,45 @@ class GridPartitioner:
         flooring, which is what keeps a record sitting exactly on a box
         or cell edge on the covered side of any rounding disagreement;
         routing errs toward an extra shard, never a missed one.
+
+        A corner's metres are :func:`~repro.geo.earth.displacement`'s
+        expressions on plain floats (``metres_per_degree`` of the mean
+        latitude is its ``_M_PER_DEG * scale``): the same doubles, with
+        no :class:`GeoPoint` built per query.  A corner that
+        :class:`GeoPoint` refuses raises its ``ValueError``, corners
+        checked in the same order.
         """
         if self.n_shards == 1:
             return (0,)
-        lats = [lat_lo, lat_hi]
-        if lat_lo < -self.origin.lat < lat_hi:
-            lats.append(-self.origin.lat)
-        xs: list[float] = []
-        ys: list[float] = []
-        for lat in lats:
-            for lng in (lng_lo, lng_hi):
-                x, y = displacement(self.origin, GeoPoint(lat=lat, lng=lng))
-                xs.append(x)
-                ys.append(y)
-        cx_lo, cx_hi = self._cell_span(min(xs), max(xs))
-        cy_lo, cy_hi = self._cell_span(min(ys), max(ys))
+        if not (-90.0 <= lat_lo <= 90.0 and -90.0 <= lat_hi <= 90.0
+                and -180.0 <= lng_lo <= 180.0 and -180.0 <= lng_hi <= 180.0):
+            for lat in (lat_lo, lat_hi):
+                for lng in (lng_lo, lng_hi):
+                    GeoPoint(lat=lat, lng=lng)      # raises the refusal
+        o_lat, o_lng = self.origin.lat, self.origin.lng
+        dlng_lo, dlng_hi = lng_lo - o_lng, lng_hi - o_lng
+        x_lo = y_lo = math.inf
+        x_hi = y_hi = -math.inf
+        for lat in ((lat_lo, lat_hi, -o_lat) if lat_lo < -o_lat < lat_hi
+                    else (lat_lo, lat_hi)):
+            m_lng, m_lat = metres_per_degree((o_lat + lat) / 2.0)
+            x_lo = min(x_lo, m_lng * dlng_lo, m_lng * dlng_hi)
+            x_hi = max(x_hi, m_lng * dlng_lo, m_lng * dlng_hi)
+            y = m_lat * (lat - o_lat)
+            y_lo, y_hi = min(y_lo, y), max(y_hi, y)
+        cx_lo, cx_hi = self._cell_span(x_lo, x_hi)
+        cy_lo, cy_hi = self._cell_span(y_lo, y_hi)
         n_cells = (cx_hi - cx_lo + 1) * (cy_hi - cy_lo + 1)
         if n_cells > _MAX_CELLS:
             return self._all_shards()
+        seed, n = self.seed, self.n_shards
+        if n_cells == 1:
+            return (_mix_cell(cx_lo, cy_lo, seed) % n,)
         hit: set[int] = set()
         for cx in range(cx_lo, cx_hi + 1):
             for cy in range(cy_lo, cy_hi + 1):
-                hit.add(self.shard_of_cell(cx, cy))
-                if len(hit) == self.n_shards:
+                hit.add(_mix_cell(cx, cy, seed) % n)
+                if len(hit) == n:
                     return self._all_shards()
         return tuple(sorted(hit))
 

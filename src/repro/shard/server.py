@@ -37,14 +37,12 @@ import threading
 from itertools import islice
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from repro.core.camera import CameraModel
 from repro.core.cache import QueryResultCache, query_cache_key, read_through
 from repro.core.flatsnap import pack_snapshot
 from repro.core.fov import RecordColumns, RepresentativeFoV
 from repro.core.index import (Bounds, ContentMark, _checked_geometry,
-                              query_box)
+                              query_box_floats)
 from repro.core.ingest import IngestCoordinator
 from repro.core.query import Query, QueryResult, RankedFoV
 from repro.core.quarantine import QuarantineStore
@@ -456,26 +454,35 @@ class ShardedCloudServer:
 
     # -- query ------------------------------------------------------------
 
-    def _could_match(self, sid: int, bmin: np.ndarray,
-                     bmax: np.ndarray) -> bool:
-        """Can shard ``sid``'s content box intersect the query box?"""
+    def _could_match(self, sid: int,
+                     box: tuple[float, float, float, float, float, float]
+                     ) -> bool:
+        """Can shard ``sid``'s content box intersect the query box?
+
+        ``box`` is :func:`~repro.core.index.query_box_floats`' six
+        floats, ``(min_lng, min_lat, min_t, max_lng, max_lat, max_t)``.
+        """
         b = self._bounds[sid]
         if b is None:
             return False
-        return bool(b[0] <= bmax[0] and b[1] >= bmin[0]
-                    and b[2] <= bmax[1] and b[3] >= bmin[1]
-                    and b[4] <= bmax[2] and b[5] >= bmin[2])
+        return (b[0] <= box[3] and b[1] >= box[0]
+                and b[2] <= box[4] and b[3] >= box[1]
+                and b[4] <= box[5] and b[5] >= box[2])
 
     def _scatter_gather(self, query: Query) -> QueryResult:
-        """Fan one query out to the surviving shards, merge canonically."""
+        """Fan one query out to the surviving shards, merge canonically.
+
+        A query answered by one shard returns that shard's ranking as
+        is: it is already canonical and cut to ``top_n``.
+        """
         t0 = self._clock()
         targets = self.partitioner.shards_for_query(query)
         down = self.down_shards
-        bmin, bmax = query_box(query)
+        box = query_box_floats(query)
         parts: list[QueryResult] = []
         for sid in targets:
             with self._locks[sid]:
-                if not self._could_match(sid, bmin, bmax):
+                if not self._could_match(sid, box):
                     self._pruned.inc()
                     continue
                 if sid in down:
@@ -487,9 +494,11 @@ class ShardedCloudServer:
                 parts.append(self.shards[sid].engine.execute(query))
         self._pruned.inc(self.n_shards - len(targets))
         self._fanout.observe(len(parts))
-        merged: list[RankedFoV] = list(islice(
-            heapq.merge(*(p.ranked for p in parts), key=_rank_key),
-            query.top_n))
+        if len(parts) == 1:
+            merged = parts[0].ranked
+        else:
+            merged = list(islice(heapq.merge(*(p.ranked for p in parts),
+                                             key=_rank_key), query.top_n))
         return QueryResult(
             query=query,
             ranked=merged,

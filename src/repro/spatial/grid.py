@@ -52,8 +52,17 @@ so the hot loop is
 ``(F[:6, cand] <= b[:, None]).all(axis=0)`` -- one compare, one
 reduction along the long candidate axis, no Python per-entry work
 (float negation is exact, so the candidate set is bit-identical to the
-six separate tests).  ``F`` is pure derived data and serialises into
-the flat snapshot so zero-copy consumers pay no rebuild cost.
+six separate tests).  ``F`` is pure derived data: the flat snapshot
+holds record columns only, and a loaded snapshot builds its grid
+afresh.
+
+When the query window covers the grid's start-time extent
+(``bmin2 <= t0`` and ``bmax2 >= t1``, with ``t0``/``t1`` the least and
+greatest ``t_s``), no record can fail a time row: ``t_s <= t1 <=
+bmax2``, and ``t_e >= t_s >= t0 >= bmin2`` because a stored segment
+never ends before it starts.  The test then compares the four space
+rows only -- the same hit set from two thirds of the compares.  Every
+whole-horizon query takes this path.
 
 The grid only *prunes*: cell membership uses the same monotone
 ``floor((v - origin) * inv_cell)`` mapping for records and for query
@@ -146,11 +155,13 @@ class PackedPointGrid:
     fused : ndarray, shape (8, n)
         Rows ``[lng, -lng, lat, -lat, t_start, -t_end, theta, row_id]``,
         one column per record in CSR order.  Rows 0..5 feed the fused
-        ``<=`` test; row 6 carries the camera azimuth and row 7 the
-        original record id as a float (ids are array indices, far below
-        2**53, so the round-trip is exact).  The two extra rows let
-        :meth:`search_rows` hand a complete evidence row to the caller
-        in one gather -- no second trip through the column arrays.
+        ``<=`` test (rows 0..3 alone when the window covers every start
+        time); row 6 carries the camera azimuth and row 7 the original
+        record id as a float (ids are array indices, far below 2**53,
+        so the round-trip is exact).  Only :meth:`search_rows` reads
+        rows 6 and 7, as the tail of each evidence row it returns; the
+        id searches return ``row_ids`` and the engine gathers ``theta``
+        from the view's columns.
     max_dur : float
         Maximum record duration; queries widen their lower time bound
         by this much before binning (see the module note).
@@ -322,8 +333,15 @@ class PackedPointGrid:
                 observer.on_level(0, 0, 0)
             return _EMPTY_IDS
         ix0, ix1, iy0, iy1, it0, it1 = span
-        f6, rid = self.fused[:6], self.row_ids
-        b = np.array([qx1, -qx0, qy1, -qy0, qt1, -qt0])[:, None]
+        rid = self.row_ids
+        if qt0 <= self.t0 and qt1 >= self.t1:
+            # The window covers every start time: no record can fail a
+            # time row (module note), so only the four space rows test.
+            tested = self.fused[:4]
+            b = np.array([qx1, -qx0, qy1, -qy0])[:, None]
+        else:
+            tested = self.fused[:6]
+            b = np.array([qx1, -qx0, qy1, -qy0, qt1, -qt0])[:, None]
         if (iy1 - iy0 + 1) * (ix1 - ix0 + 1) <= _CELL_LOOP_MAX:
             # Typical query: a handful of cells.  A plain Python loop
             # collecting contiguous ranges costs less than the ~15 NumPy
@@ -335,12 +353,12 @@ class PackedPointGrid:
                     observer.on_level(0, 0, 0)
                 return _EMPTY_IDS
             if len(los) == 1:
-                cand, ids = f6[:, los[0]:his[0]], rid[los[0]:his[0]]
+                cand, ids = tested[:, los[0]:his[0]], rid[los[0]:his[0]]
             else:
                 # Concatenating a few contiguous slices is a memcpy each;
                 # a gather by index array costs several times more here.
                 cand = np.concatenate(
-                    [f6[:, lo:hi] for lo, hi in zip(los, his)], axis=1)
+                    [tested[:, lo:hi] for lo, hi in zip(los, his)], axis=1)
                 ids = np.concatenate(
                     [rid[lo:hi] for lo, hi in zip(los, his)])
         else:
@@ -354,7 +372,7 @@ class PackedPointGrid:
                 if observer is not None:
                     observer.on_level(0, 0, 0)
                 return _EMPTY_IDS
-            cand, ids = f6.take(pos, axis=1), rid[pos]
+            cand, ids = tested.take(pos, axis=1), rid[pos]
         hits = ids[(cand <= b).all(axis=0)]
         if observer is not None:
             observer.on_level(0, int(cand.shape[1]), int(hits.size))
@@ -471,14 +489,19 @@ class PackedPointGrid:
             if observer is not None:
                 observer.on_level(0, 0, 0)
             return empty
-        qb = np.empty((6, n_q), dtype=float)
+        # As in search_ids, the time rows test only when some window
+        # leaves out a start time.
+        n_rows = 4 if (bool((bmins[:, 2] <= self.t0).all())
+                       and bool((bmaxs[:, 2] >= self.t1).all())) else 6
+        qb = np.empty((n_rows, n_q), dtype=float)
         qb[0] = bmaxs[:, 0]
         np.negative(bmins[:, 0], out=qb[1])
         qb[2] = bmaxs[:, 1]
         np.negative(bmins[:, 1], out=qb[3])
-        qb[4] = bmaxs[:, 2]
-        np.negative(bmins[:, 2], out=qb[5])
-        keep = (self.fused[:6].take(cand, axis=1)
+        if n_rows == 6:
+            qb[4] = bmaxs[:, 2]
+            np.negative(bmins[:, 2], out=qb[5])
+        keep = (self.fused[:n_rows].take(cand, axis=1)
                 <= qb.take(cqid, axis=1)).all(axis=0)
         cqid_hit = cqid[keep]
         rows_hit = self.row_ids[cand[keep]]

@@ -20,6 +20,7 @@ from repro.core.index import query_box
 from repro.core.query import Query
 from repro.geo.coords import GeoPoint
 from repro.geo.earth import LocalProjection, displacement, metres_per_degree
+from repro.shard import partition as partition_mod
 from repro.shard.partition import (
     _COVER_EPS_M, DEFAULT_CELL_M, GridPartitioner, _mix_cell, _mix_cells)
 
@@ -392,3 +393,79 @@ class TestColumnarSplit:
         parts = GridPartitioner(n_shards=n_shards, origin=ORIGIN).split(
             RecordColumns.of([]))
         assert len(parts) == n_shards and not any(parts)
+
+
+# ---------------------------------------------------------------------------
+# Box cover: pinned to the GeoPoint / displacement loop it replaced.
+# ---------------------------------------------------------------------------
+
+def displacement_cover(part, lat_lo, lat_hi, lng_lo, lng_hi):
+    """``shards_for_box`` as a loop over :class:`GeoPoint` corners and
+    :func:`displacement`: the reference the float-only cover must equal."""
+    if part.n_shards == 1:
+        return (0,)
+    lats = [lat_lo, lat_hi]
+    if lat_lo < -part.origin.lat < lat_hi:
+        lats.append(-part.origin.lat)
+    xs, ys = [], []
+    for lat in lats:
+        for lng in (lng_lo, lng_hi):
+            x, y = displacement(part.origin, GeoPoint(lat=lat, lng=lng))
+            xs.append(x)
+            ys.append(y)
+    cx_lo, cx_hi = part._cell_span(min(xs), max(xs))
+    cy_lo, cy_hi = part._cell_span(min(ys), max(ys))
+    if (cx_hi - cx_lo + 1) * (cy_hi - cy_lo + 1) > partition_mod._MAX_CELLS:
+        return tuple(range(part.n_shards))
+    hit = {part.shard_of_cell(cx, cy) for cx in range(cx_lo, cx_hi + 1)
+           for cy in range(cy_lo, cy_hi + 1)}
+    return tuple(sorted(hit))
+
+
+@st.composite
+def boxes(draw):
+    """A partitioner and a lat/lng box near its origin: tiny to city
+    sized, in negative cells, straddling ``-origin.lat``, degenerate."""
+    origin = draw(st.sampled_from(EDGE_ORIGINS))
+    part = GridPartitioner(n_shards=draw(st.sampled_from(SHARD_COUNTS)),
+                           origin=origin,
+                           cell_m=draw(st.sampled_from([50.0, 500.0, 1000.0])),
+                           seed=draw(st.sampled_from(HASH_SEEDS)))
+    span = st.floats(0.0, 0.05)
+    lat_lo = origin.lat + draw(st.floats(-0.05, 0.05))
+    lng_lo = origin.lng + draw(st.floats(-0.05, 0.05))
+    return part, (lat_lo, lat_lo + draw(span), lng_lo, lng_lo + draw(span))
+
+
+class TestBoxCover:
+    @hypothesis.seed(FUZZ_SEED)
+    @settings(max_examples=400, deadline=None)
+    @given(boxes())
+    def test_equals_the_displacement_loop(self, case):
+        part, box = case
+        assert part.shards_for_box(*box) == displacement_cover(part, *box)
+
+    def test_equals_it_at_the_mirror_latitude(self):
+        """The box of ``test_mirror_latitude_sample_is_load_bearing``:
+        only the peak-latitude sample reaches the last cell."""
+        part = GridPartitioner(n_shards=MANY, origin=GeoPoint(lat=30.0,
+                                                              lng=0.0),
+                               cell_m=500.0)
+        lng_hi = (222 * 500.0 + 2e-4) / metres_per_degree(0.0)[0]
+        box = (-30.01, -29.99, lng_hi - 0.001, lng_hi)
+        assert part.shards_for_box(*box) == displacement_cover(part, *box)
+
+    @pytest.mark.parametrize("box", [
+        (95.0, 96.0, 116.3, 116.4), (40.0, 90.5, 116.3, 116.4),
+        (-90.5, 40.0, 116.3, 116.4), (40.0, 40.1, -181.0, 116.4),
+        (40.0, 40.1, 116.3, 180.5), (float("nan"), 40.1, 116.3, 116.4),
+        (40.0, float("inf"), 116.3, 116.4), (40.0, 40.1, float("nan"), 116.4),
+        (40.0, 40.1, 116.3, -float("inf")), (95.0, 40.0, 200.0, 116.4),
+        (40.0, 95.0, 116.3, 200.0)])
+    def test_refuses_the_corners_geopoint_refuses(self, box):
+        part = GridPartitioner(n_shards=8, origin=ORIGIN)
+        with pytest.raises(ValueError) as want:
+            displacement_cover(part, *box)
+        with pytest.raises(ValueError) as got:
+            part.shards_for_box(*box)
+        assert str(got.value) == str(want.value)
