@@ -9,10 +9,12 @@ metre radius is converted to local degree scales (Section V-B /
 
 Records live in an append-only column store; the cell grid the servers
 answer from and the Section V-A R-tree are views derived from it on
-demand.  The tree family (:mod:`repro.spatial.rtree` and friends) is
-imported only inside :meth:`FoVIndex.rtree`, :meth:`FoVIndex.nearest`
-and :meth:`FoVIndex.nearest_bruteforce`, so a process that serves
-packed never loads it.  ``backend="linear"`` swaps the store for the
+demand.  Neither holds a rank column: the retrieval layer breaks score
+ties on the record key only when a result holds one.  The tree family
+(:mod:`repro.spatial.rtree` and friends) is imported only inside
+:meth:`FoVIndex.rtree`, :meth:`FoVIndex.nearest` and
+:meth:`FoVIndex.nearest_bruteforce`, so a process that serves packed
+never loads it.  ``backend="linear"`` swaps the store for the
 linear-scan baseline of the Fig. 6(c) comparison.
 """
 
@@ -75,56 +77,6 @@ def query_box_floats(
             query.t_end)
 
 
-def _key_rank(video_ids: np.ndarray, segment_ids: np.ndarray) -> np.ndarray:
-    """Canonical rank of each record's ``(video_id, segment_id)`` key.
-
-    ``key_rank[i] < key_rank[j]`` iff ``records[i].key() <
-    records[j].key()`` (NumPy ``<U`` comparison is code-point order,
-    same as Python ``str``).  The stable lexsort gives equal keys
-    ranks in payload order, so tie-breaking on ``key_rank`` reproduces
-    the previous "stable sort then re-sort tie runs by key" behaviour.
-    Ranking by this integer column replaces per-result Python key
-    tuples on the hot path.
-    """
-    n = int(video_ids.shape[0])
-    order = np.lexsort((segment_ids, video_ids))
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n, dtype=np.int64)
-    return rank
-
-
-def _tail_rank(base_vids: np.ndarray, base_sids: np.ndarray,
-               base_order: np.ndarray, tail: PackedFoVIndex) -> np.ndarray:
-    """Tie keys of a tail's rows in its base's ``key_rank`` space.
-
-    ``at[j]`` counts the base rows whose key is ``<=`` tail row ``j``'s:
-    a ``searchsorted`` over the base's video ids in key order
-    (``base_order``, the base rows sorted by key) brackets the run of
-    rows sharing the video id, and one vectorised bisection
-    over that run's (ascending) segment ids finishes the count -- O(tail
-    · log base), no pass over the base.  Row ``j`` then gets
-    ``at[j] * span + tail.key_rank[j]`` and base row ``i``
-    ``key_rank[i] * span + span - 1`` (:meth:`PackedFoVIndex.tie_rank`),
-    with ``span = len(tail) + 1``: a base row sorts before a tail row
-    iff its key is ``<=``, and tail rows sharing a slot keep their own
-    key order -- exactly the order of a full rebuild's ``key_rank``,
-    whose stable lexsort puts equal keys in payload order.
-    """
-    vids, sids = tail.video_ids, tail.segment_ids
-    lo = np.searchsorted(base_vids, vids, side="left", sorter=base_order)
-    hi = np.searchsorted(base_vids, vids, side="right", sorter=base_order)
-    last = int(base_order.shape[0]) - 1
-    while True:
-        open_ = lo < hi
-        if not bool(open_.any()):
-            break
-        mid = (lo + hi) >> 1
-        le = base_sids[base_order[np.minimum(mid, last)]] <= sids
-        lo = np.where(open_ & le, mid + 1, lo)
-        hi = np.where(open_ & ~le, mid, hi)
-    return lo * (len(tail) + 1) + tail.key_rank
-
-
 class PackedFoVIndex:
     """Frozen columnar (SoA) snapshot of a :class:`FoVIndex`.
 
@@ -132,25 +84,23 @@ class PackedFoVIndex:
     ``t_start``/``t_end``/``video_ids``/``segment_ids`` arrays in
     payload order, a :class:`~repro.spatial.grid.PackedPointGrid` CSR
     cell grid answering range queries over the (degenerate) record
-    boxes, a precomputed ``key_rank`` column encoding the canonical
-    ``(video_id, segment_id)`` order for vectorised ranking, and
-    ``records``, the same rows as a :class:`RecordColumns`, which builds
-    a row's :class:`RepresentativeFoV` only when a result asks for it.
-    The retrieval engine consumes candidates by fancy-indexing these
-    columns instead of touching Python attributes per candidate.
+    boxes, and ``records``, the same rows as a :class:`RecordColumns`,
+    which builds a row's :class:`RepresentativeFoV` only when a result
+    asks for it.  The retrieval engine consumes candidates by
+    fancy-indexing these columns instead of touching Python attributes
+    per candidate, and breaks score ties on ``video_ids`` /
+    ``segment_ids`` only when a result window holds one.
 
     No column is copied: they are ``records``' own, slices of the
-    index's column store (:meth:`FoVIndex.packed_view`).  ``key_rank``
-    and ``grid`` are derived from the columns when omitted.
+    index's column store (:meth:`FoVIndex.packed_view`).  ``grid`` is
+    built from the columns when omitted.
 
     A view may carry one ``tail``: the columns and ``records`` then span
-    every row, while ``grid`` and ``key_rank`` are a base's and cover
-    rows ``[:len(grid)]`` only, and ``tail`` is a frozen segment over
-    the rows after them with its own grid and ``key_rank``.  The
-    searches visit both grids and return global row ids, and
-    :meth:`tie_rank` orders rows across the boundary exactly as a full
-    rebuild's ``key_rank`` would (``tail_rank`` holds the tail's side,
-    :func:`_tail_rank`).
+    every row, while ``grid`` is a base's and covers rows
+    ``[:len(grid)]`` only, and ``tail`` is a frozen segment over the
+    rows after them -- its own columns and grid.  The searches visit
+    both grids and return global row ids, which order tail rows after
+    base rows exactly as a full rebuild numbers them.
 
     ``epoch`` -- ``records.epoch`` -- records the backing index's
     mutation counter at snapshot time; ``FoVIndex.packed_view`` hands
@@ -161,13 +111,11 @@ class PackedFoVIndex:
 
     __slots__ = ("records", "lat", "lng", "theta",
                  "t_start", "t_end", "video_ids", "segment_ids",
-                 "key_rank", "grid", "epoch", "tail", "tail_rank")
+                 "grid", "epoch", "tail")
 
     def __init__(self, records: RecordColumns, *,
-                 key_rank: np.ndarray | None = None,
                  grid: PackedPointGrid | None = None,
-                 tail: PackedFoVIndex | None = None,
-                 tail_rank: np.ndarray | None = None) -> None:
+                 tail: PackedFoVIndex | None = None) -> None:
         self.records = records
         self.epoch = records.epoch
         self.lat = records.lat
@@ -177,32 +125,14 @@ class PackedFoVIndex:
         self.t_end = records.t_end
         self.video_ids = records.video_ids
         self.segment_ids = records.segment_ids
-        self.key_rank = (key_rank if key_rank is not None
-                         else _key_rank(self.video_ids, self.segment_ids))
         self.grid = (grid if grid is not None
                      else PackedPointGrid.build(self.lng, self.lat,
                                                 self.t_start, self.t_end,
                                                 self.theta))
         self.tail = tail
-        self.tail_rank = tail_rank
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def tie_rank(self, rows: np.ndarray) -> np.ndarray:
-        """Integers ordering ``rows`` by record key, then by row.
-
-        ``key_rank[rows]`` on a one-segment view.  With a tail, base
-        ranks are spread ``span = len(tail) + 1`` apart so that each
-        tail row lands in its key's slot between them (:func:`_tail_rank`).
-        """
-        if self.tail is None:
-            return self.key_rank[rows]
-        nb, span = self.grid.n, len(self.tail) + 1
-        in_tail = rows >= nb
-        out = self.key_rank[np.where(in_tail, 0, rows)] * span + (span - 1)
-        out[in_tail] = self.tail_rank[rows[in_tail] - nb]
-        return out
 
     def range_search_ids(self, query: Query,
                          observer: SearchObserver | None = None
@@ -414,10 +344,6 @@ class _ServingBase(NamedTuple):
 
     mark: ContentMark
     grid: PackedPointGrid
-    key_rank: np.ndarray
-    #: The rows in key order (``key_rank``'s inverse), derived at the
-    #: first tail, so a base that no append follows never holds it.
-    key_order: np.ndarray | None = None
 
 
 #: Tree catch-up: at this many pending appends the derived R-tree is
@@ -500,12 +426,11 @@ class FoVIndex:
         since the last full rebuild, its *base*:
 
         * only appends, fewer rows than the base holds
-          (:func:`must_fold`): the base's grid and ``key_rank`` plus a
-          ``tail`` over the rows since, with its own grid and
-          ``key_rank`` built in O(rows since the base) -- no column
-          or rank of the base is copied;
-        * a removal, or a tail grown to the base's size: ``key_rank``
-          and the cell grid over every row, which become the new base.
+          (:func:`must_fold`): the base's grid plus a ``tail`` over the
+          rows since, whose own grid is built in O(rows since the
+          base) -- no column of the base is copied;
+        * a removal, or a tail grown to the base's size: the cell grid
+          over every row, which becomes the new base.
         """
         store = self._columns("packed_view()")
         view = self._packed
@@ -515,19 +440,11 @@ class FoVIndex:
         rows = store.served(self._epoch)
         if base is None or must_fold(base.mark, mark):
             view = PackedFoVIndex(rows)
-            self._base = _ServingBase(mark, view.grid, view.key_rank)
+            self._base = _ServingBase(mark, view.grid)
         else:
-            nb = base.mark.count
-            if base.key_order is None:
-                order = np.empty(nb, dtype=np.int64)
-                order[base.key_rank] = np.arange(nb, dtype=np.int64)
-                base = self._base = base._replace(key_order=order)
-            tail = PackedFoVIndex(store.rows(nb, self._epoch))
             view = PackedFoVIndex(
-                rows, key_rank=base.key_rank, grid=base.grid, tail=tail,
-                tail_rank=_tail_rank(rows.video_ids[:nb],
-                                     rows.segment_ids[:nb],
-                                     base.key_order, tail))
+                rows, grid=base.grid,
+                tail=PackedFoVIndex(store.rows(base.mark.count, self._epoch)))
         self._packed = view
         return view
 
@@ -550,7 +467,7 @@ class FoVIndex:
         ``None`` unless ``since`` carries this store's current token (a
         removal, or a mark taken from another index, leaves nothing to
         extend).  O(1): the columns are frozen slices of the column
-        store -- no grid, no ``key_rank``, no record object -- and
+        store -- no grid, no record object -- and
         ``epoch`` is the current one.
         """
         store = self._columns("record_columns()")

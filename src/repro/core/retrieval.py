@@ -25,8 +25,9 @@ Two execution engines share that pipeline:
   structure-of-arrays snapshot (``FoVIndex.packed_view``) and gather
   evidence by fancy-indexing its columns.  After appends the snapshot
   is a base grid plus one tail segment of the rows since; the funnel
-  sees global row ids from both and breaks ties with
-  ``PackedFoVIndex.tie_rank``, so it ranks as over one full rebuild.
+  sees global row ids from both, sorts by score then row, and breaks
+  a score tie on the record key only when a result window holds one,
+  so it ranks as over one full rebuild.
   It has exactly one filter->rank implementation,
   :func:`_batch_execute`: ``execute_many``
   answers a whole batch in shared passes over all (query, candidate)
@@ -49,6 +50,7 @@ the funnel; they never select a different one.
 
 from __future__ import annotations
 
+from operator import gt
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -183,12 +185,22 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
     the ranker's ``scores_batch`` when it has one -- rankers without it
     are scored per query on their survivor segments, preserving
     mask-first semantics for custom rankers), and a single
-    ``np.lexsort`` under ``(query, -score, tie_rank)`` that yields every
-    query's canonical ranking at once (``tie_rank`` is ``key_rank`` on
-    a one-segment view, and keeps that order across a tail).  Only the
-    winning ``top_n`` rows per query are materialised into Python
-    objects, and a row's record is built the first time any result
-    wins it (``view.records.take``).
+    ``np.lexsort`` under ``(query, -score, row)``.  Only the winning
+    ``top_n`` rows per query are materialised into Python objects, and
+    a row's record is built the first time any result wins it
+    (``view.records.take``).
+
+    The canonical ranking is ``(-score, video_id, segment_id, row)``:
+    score ties break on the record key, and duplicate keys on the row,
+    which a tailed view numbers as a full rebuild would.  A query whose
+    window of ``top_n + 1`` rows has strictly decreasing scores already
+    holds it -- no row after the window scores above its last row, so
+    the first ``top_n`` are the highest scores and no two of them tie
+    -- and the key columns are read only when a window holds a tie (or
+    a NaN, which compares false with everything): that query's survivor
+    run is then re-sorted under the full key.  The extra row makes a
+    tie across the ``top_n`` cut count, since it decides which row is
+    returned.
 
     A single query (``RetrievalEngine.execute``) is the ``n = 1`` case
     of the same kernels.  Only the operands differ, so that it never
@@ -247,17 +259,17 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
         kts = view.t_start[kids]
         kte = view.t_end[kids]
         # ``bounds`` / ``kbounds``: each query's run of candidate /
-        # survivor rows.  ``order``: one canonical sort -- primary query
-        # id (keeps runs contiguous at their bounds), then descending
-        # score, then canonical record key -- so each query's run of
-        # ``order`` is its full canonical ranking.
+        # survivor rows.  ``order``: one sort -- primary query id (keeps
+        # runs contiguous at their bounds), then descending score, then
+        # row -- so each query's run of ``order`` is its canonical
+        # ranking wherever no two scores tie.
         if one is not None:
             bounds, kbounds = [0, int(ids.size)], [0, int(kept.size)]
             # Mask-first: with no survivor the ranker is never called.
             scores = (np.asarray(ranker.scores(
                 one, camera, kdist, kdtheta, kts, kte), dtype=float)
                 if kept.size else np.empty(0))
-            order = np.lexsort((view.tie_rank(kids), -scores))
+            order = np.lexsort((kids, -scores))
         else:
             kq = qids[kept]                    # sorted: qids is sorted
             edges = np.arange(n_q + 1)
@@ -282,18 +294,29 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
                         scores[lo:hi] = ranker.scores(
                             q, camera, kdist[lo:hi], kdtheta[lo:hi],
                             kts[lo:hi], kte[lo:hi])
-            order = np.lexsort((view.tie_rank(kids), -scores, kq))
+            order = np.lexsort((kids, -scores, kq))
         records = view.records
         rows: list[tuple[Query, list[RankedFoV], int, int]] = []
         for qi, q in enumerate(queries):
             lo, hi = kbounds[qi], kbounds[qi + 1]
-            win = order[lo: min(hi, lo + q.top_n)]
+            top_n = q.top_n
+            win = order[lo: min(hi, lo + top_n + 1)]
+            top = scores[win].tolist()
+            if not all(map(gt, top, top[1:])):
+                # A tie (or a NaN) in the window: re-sort the run under
+                # the canonical key.
+                run = order[lo:hi]
+                rk = kids[run]
+                win = run[np.lexsort((rk, view.segment_ids[rk],
+                                      view.video_ids[rk], -scores[run]))]
+                top = scores[win[:top_n]].tolist()
+            win, top = win[:top_n], top[:top_n]
             ranked = [
                 RankedFoV(fov=fov, distance=d, covers=c, score=s)
                 for fov, d, c, s in zip(records.take(kids[win].tolist()),
                                         kdist[win].tolist(),
                                         kcov[win].tolist(),
-                                        scores[win].tolist())]
+                                        top)]
             rows.append((q, ranked, bounds[qi + 1] - bounds[qi], hi - lo))
 
     share = (clock() - t0) / n_q

@@ -19,8 +19,9 @@ in one spatial cell are therefore one contiguous CSR range
 that span covers every slice the ranges of neighbouring cells in a
 grid row abut: a search coalesces a range that starts where the
 previous one ended, so a query whose time bins span the whole extent
-reads **one** range per touched grid row, and a windowed query one
-range per touched cell.  Space goes outside because every query is a
+reads **one** range per touched grid row (two offsets, from the row's
+first touched cell to past its last), and a windowed query one range
+per touched cell.  Space goes outside because every query is a
 small disc (tens of metres against a city) while its time window may
 be anything up to the whole horizon; the time axis still prunes a
 windowed query to exactly the slices it touches.
@@ -292,20 +293,28 @@ class PackedPointGrid:
 
         One range per touched cell, over its slices ``it0..it1``, in
         CSR order; a range starting where the previous one ended
-        extends it instead, so a span covering every time slice yields
-        at most one range per touched grid row.
+        extends it instead.  A span covering every time slice touches
+        one contiguous CSR run per grid row, from the row's first
+        touched cell to past its last, so it reads two offsets per grid
+        row instead of two per cell -- the same ranges, since a cell's
+        range abuts the next one's.
         """
         ix0, ix1, iy0, iy1, it0, it1 = span
         w, s = self.width, self.slices
+        if it0 == 0 and it1 == s - 1:
+            # Every slice: a grid row's touched cells are one CSR run.
+            xs, run = (ix0,), (ix1 - ix0 + 1) * s
+        else:
+            xs, run = range(ix0, ix1 + 1), it1 - it0 + 1
         item = self.cell_offsets.item
         los: list[int] = []
         his: list[int] = []
         for iy in range(iy0, iy1 + 1):
             row = iy * w
-            for ix in range(ix0, ix1 + 1):
-                base = (row + ix) * s
-                lo = item(base + it0)
-                hi = item(base + it1 + 1)
+            for ix in xs:
+                base = (row + ix) * s + it0
+                lo = item(base)
+                hi = item(base + run)
                 if hi > lo:
                     if his and his[-1] == lo:
                         his[-1] = hi

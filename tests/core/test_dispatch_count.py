@@ -5,7 +5,7 @@ shard visit, and at a few hundred box hits per visit its cost is the
 number of NumPy calls, not the arithmetic they do.  This test counts
 those calls for one fixed query on one fixed packed shard and pins the
 count, so an array operation added to the read path fails here and a
-removed one lowers the pin (docs/PERFORMANCE.md §17 records both
+removed one lowers the pin (docs/PERFORMANCE.md §17 and §18 record the
 counts).
 
 What counts as a call, made from the modules the funnel runs in
@@ -50,7 +50,7 @@ FUNNEL_MODULES = ("repro.core.retrieval", "repro.core.index",
 
 #: NumPy calls of one ``execute`` on the fixed shard below.  Lower it
 #: when a change removes calls; never raise it to let one in.
-PINNED_CALLS = 49
+PINNED_CALLS = 25
 
 
 class _CountingNumpy(types.ModuleType):

@@ -20,8 +20,8 @@ draws are the origin, and a first batch is served before the op stream
 starts, so appends keep a base grid plus a live tail with tied rows on
 both sides; the ``"rank"`` read form -- the packed engine's ranked rows
 against the dynamic engine over the linear oracle -- searches
-tie-breaking across that boundary.  (Plain per-segment ranks, tail
-ranks offset past the base, fail it at ``FUZZ_SEED`` 0-3.)
+tie-breaking across that boundary.  (Breaking score ties by row
+alone, not by record key first, fails it at ``FUZZ_SEED`` 0-3.)
 ``FUZZ_SEED`` (set by the CI fuzz-smoke matrix) seeds the search; a red
 run reproduces locally with ``FUZZ_SEED=<n> pytest <this file>``.
 """

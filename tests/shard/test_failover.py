@@ -344,24 +344,18 @@ def test_sync_shard_refuses_a_down_shard():
 
 def test_standby_sync_and_snapshot_save_build_nothing(tmp_path, monkeypatch):
     """Full captures, tail captures and a saved snapshot pack record
-    columns only: no grid or ``key_rank`` is built, and no shard's
-    serving view is touched."""
-    import repro.core.index as index_mod
+    columns only: no grid is built, and no shard's serving view is
+    touched."""
     from repro.spatial.grid import PackedPointGrid
 
-    built = {"grid": 0, "key_rank": 0}
-    grid_build, key_rank = PackedPointGrid.build.__func__, index_mod._key_rank
+    built = {"grid": 0}
+    grid_build = PackedPointGrid.build.__func__
 
     def counting_build(cls, *args, **kwargs):
         built["grid"] += 1
         return grid_build(cls, *args, **kwargs)
 
-    def counting_key_rank(*args):
-        built["key_rank"] += 1
-        return key_rank(*args)
-
     monkeypatch.setattr(PackedPointGrid, "build", classmethod(counting_build))
-    monkeypatch.setattr(index_mod, "_key_rank", counting_key_rank)
 
     srv = make_server()
     srv.ingest(make_records(90, seed=54))                   # no query
@@ -372,11 +366,11 @@ def test_standby_sync_and_snapshot_save_build_nothing(tmp_path, monkeypatch):
     assert replicas.sync() == N_SHARDS                      # tails
     assert sync_counts(srv) == {"full": N_SHARDS, "tail": N_SHARDS}
     save_sharded_snapshot(tmp_path, srv)
-    assert built == {"grid": 0, "key_rank": 0}
+    assert built == {"grid": 0}
     assert all(s.index._packed is v for s, v in zip(srv.shards, views))
-    # the counters do count: a read builds the views it searches
+    # the counter does count: a read builds the views it searches
     srv.query(make_queries(1, seed=56, radius=5000.0)[0])
-    assert built["grid"] == built["key_rank"] > 0
+    assert built["grid"] > 0
 
 
 def test_sync_ships_tails_that_rebuild_the_primary_in_order():

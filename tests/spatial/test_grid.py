@@ -279,6 +279,65 @@ class TestRangeCoalescing:
         assert sum(his) - sum(los) == binned_rows(grid, cols, span)
 
 
+def per_cell_ranges(grid, span):
+    """Reference: two offsets per touched cell, abutting ranges merged."""
+    ix0, ix1, iy0, iy1, it0, it1 = span
+    off, w, s = grid.cell_offsets.tolist(), grid.width, grid.slices
+    los, his = [], []
+    for iy in range(iy0, iy1 + 1):
+        for ix in range(ix0, ix1 + 1):
+            cell = (iy * w + ix) * s
+            lo, hi = off[cell + it0], off[cell + it1 + 1]
+            if hi > lo:
+                if his and his[-1] == lo:
+                    his[-1] = hi
+                else:
+                    los.append(lo)
+                    his.append(hi)
+    return los, his
+
+
+class TestPerRowOffsets:
+    """A span over every time slice reads two offsets per grid row; its
+    ranges must be the per-cell loop's, windowed spans included."""
+
+    def test_random_spans_match_the_per_cell_loop(self, hotspot):
+        grid, _ = hotspot
+        rng = np.random.default_rng(FUZZ_SEED)
+        w, h, s = grid.width, grid.height, grid.slices
+        full = 0
+        for _ in range(2000):
+            ix0, ix1 = sorted(rng.integers(0, w, 2).tolist())
+            iy0, iy1 = sorted(rng.integers(0, h, 2).tolist())
+            it0, it1 = ((0, s - 1) if rng.random() < 0.5
+                        else sorted(rng.integers(0, s, 2).tolist()))
+            span = (ix0, ix1, iy0, iy1, it0, it1)
+            full += (it0, it1) == (0, s - 1)
+            assert grid._cell_ranges(span) == per_cell_ranges(grid, span), (
+                f"FUZZ_SEED={FUZZ_SEED}: span {span}")
+        assert 0 < full < 2000
+
+    def test_a_full_span_reads_two_offsets_per_row(self, hotspot,
+                                                   monkeypatch):
+        grid, cols = hotspot
+        bmin, bmax = layout_box(grid, "diagonal-gap", "horizon-exact")
+        span = grid._cell_span(*bmin, *bmax)
+        ix0, ix1, iy0, iy1, _, _ = span
+        assert ix1 > ix0 and iy1 > iy0
+        reads = []
+
+        class Offsets(np.ndarray):
+            def item(self, *args):
+                reads.append(args)
+                return super().item(*args)
+
+        monkeypatch.setattr(grid, "cell_offsets",
+                            grid.cell_offsets.view(Offsets))
+        los, his = grid._cell_ranges(span)
+        assert len(reads) == 2 * (iy1 - iy0 + 1)
+        assert sum(his) - sum(los) == binned_rows(grid, cols, span)
+
+
 class TestFuzzedBoxParity:
     """Random boxes over the hotspot grid, drawn from ``FUZZ_SEED``."""
 
