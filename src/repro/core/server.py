@@ -387,8 +387,7 @@ class CloudServer:
     def ingest(self, fovs: RecordColumns | Sequence[RepresentativeFoV]
                ) -> int:
         """Directly index already-decoded records (dataset loading):
-        record objects, or columns (a loaded snapshot, a shard's slice
-        of a commit group)."""
+        record objects, or columns such as a loaded snapshot."""
         n = self._land(fovs)
         self.stats._records_indexed.inc(n)
         return n

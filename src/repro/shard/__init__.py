@@ -6,11 +6,11 @@ package partitions the index by *where the cameras stood*:
 
 * :mod:`repro.shard.partition` -- a deterministic geo-grid partitioner
   over the local-Euclidean plane (the paper's Eq. 12 coordinates);
-* :mod:`repro.shard.server` -- :class:`ShardedCloudServer`, which owns
-  one ``CloudServer`` (and thus one ``PackedFoVIndex``) per shard,
-  routes ingest by representative-FoV cell, and answers queries by
-  pruned scatter-gather with a merge that is bit-identical to the
-  single-server ranking;
+* :mod:`repro.shard.server` -- :class:`ShardedCloudServer`, whose
+  shards are each an index and its engine (a ``RetrievalEngine`` over
+  a ``FoVIndex``), routes ingest by representative-FoV cell, and
+  answers queries by pruned scatter-gather with a merge that is
+  bit-identical to the single-server ranking;
 * :mod:`repro.shard.persist` -- fleet save/load as one ``.fovpack``
   (``FOVPACK1``) record file per shard plus a routing manifest;
 * :mod:`repro.shard.replica` -- :class:`ReplicaSet`, one warm standby

@@ -4,11 +4,11 @@ One standby per shard of a
 :class:`~repro.shard.server.ShardedCloudServer`: a base ``FOVPACK1``
 buffer plus tail segments of the rows appended since, each pinned by a
 manifest and checked at promotion.  A segment holds record columns
-only; a sync builds no search structure, and promotion re-indexes the
-segments' columns without building a record object.  The sync rules
-(skip / tail / fold), fail-stop, the promotion checks and the parity
-contract are specified once, in docs/SHARDING.md §10 ("Failover
-protocol").
+only; a sync builds no search structure, and promotion lands the
+columns in a fresh shard -- an index and its engine -- without
+building a record object.  The sync rules (skip / tail / fold),
+fail-stop, the promotion checks and the parity contract are specified
+once, in docs/SHARDING.md §10 ("Failover protocol").
 
 Kills, promotions, syncs (by ``kind``, ``full`` or ``tail``), captured
 bytes and the measured downtime land in the router's registry as
@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 from repro.core.flatsnap import unpack_snapshot
 from repro.core.fov import RecordColumns
 from repro.core.index import ContentMark, must_fold
-from repro.core.server import CloudServer
+from repro.core.retrieval import RetrievalEngine
 from repro.net.clock import default_timer
 from repro.shard.server import (ShardCapture, ShardedCloudServer,
                                 ShardUnavailableError)
@@ -204,19 +204,18 @@ class ReplicaSet:
 
     # -- failure and promotion --------------------------------------------
 
-    def kill(self, sid: int) -> CloudServer:
+    def kill(self, sid: int) -> None:
         """Kill shard ``sid``'s primary and start the downtime clock."""
-        dead = self._server.kill_shard(sid)
+        self._server.kill_shard(sid)
         self._killed_at[sid] = self._clock()
         self._kills.inc()
-        return dead
 
     def downtime_s(self, sid: int) -> float:
         """Measured kill-to-promotion seconds for shard ``sid`` (0 if
         never killed or not yet promoted)."""
         return self._downtime_s.get(sid, 0.0)
 
-    def promote(self, sid: int) -> CloudServer:
+    def promote(self, sid: int) -> RetrievalEngine:
         """Verify shard ``sid``'s standby and promote it to primary.
 
         Raises ``ValueError`` when the standby is missing or fails any
@@ -224,18 +223,17 @@ class ReplicaSet:
         disagrees with its manifest (tampered/torn), a ``FOVPACK1`` CRC
         failure, a decoded record count or epoch that drifts from its
         manifest, or segments that are out of order, missing, or do not
-        add up to the primary's last synced epoch and count.  On success
-        the rebuilt server is installed, the slot serves again, and the
-        measured downtime is recorded.
+        add up to the primary's last synced epoch and count; or when the
+        shard is serving, not down.  On success the rebuilt shard is
+        installed, the slot serves again, and the downtime is recorded.
         """
         replica, synced = self._replicas[sid], self._synced[sid]
         if replica is None or synced is None:
             raise ValueError(f"no standby captured for shard {sid}")
         with self._server.obs.tracer.span("failover.promote", shard=sid):
             columns = _verified_columns(sid, replica, synced)
-            fresh = self._server.spawn_shard_server()
-            if len(columns):
-                fresh.ingest(columns)
+            fresh = self._server.spawn_shard()
+            fresh.index.insert_many(columns)
             self._server.install_shard(sid, fresh)
         self._promotions.inc()
         killed_at = self._killed_at.pop(sid, None)

@@ -1,9 +1,9 @@
-"""Geo-sharded serving tier: one ``CloudServer`` per spatial shard.
+"""Geo-sharded serving tier: one index and its engine per spatial shard.
 
 :class:`ShardedCloudServer` presents the single-server surface --
 ``ingest_bundle`` / ``ingest`` / ``query`` / ``query_many`` /
-``evict_older_than`` -- over a fleet of per-shard
-:class:`~repro.core.server.CloudServer` instances, each owning its own
+``evict_older_than`` -- over a fleet of shards, each an index and its
+engine: a :class:`~repro.core.retrieval.RetrievalEngine` over its own
 ``FoVIndex`` (and packed view).  The router:
 
 * **routes ingest** by representative-FoV grid cell
@@ -41,12 +41,13 @@ from repro.core.camera import CameraModel
 from repro.core.cache import QueryResultCache, query_cache_key, read_through
 from repro.core.flatsnap import pack_snapshot
 from repro.core.fov import RecordColumns, RepresentativeFoV
-from repro.core.index import (Bounds, ContentMark, _checked_geometry,
-                              query_box_floats)
+from repro.core.index import (Bounds, ContentMark, FoVIndex,
+                              _checked_geometry, query_box_floats)
 from repro.core.ingest import IngestCoordinator
 from repro.core.query import Query, QueryResult, RankedFoV
 from repro.core.quarantine import QuarantineStore
-from repro.core.server import CloudServer, IngestOutcome, ServerStats
+from repro.core.retrieval import RetrievalEngine
+from repro.core.server import IngestOutcome, ServerStats
 from repro.core.wal import WriteAheadLog
 from repro.geo.coords import GeoPoint
 from repro.net.channel import FaultyChannel, RetryPolicy, RetryingUploader
@@ -106,19 +107,16 @@ class ShardedCloudServer:
         Grid pitch and hash seed (see
         :class:`~repro.shard.partition.GridPartitioner`).
     strict_cover, engine :
-        Forwarded to each per-shard server/engine.
+        Forwarded to each shard's engine.
     cache_size : int
-        Router-level result cache capacity (``0`` disables).  Shard
-        servers run cache-less -- one cache layer, tagged by the epoch
-        vector.
+        Router-level result cache capacity (``0`` disables).  Shards
+        have no cache -- one cache layer, tagged by the epoch vector.
     quarantine_capacity : int
         Dead-letter capacity for payloads rejected at the router.
     obs : Observability, optional
-        The *router's* instrument bundle.  Each shard server gets a
-        private bundle so its unlabelled ``index.*`` gauges cannot
-        clobber a sibling's; the router re-exports per-shard state as
-        ``shard.epoch`` / ``shard.records_live`` gauges labelled by
-        shard id.
+        The router's instrument bundle.  Shards carry none: the router
+        exports per-shard state as ``shard.epoch`` /
+        ``shard.records_live`` gauges labelled by shard id.
     clock : callable, optional
         Monotonic timer for merged ``elapsed_s`` accounting
         (injectable; defaults to :func:`repro.net.clock.default_timer`).
@@ -148,8 +146,8 @@ class ShardedCloudServer:
         self._clock = clock if clock is not None else default_timer
         self._strict_cover = strict_cover
         self._engine = engine
-        self.shards: list[CloudServer] = [
-            self.spawn_shard_server() for _ in range(n_shards)
+        self.shards: list[RetrievalEngine] = [
+            self.spawn_shard() for _ in range(n_shards)
         ]
         self._locks = [threading.RLock() for _ in range(n_shards)]
         # Each shard index's content box as of its last ingest; the
@@ -229,7 +227,7 @@ class ShardedCloudServer:
         out: list[RepresentativeFoV] = []
         for sid in range(self.n_shards):
             with self._locks[sid]:
-                out.extend(self.shards[sid].records())
+                out.extend(self.shards[sid].index.records())
         return out
 
     # -- failover ---------------------------------------------------------
@@ -251,16 +249,17 @@ class ShardedCloudServer:
         with self._ingest_lock:
             return self._down
 
-    def spawn_shard_server(self) -> CloudServer:
-        """A fresh, empty per-shard server with this fleet's parameters.
+    def spawn_shard(self) -> RetrievalEngine:
+        """A fresh, empty index and its engine, with this fleet's
+        parameters.
 
         Replica promotion (:mod:`repro.shard.replica`) rebuilds a
         failed shard into one of these before :meth:`install_shard`
         swaps it into the slot.
         """
-        return CloudServer(self.camera, strict_cover=self._strict_cover,
-                           engine=self._engine, cache_size=0,
-                           obs=Observability.default())
+        return RetrievalEngine(FoVIndex(), self.camera,
+                               strict_cover=self._strict_cover,
+                               engine=self._engine)
 
     def shard_mark(self, sid: int) -> ContentMark:
         """Shard ``sid``'s :class:`~repro.core.index.ContentMark`, read
@@ -292,7 +291,7 @@ class ShardedCloudServer:
                 columns = index.record_columns()
         return ShardCapture(columns.epoch, mark, pack_snapshot(columns), tail)
 
-    def kill_shard(self, sid: int) -> CloudServer:
+    def kill_shard(self, sid: int) -> None:
         """Simulate losing shard ``sid``'s primary mid-run.
 
         The slot is replaced by an empty placeholder, so the dead
@@ -303,21 +302,21 @@ class ShardedCloudServer:
         :meth:`install_shard` restores the slot.  Router-level caches
         are cleared -- the placeholder restarts the slot's epoch
         counter, so existing epoch-vector tags no longer identify the
-        content they were computed from.  Returns the dead primary
-        (tests audit it; a real failure would have lost it).
+        content they were computed from.  The dead primary is dropped.
         """
         self._check_sid(sid)
         with self._ingest_lock:
             self._down = self._down | {sid}
         with self._locks[sid]:
-            dead = self.shards[sid]
-            self.shards[sid] = self.spawn_shard_server()
+            self.shards[sid] = self.spawn_shard()
             self._sync_shard_gauges(sid)
         self._clear_result_caches()
-        return dead
 
-    def install_shard(self, sid: int, shard: CloudServer) -> None:
+    def install_shard(self, sid: int, shard: RetrievalEngine) -> None:
         """Promote ``shard`` into slot ``sid`` and resume serving it.
+
+        Refused with ``ValueError``, before anything changes, unless the
+        slot is down: a serving primary holds rows its standby may lack.
 
         Content bounds are kept as-is: a promoted replica restores the
         content the stale bounds conservatively described (nothing was
@@ -326,6 +325,8 @@ class ShardedCloudServer:
         :meth:`kill_shard`.
         """
         self._check_sid(sid)
+        if sid not in self.down_shards:
+            raise ValueError(f"shard {sid} is serving, not down")
         with self._locks[sid]:
             self.shards[sid] = shard
             self._sync_shard_gauges(sid)
@@ -362,7 +363,7 @@ class ShardedCloudServer:
             if part is None or not len(part):
                 continue
             with self._locks[sid]:
-                n += self.shards[sid].ingest(part)
+                n += self.shards[sid].index.insert_many(part)
                 self._bounds[sid] = self.shards[sid].index.bounds()
                 self._sync_shard_gauges(sid)
             self._route.labels(shard=str(sid)).inc(len(part))
@@ -447,7 +448,7 @@ class ShardedCloudServer:
         evicted = 0
         for sid in range(self.n_shards):
             with self._locks[sid]:
-                evicted += self.shards[sid].evict_older_than(cutoff_t)
+                evicted += self.shards[sid].index.evict_older_than(cutoff_t)
                 self._sync_shard_gauges(sid)
         self.stats._evicted.inc(evicted)
         return evicted
@@ -491,7 +492,7 @@ class ShardedCloudServer:
                     # retry after a replica is promoted.
                     self._dropped.inc()
                     raise ShardUnavailableError(sid)
-                parts.append(self.shards[sid].engine.execute(query))
+                parts.append(self.shards[sid].execute(query))
         self._pruned.inc(self.n_shards - len(targets))
         self._fanout.observe(len(parts))
         if len(parts) == 1:

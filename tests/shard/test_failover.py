@@ -20,17 +20,25 @@ The replica tier's contract (docs/SHARDING.md §10):
 
 from __future__ import annotations
 
+import gc
+import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.core.cache import QueryResultCache
 from repro.core.camera import CameraModel
 from repro.core.flatsnap import unpack_snapshot
+from repro.core.ingest import IngestCoordinator
+from repro.core.quarantine import QuarantineStore
 from repro.core.query import Query
+from repro.core.server import ServerStats
 from repro.geo.coords import GeoPoint
 from repro.geo.earth import LocalProjection
 from repro.net.protocol import encode_bundle
+from repro.obs.runtime import Observability
 from repro.shard import (ReplicaSegment, ReplicaSet, ShardedCloudServer,
                          ShardUnavailableError, load_sharded_snapshot,
                          save_sharded_snapshot)
@@ -261,6 +269,76 @@ def test_promote_without_standby_or_bad_sid():
         srv.kill_shard(-1)
 
 
+def test_promoting_a_live_shard_is_refused():
+    """A shard that was never killed still serves every row it
+    acknowledged; installing its last-synced standby over it would
+    drop the rows landed since that sync.  The refusal changes
+    nothing: not the slot, the down set or the result cache."""
+    srv = make_server()
+    srv.ingest(make_records(30, seed=41))
+    replicas = ReplicaSet(srv)
+    replicas.sync()
+    srv.ingest(make_records(30, seed=42, tag="late"))
+    probe = make_queries(1, seed=43)[0]
+    answer = rows(srv.query(probe))
+    shards = list(srv.shards)
+    digests = [s.index.content_digest() for s in srv.shards]
+    for sid in range(N_SHARDS):
+        with pytest.raises(ValueError, match=f"shard {sid} is serving"):
+            replicas.promote(sid)
+    assert srv.indexed_count == 60
+    assert srv.down_shards == frozenset()
+    assert srv.shards == shards
+    assert [s.index.content_digest() for s in srv.shards] == digests
+    assert srv.obs.registry.get("failover.promotions").value == 0
+    hits = srv.stats.cache_hits
+    assert rows(srv.query(probe)) == answer
+    assert srv.stats.cache_hits == hits + 1
+
+
+def test_kill_frees_the_dead_primary_at_once():
+    """A shard is an index and its engine, with no reference cycle: the
+    dead primary's index is freed when the kill returns, without
+    waiting for the cyclic garbage collector."""
+    srv = make_server()
+    srv.ingest(make_records(60, seed=44))
+    replicas = ReplicaSet(srv)
+    replicas.sync()
+    index = weakref.ref(srv.shards[0].index)
+    gc.disable()
+    try:
+        replicas.kill(0)
+        assert index() is None
+    finally:
+        gc.enable()
+
+
+def test_ingest_stats_and_quarantine_exist_once_per_fleet(monkeypatch):
+    """The router owns the fleet's only ingest path, stats, quarantine,
+    instrument bundle and caches; a shard builds none of them, neither
+    at start-up nor when a kill and a promotion replace one."""
+    built: Counter[str] = Counter()
+    for cls in (IngestCoordinator, ServerStats, QuarantineStore,
+                Observability, QueryResultCache):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__,
+                     **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    srv = ShardedCloudServer(CAMERA, n_shards=4, origin=ORIGIN, seed=1)
+    assert built == {"IngestCoordinator": 1, "ServerStats": 1,
+                     "QuarantineStore": 1, "Observability": 1,
+                     "QueryResultCache": 2}
+    srv.ingest(make_records(40, seed=45))
+    replicas = ReplicaSet(srv)
+    replicas.sync()
+    built.clear()
+    replicas.kill(0)
+    replicas.promote(0)
+    assert built == Counter()
+
+
 def test_sync_skips_unchanged_epochs():
     srv = make_server()
     srv.ingest(make_records(30, seed=50))
@@ -381,16 +459,16 @@ def test_sync_ships_tails_that_rebuild_the_primary_in_order():
         assert len(replica.tails) == 3
         assert all(len(t.packed) < len(replica.packed)
                    for t in replica.tails)
-        assert standby_records(replica) == srv.shards[sid].records()
+        assert standby_records(replica) == srv.shards[sid].index.records()
         assert len(replica) == len(srv.shards[sid].index)
         assert replica.epoch == srv.epoch_vector()[sid]
     assert replicas.sync() == 0                 # nothing moved
 
     victim = 1
-    rows_before = srv.shards[victim].records()
+    rows_before = srv.shards[victim].index.records()
     replicas.kill(victim)
     replicas.promote(victim)
-    assert srv.shards[victim].records() == rows_before
+    assert srv.shards[victim].index.records() == rows_before
 
 
 def _flip_a_tail_byte(replica):
@@ -433,7 +511,7 @@ def test_eviction_folds_the_standby():
     for sid in range(N_SHARDS):
         replica = replicas.replica(sid)
         assert replica.tails == ()
-        assert standby_records(replica) == srv.shards[sid].records()
+        assert standby_records(replica) == srv.shards[sid].index.records()
 
 
 def test_kill_and_install_fold_the_standby():
@@ -446,7 +524,7 @@ def test_kill_and_install_fold_the_standby():
     assert sync_counts(srv) == {"full": N_SHARDS + 1, "tail": 3 * N_SHARDS}
     assert replicas.replica(0).tails == ()
     assert [len(replicas.replica(s).tails) for s in (1, 2)] == [3, 3]
-    assert standby_records(replicas.replica(0)) == srv.shards[0].records()
+    assert standby_records(replicas.replica(0)) == srv.shards[0].index.records()
 
 
 def test_tails_fold_once_they_reach_the_base():
@@ -461,6 +539,6 @@ def test_tails_fold_once_they_reach_the_base():
             replica = replicas.replica(sid)
             assert len(replica) - replica.manifest.records \
                 < replica.manifest.records
-            assert standby_records(replica) == srv.shards[sid].records()
+            assert standby_records(replica) == srv.shards[sid].index.records()
     counts = sync_counts(srv)
     assert counts["full"] > N_SHARDS and counts["tail"] > 0

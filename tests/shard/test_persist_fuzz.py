@@ -62,7 +62,7 @@ def saved(tmp_path_factory):
     files = {p.name: p.read_bytes() for p in root.iterdir()}
     assert len(files) == N_SHARDS + 1       # one file per shard + manifest
     return (files, [s.index.content_digest() for s in fleet.shards],
-            [s.records() for s in fleet.shards])
+            [s.index.records() for s in fleet.shards])
 
 
 def restore(root, files):

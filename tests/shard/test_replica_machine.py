@@ -17,6 +17,10 @@ The invariants (the parity contract of docs/SHARDING.md §10):
   direct ``sync_shard`` of the victim is refused, its standby kept;
 * after every promotion, the probes, a video query and each shard's
   ``content_digest()`` equal the control fleet's;
+* promoting a shard that is serving is refused (``no standby`` before
+  its first sync, ``is serving`` after it, however stale the standby),
+  and leaves the slot, the down set, the standby and every shard's
+  ``content_digest()`` -- equal to the control fleet's -- as they were;
 * after every commit group, the fleet holds exactly the records of a
   single linear-scan, dynamic-engine :class:`CloudServer` fed the
   scalar decoder's record objects (``decode_bundle``) instead of the
@@ -131,7 +135,7 @@ class ReplicaMachine(RuleBasedStateMachine):
         self.replicas.sync()
         for sid in range(N_SHARDS):
             assert (standby_records(self.replicas.replica(sid))
-                    == self.fleet.shards[sid].records())
+                    == self.fleet.shards[sid].index.records())
         self.current = True
 
     @precondition(lambda self: self.current)
@@ -164,6 +168,19 @@ class ReplicaMachine(RuleBasedStateMachine):
             assert rows(self.fleet.query(q)) == rows(self.control.query(q))
         assert (video_rows(self.fleet.query_video(video))
                 == video_rows(self.control.query_video(video)))
+        assert ([s.index.content_digest() for s in self.fleet.shards]
+                == [s.index.content_digest() for s in self.control.shards])
+
+    @rule(sid=st.integers(0, N_SHARDS - 1))
+    def promote_live(self, sid):
+        primary = self.fleet.shards[sid]
+        standby = self.replicas.replica(sid)
+        why = "no standby" if standby is None else f"shard {sid} is serving"
+        with pytest.raises(ValueError, match=why):
+            self.replicas.promote(sid)
+        assert self.fleet.shards[sid] is primary
+        assert self.fleet.down_shards == frozenset()
+        assert self.replicas.replica(sid) is standby
         assert ([s.index.content_digest() for s in self.fleet.shards]
                 == [s.index.content_digest() for s in self.control.shards])
 
