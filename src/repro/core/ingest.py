@@ -105,12 +105,14 @@ class AdmissionQueue:
 class IngestCoordinator:
     """Commit-group ingest: admit -> dedup -> decode -> WAL -> land -> ack.
 
-    One instance per server facade, which supplies only ``land(columns)
-    -> int``: index every accepted record of the group -- its decoded
-    columns end to end, no record object built -- in one
-    all-or-nothing call (one epoch bump per index touched) and return
-    the count.  ``CloudServer`` lands in its index, ``ShardedCloudServer``
-    splits across the fleet; a single shard is the n=1 case.
+    One instance per server facade, which passes each :meth:`commit`
+    (and :meth:`replay_wal`) its ``land(columns) -> int``: index every
+    accepted record of the group -- its decoded columns end to end, no
+    record object built -- in one all-or-nothing call (one epoch bump
+    per index touched) and return the count.  ``CloudServer`` lands in
+    its index, ``ShardedCloudServer`` splits across the fleet; a single
+    shard is the n=1 case.  It stores no ``land``: a bound method kept
+    here would put the facade in a reference cycle.
 
     A payload's content digest is *reserved* under the lock before
     decoding, so a byte-identical redelivery -- earlier, concurrent, or
@@ -121,12 +123,10 @@ class IngestCoordinator:
     not be acked as a duplicate.
     """
 
-    def __init__(self, land: Callable[[RecordColumns], int], *,
-                 stats: ServerStats, journal: EventJournal,
+    def __init__(self, *, stats: ServerStats, journal: EventJournal,
                  quarantine: QuarantineStore,
                  wal: WriteAheadLog | None = None,
                  admission_capacity: int | None = None) -> None:
-        self._land = land
         self._stats = stats
         self._journal = journal
         self._quarantine = quarantine
@@ -154,12 +154,14 @@ class IngestCoordinator:
             return self._owners.get(video_id)
 
     def commit(self, payloads: Sequence[bytes],
-               device_ids: Sequence[str | None] | None = None, *,
+               device_ids: Sequence[str | None] | None,
+               land: Callable[[RecordColumns], int], *,
                replaying: bool = False) -> list[IngestOutcome]:
-        """Ingest one commit group; outcomes are positional, and (with
-        index content, dedup state, owners, quarantine) identical to
-        committing each payload alone, in order.  ``replaying`` marks
-        WAL recovery: no back-pressure, nothing re-appended to the log.
+        """Ingest one commit group through ``land``; outcomes are
+        positional, and (with index content, dedup state, owners,
+        quarantine) identical to committing each payload alone, in
+        order.  ``replaying`` marks WAL recovery: no back-pressure,
+        nothing re-appended to the log.
         """
         if device_ids is None:
             device_ids = [None] * len(payloads)
@@ -170,7 +172,7 @@ class IngestCoordinator:
                     else admission.try_admit(len(payloads)))
         try:
             outcomes = self._commit_admitted(
-                payloads[:admitted], device_ids[:admitted], replaying)
+                payloads[:admitted], device_ids[:admitted], land, replaying)
         finally:
             if admission is not None:
                 admission.release(admitted)
@@ -185,6 +187,7 @@ class IngestCoordinator:
 
     def _commit_admitted(self, payloads: Sequence[bytes],
                          device_ids: Sequence[str | None],
+                         land: Callable[[RecordColumns], int],
                          replaying: bool) -> list[IngestOutcome]:
         outcomes: list[IngestOutcome] = []
         group: list[tuple[str, str | None, bytes, BundleColumns]] = []
@@ -230,7 +233,7 @@ class IngestCoordinator:
                     self._stats._wal_bytes.inc(len(payload) + ENTRY_OVERHEAD)
                 self._wal.commit()
                 self._stats._wal_syncs.inc()
-            indexed = self._land(RecordColumns.concat([c for *_, c in group]))
+            indexed = land(RecordColumns.concat([c for *_, c in group]))
         except BaseException:
             with self._lock:
                 self._seen.difference_update(reserved)
@@ -248,15 +251,17 @@ class IngestCoordinator:
                                records=len(columns))
         return outcomes
 
-    def replay_wal(self, path: str | None = None) -> int:
-        """Re-offer every committed payload of a write-ahead log;
+    def replay_wal(self, path: str | None,
+                   land: Callable[[RecordColumns], int]) -> int:
+        """Re-offer every committed payload of a write-ahead log (the
+        configured one when ``path`` is ``None``) through ``land``;
         returns how many were newly indexed (the rest deduplicate)."""
         if path is None:
             if self._wal is None:
                 raise ValueError("no WAL configured and no path given")
             path = self._wal.path
         payloads = wal_replay(path)
-        outcomes = self.commit(payloads, replaying=True)
+        outcomes = self.commit(payloads, None, land, replaying=True)
         recovered = sum(1 for o in outcomes
                         if o.status is IngestStatus.ACCEPTED)
         self._journal.emit("ingest.wal_replay", offered=len(payloads),

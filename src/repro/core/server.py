@@ -282,7 +282,7 @@ class CloudServer:
         self._clients: dict[str, ClientPipeline] = {}
         self.wal = wal
         self._ingest = IngestCoordinator(
-            self._land, stats=self.stats, journal=self.obs.journal,
+            stats=self.stats, journal=self.obs.journal,
             quarantine=self.quarantine, wal=wal,
             admission_capacity=admission_capacity)
 
@@ -328,7 +328,7 @@ class CloudServer:
         outcome is ``ACCEPTED``.
         """
         with self.obs.tracer.span("server.ingest_bundle", bytes=len(payload)):
-            return self._ingest.commit([payload], [device_id])[0]
+            return self._ingest.commit([payload], [device_id], self._land)[0]
 
     def ingest_batch(self, payloads: Sequence[bytes],
                      device_ids: Sequence[str | None] | None = None,
@@ -347,7 +347,7 @@ class CloudServer:
         uploader to re-offer.
         """
         with self.obs.tracer.span("server.ingest_batch", batch=len(payloads)):
-            return self._ingest.commit(payloads, device_ids)
+            return self._ingest.commit(payloads, device_ids, self._land)
 
     def replay_wal(self, path: str | None = None) -> int:
         """Recover bundles from a write-ahead log after a crash.
@@ -360,7 +360,7 @@ class CloudServer:
         apply to recovery.
         """
         with self.obs.tracer.span("server.ingest_batch"):
-            return self._ingest.replay_wal(path)
+            return self._ingest.replay_wal(path, self._land)
 
     def receive_bundle(self, payload: bytes, device_id: str | None = None) -> int:
         """Ingest one upload bundle; returns the number of records indexed.

@@ -28,27 +28,23 @@ the wire:
   record index.  Any single-bit flip, truncation, or extension of a v2
   bundle raises ``ValueError``.
 
-Both versions decode through :func:`decode_bundle`, and *all* decoded
-records pass semantic validation (finite values, latitude/longitude
-range, ``t_end >= t_start``): a corrupted-but-parseable record must
-raise, never reach the index.  Every failure mode raises ``ValueError``
-(see ``docs/PROTOCOL.md`` for the full failure taxonomy).
+Both versions decode along one path, :func:`decode_bundle_columns`:
+check the envelope (the v2 length fields and bundle CRC32, or the v1
+length formula), read the records as one ``np.frombuffer`` structured
+view, compare every v2 record's CRC32 with ``zlib.crc32`` of its 40
+bytes, and run the semantic checks (finite values, latitude/longitude
+range, ``t_end >= t_start``) as column comparisons.  A
+corrupted-but-parseable record must raise, never reach the index.
+:func:`decode_bundle` is the same decode viewed as record objects.
+
+A bad record is named by its index in the bundle: the *first* record
+that failed any check, and within it the checksum before the semantic
+checks, whose message is :func:`decode_fov`'s on that record's bytes.
+Every failure mode raises ``ValueError`` (see ``docs/PROTOCOL.md`` for
+the full failure taxonomy).
 
 Encoding/decoding round-trip exactly (modulo the float32 orientation
 quantisation), and the byte sizes feed the traffic model.
-
-Decoding a v2 bundle is **vectorised**: the fixed 44-byte record layout
-is read as one ``np.frombuffer`` structured view, the per-record CRC32s
-are verified for the whole bundle at once by a table-driven NumPy CRC
-kernel (byte-column at a time: 40 vector steps regardless of record
-count), and semantic validation runs as column comparisons.  The
-scalar per-record path is kept solely as the *diagnostic* fallback: a
-bundle that fails any batch check is re-decoded record by record so
-the raised ``ValueError`` names the exact offending record and field
--- byte-identical messages to the historical loop, at zero cost to the
-intact-bundle fast path.  :func:`decode_bundle_columns` exposes the
-decoded columns directly for the streaming ingest pipeline
-(``docs/PROTOCOL.md``), skipping per-record object materialisation.
 """
 
 from __future__ import annotations
@@ -56,7 +52,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from functools import lru_cache
+from typing import NoReturn
 
 import numpy as np
 
@@ -75,7 +71,6 @@ __all__ = [
     "decode_bundle",
     "decode_bundle_columns",
     "bundle_size",
-    "crc32_rows",
 ]
 
 _RECORD = struct.Struct("<ddfddI")
@@ -92,9 +87,6 @@ _V2_HEADER_SIZE = _HEADER.size + _V2_EXT.size  # 19
 #: Byte span of the v2 header that the bundle CRC covers (everything up
 #: to, but excluding, the CRC field itself).
 _V2_CRC_SKIP = _V2_HEADER_SIZE - 4
-#: Record count at which the vectorised CRC kernel overtakes per-record
-#: ``zlib.crc32`` calls (NumPy dispatch overhead vs zlib's C loop).
-_CRC_VECTOR_MIN = 256
 _CRC = struct.Struct("<I")
 _FRAME_PREFIX = struct.Struct("<I")
 
@@ -189,54 +181,16 @@ def _decode_video_id(raw: bytes) -> str:
     return video_id
 
 
-def _decode_records_v1(payload: bytes, offset: int, count: int,
-                       video_id: str) -> list[RepresentativeFoV]:
-    fovs = []
-    for i in range(count):
-        rec = payload[offset + i * FOV_RECORD_SIZE:
-                      offset + (i + 1) * FOV_RECORD_SIZE]
-        try:
-            fovs.append(decode_fov(rec, video_id=video_id))
-        except ValueError as exc:
-            raise ValueError(f"record {i}: {exc}") from None
-    return fovs
-
-
-#: The fixed v2 wire record as a packed little-endian structured dtype;
-#: ``np.frombuffer`` over a payload with this dtype is the whole decode.
-_RECORD_DTYPE = np.dtype([
+#: The fixed v1 wire record as a packed little-endian structured dtype;
+#: ``np.frombuffer`` over a payload with it is the whole record decode.
+_RECORD_DTYPE_V1 = np.dtype([
     ("lat", "<f8"), ("lng", "<f8"), ("theta", "<f4"),
-    ("t_start", "<f8"), ("t_end", "<f8"),
-    ("seg_id", "<u4"), ("crc", "<u4"),
+    ("t_start", "<f8"), ("t_end", "<f8"), ("seg_id", "<u4"),
 ])
-assert _RECORD_DTYPE.itemsize == FOV_RECORD_SIZE_V2
-
-
-@lru_cache(maxsize=1)
-def _crc32_table() -> "np.ndarray":
-    """The 256-entry lookup table of the reflected CRC-32 (poly
-    0xEDB88320) that ``zlib.crc32`` implements."""
-    table = np.empty(256, dtype=np.uint32)
-    for i in range(256):
-        c = i
-        for _ in range(8):
-            c = (c >> 1) ^ 0xEDB88320 if c & 1 else c >> 1
-        table[i] = c
-    return table
-
-
-def crc32_rows(rows: "np.ndarray") -> "np.ndarray":
-    """CRC32 of every row of a ``(n, width)`` uint8 matrix at once.
-
-    Bit-identical to calling ``zlib.crc32`` on each row, but the loop
-    runs over byte *columns* -- 40 vector steps for FoV records no
-    matter how many records the bundle carries.
-    """
-    table = _crc32_table()
-    crc = np.full(rows.shape[0], 0xFFFFFFFF, dtype=np.uint32)
-    for col in range(rows.shape[1]):
-        crc = table[(crc ^ rows[:, col]) & 0xFF] ^ (crc >> 8)
-    return crc ^ np.uint32(0xFFFFFFFF)
+#: The v2 wire record: the v1 layout plus the record's CRC32.
+_RECORD_DTYPE_V2 = np.dtype(_RECORD_DTYPE_V1.descr + [("crc", "<u4")])
+assert _RECORD_DTYPE_V1.itemsize == FOV_RECORD_SIZE
+assert _RECORD_DTYPE_V2.itemsize == FOV_RECORD_SIZE_V2
 
 
 class BundleColumns(RecordColumns):
@@ -253,36 +207,17 @@ class BundleColumns(RecordColumns):
                          **columns)
         object.__setattr__(self, "video_id", video_id)
 
-    def records(self) -> list[RepresentativeFoV]:
-        """Materialise the columns as the classic record objects."""
-        return list(self)
 
-
-def _decode_records_v2(payload: bytes, offset: int, count: int,
-                       video_id: str) -> list[RepresentativeFoV]:
-    """The historical per-record walk: checksum and semantic checks
-    interleaved, naming the first offending record.  Both the scalar
-    decode path (small bundles) and the batched path's diagnostic
-    fallback run exactly this loop, so error text can never drift."""
-    out = []
-    for i in range(count):
-        rec = payload[offset: offset + FOV_RECORD_SIZE]
-        (rec_crc,) = _CRC.unpack_from(payload, offset + FOV_RECORD_SIZE)
-        if zlib.crc32(rec) != rec_crc:
-            raise ValueError(f"record {i} failed its checksum")
-        try:
-            out.append(decode_fov(rec, video_id=video_id))
-        except ValueError as exc:
-            raise ValueError(f"record {i}: {exc}") from None
-        offset += FOV_RECORD_SIZE_V2
-    return out
-
-
-def _raise_record_error(payload: bytes, offset: int, count: int,
-                        video_id: str) -> None:
-    """Diagnostic slow path for a failed batch check."""
-    _decode_records_v2(payload, offset, count, video_id)
-    raise ValueError("bundle failed record validation")  # pragma: no cover
+def _validate_v1_envelope(payload: bytes, vid_len: int,
+                          count: int) -> tuple[str, int]:
+    """Bundle-level v1 checks; returns ``(video_id, record offset)``."""
+    offset = _HEADER.size
+    video_id = _decode_video_id(payload[offset: offset + vid_len])
+    offset += vid_len
+    expected = offset + count * FOV_RECORD_SIZE
+    if len(payload) != expected:
+        raise ValueError(f"bundle length {len(payload)} != expected {expected}")
+    return video_id, offset
 
 
 def _validate_v2_envelope(payload: bytes, vid_len: int,
@@ -314,87 +249,36 @@ def _validate_v2_envelope(payload: bytes, vid_len: int,
     return video_id, offset + vid_len
 
 
-def _decode_bundle_v2_columns(payload: bytes, vid_len: int,
-                              count: int) -> BundleColumns:
-    video_id, offset = _validate_v2_envelope(payload, vid_len, count)
-
-    fields = np.frombuffer(payload, dtype=_RECORD_DTYPE,
-                           count=count, offset=offset)
-    lat = fields["lat"].astype(np.float64)
-    lng = fields["lng"].astype(np.float64)
-    theta = fields["theta"].astype(np.float64)
-    t_start = fields["t_start"].astype(np.float64)
-    t_end = fields["t_end"].astype(np.float64)
-
-    if count >= _CRC_VECTOR_MIN:
-        raw = np.frombuffer(payload, dtype=np.uint8,
-                            count=count * FOV_RECORD_SIZE_V2,
-                            offset=offset).reshape(count, FOV_RECORD_SIZE_V2)
-        crc_ok = np.array_equal(crc32_rows(raw[:, :FOV_RECORD_SIZE]),
-                                fields["crc"])
-    else:
-        # Below the crossover the 40 vector steps cost more in NumPy
-        # dispatch than `count` calls into zlib's C loop.
-        crc_ok = fields["crc"].tolist() == [
-            zlib.crc32(payload[o: o + FOV_RECORD_SIZE])
+def _record_crcs(payload: bytes, offset: int, count: int) -> list[int]:
+    """The CRC32 of each v2 record's 40 payload bytes, computed."""
+    return [zlib.crc32(payload[o: o + FOV_RECORD_SIZE])
             for o in range(offset, offset + count * FOV_RECORD_SIZE_V2,
-                           FOV_RECORD_SIZE_V2)
-        ]
-    # NaNs compare False everywhere, so the finiteness terms are what
-    # keep a NaN coordinate from slipping through the range terms.
-    sem_ok = bool((np.isfinite(lat) & np.isfinite(lng) & np.isfinite(theta)
-                   & np.isfinite(t_start) & np.isfinite(t_end)
-                   & (lat >= -90.0) & (lat <= 90.0)
-                   & (lng >= -180.0) & (lng <= 180.0)
-                   & (theta >= 0.0) & (theta <= 360.0)
-                   & (t_end >= t_start)).all())
-    if not (crc_ok and sem_ok):
-        _raise_record_error(payload, offset, count, video_id)
-    return BundleColumns(video_id=video_id, lat=lat, lng=lng, theta=theta,
-                         t_start=t_start, t_end=t_end,
-                         segment_ids=fields["seg_id"].astype(np.int64))
+                           FOV_RECORD_SIZE_V2)]
 
 
-def _decode_bundle_v2(payload: bytes, vid_len: int, count: int
-                      ) -> tuple[str, list[RepresentativeFoV]]:
-    if count < _CRC_VECTOR_MIN:
-        # Small bundles: the historical scalar walk beats the column
-        # round-trip when record objects are the requested output.
-        video_id, offset = _validate_v2_envelope(payload, vid_len, count)
-        return video_id, _decode_records_v2(payload, offset, count, video_id)
-    columns = _decode_bundle_v2_columns(payload, vid_len, count)
-    return columns.video_id, columns.records()
+def _raise_first_bad_record(payload: bytes, offset: int, fields: np.ndarray,
+                            sem_ok: np.ndarray) -> NoReturn:
+    """Name the first record that failed a check.  Within that record
+    its checksum (v2) is judged first, then :func:`decode_fov` on its
+    40 bytes supplies the semantic message."""
+    crc_bad = np.zeros(len(fields), dtype=bool)
+    if "crc" in fields.dtype.names:
+        crc_bad = fields["crc"] != np.array(
+            _record_crcs(payload, offset, len(fields)), dtype=np.uint32)
+    i = int(np.argmax(crc_bad | ~sem_ok))
+    if crc_bad[i]:
+        raise ValueError(f"record {i} failed its checksum")
+    start = offset + i * fields.dtype.itemsize
+    try:
+        decode_fov(payload[start: start + FOV_RECORD_SIZE])
+    except ValueError as exc:
+        raise ValueError(f"record {i}: {exc}") from None
+    raise ValueError(f"record {i} failed validation")  # pragma: no cover
 
 
 def decode_bundle_columns(payload: bytes) -> BundleColumns:
-    """Decode a bundle straight to columns (both wire versions).
-
-    The v2 path never materialises per-record objects; v1 decodes
-    through the scalar path and repacks, since the legacy format only
-    exists for compatibility.  Raises ``ValueError`` exactly like
-    :func:`decode_bundle`.
-    """
-    if len(payload) < _HEADER.size:
-        raise ValueError("bundle shorter than its header")
-    magic, version, vid_len, count = _HEADER.unpack_from(payload, 0)
-    if magic == BUNDLE_MAGIC_V2:
-        if version != 2:
-            raise ValueError(f"unsupported bundle version {version}")
-        return _decode_bundle_v2_columns(payload, vid_len, count)
-    video_id, fovs = decode_bundle(payload)
-    return BundleColumns(
-        video_id=video_id,
-        lat=np.array([f.lat for f in fovs], dtype=np.float64),
-        lng=np.array([f.lng for f in fovs], dtype=np.float64),
-        theta=np.array([f.theta for f in fovs], dtype=np.float64),
-        t_start=np.array([f.t_start for f in fovs], dtype=np.float64),
-        t_end=np.array([f.t_end for f in fovs], dtype=np.float64),
-        segment_ids=np.array([f.segment_id for f in fovs], dtype=np.int64),
-    )
-
-
-def decode_bundle(payload: bytes) -> tuple[str, list[RepresentativeFoV]]:
-    """Inverse of :func:`encode_bundle`; accepts both wire versions.
+    """Inverse of :func:`encode_bundle`, as columns; accepts both wire
+    versions and is the only bundle decoder.
 
     Raises ``ValueError`` -- and only ``ValueError`` -- on any
     malformed input: bad magic, unsupported version, truncation,
@@ -407,18 +291,46 @@ def decode_bundle(payload: bytes) -> tuple[str, list[RepresentativeFoV]]:
     if magic == BUNDLE_MAGIC_V2:
         if version != 2:
             raise ValueError(f"unsupported bundle version {version}")
-        return _decode_bundle_v2(payload, vid_len, count)
-    if magic != BUNDLE_MAGIC:
+        video_id, offset = _validate_v2_envelope(payload, vid_len, count)
+        dtype = _RECORD_DTYPE_V2
+    elif magic != BUNDLE_MAGIC:
         raise ValueError(f"bad magic {magic!r}")
-    if version != 1:
+    elif version != 1:
         raise ValueError(f"unsupported bundle version {version}")
-    offset = _HEADER.size
-    video_id = _decode_video_id(payload[offset: offset + vid_len])
-    offset += vid_len
-    expected = offset + count * FOV_RECORD_SIZE
-    if len(payload) != expected:
-        raise ValueError(f"bundle length {len(payload)} != expected {expected}")
-    return video_id, _decode_records_v1(payload, offset, count, video_id)
+    else:
+        video_id, offset = _validate_v1_envelope(payload, vid_len, count)
+        dtype = _RECORD_DTYPE_V1
+
+    fields = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
+    lat = fields["lat"].astype(np.float64)
+    lng = fields["lng"].astype(np.float64)
+    theta = fields["theta"].astype(np.float64)
+    t_start = fields["t_start"].astype(np.float64)
+    t_end = fields["t_end"].astype(np.float64)
+
+    crc_ok = (dtype is _RECORD_DTYPE_V1
+              or fields["crc"].tolist() == _record_crcs(payload, offset,
+                                                        count))
+    # NaNs compare False everywhere, so the finiteness terms are what
+    # keep a NaN coordinate from slipping through the range terms.
+    sem_ok = (np.isfinite(lat) & np.isfinite(lng) & np.isfinite(theta)
+              & np.isfinite(t_start) & np.isfinite(t_end)
+              & (lat >= -90.0) & (lat <= 90.0)
+              & (lng >= -180.0) & (lng <= 180.0)
+              & (theta >= 0.0) & (theta <= 360.0)
+              & (t_end >= t_start))
+    if not (crc_ok and sem_ok.all()):
+        _raise_first_bad_record(payload, offset, fields, sem_ok)
+    return BundleColumns(video_id=video_id, lat=lat, lng=lng, theta=theta,
+                         t_start=t_start, t_end=t_end,
+                         segment_ids=fields["seg_id"].astype(np.int64))
+
+
+def decode_bundle(payload: bytes) -> tuple[str, list[RepresentativeFoV]]:
+    """:func:`decode_bundle_columns` as ``(video_id, records)``; raises
+    exactly what it raises."""
+    columns = decode_bundle_columns(payload)
+    return columns.video_id, list(columns)
 
 
 def bundle_size(video_id: str, n_records: int,

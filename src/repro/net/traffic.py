@@ -92,16 +92,10 @@ class TrafficModel:
     def __init__(self, profile: VideoProfile | None = None):
         self.profile = profile or VideoProfile()
 
-    def descriptor_upload_bytes(self, video_id: str, n_segments: int,
-                                version: int | None = None) -> int:
-        """Wire bytes of the representative-FoV bundle for one recording.
-
-        ``version`` selects the wire format (default: the protocol's
-        current default, the checksummed v2).
-        """
-        if version is None:
-            return bundle_size(video_id, n_segments)
-        return bundle_size(video_id, n_segments, version=version)
+    def descriptor_upload_bytes(self, video_id: str, n_segments: int) -> int:
+        """Wire bytes of the representative-FoV bundle for one recording,
+        in the protocol's default (checksummed v2) format."""
+        return bundle_size(video_id, n_segments)
 
     def report(self, video_id: str, n_segments: int, duration_s: float,
                matched_durations_s: list[float] | None = None) -> TrafficReport:

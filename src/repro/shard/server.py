@@ -161,7 +161,7 @@ class ShardedCloudServer:
                                           journal=self.obs.journal,
                                           registry=self.obs.registry)
         self._ingest = IngestCoordinator(
-            self._land, stats=self.stats, journal=self.obs.journal,
+            stats=self.stats, journal=self.obs.journal,
             quarantine=self.quarantine, wal=wal,
             admission_capacity=admission_capacity)
         self._cache = (
@@ -409,7 +409,7 @@ class ShardedCloudServer:
         remembered).
         """
         with self.obs.tracer.span("shard.ingest_bundle", bytes=len(payload)):
-            return self._ingest.commit([payload], [device_id])[0]
+            return self._ingest.commit([payload], [device_id], self._land)[0]
 
     def ingest_batch(self, payloads: Sequence[bytes],
                      device_ids: Sequence[str | None] | None = None,
@@ -424,13 +424,13 @@ class ShardedCloudServer:
         back-pressure the tail beyond the free capacity is ``SHED``.
         """
         with self.obs.tracer.span("shard.ingest_batch", batch=len(payloads)):
-            return self._ingest.commit(payloads, device_ids)
+            return self._ingest.commit(payloads, device_ids, self._land)
 
     def replay_wal(self, path: str | None = None) -> int:
         """Recover bundles from a write-ahead log after a crash (see
         :meth:`repro.core.server.CloudServer.replay_wal`)."""
         with self.obs.tracer.span("shard.ingest_batch"):
-            return self._ingest.replay_wal(path)
+            return self._ingest.replay_wal(path, self._land)
 
     def make_uploader(self, channel: FaultyChannel,
                       policy: RetryPolicy | None = None) -> RetryingUploader:

@@ -20,10 +20,10 @@ from repro.core.index import FoVIndex
 from repro.core.query import Query
 from repro.core.server import CloudServer
 from repro.core.wal import WriteAheadLog
-from repro.net.protocol import decode_bundle
 from repro.shard import (ReplicaSet, ShardedCloudServer,
                          load_sharded_snapshot, save_sharded_snapshot)
 
+from tests.net.test_protocol_fuzz import walk_records
 from tests.shard.test_failover import (CAMERA, N_SHARDS, ORIGIN, bundles,
                                        make_queries, make_records, rows)
 
@@ -113,12 +113,13 @@ def test_caller_objects_are_the_results(built):
 
 def test_columnar_path_equals_the_scalar_decoder():
     """A commit group landed as columns holds and ranks exactly what
-    the decoder's record objects do when ingested one by one."""
+    a per-record ``decode_fov`` walk's record objects do when ingested
+    one bundle at a time."""
     columnar, scalar = fleet(), fleet()
     for group in groups():
         columnar.ingest_batch(group)
         for payload in group:
-            scalar.ingest(decode_bundle(payload)[1])
+            scalar.ingest(walk_records(payload)[1])
     assert ([s.index.content_digest() for s in columnar.shards]
             == [s.index.content_digest() for s in scalar.shards])
     for q in make_queries(10, seed=6):

@@ -13,7 +13,9 @@ subclasses at the bottom, to a one-shard and a three-shard
 fixture: the ``CloudServer`` test ids stay what they always were.)
 """
 
+import gc
 import threading
+import weakref
 import zlib
 from dataclasses import replace
 from functools import partial
@@ -227,6 +229,22 @@ class TestWalDurability:
             assert server.replay_wal() == 0   # all duplicates
             assert digests(server) == want
             assert server.indexed_count == 10
+
+    def test_deleting_the_server_frees_its_indexes(self, tmp_path, make):
+        # The coordinator keeps no bound method of its facade, so no
+        # reference cycle outlives the server: refcounting alone frees
+        # every index once the last reference goes.
+        gc.disable()
+        try:
+            with WriteAheadLog(tmp_path / "ingest.wal") as wal:
+                server = make(wal=wal)
+                server.ingest_batch([bundle(f"v{i}") for i in range(4)])
+                assert server.replay_wal() == 0
+                alive = [weakref.ref(index) for index in indexes(server)]
+                del server
+            assert [ref() for ref in alive] == [None] * len(alive)
+        finally:
+            gc.enable()
 
     def test_replay_needs_a_log(self, server):
         with pytest.raises(ValueError, match="no WAL configured"):

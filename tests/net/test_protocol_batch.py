@@ -1,24 +1,21 @@
-"""The vectorized v2 decode path (``decode_bundle_columns``).
+"""The one bundle decoder (``decode_bundle_columns``).
 
-The batched decoder must be observationally identical to the scalar
-``decode_bundle`` loop: same records out, same ``ValueError`` text for
-every corruption class, and the vectorized CRC32 kernel bit-identical
-to ``zlib.crc32``.  These tests pin that parity plus the edge cases
-the batch path introduces (mid-record truncation, empty bundles, and
-the small-bundle scalar-CRC crossover).
+Every check here holds the decoder to a reference it does not share
+code with: the records handed to the encoder (with ``theta`` rounded
+through float32, as the wire stores it), or a literal ``ValueError``
+message naming the bundle's fault and, for a bad record, its index.
 """
 
 import struct
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.fov import RepresentativeFoV
 from repro.net.protocol import (
-    _CRC_VECTOR_MIN,
     BundleColumns,
-    crc32_rows,
     decode_bundle,
     decode_bundle_columns,
     encode_bundle,
@@ -35,6 +32,12 @@ def reps(n, vid="video-1"):
     ]
 
 
+def on_the_wire(fovs):
+    """What a bundle of ``fovs`` decodes to: the same records, with
+    ``theta`` rounded through the float32 wire field."""
+    return [replace(f, theta=float(np.float32(f.theta))) for f in fovs]
+
+
 def rewrite_v2_crc(payload: bytes) -> bytes:
     """Recompute a tampered v2 bundle's CRC so only deeper checks fire."""
     prefix, body = payload[:15], payload[19:]
@@ -42,96 +45,92 @@ def rewrite_v2_crc(payload: bytes) -> bytes:
     return prefix + struct.pack("<I", crc) + body
 
 
-class TestCrc32Rows:
-    def test_bit_identical_to_zlib(self, rng):
-        for width in (1, 7, 40):
-            rows = rng.integers(0, 256, size=(65, width), dtype=np.uint8)
-            want = [zlib.crc32(rows[i].tobytes()) for i in range(65)]
-            assert crc32_rows(rows).tolist() == want
-
-    def test_empty_rows(self):
-        rows = np.zeros((0, 40), dtype=np.uint8)
-        assert crc32_rows(rows).shape == (0,)
-
-    def test_zero_width_rows_match_empty_input_crc(self):
-        rows = np.zeros((3, 0), dtype=np.uint8)
-        assert crc32_rows(rows).tolist() == [zlib.crc32(b"")] * 3
-
-
 class TestDecodeParity:
-    @pytest.mark.parametrize("n", [0, 1, 2, 50, _CRC_VECTOR_MIN,
-                                   _CRC_VECTOR_MIN + 13])
+    @pytest.mark.parametrize("n", [0, 1, 2, 50, 256, 269, 5000])
     def test_matches_scalar_decode(self, n):
-        # Both CRC branches of the batch path (scalar below the
-        # crossover, vectorized at and above it) must reproduce the
-        # scalar loop exactly -- including the float32 theta rounding.
-        payload = encode_bundle("video-xyz", reps(n))
-        vid, want = decode_bundle(payload)
+        fovs = reps(n, vid="video-xyz")
+        payload = encode_bundle("video-xyz", fovs)
         cols = decode_bundle_columns(payload)
         assert isinstance(cols, BundleColumns)
-        assert cols.video_id == vid
+        assert cols.video_id == "video-xyz"
         assert len(cols) == n
-        assert cols.records() == want
+        assert list(cols) == on_the_wire(fovs)
+        assert decode_bundle(payload) == ("video-xyz", on_the_wire(fovs))
 
-    def test_v1_payload_falls_back(self):
-        payload = encode_bundle("video-v1", reps(4), version=1)
-        _vid, want = decode_bundle(payload)
-        cols = decode_bundle_columns(payload)
-        assert cols.records() == want
+    def test_v1_payload_decodes_to_the_same_columns(self):
+        for n in (0, 4):
+            fovs = reps(n, vid="video-v1")
+            cols = decode_bundle_columns(encode_bundle("video-v1", fovs,
+                                                       version=1))
+            assert cols.video_id == "video-v1"
+            assert list(cols) == on_the_wire(fovs)
+            assert cols.lat.dtype == np.float64
+            assert cols.segment_ids.dtype == np.int64
 
     def test_empty_bundle(self):
         cols = decode_bundle_columns(encode_bundle("solo", []))
         assert len(cols) == 0
-        assert cols.records() == []
+        assert list(cols) == []
+        assert cols.video_id == "solo"
         assert cols.lat.dtype == np.float64
 
 
-def _expect_same_error(payload: bytes):
-    """Both decoders must raise a ValueError with identical text."""
-    with pytest.raises(ValueError) as scalar:
-        decode_bundle(payload)
-    with pytest.raises(ValueError) as batch:
+def _error(payload: bytes) -> str:
+    """The decoder's ``ValueError`` text; both views raise the same."""
+    with pytest.raises(ValueError) as columns:
         decode_bundle_columns(payload)
-    assert str(batch.value) == str(scalar.value)
-    return str(batch.value)
+    with pytest.raises(ValueError) as records:
+        decode_bundle(payload)
+    assert str(records.value) == str(columns.value)
+    return str(columns.value)
 
 
 class TestCorruptionParity:
     def test_mid_record_truncation(self):
         payload = encode_bundle("video-1", reps(5))
         # Cut inside record 3's payload: a length check, not a CRC one.
-        msg = _expect_same_error(payload[:-60])
-        assert "bundle truncated" in msg
+        assert (_error(payload[:-60])
+                == f"bundle truncated: got {len(payload) - 60} of "
+                   f"{len(payload)} bytes")
 
-    @pytest.mark.parametrize("n", [5, _CRC_VECTOR_MIN + 5])
+    @pytest.mark.parametrize("n", [5, 261])
     def test_single_record_crc_corruption_names_the_record(self, n):
         payload = bytearray(encode_bundle("video-1", reps(n)))
         # Record i occupies the slice [len - (n - i) * 44, ...); flip a
         # byte inside record n-3's 40-byte payload.
         offset = len(payload) - 3 * 44 + 20
         payload[offset] ^= 0xFF
-        msg = _expect_same_error(rewrite_v2_crc(bytes(payload)))
+        msg = _error(rewrite_v2_crc(bytes(payload)))
         assert msg == f"record {n - 3} failed its checksum"
 
     def test_semantic_corruption_names_record_and_field(self):
-        fovs = reps(6)
-        payload = bytearray(encode_bundle("video-1", fovs))
+        payload = bytearray(encode_bundle("video-1", reps(6)))
         # Overwrite record 4 with out-of-range latitude and a *valid*
         # record CRC, so only the semantic check can fire.
         rec = struct.pack("<ddfddI", 200.0, 116.3, 90.0, 0.0, 1.0, 4)
         offset = len(payload) - (6 - 4) * 44
         payload[offset:offset + 40] = rec
         payload[offset + 40:offset + 44] = struct.pack("<I", zlib.crc32(rec))
-        msg = _expect_same_error(rewrite_v2_crc(bytes(payload)))
+        msg = _error(rewrite_v2_crc(bytes(payload)))
         assert msg == "record 4: corrupt record: lat 200.0 outside [-90, 90]"
+
+    def test_v1_semantic_corruption_names_record_and_field(self):
+        payload = bytearray(encode_bundle("video-1", reps(3), version=1))
+        rec = struct.pack("<ddfddI", 40.0, 116.3, 90.0, 5.0, 1.0, 1)
+        payload[-2 * 40:-40] = rec
+        assert (_error(bytes(payload))
+                == "record 1: corrupt record: t_end (1.0) before "
+                   "t_start (5.0)")
 
     def test_bundle_crc_corruption(self):
         payload = bytearray(encode_bundle("video-1", reps(3)))
         payload[-1] ^= 0x01
-        msg = _expect_same_error(bytes(payload))
-        assert "CRC32" in msg
+        assert _error(bytes(payload)) == "bundle failed its CRC32 check"
 
-    def test_every_truncation_matches_scalar(self):
+    def test_every_truncation_names_the_cut(self):
         payload = encode_bundle("v", reps(2))
         for cut in range(len(payload)):
-            _expect_same_error(payload[:cut])
+            want = ("bundle shorter than its header" if cut < 11 else
+                    "bundle truncated inside its header" if cut < 19 else
+                    f"bundle truncated: got {cut} of {len(payload)} bytes")
+            assert _error(payload[:cut]) == want

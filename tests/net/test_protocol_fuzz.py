@@ -1,6 +1,6 @@
 """Fuzzing the wire protocol: mutate, truncate, replay -- never index junk.
 
-Two layers:
+Three layers:
 
 * Hypothesis property tests -- random video ids (full multi-byte
   UTF-8), random byte-level mutations and truncations of valid v2
@@ -12,12 +12,22 @@ Two layers:
   ``FUZZ_SEED`` (one job per seed) and each seed drives a different
   ``numpy`` mutation schedule over a corpus of v1 and v2 bundles, so a
   red run reproduces locally with ``FUZZ_SEED=<n> pytest <this file>``.
+* A seeded differential sweep (the same ``FUZZ_SEED``): mutated,
+  field-rewritten and truncated v1 and v2 bundles either raise
+  ``ValueError`` or decode to exactly the records of
+  :func:`walk_records`, a per-record ``decode_fov`` walk that shares
+  no code with the column decoder; a raised bad-record message is the
+  walk's too.  Pinned beside it: with several bad records the first
+  is named, and within one record its checksum is judged before its
+  fields.
 
 Plus the server-level redelivery property: delivering the same bundle
 twice must index it exactly once.
 """
 
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -25,9 +35,36 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.fov import RepresentativeFoV
 from repro.core.server import CloudServer, IngestStatus
-from repro.net.protocol import decode_bundle, encode_bundle
+from repro.net.protocol import (decode_bundle, decode_bundle_columns,
+                                decode_fov, encode_bundle)
 
 FUZZ_SEED = int(os.environ.get("FUZZ_SEED", "0"))
+
+
+def walk_records(payload: bytes):
+    """``(video_id, records)`` of a well-framed bundle, read one record
+    at a time with ``struct`` and ``decode_fov``: the reference decoder.
+
+    It skips the envelope checks, so it only judges payloads whose
+    framing is sound.  A bad record raises ``ValueError`` naming it the
+    way the wire protocol does: the first one, checksum before fields.
+    """
+    magic, _, vid_len, count = struct.unpack_from("<4sBHI", payload)
+    v2 = magic == b"FOV2"
+    offset = (19 if v2 else 11) + vid_len
+    video_id = payload[offset - vid_len: offset].decode("utf-8")
+    records = []
+    for i in range(count):
+        rec = payload[offset: offset + 40]
+        if v2 and payload[offset + 40: offset + 44] != \
+                struct.pack("<I", zlib.crc32(rec)):
+            raise ValueError(f"record {i} failed its checksum")
+        try:
+            records.append(decode_fov(rec, video_id))
+        except ValueError as exc:
+            raise ValueError(f"record {i}: {exc}") from None
+        offset += 44 if v2 else 40
+    return video_id, records
 
 
 def rep(i, vid):
@@ -152,6 +189,101 @@ class TestSeedMatrixSweep:
                         f"(vid={vid!r}, n={n})")
                 checked += 1
         assert checked == 120 * len(self.CORPUS)
+
+
+def reseal(payload: bytes | bytearray, record_starts=()) -> bytes:
+    """Re-checksum a tampered v2 bundle: the records starting at
+    ``record_starts``, then the bundle, so only later checks fire."""
+    buf = bytearray(payload)
+    for o in record_starts:
+        buf[o + 40: o + 44] = struct.pack("<I", zlib.crc32(buf[o: o + 40]))
+    buf[15:19] = struct.pack("<I", zlib.crc32(buf[19:],
+                                              zlib.crc32(buf[:15])))
+    return bytes(buf)
+
+
+#: (offset, struct format) of each float field in a 40-byte record, and
+#: values that fail its semantic check.
+FIELDS = [(0, "<d"), (8, "<d"), (16, "<f"), (20, "<d"), (28, "<d")]
+BAD_VALUES = [float("nan"), float("inf"), -float("inf"), 200.0, -400.0,
+              1e9, -1e-3]
+
+
+class TestWalkParity:
+    """The column decoder against :func:`walk_records`, byte for byte."""
+
+    CORPUS = [("v", 0, 2), ("camera-01", 5, 2), ("視频-9", 9, 2),
+              ("legacy", 4, 1), ("legacy-big", 9, 1)]
+
+    def test_decode_is_the_walk_or_a_valueerror(self):
+        rng = np.random.default_rng(FUZZ_SEED)
+        decoded = 0
+        for vid, n, version in self.CORPUS:
+            payload = encode_bundle(vid, [rep(i, vid) for i in range(n)],
+                                    version=version)
+            head = (19 if version == 2 else 11) + len(vid.encode("utf-8"))
+            stride = 44 if version == 2 else 40
+            for _ in range(150):
+                buf = bytearray(payload)
+                mode = int(rng.integers(0, 3))
+                if mode == 2 and n:                 # rewrite some fields
+                    starts = []
+                    for _ in range(int(rng.integers(1, 4))):
+                        o = head + int(rng.integers(0, n)) * stride
+                        at, fmt = FIELDS[int(rng.integers(0, len(FIELDS)))]
+                        value = BAD_VALUES[int(rng.integers(0,
+                                                            len(BAD_VALUES)))]
+                        struct.pack_into(fmt, buf, o + at, value)
+                        if rng.random() < 0.8:
+                            starts.append(o)
+                    mutated = (reseal(buf, starts) if version == 2
+                               else bytes(buf))
+                elif mode == 1:                     # truncate the tail
+                    mutated = payload[:int(rng.integers(0, len(payload)))]
+                else:                               # flip one byte
+                    buf[int(rng.integers(0, len(buf)))] ^= \
+                        int(rng.integers(1, 256))
+                    mutated = bytes(buf)
+                try:
+                    columns = decode_bundle_columns(mutated)
+                except ValueError as exc:
+                    if str(exc).startswith("record "):
+                        with pytest.raises(ValueError) as walked:
+                            walk_records(mutated)
+                        assert str(walked.value) == str(exc), (
+                            f"seed {FUZZ_SEED}: vid={vid!r}, v{version}")
+                    continue
+                assert (columns.video_id, list(columns)) == \
+                    walk_records(mutated), (
+                        f"seed {FUZZ_SEED}: vid={vid!r}, v{version}")
+                decoded += 1
+        assert decoded > 0
+
+    def test_the_first_bad_record_is_named(self):
+        payload = bytearray(bundle_for("vid-a", 8))
+        starts = [len(payload) - (8 - i) * 44 for i in range(8)]
+        struct.pack_into("<d", payload, starts[6], 500.0)     # lat
+        struct.pack_into("<d", payload, starts[2] + 8, float("nan"))
+        bad = reseal(payload, [starts[2], starts[6]])
+        with pytest.raises(ValueError) as walked:
+            walk_records(bad)
+        with pytest.raises(ValueError) as decoded:
+            decode_bundle_columns(bad)
+        assert str(decoded.value) == str(walked.value) == \
+            "record 2: corrupt record: non-finite lng (nan)"
+
+    def test_a_checksum_is_judged_before_the_fields(self):
+        payload = bytearray(bundle_for("vid-a", 4))
+        starts = [len(payload) - (4 - i) * 44 for i in range(4)]
+        for o in (starts[1], starts[3]):
+            struct.pack_into("<f", payload, o + 16, 400.0)    # theta
+        bad = reseal(payload, [starts[3]])      # record 1 keeps a stale CRC
+        with pytest.raises(ValueError) as walked:
+            walk_records(bad)
+        with pytest.raises(ValueError) as decoded:
+            decode_bundle_columns(bad)
+        assert str(decoded.value) == str(walked.value) == \
+            "record 1 failed its checksum"
 
 
 class TestServerRedelivery:

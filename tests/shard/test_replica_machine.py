@@ -23,9 +23,10 @@ The invariants (the parity contract of docs/SHARDING.md §10):
   ``content_digest()`` -- equal to the control fleet's -- as they were;
 * after every commit group, the fleet holds exactly the records of a
   single linear-scan, dynamic-engine :class:`CloudServer` fed the
-  scalar decoder's record objects (``decode_bundle``) instead of the
-  group: the fleet lands each group as columns, so this is the check
-  that columns, ``split`` and the store agree with the wire;
+  record objects of a per-record ``decode_fov`` walk over each bundle
+  (``walk_records``) instead of the group: the fleet lands each group
+  as columns, so this is the check that columns, ``split`` and the
+  store agree with the wire;
 * a read between writes -- the probes and a video query, answered
   from shard views that are a base plus a tail of the commit groups
   since -- equals that oracle.  The control fleet runs the same packed
@@ -54,10 +55,10 @@ from repro.core.camera import CameraModel
 from repro.core.query import Query
 from repro.core.server import CloudServer
 from repro.geo.coords import GeoPoint
-from repro.net.protocol import decode_bundle
 from repro.shard import ReplicaSet, ShardUnavailableError
 from repro.video.retrieval import VideoQuery
 
+from tests.net.test_protocol_fuzz import walk_records
 from tests.shard.test_failover import (N_SHARDS, bundles, dropped_queries,
                                        make_queries, make_records,
                                        make_server, rows, standby_records)
@@ -110,7 +111,7 @@ class ReplicaMachine(RuleBasedStateMachine):
         for srv in (self.fleet, self.control):
             srv.ingest_batch(payloads)
         self.oracle.ingest([fov for payload in payloads
-                            for fov in decode_bundle(payload)[1]])
+                            for fov in walk_records(payload)[1]])
         assert content(self.fleet.records()) == content(self.oracle.records())
         self.current = False
 
