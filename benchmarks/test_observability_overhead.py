@@ -27,6 +27,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.camera import CameraModel
 from repro.core.index import FoVIndex
 from repro.core.query import Query
 from repro.core.retrieval import RetrievalEngine
@@ -56,8 +57,10 @@ def workload():
     rng = np.random.default_rng(2015)
     reps = random_representative_fovs(N_RECORDS, rng)
     index = FoVIndex.bulk(reps)
-    index.packed_view()                     # build the snapshot once
     queries = _queries(np.random.default_rng(6565), reps, N_QUERIES)
+    # Build the snapshot once, and with one query the grid's sector rows
+    # for the ``camera`` fixture's (alpha, R), the default camera's.
+    RetrievalEngine(index, CameraModel(), engine="packed").execute(queries[0])
     return index, queries
 
 

@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import hashlib
 from itertools import compress
-from typing import TYPE_CHECKING, Iterable, Literal, NamedTuple, overload
+from typing import (TYPE_CHECKING, Iterable, Literal, MutableSequence,
+                    NamedTuple, overload)
 
 import numpy as np
 
+from repro.core.camera import CameraModel
 from repro.core.fov import (_COLUMNS, RecordColumns, RepresentativeFoV,
                             _MemoRows)
 from repro.core.query import Query
@@ -135,36 +137,58 @@ class PackedFoVIndex:
         return len(self.records)
 
     def range_search_ids(self, query: Query,
-                         observer: SearchObserver | None = None
+                         observer: SearchObserver | None = None,
+                         camera: CameraModel | None = None,
+                         hits: MutableSequence[int] | None = None
                          ) -> np.ndarray:
-        """Payload ids of records intersecting the query's 3-D box."""
+        """Payload ids of records intersecting the query's 3-D box.
+
+        With a ``camera``, only the box hits whose viewing sector for
+        that camera can hold the query centre (its sector box does,
+        :mod:`repro.spatial.grid`): a superset of the Section V-B
+        strict-cover survivors.  ``hits``, when given, is a one-slot
+        accumulator to which the box-hit count of both grids is added.
+        """
         b = query_box_floats(query)
-        ids = self.grid.search_ids(b[:3], b[3:], observer=observer)
+        cover = (None if camera is None else
+                 (camera.half_angle, camera.radius,
+                  query.center.lng, query.center.lat))
+        ids = self.grid.search_ids(b[:3], b[3:], observer, cover, hits)
         if self.tail is None:
             return ids
-        more = self.tail.grid.search_ids(b[:3], b[3:], observer=observer)
+        more = self.tail.grid.search_ids(b[:3], b[3:], observer, cover, hits)
         if more.size == 0:
             return ids
         return np.concatenate((ids, more + self.grid.n))
 
     def search_many_ids(self, queries: list[Query],
-                        observer: SearchObserver | None = None
+                        observer: SearchObserver | None = None,
+                        camera: CameraModel | None = None,
+                        hits: np.ndarray | None = None
                         ) -> tuple[np.ndarray, np.ndarray]:
         """Batched range search: ``(query_ids, payload_ids)`` pairs.
 
         ``query_ids`` comes back sorted, so each query's hits are a
         contiguous run recoverable with ``np.searchsorted``.
-        ``observer`` receives per-level descent statistics.
+        ``observer`` receives per-level descent statistics; ``camera``
+        and ``hits`` (an int64 array, one slot per query) are
+        :meth:`range_search_ids`' per query.
         """
         if not queries:
             return (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
         boxes = np.array([query_box_floats(q) for q in queries], dtype=float)
+        cover = None
+        if camera is not None:
+            centres = np.array([(q.center.lng, q.center.lat)
+                                for q in queries], dtype=float)
+            cover = (camera.half_angle, camera.radius,
+                     centres[:, 0], centres[:, 1])
         qids, ids = self.grid.search_many(boxes[:, :3], boxes[:, 3:],
-                                          observer=observer)
+                                          observer, cover, hits)
         if self.tail is None:
             return qids, ids
         tq, more = self.tail.grid.search_many(boxes[:, :3], boxes[:, 3:],
-                                              observer=observer)
+                                              observer, cover, hits)
         if more.size == 0:
             return qids, ids
         qids = np.concatenate((qids, tq))

@@ -7,12 +7,17 @@ The engine therefore:
 
 1. runs the 3-D range search (query radius per the empirical area
    presets, Section V-B item 1);
-2. applies the orientation filter -- drop FoVs whose sector does not
+2. on the packed engine under strict cover, keeps only the box hits
+   whose viewing sector's lng/lat bounding box holds the query centre
+   -- a superset of step 3's survivors, tested inside the grid descent
+   (:mod:`repro.spatial.grid`); a query still counts every box hit as
+   a candidate;
+3. applies the orientation filter -- drop FoVs whose sector does not
    cover the query centre (items 2-3; "a video of Merkel on the
    grandstand is useless for a World Cup query");
-3. ranks survivors by distance to the query centre, nearer first
+4. ranks survivors by distance to the query centre, nearer first
    (closer FoVs are less likely to be occluded);
-4. truncates to the inquirer's top-N (item 4).
+5. truncates to the inquirer's top-N (item 4).
 
 Two execution engines share that pipeline:
 
@@ -60,7 +65,7 @@ from repro.core.fov import RepresentativeFoV
 from repro.core.index import FoVIndex, PackedFoVIndex
 from repro.core.query import Query, QueryResult, RankedFoV
 from repro.core.ranking import DistanceRanker
-from repro.geo.earth import pairwise_local_xy
+from repro.geo.earth import _DEG_PER_RAD, pairwise_local_xy
 from repro.net.clock import default_timer
 from repro.obs.runtime import Observability, PackedSearchRecorder
 from repro.obs.trace import NULL_TRACER, TracerLike
@@ -94,8 +99,10 @@ def _sector_evidence(camera: CameraModel, strict_cover: bool,
     # Eq. 2's angular difference to the camera azimuth -- the
     # expression ``angular_difference`` evaluates, without its
     # scalar-or-array handling.
-    bearings = np.degrees(np.arctan2(-x, -y))
-    d = np.abs(np.mod(thetas - bearings, 360.0))
+    # ``* _DEG_PER_RAD`` is ``np.degrees`` bit for bit, and ``np.mod``
+    # by a positive divisor is never negative (``-0.0`` included).
+    bearings = np.arctan2(-x, -y) * _DEG_PER_RAD
+    d = np.mod(thetas - bearings, 360.0)
     dtheta = np.minimum(d, 360.0 - d)
     in_wedge = (dtheta <= camera.half_angle) | (dist == 0.0)
     covers_center = in_wedge & (dist <= camera.radius)
@@ -190,6 +197,13 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
     a row's record is built the first time any result wins it
     (``view.records.take``).
 
+    Under strict cover the descent hands on only the box hits whose
+    sector box holds the query centre (:mod:`repro.spatial.grid`);
+    every row the orientation filter keeps is among them, so the
+    rankings are those of the full box-hit set.  A query's
+    ``candidates`` is its box-hit count either way, which the descent
+    adds to ``hits``.
+
     The canonical ranking is ``(-score, video_id, segment_id, row)``:
     score ties break on the record key, and duplicate keys on the row,
     which a tailed view numbers as a full rebuild would.  A query whose
@@ -220,16 +234,21 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
     t0 = clock()
     n_q = len(queries)
     one = queries[0] if n_q == 1 else None
+    cover = camera if strict_cover else None
     with tracer.span("query.tree_descent", queries=n_q):
         if one is not None:
-            ids = view.range_search_ids(one, observer=observer)
+            hits = [0]
+            ids = view.range_search_ids(one, observer, cover, hits)
         else:
-            qids, ids = view.search_many_ids(queries, observer=observer)
-    if ids.size == 0:           # no query, no record, or no box hit
+            counts = np.zeros(n_q, dtype=np.int64)
+            qids, ids = view.search_many_ids(queries, observer, cover,
+                                             counts)
+            hits = counts.tolist()
+    if ids.size == 0:   # no query, no record, or no row left to filter
         share = (clock() - t0) / max(n_q, 1)
-        return [QueryResult(query=q, ranked=[], candidates=0,
+        return [QueryResult(query=q, ranked=[], candidates=n_cand,
                             after_filter=0, elapsed_s=share)
-                for q in queries]
+                for q, n_cand in zip(queries, hits)]
 
     with tracer.span("query.projection", pairs=int(ids.size)):
         if one is not None:
@@ -258,13 +277,13 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
         kcov = covers_center[kept]
         kts = view.t_start[kids]
         kte = view.t_end[kids]
-        # ``bounds`` / ``kbounds``: each query's run of candidate /
-        # survivor rows.  ``order``: one sort -- primary query id (keeps
-        # runs contiguous at their bounds), then descending score, then
-        # row -- so each query's run of ``order`` is its canonical
-        # ranking wherever no two scores tie.
+        # ``kbounds``: each query's run of survivor rows.  ``order``: one
+        # sort -- primary query id (keeps runs contiguous at their
+        # bounds), then descending score, then row -- so each query's
+        # run of ``order`` is its canonical ranking wherever no two
+        # scores tie.
         if one is not None:
-            bounds, kbounds = [0, int(ids.size)], [0, int(kept.size)]
+            kbounds = [0, int(kept.size)]
             # Mask-first: with no survivor the ranker is never called.
             scores = (np.asarray(ranker.scores(
                 one, camera, kdist, kdtheta, kts, kte), dtype=float)
@@ -272,9 +291,7 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
             order = np.lexsort((kids, -scores))
         else:
             kq = qids[kept]                    # sorted: qids is sorted
-            edges = np.arange(n_q + 1)
-            bounds = np.searchsorted(qids, edges).tolist()
-            kbounds = np.searchsorted(kq, edges).tolist()
+            kbounds = np.searchsorted(kq, np.arange(n_q + 1)).tolist()
             scores_batch = getattr(ranker, "scores_batch", None)
             if scores_batch is not None:
                 q_ts = np.fromiter((q.t_start for q in queries),
@@ -317,7 +334,7 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
                                         kdist[win].tolist(),
                                         kcov[win].tolist(),
                                         top)]
-            rows.append((q, ranked, bounds[qi + 1] - bounds[qi], hi - lo))
+            rows.append((q, ranked, hits[qi], hi - lo))
 
     share = (clock() - t0) / n_q
     return [

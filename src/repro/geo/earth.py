@@ -37,6 +37,13 @@ EARTH_RADIUS_M = 6_378_140.0
 #: Metres per degree along a great circle: 2*pi*Re / 360.
 _M_PER_DEG = 2.0 * np.pi * EARTH_RADIUS_M / 360.0
 
+#: ``x * _RAD_PER_DEG`` is ``np.radians(x)`` and ``x * _DEG_PER_RAD`` is
+#: ``np.degrees(x)``, bit for bit: NumPy's ufuncs multiply by the same
+#: rounded constants.  The read path uses the multiplies, which cost
+#: no NumPy call.
+_RAD_PER_DEG = math.pi / 180.0
+_DEG_PER_RAD = 180.0 / math.pi
+
 
 def metres_per_degree(lat_deg: float) -> tuple[float, float]:
     """Local scale factors ``(m per deg longitude, m per deg latitude)``.
@@ -123,7 +130,8 @@ def pairwise_local_xy(origin_lats: np.ndarray | float,
     here).  Returns local ``(x=East, y=North)`` metres as two arrays,
     the form the orientation filter and the partitioner consume.
     """
-    scale = np.cos(np.radians((origin_lats + lats) / 2.0))
+    mid_lat_rad = (origin_lats + lats) / 2.0 * _RAD_PER_DEG
+    scale = np.cos(mid_lat_rad)
     return (_M_PER_DEG * scale * (lngs - origin_lngs),
             _M_PER_DEG * (lats - origin_lats))
 

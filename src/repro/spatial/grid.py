@@ -47,9 +47,9 @@ into a single elementwise comparison against one 6-vector::
                                             bmax1, -bmin1,
                                             bmax2, -bmin2]
 
-``F`` stores those six values (plus ``theta`` and the record id) as
-the rows of an ``(8, n)`` block, one column per record in CSR order,
-so the hot loop is
+``F`` stores those six values (plus ``theta``) as the rows of a
+``(7, n)`` block, one column per record in CSR order, so the hot loop
+is
 ``(F[:6, cand] <= b[:, None]).all(axis=0)`` -- one compare, one
 reduction along the long candidate axis, no Python per-entry work
 (float negation is exact, so the candidate set is bit-identical to the
@@ -72,14 +72,48 @@ scanned cell, and the fused test re-checks the exact box.  Results are
 therefore exactly the records intersecting the box -- the same set a
 Section V-A R-tree search over the degenerate record boxes returns
 (the engine parity props pin this).
+
+Sector boxes
+------------
+Section V-B keeps a record only when its viewing sector (half-angle
+``alpha``, radius ``R``) covers the query centre, and most box hits
+fail that test: the box prunes by where the camera stood, not by what
+it saw.  A search given a ``cover`` -- the camera's ``(alpha, R)`` and
+the query centre -- therefore also tests, per box hit, whether the
+centre lies in the lng/lat bounding box of the record's sector, and
+hands on only the hits that pass.  The box-hit count, which callers
+report as the query's candidates, is added to an explicit ``hits``
+accumulator, like NumPy's ``out=``.
+
+The sector rows are a second ``(4, n)`` block in CSR order,
+``[lng_lo, -lng_hi, lat_lo, -lat_hi]``, read over the same candidate
+ranges as ``F`` and compared with ``[lng, -lng, lat, -lat]`` of the
+centre by the same ``<=`` test.  A grid derives them on its first
+search with a cover and keeps them, keyed by ``(alpha, R)``; like
+``F`` they are never persisted.  They come from a table of 361
+one-degree azimuth bins: bin ``k`` holds ``mod(theta, 360)`` in
+``[k, k + 1)`` (bin 360 takes a ``mod`` that rounds up to 360.0), and
+its entry is the exact box of a sector of half-angle ``alpha + 0.5``
+centred on the bin -- the apex, both edge endpoints and every compass
+extreme the arc spans -- so it holds the sector of every azimuth in
+the bin.  Each entry is widened by a rounding margin derived in
+docs/PERFORMANCE.md §21, so that every row the floating-point Section
+V-B test keeps is inside its box: the cover test only drops rows that
+test would drop, and every ranking stays as it was.  Longitude
+offsets are scaled by the cosine of the grid's largest latitude
+widened by ``R``, the smallest scale any query the sector can reach
+projects with.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Protocol, Sequence
+from typing import MutableSequence, Protocol, Sequence
 
 import numpy as np
+
+from repro.geo.earth import _M_PER_DEG
 
 __all__ = ["PackedPointGrid", "SearchObserver"]
 
@@ -107,6 +141,81 @@ MAX_TIME_SLICES = 64
 _CELL_LOOP_MAX = 16
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
+
+#: One-degree azimuth bins of the sector-box table, plus bin 360 for a
+#: ``mod(theta, 360)`` that rounds up to 360.0.
+_SECTOR_BINS = 361
+
+#: Unit roundoff of float64.
+_U = 2.0 ** -53
+
+#: Rounding terms of the sector-box margin, in units of ``_U * R``
+#: (docs/PERFORMANCE.md §21): the computed distance (3), the
+#: table's sin/cos (16), each axis of the projection (4 + 4), the
+#: offsets' conversion to degrees (5) and second-order terms (4).
+_MARGIN_ROUNDINGS = 36
+
+#: How far past ``half_angle`` a bin's sector reaches: half a bin, so
+#: it holds the sector of every azimuth in the bin.
+_BIN_WIDENING = 0.5
+
+#: ``(azimuth, east, north)`` of the four compass extremes of a unit
+#: circle: a sector whose arc spans one reaches it.
+_COMPASS = ((0.0, 0.0, 1.0), (90.0, 1.0, 0.0), (180.0, 0.0, -1.0),
+            (270.0, -1.0, 0.0))
+
+
+def _sector_margin(theta_exponent: int) -> float:
+    """How far a unit sector box widens outward, in units of ``R``.
+
+    The angular slack covers the filter's rounding of the bearing, of
+    ``theta - bearing`` and its wrap, and of the bin's own
+    ``mod(theta, 360)``: eight spacings of the doubles below
+    ``2**theta_exponent``, which bounds ``|theta| + 360``.  The rest
+    covers the rounding of distances and offsets.
+    """
+    slack_deg = 8.0 * math.ldexp(1.0, theta_exponent - 53)
+    return (math.radians(slack_deg) * (1.0 + 8.0 * _U)
+            + _MARGIN_ROUNDINGS * _U)
+
+
+@functools.lru_cache(maxsize=64)
+def _sector_table(half_angle: float, radius: float, lat_extent: float,
+                  theta_exponent: int) -> np.ndarray:
+    """Per-bin sector-box offsets ``[lng_lo, -lng_hi, lat_lo, -lat_hi]``
+    in degrees, shape ``(4, _SECTOR_BINS)``.
+
+    Column ``k`` is the bounding box of a sector of half-angle
+    ``half_angle + 0.5`` and radius ``radius`` centred on azimuth
+    ``k + 0.5``, apex at the origin -- the apex, both edge endpoints
+    and every compass extreme its arc spans -- widened by the derived
+    margin (docs/PERFORMANCE.md §21).  ``lat_extent`` bounds the
+    records' ``|lat|`` and ``2**theta_exponent`` their ``|theta| + 360``;
+    callers round both up so that grids of one shard share a table.
+    """
+    centre = np.arange(_SECTOR_BINS) + 0.5
+    beta = half_angle + _BIN_WIDENING
+    lo_rad, hi_rad = np.radians(centre - beta), np.radians(centre + beta)
+    zero = np.zeros(_SECTOR_BINS)
+    east = [zero, np.sin(lo_rad), np.sin(hi_rad)]
+    north = [zero, np.cos(lo_rad), np.cos(hi_rad)]
+    for azimuth, e, n in _COMPASS:
+        spans = np.abs((azimuth - centre + 180.0) % 360.0 - 180.0) <= beta
+        east.append(np.where(spans, e, 0.0))
+        north.append(np.where(spans, n, 0.0))
+    margin = _sector_margin(theta_exponent)
+    # The smallest cos(latitude) a covered (centre, camera) midpoint can
+    # project with, less its rounding; at the pole longitude is unbounded.
+    reach = min(90.0, lat_extent + radius / _M_PER_DEG)
+    scale = math.cos(math.radians(reach)) - 32.0 * _U
+    lng_deg = radius / (_M_PER_DEG * scale) if scale > 0.0 else math.inf
+    lat_deg = radius / _M_PER_DEG
+    table = np.array([(np.min(east, axis=0) - margin) * lng_deg,
+                      (np.max(east, axis=0) + margin) * -lng_deg,
+                      (np.min(north, axis=0) - margin) * lat_deg,
+                      (np.max(north, axis=0) + margin) * -lat_deg])
+    table.flags.writeable = False
+    return table
 
 
 class SearchObserver(Protocol):
@@ -153,16 +262,14 @@ class PackedPointGrid:
         CSR bucket boundaries into ``row_ids``.
     row_ids : ndarray, shape (n,)
         Original record ids in CSR (cell-major) order.
-    fused : ndarray, shape (8, n)
-        Rows ``[lng, -lng, lat, -lat, t_start, -t_end, theta, row_id]``,
-        one column per record in CSR order.  Rows 0..5 feed the fused
+    fused : ndarray, shape (7, n)
+        Rows ``[lng, -lng, lat, -lat, t_start, -t_end, theta]``, one
+        column per record in CSR order.  Rows 0..5 feed the fused
         ``<=`` test (rows 0..3 alone when the window covers every start
-        time); row 6 carries the camera azimuth and row 7 the original
-        record id as a float (ids are array indices, far below 2**53,
-        so the round-trip is exact).  Only :meth:`search_rows` reads
-        rows 6 and 7, as the tail of each evidence row it returns; the
-        id searches return ``row_ids`` and the engine gathers ``theta``
-        from the view's columns.
+        time); row 6 carries the camera azimuth, from which the sector
+        rows are derived (module note).  The id searches return
+        ``row_ids`` and the engine gathers ``theta`` from the view's
+        columns.
     max_dur : float
         Maximum record duration; queries widen their lower time bound
         by this much before binning (see the module note).
@@ -171,7 +278,7 @@ class PackedPointGrid:
     __slots__ = ("n", "width", "height", "slices",
                  "x0", "y0", "t0", "x1", "y1", "t1",
                  "inv_cw", "inv_ch", "inv_ct", "max_dur",
-                 "cell_offsets", "row_ids", "fused", "_pyrows")
+                 "cell_offsets", "row_ids", "fused", "_pyrows", "_sector")
 
     def __init__(self, n: int, width: int, height: int, slices: int,
                  x0: float, y0: float, t0: float,
@@ -197,13 +304,15 @@ class PackedPointGrid:
         self.cell_offsets = cell_offsets
         self.row_ids = row_ids
         self.fused = fused
-        # Scalar mirror of ``fused.T`` (one 8-float list per record, CSR
-        # order),
-        # built lazily by :meth:`search_rows` in processes that serve
+        # Scalar mirror of ``fused.T`` with the record id appended (one
+        # 8-float list per record, CSR order), built
+        # lazily by :meth:`search_rows` in processes that serve
         # single-query traffic.  Derived data only -- never serialised,
-        # and zero-copy consumers that only run batched kernels never
-        # build it.
+        # and consumers that only run batched kernels never build it.
         self._pyrows: list[list[float]] | None = None
+        # ``((half_angle, radius), rows)``: the sector rows of the last
+        # camera searched with (module note), derived on first use.
+        self._sector: tuple[tuple[float, float], np.ndarray] | None = None
 
     def __len__(self) -> int:
         return self.n
@@ -222,7 +331,7 @@ class PackedPointGrid:
                        0.0, 0.0, 0.0, 0.0,
                        np.zeros(2, dtype=np.int64),
                        np.empty(0, dtype=np.int64),
-                       np.empty((8, 0), dtype=float))
+                       np.empty((7, 0), dtype=float))
         x0, x1 = float(lng.min()), float(lng.max())
         y0, y1 = float(lat.min()), float(lat.max())
         t0, t1 = float(t_start.min()), float(t_start.max())
@@ -246,7 +355,7 @@ class PackedPointGrid:
         counts = np.bincount(cell, minlength=width * height * slices)
         cell_offsets = np.zeros(width * height * slices + 1, dtype=np.int64)
         np.cumsum(counts, out=cell_offsets[1:])
-        fused = np.empty((8, n), dtype=float)
+        fused = np.empty((7, n), dtype=float)
         fused[0] = lng[order]
         np.negative(fused[0], out=fused[1])
         fused[2] = lat[order]
@@ -254,10 +363,38 @@ class PackedPointGrid:
         fused[4] = t_start[order]
         np.negative(t_end[order], out=fused[5])
         fused[6] = theta[order]
-        fused[7] = order
         return cls(n, width, height, slices, x0, y0, t0, x1, y1, t1,
                    inv_cw, inv_ch, inv_ct, max_dur,
                    cell_offsets, order, fused)
+
+    def sector_rows(self, half_angle: float, radius: float) -> np.ndarray:
+        """The ``(4, n)`` sector rows ``[lng_lo, -lng_hi, lat_lo,
+        -lat_hi]`` for a camera of ``half_angle`` and ``radius``, in CSR
+        order (module note); derived on first use and kept for the last
+        camera asked for."""
+        key = (half_angle, radius)
+        memo = self._sector
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        theta = self.fused[6]
+        lo = float(theta.min()) if self.n else 0.0
+        hi = float(theta.max()) if self.n else 0.0
+        # Rounded up (a wider box), so that a shard's grids share one
+        # table: latitude to 1/64 degree, |theta| + 360 to a power of 2.
+        table = _sector_table(
+            half_angle, radius,
+            math.ceil(max(abs(self.y0), abs(self.y1)) * 64.0) / 64.0,
+            math.frexp(max(-lo, hi) + 360.0)[1])
+        # Stored azimuths are only checked to be finite; the common
+        # [0, 360) case skips the (slow) mod, which leaves it unchanged.
+        azimuth_bin = (theta if lo >= 0.0 and hi < 360.0
+                       else np.mod(theta, 360.0)).astype(np.intp)
+        rows = table.take(azimuth_bin, axis=1)
+        rows += self.fused[:4]
+        # Unlocked: two threads may both derive the rows, equal either
+        # way, and the memo is replaced by one assignment.
+        self._sector = (key, rows)
+        return rows
 
     # ------------------------------------------------------------------
     # search
@@ -324,13 +461,21 @@ class PackedPointGrid:
         return los, his
 
     def search_ids(self, bmin: Sequence[float], bmax: Sequence[float],
-                   observer: SearchObserver | None = None) -> np.ndarray:
+                   observer: SearchObserver | None = None,
+                   cover: tuple[float, float, float, float] | None = None,
+                   hits: MutableSequence[int] | None = None) -> np.ndarray:
         """Ids of records intersecting the (closed) query box.
 
         ``bmin``/``bmax`` are ``(lng, lat, t)`` triples (plain floats --
         the latency path never builds query arrays).  Result order is
         CSR position order, which callers must treat as unordered (the
         retrieval layer's canonical ranking is order-independent).
+
+        ``cover`` -- ``(half_angle, radius, lng, lat)`` -- keeps only
+        the box hits whose sector box, for a camera of that half-angle
+        and radius, holds the point ``(lng, lat)`` (module note).
+        ``hits``, when given, is a one-slot accumulator: the number of
+        box hits, before the cover test, is added to ``hits[0]``.
         """
         qx0, qy0, qt0 = float(bmin[0]), float(bmin[1]), float(bmin[2])
         qx1, qy1, qt1 = float(bmax[0]), float(bmax[1]), float(bmax[2])
@@ -347,10 +492,16 @@ class PackedPointGrid:
             # The window covers every start time: no record can fail a
             # time row (module note), so only the four space rows test.
             tested = self.fused[:4]
-            b = np.array([qx1, -qx0, qy1, -qy0])[:, None]
+            bounds = [qx1, -qx0, qy1, -qy0]
         else:
             tested = self.fused[:6]
-            b = np.array([qx1, -qx0, qy1, -qy0, qt1, -qt0])[:, None]
+            bounds = [qx1, -qx0, qy1, -qy0, qt1, -qt0]
+        sector = None
+        if cover is not None:
+            sector = self.sector_rows(cover[0], cover[1])
+            cx, cy = cover[2], cover[3]
+            bounds += [cx, -cx, cy, -cy]
+        b = np.array(bounds)[:, None]
         if (iy1 - iy0 + 1) * (ix1 - ix0 + 1) <= _CELL_LOOP_MAX:
             # Typical query: a handful of cells.  A plain Python loop
             # collecting contiguous ranges costs less than the ~15 NumPy
@@ -362,14 +513,20 @@ class PackedPointGrid:
                     observer.on_level(0, 0, 0)
                 return _EMPTY_IDS
             if len(los) == 1:
-                cand, ids = tested[:, los[0]:his[0]], rid[los[0]:his[0]]
+                lo, hi = los[0], his[0]
+                cand, ids = tested[:, lo:hi], rid[lo:hi]
+                if sector is not None:
+                    sector = sector[:, lo:hi]
             else:
                 # Concatenating a few contiguous slices is a memcpy each;
                 # a gather by index array costs several times more here.
+                ranges = list(zip(los, his))
                 cand = np.concatenate(
-                    [tested[:, lo:hi] for lo, hi in zip(los, his)], axis=1)
-                ids = np.concatenate(
-                    [rid[lo:hi] for lo, hi in zip(los, his)])
+                    [tested[:, lo:hi] for lo, hi in ranges], axis=1)
+                ids = np.concatenate([rid[lo:hi] for lo, hi in ranges])
+                if sector is not None:
+                    sector = np.concatenate(
+                        [sector[:, lo:hi] for lo, hi in ranges], axis=1)
         else:
             off = self.cell_offsets
             bases = ((np.arange(iy0, iy1 + 1)[:, None] * self.width
@@ -382,10 +539,23 @@ class PackedPointGrid:
                     observer.on_level(0, 0, 0)
                 return _EMPTY_IDS
             cand, ids = tested.take(pos, axis=1), rid[pos]
-        hits = ids[(cand <= b).all(axis=0)]
+            if sector is not None:
+                sector = sector.take(pos, axis=1)
+        n_box = cand.shape[0]
+        keep = (cand <= b[:n_box]).all(axis=0)
+        if sector is None:
+            found = ids[keep]
+            n_hits = found.size
+        else:
+            # The cover test streams over the same candidate columns as
+            # the box test; one mask then picks the survivors.
+            n_hits = int(np.count_nonzero(keep))
+            found = ids[keep & (sector <= b[n_box:]).all(axis=0)]
         if observer is not None:
-            observer.on_level(0, int(cand.shape[1]), int(hits.size))
-        return hits
+            observer.on_level(0, int(cand.shape[1]), n_hits)
+        if hits is not None:
+            hits[0] += n_hits
+        return found
 
     def search_rows(self, bmin: Sequence[float], bmax: Sequence[float],
                     limit: int) -> list[list[float]] | None:
@@ -407,9 +577,11 @@ class PackedPointGrid:
         This path is deliberately NumPy-free: at a typical frontier of
         a few dozen rows, six early-exit float compares per row cost
         less than one array dispatch, so the whole scan runs on a lazily
-        built Python mirror of ``fused.T``.  ``tolist`` round-trips doubles
-        exactly, so the compares see the very same values as the
-        vectorised mask and the hit set is bit-identical.
+        built Python mirror of ``fused.T`` with ``row_ids`` appended as
+        floats (ids are array indices, far below 2**53, so the
+        round-trip is exact).  ``tolist`` round-trips doubles exactly,
+        so the compares see the very same values as the vectorised mask
+        and the hit set is bit-identical.
         """
         qx0, qy0, qt0 = float(bmin[0]), float(bmin[1]), float(bmin[2])
         qx1, qy1, qt1 = float(bmax[0]), float(bmax[1]), float(bmax[2])
@@ -424,7 +596,8 @@ class PackedPointGrid:
             return None
         rows = self._pyrows
         if rows is None:
-            rows = self._pyrows = self.fused.T.tolist()
+            rows = self._pyrows = np.vstack(
+                (self.fused, self.row_ids)).T.tolist()
         nqx0, nqy0, nqt0 = -qx0, -qy0, -qt0
         out: list[list[float]] = []
         for lo, hi in zip(los, his):
@@ -436,7 +609,10 @@ class PackedPointGrid:
         return out
 
     def search_many(self, bmins: np.ndarray, bmaxs: np.ndarray,
-                    observer: SearchObserver | None = None
+                    observer: SearchObserver | None = None,
+                    cover: tuple[float, float, np.ndarray, np.ndarray]
+                    | None = None,
+                    hits: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched box search: ``(query_ids, record_ids)`` hit pairs.
 
@@ -446,6 +622,11 @@ class PackedPointGrid:
         two-level expansion (``(query, iy, ix)`` cell triples, then each
         cell's CSR range over the query's time slices) plus one fused
         compare over the combined ``(query, candidate)`` frontier.
+
+        ``cover`` and ``hits`` are :meth:`search_ids`' per query:
+        ``(half_angle, radius, lngs, lats)`` with one point per query,
+        and an int64 array to whose slot ``q`` query ``q``'s box-hit
+        count is added.
         """
         bmins = np.atleast_2d(np.asarray(bmins, dtype=float))
         bmaxs = np.atleast_2d(np.asarray(bmaxs, dtype=float))
@@ -512,8 +693,16 @@ class PackedPointGrid:
             np.negative(bmins[:, 2], out=qb[5])
         keep = (self.fused[:n_rows].take(cand, axis=1)
                 <= qb.take(cqid, axis=1)).all(axis=0)
-        cqid_hit = cqid[keep]
-        rows_hit = self.row_ids[cand[keep]]
+        tested = int(cand.size)
+        cqid, cand = cqid[keep], cand[keep]
         if observer is not None:
-            observer.on_level(0, int(cand.size), int(rows_hit.size))
-        return cqid_hit, rows_hit
+            observer.on_level(0, tested, int(cand.size))
+        if hits is not None:
+            hits += np.bincount(cqid, minlength=n_q)
+        if cover is not None:
+            half_angle, radius, cx, cy = cover
+            qc = np.stack((cx, -cx, cy, -cy))
+            inside = (self.sector_rows(half_angle, radius).take(cand, axis=1)
+                      <= qc.take(cqid, axis=1)).all(axis=0)
+            cqid, cand = cqid[inside], cand[inside]
+        return cqid, self.row_ids[cand]

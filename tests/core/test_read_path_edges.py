@@ -16,7 +16,17 @@ engine over a ``backend="linear"`` oracle:
   start-time extent ``[t0, t1]`` -- where the box test stops or starts
   comparing its time rows (spatial/grid.py, module note);
 * a view with a tail whose time extent differs from its base's, so one
-  search takes the four-row test on one grid and not on the other.
+  search takes the four-row test on one grid and not on the other;
+* sector boxes (strict cover hands the filter only the box hits whose
+  sector box holds the centre): the centre on each edge ray at
+  ``theta +- alpha`` (and 1e-9 or 3e-5 degrees either side), on the arc
+  at ``R``, at the apex (``dist == 0``) and at each compass extreme the
+  arc spans; azimuths 359/1, azimuths on a bin edge and a bin's last
+  double; stored azimuths -30, 720 and 1e12 (whose ``theta - bearing``
+  rounds by ~6e-5 degrees); fleets at |lat| 89.9; a visit whose box
+  hits all fail their sector box.  Mutation checks pin that a zero
+  margin, a dropped compass extreme or unwidened bins each break
+  parity on these fleets.
 
 ``FUZZ_SEED`` (set by the CI fuzz-smoke matrix) seeds the query centre,
 the background records and the placement angles; a red run reproduces
@@ -31,13 +41,15 @@ import os
 import numpy as np
 import pytest
 
+import repro.spatial.grid as grid_mod
 from repro.core.camera import CameraModel
 from repro.core.fov import RepresentativeFoV
 from repro.core.index import FoVIndex, query_box_floats
 from repro.core.query import Query
 from repro.core.retrieval import RetrievalEngine, _sector_evidence
 from repro.geo.coords import GeoPoint
-from repro.geo.earth import LocalProjection, pairwise_local_xy
+from repro.geo.earth import (_DEG_PER_RAD, _RAD_PER_DEG, LocalProjection,
+                             pairwise_local_xy)
 from repro.geometry.angles import angular_difference
 
 FUZZ_SEED = int(os.environ.get("FUZZ_SEED", "0"))
@@ -216,6 +228,22 @@ def test_base_and_tail_with_different_time_extents(strict_cover):
             check(packed, dynamic, base.query(*w))
 
 
+def test_the_angle_constants_are_numpys_conversions():
+    """The read path's ``* _RAD_PER_DEG`` / ``* _DEG_PER_RAD`` are
+    ``np.radians`` / ``np.degrees`` bit for bit, edge values included."""
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    values = np.array([0.0, -0.0, 1.0, -1.0, 90.0, 180.0, 359.999999,
+                       1e-300, -1e-300, 5e-324, -5e-324, tiny, -tiny,
+                       math.pi, -math.pi, 1e300, -1e300, huge, -huge,
+                       np.inf, -np.inf, np.nan])
+    values = np.concatenate((values, np.random.default_rng(FUZZ_SEED)
+                             .uniform(-1e4, 1e4, 10_000)))
+    with np.errstate(over="ignore"):
+        for got, want in ((values * _RAD_PER_DEG, np.radians(values)),
+                          (values * _DEG_PER_RAD, np.degrees(values))):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_eq2_wrap_is_angular_difference():
     """The filter's inlined Eq. 2 is ``angular_difference`` bit for bit,
     across the wrap and at a bearing of -0.0."""
@@ -228,3 +256,163 @@ def test_eq2_wrap_is_angular_difference():
         bearings = np.degrees(np.arctan2(-xs, -ys))
         assert dtheta.tolist() == angular_difference(bearings,
                                                      thetas).tolist()
+
+
+# ---------------------------------------------------------------------------
+# Sector boxes: under strict cover the descent hands on only the box hits
+# whose sector box holds the query centre (spatial/grid.py, "Sector boxes").
+
+#: Camera of the sector fleets.
+SECTOR_CAMERA = CameraModel(half_angle=30.0, radius=45.0)
+
+#: Stored azimuths of the edge-ray cameras, all in ``[0, 360)``: both
+#: sides of north, bin edges and a bin's last double.
+EDGE_THETAS = (0.0, 1.0, 359.0, 90.0, 137.0, math.nextafter(138.0, 0.0),
+               225.5)
+
+#: Stored azimuths outside ``[0, 360)`` (only finiteness is checked).
+#: 1e12 is 280 mod 360, and its doubles are 2**-13 apart, so the
+#: filter's ``theta - bearing`` rounds by up to 6e-5 degrees.
+WILD_THETAS = (-30.0, 720.0, 1e12)
+
+#: Degrees past a sector edge (positive: outside) of the query centre.
+EDGE_NUDGES = (-1e-9, 0.0, 1e-9, 3e-5)
+
+
+class SectorFleet:
+    """Cameras whose viewing sector's boundary passes through the query
+    centre: on an edge ray, on the arc, at a compass extreme or at the
+    apex; plus background cameras whose sector box misses it."""
+
+    def __init__(self, rng: np.random.Generator, centre: GeoPoint,
+                 thetas: tuple[float, ...], tag: str = "s") -> None:
+        self.centre = centre
+        self.proj = LocalProjection(centre)
+        self.camera = SECTOR_CAMERA
+        self.tag = tag
+        self.records: list[RepresentativeFoV] = []
+        radius, alpha = self.camera.radius, self.camera.half_angle
+        for theta in thetas + tuple(rng.uniform(0.0, 360.0, 2)):
+            for side in (-1.0, 1.0):
+                for nudge in EDGE_NUDGES:
+                    phi = math.fmod(theta, 360.0) + side * (alpha + nudge)
+                    for d in (0.5 * radius, radius * (1.0 - 1e-9), radius):
+                        self.add(phi, d, theta)
+        # Compass extremes, with the arc spanning them.
+        for c in (0.0, 90.0, 180.0, 270.0):
+            for theta in (c, c + alpha / 2.0, c - alpha / 2.0 + 360.0,
+                          c + alpha * (1.0 - 1e-9)):
+                for d in (radius * (1.0 - 1e-9), radius):
+                    self.add(c, d, theta)
+        for theta in thetas:
+            self.add(0.0, 0.0, theta)                  # the apex
+        for _ in range(40):     # background: random azimuths in the box
+            self.add(float(rng.uniform(0.0, 360.0)),
+                     float(rng.uniform(0.0, Q_RADIUS)),
+                     float(rng.uniform(0.0, 360.0)))
+
+    def add(self, phi: float, d: float, theta: float) -> None:
+        """A camera ``d`` metres from the centre, which it sees at
+        bearing ``phi``."""
+        p = self.proj.to_geo(-d * math.sin(math.radians(phi)),
+                             -d * math.cos(math.radians(phi)))
+        self.records.append(RepresentativeFoV(
+            lat=p.lat, lng=p.lng, theta=theta, t_start=T0, t_end=T1,
+            video_id=f"{self.tag}{len(self.records) % 7}",
+            segment_id=len(self.records)))
+
+    def query(self) -> Query:
+        return Query(t_start=T0, t_end=T1, center=self.centre,
+                     radius=Q_RADIUS, top_n=1000)
+
+
+def sector_fleets() -> list[SectorFleet]:
+    """Mid-latitude fleets with every edge azimuth (one with the wild
+    ones too), and polar fleets at |lat| 89.9."""
+    rng = np.random.default_rng(FUZZ_SEED)
+    mid = GeoPoint(lat=40.0 + float(rng.uniform(-0.01, 0.01)),
+                   lng=116.3 + float(rng.uniform(-0.01, 0.01)))
+    return [SectorFleet(rng, mid, EDGE_THETAS, "m"),
+            SectorFleet(rng, mid, EDGE_THETAS + WILD_THETAS, "w"),
+            SectorFleet(rng, GeoPoint(lat=89.9, lng=-20.0), EDGE_THETAS, "n"),
+            SectorFleet(rng, GeoPoint(lat=-89.9, lng=170.0), EDGE_THETAS,
+                        "s")]
+
+
+def sector_mismatches() -> int:
+    """Sector fleets on which packed ``execute`` differs from the oracle."""
+    bad = 0
+    for fleet in sector_fleets():
+        packed, dynamic = engines(fleet.records, fleet.camera, True)
+        q = fleet.query()
+        bad += answers(packed.execute(q)) != answers(dynamic.execute(q))
+    return bad
+
+
+@pytest.mark.parametrize("with_tail", [False, True])
+@pytest.mark.parametrize("strict_cover", [True, False])
+def test_sector_boundaries(strict_cover, with_tail):
+    for fleet in sector_fleets():
+        records = fleet.records
+        cut = len(records) * 3 // 4 if with_tail else len(records)
+        packed, dynamic = engines(records[:cut], fleet.camera, strict_cover,
+                                  tail=records[cut:])
+        q = fleet.query()
+        ranked, cand, kept = check(packed, dynamic, q)
+        assert cand == len(records) and 0.0 in {d for _, d, _, _ in ranked}
+        if strict_cover:
+            # Not vacuous: the sector boxes prune, and the boundary
+            # cameras are decided by the exact test (some kept, some
+            # dropped).
+            hits = [0]
+            rows = packed.index.packed_view().range_search_ids(
+                q, camera=fleet.camera, hits=hits)
+            assert hits == [cand] and kept < rows.size < cand
+
+
+def test_a_visit_whose_box_hits_all_fail_the_sector_box():
+    """Every box hit faces away: no row reaches the filter, and the
+    query still reports its box hits as candidates."""
+    rng = np.random.default_rng(FUZZ_SEED)
+    fleet = Fleet(rng, T0, T1, "a")
+    records = [RepresentativeFoV(
+        lat=f.lat, lng=f.lng, theta=(facing(fleet.centre, f.point) + 180.0)
+        % 360.0, t_start=T0, t_end=T1, video_id="a", segment_id=i)
+        for i, f in enumerate(fleet.records)
+        if local_xy(fleet.centre, f.point) != (0.0, 0.0)]
+    packed, dynamic = engines(records, CameraModel(), True)
+    q = fleet.query(T0, T1)
+    ranked, cand, kept = check(packed, dynamic, q)
+    assert cand == fleet.in_box(q) - 4 > 0 and kept == 0
+    hits = [0]
+    rows = packed.index.packed_view().range_search_ids(
+        q, camera=packed.camera, hits=hits)
+    assert rows.size == 0 and hits == [cand]
+
+
+@pytest.fixture
+def fresh_sector_table():
+    """Clear the memoised tables around a mutation of their inputs."""
+    grid_mod._sector_table.cache_clear()
+    yield
+    grid_mod._sector_table.cache_clear()
+
+
+def test_mutation_zero_margin_is_caught(monkeypatch, fresh_sector_table):
+    monkeypatch.setattr(grid_mod, "_sector_margin", lambda _extent: 0.0)
+    assert sector_mismatches() > 0
+
+
+@pytest.mark.parametrize("dropped", range(4))
+def test_mutation_dropped_compass_extreme_is_caught(monkeypatch,
+                                                   fresh_sector_table,
+                                                   dropped):
+    compass = grid_mod._COMPASS
+    monkeypatch.setattr(grid_mod, "_COMPASS",
+                        compass[:dropped] + compass[dropped + 1:])
+    assert sector_mismatches() > 0
+
+
+def test_mutation_unwidened_bins_are_caught(monkeypatch, fresh_sector_table):
+    monkeypatch.setattr(grid_mod, "_BIN_WIDENING", 0.0)
+    assert sector_mismatches() > 0

@@ -361,3 +361,84 @@ class TestFuzzedBoxParity:
                 f"FUZZ_SEED={FUZZ_SEED}: box {bmin} .. {bmax}")
             hits += len(want)
         assert hits > 0
+
+
+class TestSectorCover:
+    """Searches with a ``cover`` hand on exactly the box hits whose
+    sector box holds the point, on every path, and count every box hit;
+    the sector boxes hold every record that covers the point."""
+
+    CAMERA = (30.0, 5000.0)       # (half_angle, radius): km-wide boxes
+
+    @staticmethod
+    def sector_by_record(grid):
+        rows = grid.sector_rows(*TestSectorCover.CAMERA)
+        by_record = np.empty_like(rows)
+        by_record[:, grid.row_ids] = rows
+        return by_record
+
+    def test_every_path_matches_brute_force(self, hotspot, monkeypatch):
+        grid, cols = hotspot
+        by_record = self.sector_by_record(grid)
+        rng = np.random.default_rng(FUZZ_SEED)
+        kept = boxed = 0
+        for _ in range(100):
+            cx, cy = HOTSPOTS[rng.integers(len(HOTSPOTS))]
+            cx += rng.normal(0.0, 0.03)
+            cy += rng.normal(0.0, 0.02)
+            hx, hy = rng.uniform(0.0, 0.3, 2) ** 2
+            t_lo = rng.uniform(grid.t0 - 200.0, grid.t1 + 200.0)
+            span_s = rng.choice([60.0, 900.0, 1e5])
+            bmin = (cx - hx, cy - hy, t_lo - span_s / 2)
+            bmax = (cx + hx, cy + hy, t_lo + span_s / 2)
+            box = brute_ids(cols, bmin, bmax)
+            inside = (by_record <= np.array([[cx], [-cx], [cy], [-cy]])
+                      ).all(axis=0)
+            want = [i for i in box if inside[i]]
+            cover = (*self.CAMERA, cx, cy)
+            got = []
+            for loop_max in (10**9, 0):
+                monkeypatch.setattr(grid_mod, "_CELL_LOOP_MAX", loop_max)
+                hits = [0]
+                got.append(sorted(grid.search_ids(bmin, bmax, None, cover,
+                                                  hits).tolist()))
+                assert hits == [len(box)]
+            counts = np.zeros(2, dtype=np.int64)
+            qids, many = grid.search_many(
+                np.array([bmin, bmin]), np.array([bmax, bmax]), None,
+                (self.CAMERA[0], self.CAMERA[1], np.array([cx, cx]),
+                 np.array([cy, cy])), counts)
+            assert counts.tolist() == [len(box)] * 2
+            for q in (0, 1):
+                got.append(sorted(many[qids == q].tolist()))
+            assert got == [want] * 4, f"FUZZ_SEED={FUZZ_SEED}"
+            kept += len(want)
+            boxed += len(box)
+        assert 0 < kept < boxed
+
+    def test_sector_boxes_hold_every_covering_record(self, hotspot):
+        from repro.core.camera import CameraModel
+        from repro.core.retrieval import _sector_evidence
+        from repro.geo.earth import pairwise_local_xy
+
+        grid, cols = hotspot
+        lng, lat, _t_start, _t_end, theta = cols
+        by_record = self.sector_by_record(grid)
+        camera = CameraModel(*self.CAMERA)
+        rng = np.random.default_rng(FUZZ_SEED)
+        covered = 0
+        for i in rng.integers(0, grid.n, 200):
+            # A point in record i's sector, so that it covers something.
+            a = np.radians(theta[i] + rng.uniform(-30.0, 30.0))
+            d = rng.uniform(0.0, 5000.0)
+            cy = lat[i] + d * np.cos(a) / 111_319.0
+            cx = lng[i] + d * np.sin(a) / (111_319.0
+                                          * np.cos(np.radians(cy)))
+            x, y = pairwise_local_xy(cy, cx, lat, lng)
+            _, _, covers, _ = _sector_evidence(camera, True, x, y, theta,
+                                               0.0)
+            inside = (by_record <= np.array([[cx], [-cx], [cy], [-cy]])
+                      ).all(axis=0)
+            assert not (covers & ~inside).any(), f"FUZZ_SEED={FUZZ_SEED}"
+            covered += int(covers.sum())
+        assert covered > 0
