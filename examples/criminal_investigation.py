@@ -14,6 +14,7 @@ Run:  python examples/criminal_investigation.py
 import numpy as np
 
 from repro import CameraModel, CloudServer, Query
+from repro.core.ranking import diversify_results
 from repro.eval.groundtruth import relevant_segments
 from repro.net.traffic import TrafficModel, VideoProfile
 from repro.traces.dataset import CityDataset
@@ -72,16 +73,23 @@ def main() -> None:
     print(f"\nground truth: {len(truth)} segments truly covered the scene; "
           f"the top-{len(result)} list contains {hits} of them")
 
-    # --- collect the evidence via the investigation workflow --------------
-    # (diversified shortlist: an investigator wants distinct viewpoints,
-    # not five near-identical clips from the same cluster of phones)
-    from repro.core.investigation import Investigation
-    inv = Investigation(server, diversity=0.5)
-    report = inv.investigate(incident, window[0], window[1],
-                             radius=100.0, shortlist=5)
-    print(f"\ninvestigation: {report.summary()}")
+    # --- collect the evidence ---------------------------------------------
+    # Over-fetch 3x the shortlist, then diversify it: an investigator
+    # wants distinct viewpoints, not five near-identical clips from the
+    # same cluster of phones.  Only the shortlisted segments are pulled
+    # from their owning devices.
+    wide = server.query(Query(t_start=window[0], t_end=window[1],
+                              center=incident, radius=100.0, top_n=15))
+    shortlist = diversify_results(wide.ranked, server.camera, top_n=5,
+                                  redundancy_weight=0.5)
+    evidence = [server.fetch_segment(row.fov) for row in shortlist]
+    fetched_s = sum(seg.duration for seg in evidence)
+    devices = len({row.fov.video_id for row in shortlist})
+    print(f"\ninvestigation: {wide.candidates} candidates -> "
+          f"{wide.after_filter} covering -> {len(shortlist)} shortlisted -> "
+          f"{len(evidence)} segments collected ({fetched_s:.0f}s of video "
+          f"from {devices} devices)")
 
-    fetched_s = report.video_seconds_collected
     model = TrafficModel(VideoProfile(1280, 720))
     moved = model.profile.bytes_for(fetched_s) + desc_bytes
     full = model.profile.bytes_for(total_video_s)

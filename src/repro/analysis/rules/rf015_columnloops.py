@@ -15,10 +15,9 @@ column (``lat``, ``theta``, ``fused``, ``offsets``, ``rows``,
 ``ids``, ...), including slices of one and columns threaded through
 ``enumerate``/``zip``/``reversed``.  Iterating the explicit
 ``.tolist()`` / ``.item()`` funnel is exempt -- that is the documented
-fast path for sub-slab candidate sets -- and the one deliberate
-scalar-funnel loop that remains (``PackedPointGrid.search_rows`` in
-``spatial/grid.py``) is pinned in the suppression baseline, so only
-*new* column loops trip CI.
+fast path for sub-slab candidate sets.  The shipped tree has no column
+loop left and the suppression baseline is empty, so any column loop
+trips CI.
 """
 
 from __future__ import annotations

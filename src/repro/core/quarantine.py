@@ -108,9 +108,3 @@ class QuarantineStore:
     def dropped(self) -> int:
         """Entries explicitly evicted from the bounded window."""
         return self._dropped
-
-    @property
-    def aged_out(self) -> int:
-        """Entries dropped from the bounded window to make room
-        (alias of :attr:`dropped`, kept for existing readers)."""
-        return self._dropped

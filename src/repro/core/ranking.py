@@ -8,8 +8,10 @@ in the camera's wedge (a spot at the wedge edge drifts out of frame
 with any motion).  The composite ranker folds all three in; the
 evaluation's ranker ablation measures what each buys.
 
-A ranker maps per-candidate evidence arrays to scores (higher = better)
-and is injected into :class:`repro.core.retrieval.RetrievalEngine`.
+A ranker has one method, ``scores(camera, q_t_start, q_t_end, dist,
+dtheta, t_start, t_end)``, mapping per-candidate evidence arrays to
+scores (higher = better), and is injected into
+:class:`repro.core.retrieval.RetrievalEngine`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from repro.core.camera import CameraModel
-from repro.core.query import Query
 
 if TYPE_CHECKING:
     from repro.core.fov import FoV
@@ -33,26 +34,19 @@ __all__ = ["DistanceRanker", "CompositeRanker", "diversify_results"]
 class DistanceRanker:
     """The paper's ranking: nearest camera first."""
 
-    def scores(self, query: Query, camera: CameraModel,
+    def scores(self, camera: CameraModel,
+               q_t_start: np.ndarray | float,
+               q_t_end: np.ndarray | float,
                dist: np.ndarray, dtheta: np.ndarray,
                t_start: np.ndarray, t_end: np.ndarray) -> np.ndarray:
-        """Higher-is-better scores: negated distance to the query centre."""
-        return self.scores_batch(camera, query.t_start, query.t_end,
-                                 dist, dtheta, t_start, t_end)
-
-    def scores_batch(self, camera: CameraModel,
-                     q_t_start: np.ndarray | float,
-                     q_t_end: np.ndarray | float,
-                     dist: np.ndarray, dtheta: np.ndarray,
-                     t_start: np.ndarray, t_end: np.ndarray) -> np.ndarray:
-        """Cross-query form of :meth:`scores`, and its one formula.
+        """Higher-is-better scores: negated distance to the query centre.
 
         Rows may belong to different queries; ``q_t_start``/``q_t_end``
-        carry each row's query window (scalars broadcast: that is how
-        :meth:`scores` calls this).  Every operation is elementwise, so
-        row ``i`` equals ``scores(query_i, ...)`` bit for bit -- the
-        batched engine relies on that for parity with the sequential
-        path.  ``dist`` is the engines' float64 array, negated as is.
+        carry each row's query window (a single query passes its two
+        scalars, which broadcast).  Every operation is elementwise, so
+        a row scores the same in any batch -- the batched engine relies
+        on that for parity with the single-query path.  ``dist`` is the
+        engines' float64 array, negated as is.
         """
         return -dist
 
@@ -84,24 +78,17 @@ class CompositeRanker:
         if sum(ws) == 0:
             raise ValueError("at least one weight must be positive")
 
-    def scores(self, query: Query, camera: CameraModel,
+    def scores(self, camera: CameraModel,
+               q_t_start: np.ndarray | float,
+               q_t_end: np.ndarray | float,
                dist: np.ndarray, dtheta: np.ndarray,
                t_start: np.ndarray, t_end: np.ndarray) -> np.ndarray:
-        """Weighted sum of the three normalised components, in [0, 1]."""
-        return self.scores_batch(camera, query.t_start, query.t_end,
-                                 dist, dtheta, t_start, t_end)
+        """Weighted sum of the three normalised components, in [0, 1].
 
-    def scores_batch(self, camera: CameraModel,
-                     q_t_start: np.ndarray | float,
-                     q_t_end: np.ndarray | float,
-                     dist: np.ndarray, dtheta: np.ndarray,
-                     t_start: np.ndarray, t_end: np.ndarray) -> np.ndarray:
-        """Cross-query form of :meth:`scores`, and its one formula.
-
-        ``q_t_start``/``q_t_end`` carry each row's query window;
-        :meth:`scores` passes its query's two scalars, which broadcast.
-        Every operation is elementwise, so batched scores match the
-        per-query ones bit for bit.
+        ``q_t_start``/``q_t_end`` carry each row's query window; a
+        single query passes its two scalars, which broadcast.  Every
+        operation is elementwise, so batched scores match the
+        single-query ones bit for bit.
         """
         dist = np.asarray(dist, dtype=float)
         dtheta = np.asarray(dtheta, dtype=float)

@@ -149,7 +149,7 @@ def _ranked_rows(query: Query, camera: CameraModel, ranker: Any,
     if kept.size == 0:
         return []
     scores = np.asarray(ranker.scores(
-        query, camera, dist[kept], dtheta[kept],
+        camera, query.t_start, query.t_end, dist[kept], dtheta[kept],
         t_start[kept], t_end[kept]), dtype=float)
     perm = np.argsort(-scores, kind="stable")
     ss = scores[perm]
@@ -188,11 +188,10 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
 
     The one packed filter->rank funnel.  Every stage is one array kernel
     over the combined ``(query, candidate)`` pair arrays: the grid
-    descent, the local projection, the orientation filter, scoring (via
-    the ranker's ``scores_batch`` when it has one -- rankers without it
-    are scored per query on their survivor segments, preserving
-    mask-first semantics for custom rankers), and a single
-    ``np.lexsort`` under ``(query, -score, row)``.  Only the winning
+    descent, the local projection, the orientation filter, one
+    ``ranker.scores`` call over the survivors of every query (none when
+    no row survives), and a single ``np.lexsort`` under ``(query,
+    -score, row)``.  Only the winning
     ``top_n`` rows per query are materialised into Python objects, and
     a row's record is built the first time any result wins it
     (``view.records.take``).
@@ -220,9 +219,8 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
     of the same kernels.  Only the operands differ, so that it never
     pays for batch assembly: one ``range_search_ids`` instead of the
     batched descent, the query's scalar origin and radius broadcast
-    where a batch gathers per-pair ``[qids]`` columns, one
-    ``ranker.scores`` call, and a single trivial segment instead of
-    ``searchsorted`` bounds.  Every kernel is elementwise per pair, so
+    where a batch gathers per-pair ``[qids]`` columns, and a single
+    trivial segment instead of ``searchsorted`` bounds.  Every kernel is elementwise per pair, so
     the rows equal the batched ones bit for bit.
 
     ``elapsed_s`` is the batch wall time split evenly across the
@@ -284,34 +282,21 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
         # scores tie.
         if one is not None:
             kbounds = [0, int(kept.size)]
-            # Mask-first: with no survivor the ranker is never called.
-            scores = (np.asarray(ranker.scores(
-                one, camera, kdist, kdtheta, kts, kte), dtype=float)
-                if kept.size else np.empty(0))
-            order = np.lexsort((kids, -scores))
+            q_ts: Any = one.t_start
+            q_te: Any = one.t_end
         else:
             kq = qids[kept]                    # sorted: qids is sorted
             kbounds = np.searchsorted(kq, np.arange(n_q + 1)).tolist()
-            scores_batch = getattr(ranker, "scores_batch", None)
-            if scores_batch is not None:
-                q_ts = np.fromiter((q.t_start for q in queries),
-                                   dtype=float, count=n_q)
-                q_te = np.fromiter((q.t_end for q in queries),
-                                   dtype=float, count=n_q)
-                scores = np.asarray(scores_batch(
-                    camera, q_ts[kq], q_te[kq], kdist, kdtheta, kts, kte),
-                    dtype=float)
-            else:
-                # Mask-first fallback for custom rankers: each query's
-                # ranker call sees exactly its survivor run, as when
-                # the query is asked alone.
-                scores = np.empty(kept.size, dtype=float)
-                for q, lo, hi in zip(queries, kbounds, kbounds[1:]):
-                    if hi > lo:
-                        scores[lo:hi] = ranker.scores(
-                            q, camera, kdist[lo:hi], kdtheta[lo:hi],
-                            kts[lo:hi], kte[lo:hi])
-            order = np.lexsort((kids, -scores, kq))
+            q_ts = np.fromiter((q.t_start for q in queries), dtype=float,
+                               count=n_q)[kq]
+            q_te = np.fromiter((q.t_end for q in queries), dtype=float,
+                               count=n_q)[kq]
+        # Mask-first: with no survivor the ranker is never called.
+        scores = (np.asarray(ranker.scores(
+            camera, q_ts, q_te, kdist, kdtheta, kts, kte), dtype=float)
+            if kept.size else np.empty(0))
+        order = (np.lexsort((kids, -scores)) if one is not None
+                 else np.lexsort((kids, -scores, kq)))
         records = view.records
         rows: list[tuple[Query, list[RankedFoV], int, int]] = []
         for qi, q in enumerate(queries):

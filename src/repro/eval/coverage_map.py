@@ -37,11 +37,6 @@ class CoverageMap:
     y_edges: np.ndarray
     counts: np.ndarray
 
-    @property
-    def cell_size(self) -> tuple[float, float]:
-        return (float(self.x_edges[1] - self.x_edges[0]),
-                float(self.y_edges[1] - self.y_edges[0]))
-
     def covered_fraction(self, min_count: int = 1) -> float:
         """Fraction of cells covered by at least ``min_count`` segments."""
         if min_count < 1:

@@ -83,10 +83,6 @@ class Sector:
         """Point-coverage predicate (see :func:`sector_contains_point`)."""
         return sector_contains_point(self, point)
 
-    def intersects_circle(self, center: Vec2, radius: float) -> bool:
-        """Disc-overlap predicate (see :func:`sector_circle_intersects`)."""
-        return sector_circle_intersects(self, center, radius)
-
 
 def sector_contains_point(sector: Sector, point: Vec2) -> bool:
     """True if ``point`` lies inside the sector (apex counts as inside)."""

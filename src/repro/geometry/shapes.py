@@ -71,10 +71,6 @@ class Box:
         """Per-dimension edge lengths."""
         return tuple(hi - lo for lo, hi in zip(self.mins, self.maxs))
 
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The corners as a pair of float arrays."""
-        return np.asarray(self.mins, dtype=float), np.asarray(self.maxs, dtype=float)
-
 
 def box_area(box: Box) -> float:
     """Hyper-volume of the box (0 for degenerate boxes)."""

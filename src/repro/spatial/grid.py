@@ -278,7 +278,7 @@ class PackedPointGrid:
     __slots__ = ("n", "width", "height", "slices",
                  "x0", "y0", "t0", "x1", "y1", "t1",
                  "inv_cw", "inv_ch", "inv_ct", "max_dur",
-                 "cell_offsets", "row_ids", "fused", "_pyrows", "_sector")
+                 "cell_offsets", "row_ids", "fused", "_sector")
 
     def __init__(self, n: int, width: int, height: int, slices: int,
                  x0: float, y0: float, t0: float,
@@ -304,12 +304,6 @@ class PackedPointGrid:
         self.cell_offsets = cell_offsets
         self.row_ids = row_ids
         self.fused = fused
-        # Scalar mirror of ``fused.T`` with the record id appended (one
-        # 8-float list per record, CSR order), built
-        # lazily by :meth:`search_rows` in processes that serve
-        # single-query traffic.  Derived data only -- never serialised,
-        # and consumers that only run batched kernels never build it.
-        self._pyrows: list[list[float]] | None = None
         # ``((half_angle, radius), rows)``: the sector rows of the last
         # camera searched with (module note), derived on first use.
         self._sector: tuple[tuple[float, float], np.ndarray] | None = None
@@ -561,52 +555,31 @@ class PackedPointGrid:
                     limit: int) -> list[list[float]] | None:
         """Exact-match fused rows for one query box, as Python lists.
 
-        The latency fast path: the same hit set as :meth:`search_ids`,
-        but each hit comes back as a ready-to-consume evidence row
-        ``[lng, -lng, lat, -lat, t_start, -t_end, theta, row_id]``
-        (plain floats), so the caller's scalar ranking loop never goes
-        back through the column arrays.  Only the handful of *hits* is
-        materialised into Python objects -- the scanned frontier stays
-        inside NumPy for the fused mask test.
+        The same hit set as :meth:`search_ids`, but each hit comes back
+        as an evidence row ``[lng, -lng, lat, -lat, t_start, -t_end,
+        theta, row_id]`` of plain floats (ids are array indices, far
+        below 2**53, so the float round-trip is exact).  One vectorised
+        box mask runs over the touched cells' CSR positions; only the
+        hits are materialised, through one ``tolist``, which
+        round-trips doubles exactly.
 
-        Returns ``None`` when the scan would gather more than ``limit``
-        rows or touch more than ``_CELL_LOOP_MAX`` cells -- callers
-        fall back to the vectorised :meth:`search_ids` pipeline, which
-        wins at that frontier size.
-
-        This path is deliberately NumPy-free: at a typical frontier of
-        a few dozen rows, six early-exit float compares per row cost
-        less than one array dispatch, so the whole scan runs on a lazily
-        built Python mirror of ``fused.T`` with ``row_ids`` appended as
-        floats (ids are array indices, far below 2**53, so the
-        round-trip is exact).  ``tolist`` round-trips doubles exactly,
-        so the compares see the very same values as the vectorised mask
-        and the hit set is bit-identical.
+        Returns ``None`` when the touched cells hold more than
+        ``limit`` rows.
         """
         qx0, qy0, qt0 = float(bmin[0]), float(bmin[1]), float(bmin[2])
         qx1, qy1, qt1 = float(bmax[0]), float(bmax[1]), float(bmax[2])
         span = self._cell_span(qx0, qy0, qt0, qx1, qy1, qt1)
         if span is None:
             return []
-        ix0, ix1, iy0, iy1, _it0, _it1 = span
-        if (iy1 - iy0 + 1) * (ix1 - ix0 + 1) > _CELL_LOOP_MAX:
-            return None
         los, his = self._cell_ranges(span)
         if sum(his) - sum(los) > limit:
             return None
-        rows = self._pyrows
-        if rows is None:
-            rows = self._pyrows = np.vstack(
-                (self.fused, self.row_ids)).T.tolist()
-        nqx0, nqy0, nqt0 = -qx0, -qy0, -qt0
-        out: list[list[float]] = []
-        for lo, hi in zip(los, his):
-            for r in rows[lo:hi]:
-                if (r[4] <= qt1 and r[5] <= nqt0 and r[0] <= qx1
-                        and r[1] <= nqx0 and r[2] <= qy1
-                        and r[3] <= nqy0):
-                    out.append(r)
-        return out
+        lo_a = np.array(los, dtype=np.int64)
+        pos = _expand_ranges(lo_a, np.array(his, dtype=np.int64) - lo_a)
+        b = np.array([qx1, -qx0, qy1, -qy0, qt1, -qt0])[:, None]
+        hit = pos[(self.fused[:6].take(pos, axis=1) <= b).all(axis=0)]
+        return np.vstack((self.fused.take(hit, axis=1),
+                          self.row_ids[hit])).T.tolist()
 
     def search_many(self, bmins: np.ndarray, bmaxs: np.ndarray,
                     observer: SearchObserver | None = None,

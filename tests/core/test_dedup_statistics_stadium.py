@@ -1,111 +1,16 @@
-"""Tests for dedup clustering, bootstrap statistics, and the stadium
+"""Tests for bootstrap statistics and the stadium
 scenario (the paper's grandstand orientation example end-to-end)."""
 
 import numpy as np
 import pytest
 
-from repro import CameraModel, ClientPipeline, CloudServer, Query
-from repro.core.dedup import SegmentClusters, UnionFind, cluster_segments
-from repro.core.fov import RepresentativeFoV
+from repro import ClientPipeline, CloudServer, Query
 from repro.eval.statistics import bootstrap_ci, paired_bootstrap_diff
-from repro.geo.coords import GeoPoint
 from repro.geo.earth import LocalProjection
 from repro.traces.noise import SensorNoiseModel
 from repro.traces.scenarios import CITY_ORIGIN, stadium_scenario
 
 PROJ = LocalProjection(CITY_ORIGIN)
-
-
-def rep_local(x, y, theta, t0=0.0, t1=10.0, vid="v", sid=0):
-    p = PROJ.to_geo(x, y)
-    return RepresentativeFoV(lat=p.lat, lng=p.lng, theta=theta,
-                             t_start=t0, t_end=t1, video_id=vid,
-                             segment_id=sid)
-
-
-class TestUnionFind:
-    def test_basic(self):
-        uf = UnionFind(5)
-        assert uf.union(0, 1)
-        assert uf.union(1, 2)
-        assert not uf.union(0, 2)   # already connected
-        groups = uf.groups()
-        assert sorted(map(len, groups)) == [1, 1, 3]
-
-    def test_find_idempotent(self):
-        uf = UnionFind(4)
-        uf.union(2, 3)
-        assert uf.find(2) == uf.find(3)
-        assert uf.find(0) != uf.find(2)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            UnionFind(-1)
-
-
-class TestClusterSegments:
-    def test_empty(self, camera):
-        out = cluster_segments([], camera)
-        assert out.n_clusters == 0 and out.redundancy == 0.0
-
-    def test_duplicates_merge(self, camera):
-        reps = [rep_local(0.0, 0.0, 0.0, vid=f"v{i}", sid=i)
-                for i in range(4)]
-        out = cluster_segments(reps, camera, threshold=0.7)
-        assert out.n_clusters == 1
-        assert out.redundancy == pytest.approx(0.75)
-
-    def test_distinct_viewpoints_stay_apart(self, camera):
-        reps = [rep_local(0.0, 0.0, 0.0, sid=0),
-                rep_local(0.0, 0.0, 180.0, sid=1),
-                rep_local(500.0, 0.0, 0.0, sid=2)]
-        out = cluster_segments(reps, camera, threshold=0.5)
-        assert out.n_clusters == 3
-
-    def test_time_overlap_gate(self, camera):
-        now = rep_local(0.0, 0.0, 0.0, t0=0.0, t1=10.0, sid=0)
-        later = rep_local(0.0, 0.0, 0.0, t0=100.0, t1=110.0, sid=1)
-        gated = cluster_segments([now, later], camera, threshold=0.7)
-        assert gated.n_clusters == 2
-        ungated = cluster_segments([now, later], camera, threshold=0.7,
-                                   time_overlap_required=False)
-        assert ungated.n_clusters == 1
-
-    def test_exemplar_is_longest(self, camera):
-        short = rep_local(0.0, 0.0, 0.0, t0=0.0, t1=2.0, sid=0)
-        long_ = rep_local(0.0, 0.0, 1.0, t0=0.0, t1=9.0, sid=1)
-        out = cluster_segments([short, long_], camera, threshold=0.5)
-        assert out.exemplars() == [long_]
-
-    def test_grid_blocking_matches_exhaustive(self, camera, rng):
-        """The grid-hash never misses a pair the full O(n^2) pass links."""
-        from repro.core.similarity import scalar_similarity
-        reps = []
-        for i in range(60):
-            x, y = rng.uniform(-300, 300, 2)
-            reps.append(rep_local(float(x), float(y),
-                                  float(rng.uniform(0, 360)), sid=i))
-        out = cluster_segments(reps, camera, threshold=0.5,
-                               time_overlap_required=False)
-        # Exhaustive single-linkage reference.
-        uf = UnionFind(len(reps))
-        xy = PROJ.to_local_arrays([f.lat for f in reps],
-                                  [f.lng for f in reps])
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                s = scalar_similarity(
-                    float(xy[j, 0] - xy[i, 0]), float(xy[j, 1] - xy[i, 1]),
-                    reps[i].theta, reps[j].theta,
-                    camera.half_angle, camera.radius)
-                if s >= 0.5:
-                    uf.union(i, j)
-        want = sorted(sorted(reps[i].key() for i in g) for g in uf.groups())
-        got = sorted(sorted(f.key() for f in c) for c in out.clusters)
-        assert got == want
-
-    def test_threshold_validated(self, camera):
-        with pytest.raises(ValueError):
-            cluster_segments([], camera, threshold=0.0)
 
 
 class TestBootstrap:

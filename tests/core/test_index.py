@@ -286,7 +286,8 @@ class TestInsertMany:
         from repro.core.retrieval import RetrievalEngine
 
         class Coarse:
-            def scores(self, query, camera, dist, dtheta, t_start, t_end):
+            def scores(self, camera, q_t_start, q_t_end, dist, dtheta,
+                       t_start, t_end):
                 return -np.floor(dist / 3000.0)
 
         def ranked(engine, queries):

@@ -1,12 +1,11 @@
-"""Tests for keyframe selection, JSON interop, and index eviction."""
+"""Tests for JSON interop and index eviction."""
 
 import json
 
-import numpy as np
 import pytest
 
-from repro import CameraModel, CloudServer, Query, segment_trace
-from repro.core.fov import RepresentativeFoV, VideoSegment
+from repro import CloudServer, Query
+from repro.core.fov import RepresentativeFoV
 from repro.net.jsonio import (
     fov_from_dict,
     fov_to_dict,
@@ -17,52 +16,6 @@ from repro.net.jsonio import (
 )
 from repro.geo.coords import GeoPoint
 from repro.traces.dataset import random_representative_fovs
-from repro.traces.noise import SensorNoiseModel
-from repro.traces.scenarios import rotation_scenario
-from repro.vision.keyframes import STRATEGIES, keyframe_index, select_keyframe
-
-
-class TestKeyframes:
-    @pytest.fixture(scope="class")
-    def segment(self):
-        trace = rotation_scenario(duration_s=10, fps=10,
-                                  noise=SensorNoiseModel.ideal())
-        camera = CameraModel()
-        return segment_trace(trace, camera)[0], camera
-
-    def test_positional_strategies(self, segment):
-        seg, camera = segment
-        assert keyframe_index(seg, camera, "first") == seg.start
-        assert keyframe_index(seg, camera, "last") == seg.stop - 1
-        mid = keyframe_index(seg, camera, "middle")
-        assert seg.start <= mid < seg.stop
-
-    def test_representative_within_segment(self, segment):
-        seg, camera = segment
-        i = keyframe_index(seg, camera, "representative")
-        assert seg.start <= i < seg.stop
-
-    def test_representative_near_middle_for_steady_pan(self, segment):
-        # A constant-rate pan's mean FoV sits mid-sweep, so the
-        # representative keyframe lands near the middle of the segment.
-        seg, camera = segment
-        i = keyframe_index(seg, camera, "representative")
-        mid = seg.start + len(seg) // 2
-        assert abs(i - mid) <= max(2, len(seg) // 4)
-
-    def test_select_returns_record(self, segment):
-        seg, camera = segment
-        f = select_keyframe(seg, camera, "first")
-        assert f.t == seg.t_start
-
-    def test_unknown_strategy(self, segment):
-        seg, camera = segment
-        with pytest.raises(ValueError):
-            keyframe_index(seg, camera, "random")
-
-    def test_all_strategies_enumerated(self):
-        assert set(STRATEGIES) == {"first", "middle", "last",
-                                   "representative"}
 
 
 class TestJsonIO:

@@ -35,8 +35,9 @@ def engine(reps, ranker=None):
 class TestDistanceRanker:
     def test_scores_are_negated_distance(self):
         r = DistanceRanker()
-        s = r.scores(QUERY, CAMERA, np.array([10.0, 5.0]),
-                     np.array([0.0, 0.0]), np.zeros(2), np.ones(2))
+        s = r.scores(CAMERA, QUERY.t_start, QUERY.t_end,
+                     np.array([10.0, 5.0]), np.array([0.0, 0.0]),
+                     np.zeros(2), np.ones(2))
         assert s[1] > s[0]
 
     def test_engine_default_is_distance(self):
@@ -56,9 +57,9 @@ class TestCompositeRanker:
     def test_scores_in_unit_interval(self, rng):
         r = CompositeRanker()
         n = 50
-        s = r.scores(QUERY, CAMERA, rng.uniform(0, 200, n),
-                     rng.uniform(0, 30, n), rng.uniform(0, 50, n),
-                     rng.uniform(50, 100, n))
+        s = r.scores(CAMERA, QUERY.t_start, QUERY.t_end,
+                     rng.uniform(0, 200, n), rng.uniform(0, 30, n),
+                     rng.uniform(0, 50, n), rng.uniform(50, 100, n))
         assert np.all((s >= 0.0) & (s <= 1.0))
 
     def test_temporal_component_reorders(self):

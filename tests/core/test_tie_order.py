@@ -136,7 +136,8 @@ def full_scores(records, q) -> list[float]:
 class Flat:
     """A custom ranker that scores every survivor the same."""
 
-    def scores(self, query, camera, dist, dtheta, t_start, t_end):
+    def scores(self, camera, q_t_start, q_t_end, dist, dtheta, t_start,
+               t_end):
         return np.zeros(dist.shape[0])
 
 
@@ -144,7 +145,8 @@ class HalfNaN:
     """Scores ``-dist``, except NaN for records starting on an odd
     multiple of 600 s."""
 
-    def scores(self, query, camera, dist, dtheta, t_start, t_end):
+    def scores(self, camera, q_t_start, q_t_end, dist, dtheta, t_start,
+               t_end):
         return np.where((t_start // 600.0) % 2 == 1, np.nan, -dist)
 
 

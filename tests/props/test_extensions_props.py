@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import CameraModel
 from repro.core.fov import RepresentativeFoV
-from repro.core.query import Query
 from repro.core.ranking import CompositeRanker
 from repro.geo.coords import GeoPoint
 from repro.privacy.policy import GeoFence, PrivacyPolicy, SpatialCloak, cloak_position
@@ -123,8 +122,7 @@ def test_composite_ranker_bounded(n, wd, wt, wc):
         wd = 1.0
     rng = np.random.default_rng(n)
     r = CompositeRanker(w_distance=wd, w_temporal=wt, w_centrality=wc)
-    q = Query(t_start=0.0, t_end=100.0, center=GeoPoint(40.0, 116.3),
-              radius=100.0)
-    s = r.scores(q, CAMERA, rng.uniform(0, 300, n), rng.uniform(0, 180, n),
-                 rng.uniform(-50, 50, n), rng.uniform(50, 150, n))
+    s = r.scores(CAMERA, 0.0, 100.0, rng.uniform(0, 300, n),
+                 rng.uniform(0, 180, n), rng.uniform(-50, 50, n),
+                 rng.uniform(50, 150, n))
     assert np.all((s >= 0.0) & (s <= 1.0))

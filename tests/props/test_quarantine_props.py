@@ -29,7 +29,6 @@ def test_overflow_accounting_invariants(items, capacity):
         assert len(store) <= capacity
         assert store.total_quarantined == i + 1
         assert store.total_quarantined == len(store) + store.dropped
-        assert store.aged_out == store.dropped
     # The window holds exactly the newest entries, oldest first.
     kept = [e.payload for e in store]
     assert kept == [p for p, _ in items][-min(capacity, len(items)):] \

@@ -1,22 +1,17 @@
-"""Hypothesis property tests: interval tree, sector overlap, dedup.
+"""Hypothesis property tests: interval tree and sector overlap.
 
 Also the failure-injection contracts: non-finite sensor data must be
 rejected at the trace/segmenter boundary, never silently absorbed.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import CameraModel, FoV, FoVTrace, StreamingSegmenter
-from repro.core.dedup import cluster_segments
-from repro.core.fov import RepresentativeFoV
+from repro import FoV, FoVTrace, StreamingSegmenter
 from repro.geometry.overlap import overlap_fraction, sector_overlap_area
 from repro.geometry.sector import Sector
 from repro.geometry.vec import Vec2
 from repro.spatial.intervaltree import IntervalTree
-
-CAMERA = CameraModel()
 
 
 @st.composite
@@ -73,39 +68,6 @@ def test_overlap_symmetric_and_bounded(s1, s2):
 def test_self_overlap_is_area(s):
     assert sector_overlap_area(s, s, arc_points=64) == pytest.approx(
         s.area(), rel=5e-3)
-
-
-@st.composite
-def rep_sets(draw):
-    n = draw(st.integers(0, 25))
-    out = []
-    for i in range(n):
-        out.append(RepresentativeFoV(
-            lat=40.0 + draw(st.floats(-0.002, 0.002)),
-            lng=116.3 + draw(st.floats(-0.002, 0.002)),
-            theta=draw(st.floats(0.0, 360.0, exclude_max=True)),
-            t_start=0.0, t_end=10.0, video_id="v", segment_id=i))
-    return out
-
-
-@settings(max_examples=30, deadline=None)
-@given(rep_sets(), st.floats(0.1, 1.0))
-def test_dedup_partition_properties(reps, threshold):
-    out = cluster_segments(reps, CAMERA, threshold=threshold)
-    # Clusters partition the input.
-    flat = sorted(f.key() for c in out.clusters for f in c)
-    assert flat == sorted(f.key() for f in reps)
-    assert 0.0 <= out.redundancy < 1.0 or out.n_segments == 0
-    assert len(out.exemplars()) == out.n_clusters
-
-
-@settings(max_examples=30, deadline=None)
-@given(rep_sets())
-def test_dedup_threshold_monotone_cluster_count(reps):
-    """A stricter (higher) threshold never merges more."""
-    loose = cluster_segments(reps, CAMERA, threshold=0.3).n_clusters
-    tight = cluster_segments(reps, CAMERA, threshold=0.9).n_clusters
-    assert tight >= loose
 
 
 class TestNonFiniteRejection:

@@ -1183,15 +1183,12 @@ def test_hotloop_fixture_triggers_rf015():
 
 
 def test_shipped_tree_is_clean():
-    # Clean modulo the committed baseline: the only raw finding is
-    # the deliberate RF015 scalar-funnel loop in spatial/grid.py.
-    from repro.analysis import apply_baseline, load_baseline
+    # No raw finding at all: the committed baseline suppresses nothing.
+    from repro.analysis import load_baseline
     report = lint_paths([SRC_TREE])
     assert report.files_checked > 80
-    assert rule_ids(report.violations) <= {"RF015"}
-    fresh = apply_baseline(report.violations,
-                           load_baseline(BASELINE_FILE), root=REPO)
-    assert fresh == [], "\n" + report.format()
+    assert report.violations == [], "\n" + report.format()
+    assert load_baseline(BASELINE_FILE) == {}
 
 
 def test_unknown_rule_id_rejected():
