@@ -173,7 +173,7 @@ def test_single_query_overhead(workload, camera, show, bench_export):
         "single_counted_s_per_query": t_counted / len(sample),
     })
     # Sanity, not a tight gate: the server layer (cache bookkeeping,
-    # counters, journal append, descent recorder) must stay a bounded
+    # counters, journal append, descent tally) must stay a bounded
     # absolute cost per query.  Bare and counted run the same funnel --
     # a single packed query is its n = 1 case with or without
     # instruments -- so their difference is the server layer alone,

@@ -33,7 +33,7 @@ from repro.core.fov import (_COLUMNS, RecordColumns, RepresentativeFoV,
 from repro.core.query import Query
 from repro.geo.coords import GeoPoint
 from repro.geo.earth import metres_per_degree, radius_to_degrees
-from repro.spatial.grid import PackedPointGrid, SearchObserver
+from repro.spatial.grid import PackedPointGrid
 from repro.spatial.linear import LinearScanIndex
 
 if TYPE_CHECKING:
@@ -137,42 +137,40 @@ class PackedFoVIndex:
         return len(self.records)
 
     def range_search_ids(self, query: Query,
-                         observer: SearchObserver | None = None,
                          camera: CameraModel | None = None,
-                         hits: MutableSequence[int] | None = None
+                         tally: MutableSequence[int] | None = None
                          ) -> np.ndarray:
         """Payload ids of records intersecting the query's 3-D box.
 
         With a ``camera``, only the box hits whose viewing sector for
         that camera can hold the query centre (its sector box does,
         :mod:`repro.spatial.grid`): a superset of the Section V-B
-        strict-cover survivors.  ``hits``, when given, is a one-slot
-        accumulator to which the box-hit count of both grids is added.
+        strict-cover survivors.  ``tally``, when given, is a two-slot
+        accumulator to which the box hits and the rows read of both
+        grids are added.
         """
         b = query_box_floats(query)
         cover = (None if camera is None else
                  (camera.half_angle, camera.radius,
                   query.center.lng, query.center.lat))
-        ids = self.grid.search_ids(b[:3], b[3:], observer, cover, hits)
+        ids = self.grid.search_ids(b[:3], b[3:], cover, tally)
         if self.tail is None:
             return ids
-        more = self.tail.grid.search_ids(b[:3], b[3:], observer, cover, hits)
+        more = self.tail.grid.search_ids(b[:3], b[3:], cover, tally)
         if more.size == 0:
             return ids
         return np.concatenate((ids, more + self.grid.n))
 
     def search_many_ids(self, queries: list[Query],
-                        observer: SearchObserver | None = None,
                         camera: CameraModel | None = None,
-                        hits: np.ndarray | None = None
+                        tally: np.ndarray | None = None
                         ) -> tuple[np.ndarray, np.ndarray]:
         """Batched range search: ``(query_ids, payload_ids)`` pairs.
 
         ``query_ids`` comes back sorted, so each query's hits are a
-        contiguous run recoverable with ``np.searchsorted``.
-        ``observer`` receives per-level descent statistics; ``camera``
-        and ``hits`` (an int64 array, one slot per query) are
-        :meth:`range_search_ids`' per query.
+        contiguous run recoverable with ``np.searchsorted``.  ``camera``
+        and ``tally`` (a ``(2, len(queries))`` int64 array, one column
+        per query) are :meth:`range_search_ids`' per query.
         """
         if not queries:
             return (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
@@ -184,11 +182,11 @@ class PackedFoVIndex:
             cover = (camera.half_angle, camera.radius,
                      centres[:, 0], centres[:, 1])
         qids, ids = self.grid.search_many(boxes[:, :3], boxes[:, 3:],
-                                          observer, cover, hits)
+                                          cover, tally)
         if self.tail is None:
             return qids, ids
         tq, more = self.tail.grid.search_many(boxes[:, :3], boxes[:, 3:],
-                                              observer, cover, hits)
+                                              cover, tally)
         if more.size == 0:
             return qids, ids
         qids = np.concatenate((qids, tq))

@@ -48,9 +48,9 @@ discipline: the engine accepts an :class:`~repro.obs.runtime.Observability`
 bundle and emits per-stage spans (tree descent, projection, orientation
 filter, rank) through its tracer -- a no-op
 :data:`~repro.obs.trace.NULL_TRACER` unless the owner opted into
-tracing -- plus packed-descent counters through a
-:class:`~repro.obs.runtime.PackedSearchRecorder`.  Instruments observe
-the funnel; they never select a different one.
+tracing -- and turns each packed pass's descent tally (box hits, rows
+read) into the ``packed.*`` counters.  Instruments observe the funnel;
+they never select a different one.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ from repro.core.query import Query, QueryResult, RankedFoV
 from repro.core.ranking import DistanceRanker
 from repro.geo.earth import _DEG_PER_RAD, pairwise_local_xy
 from repro.net.clock import default_timer
-from repro.obs.runtime import Observability, PackedSearchRecorder
+from repro.obs.metrics import Counter, Gauge
+from repro.obs.runtime import Observability
 from repro.obs.trace import NULL_TRACER, TracerLike
-from repro.spatial.grid import SearchObserver
 
 __all__ = ["RetrievalEngine"]
 
@@ -181,8 +181,8 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
                    strict_cover: bool, ranker: Any,
                    queries: list[Query],
                    clock: Callable[[], float],
-                   tracer: TracerLike = NULL_TRACER,
-                   observer: SearchObserver | None = None
+                   tally: list[int],
+                   tracer: TracerLike = NULL_TRACER
                    ) -> list[QueryResult]:
     """Answer a query batch against a packed snapshot in shared passes.
 
@@ -201,7 +201,8 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
     every row the orientation filter keeps is among them, so the
     rankings are those of the full box-hit set.  A query's
     ``candidates`` is its box-hit count either way, which the descent
-    adds to ``hits``.
+    reports in its tally with the rows it read; the pass's totals of
+    both are added to ``tally``.
 
     The canonical ranking is ``(-score, video_id, segment_id, row)``:
     score ties break on the record key, and duplicate keys on the row,
@@ -226,8 +227,7 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
     ``elapsed_s`` is the batch wall time split evenly across the
     queries -- per-query timing has no meaning once the funnel is
     shared.  Each shared pass gets one span on ``tracer`` (the no-op
-    tracer by default), and the descent reports frontier statistics to
-    ``observer``.
+    tracer by default).
     """
     t0 = clock()
     n_q = len(queries)
@@ -235,13 +235,15 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
     cover = camera if strict_cover else None
     with tracer.span("query.tree_descent", queries=n_q):
         if one is not None:
-            hits = [0]
-            ids = view.range_search_ids(one, observer, cover, hits)
+            found = [0, 0]
+            ids = view.range_search_ids(one, cover, found)
+            hits, read = found[:1], found[1]
         else:
-            counts = np.zeros(n_q, dtype=np.int64)
-            qids, ids = view.search_many_ids(queries, observer, cover,
-                                             counts)
-            hits = counts.tolist()
+            counts = np.zeros((2, n_q), dtype=np.int64)
+            qids, ids = view.search_many_ids(queries, cover, counts)
+            hits, read = counts[0].tolist(), int(counts[1].sum())
+    tally[0] += sum(hits)
+    tally[1] += read
     if ids.size == 0:   # no query, no record, or no row left to filter
         share = (clock() - t0) / max(n_q, 1)
         return [QueryResult(query=q, ranked=[], candidates=n_cand,
@@ -359,10 +361,10 @@ class RetrievalEngine:
     obs : Observability, optional
         Instrument bundle.  When given, every pipeline stage emits a
         span through ``obs.tracer`` (tree descent, projection,
-        orientation filter, rank) and packed descents feed the
-        ``packed.*`` counter families via a
-        :class:`~repro.obs.runtime.PackedSearchRecorder`.  When omitted
-        the same code runs against the no-op tracer and no recorder.
+        orientation filter, rank) and each packed pass (one
+        ``execute``, or one ``execute_many`` batch) feeds the
+        ``packed.*`` families from its descent tally.  When omitted the
+        same code runs against the no-op tracer and counts nothing.
     """
 
     def __init__(self, index: FoVIndex, camera: CameraModel,
@@ -379,8 +381,17 @@ class RetrievalEngine:
         self.engine = engine
         self._clock = clock if clock is not None else default_timer
         self._tracer: TracerLike = obs.tracer if obs is not None else NULL_TRACER
-        self._recorder: PackedSearchRecorder | None = (
-            PackedSearchRecorder(obs.registry) if obs is not None else None)
+        self._packed: tuple[Counter, Counter, Counter, Gauge] | None = None
+        if obs is not None:
+            reg = obs.registry
+            self._packed = (
+                reg.counter("packed.descents", "Packed funnel passes"),
+                reg.counter("packed.entries_tested",
+                            "Grid rows read by the box test"),
+                reg.counter("packed.entries_matched",
+                            "Box hits, before the sector-box test"),
+                reg.gauge("packed.frontier_width_peak",
+                          "Most grid rows read by one pass"))
 
     def execute(self, query: Query) -> QueryResult:
         """Run the full filter/rank pipeline; returns a timed result.
@@ -424,10 +435,18 @@ class RetrievalEngine:
         return [self.execute(q) for q in batch]
 
     def _execute_packed(self, queries: list[Query]) -> list[QueryResult]:
-        return _batch_execute(self.index.packed_view(), self.camera,
-                              self.strict_cover, self.ranker, queries,
-                              self._clock, tracer=self._tracer,
-                              observer=self._recorder)
+        tally = [0, 0]              # box hits, rows read
+        results = _batch_execute(self.index.packed_view(), self.camera,
+                                 self.strict_cover, self.ranker, queries,
+                                 self._clock, tally, self._tracer)
+        if self._packed is not None and queries:
+            descents, tested, matched, peak = self._packed
+            descents.inc()
+            tested.inc(tally[1])
+            matched.inc(tally[0])
+            if tally[1] > peak.value:
+                peak.set(tally[1])
+        return results
 
     def _filter_and_rank(self, candidates: list[RepresentativeFoV],
                          query: Query) -> list[RankedFoV]:

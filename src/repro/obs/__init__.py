@@ -27,7 +27,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     parse_prometheus,
 )
-from repro.obs.runtime import Observability, PackedSearchRecorder
+from repro.obs.runtime import Observability
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -48,7 +48,6 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "Observability",
-    "PackedSearchRecorder",
     "Span",
     "SpanTracer",
     "TracerLike",

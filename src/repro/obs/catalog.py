@@ -77,11 +77,11 @@ METRICS: Final[Mapping[str, tuple[str, str]]] = {
     "video.cache_misses": ("counter", "video queries that ran the pipeline"),
     "video.segments_harvested": ("counter", "distinct segments harvest surfaced"),
     "video.videos_ranked": ("counter", "candidate videos scored and ranked"),
-    # -- packed-index instrumentation (obs/runtime.py) ----------------------
-    "packed.descents": ("counter", "packed-grid searches executed"),
-    "packed.entries_tested": ("counter", "packed entries tested during descent"),
-    "packed.entries_matched": ("counter", "packed entries passing all filters"),
-    "packed.frontier_width_peak": ("gauge", "widest frontier seen in a descent"),
+    # -- packed funnel descents (core/retrieval.py) -------------------------
+    "packed.descents": ("counter", "packed passes: one per execute or batch"),
+    "packed.entries_tested": ("counter", "grid rows the descent's box test read"),
+    "packed.entries_matched": ("counter", "box hits, before the sector-box test"),
+    "packed.frontier_width_peak": ("gauge", "most grid rows read by one pass"),
     # -- tracer self-instrumentation (obs/trace.py) -------------------------
     "span.duration_s": ("histogram", "wall-clock duration of finished spans"),
 }

@@ -81,9 +81,10 @@ fail that test: the box prunes by where the camera stood, not by what
 it saw.  A search given a ``cover`` -- the camera's ``(alpha, R)`` and
 the query centre -- therefore also tests, per box hit, whether the
 centre lies in the lng/lat bounding box of the record's sector, and
-hands on only the hits that pass.  The box-hit count, which callers
-report as the query's candidates, is added to an explicit ``hits``
-accumulator, like NumPy's ``out=``.
+hands on only the hits that pass.  A search reports what it did in
+one explicit ``tally`` accumulator, like NumPy's ``out=``: its box
+hits, which callers report as the query's candidates, and the rows
+its box test read.
 
 The sector rows are a second ``(4, n)`` block in CSR order,
 ``[lng_lo, -lng_hi, lat_lo, -lat_hi]``, read over the same candidate
@@ -109,13 +110,13 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import MutableSequence, Protocol, Sequence
+from typing import MutableSequence, Sequence
 
 import numpy as np
 
 from repro.geo.earth import _M_PER_DEG
 
-__all__ = ["PackedPointGrid", "SearchObserver"]
+__all__ = ["PackedPointGrid"]
 
 #: Aimed-for mean records per *spatial* column of cells; the cell count
 #: adapts to the record count so the candidate slab stays a small
@@ -216,28 +217,6 @@ def _sector_table(half_angle: float, radius: float, lat_extent: float,
                       (np.max(north, axis=0) + margin) * -lat_deg])
     table.flags.writeable = False
     return table
-
-
-class SearchObserver(Protocol):
-    """Descent statistics sink for packed searches.
-
-    The spatial layer stays dependency-free: it only *calls* this
-    protocol when a caller passes an observer into a search, and the
-    observability subsystem provides the registry-backed implementation
-    (``repro.obs.runtime.PackedSearchRecorder``).  Recording must not
-    mutate search state; observers see, per level, how many entry
-    boxes entered the overlap test (the frontier width) and how many
-    survived.  No clock is involved, so observed searches replay
-    bit-identically (RF005).
-    """
-
-    def on_descent(self, queries: int) -> None:
-        """One search started, covering ``queries`` query boxes."""
-        ...
-
-    def on_level(self, level: int, tested: int, matched: int) -> None:
-        """One level pass tested ``tested`` entries; ``matched`` survived."""
-        ...
 
 
 def _expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -455,9 +434,8 @@ class PackedPointGrid:
         return los, his
 
     def search_ids(self, bmin: Sequence[float], bmax: Sequence[float],
-                   observer: SearchObserver | None = None,
                    cover: tuple[float, float, float, float] | None = None,
-                   hits: MutableSequence[int] | None = None) -> np.ndarray:
+                   tally: MutableSequence[int] | None = None) -> np.ndarray:
         """Ids of records intersecting the (closed) query box.
 
         ``bmin``/``bmax`` are ``(lng, lat, t)`` triples (plain floats --
@@ -468,17 +446,14 @@ class PackedPointGrid:
         ``cover`` -- ``(half_angle, radius, lng, lat)`` -- keeps only
         the box hits whose sector box, for a camera of that half-angle
         and radius, holds the point ``(lng, lat)`` (module note).
-        ``hits``, when given, is a one-slot accumulator: the number of
-        box hits, before the cover test, is added to ``hits[0]``.
+        ``tally``, when given, is a two-slot accumulator: the number of
+        box hits, before the cover test, is added to ``tally[0]`` and
+        the number of rows the box test read to ``tally[1]``.
         """
         qx0, qy0, qt0 = float(bmin[0]), float(bmin[1]), float(bmin[2])
         qx1, qy1, qt1 = float(bmax[0]), float(bmax[1]), float(bmax[2])
-        if observer is not None:
-            observer.on_descent(1)
         span = self._cell_span(qx0, qy0, qt0, qx1, qy1, qt1)
         if span is None:
-            if observer is not None:
-                observer.on_level(0, 0, 0)
             return _EMPTY_IDS
         ix0, ix1, iy0, iy1, it0, it1 = span
         rid = self.row_ids
@@ -503,8 +478,6 @@ class PackedPointGrid:
             # dispatch (~1 us) dominates at this frontier size.
             los, his = self._cell_ranges(span)
             if not los:
-                if observer is not None:
-                    observer.on_level(0, 0, 0)
                 return _EMPTY_IDS
             if len(los) == 1:
                 lo, hi = los[0], his[0]
@@ -529,8 +502,6 @@ class PackedPointGrid:
             lo_a = off[bases + it0]
             pos = _expand_ranges(lo_a, off[bases + it1 + 1] - lo_a)
             if pos.size == 0:
-                if observer is not None:
-                    observer.on_level(0, 0, 0)
                 return _EMPTY_IDS
             cand, ids = tested.take(pos, axis=1), rid[pos]
             if sector is not None:
@@ -545,10 +516,9 @@ class PackedPointGrid:
             # the box test; one mask then picks the survivors.
             n_hits = int(np.count_nonzero(keep))
             found = ids[keep & (sector <= b[n_box:]).all(axis=0)]
-        if observer is not None:
-            observer.on_level(0, int(cand.shape[1]), n_hits)
-        if hits is not None:
-            hits[0] += n_hits
+        if tally is not None:
+            tally[0] += n_hits
+            tally[1] += ids.size
         return found
 
     def search_rows(self, bmin: Sequence[float], bmax: Sequence[float],
@@ -582,10 +552,9 @@ class PackedPointGrid:
                           self.row_ids[hit])).T.tolist()
 
     def search_many(self, bmins: np.ndarray, bmaxs: np.ndarray,
-                    observer: SearchObserver | None = None,
                     cover: tuple[float, float, np.ndarray, np.ndarray]
                     | None = None,
-                    hits: np.ndarray | None = None
+                    tally: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
         """Batched box search: ``(query_ids, record_ids)`` hit pairs.
 
@@ -596,20 +565,16 @@ class PackedPointGrid:
         cell's CSR range over the query's time slices) plus one fused
         compare over the combined ``(query, candidate)`` frontier.
 
-        ``cover`` and ``hits`` are :meth:`search_ids`' per query:
+        ``cover`` and ``tally`` are :meth:`search_ids`' per query:
         ``(half_angle, radius, lngs, lats)`` with one point per query,
-        and an int64 array to whose slot ``q`` query ``q``'s box-hit
-        count is added.
+        and a ``(2, n_queries)`` int64 array to whose column ``q`` query
+        ``q``'s box hits and rows read are added.
         """
         bmins = np.atleast_2d(np.asarray(bmins, dtype=float))
         bmaxs = np.atleast_2d(np.asarray(bmaxs, dtype=float))
         n_q = int(bmins.shape[0])
-        if observer is not None:
-            observer.on_descent(n_q)
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
         if self.n == 0 or n_q == 0:
-            if observer is not None:
-                observer.on_level(0, 0, 0)
             return empty
         nonempty = ((bmaxs[:, 0] >= self.x0) & (bmins[:, 0] <= self.x1)
                     & (bmaxs[:, 1] >= self.y0) & (bmins[:, 1] <= self.y1)
@@ -633,8 +598,6 @@ class PackedPointGrid:
         n_pairs = np.where(nonempty, (iy1 - iy0 + 1) * n_x, 0)
         pair_q = np.repeat(np.arange(n_q), n_pairs)
         if pair_q.size == 0:
-            if observer is not None:
-                observer.on_level(0, 0, 0)
             return empty
         total = int(n_pairs.sum())
         k = (np.arange(total)
@@ -649,8 +612,6 @@ class PackedPointGrid:
         cand = _expand_ranges(lo, counts)
         cqid = np.repeat(pair_q, counts)
         if cand.size == 0:
-            if observer is not None:
-                observer.on_level(0, 0, 0)
             return empty
         # As in search_ids, the time rows test only when some window
         # leaves out a start time.
@@ -666,12 +627,11 @@ class PackedPointGrid:
             np.negative(bmins[:, 2], out=qb[5])
         keep = (self.fused[:n_rows].take(cand, axis=1)
                 <= qb.take(cqid, axis=1)).all(axis=0)
-        tested = int(cand.size)
         cqid, cand = cqid[keep], cand[keep]
-        if observer is not None:
-            observer.on_level(0, tested, int(cand.size))
-        if hits is not None:
-            hits += np.bincount(cqid, minlength=n_q)
+        if tally is not None:
+            tally[0] += np.bincount(cqid, minlength=n_q)
+            # Rows read per query, summed over its (query, cell) pairs.
+            tally[1] += np.bincount(pair_q, counts, n_q).astype(np.int64)
         if cover is not None:
             half_angle, radius, cx, cy = cover
             qc = np.stack((cx, -cx, cy, -cy))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import CameraModel
-from repro.core.index import FoVIndex
+from repro.core.index import FoVIndex, query_box_floats
 from repro.core.query import Query
 from repro.core.ranking import CompositeRanker
 from repro.core.retrieval import RetrievalEngine
@@ -295,15 +295,62 @@ class TestSingleQueryBookkeeping:
             assert len(reads) == 2 * n
 
     def test_one_descent_counted_per_execute(self):
-        obs = Observability.default()
         index, queries = workload(73, 300, 6)
+        # The same records as a base plus a tail of the last 100.
+        reps = random_representative_fovs(300, np.random.default_rng(73))
+        tailed = FoVIndex()
+        tailed.insert_many(reps[:200])
+        tailed.packed_view()
+        tailed.insert_many(reps[200:])
+        assert tailed.packed_view().tail is not None
+        for idx in (index, tailed):
+            obs = Observability.default()
+            eng = RetrievalEngine(idx, CAMERA, engine="packed", obs=obs)
+            reg = obs.registry
+            descents = reg.get("packed.descents")
+            results = []
+            for n, q in enumerate(queries + [FAR_AWAY], start=1):
+                results.append(eng.execute(q))
+                assert descents.value == n
+            results += eng.execute_many(queries)
+            assert descents.value == len(queries) + 2   # one per batch
+            matched = reg.get("packed.entries_matched").value
+            assert matched == sum(r.candidates for r in results) > 0
+            # Each query reads its rows of every grid twice: once alone
+            # and once in the batch (FAR_AWAY reads none).
+            view = idx.packed_view()
+            grids = [view.grid] + ([view.tail.grid] if view.tail else [])
+            read = []
+            for grid in grids:
+                tally = [0, 0]
+                for q in queries:
+                    b = query_box_floats(q)
+                    grid.search_ids(b[:3], b[3:], None, tally)
+                read.append(tally[1])
+            assert len(read) == (2 if idx is tailed else 1)
+            assert min(read) > 0
+            tested = reg.get("packed.entries_tested").value
+            assert tested == 2 * sum(read) >= matched
+
+    def test_frontier_peak_never_falls(self):
+        obs = Observability.default()
+        index, queries = workload(79, 500, 4)
         eng = RetrievalEngine(index, CAMERA, engine="packed", obs=obs)
-        descents = obs.registry.get("packed.descents")
-        for n, q in enumerate(queries + [FAR_AWAY], start=1):
+        tested = obs.registry.get("packed.entries_tested")
+        peak = obs.registry.get("packed.frontier_width_peak")
+        widest = 0
+        for q in [queries[0], FAR_AWAY, *queries[1:]]:
+            before = tested.value
             eng.execute(q)
-            assert descents.value == n
-        eng.execute_many(queries)
-        assert descents.value == len(queries) + 2   # one per batch
+            widest = max(widest, tested.value - before)
+            assert peak.value == widest
+        assert widest > 0
+        before = tested.value
+        eng.execute_many(queries)       # one pass over every query's rows
+        batch = tested.value - before
+        assert batch >= widest and peak.value == batch
+        eng.execute(FAR_AWAY)           # reads no row: the peak holds
+        assert peak.value == batch
 
 
 class TestClockInjection:

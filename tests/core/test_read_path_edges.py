@@ -364,10 +364,10 @@ def test_sector_boundaries(strict_cover, with_tail):
             # Not vacuous: the sector boxes prune, and the boundary
             # cameras are decided by the exact test (some kept, some
             # dropped).
-            hits = [0]
+            tally = [0, 0]
             rows = packed.index.packed_view().range_search_ids(
-                q, camera=fleet.camera, hits=hits)
-            assert hits == [cand] and kept < rows.size < cand
+                q, camera=fleet.camera, tally=tally)
+            assert tally[0] == cand and kept < rows.size < cand
 
 
 def test_a_visit_whose_box_hits_all_fail_the_sector_box():
@@ -384,10 +384,10 @@ def test_a_visit_whose_box_hits_all_fail_the_sector_box():
     q = fleet.query(T0, T1)
     ranked, cand, kept = check(packed, dynamic, q)
     assert cand == fleet.in_box(q) - 4 > 0 and kept == 0
-    hits = [0]
+    tally = [0, 0]
     rows = packed.index.packed_view().range_search_ids(
-        q, camera=packed.camera, hits=hits)
-    assert rows.size == 0 and hits == [cand]
+        q, camera=packed.camera, tally=tally)
+    assert rows.size == 0 and tally[0] == cand
 
 
 @pytest.fixture

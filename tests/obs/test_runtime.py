@@ -1,19 +1,20 @@
-"""Observability bundle and packed-search recorder tests."""
+"""Observability bundle and packed-search metrics tests."""
 
-import numpy as np
-
+from repro import CameraModel
 from repro.core.index import FoVIndex
 from repro.core.query import Query
+from repro.core.retrieval import RetrievalEngine
 from repro.geo.coords import GeoPoint
 from repro.obs import (
     EventJournal,
     MetricsRegistry,
     NULL_TRACER,
     Observability,
-    PackedSearchRecorder,
     SpanTracer,
 )
 from repro.traces.dataset import random_representative_fovs
+
+CAMERA = CameraModel(half_angle=30.0, radius=100.0)
 
 
 class TestObservability:
@@ -41,57 +42,41 @@ class TestObservability:
         assert len(obs.journal) == 2 and obs.journal.total == 3
 
 
-class TestPackedSearchRecorder:
-    def test_direct_protocol_calls(self):
-        reg = MetricsRegistry()
-        rec = PackedSearchRecorder(reg)
-        rec.on_descent(4)
-        rec.on_level(0, tested=32, matched=8)
-        rec.on_level(1, tested=64, matched=3)
-        rec.on_level(1, tested=16, matched=1)
-        assert reg.get("packed.descents").value == 1
-        tested = reg.get("packed.entries_tested")
-        assert tested.labels(level="0").value == 32
-        assert tested.labels(level="1").value == 80
-        matched = reg.get("packed.entries_matched")
-        assert matched.labels(level="1").value == 4
-        assert reg.get("packed.frontier_width_peak").value == 64
 
-    def test_peak_gauge_never_falls(self):
-        rec = PackedSearchRecorder(MetricsRegistry())
-        rec.on_level(0, tested=100, matched=1)
-        rec.on_level(0, tested=5, matched=1)
-        assert rec._peak.value == 100
+class TestPackedSearchRecorder:
+    """The ``packed.*`` families, fed by the engine from each descent's tally."""
 
     def test_real_packed_search_reports_through_the_recorder(self, rng):
         reps = random_representative_fovs(500, rng)
-        index = FoVIndex.bulk(reps).packed_view()
-        reg = MetricsRegistry()
-        rec = PackedSearchRecorder(reg)
+        obs = Observability.default()
+        eng = RetrievalEngine(FoVIndex.bulk(reps), CAMERA, engine="packed",
+                              obs=obs)
+        reg = obs.registry
         rec0 = reps[0]
         q = Query(t_start=rec0.t_start - 1.0, t_end=rec0.t_end + 1.0,
                   center=GeoPoint(rec0.lat, rec0.lng), radius=150.0)
-        ids = index.range_search_ids(q, observer=rec)
-        assert ids.size >= 1
+        result = eng.execute(q)
+        assert result.candidates >= 1
         assert reg.get("packed.descents").value == 1
-        # every level of the descent reported a pass
-        tested = reg.get("packed.entries_tested")
-        total_tested = sum(c.value for _, c in tested.children())
-        assert total_tested > 0
+        assert reg.get("packed.entries_matched").value == result.candidates
+        assert reg.get("packed.entries_tested").value >= result.candidates
         assert reg.get("packed.frontier_width_peak").value > 0
 
     def test_batched_search_counts_the_whole_batch(self, rng):
         reps = random_representative_fovs(300, rng)
-        index = FoVIndex.bulk(reps).packed_view()
-        reg = MetricsRegistry()
-        rec = PackedSearchRecorder(reg)
+        obs = Observability.default()
+        eng = RetrievalEngine(FoVIndex.bulk(reps), CAMERA, engine="packed",
+                              obs=obs)
+        reg = obs.registry
         queries = []
         for rec_fov in reps[:8]:
             queries.append(Query(t_start=rec_fov.t_start - 1.0,
                                  t_end=rec_fov.t_end + 1.0,
                                  center=GeoPoint(rec_fov.lat, rec_fov.lng),
                                  radius=100.0))
-        qids, rows = index.search_many_ids(queries, observer=rec)
-        assert rows.size >= 1
+        results = eng.execute_many(queries)
+        assert len(results) == len(queries)
+        assert sum(r.candidates for r in results) >= 1
         assert reg.get("packed.descents").value == 1
-        assert np.unique(qids).size >= 1
+        assert (reg.get("packed.entries_matched").value
+                == sum(r.candidates for r in results))

@@ -399,16 +399,16 @@ class TestSectorCover:
             got = []
             for loop_max in (10**9, 0):
                 monkeypatch.setattr(grid_mod, "_CELL_LOOP_MAX", loop_max)
-                hits = [0]
-                got.append(sorted(grid.search_ids(bmin, bmax, None, cover,
-                                                  hits).tolist()))
-                assert hits == [len(box)]
-            counts = np.zeros(2, dtype=np.int64)
+                tally = [0, 0]
+                got.append(sorted(grid.search_ids(bmin, bmax, cover,
+                                                  tally).tolist()))
+                assert tally[0] == len(box) <= tally[1]
+            counts = np.zeros((2, 2), dtype=np.int64)
             qids, many = grid.search_many(
-                np.array([bmin, bmin]), np.array([bmax, bmax]), None,
+                np.array([bmin, bmin]), np.array([bmax, bmax]),
                 (self.CAMERA[0], self.CAMERA[1], np.array([cx, cx]),
                  np.array([cy, cy])), counts)
-            assert counts.tolist() == [len(box)] * 2
+            assert counts.tolist() == [[len(box)] * 2, [tally[1]] * 2]
             for q in (0, 1):
                 got.append(sorted(many[qids == q].tolist()))
             assert got == [want] * 4, f"FUZZ_SEED={FUZZ_SEED}"
