@@ -73,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "docs/PERFORMANCE.md)")
     qry.add_argument("--shards", type=int, default=1,
                      help="serve from a geo-sharded fleet of N shards "
-                          "(scatter-gather; identical results, see "
-                          "docs/SHARDING.md)")
+                          "(always packed, so --engine is ignored; "
+                          "identical results, see docs/SHARDING.md)")
     qry.add_argument("--json", action="store_true",
                      help="emit the result as JSON instead of text")
     qry.add_argument("--trace", action="store_true",
@@ -271,8 +271,7 @@ def _cmd_query(args) -> int:
         from repro.shard import ShardedCloudServer
         anchor = records[0].point if records else query.center
         fleet = ShardedCloudServer(camera, n_shards=args.shards,
-                                   origin=anchor, engine=args.engine,
-                                   cache_size=0, obs=obs)
+                                   origin=anchor, cache_size=0, obs=obs)
         fleet.ingest(records)
         result = fleet.query(query)
     else:
@@ -329,7 +328,7 @@ def _cmd_video_query(args) -> int:
         from repro.shard import ShardedCloudServer
         fleet = ShardedCloudServer(camera, n_shards=args.shards,
                                    origin=records[0].point,
-                                   engine=args.engine, cache_size=0, obs=obs)
+                                   cache_size=0, obs=obs)
         fleet.ingest(records)
         result = fleet.query_video(video_query)
     else:

@@ -324,8 +324,8 @@ class _MemoRows(RecordColumns):
     ``memo[i]`` is row ``i``'s :class:`RepresentativeFoV`, or ``None``
     until a result asks for it; it is then built once and kept.  The
     memo is the caller's objects (:meth:`RecordColumns.of`) or the
-    column store's list, which only grows under one token (a removal
-    gives the store a new one), so it may run past the columns.
+    column store's list, which only grows (a removal gives the store a
+    new one), so it may run past the columns and needs no lock to fill.
     """
 
     __slots__ = ("_memo",)

@@ -94,8 +94,9 @@ class PackedFoVIndex:
     ``segment_ids`` only when a result window holds one.
 
     No column is copied: they are ``records``' own, slices of the
-    index's column store (:meth:`FoVIndex.packed_view`).  ``grid`` is
-    built from the columns when omitted.
+    index's column store (:meth:`FoVIndex.packed_view`), the rows of
+    ``geom``, its whole C-contiguous ``(5, capacity)`` buffer, cut to
+    ``n``.  ``grid`` is built when omitted.
 
     A view may carry one ``tail``: the columns and ``records`` then span
     every row, while ``grid`` is a base's and covers rows
@@ -113,11 +114,12 @@ class PackedFoVIndex:
 
     __slots__ = ("records", "lat", "lng", "theta",
                  "t_start", "t_end", "video_ids", "segment_ids",
-                 "grid", "epoch", "tail")
+                 "grid", "epoch", "tail", "geom")
 
     def __init__(self, records: RecordColumns, *,
                  grid: PackedPointGrid | None = None,
-                 tail: PackedFoVIndex | None = None) -> None:
+                 tail: PackedFoVIndex | None = None,
+                 geom: np.ndarray | None = None) -> None:
         self.records = records
         self.epoch = records.epoch
         self.lat = records.lat
@@ -132,6 +134,7 @@ class PackedFoVIndex:
                                                 self.t_start, self.t_end,
                                                 self.theta))
         self.tail = tail
+        self.geom = geom
 
     def __len__(self) -> int:
         return len(self.records)
@@ -459,13 +462,13 @@ class FoVIndex:
         if view is not None and view.epoch == self._epoch:
             return view
         mark, base = self.mark, self._base
-        rows = store.served(self._epoch)
+        rows, geom = store.served(self._epoch), store._geom
         if base is None or must_fold(base.mark, mark):
-            view = PackedFoVIndex(rows)
+            view = PackedFoVIndex(rows, geom=geom)
             self._base = _ServingBase(mark, view.grid)
         else:
             view = PackedFoVIndex(
-                rows, grid=base.grid,
+                rows, grid=base.grid, geom=geom,
                 tail=PackedFoVIndex(store.rows(base.mark.count, self._epoch)))
         self._packed = view
         return view

@@ -88,9 +88,9 @@ class RankedFoV(NamedTuple):
     records whether the FoV's viewing sector actually covers the query
     centre (the orientation filter's predicate).  ``score`` is the
     ranker's higher-is-better value for this row -- result lists are
-    totally ordered by ``(-score, fov.key())``, which is what lets a
-    sharded scatter-gather merge per-shard answers back into exactly
-    the single-server ranking (docs/SHARDING.md).
+    ordered by ``(-score, fov.key())``, which is what lets the sharded
+    router's one sort over every shard's rows reproduce exactly the
+    single-server ranking (docs/SHARDING.md).
 
     A ``NamedTuple`` rather than a frozen dataclass: the packed funnel
     materialises one of these per returned row, inside the

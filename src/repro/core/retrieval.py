@@ -34,10 +34,10 @@ Two execution engines share that pipeline:
   a score tie on the record key only when a result window holds one,
   so it ranks as over one full rebuild.
   It has exactly one filter->rank implementation,
-  :func:`_batch_execute`: ``execute_many``
-  answers a whole batch in shared passes over all (query, candidate)
-  pairs, and ``execute`` is that funnel's ``n = 1`` case -- the same
-  kernels on scalar operands, with or without instruments attached.
+  :func:`_batch_execute`: ``execute_many`` answers a whole batch in
+  shared passes over all (query, candidate) pairs, ``execute`` is its
+  ``n = 1`` case on scalar operands, and the sharded router runs it
+  once per call over every shard's hits.
   Both engines produce identical rankings and funnel counters (the
   parity tests pin this), so the choice is purely a throughput trade.
 
@@ -55,6 +55,8 @@ they never select a different one.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from operator import gt
 from typing import Any, Callable, Sequence
 
@@ -139,9 +141,9 @@ def _ranked_rows(query: Query, camera: CameraModel, ranker: Any,
     segment_id)``.  A plain stable argsort would leave tie order at the
     mercy of candidate order -- i.e. of index layout -- which would make
     two indexes holding the same records rank differently.  The
-    canonical order depends only on record content, so the dynamic,
-    packed and geo-sharded engines agree bit for bit and a sharded
-    top-N merge reproduces the single-server ranking exactly
+    canonical order depends only on record content, so the dynamic and
+    packed engines agree bit for bit, and so does the geo-sharded
+    router, which sorts every shard's survivors once under the same key
     (docs/SHARDING.md).  Tie runs are re-sorted at Python level, so the
     common all-distinct case stays one vectorised argsort.
     """
@@ -177,80 +179,75 @@ def _ranked_rows(query: Query, camera: CameraModel, ranker: Any,
     ]
 
 
-def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
+#: A funnel part: a view, its hits' query ids (read for batches) and rows.
+Part = tuple[PackedFoVIndex, Any, np.ndarray]
+
+
+def _batch_execute(parts: list[Part], queries: list[Query],
+                   hits: Sequence[int], camera: CameraModel,
                    strict_cover: bool, ranker: Any,
-                   queries: list[Query],
-                   clock: Callable[[], float],
-                   tally: list[int],
-                   tracer: TracerLike = NULL_TRACER
-                   ) -> list[QueryResult]:
-    """Answer a query batch against a packed snapshot in shared passes.
+                   clock: Callable[[], float], t0: float,
+                   tracer: TracerLike = NULL_TRACER) -> list[QueryResult]:
+    """Rank the descended hits of a query batch in shared passes.
 
-    The one packed filter->rank funnel.  Every stage is one array kernel
-    over the combined ``(query, candidate)`` pair arrays: the grid
-    descent, the local projection, the orientation filter, one
-    ``ranker.scores`` call over the survivors of every query (none when
-    no row survives), and a single ``np.lexsort`` under ``(query,
-    -score, row)``.  Only the winning
-    ``top_n`` rows per query are materialised into Python objects, and
-    a row's record is built the first time any result wins it
-    (``view.records.take``).
-
-    Under strict cover the descent hands on only the box hits whose
-    sector box holds the query centre (:mod:`repro.spatial.grid`);
-    every row the orientation filter keeps is among them, so the
-    rankings are those of the full box-hit set.  A query's
-    ``candidates`` is its box-hit count either way, which the descent
-    reports in its tally with the rows it read; the pass's totals of
-    both are added to ``tally``.
+    The one packed filter->rank funnel.  ``parts`` are the descent's
+    box hits (:data:`Part`) -- an engine's one view, or the router's
+    shard visits, query by query and in shard order within a query --
+    and ``hits`` each query's candidate count.  Every stage is one array
+    kernel over the ``(query, candidate)`` pairs of every part: the
+    local projection, the orientation filter (under strict cover the
+    descent handed on every row it can keep, :mod:`repro.spatial.grid`),
+    one ``ranker.scores`` call over the survivors of every query (none
+    when no row survives), and a single ``np.lexsort`` under ``(query,
+    -score, row)``, a part's rows numbered after every earlier part's.
+    Only the winning ``top_n`` rows per query are materialised, each
+    record the first time any result wins it (``view.records.take``).
 
     The canonical ranking is ``(-score, video_id, segment_id, row)``:
-    score ties break on the record key, and duplicate keys on the row,
-    which a tailed view numbers as a full rebuild would.  A query whose
-    window of ``top_n + 1`` rows has strictly decreasing scores already
-    holds it -- no row after the window scores above its last row, so
-    the first ``top_n`` are the highest scores and no two of them tie
-    -- and the key columns are read only when a window holds a tie (or
-    a NaN, which compares false with everything): that query's survivor
-    run is then re-sorted under the full key.  The extra row makes a
-    tie across the ``top_n`` cut count, since it decides which row is
-    returned.
+    duplicate keys rank by part, then by the row a tailed view numbers
+    as a full rebuild would.  A query whose window of ``top_n + 1`` rows
+    has strictly decreasing scores already holds it -- no row after the
+    window scores above its last row, so the first ``top_n`` are the
+    highest scores and no two of them tie -- and the key columns are
+    read only when a window holds a tie (or a NaN, which compares false
+    with everything): that query's survivor run is then re-sorted under
+    the full key.  The extra row makes a tie across the ``top_n`` cut
+    count, since it decides which row is returned.
 
-    A single query (``RetrievalEngine.execute``) is the ``n = 1`` case
-    of the same kernels.  Only the operands differ, so that it never
-    pays for batch assembly: one ``range_search_ids`` instead of the
-    batched descent, the query's scalar origin and radius broadcast
-    where a batch gathers per-pair ``[qids]`` columns, and a single
-    trivial segment instead of ``searchsorted`` bounds.  Every kernel is elementwise per pair, so
-    the rows equal the batched ones bit for bit.
-
-    ``elapsed_s`` is the batch wall time split evenly across the
-    queries -- per-query timing has no meaning once the funnel is
-    shared.  Each shared pass gets one span on ``tracer`` (the no-op
-    tracer by default).
+    A single query is the ``n = 1`` case of the same kernels, with its
+    scalar origin and radius broadcast where a batch gathers per-pair
+    ``[qids]`` columns; one part gathers from its view, and several
+    take a ``(5, k)`` block each from their views' C-contiguous
+    ``geom`` (``take`` would copy a strided one whole).  Every kernel is
+    elementwise per pair, so the rows equal the batched ones bit for
+    bit.  ``elapsed_s`` is the wall time since ``t0`` split evenly
+    across the queries; each shared pass gets one span on ``tracer``.
     """
-    t0 = clock()
     n_q = len(queries)
     one = queries[0] if n_q == 1 else None
-    cover = camera if strict_cover else None
-    with tracer.span("query.tree_descent", queries=n_q):
-        if one is not None:
-            found = [0, 0]
-            ids = view.range_search_ids(one, cover, found)
-            hits, read = found[:1], found[1]
-        else:
-            counts = np.zeros((2, n_q), dtype=np.int64)
-            qids, ids = view.search_many_ids(queries, cover, counts)
-            hits, read = counts[0].tolist(), int(counts[1].sum())
-    tally[0] += sum(hits)
-    tally[1] += read
-    if ids.size == 0:   # no query, no record, or no row left to filter
+    starts = [0]                # each part's first row number
+    if len(parts) == 1:
+        view, qids, ids = parts[0]
+    elif parts:
+        starts = list(accumulate((len(v) for v, _, _ in parts[:-1]),
+                                 initial=0))
+        ids = np.concatenate([p_ids + start for (_, _, p_ids), start
+                              in zip(parts, starts)])
+        if one is None:
+            qids = np.concatenate([p_qids for _, p_qids, _ in parts])
+    if not parts or ids.size == 0:  # no query, record or row to filter
         share = (clock() - t0) / max(n_q, 1)
         return [QueryResult(query=q, ranked=[], candidates=n_cand,
                             after_filter=0, elapsed_s=share)
                 for q, n_cand in zip(queries, hits)]
 
     with tracer.span("query.projection", pairs=int(ids.size)):
+        if len(parts) == 1:
+            lat, lng, theta = view.lat[ids], view.lng[ids], view.theta[ids]
+        else:
+            geom = np.concatenate([v.geom.take(p_ids, axis=1)
+                                   for v, _, p_ids in parts], axis=1)
+            lat, lng, theta = geom[0], geom[1], geom[2]
         if one is not None:
             origin_lat: Any = one.center.lat
             origin_lng: Any = one.center.lng
@@ -262,12 +259,11 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
                                      dtype=float, count=n_q)[qids]
             radii = np.fromiter((q.radius for q in queries), dtype=float,
                                 count=n_q)[qids]
-        x, y = pairwise_local_xy(origin_lat, origin_lng,
-                                 view.lat[ids], view.lng[ids])
+        x, y = pairwise_local_xy(origin_lat, origin_lng, lat, lng)
 
     with tracer.span("query.orientation_filter"):
         dist, dtheta, covers_center, keep = _sector_evidence(
-            camera, strict_cover, x, y, view.theta[ids], radii)
+            camera, strict_cover, x, y, theta, radii)
 
     with tracer.span("query.rank"):
         kept = keep.nonzero()[0]
@@ -275,20 +271,20 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
         kdist = dist[kept]
         kdtheta = dtheta[kept]
         kcov = covers_center[kept]
-        kts = view.t_start[kids]
-        kte = view.t_end[kids]
-        # ``kbounds``: each query's run of survivor rows.  ``order``: one
-        # sort -- primary query id (keeps runs contiguous at their
-        # bounds), then descending score, then row -- so each query's
-        # run of ``order`` is its canonical ranking wherever no two
-        # scores tie.
+        if len(parts) == 1:
+            kts, kte = view.t_start[kids], view.t_end[kids]
+        else:
+            kts, kte = geom[3][kept], geom[4][kept]
+        # ``qb``: each query's run of ``order``.  ``order``: one sort --
+        # primary query id (keeps runs contiguous), then descending
+        # score, then row -- so each query's run of ``order`` is its
+        # canonical ranking wherever no two scores tie.
         if one is not None:
-            kbounds = [0, int(kept.size)]
+            qb = [0, int(kept.size)]
             q_ts: Any = one.t_start
             q_te: Any = one.t_end
         else:
-            kq = qids[kept]                    # sorted: qids is sorted
-            kbounds = np.searchsorted(kq, np.arange(n_q + 1)).tolist()
+            kq = qids[kept]
             q_ts = np.fromiter((q.t_start for q in queries), dtype=float,
                                count=n_q)[kq]
             q_te = np.fromiter((q.t_end for q in queries), dtype=float,
@@ -297,30 +293,34 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
         scores = (np.asarray(ranker.scores(
             camera, q_ts, q_te, kdist, kdtheta, kts, kte), dtype=float)
             if kept.size else np.empty(0))
-        order = (np.lexsort((kids, -scores)) if one is not None
-                 else np.lexsort((kids, -scores, kq)))
-        records = view.records
+        if one is not None:
+            order = np.lexsort((kids, -scores))
+        else:
+            order = np.lexsort((kids, -scores, kq))
+            qb = np.searchsorted(kq, np.arange(n_q + 1),
+                                 sorter=order).tolist()
         rows: list[tuple[Query, list[RankedFoV], int, int]] = []
         for qi, q in enumerate(queries):
-            lo, hi = kbounds[qi], kbounds[qi + 1]
+            lo, hi = qb[qi], qb[qi + 1]
             top_n = q.top_n
             win = order[lo: min(hi, lo + top_n + 1)]
             top = scores[win].tolist()
             if not all(map(gt, top, top[1:])):
-                # A tie (or a NaN) in the window: re-sort the run under
-                # the canonical key.
+                # A tie (or a NaN) in the window: re-sort the run, in
+                # row order, under the canonical key.
                 run = order[lo:hi]
+                run = run[np.argsort(kids[run])]
                 rk = kids[run]
-                win = run[np.lexsort((rk, view.segment_ids[rk],
-                                      view.video_ids[rk], -scores[run]))]
+                win = run[np.lexsort((
+                    rk, _gather(parts, starts, "segment_ids", rk),
+                    _gather(parts, starts, "video_ids", rk), -scores[run]))]
                 top = scores[win[:top_n]].tolist()
             win, top = win[:top_n], top[:top_n]
             ranked = [
                 RankedFoV(fov=fov, distance=d, covers=c, score=s)
-                for fov, d, c, s in zip(records.take(kids[win].tolist()),
-                                        kdist[win].tolist(),
-                                        kcov[win].tolist(),
-                                        top)]
+                for fov, d, c, s in zip(
+                    _records(parts, starts, kids[win].tolist()),
+                    kdist[win].tolist(), kcov[win].tolist(), top)]
             rows.append((q, ranked, hits[qi], hi - lo))
 
     share = (clock() - t0) / n_q
@@ -329,6 +329,30 @@ def _batch_execute(view: PackedFoVIndex, camera: CameraModel,
                     after_filter=n_kept, elapsed_s=share)
         for q, ranked, n_cand, n_kept in rows
     ]
+
+
+def _gather(parts: list[Part], starts: list[int], column: str,
+            rows: np.ndarray) -> np.ndarray:
+    """``column`` at ascending row numbers ``rows`` (_batch_execute)."""
+    cut = [*rows.searchsorted(starts).tolist(), rows.size]
+    return np.concatenate([getattr(view, column)[rows[a:b] - start]
+                           for (view, _, _), start, a, b
+                           in zip(parts, starts, cut, cut[1:])])
+
+
+def _records(parts: list[Part], starts: list[int],
+             numbers: list[int]) -> list[RepresentativeFoV]:
+    """The records at row numbers ``numbers``, in that order."""
+    if len(parts) == 1:
+        return parts[0][0].records.take(numbers)
+    by_part: dict[int, list[int]] = {}
+    for j, number in enumerate(numbers):
+        by_part.setdefault(bisect_right(starts, number) - 1, []).append(j)
+    found: dict[int, RepresentativeFoV] = {}
+    for p, js in by_part.items():
+        found.update(zip(js, parts[p][0].records.take(
+            [numbers[j] - starts[p] for j in js])))
+    return [found[j] for j in range(len(numbers))]
 
 
 class RetrievalEngine:
@@ -435,17 +459,29 @@ class RetrievalEngine:
         return [self.execute(q) for q in batch]
 
     def _execute_packed(self, queries: list[Query]) -> list[QueryResult]:
-        tally = [0, 0]              # box hits, rows read
-        results = _batch_execute(self.index.packed_view(), self.camera,
-                                 self.strict_cover, self.ranker, queries,
-                                 self._clock, tally, self._tracer)
+        view, t0 = self.index.packed_view(), self._clock()
+        n_q = len(queries)
+        cover = self.camera if self.strict_cover else None
+        with self._tracer.span("query.tree_descent", queries=n_q):
+            if n_q == 1:
+                found = [0, 0]          # box hits, rows read
+                qids, ids = None, view.range_search_ids(queries[0], cover,
+                                                        found)
+                hits, read = found[:1], found[1]
+            else:
+                counts = np.zeros((2, n_q), dtype=np.int64)
+                qids, ids = view.search_many_ids(queries, cover, counts)
+                hits, read = counts[0].tolist(), int(counts[1].sum())
+        results = _batch_execute([(view, qids, ids)], queries, hits,
+                                 self.camera, self.strict_cover, self.ranker,
+                                 self._clock, t0, self._tracer)
         if self._packed is not None and queries:
             descents, tested, matched, peak = self._packed
             descents.inc()
-            tested.inc(tally[1])
-            matched.inc(tally[0])
-            if tally[1] > peak.value:
-                peak.set(tally[1])
+            tested.inc(read)
+            matched.inc(sum(hits))
+            if read > peak.value:
+                peak.set(read)
         return results
 
     def _filter_and_rank(self, candidates: list[RepresentativeFoV],

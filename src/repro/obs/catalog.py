@@ -99,7 +99,7 @@ SPANS: Final[Mapping[str, str]] = {
     "server.query_many": "single-node server query batch",
     "shard.ingest_bundle": "sharded router bundle ingest",
     "shard.ingest_batch": "sharded router commit-group ingest",
-    "shard.query_many": "sharded router scatter-gather query batch",
+    "shard.query_many": "sharded router query batch, one funnel pass",
     "failover.promote": "standby verification, rebuild, and install",
     "video.query": "one end-to-end video-to-video retrieval request",
     "video.harvest": "batched point-query harvest of the query trajectory",

@@ -9,8 +9,8 @@ package partitions the index by *where the cameras stood*:
 * :mod:`repro.shard.server` -- :class:`ShardedCloudServer`, whose
   shards are each an index and its engine (a ``RetrievalEngine`` over
   a ``FoVIndex``), routes ingest by representative-FoV cell, and
-  answers queries by pruned scatter-gather with a merge that is
-  bit-identical to the single-server ranking;
+  answers a call's queries by one funnel pass over every pruned shard's
+  hits, bit-identical to the single-server ranking;
 * :mod:`repro.shard.persist` -- fleet save/load as one ``.fovpack``
   (``FOVPACK1``) record file per shard plus a routing manifest;
 * :mod:`repro.shard.replica` -- :class:`ReplicaSet`, one warm standby
@@ -19,7 +19,7 @@ package partitions the index by *where the cameras stood*:
   primary is killed (:class:`ShardUnavailableError` is the fail-stop
   signal while a slot is empty).
 
-Design notes, routing invariants and the merge-stability argument live
+Design notes, routing invariants and the one-sort parity argument live
 in ``docs/SHARDING.md``.
 """
 

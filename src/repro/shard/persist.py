@@ -122,15 +122,14 @@ def _read_manifest(root: Path
 
 
 def load_sharded_snapshot(dirpath: str | Path, camera: CameraModel,
-                          strict_cover: bool = True, engine: str = "packed",
-                          cache_size: int = 1024,
+                          strict_cover: bool = True, cache_size: int = 1024,
                           obs: Observability | None = None
                           ) -> ShardedCloudServer:
     """Rebuild a :class:`ShardedCloudServer` from a snapshot directory.
 
     Routing parameters come from the manifest (so the reloaded fleet
     routes exactly like the one that saved it); serving parameters
-    (camera, engine, cache) come from the caller.  Raises
+    (camera, cover rule, cache) come from the caller.  Raises
     ``ValueError`` on a missing/incoherent manifest, a corrupt,
     truncated or extended shard file, a file whose record count
     disagrees with the manifest, or a per-shard count that disagrees
@@ -151,7 +150,7 @@ def load_sharded_snapshot(dirpath: str | Path, camera: CameraModel,
     server = ShardedCloudServer(
         camera, n_shards=part.n_shards, origin=part.origin,
         cell_m=part.cell_m, seed=part.seed, strict_cover=strict_cover,
-        engine=engine, cache_size=cache_size, obs=obs)
+        cache_size=cache_size, obs=obs)
     server.ingest(RecordColumns.concat(parts))
     for sid, (_, count) in enumerate(shards):
         live = len(server.shards[sid].index)

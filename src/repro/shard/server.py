@@ -10,15 +10,16 @@ engine: a :class:`~repro.core.retrieval.RetrievalEngine` over its own
   (:class:`~repro.shard.partition.GridPartitioner`), deduplicating
   bundle redeliveries fleet-wide by content digest before any shard is
   touched;
-* **answers queries by pruned scatter-gather**: the partitioner names
-  the shards whose cells could intersect the query's ``(p, r, [ts,
-  te])`` box, a per-shard content bounding box prunes further, and the
-  surviving shards' canonical rankings are k-way merged into a result
-  **bit-identical** to a single server holding every record
-  (docs/SHARDING.md has the argument);
+* **answers a call's queries in one funnel pass**: the partitioner
+  names the shards whose cells could intersect each query's ``(p, r,
+  [ts, te])`` box, a per-shard content bounding box prunes further,
+  each surviving shard is descended under its lock, and the hits of
+  every shard and query are projected, filtered, scored and sorted
+  once, into rankings **bit-identical** to a single server holding
+  every record (docs/SHARDING.md has the argument);
 * **caches under the epoch vector**: the router-level result cache tags
   entries with the tuple of per-shard index epochs, re-read after the
-  scatter -- a result computed while any shard mutated is served but
+  descent -- a result computed while any shard mutated is served but
   never cached, so a hit always equals the cold recomputation.
 
 Thread safety: each shard has its own lock serialising index access
@@ -32,10 +33,10 @@ already thread-safe per family.
 
 from __future__ import annotations
 
-import heapq
 import threading
-from itertools import islice
 from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.core.camera import CameraModel
 from repro.core.cache import QueryResultCache, query_cache_key, read_through
@@ -44,9 +45,10 @@ from repro.core.fov import RecordColumns, RepresentativeFoV
 from repro.core.index import (Bounds, ContentMark, FoVIndex,
                               _checked_geometry, query_box_floats)
 from repro.core.ingest import IngestCoordinator
-from repro.core.query import Query, QueryResult, RankedFoV
+from repro.core.query import Query, QueryResult
 from repro.core.quarantine import QuarantineStore
-from repro.core.retrieval import RetrievalEngine
+from repro.core.ranking import DistanceRanker
+from repro.core.retrieval import Part, RetrievalEngine, _batch_execute
 from repro.core.server import IngestOutcome, ServerStats
 from repro.core.wal import WriteAheadLog
 from repro.geo.coords import GeoPoint
@@ -73,8 +75,8 @@ class ShardUnavailableError(RuntimeError):
     """A request needed a shard whose primary is down (fail-stop).
 
     Raised by the query path when routing plus content bounds say the
-    dead shard could contribute rows (a merged answer without it would
-    be silently wrong), and by every write path while *any* shard is
+    dead shard could contribute rows (an answer without it would be
+    silently wrong), and by every write path while *any* shard is
     down (a record landing on a placeholder would be discarded at
     promotion).  Retryable: once :meth:`ShardedCloudServer.install_shard`
     promotes a replica, the same request succeeds.
@@ -83,11 +85,6 @@ class ShardUnavailableError(RuntimeError):
     def __init__(self, shard_id: int) -> None:
         super().__init__(f"shard {shard_id} is down")
         self.shard_id = shard_id
-
-
-def _rank_key(row: RankedFoV) -> tuple[float, tuple[str, int]]:
-    """The canonical total ranking order (repro.core.retrieval)."""
-    return (-row.score, row.fov.key())
 
 
 class ShardedCloudServer:
@@ -106,8 +103,10 @@ class ShardedCloudServer:
     cell_m, seed :
         Grid pitch and hash seed (see
         :class:`~repro.shard.partition.GridPartitioner`).
-    strict_cover, engine :
-        Forwarded to each shard's engine.
+    strict_cover : bool
+        The orientation filter's cover rule (see RetrievalEngine).
+    engine : {"packed"}
+        Anything else is refused with ``ValueError``.
     cache_size : int
         Router-level result cache capacity (``0`` disables).  Shards
         have no cache -- one cache layer, tagged by the epoch vector.
@@ -118,7 +117,7 @@ class ShardedCloudServer:
         exports per-shard state as ``shard.epoch`` /
         ``shard.records_live`` gauges labelled by shard id.
     clock : callable, optional
-        Monotonic timer for merged ``elapsed_s`` accounting
+        Monotonic timer for ``elapsed_s`` accounting
         (injectable; defaults to :func:`repro.net.clock.default_timer`).
     wal : WriteAheadLog, optional
         Router-level write-ahead log: accepted payloads are made
@@ -139,13 +138,16 @@ class ShardedCloudServer:
                  clock: Callable[[], float] | None = None,
                  wal: WriteAheadLog | None = None,
                  admission_capacity: int | None = None) -> None:
+        if engine != "packed":
+            raise ValueError(f"a sharded fleet serves from the packed "
+                             f"engine, not {engine!r}")
         self.camera = camera
         self.partitioner = GridPartitioner(n_shards=n_shards, origin=origin,
                                            cell_m=cell_m, seed=seed)
         self.obs = obs if obs is not None else Observability.default()
         self._clock = clock if clock is not None else default_timer
         self._strict_cover = strict_cover
-        self._engine = engine
+        self._ranker = DistanceRanker()
         self.shards: list[RetrievalEngine] = [
             self.spawn_shard() for _ in range(n_shards)
         ]
@@ -217,7 +219,7 @@ class ShardedCloudServer:
         """Per-shard index epochs -- the fleet's cache-invalidation tag.
 
         Deliberately lock-free: callers read the vector before and
-        after a scatter and only trust results when the two reads
+        after a descent and only trust results when the two reads
         agree, so a torn read is detected, never cached.
         """
         return tuple(s.index.epoch for s in self.shards)  # fovlint: disable=RF009
@@ -259,7 +261,7 @@ class ShardedCloudServer:
         """
         return RetrievalEngine(FoVIndex(), self.camera,
                                strict_cover=self._strict_cover,
-                               engine=self._engine)
+                               engine="packed")
 
     def shard_mark(self, sid: int) -> ContentMark:
         """Shard ``sid``'s :class:`~repro.core.index.ContentMark`, read
@@ -470,52 +472,54 @@ class ShardedCloudServer:
                 and b[2] <= box[4] and b[3] >= box[1]
                 and b[4] <= box[5] and b[5] >= box[2])
 
-    def _scatter_gather(self, query: Query) -> QueryResult:
-        """Fan one query out to the surviving shards, merge canonically.
-
-        A query answered by one shard returns that shard's ranking as
-        is: it is already canonical and cut to ``top_n``.
-        """
+    def _answer(self, queries: list[Query]) -> list[QueryResult]:
+        """Descend each query's target shards, each under its lock (the
+        targets come sorted), then rank every visit's hits in one
+        :func:`~repro.core.retrieval._batch_execute` pass."""
         t0 = self._clock()
-        targets = self.partitioner.shards_for_query(query)
         down = self.down_shards
-        box = query_box_floats(query)
-        parts: list[QueryResult] = []
-        for sid in targets:
-            with self._locks[sid]:
-                if not self._could_match(sid, box):
-                    self._pruned.inc()
-                    continue
-                if sid in down:
-                    # The merged answer would silently miss this
-                    # shard's rows; failing loudly lets the caller
-                    # retry after a replica is promoted.
-                    self._dropped.inc()
-                    raise ShardUnavailableError(sid)
-                parts.append(self.shards[sid].execute(query))
-        self._pruned.inc(self.n_shards - len(targets))
-        self._fanout.observe(len(parts))
-        if len(parts) == 1:
-            merged = parts[0].ranked
-        else:
-            merged = list(islice(heapq.merge(*(p.ranked for p in parts),
-                                             key=_rank_key), query.top_n))
-        return QueryResult(
-            query=query,
-            ranked=merged,
-            candidates=sum(p.candidates for p in parts),
-            after_filter=sum(p.after_filter for p in parts),
-            elapsed_s=self._clock() - t0,
-        )
+        cover = self.camera if self._strict_cover else None
+        parts: list[Part] = []
+        hits: list[int] = []
+        with self.obs.tracer.span("query.tree_descent", queries=len(queries)):
+            for qi, query in enumerate(queries):
+                targets = self.partitioner.shards_for_query(query)
+                box = query_box_floats(query)
+                tally = [0, 0]          # box hits, rows read
+                visited = 0
+                for sid in targets:
+                    with self._locks[sid]:
+                        if not self._could_match(sid, box):
+                            self._pruned.inc()
+                            continue
+                        if sid in down:
+                            # The answer would silently miss this
+                            # shard's rows; failing loudly lets the
+                            # caller retry after a replica is promoted.
+                            self._dropped.inc()
+                            raise ShardUnavailableError(sid)
+                        view = self.shards[sid].index.packed_view()
+                        ids = view.range_search_ids(query, cover, tally)
+                    visited += 1
+                    if ids.size:
+                        parts.append((view, None if len(queries) == 1
+                                      else np.full(ids.size, qi), ids))
+                self._pruned.inc(self.n_shards - len(targets))
+                self._fanout.observe(visited)
+                hits.append(tally[0])
+        return _batch_execute(parts, queries, hits, self.camera,
+                              self._strict_cover, self._ranker, self._clock,
+                              t0, self.obs.tracer)
 
     def query(self, query: Query) -> QueryResult:
-        """Answer one ranked query by pruned scatter-gather (cache-aware)."""
+        """Answer one ranked query (cache-aware); see :meth:`query_many`."""
         return self.query_many([query])[0]
 
     def query_many(self, queries: list[Query]) -> list[QueryResult]:
-        """Answer a batch; hits merge from the epoch-vector-tagged cache.
+        """Answer a batch; hits come from the epoch-vector-tagged cache,
+        and every miss is answered in one funnel pass (:meth:`_answer`).
 
-        The epoch vector is read before the scatter and again after
+        The epoch vector is read before the descent and again after
         (:func:`~repro.core.cache.read_through`): results are always
         *served*, but only cached when the two reads agree -- a batch
         that raced an ingest cannot poison the cache with a torn
@@ -527,16 +531,15 @@ class ShardedCloudServer:
             return read_through(
                 self._cache, [query_cache_key(q) for q in batch],
                 self.epoch_vector,
-                lambda missed: [self._scatter_gather(batch[i])
-                                for i in missed],
+                lambda missed: self._answer([batch[i] for i in missed]),
                 self.stats._cache_hits, self.stats._cache_misses)
 
     def query_video(self, video_query: VideoQuery) -> VideoQueryResult:
         """Answer one video retrieval request over the fleet (cache-aware).
 
-        The harvest batch rides :meth:`query_many`'s pruned
-        scatter-gather, whose merged rankings are bit-identical to a
-        single server holding every record -- so the video top-k is
+        The harvest batch rides :meth:`query_many`'s one funnel pass,
+        whose rankings are bit-identical to a single server holding
+        every record -- so the video top-k is
         too.  Caching follows the same epoch-vector discipline: a
         result that raced an ingest is served but never cached.
         """

@@ -15,7 +15,7 @@ query trajectory becomes one point query.  On a
 :class:`~repro.core.server.CloudServer` the whole batch goes through
 the engine's vectorised ``execute_many`` funnel in a single pass (the
 benchmark gates this at >= 5x the per-segment sequential loop); the
-sharded router answers the same batch one scatter-gather per query.
+sharded router ranks every shard's hits of the batch in one such pass.
 
 Scoring is ONE pass too, candidate-major: all harvested segments of all
 candidate videos are projected and run through Eq. 10 in a single

@@ -92,6 +92,23 @@ class TestQueryTrace:
                        if line.startswith("  query.")]
         assert root_line and child_lines
 
+    def test_sharded_trace_shows_one_funnel_pass(self, snapshot, capsys):
+        """The router descends each shard, then projects, filters and
+        ranks every shard's hits once."""
+        rc = main(["query", "--snapshot", str(snapshot),
+                   "--lat", "40.0046", "--lng", "116.3284",
+                   "--t0", "0", "--t1", "5000", "--radius", "300",
+                   "--shards", "3", "--trace"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert not out.startswith("0 candidates")
+        names = [line.split()[0] for line in
+                 out.split("trace:", 1)[1].splitlines() if line.strip()]
+        assert names[0] == "shard.query_many"
+        for stage in ("query.tree_descent", "query.projection",
+                      "query.orientation_filter", "query.rank"):
+            assert names.count(stage) == 1, names
+
     def test_without_flag_no_trace_is_printed(self, snapshot, capsys):
         rc = main(["query", "--snapshot", str(snapshot),
                    "--lat", "40.0046", "--lng", "116.3284",

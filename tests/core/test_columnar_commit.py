@@ -11,6 +11,9 @@ constructor call runs.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -188,6 +191,63 @@ def test_memo_survives_a_removal():
                                       recs[5:]))
     assert index.records() == recs[5:]
     assert np.array_equal(view.t_start, [f.t_start for f in recs[5:]])
+
+
+def test_a_view_builds_records_while_its_index_mutates():
+    """The sharded router builds its winners' records after releasing
+    the shard lock, so a view's ``records.take`` may run while the
+    index appends rows (the memo list only grows) or removes some (the
+    store moves to a new list).  Every record still matches its row,
+    in the view and in the index."""
+    recs = make_records(90, seed=13)
+    columns = FoVIndex.bulk(recs).record_columns()  # no record objects
+    index = FoVIndex()
+    index.insert_many(columns.select(slice(0, 60)))
+    view = index.packed_view()
+    stop, wrong = threading.Event(), []
+
+    def read() -> None:
+        rng = np.random.default_rng()
+        while not stop.is_set():
+            at = rng.integers(0, 60, size=8).tolist()
+            if view.records.take(at) != [recs[i] for i in at]:
+                wrong.append(at)
+
+    readers = [threading.Thread(target=read) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for reader in readers:
+            reader.start()
+        for k in range(60, 90, 5):
+            index.insert_many(columns.select(slice(k, k + 5)))
+            index.packed_view().records.take(range(len(index)))
+            index.evict_older_than(float(k - 50))
+    finally:
+        stop.set()
+        for reader in readers:
+            reader.join(timeout=10.0)
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert wrong == []
+    assert view.records.take(range(60)) == recs[:60]
+    assert index.records() == recs[29:]     # t_end = i + 6 >= 35 stays
+
+
+def test_a_views_geometry_block_holds_its_columns():
+    """The router's funnel takes one ``(5, k)`` block per shard visit
+    from ``view.geom``: it must stay C-contiguous as the store grows
+    (``take`` copies a strided array whole) and hold the view's five
+    geometry columns in its first ``len(view)`` columns."""
+    columns = FoVIndex.bulk(make_records(90, seed=14)).record_columns()
+    index = FoVIndex()
+    for k in range(0, 90, 30):
+        index.insert_many(columns.select(slice(k, k + 30)))
+        view = index.packed_view()
+        assert view.geom.flags.c_contiguous
+        assert np.array_equal(view.geom[:, :len(view)],
+                              [view.lat, view.lng, view.theta,
+                               view.t_start, view.t_end])
 
 
 def _fields(fov):

@@ -20,6 +20,11 @@ What counts as a call, made from the modules the funnel runs in
 Operators and subscripts (``x * y``, ``a[ids]``) are not calls and
 are not counted, nor is anything NumPy's own Python code calls, so the
 pin does not move with the NumPy version.
+
+A sharded router query is pinned the same way, on a fixed two-shard
+fleet whose query gets rows from both shards: its descent runs once
+per shard, and everything after it once per call
+(:data:`ROUTER_MODULES` adds the router and its partitioner).
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from repro.core.index import FoVIndex
 from repro.core.query import Query
 from repro.core.retrieval import RetrievalEngine
 from repro.obs import Observability
+from repro.shard import ShardedCloudServer
 from repro.traces.dataset import random_representative_fovs
 
 #: Where the packed ``n = 1`` funnel runs: the engine, the view and its
@@ -51,6 +57,15 @@ FUNNEL_MODULES = ("repro.core.retrieval", "repro.core.index",
 #: NumPy calls of one ``execute`` on the fixed shard below.  Lower it
 #: when a change removes calls; never raise it to let one in.
 PINNED_CALLS = 25
+
+#: Where a router query runs: the funnel's modules, the router and its
+#: partitioner.
+ROUTER_MODULES = FUNNEL_MODULES + ("repro.shard.server",
+                                   "repro.shard.partition")
+
+#: NumPy calls of one router ``query`` on the fixed two-shard fleet
+#: below; the same rule as :data:`PINNED_CALLS`.
+PINNED_ROUTER_CALLS = 38
 
 
 class _CountingNumpy(types.ModuleType):
@@ -72,12 +87,13 @@ class _CountingNumpy(types.ModuleType):
 
 
 @contextmanager
-def counting_numpy_calls() -> Iterator[Counter[str]]:
-    """Count the funnel modules' NumPy calls inside the block."""
+def counting_numpy_calls(where: tuple[str, ...] = FUNNEL_MODULES
+                         ) -> Iterator[Counter[str]]:
+    """Count the NumPy calls of the modules ``where`` inside the block."""
     counts: Counter[str] = Counter()
     proxy = _CountingNumpy(counts)
-    modules = [importlib.import_module(m) for m in FUNNEL_MODULES]
-    names = set(FUNNEL_MODULES)
+    modules = [importlib.import_module(m) for m in where]
+    names = set(where)
 
     def profile(frame, event, arg):
         if (event == "c_call" and isinstance(getattr(arg, "__self__", None),
@@ -147,7 +163,42 @@ def test_the_counter_sees_an_added_array_call(monkeypatch):
     assert sum(count_execute_calls().values()) == PINNED_CALLS + 1
 
 
-@pytest.mark.parametrize("module", FUNNEL_MODULES)
+def fixed_fleet() -> tuple[ShardedCloudServer, Query]:
+    """The fixed shard's records on two shards of 100 m cells, and the
+    fixed query: both shards answer it rows."""
+    engine, query = fixed_engine()
+    server = ShardedCloudServer(CameraModel(), n_shards=2,
+                                origin=query.center, cell_m=100.0, seed=1,
+                                cache_size=0)
+    server.ingest(engine.index.records())
+    return server, query
+
+
+def count_router_calls() -> Counter[str]:
+    """NumPy calls of one warm router ``query`` of the fixed query."""
+    server, query = fixed_fleet()
+    server.query(query)     # build the views and memo the winning records
+    with counting_numpy_calls(ROUTER_MODULES) as counts:
+        server.query(query)
+    return counts
+
+
+def test_the_fixed_router_query_visits_two_shards_with_rows():
+    server, query = fixed_fleet()
+    engine, _ = fixed_engine()
+    for shard in server.shards:
+        part = shard.execute(query)
+        assert part.candidates > 0 and part.after_filter > 0
+    got, want = server.query(query), engine.execute(query)
+    assert got[:4] == want[:4]      # all but elapsed_s
+
+
+def test_two_shard_router_numpy_calls_are_pinned():
+    counts = count_router_calls()
+    assert sum(counts.values()) == PINNED_ROUTER_CALLS, sorted(counts.items())
+
+
+@pytest.mark.parametrize("module", ROUTER_MODULES)
 def test_every_funnel_module_is_patchable(module):
     """The count is only as good as its patch list: each module must
     still reach NumPy through a module-level ``np``."""

@@ -21,6 +21,18 @@ over a fresh full rebuild:
 A NaN-scoring ranker is pinned on its own: NaN rows rank after every
 scored row, by key and then by row.
 
+The sharded router ranks every shard's survivors in one sort under
+``(-score, video_id, segment_id, shard, row)``.  Its cases mirror
+records exactly around the query centre, so rows on different shards
+tie exactly, and check each answer against the single server and
+against ``heapq.merge`` of each target shard's own ranking (the order
+a per-shard scatter-gather gives):
+
+* score ties between shards, keys distinct;
+* one ``(video_id, segment_id)`` held by two shards, which ranks by
+  shard and then by row;
+* a tie straddling the ``top_n`` cut across shards.
+
 ``FUZZ_SEED`` (set by the CI fuzz-smoke matrix) seeds the fleets and
 queries; a red run reproduces locally with
 ``FUZZ_SEED=<n> pytest <this file>``.
@@ -28,8 +40,10 @@ queries; a red run reproduces locally with
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -40,7 +54,8 @@ from repro.core.index import FoVIndex
 from repro.core.query import Query
 from repro.core.retrieval import RetrievalEngine
 from repro.geo.coords import GeoPoint
-from repro.geo.earth import LocalProjection
+from repro.geo.earth import LocalProjection, pairwise_local_xy
+from repro.shard import ShardedCloudServer
 
 FUZZ_SEED = int(os.environ.get("FUZZ_SEED", "0"))
 
@@ -241,3 +256,139 @@ def test_nan_scores_rank_last_by_key_then_row(rng):
             assert rows(engine.execute(q).ranked) == rows(want)
             assert rows(engine.execute_many(qs)[i].ranked) == rows(want)
     assert nan_rows > 0
+
+
+#: The router cases' query centre; it and the mirror offsets are exact
+#: binary fractions, so mirrored positions project to exactly opposite
+#: local coordinates and exactly equal distances.
+MIRROR_CENTRE = GeoPoint(lat=40.0, lng=116.3125)
+STEP_DEG = 2.0 ** -14                   # 5.2 m east, 6.8 m north
+#: (dlat, dlng, facing) in steps: each position faces the centre.
+MIRRORS = tuple((sign * k * a, sign * k * b, facing)
+                for k in (1, 2, 3)
+                for a, b, facings in ((0, 1, (270.0, 90.0)),
+                                      (1, 0, (180.0, 0.0)))
+                for sign, facing in zip((1, -1), facings))
+#: A pitch that puts every mirrored position in a cell of its own, and
+#: a routing seed under which each ``k = 1`` pair lands on two shards.
+MIRROR_CELL_M = 4.0
+MIRROR_SEED = 3
+
+
+def mirrored(rng: np.random.Generator, n: int,
+             keys: int) -> list[RepresentativeFoV]:
+    """``n`` records on the mirrored positions, keys from a ``keys``-key
+    space."""
+    out = []
+    for _ in range(n):
+        dlat, dlng, facing = MIRRORS[int(rng.integers(len(MIRRORS)))]
+        key = int(rng.integers(keys))
+        t0 = float(rng.integers(0, 6)) * 600.0
+        out.append(RepresentativeFoV(
+            lat=MIRROR_CENTRE.lat + dlat * STEP_DEG,
+            lng=MIRROR_CENTRE.lng + dlng * STEP_DEG,
+            theta=facing, t_start=t0, t_end=t0 + 300.0,
+            video_id=VIDS[key % len(VIDS)], segment_id=key // len(VIDS)))
+    return out
+
+
+def mirror_queries(rng: np.random.Generator, k: int) -> list[Query]:
+    return [Query(t_start=0.0, t_end=3600.0, center=MIRROR_CENTRE,
+                  radius=float(rng.choice([8.0, 30.0])),
+                  top_n=int(rng.integers(1, 14)))
+            for _ in range(k)]
+
+
+def router(records: list[RepresentativeFoV],
+           split: int) -> ShardedCloudServer:
+    """A four-shard fleet holding ``records``: ``records[:split]`` in
+    the views' bases, the rest in tails appended after a read."""
+    server = ShardedCloudServer(CAMERA, n_shards=4, origin=MIRROR_CENTRE,
+                                cell_m=MIRROR_CELL_M, seed=MIRROR_SEED,
+                                cache_size=0)
+    server.ingest(records[:split])
+    server.query(Query(t_start=0.0, t_end=3600.0, center=MIRROR_CENTRE,
+                       radius=30.0))
+    server.ingest(records[split:])
+    return server
+
+
+def merged(server: ShardedCloudServer, q: Query) -> tuple:
+    """Each target shard's own ranking, merged by ``heapq.merge`` under
+    ``(-score, key)`` in shard order."""
+    parts = [server.shards[sid].execute(q)
+             for sid in server.partitioner.shards_for_query(q)]
+    top = islice(heapq.merge(*(p.ranked for p in parts),
+                             key=lambda r: (-r.score, r.fov.key())),
+                 q.top_n)
+    return (rows(top), sum(p.candidates for p in parts),
+            sum(p.after_filter for p in parts))
+
+
+def routed(records, split, qs) -> list[tuple]:
+    """The router's rankings of ``qs``, one by one and as one batch --
+    asserted equal to each other and to the per-shard merge."""
+    server = router(records, split)
+    one = [ranked(server.query(q)) for q in qs]
+    assert [ranked(r) for r in server.query_many(qs)] == one
+    assert [merged(server, q) for q in qs] == one
+    return one
+
+
+def test_mirrored_pairs_are_split_across_shards():
+    """Precondition of the router cases: each ``k = 1`` mirror pair
+    lands on two shards, and the pair's distances tie exactly."""
+    server = router([], 0)
+    for dlat, dlng in ((0, 1), (1, 0)):
+        pair = [RepresentativeFoV(
+            lat=MIRROR_CENTRE.lat + s * dlat * STEP_DEG,
+            lng=MIRROR_CENTRE.lng + s * dlng * STEP_DEG, theta=0.0,
+            t_start=0.0, t_end=1.0, video_id="p", segment_id=0)
+            for s in (1, -1)]
+        assert len({server.partitioner.shard_of(f) for f in pair}) == 2
+        x, y = pairwise_local_xy(MIRROR_CENTRE.lat, MIRROR_CENTRE.lng,
+                                 np.array([f.lat for f in pair]),
+                                 np.array([f.lng for f in pair]))
+        assert x[0] == -x[1] and y[0] == -y[1]
+
+
+def test_router_ties_between_shards(rng):
+    """Distinct keys: the router ranks as the single server does."""
+    records = mirrored(rng, 30, keys=10**6)
+    qs = mirror_queries(rng, 6)
+    assert routed(records, 18, qs) == four_ways(records, 18, qs)
+
+
+def test_router_key_held_by_two_shards(rng):
+    """Four keys over every position: a duplicate key ties by shard,
+    then by row."""
+    records = mirrored(rng, 40, keys=4)
+    q = Query(t_start=0.0, t_end=3600.0, center=MIRROR_CENTRE, radius=30.0,
+              top_n=len(records))
+    (got, _, n_kept), = routed(records, 24, [q])
+    assert len(got) == n_kept
+    server = router(records, 24)
+    shards = {}
+    for fov, *_ in got:
+        shards.setdefault(fov.key(), set()).add(
+            server.partitioner.shard_of(fov))
+    assert any(len(held) > 1 for held in shards.values())
+
+
+def test_router_tie_straddles_the_cut_across_shards():
+    """Three rows east and three west of the centre, on two shards, all
+    at one distance; a ``top_n`` of 4 cuts the tie, and the keys decide
+    which rows are returned."""
+    east, west = MIRRORS[0], MIRRORS[1]
+    records = [RepresentativeFoV(
+        lat=MIRROR_CENTRE.lat + dlat * STEP_DEG,
+        lng=MIRROR_CENTRE.lng + dlng * STEP_DEG, theta=facing,
+        t_start=0.0, t_end=300.0, video_id=vid, segment_id=0)
+        for (dlat, dlng, facing), vid in zip(
+            (east, west) * 3, ("f", "c", "e", "a", "b", "d"))]
+    q = Query(t_start=0.0, t_end=3600.0, center=MIRROR_CENTRE, radius=8.0,
+              top_n=4)
+    (got, candidates, n_kept), = routed(records, 4, [q])
+    assert (candidates, n_kept) == (6, 6)
+    assert [fov.video_id for fov, *_ in got] == ["a", "b", "c", "d"]
+    assert routed(records, 4, [q]) == four_ways(records, 4, [q])

@@ -212,6 +212,38 @@ def test_down_shard_is_fail_stop():
     assert (retry.status.value, retry.records_indexed) == ("accepted", 5)
 
 
+def test_a_batch_that_needs_a_down_shard_caches_nothing():
+    """One query of a ``query_many`` batch needs the dead shard: the
+    whole call is refused before any answer is cached, and the
+    batch's other queries still answer on their own."""
+    srv, control = make_server(), make_server()
+    records = make_records(60, seed=20)
+    for fleet in (srv, control):
+        fleet.ingest_batch(bundles(records))
+    replicas = ReplicaSet(srv)
+    replicas.sync()
+    victim = 1
+    narrow = [q for q in (Query(t_start=0.0, t_end=1000.0,
+                                center=GeoPoint(lat=r.lat, lng=r.lng),
+                                radius=20.0, top_n=8) for r in records)
+              if victim not in srv.partitioner.shards_for_query(q)][:3]
+    wide = Query(t_start=0.0, t_end=1000.0, center=ORIGIN,
+                 radius=3000.0, top_n=8)
+    assert len(narrow) == 3
+    replicas.kill(victim)
+    assert len(srv._cache) == 0             # a kill clears the cache
+
+    with pytest.raises(ShardUnavailableError) as exc:
+        srv.query_many(narrow[:2] + [wide] + narrow[2:])
+    assert exc.value.shard_id == victim
+    assert dropped_queries(srv) == 1
+    assert len(srv._cache) == 0
+
+    got = [rows(r) for r in srv.query_many(narrow)]
+    assert got == [rows(r) for r in control.query_many(narrow)]
+    assert any(got) and len(srv._cache) == len(narrow)
+
+
 def test_degraded_fleet_refuses_to_snapshot(tmp_path):
     """A killed slot is an empty placeholder: saving it would write a
     directory that reloads cleanly with the shard's records missing."""

@@ -27,7 +27,8 @@ The invariants (the parity contract of docs/SHARDING.md §10):
   (``walk_records``) instead of the group: the fleet lands each group
   as columns, so this is the check that columns, ``split`` and the
   store agree with the wire;
-* a read between writes -- the probes and a video query, answered
+* a read between writes -- the probes one by one and as one
+  ``query_many`` batch, and a video query, answered
   from shard views that are a base plus a tail of the commit groups
   since -- equals that oracle.  The control fleet runs the same packed
   code, so only the oracle can tell a wrong ranking; the reads also
@@ -130,6 +131,15 @@ class ReplicaMachine(RuleBasedStateMachine):
             assert rows(self.fleet.query(q)) == rows(self.oracle.query(q))
         assert (video_rows(self.fleet.query_video(video))
                 == video_rows(self.oracle.query_video(video)))
+
+    @rule()
+    def query_many(self):
+        """The probes as one router batch: a single funnel pass over
+        every shard's hits ranks each query as the oracle does."""
+        narrow, _ = record_probes(self.oracle.records())
+        batch = PROBES + narrow
+        assert ([rows(r) for r in self.fleet.query_many(batch)]
+                == [rows(r) for r in self.oracle.query_many(batch)])
 
     @rule()
     def sync(self):

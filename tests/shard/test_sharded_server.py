@@ -10,7 +10,9 @@ from repro.core.server import CloudServer, IngestStatus
 from repro.geo.coords import GeoPoint
 from repro.geo.earth import LocalProjection
 from repro.net.protocol import encode_bundle
+from repro.core.index import query_box_floats
 from repro.shard import ShardedCloudServer
+from repro.shard import server as server_module
 
 ORIGIN = GeoPoint(lat=40.0, lng=116.3)
 PROJ = LocalProjection(ORIGIN)
@@ -133,6 +135,36 @@ class TestQuery:
                     == [(r.fov.key(), r.distance, r.covers, r.score)
                         for r in b.ranked])
 
+    def test_a_mid_call_mutation_answers_from_two_views(self, camera,
+                                                         monkeypatch):
+        """When the fleet mutates between two queries of one call, each
+        query ranks against the views it searched, as it would alone:
+        a shard's old and new view are two parts of one funnel pass."""
+        rng = np.random.default_rng(7)
+        recs = make_records(900, rng)
+        queries = make_queries(8, rng)
+        server = ShardedCloudServer(camera, n_shards=3, origin=ORIGIN,
+                                    cache_size=0)
+        server.ingest(recs[:600])
+        before = [server.query(q)[:4] for q in queries]
+        control = ShardedCloudServer(camera, n_shards=3, origin=ORIGIN,
+                                     cache_size=0)
+        control.ingest(recs)
+        after = [control.query(q)[:4] for q in queries]
+        boxed = []
+
+        def box_then_ingest(query):
+            boxed.append(query)
+            if len(boxed) == 5:         # before the fifth query's visits
+                server.ingest(recs[600:])
+            return query_box_floats(query)
+
+        monkeypatch.setattr(server_module, "query_box_floats",
+                            box_then_ingest)
+        got = [r[:4] for r in server.query_many(queries)]
+        assert got == before[:4] + after[4:]
+        assert before[4:] != after[4:]
+
     def test_fanout_is_pruned(self, camera):
         """Tight queries over a wide city must not search every shard."""
         server = ShardedCloudServer(camera, n_shards=8, origin=ORIGIN,
@@ -146,6 +178,11 @@ class TestQuery:
         mean_fanout = server._fanout.sum / server._fanout.count
         assert mean_fanout < 8
         assert server._pruned.value > 0
+
+    def test_only_the_packed_engine_serves(self, camera):
+        with pytest.raises(ValueError, match="packed"):
+            ShardedCloudServer(camera, n_shards=2, origin=ORIGIN,
+                               engine="dynamic")
 
     def test_empty_fleet_answers_empty(self, camera):
         server = ShardedCloudServer(camera, n_shards=4, origin=ORIGIN)
