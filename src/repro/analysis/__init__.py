@@ -5,27 +5,26 @@ test localises when they break: azimuths are compass *degrees* in
 ``[0, 360)``, trig runs on *radians*, positions carry an explicit
 lat/lng axis order, the similarity kernels promise scalar/array dual
 forms, and wire payloads decode only through the validated protocol
-layer.  This package mechanises those conventions as AST lint rules
-(RF001-RF008) plus a second, whole-program phase: a cross-module
+layer.  This package mechanises those conventions as per-file AST lint
+rules (RF001-RF008, and the RF015 hot-loop ratchet) plus a second,
+whole-program phase: a cross-module
 :class:`~repro.analysis.model.ProjectModel` of locks, guarded regions,
 epochs and call edges that the concurrency rules (RF009-RF013) check
 for lock discipline, lock-order cycles, epoch protocol,
 blocking-under-lock and instrument-catalog drift.  See
 ``docs/STATIC_ANALYSIS.md``.
 
+There is one gate: every finding fails the run.  The only suppression
+is an inline ``# fovlint: disable=RFxxx`` pragma on the offending line.
+
 Entry points:
 
 * ``repro-fov lint [paths]`` -- the CLI subcommand;
-* ``tools/analysis/fovlint.py`` -- standalone runner (no install needed);
+* ``tools/analysis/fovlint.py`` -- the same subcommand from a bare
+  checkout (no install needed);
 * :func:`repro.analysis.run_lint` -- programmatic / pytest-importable.
 """
 
-from repro.analysis.baseline import (
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.engine import (
     LintReport,
     ModuleInfo,
@@ -38,10 +37,8 @@ from repro.analysis.engine import (
     run_lint,
 )
 from repro.analysis.model import ProjectModel, build_model
-from repro.analysis.sarif import to_sarif
 
 __all__ = [
-    "BaselineError",
     "LintReport",
     "ModuleInfo",
     "ProjectInfo",
@@ -49,12 +46,8 @@ __all__ = [
     "Rule",
     "Violation",
     "all_rules",
-    "apply_baseline",
     "build_model",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "run_lint",
-    "to_sarif",
-    "write_baseline",
 ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
@@ -33,7 +33,6 @@ __all__ = [
     "ModuleInfo",
     "ProjectInfo",
     "Rule",
-    "SEVERITY_ORDER",
     "Violation",
     "all_rules",
     "axis_role",
@@ -45,7 +44,6 @@ __all__ = [
     "name_tokens",
     "parse_module",
     "run_lint",
-    "severity_at_least",
 ]
 
 _DISABLE_RE = re.compile(r"#\s*fovlint:\s*disable=([A-Z0-9, ]+)")
@@ -94,25 +92,20 @@ def axis_role(name: str) -> str | None:
     return "lat" if is_lat else "lng"
 
 
-#: Severity rank order: findings at or above the threshold fail the run.
-SEVERITY_ORDER = ("warning", "error")
-
-
 @dataclass(frozen=True)
 class Violation:
-    """One finding: rule, location, severity and an actionable message."""
+    """One finding: rule, location and an actionable message."""
 
     rule_id: str
     path: str
     line: int
     col: int
     message: str
-    severity: str = "error"
 
     def format(self) -> str:
-        """Conventional ``path:line:col: RULE [severity] message`` line."""
+        """Conventional ``path:line:col: RULE message`` line."""
         return (f"{self.path}:{self.line}:{self.col}: "
-                f"{self.rule_id} [{self.severity}] {self.message}")
+                f"{self.rule_id} {self.message}")
 
 
 @dataclass(frozen=True)
@@ -171,7 +164,6 @@ class Rule(Protocol):
 
     rule_id: str
     summary: str
-    severity: str
 
     def check(self, module: ModuleInfo, project: ProjectInfo) -> list[Violation]:
         """Return violations of this rule within one module."""
@@ -310,12 +302,9 @@ def _run_rules(project: ProjectInfo, rules: Sequence[Rule]) -> list[Violation]:
     out: list[Violation] = []
     for module in project.modules:
         for rule in rules:
-            severity = getattr(rule, "severity", "error")
             for v in rule.check(module, project):
                 if rule.rule_id in module.suppressed.get(v.line, frozenset()):
                     continue
-                if v.severity != severity:
-                    v = replace(v, severity=severity)
                 out.append(v)
     out.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
     return out
@@ -361,80 +350,37 @@ def lint_source(source: str, modname: str = "repro.core.snippet",
     return _run_rules(project, rules)
 
 
-def severity_at_least(violation: Violation, threshold: str) -> bool:
-    """True when a finding's severity meets or exceeds the threshold."""
-    order = {name: i for i, name in enumerate(SEVERITY_ORDER)}
-    return order.get(violation.severity, len(order)) >= order[threshold]
-
-
 def run_lint(paths: Sequence[Path | str],
              select: Sequence[str] | None = None,
              *,
-             output_format: str = "text",
-             baseline: Path | str | None = None,
-             write_baseline_to: Path | str | None = None,
-             severity_threshold: str = "warning",
-             root: Path | None = None) -> int:
+             output_format: str = "text") -> int:
     """CLI-shaped runner: print the report, return a process exit code.
 
-    Exit codes are explicit and stable: ``0`` clean (no finding at or
-    above ``severity_threshold``, after baseline subtraction), ``1``
-    findings above threshold, ``2`` engine error (bad paths, syntax
-    error, malformed baseline, unknown rule/format/threshold).
+    Exit codes are explicit and stable: ``0`` clean, ``1`` any finding,
+    ``2`` engine error (bad paths, syntax error, unknown rule/format).
+    The only way to suppress a finding is an inline
+    ``# fovlint: disable=RFxxx`` pragma.
 
-    ``output_format`` selects ``text`` (human report), ``json`` (one
-    object per finding) or ``sarif`` (SARIF 2.1.0, for CI annotation).
-    ``baseline`` subtracts known findings; ``write_baseline_to``
-    snapshots the current findings instead of failing on them.
+    ``output_format`` selects ``text`` (human report) or ``json`` (one
+    object per finding).
     """
     import json as _json
 
-    from repro.analysis.baseline import (BaselineError, apply_baseline,
-                                         load_baseline, write_baseline)
-    from repro.analysis.sarif import sarif_json
-
-    if severity_threshold not in SEVERITY_ORDER:
-        print(f"fovlint: error: unknown severity threshold "
-              f"{severity_threshold!r} (choose from "
-              f"{', '.join(SEVERITY_ORDER)})")
-        return 2
-    if output_format not in ("text", "json", "sarif"):
+    if output_format not in ("text", "json"):
         print(f"fovlint: error: unknown format {output_format!r} "
-              f"(choose from text, json, sarif)")
+              f"(choose from text, json)")
         return 2
-    rules: list[Rule] = []
     try:
-        rules = _select_rules(select)
-        files = discover_files([Path(p) for p in paths])
-        project = build_project(files)
-        report = LintReport(
-            violations=_run_rules(project, rules),
-            files_checked=len(files),
-            rules_run=tuple(r.rule_id for r in rules),
-        )
-        if baseline is not None:
-            known = load_baseline(Path(baseline))
-            report.violations = apply_baseline(report.violations, known,
-                                               root=root)
-    except (FileNotFoundError, ValueError, SyntaxError, BaselineError) as exc:
+        report = lint_paths(paths, select)
+    except (FileNotFoundError, ValueError, SyntaxError) as exc:
         print(f"fovlint: error: {exc}")
         return 2
 
-    if write_baseline_to is not None:
-        write_baseline(report.violations, Path(write_baseline_to), root=root)
-        print(f"fovlint: wrote baseline with {len(report.violations)} "
-              f"finding(s) to {write_baseline_to}")
-        return 0
-
-    if output_format == "sarif":
-        print(sarif_json(report.violations, rules, root=root), end="")
-    elif output_format == "json":
+    if output_format == "json":
         rows = [{"rule": v.rule_id, "path": v.path, "line": v.line,
-                 "col": v.col, "severity": v.severity, "message": v.message}
+                 "col": v.col, "message": v.message}
                 for v in report.violations]
         print(_json.dumps(rows, indent=2))
     else:
         print(report.format())
-    failing = [v for v in report.violations
-               if severity_at_least(v, severity_threshold)]
-    return 1 if failing else 0
+    return 0 if report.ok else 1

@@ -102,7 +102,6 @@ class RF001DegreesIntoTrig:
 
     rule_id = "RF001"
     summary = "raw sin/cos/tan applied to a degree-carrying value"
-    severity = "error"
 
     def check(self, module: ModuleInfo, project: ProjectInfo) -> list[Violation]:
         """Scan every scope of the module with a forward dataflow pass."""

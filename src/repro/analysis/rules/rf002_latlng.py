@@ -71,7 +71,6 @@ class RF002LatLngOrder:
 
     rule_id = "RF002"
     summary = "lat/lng argument order contradicts the callee's signature"
-    severity = "error"
 
     def check(self, module: ModuleInfo, project: ProjectInfo) -> list[Violation]:
         """Check every call in the module against the signature registry."""

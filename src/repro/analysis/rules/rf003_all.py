@@ -76,7 +76,6 @@ class RF003PublicInAll:
 
     rule_id = "RF003"
     summary = "public definition missing from __all__, or stale __all__ entry"
-    severity = "error"
 
     def check(self, module: ModuleInfo, project: ProjectInfo) -> list[Violation]:
         """Compare top-level definitions against the declared ``__all__``."""

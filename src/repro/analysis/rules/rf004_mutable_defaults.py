@@ -37,7 +37,6 @@ class RF004MutableDefault:
 
     rule_id = "RF004"
     summary = "mutable default argument (shared across calls)"
-    severity = "error"
 
     def check(self, module: ModuleInfo, project: ProjectInfo) -> list[Violation]:
         """Inspect the defaults of every function definition."""

@@ -63,7 +63,6 @@ class RF005Nondeterminism:
 
     rule_id = "RF005"
     summary = "wall-clock or unseeded randomness in deterministic core code"
-    severity = "error"
 
     def check(self, module: ModuleInfo, project: ProjectInfo) -> list[Violation]:
         """Flag banned attribute accesses wherever they appear in scope."""

@@ -77,7 +77,6 @@ class RF006DualFormNormalize:
 
     rule_id = "RF006"
     summary = "dual-form (scalar/array) function lacks explicit normalisation"
-    severity = "warning"
 
     def check(self, module: ModuleInfo, project: ProjectInfo) -> list[Violation]:
         """Match docstring promises against body idioms per function."""

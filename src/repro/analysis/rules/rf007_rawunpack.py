@@ -61,7 +61,6 @@ class RF007RawWireUnpack:
 
     rule_id = "RF007"
     summary = "bare struct.unpack on a wire payload outside net/protocol"
-    severity = "error"
 
     def check(self, module: ModuleInfo, project: ProjectInfo) -> list[Violation]:
         """Flag unpack calls fed a payload-named buffer."""

@@ -67,7 +67,6 @@ class RF008MetricNameLiteral:
 
     rule_id = "RF008"
     summary = "metric or span name is not a literal dot-namespaced string"
-    severity = "error"
 
     def check(self, module: ModuleInfo, project: ProjectInfo) -> list[Violation]:
         """Flag runtime-assembled or malformed instrument names."""

@@ -54,7 +54,6 @@ class RF009LockDiscipline:
 
     rule_id = "RF009"
     summary = "lock-guarded attribute accessed without the guarding lock"
-    severity = "error"
 
     def check(self, module: ModuleInfo, project: ProjectInfo) -> list[Violation]:
         """Flag lock-free accesses of attributes with guarded writers."""

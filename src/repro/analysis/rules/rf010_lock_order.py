@@ -112,7 +112,6 @@ class RF010LockOrder:
 
     rule_id = "RF010"
     summary = "lock-order cycle, self-deadlock, or intra-family nesting"
-    severity = "error"
 
     def check(self, module: ModuleInfo, project: ProjectInfo) -> list[Violation]:
         """Flag cycles and re-acquisitions in each class's lock graph."""

@@ -79,7 +79,6 @@ class RF011EpochProtocol:
 
     rule_id = "RF011"
     summary = "storage mutation without exactly one epoch bump"
-    severity = "error"
 
     def check(self, module: ModuleInfo, project: ProjectInfo) -> list[Violation]:
         """Flag unbumped mutations, looped bumps, and repeated bumps."""

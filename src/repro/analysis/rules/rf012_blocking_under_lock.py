@@ -16,11 +16,10 @@ The model records every potentially blocking call -- sleeping
 subprocess / socket / urllib / requests entry points, and bare
 ``open()``/``input()`` -- together with the locks held around it
 (lexically plus the fixpoint's caller guarantees).  The rule flags any
-such call with a non-empty lock set.  It is a *warning*: the
-syntactic callee match has known benign shapes (``", ".join(parts)``
-on a string receiver being the classic), and those sites carry an
-inline suppression rather than a model widening that would also hide
-real ``executor.join`` convoys.
+such call with a non-empty lock set.  The syntactic callee match has
+known benign shapes (``", ".join(parts)`` on a string receiver being
+the classic), and those sites carry an inline suppression rather than
+a model widening that would also hide real ``executor.join`` convoys.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ class RF012BlockingUnderLock:
 
     rule_id = "RF012"
     summary = "blocking call inside a lock-guarded region"
-    severity = "warning"
 
     def check(self, module: ModuleInfo, project: ProjectInfo) -> list[Violation]:
         """Flag blocking calls whose held-lock set is non-empty."""

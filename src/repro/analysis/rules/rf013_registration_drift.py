@@ -102,7 +102,6 @@ class RF013RegistrationDrift:
 
     rule_id = "RF013"
     summary = "metric/span name unknown, kind-drifted, duplicated, or dead"
-    severity = "warning"
 
     def check(self, module: ModuleInfo, project: ProjectInfo) -> list[Violation]:
         """Check this module's literal instrument uses against the catalog."""

@@ -16,8 +16,7 @@ column (``lat``, ``theta``, ``fused``, ``offsets``, ``rows``,
 ``enumerate``/``zip``/``reversed``.  Iterating the explicit
 ``.tolist()`` / ``.item()`` funnel is exempt -- that is the documented
 fast path for sub-slab candidate sets.  The shipped tree has no column
-loop left and the suppression baseline is empty, so any column loop
-trips CI.
+loop left, so any column loop trips CI.
 """
 
 from __future__ import annotations
@@ -94,7 +93,6 @@ class RF015ColumnLoop:
 
     rule_id = "RF015"
     summary = "Python for-loop over a packed column array on the hot path"
-    severity = "error"
 
     def check(self, module: ModuleInfo, project: ProjectInfo) -> list[Violation]:
         """Flag for statements iterating column-named arrays."""

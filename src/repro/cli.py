@@ -21,6 +21,7 @@ seven record columns, CRC-protected, mmap-attachable, exact).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -195,25 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser("lint",
                           help="run the domain-aware FoV lint rules "
                                "(RF001-RF015) over source trees")
-    lint.add_argument("paths", nargs="*", default=["src/repro"],
+    lint.add_argument("paths", nargs="*",
+                      default=[os.path.dirname(os.path.abspath(__file__))],
                       help="files or directories to lint "
-                           "(default: src/repro)")
+                           "(default: this repro package's source)")
     lint.add_argument("--select", action="append", metavar="RFxxx",
                       help="run only these rule ids (repeatable)")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
+    lint.add_argument("--format", choices=("text", "json"),
                       default="text", dest="lint_format",
-                      help="report format (sarif for CI annotation)")
-    lint.add_argument("--baseline", metavar="FILE",
-                      help="subtract known findings recorded in this "
-                           "baseline file (tools/analysis/baseline.json)")
-    lint.add_argument("--write-baseline", metavar="FILE",
-                      dest="write_baseline",
-                      help="snapshot current findings to FILE and exit 0 "
-                           "instead of failing on them")
-    lint.add_argument("--severity-threshold", choices=("warning", "error"),
-                      default="warning", dest="severity_threshold",
-                      help="exit 1 only for findings at or above this "
-                           "severity (default: warning, i.e. any finding)")
+                      help="report format")
     return parser
 
 
@@ -601,18 +592,9 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from pathlib import Path
-
     from repro.analysis import run_lint
-    # Fingerprint baselined findings relative to the invocation root so
-    # absolute and relative path arguments agree with the committed
-    # repo-relative baseline (run from the repo root, as CI does).
     return run_lint(args.paths, select=args.select,
-                    output_format=args.lint_format,
-                    baseline=args.baseline,
-                    write_baseline_to=args.write_baseline,
-                    severity_threshold=args.severity_threshold,
-                    root=Path.cwd())
+                    output_format=args.lint_format)
 
 
 _COMMANDS = {
