@@ -28,7 +28,9 @@ however many videos the harvest surfaced.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -225,41 +227,37 @@ class VideoQueryStats:
         return int(self._videos_ranked.value)
 
 
-def _match_key(match: VideoMatch) -> tuple[float, str]:
-    """The canonical total order videos rank under."""
-    return (-match.score, match.video_id)
-
-
 def _harvest(video_query: VideoQuery,
              query_many: Callable[[list[Query]], list[QueryResult]],
-             ) -> dict[str, dict[int, RepresentativeFoV]]:
-    """Run the batched harvest and group hits per stored video.
+             ) -> list[RepresentativeFoV]:
+    """Run the batched harvest: every distinct stored segment it
+    surfaced, in canonical ``(video_id, segment_id)`` order.
 
     Deduplication is by ``(video_id, segment_id)``: a stored segment
-    surfaced by several query segments counts once.
+    surfaced by several query segments counts once.  The order lays
+    each video's segments out back to back for the stacked scorers.
     """
     answers = query_many(video_query.harvest_queries())
-    by_video: dict[str, dict[int, RepresentativeFoV]] = {}
+    by_key: dict[tuple[str, int], RepresentativeFoV] = {}
     for answer in answers:
         for row in answer.ranked:
             rep = row.fov
-            if rep.video_id in video_query.exclude:
-                continue
-            by_video.setdefault(rep.video_id, {})[rep.segment_id] = rep
-    return by_video
+            if rep.video_id not in video_query.exclude:
+                by_key[rep.video_id, rep.segment_id] = rep
+    return [by_key[key] for key in sorted(by_key)]
 
 
-def _score_videos(video_query: VideoQuery, segs: list[RepresentativeFoV],
-                  lengths: list[int],
+def _score_videos(video_query: VideoQuery, lat: np.ndarray, lng: np.ndarray,
+                  theta: np.ndarray, m_of: np.ndarray,
                   camera: CameraModel) -> tuple[np.ndarray, np.ndarray]:
     """``(scores, lcv_runs)``, one entry per candidate video.
 
-    ``segs`` holds every candidate's harvested segments back to back,
-    ``lengths[v]`` of them for video ``v``.  Candidate-major: all of
-    them are projected once, one :func:`cross_similarity` call fills
-    the ``(n_q, sum(lengths))`` matrix of the query against the lot,
-    and its columns are gathered into the ``(V, n_q, max(lengths))``
-    stack each scorer reduces in one pass (:mod:`repro.video.scoring`).
+    ``lat``/``lng``/``theta`` hold every candidate's harvested segments
+    back to back, ``m_of[v]`` of them for video ``v``.  Candidate-major:
+    all of them are projected once, one :func:`cross_similarity` call
+    fills the ``(n_q, sum(m_of))`` matrix of the query against the lot,
+    and its columns are gathered into the ``(V, n_q, max(m_of))`` stack
+    each scorer reduces in one pass (:mod:`repro.video.scoring`).
     Eq. 10 is elementwise per pair, so a video's block of the stack
     holds the same doubles a matrix of its own would.
     """
@@ -267,14 +265,11 @@ def _score_videos(video_query: VideoQuery, segs: list[RepresentativeFoV],
     projection = LocalProjection(query_segs[0].point)
     xy_q = projection.to_local_arrays([s.lat for s in query_segs],
                                       [s.lng for s in query_segs])
-    xy_s = projection.to_local_arrays([f.lat for f in segs],
-                                      [f.lng for f in segs])
     sim = cross_similarity(
         xy_q, np.array([s.theta for s in query_segs], dtype=float),
-        xy_s, np.array([f.theta for f in segs], dtype=float), camera)
-    m_of = np.array(lengths)
+        projection.to_local_arrays(lat, lng), theta, camera)
     # Row-major over the real (video, column) slots is exactly the
-    # back-to-back order of ``segs``, i.e. of ``sim``'s columns.
+    # back-to-back order of the segments, i.e. of ``sim``'s columns.
     slots = np.zeros((len(m_of), int(m_of.max()), len(query_segs)))
     slots[np.arange(slots.shape[1]) < m_of[:, None]] = sim.T
     stack = slots.transpose(0, 2, 1)
@@ -282,6 +277,10 @@ def _score_videos(video_query: VideoQuery, segs: list[RepresentativeFoV],
     if video_query.scorer == "lcv":
         return runs / len(query_segs), runs
     return alignment_score(stack, m_of), runs
+
+
+def _column(segs: list[RepresentativeFoV], name: str) -> np.ndarray:
+    return np.fromiter(map(attrgetter(name), segs), float, len(segs))
 
 
 def retrieve_videos(video_query: VideoQuery,
@@ -294,35 +293,38 @@ def retrieve_videos(video_query: VideoQuery,
     Three spans cover the pipeline stages (``video.harvest``,
     ``video.score``, ``video.rank``); :func:`serve_video_query` wraps
     the whole call in ``video.query`` and owns caching and counters.
+    Candidates stay columns through scoring and ranking: a
+    :class:`VideoMatch` is built only for the ``top_k`` returned.
     """
     timer = clock if clock is not None else default_timer
     t0 = timer()
     with tracer.span("video.harvest", segments=len(video_query.segments)):
-        by_video = _harvest(video_query, query_many)
-    with tracer.span("video.score", videos=len(by_video)):
-        video_ids = sorted(by_video)
-        lengths = [len(by_video[vid]) for vid in video_ids]
-        # Canonical (video_id, segment_id) order, which also lays each
-        # video's segments out back to back for the stacked scorers.
-        harvested = [by_video[vid][sid] for vid in video_ids
-                     for sid in sorted(by_video[vid])]
-        matches: list[VideoMatch] = []
+        harvested = _harvest(video_query, query_many)
+        # ``harvested`` is sorted by video id, so the counter's keys
+        # are the candidates in ascending order.
+        counts = Counter(map(attrgetter("video_id"), harvested))
+        video_ids = list(counts)
+        m_of = np.fromiter(counts.values(), np.int64, len(counts))
+    with tracer.span("video.score", videos=len(video_ids)):
+        scores = runs = np.zeros(0)
         if harvested:
-            scores, runs = _score_videos(video_query, harvested, lengths,
-                                         camera)
-            matches = [
-                VideoMatch(video_id=vid, score=score, lcv=run,
-                           segments_matched=matched)
-                for vid, score, run, matched
-                in zip(video_ids, scores.tolist(), runs.tolist(), lengths)]
-    with tracer.span("video.rank", videos=len(matches)):
-        matches.sort(key=_match_key)
-        top = matches[:video_query.top_k]
+            scores, runs = _score_videos(
+                video_query, _column(harvested, "lat"),
+                _column(harvested, "lng"), _column(harvested, "theta"),
+                m_of, camera)
+    with tracer.span("video.rank", videos=len(video_ids)):
+        # Ids ascend, so a stable sort on -score alone is the canonical
+        # (-score, video_id) order.
+        rows = np.argsort(-scores, kind="stable")[:video_query.top_k]
+        top = [VideoMatch(video_ids[row], score, run, matched)
+               for row, score, run, matched in zip(
+                   rows.tolist(), scores[rows].tolist(),
+                   runs[rows].tolist(), m_of[rows].tolist())]
     return VideoQueryResult(
         query=video_query,
         ranked=top,
         harvested=harvested,
-        videos_considered=len(by_video),
+        videos_considered=len(video_ids),
         segments_harvested=len(harvested),
         elapsed_s=timer() - t0,
     )

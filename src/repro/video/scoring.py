@@ -80,33 +80,26 @@ def lcv_run_length(sim: ArrayLike, threshold: float,
 
     The longest run ``sim[i, j], sim[i+1, j+1], ...`` with every entry
     ``>= threshold`` -- i.e. the longest all-True run down any diagonal
-    of the thresholded matrix.  Vectorised: the diagonals shear into
-    the columns of an ``(n, n+m-1)`` boolean matrix (row ``i`` of
-    diagonal ``j - i`` lands in column ``j - i + n - 1``), and the
-    longest True-run per column falls out of one cumulative-sum /
-    running-maximum pass.
+    of the thresholded matrix.  Vectorised as the row DP of
+    :func:`lcv_run_length_ref`: ``run[i][j] = (run[i-1][j-1] + 1) *
+    mask[i][j]`` over an ``(n+1, m+1)`` integer buffer whose zero first
+    row and column start every diagonal, one NumPy step per query row;
+    the answer is the buffer's maximum.  The counts are integers, so
+    the result is exact.
 
-    With a ``(V, n, m_max)`` stack and ``lengths`` the same pass runs
-    over every matrix at once and returns a ``(V,)`` integer array;
+    With a ``(V, n, m_max)`` stack and ``lengths`` each row step covers
+    every matrix at once and the call returns a ``(V,)`` integer array;
     columns ``>= lengths[v]`` are masked to False, so padding can
     neither start nor extend a run.
     """
     stack, m_of, stacked = _as_stack(sim, lengths)
     n_videos, n, m = stack.shape
     mask = (stack >= threshold) & (np.arange(m) < m_of[:, None, None])
-    if mask.any():
-        sheared = np.zeros((n_videos, n, n + m - 1), dtype=bool)
-        shear_cols = np.arange(m)[None, :] - np.arange(n)[:, None] + (n - 1)
-        sheared[:, np.arange(n)[:, None], shear_cols] = mask
-        seen = np.cumsum(sheared, axis=1)
-        # Runs restart after a False: subtracting the running maximum of
-        # the cumulative count *at* False positions leaves, at each True
-        # position, the length of the run ending there.
-        breaks = np.where(sheared, 0, seen)
-        runs = (seen - np.maximum.accumulate(breaks, axis=1)).max(axis=(1, 2))
-    else:
-        runs = np.zeros(n_videos, dtype=np.int64)
-    return runs if stacked else int(runs[0])
+    runs = np.zeros((n_videos, n + 1, m + 1), dtype=np.int64)
+    for i in range(n):
+        np.multiply(runs[:, i, :-1] + 1, mask[:, i], out=runs[:, i + 1, 1:])
+    best = runs.max(axis=(1, 2))
+    return best if stacked else int(best[0])
 
 
 def lcv_run_length_ref(sim: ArrayLike, threshold: float) -> int:

@@ -1,10 +1,13 @@
 """Integration tests for the video-to-video retrieval pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.camera import CameraModel
 from repro.core.fov import RepresentativeFoV
+from repro.core.query import QueryResult, RankedFoV
 from repro.core.server import CloudServer
 from repro.core.similarity import cross_similarity
 from repro.geo.earth import LocalProjection
@@ -311,3 +314,93 @@ class TestVideosRankedCountsCandidates:
             first.videos_considered + other.videos_considered
         assert server.obs.registry.get("video.videos_ranked").value == \
             server.video_stats.videos_ranked
+
+
+def _stub_city():
+    """A 4-segment query and 11 stored videos built from exact copies of
+    its segments, so whole groups of candidates score the same double:
+    one full copy, seven copies of segments 0-1 (the tie run) and three
+    copies of segment 2, ids scrambled against their harvest order."""
+    query = tuple(RepresentativeFoV(lat=40.004 + 2e-4 * i, lng=116.33,
+                                    theta=0.0, t_start=10.0 * i,
+                                    t_end=10.0 * i + 10.0,
+                                    video_id="query", segment_id=i)
+                  for i in range(4))
+    copies = {"full": [0, 1, 2, 3]}
+    copies |= {f"tie-{k}": [0, 1] for k in (5, 1, 6, 0, 3, 4, 2)}
+    copies |= {f"one-{k}": [2] for k in (2, 0, 1)}
+    stored = [replace(query[sid], video_id=vid, segment_id=sid)
+              for vid, sids in copies.items() for sid in sids]
+    return query, stored
+
+
+def _stub_query_many(stored):
+    """Every answer returns every stored record, reversed on odd
+    queries: each record is surfaced once per query segment."""
+    def query_many(queries):
+        return [QueryResult(query=q, ranked=[
+            RankedFoV(fov=r, distance=0.0, covers=True)
+            for r in (stored[::-1] if i % 2 else stored)])
+            for i, q in enumerate(queries)]
+    return query_many
+
+
+class TestTopKUnderExactTies:
+    """LCV scores are ``run / n``, so whole groups of candidates tie;
+    the top-k must still be the first ``top_k`` of the total order
+    ``(-score, video_id)`` over every candidate."""
+
+    @pytest.mark.parametrize("scorer", ["lcv", "dtw"])
+    @pytest.mark.parametrize("top_k", [1, 2, 4, 7, 8, 11, 50])
+    def test_ranked_is_prefix_of_total_order(self, scorer, top_k):
+        query, stored = _stub_city()
+        query_many = _stub_query_many(stored)
+        camera = CameraModel()
+        vq = VideoQuery(segments=query, t_start=0.0, t_end=100.0,
+                        top_k=top_k, scorer=scorer, sim_threshold=0.5)
+        every = per_video_oracle(replace(vq, top_k=10**6), query_many,
+                                 camera).ranked
+        assert len(every) == 11
+        all_matches = list(reversed(every))
+        want = sorted(all_matches,
+                      key=lambda m: (-m.score, m.video_id))[:top_k]
+        got = retrieve_videos(vq, query_many, camera)
+        assert got.ranked == want
+        assert got.videos_considered == 11
+
+    def test_the_cut_lands_inside_a_tie_run(self):
+        query, stored = _stub_city()
+        vq = VideoQuery(segments=query, t_start=0.0, t_end=100.0,
+                        top_k=4, sim_threshold=0.5)
+        ranked = retrieve_videos(vq, _stub_query_many(stored),
+                                 CameraModel()).ranked
+        assert [m.video_id for m in ranked] == [
+            "full", "tie-0", "tie-1", "tie-2"]
+        assert ranked[1].score == ranked[2].score == ranked[3].score
+
+
+class TestResultTypesAndDedup:
+    def test_match_fields_are_plain_python(self, workload):
+        server = CloudServer(CameraModel(), engine="packed", cache_size=0)
+        server.ingest(workload)
+        for scorer in ("lcv", "dtw"):
+            result = server.query_video(video_query_for(
+                workload, "vid-00012", scorer=scorer, top_k=1000))
+            assert result.ranked
+            for match in result.ranked:
+                assert [type(v) for v in match] == [str, float, int, int]
+            assert type(result.videos_considered) is int
+            assert type(result.segments_harvested) is int
+
+    def test_a_record_in_several_answers_counts_once(self):
+        query, stored = _stub_city()
+        vq = VideoQuery(segments=query, t_start=0.0, t_end=100.0, top_k=3)
+        result = retrieve_videos(vq, _stub_query_many(stored),
+                                 CameraModel())
+        # Every record came back once per query segment (4 times).
+        assert result.segments_harvested == len(stored) == 21
+        assert result.harvested == sorted(stored, key=lambda r: (
+            r.video_id, r.segment_id))
+        assert len({r.key() for r in result.harvested}) == 21
+        assert {m.video_id: m.segments_matched for m in result.ranked} == {
+            "full": 4, "tie-0": 2, "tie-1": 2}
