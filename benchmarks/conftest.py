@@ -2,76 +2,20 @@
 
 Each benchmark regenerates one of the paper's figures/claims: it prints
 the figure's rows through :class:`repro.eval.harness.Table` (directly to
-the terminal, bypassing pytest capture, so the tables land in
-``bench_output.txt``) and times the figure's hot kernel with
-pytest-benchmark.
-
-Benchmarks that track the perf trajectory across PRs additionally call
-the :func:`bench_export` fixture, which writes/merges a
-``BENCH_<name>.json`` summary -- by default at the repo root; pass
-``--bench-json DIR`` to redirect (CI uploads these as artifacts).
+the terminal, bypassing pytest capture, so the tables show up in the
+run's output even under ``-q``), asserts its own gate, and times the
+figure's hot kernel with pytest-benchmark.  Nothing here writes into
+the checkout; the serving stack's perf record is the ledger under
+``benchmarks/perf/`` (``BENCHMARK.json``).
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import CameraModel
-from repro.core.flatsnap import FLATSNAP_VERSION
 from repro.eval.harness import Table
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-
-
-def pytest_addoption(parser: pytest.Parser) -> None:
-    parser.addoption(
-        "--bench-json", action="store", default=None, metavar="DIR",
-        help="directory for BENCH_<name>.json perf summaries "
-             "(default: the repo root)")
-
-
-@pytest.fixture
-def bench_export(request):
-    """Write (merge) a ``BENCH_<name>.json`` perf summary.
-
-    ``bench_export(name, payload)`` merges ``payload``'s top-level keys
-    into any existing summary of the same name, so several tests can
-    contribute sections to one trajectory file regardless of run order.
-    Returns the path written.
-
-    Every summary is stamped with the flat-snapshot schema version, so
-    a trajectory diff across PRs can tell a perf regression from a
-    format change; pass ``records``/``queries``/``engine`` keywords to
-    stamp the workload shape and engine under test as well.
-    """
-    def _export(name: str, payload: dict, *,
-                records: int | None = None,
-                queries: int | None = None,
-                engine: str | None = None) -> Path:
-        out_dir = request.config.getoption("--bench-json")
-        root = Path(out_dir) if out_dir else REPO_ROOT
-        root.mkdir(parents=True, exist_ok=True)
-        path = root / f"BENCH_{name}.json"
-        merged: dict = {"bench": name}
-        if path.exists():
-            try:
-                merged.update(json.loads(path.read_text(encoding="utf-8")))
-            except json.JSONDecodeError:
-                pass    # a corrupt summary is overwritten, not fatal
-        merged.update(payload)
-        merged["snapshot_schema_version"] = FLATSNAP_VERSION
-        for key, value in (("records", records), ("queries", queries),
-                           ("engine", engine)):
-            if value is not None:
-                merged[key] = value
-        path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-        return path
-    return _export
 
 
 @pytest.fixture

@@ -50,7 +50,7 @@ def main() -> int:
     server = ShardedCloudServer(CameraModel(), n_shards=N_SHARDS,
                                 origin=CITY_ORIGIN, engine="packed")
     server.ingest(list(workload.base))
-    views = [shard.index.packed_view() for shard in server.shards]
+    views = [shard.packed_view() for shard in server.shards]
     base = [op.arg for op in workload.ops if op.kind == "query"][:N_QUERIES]
     rng = np.random.default_rng(SEED)
 

@@ -10,17 +10,14 @@ Fig. 6 workload (50k citywide records, 256 queries):
   rankings and funnel counters;
 * **throughput** -- the batched ``execute_many`` answers the 256-query
   batch at >= 10x the seed sequential loop.  A warm single packed query
-  (the funnel's n = 1 case, min-of-passes on a bare engine) is exported
-  for the trajectory but not gated: no server constructs a bare engine,
+  (the funnel's n = 1 case, min-of-passes on a bare engine) is printed
+  but not gated: no server constructs a bare engine,
   and the latency servers do pay is the perf ledger's ``op_p50_ms`` on
   ``city_read`` (``BENCHMARK.json``);
 * **caching** -- repeated queries served from the epoch-tagged LRU
   cache cost (almost) nothing;
 * **latency shape** -- per-query p50/p99 from the span tracer, so the
-  trajectory catches tail regressions a mean would hide.
-
-Numbers are exported to ``BENCH_batched_query_engine.json`` at the repo
-root so later PRs can track the perf trajectory.
+  printed numbers show tail regressions a mean would hide.
 """
 
 from __future__ import annotations
@@ -67,8 +64,7 @@ def _ranking(result):
     return [(r.fov.key(), r.distance, r.covers) for r in result.ranked]
 
 
-def test_packed_parity_and_throughput(workload, camera, show, benchmark,
-                                      bench_export):
+def test_packed_parity_and_throughput(workload, camera, show, benchmark):
     index, queries = workload
     dynamic = RetrievalEngine(index, camera)                      # seed path
     packed = RetrievalEngine(index, camera, engine="packed")
@@ -131,22 +127,13 @@ def test_packed_parity_and_throughput(workload, camera, show, benchmark,
     show(table)
     show(f"batched speedup: {speedup:.1f}x; snapshot pack: {pack_s * 1e3:.1f} ms")
 
-    bench_export("batched_query_engine", {
-        "pack_snapshot_s": pack_s,
-        "seq_batch_s": t_seq,
-        "packed_batch_s": t_batch,
-        "batched_speedup_x": speedup,
-        "single_query_dynamic_s": lat_dyn,
-        "single_query_packed_s": lat_pack,
-    }, records=N_RECORDS, queries=N_QUERIES, engine="packed")
-
     assert speedup >= 10.0, (
         f"batched speedup {speedup:.1f}x below the 10x gate")
 
     benchmark(lambda: packed.execute_many(queries))
 
 
-def test_cache_hit_speedup(workload, camera, show, bench_export):
+def test_cache_hit_speedup(workload, camera, show):
     index, queries = workload
     server = CloudServer(camera, index=index, engine="packed",
                          cache_size=4 * N_QUERIES)
@@ -167,16 +154,11 @@ def test_cache_hit_speedup(workload, camera, show, bench_export):
     speedup = t_cold / t_warm
     show(f"cache: cold {t_cold * 1e3:.2f} ms, warm {t_warm * 1e3:.2f} ms "
          f"({speedup:.0f}x)")
-    bench_export("batched_query_engine", {
-        "cache_cold_s": t_cold,
-        "cache_warm_s": t_warm,
-        "cache_hit_speedup_x": speedup,
-    })
     assert speedup > 2.0
 
 
-def test_span_latency_percentiles(workload, camera, show, bench_export):
-    """Per-query p50/p99 from the span tracer, exported for trajectory.
+def test_span_latency_percentiles(workload, camera, show):
+    """Per-query p50/p99 from the span tracer, printed.
 
     The mean the throughput test reports hides tail behaviour (a GC
     pause, a cold cell, a pathological query); the tracer's
@@ -199,8 +181,4 @@ def test_span_latency_percentiles(workload, camera, show, bench_export):
     p99 = float(np.percentile(lat, 99))
     show(f"span latency ({N_QUERIES} queries, {N_RECORDS} records): "
          f"p50 {p50 * 1e6:.1f} us, p99 {p99 * 1e6:.1f} us")
-    bench_export("batched_query_engine", {
-        "span_query_p50_s": p50,
-        "span_query_p99_s": p99,
-    })
     assert p50 < p99 and p99 < 1.0          # sanity: a tail, not a hang

@@ -6,8 +6,8 @@ retrying uploader over a fault-injected channel.  This benchmark pins
 the cost side of that trade on a city-scale corpus (400 bundles of 50
 records):
 
-* **codec cost** -- v2 encode/decode throughput vs the trusting v1
-  format (the checksum tax, in MB/s);
+* **codec cost** -- FOV2 encode/decode throughput, checksums included
+  (MB/s);
 * **server ingest** -- bundles/s through ``ingest_bundle`` on a clean
   transport, duplicate redelivery served from the digest set;
 * **faulty convergence** -- the full retry loop over a 10% drop / 10%
@@ -23,8 +23,6 @@ records):
   log in front, plus a replay that reconverges from the log alone;
 * **back-pressure** -- a saturated admission queue shedding the tail
   of an oversized group.
-
-Numbers land in ``BENCH_ingest_path.json`` for the perf trajectory.
 """
 
 from __future__ import annotations
@@ -65,21 +63,15 @@ def _timed(fn, *args):
 GROUP = 200     # commit-group size for the batched sections
 #: Floor for the per-bundle and the batched ingest path alike, bundles/s
 #: (what the batched path reached while every record still descended
-#: the R-tree: 1921 in the PR 11 BENCH_ingest_path.json).
+#: the R-tree: 1921 bundles/s).
 MIN_BUNDLES_PER_S = 1_900.0
 
 
-def test_ingest_resilience(corpus, camera, show, bench_export, tmp_path):
-    # -- codec: the checksum tax -------------------------------------
-    def encode_all(version):
-        return [encode_bundle(vid, fovs, version=version)
-                for vid, fovs in corpus.items()]
-
-    v1, t_enc1 = _timed(encode_all, 1)
-    v2, t_enc2 = _timed(encode_all, 2)
-    _, t_dec1 = _timed(lambda: [decode_bundle(p) for p in v1])
+def test_ingest_resilience(corpus, camera, show, tmp_path):
+    # -- codec: checksummed encode and decode --------------------------
+    v2, t_enc2 = _timed(lambda: [encode_bundle(vid, fovs)
+                                 for vid, fovs in corpus.items()])
     _, t_dec2 = _timed(lambda: [decode_bundle(p) for p in v2])
-    mb1 = sum(map(len, v1)) / 1e6
     mb2 = sum(map(len, v2)) / 1e6
 
     # -- clean-transport server ingest -------------------------------
@@ -143,12 +135,8 @@ def test_ingest_resilience(corpus, camera, show, bench_export, tmp_path):
         f"Ingest resilience -- {N_BUNDLES} bundles x {RECORDS_PER_BUNDLE} "
         f"records",
         ["path", "time (ms)", "throughput"])
-    table.add("encode v1 (trusting)", round(t_enc1 * 1e3, 1),
-              f"{mb1 / t_enc1:.0f} MB/s")
     table.add("encode v2 (checksummed)", round(t_enc2 * 1e3, 1),
               f"{mb2 / t_enc2:.0f} MB/s")
-    table.add("decode v1", round(t_dec1 * 1e3, 1),
-              f"{mb1 / t_dec1:.0f} MB/s")
     table.add("decode v2", round(t_dec2 * 1e3, 1),
               f"{mb2 / t_dec2:.0f} MB/s")
     table.add("server ingest (clean)", round(t_ingest * 1e3, 1),
@@ -167,30 +155,9 @@ def test_ingest_resilience(corpus, camera, show, bench_export, tmp_path):
     show(f"batched vs per-bundle ingest: {t_ingest / t_batch:.1f}x "
          f"(gate: both >= {MIN_BUNDLES_PER_S:.0f} bundles/s), digest "
          f"bit-identical; WAL adds "
-         f"{wal.stats.syncs} fsyncs; back-pressure shed {n_shed} of "
+         f"{durable.stats.wal_syncs} fsyncs; back-pressure shed {n_shed} of "
          f"{2 * GROUP} at capacity {GROUP}")
     show(f"faulty run: {uploader.stats.attempts} attempts for {N_BUNDLES} "
          f"bundles ({uploader.stats.retries} retries), "
          f"{channel.stats.corrupted} corrupt copies all quarantined")
 
-    bench_export("ingest_path", {
-        "bundles": N_BUNDLES,
-        "records_per_bundle": RECORDS_PER_BUNDLE,
-        "records": N_BUNDLES * RECORDS_PER_BUNDLE,
-        "encode_v1_mb_s": round(mb1 / t_enc1, 1),
-        "encode_v2_mb_s": round(mb2 / t_enc2, 1),
-        "decode_v1_mb_s": round(mb1 / t_dec1, 1),
-        "decode_v2_mb_s": round(mb2 / t_dec2, 1),
-        "ingest_clean_bundles_s": round(N_BUNDLES / t_ingest, 1),
-        "dedup_bundles_s": round(N_BUNDLES / t_dedup, 1),
-        "faulty_bundles_s": round(N_BUNDLES / t_faulty, 1),
-        "faulty_attempts": uploader.stats.attempts,
-        "faulty_retries": uploader.stats.retries,
-        "corrupt_copies_quarantined": channel.stats.corrupted,
-        "commit_group": GROUP,
-        "ingest_batched_bundles_s": round(N_BUNDLES / t_batch, 1),
-        "wal_ingest_batched_bundles_s": round(N_BUNDLES / t_wal, 1),
-        "wal_replay_bundles_s": round(N_BUNDLES / t_replay, 1),
-        "wal_syncs": wal.stats.syncs,
-        "backpressure_shed": n_shed,
-    }, engine="dynamic")

@@ -15,9 +15,7 @@ batch, packed engine):
 * **parity** -- instrumented and bare servers return identical
   rankings, so the gate compares the same work.
 
-Numbers are exported to ``BENCH_observability.json`` at the repo root
-so later PRs can track the overhead trajectory; CI runs this file in
-the benchmark-smoke job.
+CI runs this file in the benchmark-smoke job.
 """
 
 from __future__ import annotations
@@ -79,8 +77,7 @@ def _best_of(fn, rounds=3):
     return best, out
 
 
-def test_instrumented_throughput_gate(workload, camera, show, benchmark,
-                                      bench_export):
+def test_instrumented_throughput_gate(workload, camera, show, benchmark):
     index, queries = workload
 
     # Bare baseline: the engine alone, no registry, no journal, no
@@ -127,15 +124,6 @@ def test_instrumented_throughput_gate(workload, camera, show, benchmark,
     assert spans is not None
     assert spans.labels(span="server.query_many").count > 0
 
-    bench_export("observability", {
-        "bare_batch_s": t_bare,
-        "counted_batch_s": t_counted,
-        "traced_batch_s": t_traced,
-        "counted_throughput_ratio": ratio_counted,
-        "traced_throughput_ratio": ratio_traced,
-        "gate": OVERHEAD_GATE,
-    }, records=N_RECORDS, queries=N_QUERIES, engine="packed")
-
     assert ratio_counted >= OVERHEAD_GATE, (
         f"instrumented batched throughput {ratio_counted:.2f}x of bare "
         f"is below the {OVERHEAD_GATE}x gate")
@@ -143,7 +131,7 @@ def test_instrumented_throughput_gate(workload, camera, show, benchmark,
     benchmark(lambda: counted.query_many(queries))
 
 
-def test_single_query_overhead(workload, camera, show, bench_export):
+def test_single_query_overhead(workload, camera, show):
     index, queries = workload
     bare = RetrievalEngine(index, camera, engine="packed")
     counted = CloudServer(camera, index=index, engine="packed",
@@ -168,10 +156,6 @@ def test_single_query_overhead(workload, camera, show, bench_export):
          f"{max(0.0, per_query_ns):.0f} ns/query "
          f"(bare {t_bare / len(sample) * 1e6:.1f} us, "
          f"counted {t_counted / len(sample) * 1e6:.1f} us)")
-    bench_export("observability", {
-        "single_bare_s_per_query": t_bare / len(sample),
-        "single_counted_s_per_query": t_counted / len(sample),
-    })
     # Sanity, not a tight gate: the server layer (cache bookkeeping,
     # counters, journal append, descent tally) must stay a bounded
     # absolute cost per query.  Bare and counted run the same funnel --

@@ -11,8 +11,6 @@ benchmark pins the tier's claims on a 100k-record / 256-query workload
   box touches (mean fan-out gated at <= 3 of 4 shards);
 * **latency shape** -- per-query p50/p99 from the router's
   ``shard.query_many`` spans.
-
-Numbers land in ``BENCH_sharded_serving.json`` at the repo root.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ def _assert_parity(got, want):
         assert _ranking(a) == _ranking(b)
 
 
-def test_router_parity_and_pruning(workload, camera, show, bench_export):
+def test_router_parity_and_pruning(workload, camera, show):
     """Scatter-gather over the fleet == one server holding everything."""
     reps, queries = workload
     single = CloudServer(camera, index=FoVIndex.bulk(reps), engine="packed",
@@ -91,16 +89,9 @@ def test_router_parity_and_pruning(workload, camera, show, bench_export):
     show(f"router: {t_router * 1e3:.1f} ms for {N_QUERIES} queries, "
          f"mean fan-out {mean_fanout:.2f}/{N_SHARDS} shards "
          f"(ingest+route {t_ingest:.2f} s)")
-    bench_export("sharded_serving", {
-        "n_shards": N_SHARDS,
-        "router_ingest_s": t_ingest,
-        "router_batch_s": t_router,
-        "router_mean_fanout": mean_fanout,
-    }, records=N_RECORDS, queries=N_QUERIES, engine="packed")
 
 
-def test_router_span_latency_percentiles(workload, camera, show,
-                                         bench_export):
+def test_router_span_latency_percentiles(workload, camera, show):
     """Scatter-gather per-query p50/p99 from the router's span tracer."""
     reps, queries = workload
     obs = Observability.tracing(trace_capacity=N_QUERIES)
@@ -120,8 +111,4 @@ def test_router_span_latency_percentiles(workload, camera, show,
     p99 = float(np.percentile(lat, 99))
     show(f"router span latency ({N_QUERIES} queries, {N_SHARDS} shards): "
          f"p50 {p50 * 1e6:.1f} us, p99 {p99 * 1e6:.1f} us")
-    bench_export("sharded_serving", {
-        "span_query_p50_s": p50,
-        "span_query_p99_s": p99,
-    })
     assert p50 < p99 and p99 < 1.0          # sanity: a tail, not a hang

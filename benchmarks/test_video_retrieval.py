@@ -13,9 +13,6 @@ benchmark pins, on a 50k-record store (6250 videos x 8 segments) with a
   32-query batch at >= 5x the seed sequential per-segment loop;
 * **latency shape** -- end-to-end ``video.query`` span p50/p99, plus
   the POI aggregation cost over the harvested coverage.
-
-Numbers are exported to ``BENCH_video_retrieval.json`` at the repo root
-so later PRs can track the perf trajectory.
 """
 
 from __future__ import annotations
@@ -90,8 +87,7 @@ def _summary(result):
             for m in result.ranked]
 
 
-def test_parity_and_harvest_speedup(workload, camera, show, benchmark,
-                                    bench_export):
+def test_parity_and_harvest_speedup(workload, camera, show, benchmark):
     index, records, vq = workload
     dynamic = RetrievalEngine(index, camera)                      # seed path
     packed = RetrievalEngine(index, camera, engine="packed")
@@ -141,14 +137,6 @@ def test_parity_and_harvest_speedup(workload, camera, show, benchmark,
          f"top video {base.ranked[0].video_id} "
          f"(lcv run {base.ranked[0].lcv})")
 
-    bench_export("video_retrieval", {
-        "harvest_seq_s": t_seq,
-        "harvest_batched_s": t_batch,
-        "harvest_speedup_x": speedup,
-        "videos_considered": base.videos_considered,
-        "segments_harvested": base.segments_harvested,
-    }, records=N_RECORDS, queries=QUERY_SEGMENTS, engine="packed")
-
     assert speedup >= HARVEST_SPEEDUP_GATE_X, (
         f"batched harvest speedup {speedup:.1f}x below the "
         f"{HARVEST_SPEEDUP_GATE_X:.0f}x gate")
@@ -156,7 +144,7 @@ def test_parity_and_harvest_speedup(workload, camera, show, benchmark,
     benchmark(lambda: retrieve_videos(vq, packed.execute_many, camera))
 
 
-def test_video_query_span_percentiles(workload, camera, show, bench_export):
+def test_video_query_span_percentiles(workload, camera, show):
     """End-to-end ``video.query`` p50/p99 plus cache-hit cost."""
     index, _, vq = workload
     obs = Observability.tracing(trace_capacity=SPAN_SAMPLES + 4)
@@ -187,17 +175,11 @@ def test_video_query_span_percentiles(workload, camera, show, bench_export):
     show(f"video.query span ({SPAN_SAMPLES} runs, {N_RECORDS} records): "
          f"p50 {p50 * 1e3:.2f} ms, p99 {p99 * 1e3:.2f} ms; "
          f"cache cold {t_cold * 1e3:.2f} ms -> warm {t_warm * 1e6:.1f} us")
-    bench_export("video_retrieval", {
-        "span_video_query_p50_s": p50,
-        "span_video_query_p99_s": p99,
-        "cache_cold_s": t_cold,
-        "cache_warm_s": t_warm,
-    })
     assert p50 <= p99 < 5.0                 # sanity: a tail, not a hang
     assert t_warm < t_cold
 
 
-def test_poi_aggregation_cost(workload, camera, show, bench_export):
+def test_poi_aggregation_cost(workload, camera, show):
     """POI discovery over the harvested coverage stays interactive."""
     index, _, vq = workload
     packed = RetrievalEngine(index, camera, engine="packed")
@@ -213,8 +195,4 @@ def test_poi_aggregation_cost(workload, camera, show, bench_export):
 
     show(f"poi aggregation over {len(harvested)} harvested segments: "
          f"{t_poi * 1e3:.2f} ms, top cell seen by {cells[0].observers}")
-    bench_export("video_retrieval", {
-        "poi_discovery_s": t_poi,
-        "poi_top_observers": cells[0].observers,
-    })
     assert t_poi < 2.0

@@ -511,9 +511,9 @@ def _cmd_ingest(args) -> int:
     }
     if wal is not None:
         report["wal"] = {"path": wal.path,
-                         "appends": wal.stats.appends,
-                         "syncs": wal.stats.syncs,
-                         "bytes": wal.stats.bytes}
+                         "appends": faulty.stats.wal_appends,
+                         "syncs": faulty.stats.wal_syncs,
+                         "bytes": faulty.stats.wal_bytes}
     if args.admission_capacity is not None:
         report["shed"] = faulty.stats.bundles_shed
     if args.out:

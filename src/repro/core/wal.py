@@ -40,7 +40,6 @@ from __future__ import annotations
 import os
 import struct
 import threading
-from dataclasses import dataclass, field
 from typing import Iterator
 from zlib import crc32
 
@@ -50,7 +49,6 @@ __all__ = [
     "KIND_BUNDLE",
     "ENTRY_OVERHEAD",
     "WalCorruption",
-    "WalStats",
     "WriteAheadLog",
     "replay",
 ]
@@ -70,17 +68,6 @@ ENTRY_OVERHEAD = _HEADER_SIZE
 class WalCorruption(ValueError):
     """Committed WAL data failed validation (bit rot, splice, or a
     truncation that removed acknowledged entries)."""
-
-
-@dataclass
-class WalStats:
-    """Counters mirrored into the server's metrics registry."""
-
-    appends: int = 0
-    bytes: int = 0
-    syncs: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
 
 
 def _scan(data: bytes, *, strict_tail: bool) -> Iterator[tuple[int, int, bytes]]:
@@ -163,7 +150,6 @@ class WriteAheadLog:
     def __init__(self, path: str | os.PathLike[str]) -> None:
         self._path = os.fspath(path)
         self._lock = threading.Lock()
-        self.stats = WalStats()
         valid_len, last_seq = self._recover()
         self._next_seq = last_seq + 1
         self._file = open(self._path, "ab")
@@ -204,9 +190,6 @@ class WriteAheadLog:
             crc = crc32(payload, crc32(header))
             entry = header + _ENTRY_CRC.pack(crc) + payload
             self._file.write(entry)
-            with self.stats._lock:
-                self.stats.appends += 1
-                self.stats.bytes += len(entry)
         return seq
 
     def commit(self) -> None:
@@ -215,8 +198,6 @@ class WriteAheadLog:
         with self._lock:
             self._file.flush()
             os.fsync(self._file.fileno())
-            with self.stats._lock:
-                self.stats.syncs += 1
 
     def close(self) -> None:
         """Flush buffered entries and close the file (no fsync: close

@@ -13,29 +13,23 @@ record packs::
     -----------------------
     total             40 B
 
-A bundle is a small header (magic, version, video-id, record count)
-followed by the records of one recording.  Two bundle versions exist on
-the wire:
+A bundle (magic ``FOV2``, version 2, the one wire format) is a small
+header -- magic, version, video-id length, record count, an explicit
+total length (so truncation is reported as truncation) and a
+bundle-level CRC32 -- followed by the video id and the records of one
+recording, each carrying its own CRC32 (44 B per record on the wire),
+which localises corruption to a record index.  Any single-bit flip,
+truncation, or extension of a bundle raises ``ValueError``; so does
+any other magic, the checksum-less legacy ``FOV1`` included.
 
-* **v1** (magic ``FOV1``) -- the original trusting format: header,
-  video id, raw records.  Truncation is caught by the length formula,
-  but bit corruption inside a well-framed payload goes undetected.
-* **v2** (magic ``FOV2``, the default) -- the hardened format for
-  lossy crowd-sourced uplinks: the header gains an explicit total
-  length (so truncation is reported as truncation, not a formula
-  mismatch) and a bundle-level CRC32; every record carries its own
-  CRC32 (44 B per record on the wire), which localises corruption to a
-  record index.  Any single-bit flip, truncation, or extension of a v2
-  bundle raises ``ValueError``.
-
-Both versions decode along one path, :func:`decode_bundle_columns`:
-check the envelope (the v2 length fields and bundle CRC32, or the v1
-length formula), read the records as one ``np.frombuffer`` structured
-view, compare every v2 record's CRC32 with ``zlib.crc32`` of its 40
-bytes, and run the semantic checks (finite values, latitude/longitude
-range, ``t_end >= t_start``) as column comparisons.  A
-corrupted-but-parseable record must raise, never reach the index.
-:func:`decode_bundle` is the same decode viewed as record objects.
+:func:`decode_bundle_columns` is the one decoder: check the envelope
+(the length fields and bundle CRC32), read the records as one
+``np.frombuffer`` structured view, compare every record's CRC32 with
+``zlib.crc32`` of its 40 bytes, and run the semantic checks (finite
+values, latitude/longitude range, ``t_end >= t_start``) as column
+comparisons.  A corrupted-but-parseable record must raise, never reach
+the index.  :func:`decode_bundle` is the same decode viewed as record
+objects.
 
 A bad record is named by its index in the bundle: the *first* record
 that failed any check, and within it the checksum before the semantic
@@ -61,9 +55,7 @@ from repro.core.fov import RecordColumns, RepresentativeFoV
 __all__ = [
     "FOV_RECORD_SIZE",
     "FOV_RECORD_SIZE_V2",
-    "BUNDLE_MAGIC",
     "BUNDLE_MAGIC_V2",
-    "DEFAULT_BUNDLE_VERSION",
     "BundleColumns",
     "encode_fov",
     "decode_fov",
@@ -74,23 +66,20 @@ __all__ = [
 ]
 
 _RECORD = struct.Struct("<ddfddI")
-#: Bytes per representative-FoV record payload (without its v2 checksum).
+#: Bytes per representative-FoV record payload (without its checksum).
 FOV_RECORD_SIZE = _RECORD.size  # 40
-#: Bytes per record on the v2 wire: payload plus its CRC32.
+#: Bytes per record on the wire: payload plus its CRC32.
 FOV_RECORD_SIZE_V2 = FOV_RECORD_SIZE + 4  # 44
 
-BUNDLE_MAGIC = b"FOV1"
 BUNDLE_MAGIC_V2 = b"FOV2"
 _HEADER = struct.Struct("<4sBHI")  # magic, version, video-id length, record count
 _V2_EXT = struct.Struct("<II")     # total bundle length, bundle crc32
 _V2_HEADER_SIZE = _HEADER.size + _V2_EXT.size  # 19
-#: Byte span of the v2 header that the bundle CRC covers (everything up
+#: Byte span of the header that the bundle CRC covers (everything up
 #: to, but excluding, the CRC field itself).
 _V2_CRC_SKIP = _V2_HEADER_SIZE - 4
 _CRC = struct.Struct("<I")
 _FRAME_PREFIX = struct.Struct("<I")
-
-DEFAULT_BUNDLE_VERSION = 2
 
 
 def encode_fov(fov: RepresentativeFoV) -> bytes:
@@ -139,23 +128,13 @@ def decode_fov(payload: bytes, video_id: str = "") -> RepresentativeFoV:
                              video_id=video_id, segment_id=seg_id)
 
 
-def encode_bundle(video_id: str, fovs: list[RepresentativeFoV],
-                  version: int = DEFAULT_BUNDLE_VERSION) -> bytes:
-    """Serialise one recording's representative FoVs.
-
-    ``version=2`` (default) writes the checksummed, length-prefixed
-    format; ``version=1`` writes the legacy trusting format for
-    compatibility tests and old readers.
-    """
+def encode_bundle(video_id: str, fovs: list[RepresentativeFoV]) -> bytes:
+    """Serialise one recording's representative FoVs as a checksummed,
+    length-prefixed ``FOV2`` bundle.  It checksums what it is given and
+    validates nothing: the decoder is the gate."""
     vid = video_id.encode("utf-8")
     if len(vid) > 0xFFFF:
         raise ValueError("video id too long")
-    if version == 1:
-        parts = [_HEADER.pack(BUNDLE_MAGIC, 1, len(vid), len(fovs)), vid]
-        parts.extend(encode_fov(f) for f in fovs)
-        return b"".join(parts)
-    if version != 2:
-        raise ValueError(f"cannot encode bundle version {version}")
     records = bytearray()
     for f in fovs:
         rec = encode_fov(f)
@@ -181,16 +160,15 @@ def _decode_video_id(raw: bytes) -> str:
     return video_id
 
 
-#: The fixed v1 wire record as a packed little-endian structured dtype;
-#: ``np.frombuffer`` over a payload with it is the whole record decode.
-_RECORD_DTYPE_V1 = np.dtype([
+#: The wire record -- the 40-byte :func:`encode_fov` layout plus its
+#: CRC32 -- as a packed little-endian structured dtype; ``np.frombuffer``
+#: over a payload with it is the whole record decode.
+_RECORD_DTYPE = np.dtype([
     ("lat", "<f8"), ("lng", "<f8"), ("theta", "<f4"),
     ("t_start", "<f8"), ("t_end", "<f8"), ("seg_id", "<u4"),
+    ("crc", "<u4"),
 ])
-#: The v2 wire record: the v1 layout plus the record's CRC32.
-_RECORD_DTYPE_V2 = np.dtype(_RECORD_DTYPE_V1.descr + [("crc", "<u4")])
-assert _RECORD_DTYPE_V1.itemsize == FOV_RECORD_SIZE
-assert _RECORD_DTYPE_V2.itemsize == FOV_RECORD_SIZE_V2
+assert _RECORD_DTYPE.itemsize == FOV_RECORD_SIZE_V2
 
 
 class BundleColumns(RecordColumns):
@@ -208,21 +186,9 @@ class BundleColumns(RecordColumns):
         object.__setattr__(self, "video_id", video_id)
 
 
-def _validate_v1_envelope(payload: bytes, vid_len: int,
-                          count: int) -> tuple[str, int]:
-    """Bundle-level v1 checks; returns ``(video_id, record offset)``."""
-    offset = _HEADER.size
-    video_id = _decode_video_id(payload[offset: offset + vid_len])
-    offset += vid_len
-    expected = offset + count * FOV_RECORD_SIZE
-    if len(payload) != expected:
-        raise ValueError(f"bundle length {len(payload)} != expected {expected}")
-    return video_id, offset
-
-
-def _validate_v2_envelope(payload: bytes, vid_len: int,
-                          count: int) -> tuple[str, int]:
-    """Bundle-level v2 checks; returns ``(video_id, record offset)``."""
+def _validate_envelope(payload: bytes, vid_len: int,
+                       count: int) -> tuple[str, int]:
+    """Bundle-level checks; returns ``(video_id, record offset)``."""
     if len(payload) < _V2_HEADER_SIZE:
         raise ValueError("bundle truncated inside its header")
     total, crc = _V2_EXT.unpack_from(payload, _HEADER.size)
@@ -250,7 +216,7 @@ def _validate_v2_envelope(payload: bytes, vid_len: int,
 
 
 def _record_crcs(payload: bytes, offset: int, count: int) -> list[int]:
-    """The CRC32 of each v2 record's 40 payload bytes, computed."""
+    """The CRC32 of each record's 40 payload bytes, computed."""
     return [zlib.crc32(payload[o: o + FOV_RECORD_SIZE])
             for o in range(offset, offset + count * FOV_RECORD_SIZE_V2,
                            FOV_RECORD_SIZE_V2)]
@@ -259,16 +225,14 @@ def _record_crcs(payload: bytes, offset: int, count: int) -> list[int]:
 def _raise_first_bad_record(payload: bytes, offset: int, fields: np.ndarray,
                             sem_ok: np.ndarray) -> NoReturn:
     """Name the first record that failed a check.  Within that record
-    its checksum (v2) is judged first, then :func:`decode_fov` on its
-    40 bytes supplies the semantic message."""
-    crc_bad = np.zeros(len(fields), dtype=bool)
-    if "crc" in fields.dtype.names:
-        crc_bad = fields["crc"] != np.array(
-            _record_crcs(payload, offset, len(fields)), dtype=np.uint32)
+    its checksum is judged first, then :func:`decode_fov` on its 40
+    bytes supplies the semantic message."""
+    crc_bad = fields["crc"] != np.array(
+        _record_crcs(payload, offset, len(fields)), dtype=np.uint32)
     i = int(np.argmax(crc_bad | ~sem_ok))
     if crc_bad[i]:
         raise ValueError(f"record {i} failed its checksum")
-    start = offset + i * fields.dtype.itemsize
+    start = offset + i * FOV_RECORD_SIZE_V2
     try:
         decode_fov(payload[start: start + FOV_RECORD_SIZE])
     except ValueError as exc:
@@ -277,40 +241,33 @@ def _raise_first_bad_record(payload: bytes, offset: int, fields: np.ndarray,
 
 
 def decode_bundle_columns(payload: bytes) -> BundleColumns:
-    """Inverse of :func:`encode_bundle`, as columns; accepts both wire
-    versions and is the only bundle decoder.
+    """Inverse of :func:`encode_bundle`, as columns; the only bundle
+    decoder.
 
     Raises ``ValueError`` -- and only ``ValueError`` -- on any
-    malformed input: bad magic, unsupported version, truncation,
-    trailing bytes, checksum mismatch, an undecodable video id or one
-    containing NUL, or a record failing semantic validation.
+    malformed input: bad magic (``FOV1`` included), unsupported
+    version, truncation, trailing bytes, checksum mismatch, an
+    undecodable video id or one containing NUL, or a record failing
+    semantic validation.
     """
     if len(payload) < _HEADER.size:
         raise ValueError("bundle shorter than its header")
     magic, version, vid_len, count = _HEADER.unpack_from(payload, 0)
-    if magic == BUNDLE_MAGIC_V2:
-        if version != 2:
-            raise ValueError(f"unsupported bundle version {version}")
-        video_id, offset = _validate_v2_envelope(payload, vid_len, count)
-        dtype = _RECORD_DTYPE_V2
-    elif magic != BUNDLE_MAGIC:
+    if magic != BUNDLE_MAGIC_V2:
         raise ValueError(f"bad magic {magic!r}")
-    elif version != 1:
+    if version != 2:
         raise ValueError(f"unsupported bundle version {version}")
-    else:
-        video_id, offset = _validate_v1_envelope(payload, vid_len, count)
-        dtype = _RECORD_DTYPE_V1
+    video_id, offset = _validate_envelope(payload, vid_len, count)
 
-    fields = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
+    fields = np.frombuffer(payload, dtype=_RECORD_DTYPE, count=count,
+                           offset=offset)
     lat = fields["lat"].astype(np.float64)
     lng = fields["lng"].astype(np.float64)
     theta = fields["theta"].astype(np.float64)
     t_start = fields["t_start"].astype(np.float64)
     t_end = fields["t_end"].astype(np.float64)
 
-    crc_ok = (dtype is _RECORD_DTYPE_V1
-              or fields["crc"].tolist() == _record_crcs(payload, offset,
-                                                        count))
+    crc_ok = fields["crc"].tolist() == _record_crcs(payload, offset, count)
     # NaNs compare False everywhere, so the finiteness terms are what
     # keep a NaN coordinate from slipping through the range terms.
     sem_ok = (np.isfinite(lat) & np.isfinite(lng) & np.isfinite(theta)
@@ -333,12 +290,7 @@ def decode_bundle(payload: bytes) -> tuple[str, list[RepresentativeFoV]]:
     return columns.video_id, list(columns)
 
 
-def bundle_size(video_id: str, n_records: int,
-                version: int = DEFAULT_BUNDLE_VERSION) -> int:
+def bundle_size(video_id: str, n_records: int) -> int:
     """Wire size in bytes of a bundle without materialising it."""
     vid_len = len(video_id.encode("utf-8"))
-    if version == 1:
-        return _HEADER.size + vid_len + n_records * FOV_RECORD_SIZE
-    if version != 2:
-        raise ValueError(f"cannot size bundle version {version}")
     return _V2_HEADER_SIZE + vid_len + n_records * FOV_RECORD_SIZE_V2

@@ -7,10 +7,10 @@ package partitions the index by *where the cameras stood*:
 * :mod:`repro.shard.partition` -- a deterministic geo-grid partitioner
   over the local-Euclidean plane (the paper's Eq. 12 coordinates);
 * :mod:`repro.shard.server` -- :class:`ShardedCloudServer`, whose
-  shards are each an index and its engine (a ``RetrievalEngine`` over
-  a ``FoVIndex``), routes ingest by representative-FoV cell, and
-  answers a call's queries by one funnel pass over every pruned shard's
-  hits, bit-identical to the single-server ranking;
+  shards are each a bare ``FoVIndex``, routes ingest by
+  representative-FoV cell, and answers a call's queries by one funnel
+  pass over every pruned shard's hits, bit-identical to the
+  single-server ranking;
 * :mod:`repro.shard.persist` -- fleet save/load as one ``.fovpack``
   (``FOVPACK1``) record file per shard plus a routing manifest;
 * :mod:`repro.shard.replica` -- :class:`ReplicaSet`, one warm standby

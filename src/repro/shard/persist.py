@@ -153,7 +153,7 @@ def load_sharded_snapshot(dirpath: str | Path, camera: CameraModel,
         cache_size=cache_size, obs=obs)
     server.ingest(RecordColumns.concat(parts))
     for sid, (_, count) in enumerate(shards):
-        live = len(server.shards[sid].index)
+        live = len(server.shards[sid])
         if live != count:
             raise ValueError(
                 f"re-routing landed {live} records on shard {sid}, "

@@ -5,10 +5,10 @@ One standby per shard of a
 buffer plus tail segments of the rows appended since, each pinned by a
 manifest and checked at promotion.  A segment holds record columns
 only; a sync builds no search structure, and promotion lands the
-columns in a fresh shard -- an index and its engine -- without
-building a record object.  The sync rules (skip / tail / fold),
-fail-stop, the promotion checks and the parity contract are specified
-once, in docs/SHARDING.md §10 ("Failover protocol").
+columns in a fresh index without building a record object.  The sync
+rules (skip / tail / fold), fail-stop, the promotion checks and the
+parity contract are specified once, in docs/SHARDING.md §10
+("Failover protocol").
 
 Kills, promotions, syncs (by ``kind``, ``full`` or ``tail``), captured
 bytes and the measured downtime land in the router's registry as
@@ -23,8 +23,7 @@ from typing import Callable, NamedTuple
 
 from repro.core.flatsnap import unpack_snapshot
 from repro.core.fov import RecordColumns
-from repro.core.index import ContentMark, must_fold
-from repro.core.retrieval import RetrievalEngine
+from repro.core.index import ContentMark, FoVIndex, must_fold
 from repro.net.clock import default_timer
 from repro.shard.server import (ShardCapture, ShardedCloudServer,
                                 ShardUnavailableError)
@@ -215,7 +214,7 @@ class ReplicaSet:
         never killed or not yet promoted)."""
         return self._downtime_s.get(sid, 0.0)
 
-    def promote(self, sid: int) -> RetrievalEngine:
+    def promote(self, sid: int) -> FoVIndex:
         """Verify shard ``sid``'s standby and promote it to primary.
 
         Raises ``ValueError`` when the standby is missing or fails any
@@ -224,16 +223,17 @@ class ReplicaSet:
         failure, a decoded record count or epoch that drifts from its
         manifest, or segments that are out of order, missing, or do not
         add up to the primary's last synced epoch and count; or when the
-        shard is serving, not down.  On success the rebuilt shard is
-        installed, the slot serves again, and the downtime is recorded.
+        shard is serving, not down.  On success the rebuilt index is
+        installed (and returned), the slot serves again, and the
+        downtime is recorded.
         """
         replica, synced = self._replicas[sid], self._synced[sid]
         if replica is None or synced is None:
             raise ValueError(f"no standby captured for shard {sid}")
         with self._server.obs.tracer.span("failover.promote", shard=sid):
             columns = _verified_columns(sid, replica, synced)
-            fresh = self._server.spawn_shard()
-            fresh.index.insert_many(columns)
+            fresh = FoVIndex()
+            fresh.insert_many(columns)
             self._server.install_shard(sid, fresh)
         self._promotions.inc()
         killed_at = self._killed_at.pop(sid, None)

@@ -1,10 +1,10 @@
-"""Geo-sharded serving tier: one index and its engine per spatial shard.
+"""Geo-sharded serving tier: one index per spatial shard.
 
 :class:`ShardedCloudServer` presents the single-server surface --
 ``ingest_bundle`` / ``ingest`` / ``query`` / ``query_many`` /
-``evict_older_than`` -- over a fleet of shards, each an index and its
-engine: a :class:`~repro.core.retrieval.RetrievalEngine` over its own
-``FoVIndex`` (and packed view).  The router:
+``evict_older_than`` -- over a fleet of shards, each a bare
+:class:`~repro.core.index.FoVIndex` (and its packed view); the router
+runs the funnel itself.  The router:
 
 * **routes ingest** by representative-FoV grid cell
   (:class:`~repro.shard.partition.GridPartitioner`), deduplicating
@@ -48,7 +48,7 @@ from repro.core.ingest import IngestCoordinator
 from repro.core.query import Query, QueryResult
 from repro.core.quarantine import QuarantineStore
 from repro.core.ranking import DistanceRanker
-from repro.core.retrieval import Part, RetrievalEngine, _batch_execute
+from repro.core.retrieval import Part, _batch_execute
 from repro.core.server import IngestOutcome, ServerStats
 from repro.core.wal import WriteAheadLog
 from repro.geo.coords import GeoPoint
@@ -148,9 +148,7 @@ class ShardedCloudServer:
         self._clock = clock if clock is not None else default_timer
         self._strict_cover = strict_cover
         self._ranker = DistanceRanker()
-        self.shards: list[RetrievalEngine] = [
-            self.spawn_shard() for _ in range(n_shards)
-        ]
+        self.shards: list[FoVIndex] = [FoVIndex() for _ in range(n_shards)]
         self._locks = [threading.RLock() for _ in range(n_shards)]
         # Each shard index's content box as of its last ingest; the
         # router's copy outlives the primary (kill_shard).
@@ -213,7 +211,7 @@ class ShardedCloudServer:
         one shard lock, where taking every lock would nest shard locks
         (forbidden by the RF010 lock order).  The count is advisory.
         """
-        return sum(len(s.index) for s in self.shards)  # fovlint: disable=RF009
+        return sum(len(s) for s in self.shards)  # fovlint: disable=RF009
 
     def epoch_vector(self) -> tuple[int, ...]:
         """Per-shard index epochs -- the fleet's cache-invalidation tag.
@@ -222,14 +220,14 @@ class ShardedCloudServer:
         after a descent and only trust results when the two reads
         agree, so a torn read is detected, never cached.
         """
-        return tuple(s.index.epoch for s in self.shards)  # fovlint: disable=RF009
+        return tuple(s.epoch for s in self.shards)  # fovlint: disable=RF009
 
     def records(self) -> list[RepresentativeFoV]:
         """Every indexed record, shard by shard (audits, snapshots)."""
         out: list[RepresentativeFoV] = []
         for sid in range(self.n_shards):
             with self._locks[sid]:
-                out.extend(self.shards[sid].index.records())
+                out.extend(self.shards[sid].records())
         return out
 
     # -- failover ---------------------------------------------------------
@@ -251,24 +249,12 @@ class ShardedCloudServer:
         with self._ingest_lock:
             return self._down
 
-    def spawn_shard(self) -> RetrievalEngine:
-        """A fresh, empty index and its engine, with this fleet's
-        parameters.
-
-        Replica promotion (:mod:`repro.shard.replica`) rebuilds a
-        failed shard into one of these before :meth:`install_shard`
-        swaps it into the slot.
-        """
-        return RetrievalEngine(FoVIndex(), self.camera,
-                               strict_cover=self._strict_cover,
-                               engine="packed")
-
     def shard_mark(self, sid: int) -> ContentMark:
         """Shard ``sid``'s :class:`~repro.core.index.ContentMark`, read
         under its lock (the token and count are two fields)."""
         self._check_sid(sid)
         with self._locks[sid]:
-            return self.shards[sid].index.mark
+            return self.shards[sid].mark
 
     def capture_shard(self, sid: int,
                       since: ContentMark | None = None) -> ShardCapture:
@@ -285,7 +271,7 @@ class ShardedCloudServer:
         """
         self._check_sid(sid)
         with self._locks[sid]:
-            index = self.shards[sid].index
+            index = self.shards[sid]
             mark = index.mark
             columns = None if since is None else index.record_columns(since)
             tail = columns is not None
@@ -296,13 +282,13 @@ class ShardedCloudServer:
     def kill_shard(self, sid: int) -> None:
         """Simulate losing shard ``sid``'s primary mid-run.
 
-        The slot is replaced by an empty placeholder, so the dead
+        The slot is replaced by an empty index, so the dead
         primary's data is really gone from the serving path: queries
         whose routing plus content bounds need the shard raise
         :class:`ShardUnavailableError`, and every write (ingest,
         eviction, WAL replay) is refused fleet-wide until
         :meth:`install_shard` restores the slot.  Router-level caches
-        are cleared -- the placeholder restarts the slot's epoch
+        are cleared -- the empty index restarts the slot's epoch
         counter, so existing epoch-vector tags no longer identify the
         content they were computed from.  The dead primary is dropped.
         """
@@ -310,12 +296,12 @@ class ShardedCloudServer:
         with self._ingest_lock:
             self._down = self._down | {sid}
         with self._locks[sid]:
-            self.shards[sid] = self.spawn_shard()
+            self.shards[sid] = FoVIndex()
             self._sync_shard_gauges(sid)
         self._clear_result_caches()
 
-    def install_shard(self, sid: int, shard: RetrievalEngine) -> None:
-        """Promote ``shard`` into slot ``sid`` and resume serving it.
+    def install_shard(self, sid: int, index: FoVIndex) -> None:
+        """Promote ``index`` into slot ``sid`` and resume serving it.
 
         Refused with ``ValueError``, before anything changes, unless the
         slot is down: a serving primary holds rows its standby may lack.
@@ -330,7 +316,7 @@ class ShardedCloudServer:
         if sid not in self.down_shards:
             raise ValueError(f"shard {sid} is serving, not down")
         with self._locks[sid]:
-            self.shards[sid] = shard
+            self.shards[sid] = index
             self._sync_shard_gauges(sid)
         with self._ingest_lock:
             self._down = self._down - {sid}
@@ -344,9 +330,9 @@ class ShardedCloudServer:
     # -- ingest -----------------------------------------------------------
 
     def _sync_shard_gauges(self, sid: int) -> None:
-        shard = self.shards[sid]
-        self._epoch_gauge.labels(shard=str(sid)).set(shard.index.epoch)
-        self._live_gauge.labels(shard=str(sid)).set(len(shard.index))
+        index = self.shards[sid]
+        self._epoch_gauge.labels(shard=str(sid)).set(index.epoch)
+        self._live_gauge.labels(shard=str(sid)).set(len(index))
         self.stats._live.set(self.indexed_count)
 
     def _ingest_parts(self, parts: list[RecordColumns | None]) -> int:
@@ -365,8 +351,8 @@ class ShardedCloudServer:
             if part is None or not len(part):
                 continue
             with self._locks[sid]:
-                n += self.shards[sid].index.insert_many(part)
-                self._bounds[sid] = self.shards[sid].index.bounds()
+                n += self.shards[sid].insert_many(part)
+                self._bounds[sid] = self.shards[sid].bounds()
                 self._sync_shard_gauges(sid)
             self._route.labels(shard=str(sid)).inc(len(part))
         return n
@@ -450,7 +436,7 @@ class ShardedCloudServer:
         evicted = 0
         for sid in range(self.n_shards):
             with self._locks[sid]:
-                evicted += self.shards[sid].index.evict_older_than(cutoff_t)
+                evicted += self.shards[sid].evict_older_than(cutoff_t)
                 self._sync_shard_gauges(sid)
         self.stats._evicted.inc(evicted)
         return evicted
@@ -498,7 +484,7 @@ class ShardedCloudServer:
                             # caller retry after a replica is promoted.
                             self._dropped.inc()
                             raise ShardUnavailableError(sid)
-                        view = self.shards[sid].index.packed_view()
+                        view = self.shards[sid].packed_view()
                         ids = view.range_search_ids(query, cover, tally)
                     visited += 1
                     if ids.size:

@@ -123,8 +123,8 @@ def test_columnar_path_equals_the_scalar_decoder():
         columnar.ingest_batch(group)
         for payload in group:
             scalar.ingest(walk_records(payload)[1])
-    assert ([s.index.content_digest() for s in columnar.shards]
-            == [s.index.content_digest() for s in scalar.shards])
+    assert ([s.content_digest() for s in columnar.shards]
+            == [s.content_digest() for s in scalar.shards])
     for q in make_queries(10, seed=6):
         assert rows(columnar.query(q)) == rows(scalar.query(q))
 

@@ -187,7 +187,8 @@ def test_the_fixed_router_query_visits_two_shards_with_rows():
     server, query = fixed_fleet()
     engine, _ = fixed_engine()
     for shard in server.shards:
-        part = shard.execute(query)
+        part = RetrievalEngine(shard, server.camera,
+                               engine="packed").execute(query)
         assert part.candidates > 0 and part.after_filter > 0
     got, want = server.query(query), engine.execute(query)
     assert got[:4] == want[:4]      # all but elapsed_s

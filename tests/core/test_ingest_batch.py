@@ -14,6 +14,8 @@ fixture: the ``CloudServer`` test ids stay what they always were.)
 """
 
 import gc
+import os
+import struct
 import threading
 import weakref
 import zlib
@@ -26,10 +28,10 @@ from repro import CloudServer
 from repro.core.fov import RepresentativeFoV
 from repro.core.ingest import AdmissionQueue
 from repro.core.server import IngestStatus
-from repro.core.wal import WriteAheadLog
+from repro.core.wal import WriteAheadLog, replay
 from repro.geo.coords import GeoPoint
 from repro.net.channel import FaultProfile, FaultyChannel, RetryPolicy
-from repro.net.protocol import encode_bundle
+from repro.net.protocol import encode_bundle, encode_fov
 from repro.shard import ShardedCloudServer
 
 ORIGIN = GeoPoint(lat=40.0, lng=116.3)
@@ -70,7 +72,7 @@ def packed(camera, **kwargs):
 
 def indexes(server):
     """The fleet's indexes: the server's own, or one per shard."""
-    return [s.index for s in getattr(server, "shards", [server])]
+    return server.shards if hasattr(server, "shards") else [server.index]
 
 
 def digests(server):
@@ -177,6 +179,27 @@ class TestIngestBatch:
         assert sum(o.status is IngestStatus.ACCEPTED for o in outcomes) == 5
         assert digests(victim) == digests(reference)
 
+    def test_legacy_fov1_bundle_is_rejected(self, server):
+        # The checksum-less FOV1 envelope (header, id, raw 40-byte
+        # records) with one mantissa bit of record 0's lat flipped: a
+        # decoder that still read FOV1 would index lat 40.0000019.
+        server.ingest_batch([bundle("a"), bundle("b")])
+        before = (epochs(server), digests(server), server.indexed_count)
+        vid = b"legacy"
+        body = bytearray(b"".join(encode_fov(f)
+                                  for f in records("legacy", 2)))
+        body[3] ^= 0x10
+        v1 = struct.pack("<4sBHI", b"FOV1", 1, len(vid), 2) + vid + body
+        single = server.ingest_bundle(v1)
+        (grouped,) = server.ingest_batch([v1])
+        for outcome in (single, grouped):
+            assert outcome.status is IngestStatus.REJECTED
+            assert outcome.reason == "bad magic b'FOV1'"
+        assert server.quarantine.reasons["bad magic b'FOV1'"] == 2
+        assert [e.payload for e in server.quarantine] == [v1, v1]
+        assert (epochs(server), digests(server),
+                server.indexed_count) == before
+
     def test_empty_group(self, server):
         assert server.ingest_batch([]) == []
 
@@ -194,18 +217,18 @@ class TestWalDurability:
         wal = WriteAheadLog(tmp_path / "ingest.wal")
         server = make(wal=wal)
         server.ingest_batch([bundle(f"v{i}") for i in range(10)])
-        assert wal.stats.appends == 10
-        assert wal.stats.syncs == 1
         assert server.stats.wal_appends == 10
         assert server.stats.wal_syncs == 1
-        assert server.stats.wal_bytes > 0
+        assert server.stats.wal_bytes == os.path.getsize(wal.path)
+        assert len(replay(wal.path)) == 10
 
     def test_rejected_and_duplicate_not_logged(self, tmp_path, make):
         wal = WriteAheadLog(tmp_path / "ingest.wal")
         server = make(wal=wal)
         good = bundle("good")
         server.ingest_batch([good, good, corrupt(bundle("bad"))])
-        assert wal.stats.appends == 1
+        assert server.stats.wal_appends == 1
+        assert replay(wal.path) == [good]
 
     def test_replay_converges_to_same_digest(self, tmp_path, make):
         path = tmp_path / "ingest.wal"

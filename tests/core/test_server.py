@@ -1,7 +1,5 @@
 """Unit tests for the cloud-server facade."""
 
-import struct
-
 import numpy as np
 import pytest
 
@@ -153,14 +151,13 @@ class TestIngestHardening:
         assert server.quarantine.reasons[entry.reason] == 1
 
     def test_mid_bundle_corruption_leaves_no_partial_state(self, server):
-        # A v1 bundle (no checksums) whose *second* record is semantic
-        # junk: validation must reject the whole bundle before record 0
-        # touches the index.
-        good = struct.pack("<ddfddI", 40.0, 116.3, 90.0, 0.0, 2.0, 0)
-        bad = struct.pack("<ddfddI", float("nan"), 116.3, 90.0, 0.0, 2.0, 1)
-        vid = b"v"
-        payload = struct.pack("<4sBHI", b"FOV1", 1, len(vid), 2) + vid \
-            + good + bad
+        # A sealed bundle (every checksum valid) whose *second* record
+        # is semantic junk: validation must reject the whole bundle
+        # before record 0 touches the index.
+        payload = encode_bundle("v", [
+            RepresentativeFoV(lat=lat, lng=116.3, theta=90.0, t_start=0.0,
+                              t_end=2.0, video_id="v", segment_id=i)
+            for i, lat in enumerate((40.0, float("nan")))])
         epoch = server.index.epoch
         with pytest.raises(ValueError, match="record 1"):
             server.receive_bundle(payload)

@@ -316,7 +316,8 @@ def router(records: list[RepresentativeFoV],
 def merged(server: ShardedCloudServer, q: Query) -> tuple:
     """Each target shard's own ranking, merged by ``heapq.merge`` under
     ``(-score, key)`` in shard order."""
-    parts = [server.shards[sid].execute(q)
+    parts = [RetrievalEngine(server.shards[sid], server.camera,
+                             engine="packed").execute(q)
              for sid in server.partitioner.shards_for_query(q)]
     top = islice(heapq.merge(*(p.ranked for p in parts),
                              key=lambda r: (-r.score, r.fov.key())),

@@ -41,13 +41,18 @@ class TestAppendReplay:
             wal.commit()
         assert os.path.getsize(wal_path) == ENTRY_OVERHEAD + 10
 
-    def test_commit_counts_one_sync_per_group(self, wal_path):
+    def test_commit_counts_one_sync_per_group(self, wal_path, monkeypatch):
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync",
+                            lambda fd: fsyncs.append(fd) or real_fsync(fd))
         with WriteAheadLog(wal_path) as wal:
             for _ in range(50):
                 wal.append(b"bundle")
+            assert fsyncs == []
             wal.commit()
-            assert wal.stats.appends == 50
-            assert wal.stats.syncs == 1
+            assert len(fsyncs) == 1
+        assert replay(wal_path) == [b"bundle"] * 50
 
     def test_non_bundle_kinds_are_skipped_by_replay(self, wal_path):
         with WriteAheadLog(wal_path) as wal:

@@ -1,15 +1,14 @@
-"""Unit tests for the binary wire format (v1 and the checksummed v2)."""
+"""Unit tests for the binary wire format (the checksummed FOV2 bundle)."""
 
 import struct
 import zlib
+from dataclasses import replace
 
 import pytest
 
 from repro.core.fov import RepresentativeFoV
 from repro.net.protocol import (
-    BUNDLE_MAGIC,
     BUNDLE_MAGIC_V2,
-    DEFAULT_BUNDLE_VERSION,
     FOV_RECORD_SIZE,
     FOV_RECORD_SIZE_V2,
     bundle_size,
@@ -69,10 +68,13 @@ class TestBundle:
         assert vid == "caméra-07"
 
     def test_bad_magic_rejected(self):
-        payload = bytearray(encode_bundle("v", [rep()]))
-        payload[0] = ord("X")
-        with pytest.raises(ValueError):
-            decode_bundle(bytes(payload))
+        # FOV1, the checksum-less legacy format, is refused like any
+        # other magic.
+        for magic in (b"XOV2", b"FOV1"):
+            payload = bytearray(encode_bundle("v", [rep()]))
+            payload[:4] = magic
+            with pytest.raises(ValueError, match=f"bad magic {magic!r}"):
+                decode_bundle(bytes(payload))
 
     def test_truncated_rejected(self):
         payload = encode_bundle("v", [rep()])
@@ -112,7 +114,7 @@ class TestBundleV2:
     def test_default_version_is_v2(self):
         payload = encode_bundle("v", [rep()])
         assert payload[:4] == BUNDLE_MAGIC_V2
-        assert DEFAULT_BUNDLE_VERSION == 2
+        assert payload[4] == 2
 
     def test_v2_size_formula(self):
         vid = "caméra-07"
@@ -157,36 +159,17 @@ class TestBundleV2:
     def test_version_byte_flip_alone_rejected(self):
         v2 = bytearray(encode_bundle("v", [rep()]))
         v2[4] = 1
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unsupported bundle version"):
             decode_bundle(bytes(v2))
-        v1 = bytearray(encode_bundle("v", [rep()], version=1))
-        v1[4] = 2
-        with pytest.raises(ValueError):
-            decode_bundle(bytes(v1))
 
-    def test_unknown_encode_version_rejected(self):
-        with pytest.raises(ValueError):
-            encode_bundle("v", [], version=3)
-        with pytest.raises(ValueError):
-            bundle_size("v", 0, version=3)
-
-
-class TestBundleV1Compat:
-    def test_v1_roundtrip_still_decodes(self):
-        fovs = [rep(i, vid="legacy-vid") for i in range(4)]
-        payload = encode_bundle("legacy-vid", fovs, version=1)
-        assert payload[:4] == BUNDLE_MAGIC
-        vid, back = decode_bundle(payload)
-        assert vid == "legacy-vid"
-        assert [f.key() for f in back] == [f.key() for f in fovs]
-
-    def test_v1_size_formula(self):
-        assert bundle_size("abc", 5, version=1) == 11 + 3 + 5 * FOV_RECORD_SIZE
-
-    def test_v1_invalid_utf8_video_id_rejected(self):
-        header = struct.pack("<4sBHI", b"FOV1", 1, 2, 0)
+    def test_invalid_utf8_video_id_rejected(self):
+        # A sealed bundle whose two id bytes are not UTF-8: only the id
+        # check is left to catch it.
+        payload = bytearray(encode_bundle("ab", []))
+        payload[19:21] = b"\xff\xfe"
         with pytest.raises(ValueError, match="UTF-8"):
-            decode_bundle(header + b"\xff\xfe")
+            decode_bundle(rewrite_v2_crc(bytes(payload)))
+
 
 
 class TestWireValidation:
@@ -215,9 +198,11 @@ class TestWireValidation:
                                     t_start=3.0, t_end=3.0))
         assert fov.lat == -90.0 and fov.theta == 360.0
 
-    def test_corrupt_record_inside_v1_bundle_names_its_index(self):
-        vid = b"v"
-        body = raw_record(seg_id=0) + raw_record(lat=float("nan"), seg_id=1)
-        header = struct.pack("<4sBHI", b"FOV1", 1, len(vid), 2)
-        with pytest.raises(ValueError, match="record 1"):
-            decode_bundle(header + vid + body)
+    def test_corrupt_record_inside_bundle_names_its_index(self):
+        # encode_bundle checksums what it is given, NaN included, so
+        # only the semantic check can catch record 1.
+        payload = encode_bundle("v", [rep(0, vid="v"),
+                                      replace(rep(1, vid="v"),
+                                              lat=float("nan"))])
+        with pytest.raises(ValueError, match="record 1: .*non-finite lat"):
+            decode_bundle(payload)

@@ -3,17 +3,17 @@
 Three layers:
 
 * Hypothesis property tests -- random video ids (full multi-byte
-  UTF-8), random byte-level mutations and truncations of valid v2
+  UTF-8), random byte-level mutations and truncations of valid
   bundles, and completely arbitrary byte strings.  The contract under
-  test: a damaged v2 bundle always raises ``ValueError`` (never decodes,
+  test: a damaged bundle always raises ``ValueError`` (never decodes,
   never escapes with a different exception type), and arbitrary bytes
   never crash the decoder with anything but ``ValueError``.
 * A deterministic seed-matrix sweep -- the CI fuzz-smoke job sets
   ``FUZZ_SEED`` (one job per seed) and each seed drives a different
-  ``numpy`` mutation schedule over a corpus of v1 and v2 bundles, so a
+  ``numpy`` mutation schedule over a corpus of bundles, so a
   red run reproduces locally with ``FUZZ_SEED=<n> pytest <this file>``.
 * A seeded differential sweep (the same ``FUZZ_SEED``): mutated,
-  field-rewritten and truncated v1 and v2 bundles either raise
+  field-rewritten and truncated bundles either raise
   ``ValueError`` or decode to exactly the records of
   :func:`walk_records`, a per-record ``decode_fov`` walk that shares
   no code with the column decoder; a raised bad-record message is the
@@ -49,21 +49,20 @@ def walk_records(payload: bytes):
     framing is sound.  A bad record raises ``ValueError`` naming it the
     way the wire protocol does: the first one, checksum before fields.
     """
-    magic, _, vid_len, count = struct.unpack_from("<4sBHI", payload)
-    v2 = magic == b"FOV2"
-    offset = (19 if v2 else 11) + vid_len
+    _, _, vid_len, count = struct.unpack_from("<4sBHI", payload)
+    offset = 19 + vid_len
     video_id = payload[offset - vid_len: offset].decode("utf-8")
     records = []
     for i in range(count):
         rec = payload[offset: offset + 40]
-        if v2 and payload[offset + 40: offset + 44] != \
+        if payload[offset + 40: offset + 44] != \
                 struct.pack("<I", zlib.crc32(rec)):
             raise ValueError(f"record {i} failed its checksum")
         try:
             records.append(decode_fov(rec, video_id))
         except ValueError as exc:
             raise ValueError(f"record {i}: {exc}") from None
-        offset += 44 if v2 else 40
+        offset += 44
     return video_id, records
 
 
@@ -113,9 +112,8 @@ def test_a_video_id_containing_nul_is_refused(video_id, data):
     trailing NULs, so an id with one would come back as another."""
     at = data.draw(st.integers(0, len(video_id)))
     vid = video_id[:at] + "\x00" + video_id[at:]
-    for version in (1, 2):
-        with pytest.raises(ValueError, match="NUL"):
-            decode_bundle(encode_bundle(vid, [rep(0, vid)], version=version))
+    with pytest.raises(ValueError, match="NUL"):
+        decode_bundle(encode_bundle(vid, [rep(0, vid)]))
 
 
 @settings(max_examples=120)
@@ -155,15 +153,14 @@ def test_arbitrary_bytes_never_crash_with_anything_but_valueerror(blob):
 class TestSeedMatrixSweep:
     """The CI fuzz-smoke job's deterministic mutation schedule."""
 
-    CORPUS = [("v", 0, 2), ("camera-01", 5, 2), ("caméra-07", 1, 2),
-              ("視频-9", 8, 2), ("legacy", 4, 1), ("legacy-big", 9, 1)]
+    CORPUS = [("v", 0), ("camera-01", 5), ("caméra-07", 1),
+              ("視频-9", 8), ("video-4", 4), ("video-big", 9)]
 
     def test_mutation_sweep_is_contained(self):
         rng = np.random.default_rng(FUZZ_SEED)
         checked = 0
-        for vid, n, version in self.CORPUS:
-            payload = encode_bundle(vid, [rep(i, vid) for i in range(n)],
-                                    version=version)
+        for vid, n in self.CORPUS:
+            payload = bundle_for(vid, n)
             for _ in range(120):
                 mode = int(rng.integers(0, 3))
                 if mode == 0:                       # flip one byte
@@ -175,24 +172,15 @@ class TestSeedMatrixSweep:
                     mutated = payload[:int(rng.integers(0, len(payload)))]
                 else:                               # append garbage
                     mutated = payload + rng.bytes(int(rng.integers(1, 9)))
-                try:
+                # The checksums and length fields catch *every* mutation.
+                with pytest.raises(ValueError):
                     decode_bundle(mutated)
-                    survived = True
-                except ValueError:
-                    survived = False
-                # v2's checksums catch *every* mutation; v1 predates the
-                # checksums, so a flipped float may decode -- the sweep
-                # only demands v1 never escapes with another exception.
-                if version == 2:
-                    assert not survived, (
-                        f"seed {FUZZ_SEED}: v2 mutation decoded "
-                        f"(vid={vid!r}, n={n})")
                 checked += 1
         assert checked == 120 * len(self.CORPUS)
 
 
 def reseal(payload: bytes | bytearray, record_starts=()) -> bytes:
-    """Re-checksum a tampered v2 bundle: the records starting at
+    """Re-checksum a tampered bundle: the records starting at
     ``record_starts``, then the bundle, so only later checks fire."""
     buf = bytearray(payload)
     for o in record_starts:
@@ -212,32 +200,29 @@ BAD_VALUES = [float("nan"), float("inf"), -float("inf"), 200.0, -400.0,
 class TestWalkParity:
     """The column decoder against :func:`walk_records`, byte for byte."""
 
-    CORPUS = [("v", 0, 2), ("camera-01", 5, 2), ("視频-9", 9, 2),
-              ("legacy", 4, 1), ("legacy-big", 9, 1)]
+    CORPUS = [("v", 0), ("camera-01", 5), ("視频-9", 9), ("video-4", 4),
+              ("video-big", 9)]
 
     def test_decode_is_the_walk_or_a_valueerror(self):
         rng = np.random.default_rng(FUZZ_SEED)
         decoded = 0
-        for vid, n, version in self.CORPUS:
-            payload = encode_bundle(vid, [rep(i, vid) for i in range(n)],
-                                    version=version)
-            head = (19 if version == 2 else 11) + len(vid.encode("utf-8"))
-            stride = 44 if version == 2 else 40
+        for vid, n in self.CORPUS:
+            payload = bundle_for(vid, n)
+            head = 19 + len(vid.encode("utf-8"))
             for _ in range(150):
                 buf = bytearray(payload)
                 mode = int(rng.integers(0, 3))
                 if mode == 2 and n:                 # rewrite some fields
                     starts = []
                     for _ in range(int(rng.integers(1, 4))):
-                        o = head + int(rng.integers(0, n)) * stride
+                        o = head + int(rng.integers(0, n)) * 44
                         at, fmt = FIELDS[int(rng.integers(0, len(FIELDS)))]
                         value = BAD_VALUES[int(rng.integers(0,
                                                             len(BAD_VALUES)))]
                         struct.pack_into(fmt, buf, o + at, value)
                         if rng.random() < 0.8:
                             starts.append(o)
-                    mutated = (reseal(buf, starts) if version == 2
-                               else bytes(buf))
+                    mutated = reseal(buf, starts)
                 elif mode == 1:                     # truncate the tail
                     mutated = payload[:int(rng.integers(0, len(payload)))]
                 else:                               # flip one byte
@@ -251,11 +236,10 @@ class TestWalkParity:
                         with pytest.raises(ValueError) as walked:
                             walk_records(mutated)
                         assert str(walked.value) == str(exc), (
-                            f"seed {FUZZ_SEED}: vid={vid!r}, v{version}")
+                            f"seed {FUZZ_SEED}: vid={vid!r}")
                     continue
                 assert (columns.video_id, list(columns)) == \
-                    walk_records(mutated), (
-                        f"seed {FUZZ_SEED}: vid={vid!r}, v{version}")
+                    walk_records(mutated), f"seed {FUZZ_SEED}: vid={vid!r}"
                 decoded += 1
         assert decoded > 0
 

@@ -177,7 +177,7 @@ def test_empty_and_degenerate_shards(recs, qs, n_shards):
                                  cache_size=0)
     single.ingest(pinned)
     sharded.ingest(pinned)
-    populated = [len(s.index) for s in sharded.shards]
+    populated = [len(s) for s in sharded.shards]
     assert sum(1 for n in populated if n > 0) == 1  # truly degenerate
     assert ([ranking(r) for r in sharded.query_many(qs)]
             == [ranking(r) for r in single.query_many(qs)])
@@ -195,7 +195,7 @@ def test_partition_is_total_and_deterministic(recs, n_shards):
     for f in recs:
         sid = part.shard_of(f)
         assert sid == part.shard_of(f)
-        assert f in sharded.shards[sid].index.records()
+        assert f in sharded.shards[sid].records()
 
 
 @settings(max_examples=25, deadline=None)
@@ -210,7 +210,7 @@ def test_routing_never_loses_a_shard(recs, qs, n_shards, seed):
     for q in qs:
         targets = set(sharded.partitioner.shards_for_query(q))
         for sid, shard in enumerate(sharded.shards):
-            if shard.index.count_in_range(q) > 0:
+            if shard.count_in_range(q) > 0:
                 assert sid in targets
 
 

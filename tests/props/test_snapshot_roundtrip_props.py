@@ -87,8 +87,8 @@ def test_save_load_is_bit_identical(recs, qs, n_shards, seed):
 
         assert len(reloaded.epoch_vector()) == len(fleet.epoch_vector())
         for sid in range(n_shards):
-            saved = fleet.shards[sid].index
-            assert (reloaded.shards[sid].index.content_digest()
+            saved = fleet.shards[sid]
+            assert (reloaded.shards[sid].content_digest()
                     == saved.content_digest())
             # each file holds exactly its shard's records, in row order
             columns = load_snapshot_file(Path(td) / f"shard-{sid:03d}.fovpack")

@@ -252,7 +252,7 @@ def test_degraded_fleet_refuses_to_snapshot(tmp_path):
     replicas = ReplicaSet(srv)
     replicas.sync()
     victim = 1
-    assert len(srv.shards[victim].index) > 0
+    assert len(srv.shards[victim]) > 0
     replicas.kill(victim)
     with pytest.raises(ShardUnavailableError) as exc:
         save_sharded_snapshot(tmp_path, srv)
@@ -263,8 +263,8 @@ def test_degraded_fleet_refuses_to_snapshot(tmp_path):
     save_sharded_snapshot(tmp_path, srv)
     reloaded = load_sharded_snapshot(tmp_path, CAMERA)
     assert reloaded.indexed_count == 60
-    assert ([s.index.content_digest() for s in reloaded.shards]
-            == [s.index.content_digest() for s in srv.shards])
+    assert ([s.content_digest() for s in reloaded.shards]
+            == [s.content_digest() for s in srv.shards])
 
 
 def test_tampered_replica_is_rejected():
@@ -314,14 +314,14 @@ def test_promoting_a_live_shard_is_refused():
     probe = make_queries(1, seed=43)[0]
     answer = rows(srv.query(probe))
     shards = list(srv.shards)
-    digests = [s.index.content_digest() for s in srv.shards]
+    digests = [s.content_digest() for s in srv.shards]
     for sid in range(N_SHARDS):
         with pytest.raises(ValueError, match=f"shard {sid} is serving"):
             replicas.promote(sid)
     assert srv.indexed_count == 60
     assert srv.down_shards == frozenset()
     assert srv.shards == shards
-    assert [s.index.content_digest() for s in srv.shards] == digests
+    assert [s.content_digest() for s in srv.shards] == digests
     assert srv.obs.registry.get("failover.promotions").value == 0
     hits = srv.stats.cache_hits
     assert rows(srv.query(probe)) == answer
@@ -329,14 +329,14 @@ def test_promoting_a_live_shard_is_refused():
 
 
 def test_kill_frees_the_dead_primary_at_once():
-    """A shard is an index and its engine, with no reference cycle: the
-    dead primary's index is freed when the kill returns, without
-    waiting for the cyclic garbage collector."""
+    """A shard is an index with no reference cycle: the dead primary's
+    index is freed when the kill returns, without waiting for the
+    cyclic garbage collector."""
     srv = make_server()
     srv.ingest(make_records(60, seed=44))
     replicas = ReplicaSet(srv)
     replicas.sync()
-    index = weakref.ref(srv.shards[0].index)
+    index = weakref.ref(srv.shards[0])
     gc.disable()
     try:
         replicas.kill(0)
@@ -411,8 +411,8 @@ def test_sync_after_promotion_tracks_content_not_epoch():
 
     replicas.kill(0)
     replicas.promote(0)
-    assert ([s.index.content_digest() for s in srv.shards]
-            == [s.index.content_digest() for s in ctrl.shards])
+    assert ([s.content_digest() for s in srv.shards]
+            == [s.content_digest() for s in ctrl.shards])
 
 
 def test_sync_skips_a_down_shard():
@@ -424,12 +424,12 @@ def test_sync_skips_a_down_shard():
     replicas.sync()
     victim = 1
     good = replicas.replica(victim)
-    digest = srv.shards[victim].index.content_digest()
+    digest = srv.shards[victim].content_digest()
     replicas.kill(victim)
     assert replicas.sync() == 0
     assert replicas.replica(victim) is good
     replicas.promote(victim)
-    assert srv.shards[victim].index.content_digest() == digest
+    assert srv.shards[victim].content_digest() == digest
 
 
 def test_sync_shard_refuses_a_down_shard():
@@ -441,15 +441,15 @@ def test_sync_shard_refuses_a_down_shard():
     replicas.sync()
     victim = 1
     good = replicas.replica(victim)
-    digest = srv.shards[victim].index.content_digest()
-    assert len(srv.shards[victim].index) > 0
+    digest = srv.shards[victim].content_digest()
+    assert len(srv.shards[victim]) > 0
     replicas.kill(victim)
     with pytest.raises(ShardUnavailableError) as exc:
         replicas.sync_shard(victim)
     assert exc.value.shard_id == victim
     assert replicas.replica(victim) is good
     replicas.promote(victim)
-    assert srv.shards[victim].index.content_digest() == digest
+    assert srv.shards[victim].content_digest() == digest
 
 
 def test_standby_sync_and_snapshot_save_build_nothing(tmp_path, monkeypatch):
@@ -469,7 +469,7 @@ def test_standby_sync_and_snapshot_save_build_nothing(tmp_path, monkeypatch):
 
     srv = make_server()
     srv.ingest(make_records(90, seed=54))                   # no query
-    views = [s.index._packed for s in srv.shards]
+    views = [s._packed for s in srv.shards]
     replicas = ReplicaSet(srv)
     assert replicas.sync() == N_SHARDS                      # full captures
     srv.ingest(make_records(12, seed=55, tag="t"))
@@ -477,7 +477,7 @@ def test_standby_sync_and_snapshot_save_build_nothing(tmp_path, monkeypatch):
     assert sync_counts(srv) == {"full": N_SHARDS, "tail": N_SHARDS}
     save_sharded_snapshot(tmp_path, srv)
     assert built == {"grid": 0}
-    assert all(s.index._packed is v for s, v in zip(srv.shards, views))
+    assert all(s._packed is v for s, v in zip(srv.shards, views))
     # the counter does count: a read builds the views it searches
     srv.query(make_queries(1, seed=56, radius=5000.0)[0])
     assert built["grid"] > 0
@@ -491,16 +491,16 @@ def test_sync_ships_tails_that_rebuild_the_primary_in_order():
         assert len(replica.tails) == 3
         assert all(len(t.packed) < len(replica.packed)
                    for t in replica.tails)
-        assert standby_records(replica) == srv.shards[sid].index.records()
-        assert len(replica) == len(srv.shards[sid].index)
+        assert standby_records(replica) == srv.shards[sid].records()
+        assert len(replica) == len(srv.shards[sid])
         assert replica.epoch == srv.epoch_vector()[sid]
     assert replicas.sync() == 0                 # nothing moved
 
     victim = 1
-    rows_before = srv.shards[victim].index.records()
+    rows_before = srv.shards[victim].records()
     replicas.kill(victim)
     replicas.promote(victim)
-    assert srv.shards[victim].index.records() == rows_before
+    assert srv.shards[victim].records() == rows_before
 
 
 def _flip_a_tail_byte(replica):
@@ -532,7 +532,7 @@ def test_tampered_tail_is_rejected(tamper, reason):
     replicas._replicas[victim] = good
     replicas.promote(victim)
     assert srv.down_shards == frozenset()
-    assert len(srv.shards[victim].index) == len(good)
+    assert len(srv.shards[victim]) == len(good)
 
 
 def test_eviction_folds_the_standby():
@@ -543,7 +543,7 @@ def test_eviction_folds_the_standby():
     for sid in range(N_SHARDS):
         replica = replicas.replica(sid)
         assert replica.tails == ()
-        assert standby_records(replica) == srv.shards[sid].index.records()
+        assert standby_records(replica) == srv.shards[sid].records()
 
 
 def test_kill_and_install_fold_the_standby():
@@ -556,7 +556,7 @@ def test_kill_and_install_fold_the_standby():
     assert sync_counts(srv) == {"full": N_SHARDS + 1, "tail": 3 * N_SHARDS}
     assert replicas.replica(0).tails == ()
     assert [len(replicas.replica(s).tails) for s in (1, 2)] == [3, 3]
-    assert standby_records(replicas.replica(0)) == srv.shards[0].index.records()
+    assert standby_records(replicas.replica(0)) == srv.shards[0].records()
 
 
 def test_tails_fold_once_they_reach_the_base():
@@ -571,6 +571,6 @@ def test_tails_fold_once_they_reach_the_base():
             replica = replicas.replica(sid)
             assert len(replica) - replica.manifest.records \
                 < replica.manifest.records
-            assert standby_records(replica) == srv.shards[sid].index.records()
+            assert standby_records(replica) == srv.shards[sid].records()
     counts = sync_counts(srv)
     assert counts["full"] > N_SHARDS and counts["tail"] > 0

@@ -41,11 +41,11 @@ class TestRoundTrip:
         assert reloaded.indexed_count == server.indexed_count
         assert reloaded.stats.records_live == server.stats.records_live
         for sid in range(server.n_shards):
-            assert (len(reloaded.shards[sid].index)
-                    == len(server.shards[sid].index))
+            assert (len(reloaded.shards[sid])
+                    == len(server.shards[sid]))
             # float64 thetas survive to the bit, shard by shard.
-            assert (reloaded.shards[sid].index.content_digest()
-                    == server.shards[sid].index.content_digest())
+            assert (reloaded.shards[sid].content_digest()
+                    == server.shards[sid].content_digest())
 
         queries = make_queries(48, rng)
         for a, b in zip(server.query_many(queries),
@@ -69,11 +69,11 @@ class TestRoundTrip:
                                     segment_id=f.segment_id)
                   for f in make_records(20, rng, extent_m=10.0)]
         server.ingest(pinned)
-        populated = [len(s.index) for s in server.shards]
+        populated = [len(s) for s in server.shards]
         assert populated.count(0) == 5
         save_sharded_snapshot(tmp_path, server)
         reloaded = load_sharded_snapshot(tmp_path, camera)
-        assert [len(s.index) for s in reloaded.shards] == populated
+        assert [len(s) for s in reloaded.shards] == populated
 
     def test_save_reports_bytes(self, camera, tmp_path):
         server, _ = build_fleet(camera, n_records=50)
@@ -112,8 +112,8 @@ class TestPackedSidecars:
             "shard-002.fovpack"]
         (tmp_path / "shard-000.fovsnap").write_bytes(b"FOVSNAP1 garbage")
         reloaded = load_sharded_snapshot(tmp_path, camera)
-        assert ([s.index.content_digest() for s in reloaded.shards]
-                == [s.index.content_digest() for s in server.shards])
+        assert ([s.content_digest() for s in reloaded.shards]
+                == [s.content_digest() for s in server.shards])
 
 
 class TestFailureModes:
@@ -165,7 +165,7 @@ class TestFailureModes:
         shards' files swapped) is caught before anything is ingested."""
         server, _ = build_fleet(camera, n_shards=3, n_records=61)
         save_sharded_snapshot(tmp_path, server)
-        sizes = [len(s.index) for s in server.shards]
+        sizes = [len(s) for s in server.shards]
         a, b = next((i, j) for i in range(3) for j in range(3)
                     if sizes[i] != sizes[j])
         fa, fb = (tmp_path / f"shard-{i:03d}.fovpack" for i in (a, b))

@@ -61,8 +61,8 @@ def saved(tmp_path_factory):
     save_sharded_snapshot(root, fleet)
     files = {p.name: p.read_bytes() for p in root.iterdir()}
     assert len(files) == N_SHARDS + 1       # one file per shard + manifest
-    return (files, [s.index.content_digest() for s in fleet.shards],
-            [s.index.records() for s in fleet.shards])
+    return (files, [s.content_digest() for s in fleet.shards],
+            [s.records() for s in fleet.shards])
 
 
 def restore(root, files):
@@ -79,7 +79,7 @@ def check_loads_exactly_or_refuses(root, digests, rows) -> bool:
     except ValueError:
         refused = True
     else:
-        assert [s.index.content_digest() for s in fleet.shards] == digests
+        assert [s.content_digest() for s in fleet.shards] == digests
     # A file read on its own is not re-routed, so it is held to the
     # records its shard saved, in row order.
     for sid, want in enumerate(rows):

@@ -146,7 +146,7 @@ class ReplicaMachine(RuleBasedStateMachine):
         self.replicas.sync()
         for sid in range(N_SHARDS):
             assert (standby_records(self.replicas.replica(sid))
-                    == self.fleet.shards[sid].index.records())
+                    == self.fleet.shards[sid].records())
         self.current = True
 
     @precondition(lambda self: self.current)
@@ -179,8 +179,8 @@ class ReplicaMachine(RuleBasedStateMachine):
             assert rows(self.fleet.query(q)) == rows(self.control.query(q))
         assert (video_rows(self.fleet.query_video(video))
                 == video_rows(self.control.query_video(video)))
-        assert ([s.index.content_digest() for s in self.fleet.shards]
-                == [s.index.content_digest() for s in self.control.shards])
+        assert ([s.content_digest() for s in self.fleet.shards]
+                == [s.content_digest() for s in self.control.shards])
 
     @rule(sid=st.integers(0, N_SHARDS - 1))
     def promote_live(self, sid):
@@ -192,8 +192,8 @@ class ReplicaMachine(RuleBasedStateMachine):
         assert self.fleet.shards[sid] is primary
         assert self.fleet.down_shards == frozenset()
         assert self.replicas.replica(sid) is standby
-        assert ([s.index.content_digest() for s in self.fleet.shards]
-                == [s.index.content_digest() for s in self.control.shards])
+        assert ([s.content_digest() for s in self.fleet.shards]
+                == [s.content_digest() for s in self.control.shards])
 
 
 ReplicaMachine.TestCase.settings = settings(

@@ -89,7 +89,7 @@ class TestIngest:
         epochs = {s["labels"]["shard"]: s["value"]
                   for s in snapshot["shard.epoch"]["samples"]}
         for sid in range(4):
-            assert epochs[str(sid)] == server.shards[sid].index.epoch
+            assert epochs[str(sid)] == server.shards[sid].epoch
 
     def test_eviction_fleet_wide(self, camera):
         server = ShardedCloudServer(camera, n_shards=3, origin=ORIGIN)

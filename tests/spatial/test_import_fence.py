@@ -47,7 +47,7 @@ assert not leaked, f"serving path imported {leaked}"
 spawned = sorted(PROCESS_FANOUT & set(sys.modules))
 assert not spawned, f"serving path imported {spawned}"
 
-index = max((s.index for s in fleet.shards), key=len)
+index = max(fleet.shards, key=len)
 index.rtree()
 index.nearest(recs[0].point, 0.0, k=3)
 ranked = 0
