@@ -66,16 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     qry.add_argument("--radius", type=float, default=100.0)
     qry.add_argument("--top", type=int, default=10)
     qry.add_argument("--half-angle", type=float, default=30.0)
-    qry.add_argument("--engine", choices=("dynamic", "packed"),
-                     default="dynamic",
-                     help="retrieval engine: 'dynamic' searches the "
-                          "mutable R-tree, 'packed' serves from the "
-                          "columnar snapshot (identical results; see "
-                          "docs/PERFORMANCE.md)")
     qry.add_argument("--shards", type=int, default=1,
                      help="serve from a geo-sharded fleet of N shards "
-                          "(always packed, so --engine is ignored; "
-                          "identical results, see docs/SHARDING.md)")
+                          "(identical results, see docs/SHARDING.md)")
     qry.add_argument("--json", action="store_true",
                      help="emit the result as JSON instead of text")
     qry.add_argument("--trace", action="store_true",
@@ -102,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     vqp.add_argument("--per-segment-top", type=int, default=32,
                      help="candidate budget of each harvest point query")
     vqp.add_argument("--half-angle", type=float, default=30.0)
-    vqp.add_argument("--engine", choices=("dynamic", "packed"),
-                     default="packed")
     vqp.add_argument("--shards", type=int, default=1,
                      help="serve from a geo-sharded fleet of N shards "
                           "(identical ranking, see docs/SHARDING.md)")
@@ -186,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     met.add_argument("--seed", type=int, default=0)
     met.add_argument("--radius", type=float, default=100.0)
     met.add_argument("--half-angle", type=float, default=30.0)
-    met.add_argument("--engine", choices=("dynamic", "packed"),
-                     default="packed")
     met.add_argument("--format", choices=("prometheus", "json"),
                      default="prometheus",
                      help="exposition format for the snapshot "
@@ -266,7 +255,7 @@ def _cmd_query(args) -> int:
         fleet.ingest(records)
         result = fleet.query(query)
     else:
-        engine = RetrievalEngine(index, camera, engine=args.engine, obs=obs)
+        engine = RetrievalEngine(index, camera, engine="packed", obs=obs)
         result = engine.execute(query)
     if args.json:
         from repro.net.jsonio import result_to_json
@@ -323,7 +312,7 @@ def _cmd_video_query(args) -> int:
         fleet.ingest(records)
         result = fleet.query_video(video_query)
     else:
-        server = CloudServer(camera, engine=args.engine, index=index,
+        server = CloudServer(camera, engine="packed", index=index,
                              obs=obs, cache_size=0)
         result = server.query_video(video_query)
     pois = (discover_pois(result.harvested, camera, cell_m=args.cell,
@@ -571,7 +560,7 @@ def _cmd_metrics(args) -> int:
     index, records = _read_fovpack(args.snapshot)
     obs = Observability.tracing()
     camera = CameraModel(half_angle=args.half_angle)
-    server = CloudServer(camera, engine=args.engine, index=index, obs=obs)
+    server = CloudServer(camera, engine="packed", index=index, obs=obs)
     if records:
         rng = np.random.default_rng(args.seed)
         picks = rng.integers(0, len(records), size=max(0, args.queries))

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.fov import RecordColumns
 from repro.core.quarantine import QuarantineStore
-from repro.core.wal import ENTRY_OVERHEAD, WriteAheadLog
+from repro.core.wal import ENTRY_OVERHEAD, EVICT_ENTRY_SIZE, WriteAheadLog
 from repro.core.wal import replay as wal_replay
 from repro.net.channel import FaultyChannel, RetryPolicy, RetryingUploader
 from repro.net.protocol import BundleColumns, decode_bundle_columns
@@ -121,6 +121,14 @@ class IngestCoordinator:
     rejects again), and so does every member of a group whose WAL
     write or ``land`` raised: nothing was indexed, so the retry must
     not be acked as a duplicate.
+
+    :meth:`evict` logs a retention cutoff the same way.  A group's WAL
+    append and its ``land``, and an eviction's append and its index
+    change, run under one lock, so the log's entry order is the order
+    the index saw and :meth:`replay_wal` rebuilds the same content.
+    A facade's ``check`` (the fleet's "no primary is down") runs
+    before anything is logged, so a write it refuses leaves no entry
+    for replay to apply.
     """
 
     def __init__(self, *, stats: ServerStats, journal: EventJournal,
@@ -134,6 +142,7 @@ class IngestCoordinator:
         self._admission = (AdmissionQueue(admission_capacity)
                            if admission_capacity is not None else None)
         self._lock = threading.Lock()
+        self._log_order = threading.Lock()
         self._seen: set[str] = set()
         self._owners: dict[str, str] = {}  # video_id -> device_id
 
@@ -156,12 +165,15 @@ class IngestCoordinator:
     def commit(self, payloads: Sequence[bytes],
                device_ids: Sequence[str | None] | None,
                land: Callable[[RecordColumns], int], *,
-               replaying: bool = False) -> list[IngestOutcome]:
+               replaying: bool = False,
+               check: Callable[[], None] | None = None,
+               ) -> list[IngestOutcome]:
         """Ingest one commit group through ``land``; outcomes are
         positional, and (with index content, dedup state, owners,
         quarantine) identical to committing each payload alone, in
         order.  ``replaying`` marks WAL recovery: no back-pressure,
-        nothing re-appended to the log.
+        nothing re-appended to the log.  ``check`` raises to refuse the
+        group after dedup and decode, before the WAL append.
         """
         if device_ids is None:
             device_ids = [None] * len(payloads)
@@ -172,7 +184,8 @@ class IngestCoordinator:
                     else admission.try_admit(len(payloads)))
         try:
             outcomes = self._commit_admitted(
-                payloads[:admitted], device_ids[:admitted], land, replaying)
+                payloads[:admitted], device_ids[:admitted], land, replaying,
+                check)
         finally:
             if admission is not None:
                 admission.release(admitted)
@@ -188,7 +201,9 @@ class IngestCoordinator:
     def _commit_admitted(self, payloads: Sequence[bytes],
                          device_ids: Sequence[str | None],
                          land: Callable[[RecordColumns], int],
-                         replaying: bool) -> list[IngestOutcome]:
+                         replaying: bool,
+                         check: Callable[[], None] | None,
+                         ) -> list[IngestOutcome]:
         outcomes: list[IngestOutcome] = []
         group: list[tuple[str, str | None, bytes, BundleColumns]] = []
         reserved: list[str] = []
@@ -226,14 +241,19 @@ class IngestCoordinator:
                     video_id=columns.video_id))
             if not group:
                 return outcomes
-            if self._wal is not None and not replaying:
-                for _, _, payload, _ in group:
-                    self._wal.append(payload)
-                    self._stats._wal_appends.inc()
-                    self._stats._wal_bytes.inc(len(payload) + ENTRY_OVERHEAD)
-                self._wal.commit()
-                self._stats._wal_syncs.inc()
-            indexed = land(RecordColumns.concat([c for *_, c in group]))
+            wal = None if replaying else self._wal
+            with self._log_order:
+                if check is not None:
+                    check()
+                if wal is not None:
+                    for _, _, payload, _ in group:
+                        wal.append(payload)
+                        self._stats._wal_appends.inc()
+                        self._stats._wal_bytes.inc(
+                            len(payload) + ENTRY_OVERHEAD)
+                    wal.commit()
+                    self._stats._wal_syncs.inc()
+                indexed = land(RecordColumns.concat([c for *_, c in group]))
         except BaseException:
             with self._lock:
                 self._seen.difference_update(reserved)
@@ -251,20 +271,49 @@ class IngestCoordinator:
                                records=len(columns))
         return outcomes
 
+    def evict(self, cutoff_t: float, apply: Callable[[float], int], *,
+              check: Callable[[], None] | None = None) -> int:
+        """Log a retention cutoff, fsync it, then ``apply`` it to the
+        index; returns ``apply``'s eviction count.  ``check`` raises to
+        refuse the eviction before it is logged."""
+        wal = self._wal
+        with self._log_order:
+            if check is not None:
+                check()
+            if wal is not None:
+                wal.append_eviction(cutoff_t)
+                self._stats._wal_bytes.inc(EVICT_ENTRY_SIZE)
+                wal.commit()
+                self._stats._wal_syncs.inc()
+            return apply(cutoff_t)
+
     def replay_wal(self, path: str | None,
-                   land: Callable[[RecordColumns], int]) -> int:
-        """Re-offer every committed payload of a write-ahead log (the
-        configured one when ``path`` is ``None``) through ``land``;
-        returns how many were newly indexed (the rest deduplicate)."""
+                   land: Callable[[RecordColumns], int],
+                   evict: Callable[[float], int]) -> int:
+        """Re-apply a write-ahead log (the configured one when ``path``
+        is ``None``) in sequence order: each run of bundle payloads is
+        re-offered as one group through ``land``, each eviction cutoff
+        goes to ``evict``.  Returns how many bundles were newly indexed
+        (the rest deduplicate)."""
         if path is None:
             if self._wal is None:
                 raise ValueError("no WAL configured and no path given")
             path = self._wal.path
-        payloads = wal_replay(path)
-        outcomes = self.commit(payloads, None, land, replaying=True)
-        recovered = sum(1 for o in outcomes
-                        if o.status is IngestStatus.ACCEPTED)
-        self._journal.emit("ingest.wal_replay", offered=len(payloads),
+        offered = recovered = 0
+        run: list[bytes] = []
+        for entry in [*wal_replay(path), None]:
+            if isinstance(entry, bytes):
+                run.append(entry)
+                continue
+            if run:
+                outcomes = self.commit(run, None, land, replaying=True)
+                offered += len(run)
+                recovered += sum(1 for o in outcomes
+                                 if o.status is IngestStatus.ACCEPTED)
+                run = []
+            if entry is not None:
+                evict(entry)
+        self._journal.emit("ingest.wal_replay", offered=offered,
                            recovered=recovered)
         return recovered
 

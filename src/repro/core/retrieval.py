@@ -21,12 +21,13 @@ The engine therefore:
 
 Two execution engines share that pipeline:
 
-* ``"dynamic"`` -- the seed path: search the mutable R-tree, then build
-  evidence arrays from the candidate objects and rank with a Python
-  tie-run sort.  Right for ingest-heavy workloads where the index churns
-  between queries, and the independent reference the parity suites and
-  the perf ledger's oracle compare against.
-* ``"packed"`` -- the read-optimised path: search the frozen
+* ``"dynamic"`` -- the paper's path: search the mutable R-tree, then
+  build evidence arrays from the candidate objects and rank with a
+  Python tie-run sort.  No server deploys it; it is the independent
+  reference the parity suites and the perf ledger's oracle compare
+  against.
+* ``"packed"`` -- the serving path, for read-heavy, ingest-heavy and
+  mixed traffic alike (docs/PERFORMANCE.md §1): search the frozen
   structure-of-arrays snapshot (``FoVIndex.packed_view``) and gather
   evidence by fancy-indexing its columns.  After appends the snapshot
   is a base grid plus one tail segment of the rows since; the funnel
@@ -39,7 +40,7 @@ Two execution engines share that pipeline:
   ``n = 1`` case on scalar operands, and the sharded router runs it
   once per call over every shard's hits.
   Both engines produce identical rankings and funnel counters (the
-  parity tests pin this), so the choice is purely a throughput trade.
+  parity tests pin this).
 
 Latency accounting never reads a clock directly (fovlint RF005): the
 engine takes an injectable ``clock`` callable, defaulting to

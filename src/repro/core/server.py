@@ -1,9 +1,11 @@
 """Cloud-server facade: ingest descriptor bundles, answer ranked queries.
 
 The server half of Figure 1.  It decodes upload bundles (validating the
-wire format), maintains the dynamic spatio-temporal index, runs the
-filter/rank retrieval, and -- when an inquirer picks a result -- asks
-the owning client for exactly that segment, accounting the bytes moved.
+wire format), keeps one :class:`~repro.core.index.FoVIndex` (a column
+store; queries read its packed view, or the R-tree view it derives
+when built with ``engine="dynamic"``), runs the filter/rank retrieval,
+and -- when an inquirer picks a result -- asks the owning client for
+exactly that segment, accounting the bytes moved.
 
 The ingest path assumes a hostile, at-least-once network
 (``docs/PROTOCOL.md``): every bundle is validated end to end before a
@@ -45,13 +47,11 @@ __all__ = ["CloudServer", "IngestOutcome", "IngestStatus", "ServerStats"]
 class ServerStats:
     """Read-through facade over the server's metric families.
 
-    Historically a bag of mutable ints; the counters now live in a
-    :class:`~repro.obs.metrics.MetricsRegistry` (so they show up in the
-    ``repro-fov metrics`` exposition alongside everything else) and
-    this class keeps the old read surface -- every former field is a
-    property over the corresponding instrument, so the evaluation
-    harness and the tests read ``server.stats.bundles_received`` etc.
-    exactly as before.
+    The counters live in a :class:`~repro.obs.metrics.MetricsRegistry`
+    (so they show up in the ``repro-fov metrics`` exposition alongside
+    everything else); each property here reads one instrument, so the
+    evaluation harness and the tests read
+    ``server.stats.bundles_received`` etc. as plain ints.
 
     ``records_indexed`` is cumulative over the server's lifetime;
     ``records_live`` is the current index population (eviction lowers
@@ -78,7 +78,8 @@ class ServerStats:
         self._wal_bytes = reg.counter(
             "ingest.wal_bytes", "Bytes written to the WAL (framing included)")
         self._wal_syncs = reg.counter(
-            "ingest.wal_syncs", "WAL fsyncs (one per commit group)")
+            "ingest.wal_syncs",
+            "WAL fsyncs (one per commit group or logged eviction)")
         self._wal_replayed = reg.counter(
             "ingest.wal_replayed",
             "Bundles recovered into the index by WAL replay")
@@ -141,7 +142,8 @@ class ServerStats:
 
     @property
     def wal_syncs(self) -> int:
-        """WAL fsyncs -- one per commit group, not per bundle."""
+        """WAL fsyncs -- one per commit group (not per bundle) and one
+        per logged eviction."""
         return int(self._wal_syncs.value)
 
     @property
@@ -228,9 +230,9 @@ class CloudServer:
     wal : WriteAheadLog, optional
         When given, every accepted payload is appended to this
         write-ahead log *before* it is indexed and fsynced once per
-        commit group, making ingest durable and replayable
-        (:meth:`replay_wal`).  ``None`` (default) keeps the historical
-        memory-only behaviour.
+        commit group, and every retention cutoff before it is applied,
+        making ingest durable and replayable (:meth:`replay_wal`).
+        ``None`` (default) keeps the server memory-only.
     admission_capacity : int, optional
         Cap on in-flight bundles; beyond it ingest sheds with the
         retryable ``SHED`` outcome instead of buffering without bound.
@@ -353,14 +355,15 @@ class CloudServer:
         """Recover bundles from a write-ahead log after a crash.
 
         Re-offers every committed payload through the normal ingest
-        pipeline *without* re-appending to the WAL; bundles that made
-        it into the index before the crash deduplicate as
+        pipeline *without* re-appending to the WAL, and re-applies
+        every logged eviction at its place in the log; bundles that
+        made it into the index before the crash deduplicate as
         ``DUPLICATE``, the rest are indexed now.  Returns how many
         bundles were recovered (newly indexed).  Back-pressure does not
         apply to recovery.
         """
         with self.obs.tracer.span("server.ingest_batch"):
-            return self._ingest.replay_wal(path, self._land)
+            return self._ingest.replay_wal(path, self._land, self._evict)
 
     def receive_bundle(self, payload: bytes, device_id: str | None = None) -> int:
         """Ingest one upload bundle; returns the number of records indexed.
@@ -465,11 +468,15 @@ class CloudServer:
     def evict_older_than(self, cutoff_t: float) -> int:
         """Enforce a retention window; returns the eviction count.
 
-        Eviction updates the *live* population and the eviction
+        With a WAL the cutoff is logged and fsynced before the index
+        changes, so :meth:`replay_wal` evicts at the same point.
+        Eviction lowers the *live* population and raises the eviction
         counter; ``records_indexed`` stays the cumulative all-time
-        total (it used to be clobbered to the live count here, which
-        silently rewrote ingest history).
+        total.
         """
+        return self._ingest.evict(cutoff_t, self._evict)
+
+    def _evict(self, cutoff_t: float) -> int:
         evicted = self.index.evict_older_than(cutoff_t)
         self.stats._evicted.inc(evicted)
         self._sync_index_gauges("evict")

@@ -1,12 +1,19 @@
 """Append-only write-ahead log for durable, replayable ingest.
 
-The server appends every *accepted* bundle payload to the log before
-inserting it into the index, and fsyncs once per commit group rather
-than once per bundle (``docs/PROTOCOL.md`` section "Write-ahead log").
-After a crash anywhere between a WAL commit and the index insert,
-replaying the log into a fresh server converges to the same content
-digest as an uninterrupted run: replay re-offers every logged bundle
-and the content-digest dedup layer makes re-offers idempotent.
+The log holds two entry kinds, in the order the server applied them:
+
+* ``KIND_BUNDLE`` (1) -- an *accepted* bundle payload, appended before
+  it is inserted into the index and fsynced once per commit group
+  rather than once per bundle;
+* ``KIND_EVICT`` (2) -- a retention cutoff (one little-endian float64),
+  appended and fsynced before ``evict_older_than`` changes the index.
+
+(``docs/PROTOCOL.md`` section "Write-ahead log".)  After a crash
+anywhere between a WAL commit and the index change, replaying the log
+into a fresh server converges to the same content digest as an
+uninterrupted run: replay re-offers the logged bundles and re-applies
+the logged cutoffs in sequence order, and the content-digest dedup
+layer makes re-offers idempotent.
 
 Entry framing mirrors the FOV2 conventions (magic, explicit version,
 explicit length, trailing-garbage intolerance, CRC32 over everything
@@ -14,7 +21,7 @@ but the CRC field itself)::
 
     magic    4s   b"FWAL"
     version  u8   1
-    kind     u8   entry kind (1 = bundle payload)
+    kind     u8   entry kind (1 = bundle payload, 2 = eviction cutoff)
     reserved u16  zero
     seq      u64  strictly-increasing entry sequence number
     length   u32  payload length in bytes
@@ -47,7 +54,9 @@ __all__ = [
     "WAL_MAGIC",
     "WAL_VERSION",
     "KIND_BUNDLE",
+    "KIND_EVICT",
     "ENTRY_OVERHEAD",
+    "EVICT_ENTRY_SIZE",
     "WalCorruption",
     "WriteAheadLog",
     "replay",
@@ -55,14 +64,19 @@ __all__ = [
 
 WAL_MAGIC = b"FWAL"
 WAL_VERSION = 1
-#: Entry kind for an accepted FOV2 bundle payload (the only kind so far).
+#: Entry kind for an accepted FOV2 bundle payload.
 KIND_BUNDLE = 1
+#: Entry kind for a retention cutoff: ``evict_older_than(cutoff)``.
+KIND_EVICT = 2
 
 _ENTRY_HEADER = struct.Struct("<4sBBHQI")   # magic, version, kind, rsvd, seq, len
 _ENTRY_CRC = struct.Struct("<I")
 _HEADER_SIZE = _ENTRY_HEADER.size + _ENTRY_CRC.size  # 24
 #: Framing bytes each entry adds on top of its payload.
 ENTRY_OVERHEAD = _HEADER_SIZE
+_CUTOFF = struct.Struct("<d")
+#: Bytes one ``KIND_EVICT`` entry takes, framing included.
+EVICT_ENTRY_SIZE = ENTRY_OVERHEAD + _CUTOFF.size
 
 
 class WalCorruption(ValueError):
@@ -123,16 +137,27 @@ def _scan(data: bytes, *, strict_tail: bool) -> Iterator[tuple[int, int, bytes]]
         offset = end
 
 
-def replay(path: str | os.PathLike[str]) -> list[bytes]:
-    """All committed bundle payloads, in append order.
+def replay(path: str | os.PathLike[str]) -> list[bytes | float]:
+    """Every committed entry in sequence order: a bundle payload as
+    ``bytes``, an eviction as its cutoff ``float``.  Entries of any
+    other kind are skipped.
 
     Tolerates a torn tail (the crash the WAL exists for); raises
     :class:`WalCorruption` for anything wrong before it.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    return [payload for _seq, kind, payload in _scan(data, strict_tail=False)
-            if kind == KIND_BUNDLE]
+    entries: list[bytes | float] = []
+    for seq, kind, body in _scan(data, strict_tail=False):
+        if kind == KIND_BUNDLE:
+            entries.append(body)
+        elif kind == KIND_EVICT:
+            if len(body) != _CUTOFF.size:
+                raise WalCorruption(
+                    f"eviction entry {seq} holds {len(body)} bytes, "
+                    f"not {_CUTOFF.size}")
+            entries.append(_CUTOFF.unpack(body)[0])
+    return entries
 
 
 class WriteAheadLog:
@@ -191,6 +216,10 @@ class WriteAheadLog:
             entry = header + _ENTRY_CRC.pack(crc) + payload
             self._file.write(entry)
         return seq
+
+    def append_eviction(self, cutoff_t: float) -> int:
+        """Buffer a ``KIND_EVICT`` entry carrying ``cutoff_t``."""
+        return self.append(_CUTOFF.pack(cutoff_t), kind=KIND_EVICT)
 
     def commit(self) -> None:
         """Flush and fsync everything appended so far -- one durable

@@ -45,7 +45,8 @@ METRICS: Final[Mapping[str, tuple[str, str]]] = {
     "ingest.shed": ("counter", "bundles refused admission by back-pressure"),
     "ingest.wal_appends": ("counter", "bundle payloads appended to the WAL"),
     "ingest.wal_bytes": ("counter", "WAL bytes written, framing included"),
-    "ingest.wal_syncs": ("counter", "WAL fsyncs, one per commit group"),
+    "ingest.wal_syncs": ("counter",
+                         "WAL fsyncs, one per commit group or eviction"),
     "ingest.wal_replayed": ("counter", "bundles recovered by WAL replay"),
     "quarantine.dropped": ("counter", "quarantined payloads aged out of window"),
     "index.records_live": ("gauge", "records currently resident in the index"),

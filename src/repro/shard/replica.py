@@ -7,7 +7,7 @@ manifest and checked at promotion.  A segment holds record columns
 only; a sync builds no search structure, and promotion lands the
 columns in a fresh index without building a record object.  The sync
 rules (skip / tail / fold), fail-stop, the promotion checks and the
-parity contract are specified once, in docs/SHARDING.md §10
+parity contract are specified once, in docs/SHARDING.md §9
 ("Failover protocol").
 
 Kills, promotions, syncs (by ``kind``, ``full`` or ``tail``), captured
@@ -218,7 +218,7 @@ class ReplicaSet:
         """Verify shard ``sid``'s standby and promote it to primary.
 
         Raises ``ValueError`` when the standby is missing or fails any
-        per-segment check (docs/SHARDING.md §10): a buffer digest that
+        per-segment check (docs/SHARDING.md §9): a buffer digest that
         disagrees with its manifest (tampered/torn), a ``FOVPACK1`` CRC
         failure, a decoded record count or epoch that drifts from its
         manifest, or segments that are out of order, missing, or do not

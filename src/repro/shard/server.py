@@ -122,8 +122,8 @@ class ShardedCloudServer:
     wal : WriteAheadLog, optional
         Router-level write-ahead log: accepted payloads are made
         durable before any shard indexes a record, fsynced once per
-        commit group (:meth:`ingest_batch`), replayable with
-        :meth:`replay_wal`.
+        commit group (:meth:`ingest_batch`), and retention cutoffs
+        before any shard evicts; replayable with :meth:`replay_wal`.
     admission_capacity : int, optional
         Router-level back-pressure cap on in-flight bundles; the
         excess is ``SHED`` (retryable).  ``None`` disables it.
@@ -393,11 +393,12 @@ class ShardedCloudServer:
         The single server's contract
         (:meth:`repro.core.server.CloudServer.ingest_bundle`),
         exactly-once fleet-wide.  While a primary is down it raises
-        :class:`ShardUnavailableError` (retryable; nothing indexed or
-        remembered).
+        :class:`ShardUnavailableError` (retryable; nothing indexed,
+        remembered or logged).
         """
         with self.obs.tracer.span("shard.ingest_bundle", bytes=len(payload)):
-            return self._ingest.commit([payload], [device_id], self._land)[0]
+            return self._ingest.commit([payload], [device_id], self._land,
+                                       check=self._check_fleet_up)[0]
 
     def ingest_batch(self, payloads: Sequence[bytes],
                      device_ids: Sequence[str | None] | None = None,
@@ -412,13 +413,14 @@ class ShardedCloudServer:
         back-pressure the tail beyond the free capacity is ``SHED``.
         """
         with self.obs.tracer.span("shard.ingest_batch", batch=len(payloads)):
-            return self._ingest.commit(payloads, device_ids, self._land)
+            return self._ingest.commit(payloads, device_ids, self._land,
+                                       check=self._check_fleet_up)
 
     def replay_wal(self, path: str | None = None) -> int:
         """Recover bundles from a write-ahead log after a crash (see
         :meth:`repro.core.server.CloudServer.replay_wal`)."""
         with self.obs.tracer.span("shard.ingest_batch"):
-            return self._ingest.replay_wal(path, self._land)
+            return self._ingest.replay_wal(path, self._land, self._evict)
 
     def make_uploader(self, channel: FaultyChannel,
                       policy: RetryPolicy | None = None) -> RetryingUploader:
@@ -429,9 +431,16 @@ class ShardedCloudServer:
     def evict_older_than(self, cutoff_t: float) -> int:
         """Enforce a retention window fleet-wide; returns the count.
 
-        Content bounds are left as-is: eviction only removes records,
-        so the stale (wider) box stays a conservative prune.
+        Refused while any primary is down, before anything is logged;
+        otherwise logged like :meth:`CloudServer.evict_older_than
+        <repro.core.server.CloudServer.evict_older_than>`.  Content
+        bounds are left as-is: eviction only removes records, so the
+        stale (wider) box stays a conservative prune.
         """
+        return self._ingest.evict(cutoff_t, self._evict,
+                                  check=self._check_fleet_up)
+
+    def _evict(self, cutoff_t: float) -> int:
         self._check_fleet_up()
         evicted = 0
         for sid in range(self.n_shards):

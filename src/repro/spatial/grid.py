@@ -98,7 +98,7 @@ its entry is the exact box of a sector of half-angle ``alpha + 0.5``
 centred on the bin -- the apex, both edge endpoints and every compass
 extreme the arc spans -- so it holds the sector of every azimuth in
 the bin.  Each entry is widened by a rounding margin derived in
-docs/PERFORMANCE.md §21, so that every row the floating-point Section
+docs/PERFORMANCE.md §1, so that every row the floating-point Section
 V-B test keeps is inside its box: the cover test only drops rows that
 test would drop, and every ranking stays as it was.  Longitude
 offsets are scaled by the cosine of the grid's largest latitude
@@ -133,7 +133,7 @@ MAX_TIME_SLICES = 64
 #: :meth:`PackedPointGrid.search_ids` gathers with a plain Python loop
 #: instead of the vectorised range enumeration (NumPy dispatch bound).
 #: Measured on the 24 x 24 x 24 ``city_read`` shard grids
-#: (docs/PERFORMANCE.md §2): with a 60-900 s window every cell is its
+#: (docs/PERFORMANCE.md §5): with a 60-900 s window every cell is its
 #: own range and the vectorised path wins from 16-25 cells on; with
 #: the whole horizon the loop reads one range per grid row and stays
 #: ahead up to 100 cells, by 19 % at 25 and 3 % at 100.  16 is the
@@ -151,7 +151,7 @@ _SECTOR_BINS = 361
 _U = 2.0 ** -53
 
 #: Rounding terms of the sector-box margin, in units of ``_U * R``
-#: (docs/PERFORMANCE.md §21): the computed distance (3), the
+#: (docs/PERFORMANCE.md §1): the computed distance (3), the
 #: table's sin/cos (16), each axis of the projection (4 + 4), the
 #: offsets' conversion to degrees (5) and second-order terms (4).
 _MARGIN_ROUNDINGS = 36
@@ -190,7 +190,7 @@ def _sector_table(half_angle: float, radius: float, lat_extent: float,
     ``half_angle + 0.5`` and radius ``radius`` centred on azimuth
     ``k + 0.5``, apex at the origin -- the apex, both edge endpoints
     and every compass extreme its arc spans -- widened by the derived
-    margin (docs/PERFORMANCE.md §21).  ``lat_extent`` bounds the
+    margin (docs/PERFORMANCE.md §1).  ``lat_extent`` bounds the
     records' ``|lat|`` and ``2**theta_exponent`` their ``|theta| + 360``;
     callers round both up so that grids of one shard share a table.
     """

@@ -1,8 +1,19 @@
 """Unit tests for the command-line front-end."""
 
+import json
+
 import pytest
 
 from repro.cli import main
+from repro.core.camera import CameraModel
+from repro.core.flatsnap import load_snapshot_file
+from repro.core.index import FoVIndex
+from repro.core.query import Query
+from repro.core.retrieval import RetrievalEngine
+from repro.core.server import CloudServer
+from repro.geo.coords import GeoPoint
+from repro.net.jsonio import result_to_dict
+from repro.video import VideoQuery
 
 
 @pytest.fixture
@@ -61,19 +72,22 @@ class TestQuery:
         assert "candidates" in out
 
     def test_packed_engine_matches_dynamic(self, snapshot, capsys):
-        args = ["query", "--snapshot", str(snapshot),
-                "--lat", "40.0046", "--lng", "116.3284",
-                "--t0", "0", "--t1", "5000", "--radius", "300",
-                "--top", "5"]
-        assert main(args) == 0
-        dynamic = capsys.readouterr().out
-        assert main(args + ["--engine", "packed"]) == 0
-        packed = capsys.readouterr().out
+        # The CLI serves packed; the reference is the dynamic engine
+        # run in-process over the same snapshot.
+        assert main(["query", "--snapshot", str(snapshot),
+                     "--lat", "40.0046", "--lng", "116.3284",
+                     "--t0", "0", "--t1", "5000", "--radius", "300",
+                     "--top", "5", "--json"]) == 0
+        served = json.loads(capsys.readouterr().out)
+        query = Query(t_start=0.0, t_end=5000.0,
+                      center=GeoPoint(40.0046, 116.3284), radius=300.0,
+                      top_n=5)
+        reference = RetrievalEngine(FoVIndex.bulk(load_snapshot_file(
+            str(snapshot))), CameraModel()).execute(query)
+        assert reference.ranked
+        want = result_to_dict(reference)
         # Identical rankings; only the reported latency may differ.
-        strip = lambda out: [ln for ln in out.splitlines()
-                             if ln.startswith("#")]
-        assert strip(packed) == strip(dynamic)
-        assert strip(dynamic)
+        assert served["results"] == want["results"]
 
     def test_invalid_radius_reports_error(self, snapshot, capsys):
         rc = main(["query", "--snapshot", str(snapshot),
@@ -95,15 +109,31 @@ class TestVideoQuery:
     def test_engines_and_shards_agree(self, snapshot, capsys):
         def run(extra):
             rc = main(["video-query", "--snapshot", str(snapshot),
-                       "--video-id", "device-001-video-0",
+                       "--video-id", "device-002-video-0",
                        "--radius", "200", "--threshold", "0.1",
                        "--json"] + extra)
             assert rc == 0
-            import json
             return json.loads(capsys.readouterr().out)["ranked"]
 
-        base = run(["--engine", "dynamic"])
-        assert run(["--engine", "packed"]) == base
+        # The CLI serves packed; the reference is the dynamic engine
+        # behind an in-process server over the same snapshot.  (Video
+        # 002 is one whose ranking is not empty.)
+        records = list(load_snapshot_file(str(snapshot)))
+        segs = sorted((r for r in records
+                       if r.video_id == "device-002-video-0"),
+                      key=lambda r: r.segment_id)
+        reference = CloudServer(
+            CameraModel(), index=FoVIndex.bulk(records), cache_size=0,
+        ).query_video(VideoQuery(
+            segments=tuple(segs),
+            t_start=min(r.t_start for r in records),
+            t_end=max(r.t_end for r in records),
+            radius=200.0, top_k=5, sim_threshold=0.1,
+            exclude=frozenset({"device-002-video-0"})))
+        base = json.loads(json.dumps(
+            [match._asdict() for match in reference.ranked]))
+        assert base
+        assert run([]) == base
         assert run(["--shards", "3"]) == base
 
     def test_dtw_scorer_and_trace(self, snapshot, capsys):

@@ -56,14 +56,13 @@ class TestMetricsCommand:
         assert blob["cache.hits"]["samples"][0]["value"] == 8
         assert blob["span.duration_s"]["type"] == "histogram"
 
-    def test_dynamic_engine_variant_runs(self, snapshot, capsys):
+    def test_metrics_serve_the_packed_engine(self, snapshot, capsys):
         rc = main(["metrics", "--snapshot", str(snapshot),
-                   "--queries", "4", "--engine", "dynamic"])
+                   "--queries", "4"])
         assert rc == 0
         families = parse_prometheus(capsys.readouterr().out)
-        # the recorder families exist (registered up front) but the
-        # dynamic engine never descends the packed tree
-        assert families["packed_descents"].samples[0].value == 0
+        # the cold batch is one packed descent; the warm batch hits
+        assert families["packed_descents"].samples[0].value == 1
         assert families["query_requests"].samples[0].value == 8
 
     def test_missing_snapshot_is_an_error(self, tmp_path, capsys):

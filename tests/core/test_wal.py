@@ -13,7 +13,9 @@ import pytest
 
 from repro.core.wal import (
     ENTRY_OVERHEAD,
+    EVICT_ENTRY_SIZE,
     KIND_BUNDLE,
+    KIND_EVICT,
     WAL_MAGIC,
     WalCorruption,
     WriteAheadLog,
@@ -54,13 +56,30 @@ class TestAppendReplay:
             assert len(fsyncs) == 1
         assert replay(wal_path) == [b"bundle"] * 50
 
-    def test_non_bundle_kinds_are_skipped_by_replay(self, wal_path):
+    def test_unknown_kinds_are_skipped_by_replay(self, wal_path):
         with WriteAheadLog(wal_path) as wal:
             wal.append(b"keep")
-            wal.append(b"skip", kind=2)
+            wal.append(b"skip", kind=99)
             wal.append(b"keep2")
             wal.commit()
         assert replay(wal_path) == [b"keep", b"keep2"]
+
+    def test_evictions_replay_as_cutoffs_in_sequence(self, wal_path):
+        with WriteAheadLog(wal_path) as wal:
+            wal.append(b"a")
+            wal.append_eviction(1234.5)
+            wal.append(b"b")
+            wal.commit()
+        assert replay(wal_path) == [b"a", 1234.5, b"b"]
+        assert os.path.getsize(wal_path) == \
+            2 * (ENTRY_OVERHEAD + 1) + EVICT_ENTRY_SIZE
+
+    def test_eviction_entry_of_the_wrong_size_is_corruption(self, wal_path):
+        with WriteAheadLog(wal_path) as wal:
+            wal.append(b"\x00" * 4, kind=KIND_EVICT)
+            wal.commit()
+        with pytest.raises(WalCorruption, match="eviction entry"):
+            replay(wal_path)
 
     def test_empty_and_missing_files(self, wal_path):
         with pytest.raises(FileNotFoundError):

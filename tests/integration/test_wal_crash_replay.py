@@ -1,6 +1,7 @@
 """WAL crash-replay: kill the server between the WAL commit and the
-index insert, then replay the log into a fresh server and require the
-same content digest an uninterrupted run produces.
+index change (an insert or a retention eviction), then replay the log
+into a fresh server and require the same content digest an
+uninterrupted run produces.
 
 ``FUZZ_SEED`` (set by the CI fuzz-smoke matrix) varies the workload and
 the crash point, so each CI job kills the server mid-stream at a
@@ -8,12 +9,21 @@ different commit group.
 """
 
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro import CloudServer
+from repro.core.camera import CameraModel
+from repro.core.fov import RepresentativeFoV
+from repro.core.index import FoVIndex
+from repro.core.ingest import IngestStatus
 from repro.core.wal import WriteAheadLog, replay
+from repro.geo.coords import GeoPoint
+from repro.net.protocol import encode_bundle
+from repro.shard import ShardedCloudServer, ShardUnavailableError
 from repro.traces.dataset import CityDataset
 
 FUZZ_SEED = int(os.environ.get("FUZZ_SEED", "0"))
@@ -118,3 +128,205 @@ def test_torn_tail_replay_still_converges(city, tmp_path):
     for group in gs:
         want.ingest_batch(group)
     assert recovered.index.content_digest() == want.index.content_digest()
+
+
+# -- retention eviction -------------------------------------------------
+
+ORIGIN = GeoPoint(lat=40.0, lng=116.3)
+CUTOFF = 200.0
+
+
+def _timed_groups():
+    """40 records in 4 commit groups of one bundle each; the first two
+    groups end before ``CUTOFF``, the last two after it."""
+    out = []
+    for g in range(4):
+        recs = [RepresentativeFoV(
+            lat=40.0 + 1e-4 * (10 * g + i), lng=116.3 + 1e-4 * i,
+            theta=float(36 * i), t_start=100.0 * g, t_end=100.0 * g + 50.0,
+            video_id=f"v{g}", segment_id=i) for i in range(10)]
+        out.append([encode_bundle(f"v{g}", recs)])
+    return out
+
+
+FACADES = {
+    "single": lambda wal=None: CloudServer(CameraModel(), wal=wal),
+    "fleet": lambda wal=None: ShardedCloudServer(
+        CameraModel(), n_shards=3, origin=ORIGIN, wal=wal),
+}
+
+
+def _digest(server):
+    index = FoVIndex()
+    index.insert_many(server.records())
+    return index.content_digest()
+
+
+@pytest.mark.parametrize("facade", sorted(FACADES))
+def test_replay_keeps_evicted_records_evicted(facade, tmp_path):
+    make = FACADES[facade]
+    path = tmp_path / "ingest.wal"
+    with WriteAheadLog(path) as wal:
+        live = make(wal)
+        for group in _timed_groups():
+            live.ingest_batch(group)
+        assert live.evict_older_than(CUTOFF) == 20
+    assert live.indexed_count == 20
+    assert live.stats.wal_syncs == 5        # four groups, one eviction
+    assert live.stats.wal_bytes == path.stat().st_size
+
+    recovered = make()
+    assert recovered.replay_wal(path) == 4
+    assert recovered.indexed_count == 20
+    assert _digest(recovered) == _digest(live)
+
+
+@pytest.mark.parametrize("facade", sorted(FACADES))
+def test_eviction_replays_in_log_order(facade, tmp_path):
+    # Groups after the eviction land old records that the cutoff would
+    # have dropped had replay applied it last.
+    make = FACADES[facade]
+    gs = _timed_groups()
+    path = tmp_path / "ingest.wal"
+    with WriteAheadLog(path) as wal:
+        live = make(wal)
+        live.ingest_batch(gs[2])
+        live.evict_older_than(CUTOFF)
+        for group in (gs[0], gs[1], gs[3]):
+            live.ingest_batch(group)
+    assert replay(path)[1] == CUTOFF
+    recovered = make()
+    assert recovered.replay_wal(path) == 4
+    assert recovered.indexed_count == live.indexed_count == 40
+    assert _digest(recovered) == _digest(live)
+
+
+class _CrashAtEviction(RuntimeError):
+    """Stands in for the process dying at an eviction's WAL entry."""
+
+
+@pytest.mark.parametrize("facade", sorted(FACADES))
+@pytest.mark.parametrize("crash", ["before_entry", "after_entry"])
+def test_crash_around_the_eviction_entry(facade, crash, tmp_path,
+                                         monkeypatch):
+    make = FACADES[facade]
+    path = tmp_path / "ingest.wal"
+    wal = WriteAheadLog(path)
+    victim = make(wal)
+    for group in _timed_groups():
+        victim.ingest_batch(group)
+
+    def dying(*_args):
+        raise _CrashAtEviction()
+
+    if crash == "before_entry":
+        # Dies before the cutoff is logged: the eviction never happened.
+        monkeypatch.setattr(wal, "append_eviction", dying)
+        want = 40
+    else:
+        # The cutoff is durable but the index never changed: replay
+        # must finish the eviction.
+        monkeypatch.setattr(victim, "_evict", dying)
+        want = 20
+    with pytest.raises(_CrashAtEviction):
+        victim.evict_older_than(CUTOFF)
+    wal.close()
+    assert victim.indexed_count == 40
+
+    recovered = make()
+    assert recovered.replay_wal(path) == 4
+    assert recovered.indexed_count == want
+    expect = make()
+    for group in _timed_groups():
+        expect.ingest_batch(group)
+    if want == 20:
+        expect.evict_older_than(CUTOFF)
+    assert _digest(recovered) == _digest(expect)
+
+
+def test_down_fleet_refuses_eviction_without_logging(tmp_path):
+    path = tmp_path / "ingest.wal"
+    with WriteAheadLog(path) as wal:
+        fleet = FACADES["fleet"](wal)
+        for group in _timed_groups():
+            fleet.ingest_batch(group)
+        fleet.kill_shard(0)
+        with pytest.raises(ShardUnavailableError):
+            fleet.evict_older_than(CUTOFF)
+    assert all(isinstance(entry, bytes) for entry in replay(path))
+
+
+def test_a_bundle_the_fleet_refuses_is_not_logged(tmp_path):
+    # Logged but refused, the bundle would replay before the cutoff
+    # that the live fleet applied before the bundle's accepted retry.
+    gs = _timed_groups()
+    path = tmp_path / "ingest.wal"
+    with WriteAheadLog(path) as wal:
+        live = FACADES["fleet"](wal)
+        live.ingest_batch(gs[3])
+        primary = live.shards[0]
+        live.kill_shard(0)
+        with pytest.raises(ShardUnavailableError):
+            live.ingest_batch(gs[0])
+        assert len(replay(path)) == 1
+        live.install_shard(0, primary)
+        live.evict_older_than(CUTOFF)
+        assert live.ingest_batch(gs[0])[0].status is IngestStatus.ACCEPTED
+    assert live.indexed_count == 20
+
+    recovered = FACADES["fleet"]()
+    recovered.replay_wal(path)
+    assert _digest(recovered) == _digest(live)
+
+
+@pytest.mark.parametrize("facade", sorted(FACADES))
+def test_concurrent_ingest_and_eviction_replay_to_the_live_content(
+        facade, tmp_path):
+    # Writers land groups of old and new records while an evictor
+    # raises the cutoff: a group logged before a cutoff but landed after
+    # it survives in the live index, so replay converges only if the
+    # log holds commits and evictions in the order the index saw them.
+    def bundle(w, g):
+        recs = [RepresentativeFoV(
+            lat=40.0 + 1e-4 * w, lng=116.3 + 1e-4 * i, theta=float(40 * i),
+            t_start=float(g + i), t_end=float(g + i) + 0.5,
+            video_id=f"w{w}-g{g}", segment_id=i) for i in range(4)]
+        return encode_bundle(f"w{w}-g{g}", recs)
+
+    path = tmp_path / "ingest.wal"
+    wal = WriteAheadLog(path)
+    live = FACADES[facade](wal)
+    errors = []
+
+    def writer(w):
+        try:
+            for g in range(25):
+                live.ingest_batch([bundle(w, g)])
+        except Exception as exc:   # surfaced by the assert below
+            errors.append(exc)
+
+    def evictor():
+        try:
+            for cutoff in range(2, 26, 2):
+                live.evict_older_than(float(cutoff))
+        except Exception as exc:
+            errors.append(exc)
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=(w,))
+                   for w in range(3)] + [threading.Thread(target=evictor)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    wal.close()
+
+    recovered = FACADES[facade]()
+    assert recovered.replay_wal(path) == 75
+    assert _digest(recovered) == _digest(live)

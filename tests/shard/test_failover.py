@@ -1,6 +1,6 @@
 """Shard failover: kill/promote parity, fail-stop writes, tamper checks.
 
-The replica tier's contract (docs/SHARDING.md §10):
+The replica tier's contract (docs/SHARDING.md §9):
 
 * promoting a warm standby restores the fleet to **bit-identical**
   serving state -- every query result and the fleet's dedup digests

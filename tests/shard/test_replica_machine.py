@@ -3,7 +3,7 @@
 A Hypothesis state machine drives a fleet with a :class:`ReplicaSet`
 beside a never-failed control fleet through interleaved commit groups,
 evictions, standby syncs, reads, and kill + promote of a drawn shard.
-The invariants (the parity contract of docs/SHARDING.md §10):
+The invariants (the parity contract of docs/SHARDING.md §9):
 
 * after every sync, each standby's base + tail records equal its
   primary's ``records()``, in order;

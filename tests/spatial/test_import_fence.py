@@ -62,8 +62,35 @@ for m in ("rtree", "split", "bulk", "knn"):
 """
 
 
-def test_serving_stack_never_imports_the_tree_family():
+# ``repro-fov query`` over a snapshot, answered by the CLI's own engine.
+_CLI_QUERY = r"""
+import sys
+
+from repro.cli import main
+
+assert main(["query", "--snapshot", sys.argv[1], "--lat", "40.0046",
+             "--lng", "116.3284", "--t0", "0", "--t1", "5000",
+             "--radius", "300"]) == 0
+leaked = sorted(m for m in sys.modules if m.startswith("repro.spatial.")
+                and m.rsplit(".", 1)[1] not in ("grid", "linear"))
+assert not leaked, f"repro-fov query imported {leaked}"
+"""
+
+
+def _run(script, *args):
     proc = subprocess.run(
-        [sys.executable, "-c", _SCRIPT], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)})
+        [sys.executable, "-c", script, *args], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_serving_stack_never_imports_the_tree_family():
+    _run(_SCRIPT)
+
+
+def test_cli_query_never_imports_the_tree_family(tmp_path):
+    snapshot = tmp_path / "city.fov"
+    _run("import sys; from repro.cli import main; sys.exit(main(['generate',"
+         " '--providers', '4', '--seed', '7', '--out', sys.argv[1]]))",
+         str(snapshot))
+    _run(_CLI_QUERY, str(snapshot))
