@@ -13,15 +13,17 @@ content-digest dedup keeps the outcome exactly-once.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, ContextManager, Sequence
 
 from repro.core.fov import RecordColumns
 from repro.core.quarantine import QuarantineStore
-from repro.core.wal import ENTRY_OVERHEAD, EVICT_ENTRY_SIZE, WriteAheadLog
+from repro.core.wal import ENTRY_OVERHEAD, EVICT_ENTRY_SIZE, Eviction, WriteAheadLog
 from repro.core.wal import replay as wal_replay
 from repro.net.channel import FaultyChannel, RetryPolicy, RetryingUploader
 from repro.net.protocol import BundleColumns, decode_bundle_columns
@@ -122,27 +124,35 @@ class IngestCoordinator:
     write or ``land`` raised: nothing was indexed, so the retry must
     not be acked as a duplicate.
 
-    :meth:`evict` logs a retention cutoff the same way.  A group's WAL
-    append and its ``land``, and an eviction's append and its index
-    change, run under one lock, so the log's entry order is the order
-    the index saw and :meth:`replay_wal` rebuilds the same content.
-    A facade's ``check`` (the fleet's "no primary is down") runs
+    :meth:`evict` logs a retention cutoff the same way.  With a WAL, a
+    group's append and its ``land``, and an eviction's append and its
+    index change, run under one lock (:meth:`exclusive`), so the log's
+    entry order is the order the index saw and :meth:`replay_wal`
+    rebuilds the same content; without one, groups land concurrently.
+    ``check`` (the fleet's "no primary is down") runs under that lock
     before anything is logged, so a write it refuses leaves no entry
-    for replay to apply.
+    for replay to apply.  Like ``land``, it must not be a bound method
+    of the facade.
     """
 
     def __init__(self, *, stats: ServerStats, journal: EventJournal,
                  quarantine: QuarantineStore,
                  wal: WriteAheadLog | None = None,
-                 admission_capacity: int | None = None) -> None:
+                 admission_capacity: int | None = None,
+                 check: Callable[[], None] | None = None) -> None:
         self._stats = stats
         self._journal = journal
         self._quarantine = quarantine
         self._wal = wal
+        self._check = check
         self._admission = (AdmissionQueue(admission_capacity)
                            if admission_capacity is not None else None)
         self._lock = threading.Lock()
-        self._log_order = threading.Lock()
+        self._log_order: ContextManager[object] = (
+            threading.Lock() if wal is not None else contextlib.nullcontext())
+        # Sequence numbers of the configured log's eviction entries
+        # already applied to this server's index (under _log_order).
+        self._applied_evictions: set[int] = set()
         self._seen: set[str] = set()
         self._owners: dict[str, str] = {}  # video_id -> device_id
 
@@ -162,18 +172,21 @@ class IngestCoordinator:
         with self._lock:
             return self._owners.get(video_id)
 
+    def exclusive(self) -> ContextManager[object]:
+        """Hold off logged writes: while the block runs, no commit group
+        or eviction is between its ``check`` and its index change (a
+        no-op without a WAL)."""
+        return self._log_order
+
     def commit(self, payloads: Sequence[bytes],
                device_ids: Sequence[str | None] | None,
                land: Callable[[RecordColumns], int], *,
-               replaying: bool = False,
-               check: Callable[[], None] | None = None,
-               ) -> list[IngestOutcome]:
+               replaying: bool = False) -> list[IngestOutcome]:
         """Ingest one commit group through ``land``; outcomes are
         positional, and (with index content, dedup state, owners,
         quarantine) identical to committing each payload alone, in
         order.  ``replaying`` marks WAL recovery: no back-pressure,
-        nothing re-appended to the log.  ``check`` raises to refuse the
-        group after dedup and decode, before the WAL append.
+        nothing re-appended to the log.
         """
         if device_ids is None:
             device_ids = [None] * len(payloads)
@@ -184,8 +197,7 @@ class IngestCoordinator:
                     else admission.try_admit(len(payloads)))
         try:
             outcomes = self._commit_admitted(
-                payloads[:admitted], device_ids[:admitted], land, replaying,
-                check)
+                payloads[:admitted], device_ids[:admitted], land, replaying)
         finally:
             if admission is not None:
                 admission.release(admitted)
@@ -201,9 +213,7 @@ class IngestCoordinator:
     def _commit_admitted(self, payloads: Sequence[bytes],
                          device_ids: Sequence[str | None],
                          land: Callable[[RecordColumns], int],
-                         replaying: bool,
-                         check: Callable[[], None] | None,
-                         ) -> list[IngestOutcome]:
+                         replaying: bool) -> list[IngestOutcome]:
         outcomes: list[IngestOutcome] = []
         group: list[tuple[str, str | None, bytes, BundleColumns]] = []
         reserved: list[str] = []
@@ -243,8 +253,8 @@ class IngestCoordinator:
                 return outcomes
             wal = None if replaying else self._wal
             with self._log_order:
-                if check is not None:
-                    check()
+                if self._check is not None:
+                    self._check()
                 if wal is not None:
                     for _, _, payload, _ in group:
                         wal.append(payload)
@@ -271,21 +281,22 @@ class IngestCoordinator:
                                records=len(columns))
         return outcomes
 
-    def evict(self, cutoff_t: float, apply: Callable[[float], int], *,
-              check: Callable[[], None] | None = None) -> int:
+    def evict(self, cutoff_t: float, apply: Callable[[float], int]) -> int:
         """Log a retention cutoff, fsync it, then ``apply`` it to the
-        index; returns ``apply``'s eviction count.  ``check`` raises to
-        refuse the eviction before it is logged."""
+        index; returns ``apply``'s eviction count."""
         wal = self._wal
         with self._log_order:
-            if check is not None:
-                check()
-            if wal is not None:
-                wal.append_eviction(cutoff_t)
-                self._stats._wal_bytes.inc(EVICT_ENTRY_SIZE)
-                wal.commit()
-                self._stats._wal_syncs.inc()
-            return apply(cutoff_t)
+            if self._check is not None:
+                self._check()
+            if wal is None:
+                return apply(cutoff_t)
+            seq = wal.append_eviction(cutoff_t)
+            self._stats._wal_bytes.inc(EVICT_ENTRY_SIZE)
+            wal.commit()
+            self._stats._wal_syncs.inc()
+            evicted = apply(cutoff_t)
+            self._applied_evictions.add(seq)
+            return evicted
 
     def replay_wal(self, path: str | None,
                    land: Callable[[RecordColumns], int],
@@ -294,11 +305,18 @@ class IngestCoordinator:
         is ``None``) in sequence order: each run of bundle payloads is
         re-offered as one group through ``land``, each eviction cutoff
         goes to ``evict``.  Returns how many bundles were newly indexed
-        (the rest deduplicate)."""
+        (the rest deduplicate).
+
+        Replay skips what this server already applied, so it may run
+        into a warm server: a bundle deduplicates, and an eviction of
+        the configured log that this server applied is passed over --
+        applied again, it would drop records landed after it.
+        """
         if path is None:
             if self._wal is None:
                 raise ValueError("no WAL configured and no path given")
             path = self._wal.path
+        own = self._wal is not None and os.path.samefile(path, self._wal.path)
         offered = recovered = 0
         run: list[bytes] = []
         for entry in [*wal_replay(path), None]:
@@ -312,10 +330,19 @@ class IngestCoordinator:
                                  if o.status is IngestStatus.ACCEPTED)
                 run = []
             if entry is not None:
-                evict(entry)
+                self._replay_eviction(entry, evict, own)
         self._journal.emit("ingest.wal_replay", offered=offered,
                            recovered=recovered)
         return recovered
+
+    def _replay_eviction(self, entry: Eviction,
+                         evict: Callable[[float], int], own: bool) -> None:
+        with self._log_order:
+            if own and entry.seq in self._applied_evictions:
+                return
+            evict(entry.cutoff_t)
+            if own:
+                self._applied_evictions.add(entry.seq)
 
     def make_uploader(self, deliver: Callable[[bytes], IngestOutcome],
                       channel: FaultyChannel,

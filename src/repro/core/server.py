@@ -358,9 +358,12 @@ class CloudServer:
         pipeline *without* re-appending to the WAL, and re-applies
         every logged eviction at its place in the log; bundles that
         made it into the index before the crash deduplicate as
-        ``DUPLICATE``, the rest are indexed now.  Returns how many
-        bundles were recovered (newly indexed).  Back-pressure does not
-        apply to recovery.
+        ``DUPLICATE``, the rest are indexed now.  Replaying this
+        server's own log into it again changes nothing: the evictions
+        it already applied are skipped by sequence number, so none
+        drops records that landed after it.  Returns how many bundles
+        were recovered (newly indexed).  Back-pressure does not apply
+        to recovery.
         """
         with self.obs.tracer.span("server.ingest_batch"):
             return self._ingest.replay_wal(path, self._land, self._evict)

@@ -13,7 +13,9 @@ anywhere between a WAL commit and the index change, replaying the log
 into a fresh server converges to the same content digest as an
 uninterrupted run: replay re-offers the logged bundles and re-applies
 the logged cutoffs in sequence order, and the content-digest dedup
-layer makes re-offers idempotent.
+layer makes re-offers idempotent.  :func:`replay` returns an eviction
+as an :class:`Eviction` carrying its sequence number, so a server
+replaying its own log skips the cutoffs it already applied.
 
 Entry framing mirrors the FOV2 conventions (magic, explicit version,
 explicit length, trailing-garbage intolerance, CRC32 over everything
@@ -47,7 +49,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
-from typing import Iterator
+from typing import Iterator, NamedTuple
 from zlib import crc32
 
 __all__ = [
@@ -57,6 +59,7 @@ __all__ = [
     "KIND_EVICT",
     "ENTRY_OVERHEAD",
     "EVICT_ENTRY_SIZE",
+    "Eviction",
     "WalCorruption",
     "WriteAheadLog",
     "replay",
@@ -77,6 +80,14 @@ ENTRY_OVERHEAD = _HEADER_SIZE
 _CUTOFF = struct.Struct("<d")
 #: Bytes one ``KIND_EVICT`` entry takes, framing included.
 EVICT_ENTRY_SIZE = ENTRY_OVERHEAD + _CUTOFF.size
+
+
+class Eviction(NamedTuple):
+    """A logged retention cutoff: entry ``seq`` ran
+    ``evict_older_than(cutoff_t)``."""
+
+    seq: int
+    cutoff_t: float
 
 
 class WalCorruption(ValueError):
@@ -137,9 +148,9 @@ def _scan(data: bytes, *, strict_tail: bool) -> Iterator[tuple[int, int, bytes]]
         offset = end
 
 
-def replay(path: str | os.PathLike[str]) -> list[bytes | float]:
+def replay(path: str | os.PathLike[str]) -> list[bytes | Eviction]:
     """Every committed entry in sequence order: a bundle payload as
-    ``bytes``, an eviction as its cutoff ``float``.  Entries of any
+    ``bytes``, an eviction as an :class:`Eviction`.  Entries of any
     other kind are skipped.
 
     Tolerates a torn tail (the crash the WAL exists for); raises
@@ -147,7 +158,7 @@ def replay(path: str | os.PathLike[str]) -> list[bytes | float]:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    entries: list[bytes | float] = []
+    entries: list[bytes | Eviction] = []
     for seq, kind, body in _scan(data, strict_tail=False):
         if kind == KIND_BUNDLE:
             entries.append(body)
@@ -156,7 +167,7 @@ def replay(path: str | os.PathLike[str]) -> list[bytes | float]:
                 raise WalCorruption(
                     f"eviction entry {seq} holds {len(body)} bytes, "
                     f"not {_CUTOFF.size}")
-            entries.append(_CUTOFF.unpack(body)[0])
+            entries.append(Eviction(seq, _CUTOFF.unpack(body)[0]))
     return entries
 
 

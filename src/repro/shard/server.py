@@ -34,7 +34,8 @@ already thread-safe per family.
 from __future__ import annotations
 
 import threading
-from typing import Callable, NamedTuple, Sequence
+from functools import partial
+from typing import Callable, ContextManager, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,6 +86,13 @@ class ShardUnavailableError(RuntimeError):
     def __init__(self, shard_id: int) -> None:
         super().__init__(f"shard {shard_id} is down")
         self.shard_id = shard_id
+
+
+def _refuse_while_down(lock: ContextManager[object], down: set[int]) -> None:
+    """Writes are refused while any primary is absent (fail-stop)."""
+    with lock:
+        if down:
+            raise ShardUnavailableError(min(down))
 
 
 class ShardedCloudServer:
@@ -154,16 +162,21 @@ class ShardedCloudServer:
         # router's copy outlives the primary (kill_shard).
         self._bounds: list[Bounds | None] = [None] * n_shards
         self._ingest_lock = threading.Lock()
-        self._down: frozenset[int] = frozenset()
+        self._down: set[int] = set()
         self.wal = wal
         self.stats = ServerStats(registry=self.obs.registry)
         self.quarantine = QuarantineStore(capacity=quarantine_capacity,
                                           journal=self.obs.journal,
                                           registry=self.obs.registry)
+        # The write check holds the lock and the set, not the router: the
+        # coordinator keeps it, and a bound method would make a cycle.
+        self._check_fleet_up = partial(_refuse_while_down,
+                                       self._ingest_lock, self._down)
         self._ingest = IngestCoordinator(
             stats=self.stats, journal=self.obs.journal,
             quarantine=self.quarantine, wal=wal,
-            admission_capacity=admission_capacity)
+            admission_capacity=admission_capacity,
+            check=self._check_fleet_up)
         self._cache = (
             QueryResultCache(cache_size, registry=self.obs.registry,
                              journal=self.obs.journal)
@@ -237,17 +250,11 @@ class ShardedCloudServer:
             raise ValueError(f"shard id {sid} out of range "
                              f"[0, {self.n_shards})")
 
-    def _check_fleet_up(self) -> None:
-        """Writes are refused while any primary is absent (fail-stop)."""
-        down = self.down_shards
-        if down:
-            raise ShardUnavailableError(min(down))
-
     @property
     def down_shards(self) -> frozenset[int]:
         """Shard ids currently without a serving primary."""
         with self._ingest_lock:
-            return self._down
+            return frozenset(self._down)
 
     def shard_mark(self, sid: int) -> ContentMark:
         """Shard ``sid``'s :class:`~repro.core.index.ContentMark`, read
@@ -291,10 +298,14 @@ class ShardedCloudServer:
         are cleared -- the empty index restarts the slot's epoch
         counter, so existing epoch-vector tags no longer identify the
         content they were computed from.  The dead primary is dropped.
+
+        With a WAL the slot goes down between logged writes, never
+        between a write's fleet check and its index change, so the log
+        holds no write the fleet refused part-way.
         """
         self._check_sid(sid)
-        with self._ingest_lock:
-            self._down = self._down | {sid}
+        with self._ingest.exclusive(), self._ingest_lock:
+            self._down.add(sid)
         with self._locks[sid]:
             self.shards[sid] = FoVIndex()
             self._sync_shard_gauges(sid)
@@ -319,7 +330,7 @@ class ShardedCloudServer:
             self.shards[sid] = index
             self._sync_shard_gauges(sid)
         with self._ingest_lock:
-            self._down = self._down - {sid}
+            self._down.discard(sid)
         self._clear_result_caches()
 
     def _clear_result_caches(self) -> None:
@@ -397,8 +408,7 @@ class ShardedCloudServer:
         remembered or logged).
         """
         with self.obs.tracer.span("shard.ingest_bundle", bytes=len(payload)):
-            return self._ingest.commit([payload], [device_id], self._land,
-                                       check=self._check_fleet_up)[0]
+            return self._ingest.commit([payload], [device_id], self._land)[0]
 
     def ingest_batch(self, payloads: Sequence[bytes],
                      device_ids: Sequence[str | None] | None = None,
@@ -413,8 +423,7 @@ class ShardedCloudServer:
         back-pressure the tail beyond the free capacity is ``SHED``.
         """
         with self.obs.tracer.span("shard.ingest_batch", batch=len(payloads)):
-            return self._ingest.commit(payloads, device_ids, self._land,
-                                       check=self._check_fleet_up)
+            return self._ingest.commit(payloads, device_ids, self._land)
 
     def replay_wal(self, path: str | None = None) -> int:
         """Recover bundles from a write-ahead log after a crash (see
@@ -437,8 +446,7 @@ class ShardedCloudServer:
         bounds are left as-is: eviction only removes records, so the
         stale (wider) box stays a conservative prune.
         """
-        return self._ingest.evict(cutoff_t, self._evict,
-                                  check=self._check_fleet_up)
+        return self._ingest.evict(cutoff_t, self._evict)
 
     def _evict(self, cutoff_t: float) -> int:
         self._check_fleet_up()

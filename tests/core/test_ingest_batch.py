@@ -253,6 +253,20 @@ class TestWalDurability:
             assert digests(server) == want
             assert server.indexed_count == 10
 
+    def test_warm_replay_skips_the_evictions_it_applied(self, tmp_path,
+                                                        make):
+        # v1 lands after the cutoff with records older than it; replay
+        # into the same server must not evict them a second time.
+        with WriteAheadLog(tmp_path / "ingest.wal") as wal:
+            server = make(wal=wal)
+            server.ingest_batch([bundle("v0", n=8)])
+            assert server.evict_older_than(6.0) == 4
+            server.ingest_batch([bundle("v1", n=8)])
+            want = digests(server)
+            assert server.replay_wal() == 0
+            assert digests(server) == want
+            assert server.indexed_count == 12
+
     def test_deleting_the_server_frees_its_indexes(self, tmp_path, make):
         # The coordinator keeps no bound method of its facade, so no
         # reference cycle outlives the server: refcounting alone frees

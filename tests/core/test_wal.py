@@ -17,6 +17,7 @@ from repro.core.wal import (
     KIND_BUNDLE,
     KIND_EVICT,
     WAL_MAGIC,
+    Eviction,
     WalCorruption,
     WriteAheadLog,
     replay,
@@ -70,7 +71,7 @@ class TestAppendReplay:
             wal.append_eviction(1234.5)
             wal.append(b"b")
             wal.commit()
-        assert replay(wal_path) == [b"a", 1234.5, b"b"]
+        assert replay(wal_path) == [b"a", Eviction(2, 1234.5), b"b"]
         assert os.path.getsize(wal_path) == \
             2 * (ENTRY_OVERHEAD + 1) + EVICT_ENTRY_SIZE
 

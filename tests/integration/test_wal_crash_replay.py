@@ -91,14 +91,22 @@ def test_crash_between_wal_commit_and_index_insert(city, tmp_path):
 
 
 def test_replay_into_warm_server_is_idempotent(city, tmp_path):
-    # Crash *after* the index insert instead: the group is in both the
-    # WAL and the snapshot the operator restores from.  Replay must
-    # dedup, not double-index.
+    # Crash *after* the index insert instead: every group is both in
+    # the WAL and in the index.  Replay must dedup, not double-index,
+    # and must not re-apply a cutoff to the older records that landed
+    # after it.
+    gs = groups(city)
+    half = len(gs) // 2
     path = tmp_path / "ingest.wal"
     with WriteAheadLog(path) as wal:
         server = CloudServer(city.camera, wal=wal)
-        for group in groups(city):
+        for group in gs[:half]:
             server.ingest_batch(group)
+        cutoff = max(r.t_end for r in server.records())
+        assert server.evict_older_than(cutoff) > 0
+        for group in gs[half:]:
+            server.ingest_batch(group)
+        assert min(r.t_start for r in server.records()) < cutoff
         digest = server.index.content_digest()
         assert server.replay_wal() == 0
         assert server.index.content_digest() == digest
@@ -194,7 +202,7 @@ def test_eviction_replays_in_log_order(facade, tmp_path):
         live.evict_older_than(CUTOFF)
         for group in (gs[0], gs[1], gs[3]):
             live.ingest_batch(group)
-    assert replay(path)[1] == CUTOFF
+    assert replay(path)[1].cutoff_t == CUTOFF
     recovered = make()
     assert recovered.replay_wal(path) == 4
     assert recovered.indexed_count == live.indexed_count == 40
@@ -254,6 +262,39 @@ def test_down_fleet_refuses_eviction_without_logging(tmp_path):
         with pytest.raises(ShardUnavailableError):
             fleet.evict_older_than(CUTOFF)
     assert all(isinstance(entry, bytes) for entry in replay(path))
+
+
+def test_a_kill_waits_for_the_logged_eviction_in_flight(tmp_path,
+                                                        monkeypatch):
+    # A kill between the eviction's fleet check and its index change
+    # would leave a durable cutoff that no shard applied.
+    path = tmp_path / "ingest.wal"
+    with WriteAheadLog(path) as wal:
+        fleet = FACADES["fleet"](wal)
+        for group in _timed_groups():
+            fleet.ingest_batch(group)
+        logged, release = threading.Event(), threading.Event()
+        real_commit = wal.commit
+
+        def held_commit():
+            real_commit()
+            logged.set()
+            release.wait(10)
+
+        monkeypatch.setattr(wal, "commit", held_commit)
+        evictor = threading.Thread(target=fleet.evict_older_than,
+                                   args=(CUTOFF,))
+        evictor.start()
+        assert logged.wait(10)
+        killer = threading.Thread(target=fleet.kill_shard, args=(0,))
+        killer.start()
+        killer.join(0.2)
+        assert killer.is_alive() and not fleet.down_shards
+        release.set()
+        evictor.join(10)
+        killer.join(10)
+    assert fleet.down_shards == {0}
+    assert fleet.stats.records_evicted == 20
 
 
 def test_a_bundle_the_fleet_refuses_is_not_logged(tmp_path):
