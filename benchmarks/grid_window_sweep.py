@@ -48,7 +48,7 @@ REPEATS = 5
 def main() -> int:
     workload = build_workload("city_read", SEED, Sizing.for_run(RUN_SECONDS))
     server = ShardedCloudServer(CameraModel(), n_shards=N_SHARDS,
-                                origin=CITY_ORIGIN, engine="packed")
+                                origin=CITY_ORIGIN)
     server.ingest(list(workload.base))
     views = [shard.packed_view() for shard in server.shards]
     base = [op.arg for op in workload.ops if op.kind == "query"][:N_QUERIES]

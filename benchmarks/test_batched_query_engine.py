@@ -1,4 +1,4 @@
-"""Batched query engine -- packed SoA snapshot vs the seed dynamic path.
+"""Batched query engine -- packed SoA snapshot vs the oracle's loop.
 
 The ROADMAP's serving story: a production deployment answers bursts of
 queries over a largely static index, so the hot path should be a few
@@ -6,10 +6,11 @@ vectorised array passes, not per-query Python tree walks.  This
 benchmark pins the three claims of the packed engine on the paper's
 Fig. 6 workload (50k citywide records, 256 queries):
 
-* **parity** -- the packed engine returns exactly the seed engine's
-  rankings and funnel counters;
+* **parity** -- the packed engine returns exactly the oracle's
+  (:func:`repro.core.oracle.answer`, the paper's R-tree path) rankings
+  and funnel counters;
 * **throughput** -- the batched ``execute_many`` answers the 256-query
-  batch at >= 10x the seed sequential loop.  A warm single packed query
+  batch at >= 10x the oracle's sequential loop.  A warm single packed query
   (the funnel's n = 1 case, min-of-passes on a bare engine) is printed
   but not gated: no server constructs a bare engine,
   and the latency servers do pay is the perf ledger's ``op_p50_ms`` on
@@ -23,11 +24,13 @@ Fig. 6 workload (50k citywide records, 256 queries):
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.core.index import FoVIndex
+from repro.core.oracle import answer
 from repro.core.query import Query
 from repro.core.retrieval import RetrievalEngine
 from repro.core.server import CloudServer
@@ -66,8 +69,8 @@ def _ranking(result):
 
 def test_packed_parity_and_throughput(workload, camera, show, benchmark):
     index, queries = workload
-    dynamic = RetrievalEngine(index, camera)                      # seed path
-    packed = RetrievalEngine(index, camera, engine="packed")
+    oracle = partial(answer, index, camera=camera)            # R-tree path
+    packed = RetrievalEngine(index, camera)
 
     t0 = time.perf_counter()
     index.packed_view()                                           # build once
@@ -77,7 +80,7 @@ def test_packed_parity_and_throughput(workload, camera, show, benchmark):
     packed.execute(queries[0])
 
     # Parity gate: timing means nothing unless results are identical.
-    seq = [dynamic.execute(q) for q in queries]
+    seq = [oracle(q) for q in queries]
     for q, want in zip(queries, seq):
         got = packed.execute(q)
         assert got.candidates == want.candidates
@@ -86,11 +89,13 @@ def test_packed_parity_and_throughput(workload, camera, show, benchmark):
 
     # Warm both paths so the gate compares steady state, not first-call
     # allocator noise.
-    dynamic.execute_many(queries[:16])
+    for q in queries[:16]:
+        oracle(q)
     packed.execute_many(queries[:16])
 
     t0 = time.perf_counter()
-    dynamic.execute_many(queries)
+    for q in queries:
+        oracle(q)
     t_seq = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -102,27 +107,27 @@ def test_packed_parity_and_throughput(workload, camera, show, benchmark):
     # Single-query latency, both engines, warm caches.  Min-of-passes:
     # the number describes the engine, not whatever else the machine
     # was doing during one particular pass.
-    def _min_lat(engine):
+    def _min_lat(execute):
         best = float("inf")
         for _ in range(LATENCY_PASSES):
             t0 = time.perf_counter()
             for q in queries:
-                engine.execute(q)
+                execute(q)
             best = min(best, (time.perf_counter() - t0) / len(queries))
         return best
 
-    lat_dyn = _min_lat(dynamic)
-    lat_pack = _min_lat(packed)
+    lat_oracle = _min_lat(oracle)
+    lat_pack = _min_lat(packed.execute)
 
     speedup = t_seq / t_batch
     table = Table(
         f"Batched query engine -- {N_RECORDS} records, {N_QUERIES} queries",
         ["path", "batch (ms)", "per-query (us)"])
-    table.add("dynamic execute_many (seed)", round(t_seq * 1e3, 2),
+    table.add("oracle loop (R-tree path)", round(t_seq * 1e3, 2),
               round(t_seq / N_QUERIES * 1e6, 1))
     table.add("packed execute_many (batched)", round(t_batch * 1e3, 2),
               round(t_batch / N_QUERIES * 1e6, 1))
-    table.add("dynamic execute x1", "", round(lat_dyn * 1e6, 1))
+    table.add("oracle x1", "", round(lat_oracle * 1e6, 1))
     table.add("packed execute x1", "", round(lat_pack * 1e6, 1))
     show(table)
     show(f"batched speedup: {speedup:.1f}x; snapshot pack: {pack_s * 1e3:.1f} ms")
@@ -135,8 +140,7 @@ def test_packed_parity_and_throughput(workload, camera, show, benchmark):
 
 def test_cache_hit_speedup(workload, camera, show):
     index, queries = workload
-    server = CloudServer(camera, index=index, engine="packed",
-                         cache_size=4 * N_QUERIES)
+    server = CloudServer(camera, index=index, cache_size=4 * N_QUERIES)
 
     t0 = time.perf_counter()
     cold = server.query_many(queries)
@@ -166,8 +170,7 @@ def test_span_latency_percentiles(workload, camera, show):
     """
     index, queries = workload
     obs = Observability.tracing(trace_capacity=N_QUERIES)
-    server = CloudServer(camera, index=index, engine="packed",
-                         cache_size=0, obs=obs)
+    server = CloudServer(camera, index=index, cache_size=0, obs=obs)
     server.query_many(queries[:16])                 # warm kernels + view
     tracer = obs.span_tracer
     assert tracer is not None

@@ -6,9 +6,10 @@ instruments are cheap enough to leave on.  This benchmark pins that
 claim on the paper's Fig. 6 workload (50k citywide records, 256-query
 batch, packed engine):
 
-* **counting gate** -- the default-instrumented server (metrics +
+* **counting gates** -- the default-instrumented server (metrics +
   journal, tracing off) must sustain >= 0.9x the throughput of a
-  server with the observability surface effectively silenced;
+  server with the observability surface effectively silenced on the
+  256-query batch, and >= 0.78x on single queries;
 * **tracing cost** -- a fully traced run (spans + the
   ``span.duration_s`` histogram) is measured and reported, but not
   gated: tracing is opt-in diagnostics, not the default path;
@@ -37,6 +38,10 @@ from repro.traces.dataset import random_representative_fovs
 N_RECORDS = 50_000
 N_QUERIES = 256
 OVERHEAD_GATE = 0.9     # instrumented throughput >= 0.9x uninstrumented
+#: Counted single-query throughput >= this x bare: twelve runs read
+#: 0.845-0.908x; the gate is the lowest less the runs' full spread.
+SINGLE_QUERY_GATE = 0.78
+SINGLE_QUERY_ROUNDS = 15
 
 
 def _queries(rng, reps, n):
@@ -58,7 +63,7 @@ def workload():
     queries = _queries(np.random.default_rng(6565), reps, N_QUERIES)
     # Build the snapshot once, and with one query the grid's sector rows
     # for the ``camera`` fixture's (alpha, R), the default camera's.
-    RetrievalEngine(index, CameraModel(), engine="packed").execute(queries[0])
+    RetrievalEngine(index, CameraModel()).execute(queries[0])
     return index, queries
 
 
@@ -82,13 +87,12 @@ def test_instrumented_throughput_gate(workload, camera, show, benchmark):
 
     # Bare baseline: the engine alone, no registry, no journal, no
     # cache -- the raw vectorised funnel.
-    bare = RetrievalEngine(index, camera, engine="packed")
+    bare = RetrievalEngine(index, camera)
     # Default instrumentation: what every CloudServer() now carries.
-    counted = CloudServer(camera, index=index, engine="packed",
-                          cache_size=0)
+    counted = CloudServer(camera, index=index, cache_size=0)
     # Full tracing: spans on every stage + duration histograms.
-    traced = CloudServer(camera, index=index, engine="packed",
-                         cache_size=0, obs=Observability.tracing())
+    traced = CloudServer(camera, index=index, cache_size=0,
+                         obs=Observability.tracing())
 
     # Warm every path (snapshot reuse, allocator steady state).
     bare.execute_many(queries[:16])
@@ -133,9 +137,8 @@ def test_instrumented_throughput_gate(workload, camera, show, benchmark):
 
 def test_single_query_overhead(workload, camera, show):
     index, queries = workload
-    bare = RetrievalEngine(index, camera, engine="packed")
-    counted = CloudServer(camera, index=index, engine="packed",
-                          cache_size=0)
+    bare = RetrievalEngine(index, camera)
+    counted = CloudServer(camera, index=index, cache_size=0)
     sample = queries[:64]
     for q in sample:            # warm
         bare.execute(q)
@@ -149,20 +152,29 @@ def test_single_query_overhead(workload, camera, show):
         for q in sample:
             counted.query(q)
 
-    t_bare, _ = _best_of(loop_bare)
-    t_counted, _ = _best_of(loop_counted)
+    # Interleaved rounds, min of each side: a 64-query loop takes ~10 ms,
+    # short enough for a busy neighbour to slow one side's whole
+    # best-of-3 and not the other's.
+    t_bare = t_counted = float("inf")
+    for _ in range(SINGLE_QUERY_ROUNDS):
+        t_bare = min(t_bare, _best_of(loop_bare, rounds=1)[0])
+        t_counted = min(t_counted, _best_of(loop_counted, rounds=1)[0])
     per_query_ns = (t_counted - t_bare) / len(sample) * 1e9
+    ratio = t_bare / t_counted
     show(f"single-query instrument overhead: "
          f"{max(0.0, per_query_ns):.0f} ns/query "
          f"(bare {t_bare / len(sample) * 1e6:.1f} us, "
-         f"counted {t_counted / len(sample) * 1e6:.1f} us)")
-    # Sanity, not a tight gate: the server layer (cache bookkeeping,
-    # counters, journal append, descent tally) must stay a bounded
-    # absolute cost per query.  Bare and counted run the same funnel --
-    # a single packed query is its n = 1 case with or without
-    # instruments -- so their difference is the server layer alone,
-    # not two algorithms' worth.
+         f"counted {t_counted / len(sample) * 1e6:.1f} us, "
+         f"{ratio:.3f}x of bare)")
+    # Bare and counted run the same funnel -- a single packed query is
+    # its n = 1 case with or without instruments -- so their difference
+    # is the server layer alone (cache bookkeeping, counters, journal
+    # append, descent tally): gated as a share of the query, with an
+    # absolute sanity bound besides.
     overhead_s = max(0.0, (t_counted - t_bare) / len(sample))
     assert overhead_s < 300e-6, (
         f"server-layer overhead {overhead_s * 1e6:.0f} us/query over the "
         f"300 us sanity bound")
+    assert ratio >= SINGLE_QUERY_GATE, (
+        f"instrumented single-query throughput {ratio:.3f}x of bare is "
+        f"below the {SINGLE_QUERY_GATE}x gate")

@@ -66,8 +66,7 @@ def _assert_parity(got, want):
 def test_router_parity_and_pruning(workload, camera, show):
     """Scatter-gather over the fleet == one server holding everything."""
     reps, queries = workload
-    single = CloudServer(camera, index=FoVIndex.bulk(reps), engine="packed",
-                         cache_size=0)
+    single = CloudServer(camera, index=FoVIndex.bulk(reps), cache_size=0)
     router = ShardedCloudServer(camera, n_shards=N_SHARDS, origin=CITY_ORIGIN,
                                 cache_size=0)
     t0 = time.perf_counter()

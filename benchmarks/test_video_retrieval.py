@@ -7,10 +7,11 @@ so the serving cost rides the packed engine's vectorised funnel.  This
 benchmark pins, on a 50k-record store (6250 videos x 8 segments) with a
 32-segment query trajectory:
 
-* **parity** -- dynamic, packed and sharded execution rank videos
-  identically (the engine-parity property, at benchmark scale);
+* **parity** -- the oracle (:func:`repro.core.oracle.answer`), the
+  packed engine and a sharded fleet rank videos identically (the
+  engine-parity property, at benchmark scale);
 * **harvest throughput** -- the batched packed harvest answers the
-  32-query batch at >= 5x the seed sequential per-segment loop;
+  32-query batch at >= 5x the oracle's per-segment loop;
 * **latency shape** -- end-to-end ``video.query`` span p50/p99, plus
   the POI aggregation cost over the harvested coverage.
 """
@@ -18,12 +19,14 @@ benchmark pins, on a 50k-record store (6250 videos x 8 segments) with a
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.core.fov import RepresentativeFoV
 from repro.core.index import FoVIndex
+from repro.core.oracle import answer
 from repro.core.retrieval import RetrievalEngine
 from repro.core.server import CloudServer
 from repro.eval.harness import Table
@@ -89,13 +92,13 @@ def _summary(result):
 
 def test_parity_and_harvest_speedup(workload, camera, show, benchmark):
     index, records, vq = workload
-    dynamic = RetrievalEngine(index, camera)                      # seed path
-    packed = RetrievalEngine(index, camera, engine="packed")
+    oracle = partial(answer, index, camera=camera)            # R-tree path
+    packed = RetrievalEngine(index, camera)
     queries = vq.harvest_queries()
 
-    # Parity gate first: dynamic, packed and a 4-shard fleet must rank
-    # videos identically before any timing means anything.
-    base = retrieve_videos(vq, dynamic.execute_many, camera)
+    # Parity gate first: the oracle, packed and a 4-shard fleet must
+    # rank videos identically before any timing means anything.
+    base = retrieve_videos(vq, lambda qs: [oracle(q) for q in qs], camera)
     assert base.ranked, "benchmark workload must surface matches"
     got = retrieve_videos(vq, packed.execute_many, camera)
     assert _summary(got) == _summary(base)
@@ -105,9 +108,10 @@ def test_parity_and_harvest_speedup(workload, camera, show, benchmark):
     fleet.ingest(records)
     assert _summary(fleet.query_video(vq)) == _summary(base)
 
-    # Harvest throughput: the ONE batched call vs the seed per-segment
-    # sequential loop.  Min-of-passes so the gate measures the engine.
-    dynamic.execute_many(queries[:4])                   # warm both paths
+    # Harvest throughput: the ONE batched call vs the oracle's
+    # per-segment loop.  Min-of-passes so the gate measures the engine.
+    for q in queries[:4]:                               # warm both paths
+        oracle(q)
     packed.execute_many(queries[:4])
 
     t_seq = float("inf")
@@ -115,7 +119,7 @@ def test_parity_and_harvest_speedup(workload, camera, show, benchmark):
     for _ in range(LATENCY_PASSES):
         t0 = time.perf_counter()
         for q in queries:
-            dynamic.execute(q)
+            oracle(q)
         t_seq = min(t_seq, time.perf_counter() - t0)
         t0 = time.perf_counter()
         packed.execute_many(queries)
@@ -126,7 +130,7 @@ def test_parity_and_harvest_speedup(workload, camera, show, benchmark):
         f"Video retrieval -- {N_RECORDS} records, "
         f"{QUERY_SEGMENTS}-segment query",
         ["path", "harvest (ms)", "per-segment (us)"])
-    table.add("dynamic sequential (seed)", round(t_seq * 1e3, 2),
+    table.add("oracle sequential (R-tree path)", round(t_seq * 1e3, 2),
               round(t_seq / QUERY_SEGMENTS * 1e6, 1))
     table.add("packed batched", round(t_batch * 1e3, 2),
               round(t_batch / QUERY_SEGMENTS * 1e6, 1))
@@ -148,8 +152,7 @@ def test_video_query_span_percentiles(workload, camera, show):
     """End-to-end ``video.query`` p50/p99 plus cache-hit cost."""
     index, _, vq = workload
     obs = Observability.tracing(trace_capacity=SPAN_SAMPLES + 4)
-    server = CloudServer(camera, index=index, engine="packed",
-                         cache_size=0, obs=obs)
+    server = CloudServer(camera, index=index, cache_size=0, obs=obs)
     server.query_video(vq)                              # warm kernels + view
     tracer = obs.span_tracer
     assert tracer is not None
@@ -162,8 +165,7 @@ def test_video_query_span_percentiles(workload, camera, show):
     p50 = float(np.percentile(lat, 50))
     p99 = float(np.percentile(lat, 99))
 
-    cached = CloudServer(camera, index=index, engine="packed",
-                         cache_size=64)
+    cached = CloudServer(camera, index=index, cache_size=64)
     cold0 = time.perf_counter()
     cached.query_video(vq)
     t_cold = time.perf_counter() - cold0
@@ -182,7 +184,7 @@ def test_video_query_span_percentiles(workload, camera, show):
 def test_poi_aggregation_cost(workload, camera, show):
     """POI discovery over the harvested coverage stays interactive."""
     index, _, vq = workload
-    packed = RetrievalEngine(index, camera, engine="packed")
+    packed = RetrievalEngine(index, camera)
     harvested = retrieve_videos(vq, packed.execute_many, camera).harvested
     assert harvested
 

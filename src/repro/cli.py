@@ -255,7 +255,7 @@ def _cmd_query(args) -> int:
         fleet.ingest(records)
         result = fleet.query(query)
     else:
-        engine = RetrievalEngine(index, camera, engine="packed", obs=obs)
+        engine = RetrievalEngine(index, camera, obs=obs)
         result = engine.execute(query)
     if args.json:
         from repro.net.jsonio import result_to_json
@@ -312,8 +312,7 @@ def _cmd_video_query(args) -> int:
         fleet.ingest(records)
         result = fleet.query_video(video_query)
     else:
-        server = CloudServer(camera, engine="packed", index=index,
-                             obs=obs, cache_size=0)
+        server = CloudServer(camera, index=index, obs=obs, cache_size=0)
         result = server.query_video(video_query)
     pois = (discover_pois(result.harvested, camera, cell_m=args.cell,
                           top_k=args.poi)
@@ -560,7 +559,7 @@ def _cmd_metrics(args) -> int:
     index, records = _read_fovpack(args.snapshot)
     obs = Observability.tracing()
     camera = CameraModel(half_angle=args.half_angle)
-    server = CloudServer(camera, engine="packed", index=index, obs=obs)
+    server = CloudServer(camera, index=index, obs=obs)
     if records:
         rng = np.random.default_rng(args.seed)
         picks = rng.integers(0, len(records), size=max(0, args.queries))

@@ -13,9 +13,10 @@ demand.  Neither holds a rank column: the retrieval layer breaks score
 ties on the record key only when a result holds one.  The tree family
 (:mod:`repro.spatial.rtree` and friends) is imported only inside
 :meth:`FoVIndex.rtree`, :meth:`FoVIndex.nearest` and
-:meth:`FoVIndex.nearest_bruteforce`, so a process that serves packed
-never loads it.  ``backend="linear"`` swaps the store for the
-linear-scan baseline of the Fig. 6(c) comparison.
+:meth:`FoVIndex.nearest_bruteforce`, so a process that only serves
+never loads it; :meth:`FoVIndex.range_search` is the oracle's.
+``backend="linear"`` swaps the store for the linear-scan baseline of
+the Fig. 6(c) comparison.
 """
 
 from __future__ import annotations
@@ -399,10 +400,9 @@ class FoVIndex:
     parallel columns, no record objects): a write is an O(batch) copy
     of the batch's columns, and both read-optimised forms are views derived
     from it lazily -- :meth:`packed_view` (columns + cell grid, what
-    ``engine="packed"`` serves from) and :meth:`rtree` (the Section V-A
+    the retrieval engine serves from) and :meth:`rtree` (the Section V-A
     R-tree, what :meth:`range_search`, :meth:`count_in_range` and
-    :meth:`nearest` descend).  A deployment that only serves packed
-    never builds a tree.
+    :meth:`nearest` descend).  A server never builds a tree.
 
     Every mutation bumps :attr:`epoch`, which invalidates derived
     read-optimised state (the packed snapshot, server-side result
@@ -662,8 +662,8 @@ class FoVIndex:
     def range_search(self, query: Query) -> list[RepresentativeFoV]:
         """All records whose 3-D rectangles intersect the query box.
 
-        This is the raw R-tree stage; the orientation filter and
-        ranking live in :mod:`repro.core.retrieval`.
+        The Section V-A stage of :func:`repro.core.oracle.answer`: the
+        R-tree view's descent, or the linear baseline's scan.
         """
         bmin, bmax = query_box(query)
         return self._searchable().search(bmin, bmax)

@@ -7,7 +7,7 @@ The engine therefore:
 
 1. runs the 3-D range search (query radius per the empirical area
    presets, Section V-B item 1);
-2. on the packed engine under strict cover, keeps only the box hits
+2. under strict cover, keeps only the box hits
    whose viewing sector's lng/lat bounding box holds the query centre
    -- a superset of step 3's survivors, tested inside the grid descent
    (:mod:`repro.spatial.grid`); a query still counts every box hit as
@@ -19,38 +19,31 @@ The engine therefore:
    (closer FoVs are less likely to be occluded);
 5. truncates to the inquirer's top-N (item 4).
 
-Two execution engines share that pipeline:
-
-* ``"dynamic"`` -- the paper's path: search the mutable R-tree, then
-  build evidence arrays from the candidate objects and rank with a
-  Python tie-run sort.  No server deploys it; it is the independent
-  reference the parity suites and the perf ledger's oracle compare
-  against.
-* ``"packed"`` -- the serving path, for read-heavy, ingest-heavy and
-  mixed traffic alike (docs/PERFORMANCE.md §1): search the frozen
-  structure-of-arrays snapshot (``FoVIndex.packed_view``) and gather
-  evidence by fancy-indexing its columns.  After appends the snapshot
-  is a base grid plus one tail segment of the rows since; the funnel
-  sees global row ids from both, sorts by score then row, and breaks
-  a score tie on the record key only when a result window holds one,
-  so it ranks as over one full rebuild.
-  It has exactly one filter->rank implementation,
-  :func:`_batch_execute`: ``execute_many`` answers a whole batch in
-  shared passes over all (query, candidate) pairs, ``execute`` is its
-  ``n = 1`` case on scalar operands, and the sharded router runs it
-  once per call over every shard's hits.
-  Both engines produce identical rankings and funnel counters (the
-  parity tests pin this).
+One engine serves it, from the frozen structure-of-arrays snapshot
+(``FoVIndex.packed_view``), gathering evidence by fancy-indexing its
+columns -- the path for read-heavy, ingest-heavy and mixed traffic
+alike (docs/PERFORMANCE.md §1).  After appends the snapshot is a base
+grid plus one tail segment of the rows since; the funnel sees global
+row ids from both, sorts by score then row, and breaks a score tie on
+the record key only when a result window holds one, so it ranks as
+over one full rebuild.  It has exactly one filter->rank
+implementation, :func:`_batch_execute`: ``execute_many`` answers a
+whole batch in shared passes over all (query, candidate) pairs,
+``execute`` is its ``n = 1`` case on scalar operands, and the sharded
+router runs it once per call over every shard's hits.  The reference
+the parity suites compare it with is :func:`repro.core.oracle.answer`,
+the paper's R-tree search and Python tie-run sort, which produces
+identical rankings and funnel counters.
 
 Latency accounting never reads a clock directly (fovlint RF005): the
 engine takes an injectable ``clock`` callable, defaulting to
 :func:`repro.net.clock.default_timer`.  Observability follows the same
 discipline: the engine accepts an :class:`~repro.obs.runtime.Observability`
-bundle and emits per-stage spans (tree descent, projection, orientation
+bundle and emits per-stage spans (grid descent, projection, orientation
 filter, rank) through its tracer -- a no-op
 :data:`~repro.obs.trace.NULL_TRACER` unless the owner opted into
-tracing -- and turns each packed pass's descent tally (box hits, rows
-read) into the ``packed.*`` counters.  Instruments observe the funnel;
+tracing -- and turns each pass's descent tally (box hits, rows read)
+into the ``packed.*`` counters.  Instruments observe the funnel;
 they never select a different one.
 """
 
@@ -75,8 +68,6 @@ from repro.obs.runtime import Observability
 from repro.obs.trace import NULL_TRACER, TracerLike
 
 __all__ = ["RetrievalEngine"]
-
-_ENGINES = ("dynamic", "packed")
 
 
 def _sector_evidence(camera: CameraModel, strict_cover: bool,
@@ -124,60 +115,6 @@ def _sector_evidence(camera: CameraModel, strict_cover: bool,
         near_enough = dist <= camera.radius + radii
         keep = covers_center | apex_in_disc | (wedge_touches & near_enough)
     return dist, dtheta, covers_center, keep
-
-
-def _ranked_rows(query: Query, camera: CameraModel, ranker: Any,
-                 fov_at: Callable[[int], RepresentativeFoV],
-                 dist: np.ndarray, dtheta: np.ndarray,
-                 covers_center: np.ndarray, keep: np.ndarray,
-                 t_start: np.ndarray, t_end: np.ndarray) -> list[RankedFoV]:
-    """Score, sort and materialise the surviving candidates.
-
-    The orientation-filter mask is applied *first*, so the ranker and
-    the argsort only ever see survivors; ``fov_at`` maps a candidate
-    row back to its record.
-
-    The output order is the *canonical* ranking: descending score, with
-    exact score ties broken by the record key ``(video_id,
-    segment_id)``.  A plain stable argsort would leave tie order at the
-    mercy of candidate order -- i.e. of index layout -- which would make
-    two indexes holding the same records rank differently.  The
-    canonical order depends only on record content, so the dynamic and
-    packed engines agree bit for bit, and so does the geo-sharded
-    router, which sorts every shard's survivors once under the same key
-    (docs/SHARDING.md).  Tie runs are re-sorted at Python level, so the
-    common all-distinct case stays one vectorised argsort.
-    """
-    kept = keep.nonzero()[0]
-    if kept.size == 0:
-        return []
-    scores = np.asarray(ranker.scores(
-        camera, query.t_start, query.t_end, dist[kept], dtheta[kept],
-        t_start[kept], t_end[kept]), dtype=float)
-    perm = np.argsort(-scores, kind="stable")
-    ss = scores[perm]
-    if ss.size > 1 and bool(np.any(ss[:-1] == ss[1:])):
-        ordered: list[int] = []
-        flat = [int(p) for p in perm]
-        i = 0
-        while i < len(flat):
-            j = i + 1
-            while j < len(flat) and ss[j] == ss[i]:
-                j += 1
-            if j - i > 1:
-                ordered.extend(sorted(
-                    flat[i:j], key=lambda p: fov_at(int(kept[p])).key()))
-            else:
-                ordered.append(flat[i])
-            i = j
-        perm = np.asarray(ordered, dtype=np.intp)
-    return [
-        RankedFoV(fov=fov_at(int(kept[p])),
-                  distance=float(dist[kept[p]]),
-                  covers=bool(covers_center[kept[p]]),
-                  score=float(scores[p]))
-        for p in perm
-    ]
 
 
 #: A funnel part: a view, its hits' query ids (read for batches) and rows.
@@ -374,19 +311,14 @@ class RetrievalEngine:
     ranker : optional
         Scoring strategy (see :mod:`repro.core.ranking`); default is the
         paper's nearest-camera-first :class:`DistanceRanker`.
-    engine : {"dynamic", "packed"}
-        ``"dynamic"`` (default) searches the mutable R-tree per query;
-        ``"packed"`` serves reads from the columnar snapshot
-        (``FoVIndex.packed_view``), which also unlocks the batched
-        ``execute_many`` funnel.  Results are identical either way.
     clock : callable, optional
         Zero-argument monotonic timer used for ``elapsed_s``; defaults
         to :func:`repro.net.clock.default_timer`.  Injectable so the
         deterministic core never reads a clock itself.
     obs : Observability, optional
         Instrument bundle.  When given, every pipeline stage emits a
-        span through ``obs.tracer`` (tree descent, projection,
-        orientation filter, rank) and each packed pass (one
+        span through ``obs.tracer`` (grid descent, projection,
+        orientation filter, rank) and each pass (one
         ``execute``, or one ``execute_many`` batch) feeds the
         ``packed.*`` families from its descent tally.  When omitted the
         same code runs against the no-op tracer and counts nothing.
@@ -394,16 +326,12 @@ class RetrievalEngine:
 
     def __init__(self, index: FoVIndex, camera: CameraModel,
                  strict_cover: bool = True, ranker: Any = None,
-                 engine: str = "dynamic",
                  clock: Callable[[], float] | None = None,
                  obs: Observability | None = None):
-        if engine not in _ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; choose from {_ENGINES}")
         self.index = index
         self.camera = camera
         self.strict_cover = strict_cover
         self.ranker = ranker if ranker is not None else DistanceRanker()
-        self.engine = engine
         self._clock = clock if clock is not None else default_timer
         self._tracer: TracerLike = obs.tracer if obs is not None else NULL_TRACER
         self._packed: tuple[Counter, Counter, Counter, Gauge] | None = None
@@ -421,43 +349,27 @@ class RetrievalEngine:
     def execute(self, query: Query) -> QueryResult:
         """Run the full filter/rank pipeline; returns a timed result.
 
-        On the packed engine this is the ``n = 1`` case of the batched
-        funnel (:func:`_batch_execute`), instrumented or not.
+        The ``n = 1`` case of the batched funnel
+        (:func:`_batch_execute`), instrumented or not.
         """
-        with self._tracer.span("query.execute", engine=self.engine):
-            if self.engine == "packed":
-                return self._execute_packed([query])[0]
-            t0 = self._clock()
-            with self._tracer.span("query.tree_descent"):
-                candidates = self.index.range_search(query)
-            ranked = self._filter_and_rank(candidates, query)
-            elapsed = self._clock() - t0
-            return QueryResult(
-                query=query,
-                ranked=ranked[: query.top_n],
-                candidates=len(candidates),
-                after_filter=len(ranked),
-                elapsed_s=elapsed,
-            )
+        with self._tracer.span("query.execute"):
+            return self._execute_packed([query])[0]
 
     def execute_many(self, queries: Sequence[Query]) -> list[QueryResult]:
         """Answer a batch of queries.
 
         Semantically identical to ``[execute(q) for q in queries]`` --
-        same rankings, same funnel counters -- but the ``"packed"``
-        engine answers the whole batch in one grid pass and shares the
-        orientation-filter pass across queries.  Scaling out is the
-        geo-partitioned router's job (:mod:`repro.shard`), not the
-        engine's.
+        same rankings, same funnel counters -- but the whole batch is
+        answered in one grid pass that shares the orientation-filter
+        pass across queries.  Scaling out is the geo-partitioned
+        router's job (:mod:`repro.shard`), not the engine's.
 
         The batched path reports ``elapsed_s`` as the batch wall time
         split evenly across its queries.
         """
         batch = list(queries)
-        if self.engine == "packed":
-            with self._tracer.span("query.execute_many", batch=len(batch)):
-                return self._execute_packed(batch)
-        return [self.execute(q) for q in batch]
+        with self._tracer.span("query.execute_many", batch=len(batch)):
+            return self._execute_packed(batch)
 
     def _execute_packed(self, queries: list[Query]) -> list[QueryResult]:
         view, t0 = self.index.packed_view(), self._clock()
@@ -484,26 +396,3 @@ class RetrievalEngine:
             if read > peak.value:
                 peak.set(read)
         return results
-
-    def _filter_and_rank(self, candidates: list[RepresentativeFoV],
-                         query: Query) -> list[RankedFoV]:
-        if not candidates:
-            return []
-        with self._tracer.span("query.projection",
-                               candidates=len(candidates)):
-            lats = np.array([f.lat for f in candidates], dtype=float)
-            lngs = np.array([f.lng for f in candidates], dtype=float)
-            thetas = np.array([f.theta for f in candidates], dtype=float)
-            # camera positions, query centre at the origin
-            x, y = pairwise_local_xy(query.center.lat, query.center.lng,
-                                     lats, lngs)
-        with self._tracer.span("query.orientation_filter"):
-            dist, dtheta, covers_center, keep = _sector_evidence(
-                self.camera, self.strict_cover, x, y, thetas, query.radius)
-        with self._tracer.span("query.rank"):
-            t_start = np.array([f.t_start for f in candidates])
-            t_end = np.array([f.t_end for f in candidates])
-            return _ranked_rows(
-                query, self.camera, self.ranker,
-                lambda i: candidates[i],
-                dist, dtheta, covers_center, keep, t_start, t_end)

@@ -1,11 +1,13 @@
 """Cloud-server facade: ingest descriptor bundles, answer ranked queries.
 
 The server half of Figure 1.  It decodes upload bundles (validating the
-wire format), keeps one :class:`~repro.core.index.FoVIndex` (a column
-store; queries read its packed view, or the R-tree view it derives
-when built with ``engine="dynamic"``), runs the filter/rank retrieval,
-and -- when an inquirer picks a result -- asks the owning client for
-exactly that segment, accounting the bytes moved.
+wire format), keeps one :class:`~repro.core.index.FoVIndex`, runs the
+filter/rank retrieval, and -- when an inquirer picks a result -- asks
+the owning client for exactly that segment, accounting the bytes moved.
+The index picks the read path: a column store is served by the packed
+:class:`~repro.core.retrieval.RetrievalEngine`; the linear-scan
+baseline holds no columns to pack, so :func:`repro.core.oracle.answer`
+answers it.
 
 The ingest path assumes a hostile, at-least-once network
 (``docs/PROTOCOL.md``): every bundle is validated end to end before a
@@ -29,6 +31,7 @@ from repro.core.camera import CameraModel
 from repro.core.fov import RecordColumns, RepresentativeFoV
 from repro.core.index import FoVIndex
 from repro.core.ingest import IngestCoordinator, IngestOutcome, IngestStatus
+from repro.core.oracle import answer
 from repro.core.pipeline import ClientPipeline, StoredSegment
 from repro.core.quarantine import QuarantineStore
 from repro.core.query import Query, QueryResult
@@ -206,15 +209,17 @@ class CloudServer:
         Camera constants shared with the provider fleet (used by the
         orientation filter).
     backend : {"rtree", "linear"}
-        Index backend; ``"linear"`` swaps in the brute-force baseline.
+        Index backend; ``"linear"`` swaps in the brute-force baseline,
+        which the oracle (:func:`repro.core.oracle.answer`) answers.
     strict_cover : bool
         Orientation-filter mode (see :class:`RetrievalEngine`).
     video_profile : VideoProfile, optional
         Encoding profile used to account segment-fetch bytes.
-    engine : {"dynamic", "packed"}
-        Retrieval engine mode (see :class:`RetrievalEngine`); results
-        are identical, ``"packed"`` trades snapshot rebuilds for much
-        higher read throughput.
+    engine : {None, "packed", "dynamic"}
+        Selects nothing: the index picks the read path.  Kept as a
+        check for existing callers -- ``"packed"`` is accepted for a
+        column store, ``"dynamic"`` for the linear baseline, anything
+        else raises ``ValueError``.
     cache_size : int
         Capacity of the epoch-tagged LRU query-result cache; ``0``
         disables caching.  Entries are invalidated automatically
@@ -248,7 +253,7 @@ class CloudServer:
     def __init__(self, camera: CameraModel, backend: str = "rtree",
                  strict_cover: bool = True,
                  video_profile: VideoProfile | None = None,
-                 engine: str = "dynamic",
+                 engine: str | None = None,
                  cache_size: int = 1024,
                  index: FoVIndex | None = None,
                  quarantine_capacity: int = 256,
@@ -258,9 +263,13 @@ class CloudServer:
         self.camera = camera
         self.obs = obs if obs is not None else Observability.default()
         self.index = index if index is not None else FoVIndex(backend=backend)
-        self.engine = RetrievalEngine(self.index, camera,
-                                      strict_cover=strict_cover,
-                                      engine=engine, obs=self.obs)
+        linear = self.index.backend == "linear"
+        if engine not in (None, "dynamic" if linear else "packed"):
+            raise ValueError(f"a {self.index.backend} index is not served "
+                             f"by the {engine!r} engine")
+        self._strict_cover = strict_cover
+        self.engine = None if linear else RetrievalEngine(
+            self.index, camera, strict_cover=strict_cover, obs=self.obs)
         self.traffic = TrafficModel(video_profile)
         self.stats = ServerStats(registry=self.obs.registry)
         self.stats._live.set(len(self.index))
@@ -421,11 +430,22 @@ class CloudServer:
             lambda missed: execute([queries[i] for i in missed]),
             self.stats._cache_hits, self.stats._cache_misses)
 
+    def _answer(self, queries: list[Query],
+                batched: bool) -> list[QueryResult]:
+        """Run a read's cache misses: the packed engine, or, on the
+        linear baseline, the oracle a query at a time."""
+        if self.engine is None:
+            return [answer(self.index, q, self.camera, self._strict_cover)
+                    for q in queries]
+        if batched:
+            return self.engine.execute_many(queries)
+        return [self.engine.execute(q) for q in queries]
+
     def query(self, query: Query) -> QueryResult:
         """Answer one ranked spatio-temporal query (cache-aware)."""
         with self.obs.tracer.span("server.query"):
             return self._read_points(
-                [query], lambda qs: [self.engine.execute(q) for q in qs])[0]
+                [query], lambda qs: self._answer(qs, batched=False))[0]
 
     def query_many(self, queries: list[Query]) -> list[QueryResult]:
         """Answer a batch of queries (see RetrievalEngine.execute_many).
@@ -435,7 +455,8 @@ class CloudServer:
         """
         batch = list(queries)
         with self.obs.tracer.span("server.query_many", batch=len(batch)):
-            return self._read_points(batch, self.engine.execute_many)
+            return self._read_points(
+                batch, lambda qs: self._answer(qs, batched=True))
 
     def query_video(self, video_query: VideoQuery) -> VideoQueryResult:
         """Answer one video-to-video retrieval request (cache-aware).

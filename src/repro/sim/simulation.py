@@ -5,7 +5,7 @@ on the street grid, and upload their descriptor bundle when they stop
 (after a modelled uplink delay).  Inquirers arrive as a Poisson
 process and query recent activity near a random provider location.
 Everything downstream is the *real* system: the streaming segmenter,
-the wire protocol, the dynamic R-tree, the filter/rank engine.
+the wire protocol, the index, the packed filter/rank engine.
 
 The report aggregates what an operator would dashboard: indexed
 segments over time, query latency percentiles, answerable-query

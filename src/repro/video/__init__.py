@@ -18,8 +18,8 @@ Pipeline (``docs/VIDEO_RETRIEVAL.md``):
    (``cross_similarity``), reduced by :func:`lcv_run_length` /
    :func:`alignment_score`;
 3. **rank** -- candidates order under the canonical
-   ``(-score, video_id)`` total order, bit-identical between dynamic,
-   packed and sharded execution;
+   ``(-score, video_id)`` total order, bit-identical between the
+   oracle, the packed engine and the sharded router;
 4. **POI** -- harvested coverage rasterises into most-observed cells,
    weighted by the Section VII submodular utility.
 """

@@ -4,7 +4,7 @@ Engine-agnostic: :func:`retrieve_videos` takes any ``query_many``
 callable -- :meth:`repro.core.server.CloudServer.query_many` or the
 sharded router's -- and the guarantee it needs from it is exactly the
 one the engine-parity suite already pins for point queries: identical
-ranked lists across dynamic, packed and sharded execution.  Harvest
+ranked lists from the oracle, the packed engine and the router.  Harvest
 grouping, similarity scoring and the canonical ``(-score, video_id)``
 ranking are all deterministic functions of those lists, so the video
 top-k inherits the bit-identical parity for free

@@ -8,8 +8,11 @@ determinism and the mask-first ranking invariant.
 Every packed engine here is built twice: bare (``obs=None``) and the
 way a server owns one (``obs=Observability.default()``).  Both run the
 one packed funnel -- a single query is its ``n = 1`` case -- so both
-are held to the dynamic engine's answers directly.
+are held to the oracle's answers (:func:`repro.core.oracle.answer`)
+directly.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,9 +20,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro import CameraModel
 from repro.core.index import FoVIndex, query_box_floats
+from repro.core.oracle import answer
 from repro.core.query import Query
 from repro.core.ranking import CompositeRanker
 from repro.core.retrieval import RetrievalEngine
+from repro.core.server import CloudServer
 from repro.geo.coords import GeoPoint
 from repro.obs import Observability
 from repro.spatial import grid as grid_mod
@@ -50,6 +55,11 @@ obs_configs = pytest.mark.parametrize("make_obs", OBS_FACTORIES.values(),
                                       ids=OBS_FACTORIES.keys())
 
 
+def oracle(index, **kwargs):
+    """The reference engine: ``oracle(q)`` is ``answer`` over ``index``."""
+    return partial(answer, index, camera=CAMERA, **kwargs)
+
+
 def ranking(result):
     return [(r.fov.key(), r.distance, r.covers) for r in result.ranked]
 
@@ -64,16 +74,16 @@ class TestPackedParity:
     make_obs = staticmethod(OBS_FACTORIES["bare"])
 
     def packed(self, index, **kwargs):
-        return RetrievalEngine(index, CAMERA, engine="packed",
-                               obs=self.make_obs(), **kwargs)
+        return RetrievalEngine(index, CAMERA, obs=self.make_obs(), **kwargs)
 
     @pytest.mark.parametrize("strict", [True, False])
     def test_execute_matches_dynamic(self, strict):
+        """The reference is the oracle, the old dynamic engine's path."""
         index, queries = workload(7, 2000, 40)
-        dyn = RetrievalEngine(index, CAMERA, strict_cover=strict)
+        ref = oracle(index, strict_cover=strict)
         pck = self.packed(index, strict_cover=strict)
         for q in queries:
-            assert_same(pck.execute(q), dyn.execute(q))
+            assert_same(pck.execute(q), ref(q))
 
     def test_execute_many_matches_sequential(self):
         index, queries = workload(11, 2000, 48)
@@ -85,21 +95,21 @@ class TestPackedParity:
     def test_composite_ranker_parity(self):
         index, queries = workload(13, 1500, 24)
         ranker = CompositeRanker()
-        dyn = RetrievalEngine(index, CAMERA, ranker=ranker)
+        ref = oracle(index, ranker=ranker)
         pck = self.packed(index, ranker=ranker)
         for got, q in zip(pck.execute_many(queries), queries):
-            assert_same(got, dyn.execute(q))
+            assert_same(got, ref(q))
 
     def test_packed_tracks_mutations_via_epoch(self):
         index, queries = workload(19, 400, 8)
-        dyn = RetrievalEngine(index, CAMERA)
+        ref = oracle(index)
         pck = self.packed(index)
         for q in queries:
-            assert_same(pck.execute(q), dyn.execute(q))
+            assert_same(pck.execute(q), ref(q))
         extra = random_representative_fovs(50, np.random.default_rng(20))
         index.insert_many(extra)
         for q in queries:
-            assert_same(pck.execute(q), dyn.execute(q))
+            assert_same(pck.execute(q), ref(q))
 
     def test_packed_invalidated_by_delete_and_evict(self):
         """Non-incremental mutations must invalidate the packed view.
@@ -110,7 +120,7 @@ class TestPackedParity:
         snapshot containing the removed records.
         """
         index, queries = workload(43, 600, 10)
-        dyn = RetrievalEngine(index, CAMERA)
+        ref = oracle(index)
         pck = self.packed(index)
         stale = index.packed_view()
         victim = index.records()[0]
@@ -119,12 +129,12 @@ class TestPackedParity:
         assert fresh is not stale and fresh.epoch != stale.epoch
         assert len(fresh) == len(stale) - 1
         for q in queries:
-            assert_same(pck.execute(q), dyn.execute(q))
+            assert_same(pck.execute(q), ref(q))
         cutoff = float(np.median([r.t_end for r in index.records()]))
         assert index.evict_older_than(cutoff) > 0
         assert index.packed_view().epoch == index.epoch
         for q in queries:
-            assert_same(pck.execute(q), dyn.execute(q))
+            assert_same(pck.execute(q), ref(q))
 
     def test_empty_batch(self):
         index, _ = workload(23, 100, 1)
@@ -133,7 +143,7 @@ class TestPackedParity:
     def test_unknown_engine_rejected(self):
         index, _ = workload(23, 10, 1)
         with pytest.raises(ValueError):
-            RetrievalEngine(index, CAMERA, engine="turbo")
+            CloudServer(CAMERA, index=index, engine="turbo")
 
     def test_packed_requires_rtree_backend(self):
         eng = self.packed(FoVIndex(backend="linear"))
@@ -154,10 +164,10 @@ class TestPackedParityServerOwned(TestPackedParity):
 def test_prop_batched_equals_sequential(seed, strict, obs):
     """execute_many on the packed engine == one-at-a-time, any workload."""
     index, queries = workload(seed, 300, 12)
-    dyn = RetrievalEngine(index, CAMERA, strict_cover=strict)
-    pck = RetrievalEngine(index, CAMERA, strict_cover=strict, engine="packed",
+    ref = oracle(index, strict_cover=strict)
+    pck = RetrievalEngine(index, CAMERA, strict_cover=strict,
                           obs=OBS_FACTORIES[obs]())
-    want = [dyn.execute(q) for q in queries]
+    want = [ref(q) for q in queries]
     for got, ref in zip(pck.execute_many(queries), want):
         assert_same(got, ref)
     for q, ref in zip(queries, want):
@@ -197,16 +207,15 @@ class TestSingleQueryIsTheBatchOfOne:
     """
 
     def check(self, index, queries, make_obs, **kwargs):
-        pck = RetrievalEngine(index, CAMERA, engine="packed",
-                              obs=make_obs(), **kwargs)
-        dyn = RetrievalEngine(index, CAMERA, **kwargs)
+        pck = RetrievalEngine(index, CAMERA, obs=make_obs(), **kwargs)
+        ref = oracle(index, **kwargs)
         batched = pck.execute_many(queries)
         assert len(batched) == len(queries)
         for q, from_batch in zip(queries, batched):
             single = pck.execute(q)
             [batch_of_one] = pck.execute_many([q])
             assert rows(single) == rows(batch_of_one) == rows(from_batch)
-            assert_same(single, dyn.execute(q))
+            assert_same(single, ref(q))
         return batched
 
     @pytest.mark.parametrize("strict", [True, False])
@@ -238,7 +247,7 @@ class TestSingleQueryIsTheBatchOfOne:
         """Mask-first on the packed funnel, single and batched."""
         index, queries = workload(37, 1000, 12)
         ranker = SpyRanker()
-        eng = RetrievalEngine(index, CAMERA, engine="packed", ranker=ranker,
+        eng = RetrievalEngine(index, CAMERA, ranker=ranker,
                               obs=make_obs())
         for q in queries + [FAR_AWAY]:
             ranker.seen.clear()
@@ -288,7 +297,7 @@ class TestSingleQueryBookkeeping:
             reads.append(float(len(reads)))
             return reads[-1]
 
-        eng = RetrievalEngine(index, CAMERA, engine="packed", clock=clock,
+        eng = RetrievalEngine(index, CAMERA, clock=clock,
                               obs=make_obs())
         for n, q in enumerate(queries + [FAR_AWAY], start=1):
             assert eng.execute(q).elapsed_s == 1.0
@@ -305,7 +314,7 @@ class TestSingleQueryBookkeeping:
         assert tailed.packed_view().tail is not None
         for idx in (index, tailed):
             obs = Observability.default()
-            eng = RetrievalEngine(idx, CAMERA, engine="packed", obs=obs)
+            eng = RetrievalEngine(idx, CAMERA, obs=obs)
             reg = obs.registry
             descents = reg.get("packed.descents")
             results = []
@@ -335,7 +344,7 @@ class TestSingleQueryBookkeeping:
     def test_frontier_peak_never_falls(self):
         obs = Observability.default()
         index, queries = workload(79, 500, 4)
-        eng = RetrievalEngine(index, CAMERA, engine="packed", obs=obs)
+        eng = RetrievalEngine(index, CAMERA, obs=obs)
         tested = obs.registry.get("packed.entries_tested")
         peak = obs.registry.get("packed.frontier_width_peak")
         widest = 0
@@ -364,8 +373,7 @@ class TestClockInjection:
     def test_batch_elapsed_is_shared(self):
         index, queries = workload(31, 200, 4)
         ticks = iter([10.0, 18.0])
-        eng = RetrievalEngine(index, CAMERA, engine="packed",
-                              clock=lambda: next(ticks))
+        eng = RetrievalEngine(index, CAMERA, clock=lambda: next(ticks))
         results = eng.execute_many(queries)
         assert [r.elapsed_s for r in results] == [2.0] * 4
 
@@ -380,10 +388,9 @@ class TestMaskFirstRanking:
     def test_ranker_sees_only_survivors(self):
         index, queries = workload(37, 1000, 12)
         ranker = SpyRanker()
-        eng = RetrievalEngine(index, CAMERA, ranker=ranker)
         for q in queries:
             ranker.seen.clear()
-            res = eng.execute(q)
+            res = answer(index, q, CAMERA, ranker=ranker)
             if res.after_filter == 0:
                 assert ranker.seen == []   # nothing survived: never called
             else:

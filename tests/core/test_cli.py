@@ -8,12 +8,11 @@ from repro.cli import main
 from repro.core.camera import CameraModel
 from repro.core.flatsnap import load_snapshot_file
 from repro.core.index import FoVIndex
+from repro.core.oracle import answer
 from repro.core.query import Query
-from repro.core.retrieval import RetrievalEngine
-from repro.core.server import CloudServer
 from repro.geo.coords import GeoPoint
 from repro.net.jsonio import result_to_dict
-from repro.video import VideoQuery
+from repro.video import VideoQuery, retrieve_videos
 
 
 @pytest.fixture
@@ -72,8 +71,8 @@ class TestQuery:
         assert "candidates" in out
 
     def test_packed_engine_matches_dynamic(self, snapshot, capsys):
-        # The CLI serves packed; the reference is the dynamic engine
-        # run in-process over the same snapshot.
+        # The CLI serves packed; the reference is the oracle (the old
+        # dynamic engine's path) run in-process over the same snapshot.
         assert main(["query", "--snapshot", str(snapshot),
                      "--lat", "40.0046", "--lng", "116.3284",
                      "--t0", "0", "--t1", "5000", "--radius", "300",
@@ -82,8 +81,8 @@ class TestQuery:
         query = Query(t_start=0.0, t_end=5000.0,
                       center=GeoPoint(40.0046, 116.3284), radius=300.0,
                       top_n=5)
-        reference = RetrievalEngine(FoVIndex.bulk(load_snapshot_file(
-            str(snapshot))), CameraModel()).execute(query)
+        reference = answer(FoVIndex.bulk(load_snapshot_file(
+            str(snapshot))), query, CameraModel())
         assert reference.ranked
         want = result_to_dict(reference)
         # Identical rankings; only the reported latency may differ.
@@ -115,21 +114,20 @@ class TestVideoQuery:
             assert rc == 0
             return json.loads(capsys.readouterr().out)["ranked"]
 
-        # The CLI serves packed; the reference is the dynamic engine
-        # behind an in-process server over the same snapshot.  (Video
-        # 002 is one whose ranking is not empty.)
+        # The CLI serves packed; the reference is the oracle over the
+        # same snapshot.  (Video 002 is one whose ranking is not empty.)
         records = list(load_snapshot_file(str(snapshot)))
         segs = sorted((r for r in records
                        if r.video_id == "device-002-video-0"),
                       key=lambda r: r.segment_id)
-        reference = CloudServer(
-            CameraModel(), index=FoVIndex.bulk(records), cache_size=0,
-        ).query_video(VideoQuery(
+        index, camera = FoVIndex.bulk(records), CameraModel()
+        reference = retrieve_videos(VideoQuery(
             segments=tuple(segs),
             t_start=min(r.t_start for r in records),
             t_end=max(r.t_end for r in records),
             radius=200.0, top_k=5, sim_threshold=0.1,
-            exclude=frozenset({"device-002-video-0"})))
+            exclude=frozenset({"device-002-video-0"})),
+            lambda qs: [answer(index, q, camera) for q in qs], camera)
         base = json.loads(json.dumps(
             [match._asdict() for match in reference.ranked]))
         assert base

@@ -73,7 +73,7 @@ def test_commit_sync_save_load_and_promote_build_no_record(built, tmp_path):
     wal.close()
     recovered = fleet()
     assert recovered.replay_wal(wal.path) == sum(len(g) for g in payloads)
-    single = CloudServer(CAMERA, engine="packed")
+    single = CloudServer(CAMERA)
     for group in payloads:
         single.ingest_batch(group)
     assert built == []
@@ -105,7 +105,7 @@ def test_caller_objects_are_the_results(built):
     queries = [Query(t_start=0.0, t_end=300.0, center=f.point, radius=80.0)
                for f in recs[::20]]
     built.clear()
-    server = CloudServer(CAMERA, engine="packed", cache_size=0)
+    server = CloudServer(CAMERA, cache_size=0)
     server.ingest(recs)
     ids = {id(f) for f in recs}
     answered = [server.query(q).ranked for q in queries]

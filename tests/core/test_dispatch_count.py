@@ -120,7 +120,7 @@ def fixed_engine() -> tuple[RetrievalEngine, Query]:
     reps = random_representative_fovs(4000, np.random.default_rng(7),
                                       extent_m=500.0)
     engine = RetrievalEngine(FoVIndex.bulk(reps), CameraModel(),
-                             engine="packed", obs=Observability.default())
+                             obs=Observability.default())
     query = Query(t_start=0.0, t_end=86400.0, center=reps[0].point,
                   radius=100.0, top_n=10)
     return engine, query
@@ -187,8 +187,7 @@ def test_the_fixed_router_query_visits_two_shards_with_rows():
     server, query = fixed_fleet()
     engine, _ = fixed_engine()
     for shard in server.shards:
-        part = RetrievalEngine(shard, server.camera,
-                               engine="packed").execute(query)
+        part = RetrievalEngine(shard, server.camera).execute(query)
         assert part.candidates > 0 and part.after_filter > 0
     got, want = server.query(query), engine.execute(query)
     assert got[:4] == want[:4]      # all but elapsed_s

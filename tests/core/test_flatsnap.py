@@ -125,9 +125,8 @@ class TestRoundTrip:
         loaded = load_snapshot_file(path)
         assert list(loaded) == index.records()
         # The loaded records, re-indexed, answer like the original.
-        engine = RetrievalEngine(index, CAMERA, engine="packed")
-        reloaded = RetrievalEngine(FoVIndex.bulk(list(loaded)), CAMERA,
-                                   engine="packed")
+        engine = RetrievalEngine(index, CAMERA)
+        reloaded = RetrievalEngine(FoVIndex.bulk(list(loaded)), CAMERA)
         for want, got in zip(engine.execute_many(queries),
                              reloaded.execute_many(queries)):
             assert ranking(got) == ranking(want)

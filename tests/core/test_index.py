@@ -300,7 +300,7 @@ class TestInsertMany:
                       top_n=k) for k in (1, 5, 17, 60)]
         tailed, rebuilt = (
             RetrievalEngine(i, CameraModel(), strict_cover=False,
-                            ranker=Coarse(), engine="packed")
+                            ranker=Coarse())
             for i in (idx, FoVIndex.bulk(reps)))
         assert idx.packed_view() is view
         got = ranked(tailed, wide)
@@ -313,7 +313,7 @@ class TestInsertMany:
         idx = FoVIndex()
         idx.insert_many([rep_at(P.lat, P.lng, 0.0, 1.0, vid="b", sid=s)
                          for s in range(3)])
-        engine = RetrievalEngine(idx, CameraModel(), engine="packed")
+        engine = RetrievalEngine(idx, CameraModel())
         q = Query(t_start=0.0, t_end=1.0, center=P, radius=10.0)
         assert [r.fov.key() for r in engine.execute(q).ranked] == [
             ("b", 0), ("b", 1), ("b", 2)]

@@ -66,8 +66,9 @@ def three_shards(camera, **kwargs):
     return ShardedCloudServer(camera, n_shards=3, origin=ORIGIN, **kwargs)
 
 
-def packed(camera, **kwargs):
-    return CloudServer(camera, engine="packed", **kwargs)
+def linear(camera, **kwargs):
+    """The linear-scan baseline, which the oracle answers."""
+    return CloudServer(camera, backend="linear", **kwargs)
 
 
 def indexes(server):
@@ -403,7 +404,7 @@ class TestBadGeometryRefused:
     """Direct ``ingest`` refuses what :class:`GeoPoint` refuses on every
     facade, before any index (or shard) takes a record."""
 
-    @pytest.mark.parametrize("fleet", [CloudServer, packed, three_shards],
+    @pytest.mark.parametrize("fleet", [linear, CloudServer, three_shards],
                              ids=["dynamic", "packed", "three-shards"])
     @pytest.mark.parametrize("bad", [
         {"lat": 95.0}, {"lng": -181.0}, {"lat": float("nan")},

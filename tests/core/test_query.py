@@ -29,8 +29,9 @@ def _serving(kind):
     if kind == "sharded":
         server = ShardedCloudServer(CameraModel(), n_shards=3,
                                     origin=reps[0].point)
-    else:
-        server = CloudServer(CameraModel(), engine=kind)
+    else:   # "dynamic" is the linear baseline, which the oracle answers
+        backend = "linear" if kind == "dynamic" else "rtree"
+        server = CloudServer(CameraModel(), backend=backend)
     server.ingest(reps)
     return server, reps[0].point
 
@@ -71,9 +72,9 @@ class TestQuery:
 class TestNonFiniteQuery:
     """NaN / +-inf bounds used to reach the engines, which disagreed:
     ``OverflowError`` from the packed grid and the sharded router,
-    ``ValueError`` from the dynamic tree, and a silently empty answer
-    from the router for a NaN window.  Construction refuses them now,
-    so every server path fails the same way."""
+    ``ValueError`` from the R-tree, and a silently empty answer from
+    the router for a NaN window.  Construction refuses them now, so
+    every server path fails the same way."""
 
     @pytest.mark.parametrize("fields", NON_FINITE)
     @pytest.mark.parametrize("kind", ["dynamic", "packed", "sharded"])

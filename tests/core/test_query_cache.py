@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro import CameraModel, CloudServer, Query
 from repro.core.cache import QueryResultCache, query_cache_key, read_through
 from repro.core.index import FoVIndex
+from repro.core.oracle import answer
 from repro.obs.metrics import MetricsRegistry
 from repro.traces.dataset import random_representative_fovs
 
@@ -149,12 +150,11 @@ class TestServerCache:
         """The acceptance property: whatever mutations interleave, a
         reported cache hit always equals recomputing from scratch."""
         server, queries, _ = make_server()
-        reference = CloudServer(CAMERA, index=server.index, cache_size=0)
         for round_ in range(4):
             for q in queries:
                 for _ in range(2):         # second pass served from cache
                     cached = server.query(q)
-                    fresh = reference.query(q)
+                    fresh = answer(server.index, q, CAMERA)
                     assert ranking(cached) == ranking(fresh)
                     assert cached.candidates == fresh.candidates
             server.ingest(random_representative_fovs(7, rng))
@@ -179,7 +179,7 @@ class TestServerCache:
         assert server.stats.cache_misses == 0
 
     def test_query_many_partitions_hits_and_misses(self):
-        server, queries, _ = make_server(engine="packed")
+        server, queries, _ = make_server()
         cold = server.query_many(queries)
         assert server.stats.cache_misses == len(queries)
         mixed = server.query_many(queries + queries[:3])
@@ -194,9 +194,9 @@ class TestServerCache:
 def test_prop_cached_never_diverges_from_fresh(seed):
     rng = np.random.default_rng(seed)
     server, queries, _ = make_server(seed=seed)
-    fresh = CloudServer(CAMERA, index=server.index, cache_size=0)
     for q in queries:
         if rng.random() < 0.3:
             server.ingest(random_representative_fovs(3, rng))
-        assert ranking(server.query(q)) == ranking(fresh.query(q))
-        assert ranking(server.query(q)) == ranking(fresh.query(q))
+        fresh = answer(server.index, q, CAMERA)
+        assert ranking(server.query(q)) == ranking(fresh)
+        assert ranking(server.query(q)) == ranking(fresh)

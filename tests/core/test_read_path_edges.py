@@ -4,8 +4,8 @@ Each case is a small fleet placed on the boundaries the read path's
 kernels decide on, and every query must get the same answer from the
 packed engine's ``execute(q)``, from its ``execute_many`` (``q`` in a
 batch whose windows all match it, and in one with a narrow window that
-makes the batched box test compare its time rows), and from the dynamic
-engine over a ``backend="linear"`` oracle:
+makes the batched box test compare its time rows), and from the oracle
+(:func:`repro.core.oracle.answer`) over a ``backend="linear"`` index:
 
 * azimuths 359 and 1 degrees around a bearing of 0 (the Eq. 2 wrap);
 * a camera exactly at the query centre (``dist == 0``);
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ import repro.spatial.grid as grid_mod
 from repro.core.camera import CameraModel
 from repro.core.fov import RepresentativeFoV
 from repro.core.index import FoVIndex, query_box_floats
+from repro.core.oracle import answer
 from repro.core.query import Query
 from repro.core.retrieval import RetrievalEngine, _sector_evidence
 from repro.geo.coords import GeoPoint
@@ -165,22 +167,21 @@ def answers(result) -> tuple[list, int, int]:
 
 def engines(records, camera, strict_cover, tail=()):
     """Packed engine (base served, then ``tail`` appended) and the
-    dynamic engine over a linear oracle holding the same records."""
+    oracle over a linear index holding the same records."""
     index, oracle = FoVIndex(), FoVIndex(backend="linear")
     index.insert_many(records)
     index.packed_view()
     if tail:
         index.insert_many(tail)
     oracle.insert_many(list(records) + list(tail))
-    return (RetrievalEngine(index, camera, strict_cover=strict_cover,
-                            engine="packed"),
-            RetrievalEngine(oracle, camera, strict_cover=strict_cover,
-                            engine="dynamic"))
+    return (RetrievalEngine(index, camera, strict_cover=strict_cover),
+            partial(answer, oracle, camera=camera,
+                    strict_cover=strict_cover))
 
 
-def check(packed, dynamic, q: Query) -> tuple[list, int, int]:
+def check(packed, reference, q: Query) -> tuple[list, int, int]:
     """The three ways agree on ``q``; returns the answer."""
-    want = answers(dynamic.execute(q))
+    want = answers(reference(q))
     assert answers(packed.execute(q)) == want
     narrow = Query(t_start=q.t_start, t_end=q.t_start + 1.0,
                    center=q.center, radius=q.radius)
@@ -192,12 +193,12 @@ def check(packed, dynamic, q: Query) -> tuple[list, int, int]:
 @pytest.mark.parametrize("strict_cover", [True, False])
 def test_one_grid(strict_cover):
     fleet = Fleet(np.random.default_rng(FUZZ_SEED), T0, T1, "b")
-    packed, dynamic = engines(fleet.records, fleet.camera, strict_cover)
+    packed, reference = engines(fleet.records, fleet.camera, strict_cover)
     grid = packed.index.packed_view().grid
     assert (grid.t0, grid.t1) == (T0, T1)
-    got = {w: check(packed, dynamic, fleet.query(*w))
+    got = {w: check(packed, reference, fleet.query(*w))
            for w in windows(T0, T1)}
-    check(packed, dynamic, fleet.query(T0, T1, top_n=3))
+    check(packed, reference, fleet.query(T0, T1, top_n=3))
     # Not vacuous: the boundary records are found on the whole window
     # and dropped one ulp inside it; the corners are candidates and the
     # ulp-outside points are not; the centre and radius cameras cover.
@@ -217,7 +218,7 @@ def test_base_and_tail_with_different_time_extents(strict_cover):
     # Fewer rows than the base (so the view keeps a tail): a quarter of
     # the background and every boundary record.
     tail = Fleet(rng, TT0, TT1, "t", centre=base.centre).records[60:]
-    packed, dynamic = engines(base.records, base.camera, strict_cover,
+    packed, reference = engines(base.records, base.camera, strict_cover,
                               tail=tail)
     view = packed.index.packed_view()
     assert view.tail is not None
@@ -225,7 +226,7 @@ def test_base_and_tail_with_different_time_extents(strict_cover):
     assert view.tail.grid.t0 > T1
     for lo, hi in ((T0, T1), (TT0, TT1), (T0, TT1)):
         for w in windows(lo, hi):
-            check(packed, dynamic, base.query(*w))
+            check(packed, reference, base.query(*w))
 
 
 def test_the_angle_constants_are_numpys_conversions():
@@ -343,9 +344,9 @@ def sector_mismatches() -> int:
     """Sector fleets on which packed ``execute`` differs from the oracle."""
     bad = 0
     for fleet in sector_fleets():
-        packed, dynamic = engines(fleet.records, fleet.camera, True)
+        packed, reference = engines(fleet.records, fleet.camera, True)
         q = fleet.query()
-        bad += answers(packed.execute(q)) != answers(dynamic.execute(q))
+        bad += answers(packed.execute(q)) != answers(reference(q))
     return bad
 
 
@@ -355,10 +356,10 @@ def test_sector_boundaries(strict_cover, with_tail):
     for fleet in sector_fleets():
         records = fleet.records
         cut = len(records) * 3 // 4 if with_tail else len(records)
-        packed, dynamic = engines(records[:cut], fleet.camera, strict_cover,
+        packed, reference = engines(records[:cut], fleet.camera, strict_cover,
                                   tail=records[cut:])
         q = fleet.query()
-        ranked, cand, kept = check(packed, dynamic, q)
+        ranked, cand, kept = check(packed, reference, q)
         assert cand == len(records) and 0.0 in {d for _, d, _, _ in ranked}
         if strict_cover:
             # Not vacuous: the sector boxes prune, and the boundary
@@ -380,9 +381,9 @@ def test_a_visit_whose_box_hits_all_fail_the_sector_box():
         % 360.0, t_start=T0, t_end=T1, video_id="a", segment_id=i)
         for i, f in enumerate(fleet.records)
         if local_xy(fleet.centre, f.point) != (0.0, 0.0)]
-    packed, dynamic = engines(records, CameraModel(), True)
+    packed, reference = engines(records, CameraModel(), True)
     q = fleet.query(T0, T1)
-    ranked, cand, kept = check(packed, dynamic, q)
+    ranked, cand, kept = check(packed, reference, q)
     assert cand == fleet.in_box(q) - 4 > 0 and kept == 0
     tally = [0, 0]
     rows = packed.index.packed_view().range_search_ids(

@@ -113,6 +113,34 @@ class TestBackends:
                   radius=2500.0, top_n=50)
         assert rt.query(q).keys() == ln.query(q).keys()
 
+    def test_the_index_picks_the_read_path(self, camera, rng):
+        """A column store is served packed and the linear baseline by the
+        oracle; an ``engine=`` naming the other path is refused when the
+        server is built, not on its first query.  The perf ledger's
+        oracle call builds and ranks like a packed server."""
+        with pytest.raises(ValueError, match="'packed' engine"):
+            CloudServer(camera, backend="linear", engine="packed")
+        with pytest.raises(ValueError, match="'dynamic' engine"):
+            CloudServer(camera, engine="dynamic")
+        oracle = CloudServer(CameraModel(), backend="linear",
+                             engine="dynamic", cache_size=0)
+        packed = CloudServer(CameraModel(), cache_size=0)
+        reps = random_representative_fovs(300, rng)
+        oracle.ingest(reps)
+        packed.ingest(reps)
+        queries = [Query(t_start=0.0, t_end=86400.0, center=r.point,
+                         radius=300.0, top_n=20) for r in reps[:16]]
+
+        def rows(result):
+            return (result.candidates, result.after_filter,
+                    [(r.fov, r.distance, r.covers, r.score)
+                     for r in result.ranked])
+
+        want = [rows(packed.query(q)) for q in queries]
+        assert any(after for _, after, _ in want)
+        assert [rows(oracle.query(q)) for q in queries] == want
+        assert [rows(r) for r in oracle.query_many(queries)] == want
+
 
 def small_bundle(vid="vid-x", n=5):
     return encode_bundle(vid, [

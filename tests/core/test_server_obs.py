@@ -170,9 +170,9 @@ class TestCacheReconciliation:
 
 
 class TestServerTracing:
-    def _traced_server(self, camera, engine="dynamic", index=None):
+    def _traced_server(self, camera, index=None):
         obs = Observability.tracing(clock=FakeClock())
-        return CloudServer(camera, engine=engine, index=index, obs=obs), obs
+        return CloudServer(camera, index=index, obs=obs), obs
 
     def test_query_produces_the_nested_stage_tree(self, camera, rng):
         server, obs = self._traced_server(camera)
@@ -184,10 +184,9 @@ class TestServerTracing:
         assert root.name == "server.query"
         (execute,) = root.children
         assert execute.name == "query.execute"
-        assert execute.attrs["engine"] == "dynamic"
         stages = [c.name for c in execute.children]
-        assert stages[0] == "query.tree_descent"
-        assert "query.rank" in stages
+        assert stages == ["query.tree_descent", "query.projection",
+                          "query.orientation_filter", "query.rank"]
         # fake clock: every span closed, durations strictly positive
         for _, span in root.walk():
             assert span.end_s is not None
@@ -197,7 +196,7 @@ class TestServerTracing:
         assert execute.end_s <= root.end_s
 
     def test_batched_packed_query_traces_batch_stages(self, camera, rng):
-        server, obs = self._traced_server(camera, engine="packed")
+        server, obs = self._traced_server(camera)
         reps = random_representative_fovs(80, rng)
         server.ingest(reps)
         server.query_many([_query_for(r) for r in reps[:4]])
@@ -236,7 +235,7 @@ class TestServerTracing:
         assert server.obs.span_tracer is None
 
     def test_packed_search_counters_flow_from_query(self, camera, rng):
-        server, obs = self._traced_server(camera, engine="packed")
+        server, obs = self._traced_server(camera)
         reps = random_representative_fovs(200, rng)
         server.ingest(reps)
         server.query(_query_for(reps[0]))

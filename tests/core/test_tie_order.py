@@ -7,9 +7,9 @@ a tie (or a NaN); that query's survivor run is then re-sorted under
 records onto a few exact positions, so whole groups share a distance,
 and serves them from a base view plus a tail of rows appended after it
 was built.  Each query must get the same ranking from the packed
-engine's ``execute``, from its ``execute_many``, from the dynamic
-engine over a ``backend="linear"`` oracle, and from the packed engine
-over a fresh full rebuild:
+engine's ``execute``, from its ``execute_many``, from the oracle
+(:func:`repro.core.oracle.answer`) over a ``backend="linear"`` index,
+and from the packed engine over a fresh full rebuild:
 
 * ties that straddle the ``top_n`` cut (the window's extra row is what
   decides which tied row is returned);
@@ -51,6 +51,7 @@ import pytest
 from repro.core.camera import CameraModel
 from repro.core.fov import RepresentativeFoV
 from repro.core.index import FoVIndex
+from repro.core.oracle import answer
 from repro.core.query import Query
 from repro.core.retrieval import RetrievalEngine
 from repro.geo.coords import GeoPoint
@@ -120,19 +121,16 @@ def ranked(result) -> tuple:
 
 def four_ways(records, split, qs, ranker=None):
     """Rankings of ``qs``: packed ``execute``, ``execute_many``, the
-    dynamic engine over a linear oracle and a packed full rebuild --
-    asserted equal, returned once."""
+    oracle over a linear index and a packed full rebuild -- asserted
+    equal, returned once."""
     oracle = FoVIndex(backend="linear")
     oracle.insert_many(records)
-    packed = RetrievalEngine(tailed(records, split), CAMERA, ranker=ranker,
-                             engine="packed")
-    rebuilt = RetrievalEngine(FoVIndex.bulk(records), CAMERA, ranker=ranker,
-                              engine="packed")
-    dynamic = RetrievalEngine(oracle, CAMERA, ranker=ranker,
-                              engine="dynamic")
+    packed = RetrievalEngine(tailed(records, split), CAMERA, ranker=ranker)
+    rebuilt = RetrievalEngine(FoVIndex.bulk(records), CAMERA, ranker=ranker)
     one = [ranked(packed.execute(q)) for q in qs]
     assert [ranked(r) for r in packed.execute_many(qs)] == one
-    assert [ranked(dynamic.execute(q)) for q in qs] == one
+    assert [ranked(answer(oracle, q, CAMERA, ranker=ranker))
+            for q in qs] == one
     assert [ranked(rebuilt.execute(q)) for q in qs] == one
     assert [ranked(r) for r in rebuilt.execute_many(qs)] == one
     return one
@@ -144,8 +142,7 @@ def full_scores(records, q) -> list[float]:
     oracle.insert_many(records)
     wide = Query(t_start=q.t_start, t_end=q.t_end, center=q.center,
                  radius=q.radius, top_n=10**6)
-    engine = RetrievalEngine(oracle, CAMERA)
-    return [r.score for r in engine.execute(wide).ranked]
+    return [r.score for r in answer(oracle, wide, CAMERA).ranked]
 
 
 class Flat:
@@ -239,15 +236,13 @@ def test_nan_scores_rank_last_by_key_then_row(rng):
                                   top_n=40)]
     oracle = FoVIndex(backend="linear")
     oracle.insert_many(records)
-    engines = [RetrievalEngine(index, CAMERA, ranker=HalfNaN(),
-                               engine="packed")
+    engines = [RetrievalEngine(index, CAMERA, ranker=HalfNaN())
                for index in (tailed(records, 26), FoVIndex.bulk(records))]
     nan_rows = 0
     for i, q in enumerate(qs):
         wide = Query(t_start=q.t_start, t_end=q.t_end, center=q.center,
                      radius=q.radius, top_n=10**6)
-        every = RetrievalEngine(oracle, CAMERA, ranker=HalfNaN()).execute(
-            wide).ranked
+        every = answer(oracle, wide, CAMERA, ranker=HalfNaN()).ranked
         want = sorted(every, key=lambda r: (
             math.isnan(r.score), 0.0 if math.isnan(r.score) else -r.score,
             r.fov.key(), row_of[r.fov]))[:q.top_n]
@@ -316,8 +311,7 @@ def router(records: list[RepresentativeFoV],
 def merged(server: ShardedCloudServer, q: Query) -> tuple:
     """Each target shard's own ranking, merged by ``heapq.merge`` under
     ``(-score, key)`` in shard order."""
-    parts = [RetrievalEngine(server.shards[sid], server.camera,
-                             engine="packed").execute(q)
+    parts = [RetrievalEngine(server.shards[sid], server.camera).execute(q)
              for sid in server.partitioner.shards_for_query(q)]
     top = islice(heapq.merge(*(p.ranked for p in parts),
                              key=lambda r: (-r.score, r.fov.key())),

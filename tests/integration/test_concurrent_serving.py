@@ -129,7 +129,7 @@ def test_interleaved_ingest_and_query():
     assert stats.queries_served > 0
 
     # Settled answers are bit-identical to a fresh unsharded server.
-    single = CloudServer(camera, engine="packed", cache_size=0)
+    single = CloudServer(camera, cache_size=0)
     single.ingest(server.records())
     sharded_res = server.query_many(all_queries)
     single_res = single.query_many(all_queries)

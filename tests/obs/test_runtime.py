@@ -49,8 +49,7 @@ class TestPackedSearchRecorder:
     def test_real_packed_search_reports_through_the_recorder(self, rng):
         reps = random_representative_fovs(500, rng)
         obs = Observability.default()
-        eng = RetrievalEngine(FoVIndex.bulk(reps), CAMERA, engine="packed",
-                              obs=obs)
+        eng = RetrievalEngine(FoVIndex.bulk(reps), CAMERA, obs=obs)
         reg = obs.registry
         rec0 = reps[0]
         q = Query(t_start=rec0.t_start - 1.0, t_end=rec0.t_end + 1.0,
@@ -65,8 +64,7 @@ class TestPackedSearchRecorder:
     def test_batched_search_counts_the_whole_batch(self, rng):
         reps = random_representative_fovs(300, rng)
         obs = Observability.default()
-        eng = RetrievalEngine(FoVIndex.bulk(reps), CAMERA, engine="packed",
-                              obs=obs)
+        eng = RetrievalEngine(FoVIndex.bulk(reps), CAMERA, obs=obs)
         reg = obs.registry
         queries = []
         for rec_fov in reps[:8]:

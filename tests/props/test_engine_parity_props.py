@@ -1,12 +1,12 @@
 """Hypothesis property tests: every engine ranks identically.
 
-The dynamic engine, the packed (batched) engine and the geo-sharded
-scatter-gather tier are three layouts of the same retrieval pipeline;
-for any workload they must return *identical* ranked results -- same
-records, same order, same scores and funnel counters -- across random
-camera parameters, shard counts 1-8, and degenerate placements
-(duplicate positions forcing score ties, everything in one cell,
-shards with no records at all).
+The oracle (:func:`repro.core.oracle.answer`), the packed (batched)
+engine and the geo-sharded scatter-gather tier are three layouts of the
+same retrieval pipeline; for any workload they must return *identical*
+ranked results -- same records, same order, same scores and funnel
+counters -- across random camera parameters, shard counts 1-8, and
+degenerate placements (duplicate positions forcing score ties,
+everything in one cell, shards with no records at all).
 
 Positions are drawn from a coarse metre lattice so exact duplicates
 (and therefore exact score ties) are common, pinning the canonical
@@ -18,13 +18,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.camera import CameraModel
 from repro.core.fov import RepresentativeFoV
+from repro.core.oracle import answer
 from repro.core.query import Query
 from repro.core.server import CloudServer, IngestStatus
 from repro.geo.coords import GeoPoint
 from repro.geo.earth import LocalProjection
 from repro.net.protocol import encode_bundle
 from repro.shard import ShardedCloudServer
-from repro.video import VideoQuery
+from repro.video import VideoQuery, retrieve_videos
 
 ORIGIN = GeoPoint(lat=40.0, lng=116.3)
 PROJ = LocalProjection(ORIGIN)
@@ -89,19 +90,17 @@ def ranking(result):
        st.sampled_from([150.0, 500.0, 2000.0]), st.integers(0, 3))
 def test_dynamic_packed_sharded_identical(recs, qs, camera, n_shards,
                                           strict, cell_m, seed):
-    dynamic = CloudServer(camera, engine="dynamic", strict_cover=strict,
-                          cache_size=0)
-    packed = CloudServer(camera, engine="packed", strict_cover=strict,
-                         cache_size=0)
+    """The oracle (the old dynamic engine's path), the packed server and
+    every sharding rank every query identically."""
+    packed = CloudServer(camera, strict_cover=strict, cache_size=0)
     sharded = ShardedCloudServer(camera, n_shards=n_shards, origin=ORIGIN,
                                  cell_m=cell_m, seed=seed,
                                  strict_cover=strict, cache_size=0)
     if recs:
-        dynamic.ingest(recs)
         packed.ingest(recs)
         sharded.ingest(recs)
 
-    base = [ranking(r) for r in dynamic.query_many(qs)]
+    base = [ranking(answer(packed.index, q, camera, strict)) for q in qs]
     assert [ranking(r) for r in packed.query_many(qs)] == base
     assert [ranking(r) for r in sharded.query_many(qs)] == base
     # Single-query path agrees with its own batch path.
@@ -147,18 +146,18 @@ def video_ranking(result):
        st.integers(0, 3))
 def test_video_retrieval_parity_across_engines(data, recs, camera,
                                                n_shards, cell_m, seed):
-    """The video top-k inherits point-query parity: dynamic, packed
+    """The video top-k inherits point-query parity: the oracle, packed
     and every sharding of the same records rank videos identically --
     same scores, same evidence, same harvested coverage."""
     vq = data.draw(video_queries(recs))
-    dynamic = CloudServer(camera, engine="dynamic", cache_size=0)
-    packed = CloudServer(camera, engine="packed", cache_size=0)
+    packed = CloudServer(camera, cache_size=0)
     sharded = ShardedCloudServer(camera, n_shards=n_shards, origin=ORIGIN,
                                  cell_m=cell_m, seed=seed, cache_size=0)
-    dynamic.ingest(recs)
     packed.ingest(recs)
     sharded.ingest(recs)
-    base = video_ranking(dynamic.query_video(vq))
+    base = video_ranking(retrieve_videos(
+        vq, lambda qs: [answer(packed.index, q, camera) for q in qs],
+        camera))
     assert video_ranking(packed.query_video(vq)) == base
     assert video_ranking(sharded.query_video(vq)) == base
 
@@ -172,7 +171,7 @@ def test_empty_and_degenerate_shards(recs, qs, n_shards):
         lat=ORIGIN.lat, lng=ORIGIN.lng, theta=f.theta,
         t_start=f.t_start, t_end=f.t_end,
         video_id=f.video_id, segment_id=f.segment_id) for f in recs]
-    single = CloudServer(camera, engine="packed", cache_size=0)
+    single = CloudServer(camera, cache_size=0)
     sharded = ShardedCloudServer(camera, n_shards=n_shards, origin=ORIGIN,
                                  cache_size=0)
     single.ingest(pinned)

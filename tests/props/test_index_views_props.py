@@ -19,7 +19,7 @@ ranking is one score tie broken by record key.  Half of all lattice
 draws are the origin, and a first batch is served before the op stream
 starts, so appends keep a base grid plus a live tail with tied rows on
 both sides; the ``"rank"`` read form -- the packed engine's ranked rows
-against the dynamic engine over the linear oracle -- searches
+against :func:`repro.core.oracle.answer` over the linear index -- searches
 tie-breaking across that boundary.  (Breaking score ties by row
 alone, not by record key first, fails it at ``FUZZ_SEED`` 0-3.)
 ``FUZZ_SEED`` (set by the CI fuzz-smoke matrix) seeds the search; a red
@@ -37,6 +37,7 @@ import repro.core.index as index_mod
 from repro.core.camera import CameraModel
 from repro.core.fov import RepresentativeFoV
 from repro.core.index import FoVIndex
+from repro.core.oracle import answer
 from repro.core.query import Query
 from repro.core.retrieval import RetrievalEngine
 from repro.geo.coords import GeoPoint
@@ -124,13 +125,12 @@ def check(index, oracle, q, forms):
                 view.t_start.tolist(), view.t_end.tolist(),
                 view.video_ids.tolist(), view.segment_ids.tolist()))
     if "rank" in forms:
-        packed = RetrievalEngine(index, CAMERA, engine="packed")
-        dynamic = RetrievalEngine(oracle, CAMERA, engine="dynamic")
-        assert ranked(packed.execute(q)) == ranked(dynamic.execute(q))
+        packed = RetrievalEngine(index, CAMERA)
+        assert ranked(packed.execute(q)) == ranked(answer(oracle, q, CAMERA))
         wide = Query(t_start=0.0, t_end=7200.0, center=q.center,
                      radius=900.0, top_n=3)
         assert ([ranked(r) for r in packed.execute_many([q, wide])]
-                == [ranked(dynamic.execute(x)) for x in (q, wide)])
+                == [ranked(answer(oracle, x, CAMERA)) for x in (q, wide)])
     if "content" in forms:
         assert keys(index.records()) == keys(oracle.records())
         assert index.content_digest() == oracle.content_digest()

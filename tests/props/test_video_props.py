@@ -169,10 +169,11 @@ def test_order_preserving_relabel_relabels_ranking(recs, scorer, packed):
     query_vid = recs[0].video_id
     segs = tuple(sorted((r for r in recs if r.video_id == query_vid),
                         key=lambda r: r.segment_id))
-    engine = "packed" if packed else "dynamic"
+    # The oracle answers the linear baseline; the packed engine the rest.
+    backend = "rtree" if packed else "linear"
 
     def run(records, qvid):
-        server = CloudServer(camera, engine=engine, cache_size=0)
+        server = CloudServer(camera, backend=backend, cache_size=0)
         server.ingest(records)
         return server.query_video(VideoQuery(
             segments=segs, t_start=0.0, t_end=4000.0, radius=120.0,

@@ -22,7 +22,8 @@ The invariants (the parity contract of docs/SHARDING.md §9):
   and leaves the slot, the down set, the standby and every shard's
   ``content_digest()`` -- equal to the control fleet's -- as they were;
 * after every commit group, the fleet holds exactly the records of a
-  single linear-scan, dynamic-engine :class:`CloudServer` fed the
+  single linear-scan :class:`CloudServer` (which
+  :func:`repro.core.oracle.answer` serves) fed the
   record objects of a per-record ``decode_fov`` walk over each bundle
   (``walk_records``) instead of the group: the fleet lands each group
   as columns, so this is the check that columns, ``split`` and the
@@ -99,7 +100,7 @@ class ReplicaMachine(RuleBasedStateMachine):
         super().__init__()
         self.fleet, self.control = make_server(), make_server()
         self.oracle = CloudServer(CameraModel(), backend="linear",
-                                  engine="dynamic", cache_size=0)
+                                  cache_size=0)
         self.replicas = ReplicaSet(self.fleet)
         self.groups = 0
         self.current = False        # every standby holds its primary's rows

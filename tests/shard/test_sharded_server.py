@@ -121,7 +121,7 @@ class TestQuery:
         rng = np.random.default_rng(4)
         recs = make_records(2000, rng)
         queries = make_queries(64, rng)
-        single = CloudServer(camera, engine="packed", cache_size=0)
+        single = CloudServer(camera, cache_size=0)
         single.ingest(recs)
         server = ShardedCloudServer(camera, n_shards=6, origin=ORIGIN,
                                     cache_size=0)

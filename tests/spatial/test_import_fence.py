@@ -20,11 +20,14 @@ import numpy as np
 
 import repro.cli
 from repro.core.camera import CameraModel
+from repro.core.oracle import answer
 from repro.core.query import Query
 from repro.core.retrieval import RetrievalEngine
+from repro.core.server import CloudServer
 from repro.geo.coords import GeoPoint
 from repro.shard.server import ShardedCloudServer
 from repro.traces.dataset import random_representative_fovs
+from repro.video.retrieval import VideoQuery
 
 TREES = {"repro.spatial." + m for m in (
     "rtree", "split", "bulk", "knn", "hybrid", "intervaltree", "metrics",
@@ -42,6 +45,12 @@ queries = [Query(t_start=0.0, t_end=86400.0, center=r.point, radius=300.0)
            for r in recs[:8]]
 assert any(len(fleet.query(q)) for q in queries)
 assert len(fleet.query_many(queries)) == len(queries)
+server = CloudServer(camera)
+server.ingest(recs)
+assert any(len(server.query(q)) for q in queries)
+assert len(server.query_many(queries)) == len(queries)
+server.query_video(VideoQuery(segments=tuple(recs[:4]), t_start=0.0,
+                              t_end=86400.0, radius=300.0))
 leaked = sorted(TREES & set(sys.modules))
 assert not leaked, f"serving path imported {leaked}"
 spawned = sorted(PROCESS_FANOUT & set(sys.modules))
@@ -52,9 +61,8 @@ index.rtree()
 index.nearest(recs[0].point, 0.0, k=3)
 ranked = 0
 for q in queries:
-    dynamic = RetrievalEngine(index, camera, engine="dynamic").execute(q)
-    packed = RetrievalEngine(index, camera, engine="packed").execute(q)
-    assert dynamic.ranked == packed.ranked
+    packed = RetrievalEngine(index, camera).execute(q)
+    assert answer(index, q, camera).ranked == packed.ranked
     ranked += len(packed)
 assert ranked, "parity check compared only empty rankings"
 for m in ("rtree", "split", "bulk", "knn"):

@@ -141,3 +141,26 @@ def test_markdown_names_every_metric_and_the_digest_verdict():
     differ = perf_ab.markdown(list(rows(PARENT, PARENT).values()), PARENT,
                               [run(1.0, results="r1")])
     assert "results_digest: DIFFER" in differ
+
+
+@pytest.mark.skipif(not (REPO / ".git").exists(), reason="needs git")
+def test_both_sides_run_from_fresh_exports(monkeypatch):
+    """Neither side runs in the repository itself: the change side is an
+    export of the working tree, with no bytecode cache and no ``.git``."""
+    seen: dict[str, list[Path]] = {"parent": [], "change": []}
+
+    def fake_run(checkout: Path, command: list[str]) -> dict:
+        seen[checkout.name].append(checkout)
+        assert checkout != REPO and checkout.parent != REPO
+        assert (checkout / "src" / "repro" / "core" / "retrieval.py").is_file()
+        assert (checkout / "BENCHMARK.json").is_file()
+        assert not (checkout / ".git").exists()
+        assert not any(checkout.rglob("__pycache__"))
+        return run(1.0)
+
+    monkeypatch.setattr(perf_ab, "run_once", fake_run)
+    assert perf_ab.main(["--parent", "HEAD", "--workload", "city_read",
+                         "--pairs", "2"]) == 0
+    assert len(seen["parent"]) == len(seen["change"]) == 2
+    assert seen["parent"][0] != seen["change"][0]
+    assert not seen["change"][0].exists()        # the exports are removed

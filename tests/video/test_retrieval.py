@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.camera import CameraModel
 from repro.core.fov import RepresentativeFoV
+from repro.core.oracle import answer
 from repro.core.query import QueryResult, RankedFoV
 from repro.core.server import CloudServer
 from repro.core.similarity import cross_similarity
@@ -72,7 +73,7 @@ class TestVideoQueryValidation:
 
 class TestRetrieval:
     def test_finds_overlapping_videos(self, workload):
-        server = CloudServer(CameraModel(), engine="packed", cache_size=0)
+        server = CloudServer(CameraModel(), cache_size=0)
         server.ingest(workload)
         result = server.query_video(video_query_for(workload, "vid-00012"))
         assert result.ranked, "dense workload must surface neighbours"
@@ -87,7 +88,7 @@ class TestRetrieval:
         assert all(f.video_id != "vid-00012" for f in result.harvested)
 
     def test_top_k_truncates(self, workload):
-        server = CloudServer(CameraModel(), engine="packed", cache_size=0)
+        server = CloudServer(CameraModel(), cache_size=0)
         server.ingest(workload)
         full = server.query_video(
             video_query_for(workload, "vid-00012", top_k=100))
@@ -96,7 +97,7 @@ class TestRetrieval:
         assert summary(two) == summary(full)[:2]
 
     def test_scorers_disagree_but_share_harvest(self, workload):
-        server = CloudServer(CameraModel(), engine="packed", cache_size=0)
+        server = CloudServer(CameraModel(), cache_size=0)
         server.ingest(workload)
         lcv = server.query_video(video_query_for(workload, "vid-00012"))
         dtw = server.query_video(
@@ -110,13 +111,15 @@ class TestRetrieval:
                 assert m.lcv == lcv_runs[m.video_id]
 
     def test_dynamic_packed_sharded_parity(self, workload):
+        """The oracle's harvest (the old dynamic engine's path) ranks
+        like the packed server and every fleet size."""
         vq = video_query_for(workload, "vid-00012")
         camera = CameraModel()
-        dynamic = CloudServer(camera, engine="dynamic", cache_size=0)
-        packed = CloudServer(camera, engine="packed", cache_size=0)
-        dynamic.ingest(workload)
+        packed = CloudServer(camera, cache_size=0)
         packed.ingest(workload)
-        base = dynamic.query_video(vq)
+        base = retrieve_videos(
+            vq, lambda qs: [answer(packed.index, q, camera) for q in qs],
+            camera)
         assert summary(packed.query_video(vq)) == summary(base)
         assert packed.query_video(vq).harvested == base.harvested
         for n_shards in (1, 2, 4, 8):
@@ -130,7 +133,7 @@ class TestRetrieval:
     def test_engine_agnostic_function_form(self, workload):
         """retrieve_videos accepts any query_many callable directly."""
         camera = CameraModel()
-        server = CloudServer(camera, engine="packed", cache_size=0)
+        server = CloudServer(camera, cache_size=0)
         server.ingest(workload)
         vq = video_query_for(workload, "vid-00012")
         direct = retrieve_videos(vq, server.query_many, camera)
@@ -139,7 +142,7 @@ class TestRetrieval:
 
 class TestCachingAndStats:
     def test_cache_hit_on_repeat(self, workload):
-        server = CloudServer(CameraModel(), engine="packed", cache_size=16)
+        server = CloudServer(CameraModel(), cache_size=16)
         server.ingest(workload)
         vq = video_query_for(workload, "vid-00012")
         first = server.query_video(vq)
@@ -150,7 +153,7 @@ class TestCachingAndStats:
         assert server.video_stats.cache_misses == 1
 
     def test_ingest_invalidates_cache(self, workload):
-        server = CloudServer(CameraModel(), engine="packed", cache_size=16)
+        server = CloudServer(CameraModel(), cache_size=16)
         server.ingest(workload[:3000])
         vq = video_query_for(workload, "vid-00012")
         first = server.query_video(vq)
@@ -171,7 +174,7 @@ class TestCachingAndStats:
         assert fleet.video_stats.segments_harvested == first.segments_harvested
 
     def test_video_metrics_live_on_server_registry(self, workload):
-        server = CloudServer(CameraModel(), engine="packed", cache_size=0)
+        server = CloudServer(CameraModel(), cache_size=0)
         server.ingest(workload)
         server.query_video(video_query_for(workload, "vid-00012"))
         reg = server.obs.registry
@@ -183,7 +186,7 @@ class TestTracing:
     def test_span_tree_covers_pipeline(self, workload):
         from repro.obs import Observability
         obs = Observability.tracing()
-        server = CloudServer(CameraModel(), engine="packed", cache_size=0,
+        server = CloudServer(CameraModel(), cache_size=0,
                              obs=obs)
         server.ingest(workload)
         server.query_video(video_query_for(workload, "vid-00012"))
@@ -235,7 +238,7 @@ class TestStackedScoringMatchesPerVideoLoop:
 
     @pytest.fixture(scope="class")
     def server(self, workload):
-        server = CloudServer(CameraModel(), engine="packed", cache_size=0)
+        server = CloudServer(CameraModel(), cache_size=0)
         server.ingest(workload)
         return server
 
@@ -280,7 +283,7 @@ class TestStackedScoringMatchesPerVideoLoop:
     def test_single_candidate(self, server, workload, scorer):
         vq = video_query_for(workload, "vid-00012", scorer=scorer)
         best = self.check(server, vq).keys()[0]
-        lone = CloudServer(CameraModel(), engine="packed", cache_size=0)
+        lone = CloudServer(CameraModel(), cache_size=0)
         lone.ingest([r for r in workload
                      if r.video_id in ("vid-00012", best)])
         got = self.check(lone, vq)
@@ -294,8 +297,7 @@ class TestVideosRankedCountsCandidates:
     def test_counts_videos_considered_once_per_computed_query(self, workload,
                                                               facade):
         if facade == "single":
-            server = CloudServer(CameraModel(), engine="packed",
-                                 cache_size=16)
+            server = CloudServer(CameraModel(), cache_size=16)
         else:
             server = ShardedCloudServer(CameraModel(), n_shards=4,
                                         origin=CITY_ORIGIN, cache_size=16)
@@ -381,7 +383,7 @@ class TestTopKUnderExactTies:
 
 class TestResultTypesAndDedup:
     def test_match_fields_are_plain_python(self, workload):
-        server = CloudServer(CameraModel(), engine="packed", cache_size=0)
+        server = CloudServer(CameraModel(), cache_size=0)
         server.ingest(workload)
         for scorer in ("lcv", "dtw"):
             result = server.query_video(video_query_for(

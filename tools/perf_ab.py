@@ -6,8 +6,11 @@ Usage::
 
     python3 tools/perf_ab.py --parent REF --workload W --pairs N [--seed S]
 
-The parent is exported with ``git archive`` into a temporary directory.
-Each pair runs the ledger's own command (``BENCHMARK.json``: ``python3
+Both sides run from fresh exports in temporary directories: the parent
+with ``git archive``, the working tree as its tracked files plus the
+untracked ones git does not ignore.  Neither side starts with a bytecode
+cache or a ``.git``, either of which moves ``peak_rss_mb``.  Each pair
+runs the ledger's own command (``BENCHMARK.json``: ``python3
 benchmarks/perf/run.py --workload W --seed S --seconds <run_seconds>``)
 once in each checkout, alternating which side goes first, and reads the
 run's last JSON line and its printed workload and results digests.
@@ -32,6 +35,8 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -137,6 +142,19 @@ def export(ref: str, into: Path) -> None:
         archive.extractall(into, filter="data")
 
 
+def export_worktree(into: Path) -> None:
+    """Copy the working tree's tracked files, and the untracked ones git
+    does not ignore, into ``into``; a tracked file deleted from the tree
+    is left out."""
+    names = subprocess.run(
+        ["git", "-C", str(REPO), "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"], check=True, capture_output=True).stdout
+    for name in map(os.fsdecode, filter(None, names.split(b"\0"))):
+        if (REPO / name).is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(REPO / name, into / name)
+
+
 def run_once(checkout: Path, command: list[str]) -> dict:
     proc = subprocess.run(command, cwd=checkout, capture_output=True,
                           text=True)
@@ -167,9 +185,11 @@ def main(argv: list[str] | None = None) -> int:
     parent: list[dict] = []
     change: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="perf_ab-") as tmp:
-        export(args.parent, Path(tmp))
+        old, new = Path(tmp, "parent"), Path(tmp, "change")
+        export(args.parent, old)
+        export_worktree(new)
         for pair in range(args.pairs):
-            sides = [(Path(tmp), parent), (REPO, change)]
+            sides = [(old, parent), (new, change)]
             for checkout, runs in sides[::1 if pair % 2 == 0 else -1]:
                 runs.append(run_once(checkout, command))
             print(f"pair {pair + 1}/{args.pairs} done", file=sys.stderr)
