@@ -10,7 +10,7 @@ benchmark pins the tier's claims on a 100k-record / 256-query workload
 * **pruning** -- a query reaches only the shards whose grid cells its
   box touches (mean fan-out gated at <= 3 of 4 shards);
 * **latency shape** -- per-query p50/p99 from the router's
-  ``shard.query_many`` spans.
+  ``server.query_many`` spans.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def test_router_span_latency_percentiles(workload, camera, show):
     for q in queries:
         router.query_many([q])
     lat = sorted(t.duration_s for t in tracer.traces()
-                 if t.name == "shard.query_many")
+                 if t.name == "server.query_many")
     assert len(lat) == N_QUERIES
     p50 = float(np.percentile(lat, 50))
     p99 = float(np.percentile(lat, 99))

@@ -276,7 +276,7 @@ class RetryingUploader:
     server back-pressure -- the uploader waits out the (virtual)
     timeout plus backoff and retransmits the identical bytes.  ``on_retry``
     fires once per retransmission (the server facade uses it to count
-    retried bundles in :class:`~repro.core.server.ServerStats`).
+    retried bundles in :class:`~repro.core.ingest.ServerStats`).
     """
 
     def __init__(self, channel: FaultyChannel,

@@ -94,13 +94,10 @@ SPANS: Final[Mapping[str, str]] = {
     "query.rank": "overlap scoring and ranking",
     "query.execute": "one end-to-end ranked query",
     "query.execute_many": "one query batch through the packed funnel",
-    "server.ingest_bundle": "single-node server bundle ingest",
-    "server.ingest_batch": "single-node server commit-group ingest",
-    "server.query": "single-node server query",
-    "server.query_many": "single-node server query batch",
-    "shard.ingest_bundle": "sharded router bundle ingest",
-    "shard.ingest_batch": "sharded router commit-group ingest",
-    "shard.query_many": "sharded router query batch, one funnel pass",
+    "server.ingest_bundle": "server bundle ingest (a fleet of any size)",
+    "server.ingest_batch": "server commit-group ingest or WAL replay",
+    "server.query": "server single query",
+    "server.query_many": "server query batch, one funnel pass",
     "failover.promote": "standby verification, rebuild, and install",
     "video.query": "one end-to-end video-to-video retrieval request",
     "video.harvest": "batched point-query harvest of the query trajectory",

@@ -10,7 +10,8 @@ package partitions the index by *where the cameras stood*:
   shards are each a bare ``FoVIndex``, routes ingest by
   representative-FoV cell, and answers a call's queries by one funnel
   pass over every pruned shard's hits, bit-identical to the
-  single-server ranking;
+  single-server ranking (``repro.core.server.CloudServer`` is its
+  fleet of one);
 * :mod:`repro.shard.persist` -- fleet save/load as one ``.fovpack``
   (``FOVPACK1``) record file per shard plus a routing manifest;
 * :mod:`repro.shard.replica` -- :class:`ReplicaSet`, one warm standby

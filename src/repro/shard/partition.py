@@ -177,7 +177,13 @@ class GridPartitioner:
         stable argsort by shard, and each shard's run of it gathers that
         shard's rows.  The runs are separate copies, so a caller can
         drop each once it has landed.  No record object is built.
+
+        A one-shard fleet gets the run itself back, in input order: its
+        caller (``ShardedCloudServer._land``) has already refused a bad
+        coordinate, and there is nothing to route.
         """
+        if self.n_shards == 1:
+            return [columns]
         sids = self.shards_of(columns.lat, columns.lng)
         order = np.argsort(sids, kind="stable")
         ends = np.cumsum(np.bincount(sids, minlength=self.n_shards)).tolist()

@@ -1,10 +1,11 @@
 """Geo-sharded serving tier: one index per spatial shard.
 
-:class:`ShardedCloudServer` presents the single-server surface --
+:class:`ShardedCloudServer` is the cloud server of Figure 1 --
 ``ingest_bundle`` / ``ingest`` / ``query`` / ``query_many`` /
-``evict_older_than`` -- over a fleet of shards, each a bare
-:class:`~repro.core.index.FoVIndex` (and its packed view); the router
-runs the funnel itself.  The router:
+``query_video`` / ``evict_older_than`` -- over a fleet of shards, each
+a bare :class:`~repro.core.index.FoVIndex` (and its packed view); the
+router runs the funnel itself.  :class:`~repro.core.server.CloudServer`
+is its fleet of one, which replaces only the read path.  The router:
 
 * **routes ingest** by representative-FoV grid cell
   (:class:`~repro.shard.partition.GridPartitioner`), deduplicating
@@ -45,12 +46,11 @@ from repro.core.flatsnap import pack_snapshot
 from repro.core.fov import RecordColumns, RepresentativeFoV
 from repro.core.index import (Bounds, ContentMark, FoVIndex,
                               _checked_geometry, query_box_floats)
-from repro.core.ingest import IngestCoordinator
+from repro.core.ingest import IngestCoordinator, IngestOutcome, ServerStats
 from repro.core.query import Query, QueryResult
 from repro.core.quarantine import QuarantineStore
 from repro.core.ranking import DistanceRanker
 from repro.core.retrieval import Part, _batch_execute
-from repro.core.server import IngestOutcome, ServerStats
 from repro.core.wal import WriteAheadLog
 from repro.geo.coords import GeoPoint
 from repro.net.channel import FaultyChannel, RetryPolicy, RetryingUploader
@@ -233,7 +233,7 @@ class ShardedCloudServer:
         after a descent and only trust results when the two reads
         agree, so a torn read is detected, never cached.
         """
-        return tuple(s.epoch for s in self.shards)  # fovlint: disable=RF009
+        return tuple([s.epoch for s in self.shards])  # fovlint: disable=RF009
 
     def records(self) -> list[RepresentativeFoV]:
         """Every indexed record, shard by shard (audits, snapshots)."""
@@ -308,7 +308,7 @@ class ShardedCloudServer:
             self._down.add(sid)
         with self._locks[sid]:
             self.shards[sid] = FoVIndex()
-            self._sync_shard_gauges(sid)
+            self._sync_shard_gauges(sid, "kill")
         self._clear_result_caches()
 
     def install_shard(self, sid: int, index: FoVIndex) -> None:
@@ -328,7 +328,7 @@ class ShardedCloudServer:
             raise ValueError(f"shard {sid} is serving, not down")
         with self._locks[sid]:
             self.shards[sid] = index
-            self._sync_shard_gauges(sid)
+            self._sync_shard_gauges(sid, "install")
         with self._ingest_lock:
             self._down.discard(sid)
         self._clear_result_caches()
@@ -340,9 +340,18 @@ class ShardedCloudServer:
 
     # -- ingest -----------------------------------------------------------
 
-    def _sync_shard_gauges(self, sid: int) -> None:
+    def _sync_shard_gauges(self, sid: int, cause: str) -> None:
+        """Refresh shard ``sid``'s gauges and the fleet's after it
+        changed, journaling an ``index.epoch_bump`` when its epoch moved
+        (``cause`` is ``ingest``, ``evict``, ``kill`` or ``install``).
+        The fleet's ``index.epoch`` is the sum of the epoch vector."""
         index = self.shards[sid]
-        self._epoch_gauge.labels(shard=str(sid)).set(index.epoch)
+        gauge = self._epoch_gauge.labels(shard=str(sid))
+        if index.epoch != gauge.value:
+            gauge.set(index.epoch)
+            self.stats._epoch.set(sum(self.epoch_vector()))
+            self.obs.journal.emit("index.epoch_bump", cause=cause, shard=sid,
+                                  epoch=index.epoch)
         self._live_gauge.labels(shard=str(sid)).set(len(index))
         self.stats._live.set(self.indexed_count)
 
@@ -364,7 +373,7 @@ class ShardedCloudServer:
             with self._locks[sid]:
                 n += self.shards[sid].insert_many(part)
                 self._bounds[sid] = self.shards[sid].bounds()
-                self._sync_shard_gauges(sid)
+                self._sync_shard_gauges(sid, "ingest")
             self._route.labels(shard=str(sid)).inc(len(part))
         return n
 
@@ -401,13 +410,21 @@ class ShardedCloudServer:
                       device_id: str | None = None) -> IngestOutcome:
         """Ingest one delivered bundle; never raises on bad payloads.
 
-        The single server's contract
-        (:meth:`repro.core.server.CloudServer.ingest_bundle`),
-        exactly-once fleet-wide.  While a primary is down it raises
-        :class:`ShardUnavailableError` (retryable; nothing indexed,
-        remembered or logged).
+        The at-least-once ack path, a commit group of one
+        (:class:`~repro.core.ingest.IngestCoordinator`): when
+        back-pressure is configured and saturated the payload is
+        ``SHED`` untouched (retryable); a malformed or corrupt payload
+        is quarantined and ``REJECTED``; a byte-identical redelivery of
+        an already-indexed bundle is acknowledged ``DUPLICATE`` without
+        touching any index (exactly-once indexing, fleet-wide);
+        otherwise every record is validated before any is indexed, the
+        payload is made durable in the WAL (when configured), each
+        shard's slice lands atomically via ``insert_many`` (one epoch
+        bump per shard), and the outcome is ``ACCEPTED``.  While a
+        primary is down it raises :class:`ShardUnavailableError`
+        (retryable; nothing indexed, remembered or logged).
         """
-        with self.obs.tracer.span("shard.ingest_bundle", bytes=len(payload)):
+        with self.obs.tracer.span("server.ingest_bundle", bytes=len(payload)):
             return self._ingest.commit([payload], [device_id], self._land)[0]
 
     def ingest_batch(self, payloads: Sequence[bytes],
@@ -422,29 +439,45 @@ class ShardedCloudServer:
         per *shard* per group instead of per bundle.  Under
         back-pressure the tail beyond the free capacity is ``SHED``.
         """
-        with self.obs.tracer.span("shard.ingest_batch", batch=len(payloads)):
+        with self.obs.tracer.span("server.ingest_batch", batch=len(payloads)):
             return self._ingest.commit(payloads, device_ids, self._land)
 
     def replay_wal(self, path: str | None = None) -> int:
-        """Recover bundles from a write-ahead log after a crash (see
-        :meth:`repro.core.server.CloudServer.replay_wal`)."""
-        with self.obs.tracer.span("shard.ingest_batch"):
+        """Recover bundles from a write-ahead log after a crash.
+
+        Re-offers every committed payload through the normal ingest
+        pipeline *without* re-appending to the WAL, and re-applies
+        every logged eviction at its place in the log; bundles that
+        made it into the fleet before the crash deduplicate as
+        ``DUPLICATE``, the rest are indexed now.  Replaying this
+        server's own log into it again changes nothing: the evictions
+        it already applied are skipped by sequence number, so none
+        drops records that landed after it.  Returns how many bundles
+        were recovered (newly indexed).  Back-pressure does not apply
+        to recovery.
+        """
+        with self.obs.tracer.span("server.ingest_batch"):
             return self._ingest.replay_wal(path, self._land, self._evict)
 
     def make_uploader(self, channel: FaultyChannel,
                       policy: RetryPolicy | None = None) -> RetryingUploader:
-        """A retrying uploader wired to this router's ingest path (see
-        :meth:`repro.core.server.CloudServer.make_uploader`)."""
+        """A retrying uploader wired to this server's ingest path.
+
+        Retransmissions are counted into ``stats.bundles_retried`` so
+        the operator sees the at-least-once traffic the channel cost.
+        """
         return self._ingest.make_uploader(self.ingest_bundle, channel, policy)
 
     def evict_older_than(self, cutoff_t: float) -> int:
         """Enforce a retention window fleet-wide; returns the count.
 
-        Refused while any primary is down, before anything is logged;
-        otherwise logged like :meth:`CloudServer.evict_older_than
-        <repro.core.server.CloudServer.evict_older_than>`.  Content
-        bounds are left as-is: eviction only removes records, so the
-        stale (wider) box stays a conservative prune.
+        Refused while any primary is down, before anything is logged.
+        With a WAL the cutoff is logged and fsynced before any shard
+        changes, so :meth:`replay_wal` evicts at the same point.
+        Eviction lowers the *live* population and raises the eviction
+        counter; ``records_indexed`` stays the cumulative all-time
+        total.  Content bounds are left as-is: eviction only removes
+        records, so the stale (wider) box stays a conservative prune.
         """
         return self._ingest.evict(cutoff_t, self._evict)
 
@@ -454,7 +487,7 @@ class ShardedCloudServer:
         for sid in range(self.n_shards):
             with self._locks[sid]:
                 evicted += self.shards[sid].evict_older_than(cutoff_t)
-                self._sync_shard_gauges(sid)
+                self._sync_shard_gauges(sid, "evict")
         self.stats._evicted.inc(evicted)
         return evicted
 
@@ -514,13 +547,9 @@ class ShardedCloudServer:
                               self._strict_cover, self._ranker, self._clock,
                               t0, self.obs.tracer)
 
-    def query(self, query: Query) -> QueryResult:
-        """Answer one ranked query (cache-aware); see :meth:`query_many`."""
-        return self.query_many([query])[0]
-
-    def query_many(self, queries: list[Query]) -> list[QueryResult]:
-        """Answer a batch; hits come from the epoch-vector-tagged cache,
-        and every miss is answered in one funnel pass (:meth:`_answer`).
+    def _read_points(self, queries: list[Query]) -> list[QueryResult]:
+        """Point queries through the epoch-vector-tagged result cache;
+        every miss is answered in one :meth:`_answer` call.
 
         The epoch vector is read before the descent and again after
         (:func:`~repro.core.cache.read_through`): results are always
@@ -528,14 +557,24 @@ class ShardedCloudServer:
         that raced an ingest cannot poison the cache with a torn
         snapshot of the fleet.
         """
+        self.stats._queries.inc(len(queries))
+        return read_through(
+            self._cache, [query_cache_key(q) for q in queries],
+            self.epoch_vector,
+            lambda missed: self._answer([queries[i] for i in missed]),
+            self.stats._cache_hits, self.stats._cache_misses)
+
+    def query(self, query: Query) -> QueryResult:
+        """Answer one ranked spatio-temporal query (cache-aware)."""
+        with self.obs.tracer.span("server.query"):
+            return self._read_points([query])[0]
+
+    def query_many(self, queries: list[Query]) -> list[QueryResult]:
+        """Answer a batch: cached hits are merged in place, and every
+        miss is answered in one funnel pass."""
         batch = list(queries)
-        with self.obs.tracer.span("shard.query_many", batch=len(batch)):
-            self.stats._queries.inc(len(batch))
-            return read_through(
-                self._cache, [query_cache_key(q) for q in batch],
-                self.epoch_vector,
-                lambda missed: self._answer([batch[i] for i in missed]),
-                self.stats._cache_hits, self.stats._cache_misses)
+        with self.obs.tracer.span("server.query_many", batch=len(batch)):
+            return self._read_points(batch)
 
     def query_video(self, video_query: VideoQuery) -> VideoQueryResult:
         """Answer one video retrieval request over the fleet (cache-aware).

@@ -183,7 +183,7 @@ class VideoQueryStats:
     One class registers the families (single registration site, RF013)
     and both the single server and the sharded router instantiate it
     on their own registries, exactly like
-    :class:`~repro.core.server.ServerStats`.
+    :class:`~repro.core.ingest.ServerStats`.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:

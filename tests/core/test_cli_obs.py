@@ -103,7 +103,7 @@ class TestQueryTrace:
         assert not out.startswith("0 candidates")
         names = [line.split()[0] for line in
                  out.split("trace:", 1)[1].splitlines() if line.strip()]
-        assert names[0] == "shard.query_many"
+        assert names[0] == "server.query"
         for stage in ("query.tree_descent", "query.projection",
                       "query.orientation_filter", "query.rank"):
             assert names.count(stage) == 1, names

@@ -24,7 +24,9 @@ pin does not move with the NumPy version.
 A sharded router query is pinned the same way, on a fixed two-shard
 fleet whose query gets rows from both shards: its descent runs once
 per shard, and everything after it once per call
-(:data:`ROUTER_MODULES` adds the router and its partitioner).
+(:data:`ROUTER_MODULES` adds the router and its partitioner).  A
+``CloudServer`` query, a fleet of one, counts over the same modules and
+must make exactly the engine's calls.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from repro.core.camera import CameraModel
 from repro.core.index import FoVIndex
 from repro.core.query import Query
 from repro.core.retrieval import RetrievalEngine
+from repro.core.server import CloudServer
 from repro.obs import Observability
 from repro.shard import ShardedCloudServer
 from repro.traces.dataset import random_representative_fovs
@@ -161,6 +164,17 @@ def test_the_counter_sees_an_added_array_call(monkeypatch):
 
     monkeypatch.setattr(retrieval, "_sector_evidence", one_more)
     assert sum(count_execute_calls().values()) == PINNED_CALLS + 1
+
+
+def test_single_server_query_numpy_calls_are_pinned():
+    """A ``CloudServer`` is a fleet of one whose read path is the
+    engine's ``execute``: its facade adds no NumPy call to it."""
+    engine, query = fixed_engine()
+    server = CloudServer(CameraModel(), index=engine.index, cache_size=0)
+    server.query(query)     # build the view and memo the winning records
+    with counting_numpy_calls(ROUTER_MODULES) as counts:
+        server.query(query)
+    assert sum(counts.values()) == PINNED_CALLS, sorted(counts.items())
 
 
 def fixed_fleet() -> tuple[ShardedCloudServer, Query]:

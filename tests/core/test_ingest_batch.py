@@ -402,10 +402,13 @@ class TestBackPressure:
 
 class TestBadGeometryRefused:
     """Direct ``ingest`` refuses what :class:`GeoPoint` refuses on every
-    facade, before any index (or shard) takes a record."""
+    fleet, before any index (or shard) takes a record -- one shard too,
+    whose ``split`` no longer projects the run."""
 
-    @pytest.mark.parametrize("fleet", [linear, CloudServer, three_shards],
-                             ids=["dynamic", "packed", "three-shards"])
+    @pytest.mark.parametrize("fleet", [linear, CloudServer, one_shard,
+                                       three_shards],
+                             ids=["dynamic", "packed", "one-shard",
+                                  "three-shards"])
     @pytest.mark.parametrize("bad", [
         {"lat": 95.0}, {"lng": -181.0}, {"lat": float("nan")},
         {"theta": float("inf")}], ids=["lat-95", "lng-181", "nan-lat",

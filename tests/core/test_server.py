@@ -5,10 +5,13 @@ import pytest
 
 from repro import CameraModel, ClientPipeline, CloudServer, Query
 from repro.core.fov import RepresentativeFoV
+from repro.core.index import FoVIndex
+from repro.core.oracle import answer
 from repro.core.segmentation import SegmentationConfig
 from repro.core.server import IngestStatus
 from repro.net.channel import FaultProfile, FaultyChannel, RetryPolicy
 from repro.net.protocol import encode_bundle
+from repro.shard import ShardUnavailableError
 from repro.traces.dataset import random_representative_fovs
 from repro.traces.noise import SensorNoiseModel
 from repro.traces.scenarios import CITY_ORIGIN, walk_scenario
@@ -238,3 +241,41 @@ class TestEvictionStats:
         assert server.stats.records_evicted == 10
         assert server.stats.records_live == 10
         assert server.stats.records_indexed == 20
+
+
+class TestFailover:
+    """A ``CloudServer`` is a fleet of one, so its slot fails over like
+    a shard: refused while down, and served from whatever index is
+    promoted into it -- never from an engine bound to the dead one."""
+
+    def test_kill_refuses_and_install_serves_the_promoted_index(
+            self, server, camera, rng):
+        reps = random_representative_fovs(300, rng)
+        server.ingest(reps[:150])
+        queries = [Query(t_start=0.0, t_end=86400.0, center=r.point,
+                         radius=300.0, top_n=20) for r in reps[:16]]
+        server.query(queries[0])
+        server.query_many(queries)          # both read paths served slot 0
+        dead = server.index
+        server.kill_shard(0)
+        with pytest.raises(ShardUnavailableError):
+            server.query(queries[1])
+        with pytest.raises(ShardUnavailableError):
+            server.query_many(queries)
+        with pytest.raises(ShardUnavailableError):
+            server.ingest_bundle(small_bundle())
+        promoted = FoVIndex.bulk(reps)      # rows the dead primary lacked
+        server.install_shard(0, promoted)
+        assert server.index is promoted
+
+        def rows(result):
+            return (result.candidates, result.after_filter,
+                    [(r.fov, r.distance, r.covers, r.score)
+                     for r in result.ranked])
+
+        want = [rows(answer(promoted, q, camera)) for q in queries]
+        assert want != [rows(answer(dead, q, camera)) for q in queries]
+        assert [rows(server.query(q)) for q in queries] == want
+        assert [rows(r) for r in server.query_many(queries)] == want
+        assert server.ingest_bundle(small_bundle()).status is \
+            IngestStatus.ACCEPTED

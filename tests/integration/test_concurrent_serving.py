@@ -1,8 +1,9 @@
 """Concurrent serving: ingest and query threads interleaving safely.
 
 The sharded tier serves queries while upload bundles land.  These tests
-hammer one :class:`ShardedCloudServer` from writer and reader threads
-and pin the concurrency contract:
+hammer one :class:`ShardedCloudServer` -- a four-shard fleet, and a
+``CloudServer``, the fleet of one -- from writer and reader threads and
+pin the concurrency contract:
 
 * **No torn bundles.**  Every bundle here sits in a single grid cell,
   so its records land on one shard under one ``insert_many`` (one
@@ -17,6 +18,7 @@ and pin the concurrency contract:
   bit-identical to a fresh single server over the same records.
 """
 
+import sys
 import threading
 
 from repro.core.camera import CameraModel
@@ -61,8 +63,20 @@ def _bundle(writer: int, b: int) -> tuple[str, bytes, Query]:
 
 def test_interleaved_ingest_and_query():
     camera = CameraModel()
-    server = ShardedCloudServer(camera, n_shards=4, origin=ORIGIN,
-                                cache_size=256)
+    _hammer(ShardedCloudServer(camera, n_shards=4, origin=ORIGIN,
+                               cache_size=256), camera)
+
+
+def test_interleaved_ingest_and_query_on_one_server():
+    """A ``CloudServer`` is a fleet of one whose reads run the engine on
+    slot 0 under the slot's lock: the same contract holds."""
+    camera = CameraModel()
+    _hammer(CloudServer(camera, cache_size=256), camera)
+
+
+def _hammer(server, camera):
+    """Writers deliver every bundle twice while readers sweep every
+    query, with a short switch interval; then check the contract."""
     plan = [[_bundle(w, b) for b in range(BUNDLES_PER_WRITER)]
             for w in range(N_WRITERS)]
     all_queries = [q for row in plan for _, _, q in row]
@@ -105,13 +119,20 @@ def test_interleaved_ingest_and_query():
     threads = [threading.Thread(target=writer, args=(w,))
                for w in range(N_WRITERS)]
     threads += [threading.Thread(target=reader) for _ in range(2)]
-    for t in threads:
-        t.start()
-    for t in threads[:N_WRITERS]:
-        t.join()
-    writers_done.set()
-    for t in threads[N_WRITERS:]:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads[:N_WRITERS]:
+            t.join(timeout=60)
+        writers_done.set()
+        for t in threads[N_WRITERS:]:
+            t.join(timeout=60)
+    finally:
+        writers_done.set()
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
 
     assert not errors, errors
     assert not torn, torn[:10]

@@ -113,6 +113,12 @@ class TestAssignment:
             for f in chunk:
                 assert part.shard_of(f) == sid
 
+    def test_one_shard_split_returns_the_run_in_input_order(self):
+        part = GridPartitioner(n_shards=1, origin=ORIGIN)
+        fovs = [fov_at(300.0 * i, -170.0 * i, i) for i in range(60)][::-1]
+        (only,) = part.split(RecordColumns.of(fovs))
+        assert list(only) == fovs
+
     @pytest.mark.parametrize("lat,lng", [
         (float("nan"), 116.3), (float("inf"), 116.3), (-float("inf"), 116.3),
         (40.0, float("nan")), (40.0, float("inf")), (40.0, -float("inf")),

@@ -102,6 +102,23 @@ class TestIngest:
         assert server.indexed_count == 120 - expect
         assert server.stats.records_evicted == expect
 
+    def test_epoch_gauge_sums_the_vector_and_bumps_are_journaled(
+            self, camera):
+        """``index.epoch`` is the sum of the epoch vector, and every
+        shard mutation journals one ``index.epoch_bump`` naming its
+        cause and shard."""
+        server = ShardedCloudServer(camera, n_shards=3, origin=ORIGIN)
+        rng = np.random.default_rng(3)
+        server.ingest(make_records(120, rng))
+        server.evict_older_than(1800.0)
+        vector = server.epoch_vector()
+        assert vector == (2, 2, 2)
+        assert server.obs.registry.get("index.epoch").value == sum(vector)
+        bumps = [(e.fields["cause"], e.fields["shard"], e.fields["epoch"])
+                 for e in server.obs.journal.events("index.epoch_bump")]
+        assert bumps == [("ingest", 0, 1), ("ingest", 1, 1), ("ingest", 2, 1),
+                         ("evict", 0, 2), ("evict", 1, 2), ("evict", 2, 2)]
+
     def test_non_finite_theta_rejected_before_any_shard(self, camera):
         server = ShardedCloudServer(camera, n_shards=4, origin=ORIGIN)
         rng = np.random.default_rng(4)
