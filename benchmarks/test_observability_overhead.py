@@ -41,7 +41,8 @@ OVERHEAD_GATE = 0.9     # instrumented throughput >= 0.9x uninstrumented
 #: Counted single-query throughput >= this x bare: twelve runs read
 #: 0.845-0.908x; the gate is the lowest less the runs' full spread.
 SINGLE_QUERY_GATE = 0.78
-SINGLE_QUERY_ROUNDS = 15
+#: Interleaved rounds per gate, each side timed once a round.
+ROUNDS = 15
 
 
 def _queries(rng, reps, n):
@@ -71,14 +72,18 @@ def _ranking(result):
     return [(r.fov.key(), r.distance, r.covers) for r in result.ranked]
 
 
-def _best_of(fn, rounds=3):
-    """Min-of-N wall time: robust to scheduler noise on shared runners."""
-    best = float("inf")
-    out = None
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
+def _interleaved(*sides):
+    """Each side's minimum wall time over :data:`ROUNDS` rounds that
+    time every side once in turn, and each side's last result: a busy
+    neighbour slows one round of every side, not one side's whole
+    block."""
+    best = [float("inf")] * len(sides)
+    out = [None] * len(sides)
+    for _ in range(ROUNDS):
+        for i, fn in enumerate(sides):
+            t0 = time.perf_counter()
+            out[i] = fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
     return best, out
 
 
@@ -99,9 +104,10 @@ def test_instrumented_throughput_gate(workload, camera, show, benchmark):
     counted.query_many(queries[:16])
     traced.query_many(queries[:16])
 
-    t_bare, want = _best_of(lambda: bare.execute_many(queries))
-    t_counted, got = _best_of(lambda: counted.query_many(queries))
-    t_traced, got_traced = _best_of(lambda: traced.query_many(queries))
+    (t_bare, t_counted, t_traced), (want, got, got_traced) = _interleaved(
+        lambda: bare.execute_many(queries),
+        lambda: counted.query_many(queries),
+        lambda: traced.query_many(queries))
 
     # Parity gate: all three paths answer identically.
     for a, b, c in zip(got, want, got_traced):
@@ -152,13 +158,9 @@ def test_single_query_overhead(workload, camera, show):
         for q in sample:
             counted.query(q)
 
-    # Interleaved rounds, min of each side: a 64-query loop takes ~10 ms,
-    # short enough for a busy neighbour to slow one side's whole
-    # best-of-3 and not the other's.
-    t_bare = t_counted = float("inf")
-    for _ in range(SINGLE_QUERY_ROUNDS):
-        t_bare = min(t_bare, _best_of(loop_bare, rounds=1)[0])
-        t_counted = min(t_counted, _best_of(loop_counted, rounds=1)[0])
+    # A 64-query loop takes ~10 ms, short enough for a busy neighbour
+    # to slow one side's whole block and not the other's.
+    (t_bare, t_counted), _ = _interleaved(loop_bare, loop_counted)
     per_query_ns = (t_counted - t_bare) / len(sample) * 1e9
     ratio = t_bare / t_counted
     show(f"single-query instrument overhead: "

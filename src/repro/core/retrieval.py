@@ -24,9 +24,9 @@ One engine serves it, from the frozen structure-of-arrays snapshot
 columns -- the path for read-heavy, ingest-heavy and mixed traffic
 alike (docs/PERFORMANCE.md §1).  After appends the snapshot is a base
 grid plus one tail segment of the rows since; the funnel sees global
-row ids from both, sorts by score then row, and breaks a score tie on
-the record key only when a result window holds one, so it ranks as
-over one full rebuild.  It has exactly one filter->rank
+row ids from both, sorts by score, and breaks a score tie on the
+record key and then the row only when a result window holds one, so it
+ranks as over one full rebuild.  It has exactly one filter->rank
 implementation, :func:`_batch_execute`: ``execute_many`` answers a
 whole batch in shared passes over all (query, candidate) pairs,
 ``execute`` is its ``n = 1`` case on scalar operands, and the sharded
@@ -130,27 +130,33 @@ def _batch_execute(parts: list[Part], queries: list[Query],
 
     The one packed filter->rank funnel.  ``parts`` are the descent's
     box hits (:data:`Part`) -- an engine's one view, or the router's
-    shard visits, query by query and in shard order within a query --
-    and ``hits`` each query's candidate count.  Every stage is one array
-    kernel over the ``(query, candidate)`` pairs of every part: the
-    local projection, the orientation filter (under strict cover the
-    descent handed on every row it can keep, :mod:`repro.spatial.grid`),
-    one ``ranker.scores`` call over the survivors of every query (none
-    when no row survives), and a single ``np.lexsort`` under ``(query,
-    -score, row)``, a part's rows numbered after every earlier part's.
+    shards in shard order: one part per shard visit for a single query,
+    one per shard for a batch, its visits concatenated in query order --
+    and ``hits`` each query's candidate count.  A part's rows are
+    numbered after every earlier part's, so each query's rows number in
+    (shard, row) order.  Every stage is one array kernel over the
+    ``(query, candidate)`` pairs of every part: the local projection,
+    the orientation filter (under strict cover the descent handed on
+    every row it can keep, :mod:`repro.spatial.grid`), one
+    ``ranker.scores`` call over the survivors of every query (none when
+    no row survives), and one ``np.argsort`` by descending score,
+    followed for a batch by a stable radix pass on the query id (cast
+    to ``np.min_scalar_type``) that makes each query's run contiguous.
     Only the winning ``top_n`` rows per query are materialised, each
     record the first time any result wins it (``view.records.take``).
 
     The canonical ranking is ``(-score, video_id, segment_id, row)``:
     duplicate keys rank by part, then by the row a tailed view numbers
     as a full rebuild would.  A query whose window of ``top_n + 1`` rows
-    has strictly decreasing scores already holds it -- no row after the
-    window scores above its last row, so the first ``top_n`` are the
-    highest scores and no two of them tie -- and the key columns are
-    read only when a window holds a tie (or a NaN, which compares false
-    with everything): that query's survivor run is then re-sorted under
-    the full key.  The extra row makes a tie across the ``top_n`` cut
-    count, since it decides which row is returned.
+    has strictly decreasing scores already holds it, whatever order
+    equal scores sorted into -- no row after the window scores above
+    its last row, so the first ``top_n`` are the highest scores and no
+    two of them tie -- and the key columns are read only when a window
+    holds a tie (or a NaN, which compares false with everything and
+    sorts last): that query's survivor run is then put in row order and
+    re-sorted under the full key, so the order it arrived in never
+    matters.  The extra row makes a tie across the ``top_n`` cut count,
+    since it decides which row is returned.
 
     A single query is the ``n = 1`` case of the same kernels, with its
     scalar origin and radius broadcast where a batch gathers per-pair
@@ -213,9 +219,9 @@ def _batch_execute(parts: list[Part], queries: list[Query],
             kts, kte = view.t_start[kids], view.t_end[kids]
         else:
             kts, kte = geom[3][kept], geom[4][kept]
-        # ``qb``: each query's run of ``order``.  ``order``: one sort --
-        # primary query id (keeps runs contiguous), then descending
-        # score, then row -- so each query's run of ``order`` is its
+        # ``qb``: each query's run of ``order``.  ``order``: descending
+        # score, then for a batch a stable pass on the query id (keeps
+        # runs contiguous), so each query's run of ``order`` is its
         # canonical ranking wherever no two scores tie.
         if one is not None:
             qb = [0, int(kept.size)]
@@ -231,10 +237,11 @@ def _batch_execute(parts: list[Part], queries: list[Query],
         scores = (np.asarray(ranker.scores(
             camera, q_ts, q_te, kdist, kdtheta, kts, kte), dtype=float)
             if kept.size else np.empty(0))
-        if one is not None:
-            order = np.lexsort((kids, -scores))
-        else:
-            order = np.lexsort((kids, -scores, kq))
+        order = np.argsort(-scores)
+        if one is None:
+            # A query id of at most 16 bits takes NumPy's radix sort.
+            by_q = kq[order].astype(np.min_scalar_type(n_q - 1))
+            order = order[by_q.argsort(kind="stable")]
             qb = np.searchsorted(kq, np.arange(n_q + 1),
                                  sorter=order).tolist()
         rows: list[tuple[Query, list[RankedFoV], int, int]] = []

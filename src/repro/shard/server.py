@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import threading
 from functools import partial
+from operator import itemgetter
 from typing import Callable, ContextManager, NamedTuple, Sequence
 
 import numpy as np
@@ -44,7 +45,7 @@ from repro.core.camera import CameraModel
 from repro.core.cache import QueryResultCache, query_cache_key, read_through
 from repro.core.flatsnap import pack_snapshot
 from repro.core.fov import RecordColumns, RepresentativeFoV
-from repro.core.index import (Bounds, ContentMark, FoVIndex,
+from repro.core.index import (Bounds, ContentMark, FoVIndex, PackedFoVIndex,
                               _checked_geometry, query_box_floats)
 from repro.core.ingest import IngestCoordinator, IngestOutcome, ServerStats
 from repro.core.query import Query, QueryResult
@@ -511,11 +512,19 @@ class ShardedCloudServer:
     def _answer(self, queries: list[Query]) -> list[QueryResult]:
         """Descend each query's target shards, each under its lock (the
         targets come sorted), then rank every visit's hits in one
-        :func:`~repro.core.retrieval._batch_execute` pass."""
+        :func:`~repro.core.retrieval._batch_execute` pass.
+
+        A single query hands on one funnel part per visit; a batch one
+        per shard view, its visits' ids concatenated in query order, in
+        shard order (a view a concurrent write replaced mid-call gets a
+        part of its own, after the shard's earlier one)."""
         t0 = self._clock()
         down = self.down_shards
         cover = self.camera if self._strict_cover else None
         parts: list[Part] = []
+        # id(view) -> (shard, view, query ids, the visits' ids)
+        grouped: dict[int, tuple[int, PackedFoVIndex, list[int],
+                                 list[np.ndarray]]] = {}
         hits: list[int] = []
         with self.obs.tracer.span("query.tree_descent", queries=len(queries)):
             for qi, query in enumerate(queries):
@@ -537,12 +546,22 @@ class ShardedCloudServer:
                         view = self.shards[sid].packed_view()
                         ids = view.range_search_ids(query, cover, tally)
                     visited += 1
-                    if ids.size:
-                        parts.append((view, None if len(queries) == 1
-                                      else np.full(ids.size, qi), ids))
+                    if not ids.size:
+                        continue
+                    if len(queries) == 1:
+                        parts.append((view, None, ids))
+                    else:
+                        group = grouped.setdefault(
+                            id(view), (sid, view, [], []))
+                        group[2].append(qi)
+                        group[3].append(ids)
                 self._pruned.inc(self.n_shards - len(targets))
                 self._fanout.observe(visited)
                 hits.append(tally[0])
+        for _, view, qis, visits in sorted(grouped.values(),
+                                           key=itemgetter(0)):
+            parts.append((view, np.repeat(qis, [v.size for v in visits]),
+                          np.concatenate(visits)))
         return _batch_execute(parts, queries, hits, self.camera,
                               self._strict_cover, self._ranker, self._clock,
                               t0, self.obs.tracer)

@@ -26,7 +26,9 @@ fleet whose query gets rows from both shards: its descent runs once
 per shard, and everything after it once per call
 (:data:`ROUTER_MODULES` adds the router and its partitioner).  A
 ``CloudServer`` query, a fleet of one, counts over the same modules and
-must make exactly the engine's calls.
+must make exactly the engine's calls.  A router batch of eight queries
+on the same fleet is pinned too: its descent runs once per visit, its
+funnel parts are built once per shard, and its rank once per call.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import sys
 import types
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import Iterator
 
 import numpy as np
@@ -69,6 +72,10 @@ ROUTER_MODULES = FUNNEL_MODULES + ("repro.shard.server",
 #: NumPy calls of one router ``query`` on the fixed two-shard fleet
 #: below; the same rule as :data:`PINNED_CALLS`.
 PINNED_ROUTER_CALLS = 38
+
+#: NumPy calls of one router ``query_many`` of the fixed batch of eight
+#: on the same fleet; the same rule as :data:`PINNED_CALLS`.
+PINNED_BATCH_CALLS = 264
 
 
 class _CountingNumpy(types.ModuleType):
@@ -210,6 +217,31 @@ def test_the_fixed_router_query_visits_two_shards_with_rows():
 def test_two_shard_router_numpy_calls_are_pinned():
     counts = count_router_calls()
     assert sum(counts.values()) == PINNED_ROUTER_CALLS, sorted(counts.items())
+
+
+def fixed_batch() -> tuple[ShardedCloudServer, list[Query]]:
+    """The fixed fleet, and eight queries shaped like the fixed query,
+    centred on the first eight of its records."""
+    server, query = fixed_fleet()
+    engine, _ = fixed_engine()
+    return server, [replace(query, center=fov.point)
+                    for fov in engine.index.records()[:8]]
+
+
+def test_the_fixed_batch_visits_both_shards_and_fills_every_answer():
+    server, batch = fixed_batch()
+    visited = server._fanout.sum
+    results = server.query_many(batch)
+    assert server._fanout.sum - visited == 2 * len(batch)
+    assert all(len(r.ranked) == r.query.top_n for r in results)
+
+
+def test_router_batch_numpy_calls_are_pinned():
+    server, batch = fixed_batch()
+    server.query_many(batch)    # build the views and memo the winners
+    with counting_numpy_calls(ROUTER_MODULES) as counts:
+        server.query_many(batch)
+    assert sum(counts.values()) == PINNED_BATCH_CALLS, sorted(counts.items())
 
 
 @pytest.mark.parametrize("module", ROUTER_MODULES)

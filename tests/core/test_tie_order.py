@@ -33,6 +33,11 @@ a per-shard scatter-gather gives):
   shard and then by row;
 * a tie straddling the ``top_n`` cut across shards.
 
+A router batch sorts its pairs by score and then, stably, by query id
+cast to the smallest unsigned type that holds it; batches of 1 to 257
+queries on 1, 3 and 4 shards must rank each query as ``query`` does
+and as the oracle does over the fleet's records in (shard, row) order.
+
 ``FUZZ_SEED`` (set by the CI fuzz-smoke matrix) seeds the fleets and
 queries; a red run reproduces locally with
 ``FUZZ_SEED=<n> pytest <this file>``.
@@ -387,3 +392,75 @@ def test_router_tie_straddles_the_cut_across_shards():
     assert (candidates, n_kept) == (6, 6)
     assert [fov.video_id for fov, *_ in got] == ["a", "b", "c", "d"]
     assert routed(records, 4, [q]) == four_ways(records, 4, [q])
+
+
+#: The batch cases' query centres, 217 m apart along the meridian; each
+#: is an exact binary fraction, so its mirrored positions tie exactly.
+BATCH_CENTRES = tuple(GeoPoint(lat=MIRROR_CENTRE.lat + j * 2.0 ** -9,
+                               lng=MIRROR_CENTRE.lng) for j in range(3))
+
+
+def circles(rng: np.random.Generator, n: int,
+            keys: int) -> list[RepresentativeFoV]:
+    """``n`` records on circles around the batch centres: each sits on
+    one of a centre's mirrored positions, facing it, with a key from a
+    ``keys``-key space, so a circle's records tie exactly."""
+    out = []
+    for _ in range(n):
+        centre = BATCH_CENTRES[int(rng.integers(len(BATCH_CENTRES)))]
+        dlat, dlng, facing = MIRRORS[int(rng.integers(len(MIRRORS)))]
+        key = int(rng.integers(keys))
+        t0 = float(rng.integers(0, 6)) * 600.0
+        out.append(RepresentativeFoV(
+            lat=centre.lat + dlat * STEP_DEG,
+            lng=centre.lng + dlng * STEP_DEG,
+            theta=facing, t_start=t0, t_end=t0 + 300.0,
+            video_id=VIDS[key % len(VIDS)], segment_id=key // len(VIDS)))
+    return out
+
+
+@pytest.mark.parametrize("batch", [1, 2, 64, 257])
+@pytest.mark.parametrize("n_shards", [1, 3, 4])
+def test_a_router_batch_ranks_ties_as_one_query_and_the_oracle(n_shards,
+                                                               batch):
+    """A router batch -- its query ids cast to uint8 up to 256 queries
+    and to uint16 past -- ranks each query as ``query`` does and as the
+    oracle does over the fleet's records in (shard, row) order, with
+    ties across each ``top_n`` cut and inside the windows, and keys
+    held by two shards."""
+    rng = np.random.default_rng([FUZZ_SEED, n_shards, batch])
+    records = circles(rng, 150, keys=6)
+    server = ShardedCloudServer(CAMERA, n_shards=n_shards,
+                                origin=MIRROR_CENTRE, cell_m=MIRROR_CELL_M,
+                                seed=MIRROR_SEED, cache_size=0)
+    server.ingest(records[:90])
+    server.query(Query(t_start=0.0, t_end=3600.0, center=MIRROR_CENTRE,
+                       radius=30.0))
+    server.ingest(records[90:])      # served as tails of the views
+    qs = [Query(t_start=0.0, t_end=float(rng.choice([1800.0, 3600.0])),
+                center=BATCH_CENTRES[int(rng.integers(len(BATCH_CENTRES)))],
+                radius=float(rng.choice([8.0, 30.0])),
+                top_n=int(rng.integers(1, 14)))
+          for _ in range(batch)]
+    oracle = FoVIndex(backend="linear")
+    oracle.insert_many([fov for shard in server.shards
+                        for fov in shard.records()])
+
+    got = [ranked(r) for r in server.query_many(qs)]
+    assert got == [ranked(server.query(q)) for q in qs]
+    assert got == [ranked(answer(oracle, q, CAMERA)) for q in qs]
+
+    # Preconditions: every batch ties in some window; a larger one ties
+    # across a cut and inside a window, and returns a key from two shards.
+    wide = [full_scores(oracle.records(), q) for q in qs]
+    cut = [len(s) > q.top_n and s[q.top_n - 1] == s[q.top_n]
+           for q, s in zip(qs, wide)]
+    inside = [any(a == b for a, b in zip(s[:q.top_n], s[1:q.top_n]))
+              for q, s in zip(qs, wide)]
+    assert any(cut) or any(inside)
+    if batch > 2:
+        assert any(cut) and any(inside)
+    if n_shards > 1 and batch > 2:
+        shard_of = server.partitioner.shard_of
+        assert any(len({shard_of(f) for f, *_ in top if f.key() == k}) > 1
+                   for top, _, _ in got for k in {f.key() for f, *_ in top})

@@ -1,4 +1,4 @@
-"""Hypothesis property tests: interval tree and sector overlap.
+"""Hypothesis property tests: the interval tree.
 
 Also the failure-injection contracts: non-finite sensor data must be
 rejected at the trace/segmenter boundary, never silently absorbed.
@@ -8,9 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import FoV, FoVTrace, StreamingSegmenter
-from repro.geometry.overlap import overlap_fraction, sector_overlap_area
-from repro.geometry.sector import Sector
-from repro.geometry.vec import Vec2
 from repro.spatial.intervaltree import IntervalTree
 
 
@@ -41,33 +38,6 @@ def test_interval_tree_stab_exact(rows, point):
     got = sorted(tree.stab(point))
     want = sorted(i for a, b, i in rows if a <= point <= b)
     assert got == want
-
-
-sectors = st.builds(
-    Sector,
-    apex=st.builds(Vec2, st.floats(-100, 100), st.floats(-100, 100)),
-    azimuth=st.floats(0.0, 360.0, exclude_max=True),
-    half_angle=st.floats(10.0, 85.0),
-    radius=st.floats(10.0, 150.0),
-)
-
-
-@settings(max_examples=40, deadline=None)
-@given(sectors, sectors)
-def test_overlap_symmetric_and_bounded(s1, s2):
-    a12 = sector_overlap_area(s1, s2, arc_points=24)
-    a21 = sector_overlap_area(s2, s1, arc_points=24)
-    assert a12 == pytest.approx(a21, rel=1e-6, abs=1e-6)
-    assert -1e-9 <= a12 <= min(s1.area(), s2.area()) * 1.01 + 1e-9
-    f = overlap_fraction(s1, s2, arc_points=24)
-    assert 0.0 <= f <= 1.0
-
-
-@settings(max_examples=30, deadline=None)
-@given(sectors)
-def test_self_overlap_is_area(s):
-    assert sector_overlap_area(s, s, arc_points=64) == pytest.approx(
-        s.area(), rel=5e-3)
 
 
 class TestNonFiniteRejection:

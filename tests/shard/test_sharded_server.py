@@ -182,6 +182,38 @@ class TestQuery:
         assert got == before[:4] + after[4:]
         assert before[4:] != after[4:]
 
+    def test_a_mid_call_eviction_answers_from_two_views(self, camera,
+                                                         monkeypatch):
+        """An eviction renumbers a shard's rows: a batch whose later
+        queries search the shard's new view must not read their rows
+        against the old view that earlier queries searched."""
+        rng = np.random.default_rng(8)
+        recs = make_records(900, rng, extent_m=400.0)
+        queries = make_queries(8, rng, extent_m=400.0)
+        server = ShardedCloudServer(camera, n_shards=3, origin=ORIGIN,
+                                    cache_size=0)
+        server.ingest(recs)
+        before = [server.query(q)[:4] for q in queries]
+        control = ShardedCloudServer(camera, n_shards=3, origin=ORIGIN,
+                                     cache_size=0)
+        control.ingest(recs)
+        assert control.evict_older_than(1800.0) > 0
+        after = [control.query(q)[:4] for q in queries]
+        assert all(ranked for _, ranked, *_ in before + after)
+        boxed = []
+
+        def box_then_evict(query):
+            boxed.append(query)
+            if len(boxed) == 5:         # before the fifth query's visits
+                server.evict_older_than(1800.0)
+            return query_box_floats(query)
+
+        monkeypatch.setattr(server_module, "query_box_floats",
+                            box_then_evict)
+        got = [r[:4] for r in server.query_many(queries)]
+        assert got == before[:4] + after[4:]
+        assert before[4:] != after[4:]
+
     def test_fanout_is_pruned(self, camera):
         """Tight queries over a wide city must not search every shard."""
         server = ShardedCloudServer(camera, n_shards=8, origin=ORIGIN,
