@@ -14,13 +14,12 @@ content-digest dedup keeps the outcome exactly-once.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import os
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, ContextManager, Sequence
+from typing import Callable, ContextManager, Iterable, Sequence
 
 from repro.core.fov import RecordColumns
 from repro.core.quarantine import QuarantineStore
@@ -276,15 +275,19 @@ class IngestCoordinator:
     write or ``land`` raised: nothing was indexed, so the retry must
     not be acked as a duplicate.
 
-    :meth:`evict` logs a retention cutoff the same way.  With a WAL, a
-    group's append and its ``land``, and an eviction's append and its
-    index change, run under one lock (:meth:`exclusive`), so the log's
-    entry order is the order the index saw and :meth:`replay_wal`
-    rebuilds the same content; without one, groups land concurrently.
-    ``check`` (the fleet's "no primary is down") runs under that lock
-    before anything is logged, so a write it refuses leaves no entry
-    for replay to apply.  Like ``land``, it must not be a bound method
-    of the facade.
+    :meth:`evict` logs a retention cutoff the same way.  A group's
+    append and its ``land``, and an eviction's append and its index
+    change, run under one lock (:meth:`exclusive`), so the log's entry
+    order is the order the index saw and :meth:`replay_wal` rebuilds
+    the same content.  ``check`` (the fleet's "no primary is down")
+    runs under that lock before anything is logged, so a write it
+    refuses leaves no entry for replay to apply.  Like ``land``, it
+    must not be a bound method of the facade.
+
+    A reserved digest stays *pending* until its group has landed; the
+    pending set is cleared under the same lock, right after ``land``,
+    so :meth:`landed_digests` read under :meth:`exclusive` names
+    exactly the bundles whose records the index holds.
     """
 
     def __init__(self, *, stats: ServerStats, journal: EventJournal,
@@ -300,12 +303,13 @@ class IngestCoordinator:
         self._admission = (AdmissionQueue(admission_capacity)
                            if admission_capacity is not None else None)
         self._lock = threading.Lock()
-        self._log_order: ContextManager[object] = (
-            threading.Lock() if wal is not None else contextlib.nullcontext())
+        self._log_order = threading.Lock()
         # Sequence numbers of the configured log's eviction entries
         # already applied to this server's index (under _log_order).
         self._applied_evictions: set[int] = set()
         self._seen: set[str] = set()
+        # Reserved digests whose group has not landed yet (under _lock).
+        self._pending: set[str] = set()
         self._owners: dict[str, str] = {}  # video_id -> device_id
 
     @property
@@ -313,6 +317,25 @@ class IngestCoordinator:
         """Digests of every bundle indexed (or in flight) so far."""
         with self._lock:
             return frozenset(self._seen)
+
+    def landed_digests(self) -> frozenset[str]:
+        """Digests of the bundles whose records have landed: the seen
+        set less the groups not yet past ``land``.  Read it under
+        :meth:`exclusive` to match it to the index."""
+        with self._lock:
+            return frozenset(self._seen - self._pending)
+
+    def remember(self, digests: Iterable[str]) -> None:
+        """Mark ``digests`` as landed bundles (a reloaded snapshot's),
+        so that their redeliveries ack ``DUPLICATE``."""
+        with self._lock:
+            self._seen.update(digests)
+
+    def _release(self, digests: Iterable[str]) -> None:
+        """Give back the reservations of bundles that did not land."""
+        with self._lock:
+            self._seen.difference_update(digests)
+            self._pending.difference_update(digests)
 
     def register_owner(self, video_id: str, device_id: str) -> None:
         """Record which provider device holds ``video_id``'s footage."""
@@ -325,9 +348,8 @@ class IngestCoordinator:
             return self._owners.get(video_id)
 
     def exclusive(self) -> ContextManager[object]:
-        """Hold off logged writes: while the block runs, no commit group
-        or eviction is between its ``check`` and its index change (a
-        no-op without a WAL)."""
+        """Hold off writes: while the block runs, no commit group or
+        eviction is between its ``check`` and its index change."""
         return self._log_order
 
     def commit(self, payloads: Sequence[bytes],
@@ -374,7 +396,9 @@ class IngestCoordinator:
                 digest = hashlib.sha256(payload).hexdigest()
                 with self._lock:
                     duplicate = digest in self._seen
-                    self._seen.add(digest)
+                    if not duplicate:
+                        self._seen.add(digest)
+                        self._pending.add(digest)
                 if duplicate:
                     self._stats._duplicated.inc()
                     self._journal.emit("ingest.duplicate", digest=digest)
@@ -386,8 +410,7 @@ class IngestCoordinator:
                 try:
                     columns = decode_bundle_columns(payload)
                 except ValueError as exc:
-                    with self._lock:
-                        self._seen.discard(reserved.pop())
+                    self._release([reserved.pop()])
                     self._stats._rejected.inc()
                     self._quarantine.add(payload, str(exc))
                     self._journal.emit("ingest.rejected", digest=digest,
@@ -416,9 +439,10 @@ class IngestCoordinator:
                     wal.commit()
                     self._stats._wal_syncs.inc()
                 indexed = land(RecordColumns.concat([c for *_, c in group]))
+                with self._lock:
+                    self._pending.difference_update(reserved)
         except BaseException:
-            with self._lock:
-                self._seen.difference_update(reserved)
+            self._release(reserved)
             raise
         self._stats._records_indexed.inc(indexed)
         for digest, dev, payload, columns in group:

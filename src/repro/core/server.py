@@ -104,13 +104,11 @@ class CloudServer(ShardedCloudServer):
                          wal=wal, admission_capacity=admission_capacity)
         self.traffic = TrafficModel(video_profile)
         self._clients: dict[str, ClientPipeline] = {}
+        self._place(0, index)
         with self._locks[0]:
-            self.shards[0] = index
-            self._bounds[0] = index.bounds()
             self._engine = RetrievalEngine(index, camera,
                                            strict_cover=strict_cover,
                                            obs=self.obs)
-            self._sync_shard_gauges(0, "install")
 
     # The fleet's own functions, bound here by name because the perf
     # ledger (``benchmarks/perf``) treats the two classes apart: it

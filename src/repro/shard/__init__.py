@@ -12,8 +12,9 @@ package partitions the index by *where the cameras stood*:
   pass over every pruned shard's hits, bit-identical to the
   single-server ranking (``repro.core.server.CloudServer`` is its
   fleet of one);
-* :mod:`repro.shard.persist` -- fleet save/load as one ``.fovpack``
-  (``FOVPACK1``) record file per shard plus a routing manifest;
+* :mod:`repro.shard.persist` -- fleet save/load: one standby segment
+  per shard on disk (a ``.fovpack`` file) plus a manifest of routing
+  parameters, standby pins and bundle digests; reload is promotion;
 * :mod:`repro.shard.replica` -- :class:`ReplicaSet`, one warm standby
   per shard (a base ``FOVPACK1`` buffer plus tail segments of the rows
   appended since) with per-segment manifest-verified promotion after a

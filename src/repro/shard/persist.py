@@ -1,77 +1,74 @@
-"""Sharded snapshots: persist a fleet as one ``FOVPACK1`` file per shard.
+"""Sharded snapshots: a fleet's standbys on disk, reloaded by promotion.
 
-Layout: one directory holding ``shard-NNN.fovpack`` files -- each the
-shard's records in the flat, CRC-protected ``FOVPACK1`` buffer
-(:mod:`repro.core.flatsnap`), exactly what
-:meth:`ShardedCloudServer.capture_shard` hands a warm standby -- plus a
-``manifest.json`` recording the routing parameters ``(n_shards,
-origin, cell_m, seed)`` and per-shard record counts.  Saving builds no
-search structure; :func:`load_sharded_snapshot` rebuilds the fleet the
-way replica promotion rebuilds a shard (verified attach -> columns ->
-``ingest``, no record object built).
-
-Because routing is a pure function of the manifest's parameters
-(:mod:`repro.shard.partition`), reload does not trust the file
-boundaries: records are re-routed through the partitioner, which by
-determinism lands every record back on the shard whose file held it.
-A manifest whose parameters were tampered with therefore cannot
-scatter records onto the wrong shards -- the counts check fails
-instead.  Only files the manifest names under ``packed`` are read.
+A directory of ``shard-NNN.fovpack`` files -- one standby segment per
+shard, the ``FOVPACK1`` buffer (:mod:`repro.core.flatsnap`) that
+:meth:`ShardedCloudServer.capture_shard` hands a warm standby -- and a
+``manifest.json``: the routing parameters ``(n_shards, origin, cell_m,
+seed)``, each file's standby manifest (``epoch``, ``records``,
+``sha256``), and the landed bundles' ``digests`` with their own
+``digests_sha256``.  Reload promotes each file into its slot with the
+standby check-and-rebuild, refuses a row the saved routing parameters
+place on another shard (a tampered seed or ``cell_m``), and restores
+the digests, so ingest stays exactly-once across it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 from repro.core.camera import CameraModel
-from repro.core.flatsnap import load_snapshot_file
-from repro.core.fov import RecordColumns
 from repro.geo.coords import GeoPoint
 from repro.obs.runtime import Observability
 from repro.shard.partition import GridPartitioner
-from repro.shard.server import ShardedCloudServer, ShardUnavailableError
+from repro.shard.replica import (ReplicaManifest, ReplicaSegment, _pinned,
+                                 _verified_index)
+from repro.shard.server import ShardedCloudServer
 
 __all__ = ["save_sharded_snapshot", "load_sharded_snapshot",
            "MANIFEST_NAME", "MANIFEST_FORMAT"]
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_FORMAT = "fov-sharded-snapshot-v1"
+MANIFEST_FORMAT = "fov-sharded-snapshot-v2"
+
+
+def _digests_sha256(digests: list[str]) -> str:
+    return hashlib.sha256("\n".join(digests).encode()).hexdigest()
 
 
 def save_sharded_snapshot(dirpath: str | Path,
                           server: ShardedCloudServer) -> int:
     """Write every shard's records plus the manifest; returns total bytes.
 
-    The directory is created if missing.  Each shard is read once,
-    under its lock (:meth:`ShardedCloudServer.capture_shard`), so its
-    file and manifest count describe the same epoch; empty shards
-    still get a (valid, empty) file.  Raises
-    :class:`ShardUnavailableError` while any primary is down: a killed
-    slot is an empty placeholder, and saving it would write a snapshot
-    that reloads cleanly with that shard's data missing.
+    The directory is created if missing; empty shards still get a
+    (valid, empty) file.  The shards and digests are read as one state
+    (:meth:`ShardedCloudServer.capture_fleet`, which raises
+    :class:`~repro.shard.server.ShardUnavailableError` while any
+    primary is down, before anything is written).
     """
-    down = server.down_shards
-    if down:
-        raise ShardUnavailableError(min(down))
+    captures, digests = server.capture_fleet()
     root = Path(dirpath)
     root.mkdir(parents=True, exist_ok=True)
     part = server.partitioner
     total = 0
-    shard_rows: list[dict[str, object]] = []
-    for sid in range(server.n_shards):
-        capture = server.capture_shard(sid)
+    rows: list[dict[str, object]] = []
+    for sid, capture in enumerate(captures):
+        pin = _pinned(sid, capture, 0).manifest
         name = f"shard-{sid:03d}.fovpack"
         total += (root / name).write_bytes(capture.packed)
-        shard_rows.append({"packed": name, "records": capture.mark.count})
+        rows.append({"packed": name, "epoch": pin.epoch,
+                     "records": pin.records, "sha256": pin.digest})
+    landed = sorted(digests)
     manifest = {
         "format": MANIFEST_FORMAT,
         "n_shards": part.n_shards,
         "origin": {"lat": part.origin.lat, "lng": part.origin.lng},
         "cell_m": part.cell_m,
         "seed": part.seed,
-        "shards": shard_rows,
-        "records_total": sum(int(r["records"]) for r in shard_rows),
+        "shards": rows,
+        "digests": landed,
+        "digests_sha256": _digests_sha256(landed),
     }
     blob = json.dumps(manifest, indent=2).encode()
     return total + (root / MANIFEST_NAME).write_bytes(blob)
@@ -87,18 +84,21 @@ def _field(obj: object, key: str, kind: type | tuple[type, ...]):
     return value
 
 
-def _read_manifest(root: Path
-                   ) -> tuple[GridPartitioner, list[tuple[str, int]]]:
-    """The saved routing function and each shard's ``(file name, record
-    count)``; an incoherent manifest (absent, not JSON, unknown format,
-    missing, mistyped or out-of-range field, shard list disagreeing
-    with ``n_shards``) is a ``ValueError``."""
+def _read_manifest(root: Path) -> tuple[
+        GridPartitioner, list[tuple[str, ReplicaManifest]], list[str]]:
+    """The routing function, each shard's ``(file name, standby
+    manifest)`` and the digests; ``ValueError`` on an incoherent
+    manifest (absent, not JSON, unknown or v1 format, a missing,
+    mistyped or out-of-range field, digests off their sha256)."""
     path = root / MANIFEST_NAME
     if not path.is_file():
         raise ValueError(f"no {MANIFEST_NAME} in {root}")
     manifest = json.loads(path.read_bytes())    # JSONDecodeError is a ValueError
-    if not isinstance(manifest, dict) or \
-            manifest.get("format") != MANIFEST_FORMAT:
+    fmt = manifest.get("format") if isinstance(manifest, dict) else None
+    if fmt == "fov-sharded-snapshot-v1":
+        raise ValueError(f"{path} is a v1 snapshot, which pins no shard "
+                         f"file and no bundle digest; re-save the snapshot")
+    if fmt != MANIFEST_FORMAT:
         raise ValueError(f"unknown snapshot format in {path}")
     origin = _field(manifest, "origin", dict)
     part = GridPartitioner(
@@ -111,14 +111,16 @@ def _read_manifest(root: Path
     if len(rows) != part.n_shards:
         raise ValueError(f"manifest lists {len(rows)} shard files for "
                          f"{part.n_shards} shards")
-    shards = []
-    for sid, row in enumerate(rows):
-        if isinstance(row, dict) and "packed" not in row:
-            raise ValueError(
-                f"shard {sid} has no packed sidecar; re-save the snapshot")
-        shards.append((_field(row, "packed", str),
-                       _field(row, "records", int)))
-    return part, shards
+    shards = [(_field(row, "packed", str), ReplicaManifest(
+        shard_id=sid, epoch=_field(row, "epoch", int),
+        records=_field(row, "records", int),
+        digest=_field(row, "sha256", str))) for sid, row in enumerate(rows)]
+    digests = _field(manifest, "digests", list)
+    if not all(isinstance(d, str) for d in digests):
+        raise ValueError("manifest digests must be strings")
+    if _digests_sha256(digests) != _field(manifest, "digests_sha256", str):
+        raise ValueError("manifest digests disagree with their sha256")
+    return part, shards, digests
 
 
 def load_sharded_snapshot(dirpath: str | Path, camera: CameraModel,
@@ -130,34 +132,26 @@ def load_sharded_snapshot(dirpath: str | Path, camera: CameraModel,
     Routing parameters come from the manifest (so the reloaded fleet
     routes exactly like the one that saved it); serving parameters
     (camera, cover rule, cache) come from the caller.  Raises
-    ``ValueError`` on a missing/incoherent manifest, a corrupt,
-    truncated or extended shard file, a file whose record count
-    disagrees with the manifest, or a per-shard count that disagrees
-    with the manifest after re-routing.
+    ``ValueError`` on a missing, incoherent or v1 manifest, a file
+    failing its sha256, CRC, record count or epoch, or a row the saved
+    routing parameters place on another shard.
     """
     root = Path(dirpath)
-    part, shards = _read_manifest(root)
-    parts: list[RecordColumns] = []
-    for name, count in shards:
-        if not (root / name).is_file():
-            raise ValueError(f"manifest names {name!r}, not a file in {root}")
-        columns = load_snapshot_file(root / name)   # CRC, length verified
-        if len(columns) != count:
-            raise ValueError(
-                f"shard file {name!r} holds {len(columns)} records, "
-                f"manifest says {count}")
-        parts.append(columns)
+    part, shards, digests = _read_manifest(root)
     server = ShardedCloudServer(
         camera, n_shards=part.n_shards, origin=part.origin,
         cell_m=part.cell_m, seed=part.seed, strict_cover=strict_cover,
         cache_size=cache_size, obs=obs)
-    server.ingest(RecordColumns.concat(parts))
-    for sid, (_, count) in enumerate(shards):
-        live = len(server.shards[sid])
-        if live != count:
+    for sid, (name, pin) in enumerate(shards):
+        if not (root / name).is_file():
+            raise ValueError(f"manifest names {name!r}, not a file in {root}")
+        segment = ReplicaSegment(pin, (root / name).read_bytes())
+        index = _verified_index(sid, [segment], pin.epoch, pin.records)
+        columns = index.record_columns()
+        if (part.shards_of(columns.lat, columns.lng) != sid).any():
             raise ValueError(
-                f"re-routing landed {live} records on shard {sid}, "
-                f"manifest says {count} -- routing parameters "
-                f"disagree with the files"
-            )
+                f"shard file {name!r} holds rows that the manifest's "
+                f"routing parameters place on another shard")
+        server._place(sid, index)
+    server._ingest.remember(digests)
     return server

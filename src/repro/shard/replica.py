@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from repro.core.flatsnap import unpack_snapshot
 from repro.core.fov import RecordColumns
@@ -161,27 +161,16 @@ class ReplicaSet:
                 since = synced.mark
         capture = self._server.capture_shard(sid, since=since)
         if capture.tail and replica is not None and since is not None:
-            tail = self._segment(sid, capture, since.count)
+            tail = _pinned(sid, capture, since.count)
             replica = replace(replica, tails=replica.tails + (tail,))
         else:
-            full = self._segment(sid, capture, 0)
+            full = _pinned(sid, capture, 0)
             replica = ShardReplica(manifest=full.manifest, packed=full.packed)
         self._replicas[sid] = replica
         self._synced[sid] = _Synced(capture.epoch, capture.mark)
         self._syncs.labels(kind="tail" if capture.tail else "full").inc()
         self._sync_bytes.inc(len(capture.packed))
         return replica
-
-    @staticmethod
-    def _segment(sid: int, capture: ShardCapture,
-                 first_row: int) -> ReplicaSegment:
-        """Pin a captured buffer holding the primary's rows from
-        ``first_row`` to its mark's count."""
-        return ReplicaSegment(
-            ReplicaManifest(shard_id=sid, epoch=capture.epoch,
-                            records=capture.mark.count - first_row,
-                            digest=hashlib.sha256(capture.packed).hexdigest()),
-            capture.packed)
 
     def sync(self) -> int:
         """Bring every serving shard's standby up to date; returns how
@@ -217,23 +206,19 @@ class ReplicaSet:
     def promote(self, sid: int) -> FoVIndex:
         """Verify shard ``sid``'s standby and promote it to primary.
 
-        Raises ``ValueError`` when the standby is missing or fails any
-        per-segment check (docs/SHARDING.md §9): a buffer digest that
-        disagrees with its manifest (tampered/torn), a ``FOVPACK1`` CRC
-        failure, a decoded record count or epoch that drifts from its
-        manifest, or segments that are out of order, missing, or do not
-        add up to the primary's last synced epoch and count; or when the
-        shard is serving, not down.  On success the rebuilt index is
-        installed (and returned), the slot serves again, and the
-        downtime is recorded.
+        Raises ``ValueError`` when the standby is missing, fails a
+        check of :func:`_verified_index` against the primary's last
+        synced epoch and count (docs/SHARDING.md §9), or the shard is
+        serving, not down.  On success the rebuilt index is installed
+        (and returned), the slot serves again, and the downtime is
+        recorded.
         """
         replica, synced = self._replicas[sid], self._synced[sid]
         if replica is None or synced is None:
             raise ValueError(f"no standby captured for shard {sid}")
         with self._server.obs.tracer.span("failover.promote", shard=sid):
-            columns = _verified_columns(sid, replica, synced)
-            fresh = FoVIndex()
-            fresh.insert_many(columns)
+            fresh = _verified_index(sid, replica.segments(), synced.epoch,
+                                   synced.mark.count)
             self._server.install_shard(sid, fresh)
         self._promotions.inc()
         killed_at = self._killed_at.pop(sid, None)
@@ -244,16 +229,30 @@ class ReplicaSet:
         return fresh
 
 
-def _verified_columns(sid: int, replica: ShardReplica,
-                      synced: _Synced) -> RecordColumns:
-    """A standby's segments as one run of columns in row order, or
-    ``ValueError`` naming the first check that failed."""
+def _pinned(sid: int, capture: ShardCapture,
+           first_row: int) -> ReplicaSegment:
+    """Pin a captured buffer holding shard ``sid``'s rows from
+    ``first_row`` to its mark's count."""
+    return ReplicaSegment(
+        ReplicaManifest(shard_id=sid, epoch=capture.epoch,
+                        records=capture.mark.count - first_row,
+                        digest=hashlib.sha256(capture.packed).hexdigest()),
+        capture.packed)
+
+
+def _verified_index(sid: int, segments: Sequence[ReplicaSegment],
+                   epoch: int, records: int) -> FoVIndex:
+    """Shard ``sid``'s segments in a fresh index (one ``insert_many``),
+    after each passed its sha256, CRC, record count and epoch, in a
+    rising epoch chain ending at ``epoch`` and holding ``records`` rows;
+    else ``ValueError`` naming the first failed check.  Promotion and
+    snapshot reload both rebuild a shard here."""
     def rejected(why: str) -> ValueError:
         return ValueError(f"standby for shard {sid} rejected: {why}")
 
     parts: list[RecordColumns] = []
     newest: int | None = None
-    for i, segment in enumerate(replica.segments()):
+    for i, segment in enumerate(segments):
         manifest = segment.manifest
         digest = hashlib.sha256(segment.packed).hexdigest()
         if digest != manifest.digest:
@@ -275,11 +274,13 @@ def _verified_columns(sid: int, replica: ShardReplica,
                 f"{newest} (epoch chain broken)")
         newest = manifest.epoch
         parts.append(columns)
-    if newest != synced.epoch:
-        raise rejected(f"newest segment epoch {newest}, last sync saw "
-                       f"{synced.epoch} (epoch chain broken)")
+    if newest != epoch:
+        raise rejected(f"newest segment epoch {newest}, expected "
+                       f"{epoch} (epoch chain broken)")
     held = sum(len(p) for p in parts)
-    if held != synced.mark.count:
-        raise rejected(f"segments hold {held} records, last sync "
-                       f"saw {synced.mark.count} (record count)")
-    return RecordColumns.concat(parts)
+    if held != records:
+        raise rejected(f"segments hold {held} records, expected "
+                       f"{records} (record count)")
+    fresh = FoVIndex()
+    fresh.insert_many(RecordColumns.concat(parts))
+    return fresh

@@ -287,6 +287,23 @@ class ShardedCloudServer:
                 columns = index.record_columns()
         return ShardCapture(columns.epoch, mark, pack_snapshot(columns), tail)
 
+    def capture_fleet(self) -> tuple[list[ShardCapture], frozenset[str]]:
+        """Every shard's full capture, and the digests of the bundles
+        whose records those captures hold, read as one state.
+
+        Taken under the ingest coordinator's log-order lock, so no
+        commit group or eviction lands in between, and a bundle still
+        decoding (its digest reserved, its records not landed) is left
+        out: a redelivery of it must index it.  Raises
+        :class:`ShardUnavailableError` while any primary is down: a
+        killed slot is an empty placeholder.
+        """
+        with self._ingest.exclusive():
+            self._check_fleet_up()
+            captures = [self.capture_shard(sid)
+                        for sid in range(self.n_shards)]
+            return captures, self._ingest.landed_digests()
+
     def kill_shard(self, sid: int) -> None:
         """Simulate losing shard ``sid``'s primary mid-run.
 
@@ -300,9 +317,9 @@ class ShardedCloudServer:
         counter, so existing epoch-vector tags no longer identify the
         content they were computed from.  The dead primary is dropped.
 
-        With a WAL the slot goes down between logged writes, never
-        between a write's fleet check and its index change, so the log
-        holds no write the fleet refused part-way.
+        The slot goes down between writes, never between a write's
+        fleet check and its index change, so a WAL holds no write the
+        fleet refused part-way.
         """
         self._check_sid(sid)
         with self._ingest.exclusive(), self._ingest_lock:
@@ -318,21 +335,26 @@ class ShardedCloudServer:
         Refused with ``ValueError``, before anything changes, unless the
         slot is down: a serving primary holds rows its standby may lack.
 
-        Content bounds are kept as-is: a promoted replica restores the
-        content the stale bounds conservatively described (nothing was
-        allowed to land while the primary was absent).  Caches are
+        The slot's content bounds become ``index``'s own, which cover
+        every row it holds, so they still prune safely.  Caches are
         cleared for the same epoch-counter reason as
         :meth:`kill_shard`.
         """
         self._check_sid(sid)
         if sid not in self.down_shards:
             raise ValueError(f"shard {sid} is serving, not down")
-        with self._locks[sid]:
-            self.shards[sid] = index
-            self._sync_shard_gauges(sid, "install")
+        self._place(sid, index)
         with self._ingest_lock:
             self._down.discard(sid)
         self._clear_result_caches()
+
+    def _place(self, sid: int, index: FoVIndex) -> None:
+        """Fill slot ``sid`` with ``index``, under the slot's lock: the
+        slot, its content bounds (the index's own) and its gauges."""
+        with self._locks[sid]:
+            self.shards[sid] = index
+            self._bounds[sid] = index.bounds()
+            self._sync_shard_gauges(sid, "install")
 
     def _clear_result_caches(self) -> None:
         for cache in (self._cache, self._video_cache):

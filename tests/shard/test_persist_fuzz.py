@@ -6,10 +6,10 @@ A deterministic seed-matrix sweep (the CI fuzz-smoke job sets
 directory, applies one mutation -- flip, truncate or extend a
 ``.fovpack``; drop or retype a manifest key at any depth -- and loads
 it as a fleet and file by file.  The contract: every mutation either
-loads to the saved fleet's per-shard content digests (and each file to
-exactly its shard's records, in row order) or raises ``ValueError``;
-never ``KeyError``/``TypeError``/``OSError``, never a silently shorter
-or differently-sharded fleet.
+loads to the saved fleet's per-shard content digests and bundle digests
+(and each file to exactly its shard's records, in row order) or raises
+``ValueError``; never ``KeyError``/``TypeError``/``OSError``, never a
+silently shorter, differently-sharded or forgetful fleet.
 """
 
 import json
@@ -23,6 +23,7 @@ from repro.core.flatsnap import load_snapshot_file
 from repro.core.fov import RepresentativeFoV
 from repro.geo.coords import GeoPoint
 from repro.geo.earth import LocalProjection
+from repro.net.protocol import encode_bundle
 from repro.shard import (ShardedCloudServer, load_sharded_snapshot,
                          save_sharded_snapshot)
 from repro.shard.persist import MANIFEST_NAME
@@ -40,8 +41,8 @@ RETYPES = (None, True, 1.5, "x", [], {})
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
     """``(files, digests, rows)`` of one saved fleet: name -> bytes of
-    every file in the directory, the per-shard content digests, and each
-    shard's records in row order."""
+    every file in the directory, the per-shard content digests plus the
+    bundle digests, and each shard's records in row order."""
     proj = LocalProjection(ORIGIN)
     rng = np.random.default_rng(1234)
     records = []
@@ -56,13 +57,20 @@ def saved(tmp_path_factory):
             segment_id=i))
     fleet = ShardedCloudServer(CAMERA, n_shards=N_SHARDS, origin=ORIGIN,
                                seed=3)
-    fleet.ingest(records)
+    fleet.ingest(records[:200])
+    fleet.ingest_batch([encode_bundle(f"b{i}", records[i:i + 10])
+                        for i in range(200, 240, 10)])
     root = tmp_path_factory.mktemp("saved")
     save_sharded_snapshot(root, fleet)
     files = {p.name: p.read_bytes() for p in root.iterdir()}
     assert len(files) == N_SHARDS + 1       # one file per shard + manifest
-    return (files, [s.content_digest() for s in fleet.shards],
-            [s.records() for s in fleet.shards])
+    assert len(json.loads(files[MANIFEST_NAME])["digests"]) == 4
+    return (files, fingerprint(fleet), [s.records() for s in fleet.shards])
+
+
+def fingerprint(fleet):
+    return ([s.content_digest() for s in fleet.shards],
+            fleet.seen_digests)
 
 
 def restore(root, files):
@@ -79,7 +87,7 @@ def check_loads_exactly_or_refuses(root, digests, rows) -> bool:
     except ValueError:
         refused = True
     else:
-        assert [s.content_digest() for s in fleet.shards] == digests
+        assert fingerprint(fleet) == digests
     # A file read on its own is not re-routed, so it is held to the
     # records its shard saved, in row order.
     for sid, want in enumerate(rows):
@@ -160,6 +168,6 @@ def test_manifest_key_mutations(saved, tmp_path):
             (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
             refused += check_loads_exactly_or_refuses(tmp_path, digests,
                                                       rows)
-    # Only ``records_total`` (informational) may be dropped or retyped
-    # without a refusal; ``file`` keys of older manifests are not written.
-    assert refused == 2 * (len(slots) - 1)
+    # Every key is load-bearing: ``epoch``, ``sha256``, ``digests``, each
+    # digest entry and ``digests_sha256`` too.
+    assert refused == 2 * len(slots)

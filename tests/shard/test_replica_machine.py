@@ -17,6 +17,10 @@ The invariants (the parity contract of docs/SHARDING.md §9):
   direct ``sync_shard`` of the victim is refused, its standby kept;
 * after every promotion, the probes, a video query and each shard's
   ``content_digest()`` equal the control fleet's;
+* after every save and reload -- the machine's fleet swapped for the
+  reloaded one, with a fresh :class:`ReplicaSet` -- each shard's
+  ``content_digest()`` equals the control fleet's, the probes equal the
+  oracle, and a drawn earlier bundle redelivered acks ``DUPLICATE``;
 * promoting a shard that is serving is refused (``no standby`` before
   its first sync, ``is serving`` after it, however stale the standby),
   and leaves the slot, the down set, the standby and every shard's
@@ -45,6 +49,7 @@ red run reproduces locally with ``FUZZ_SEED=<n> pytest <this file>``.
 from __future__ import annotations
 
 import os
+import tempfile
 from dataclasses import replace
 
 import hypothesis
@@ -54,10 +59,12 @@ from hypothesis.stateful import (RuleBasedStateMachine, precondition,
                                  rule)
 
 from repro.core.camera import CameraModel
+from repro.core.ingest import IngestStatus
 from repro.core.query import Query
 from repro.core.server import CloudServer
 from repro.geo.coords import GeoPoint
-from repro.shard import ReplicaSet, ShardUnavailableError
+from repro.shard import (ReplicaSet, ShardUnavailableError,
+                         load_sharded_snapshot, save_sharded_snapshot)
 from repro.video.retrieval import VideoQuery
 
 from tests.net.test_protocol_fuzz import walk_records
@@ -103,6 +110,7 @@ class ReplicaMachine(RuleBasedStateMachine):
                                   cache_size=0)
         self.replicas = ReplicaSet(self.fleet)
         self.groups = 0
+        self.payloads: list[bytes] = []
         self.current = False        # every standby holds its primary's rows
 
     @rule(n=st.integers(1, 24), seed=st.integers(0, 2**16))
@@ -110,6 +118,7 @@ class ReplicaMachine(RuleBasedStateMachine):
         tag = f"g{self.groups}"
         self.groups += 1
         payloads = bundles(make_records(n, seed, tag=tag), per=8, tag=tag)
+        self.payloads += payloads
         for srv in (self.fleet, self.control):
             srv.ingest_batch(payloads)
         self.oracle.ingest([fov for payload in payloads
@@ -182,6 +191,22 @@ class ReplicaMachine(RuleBasedStateMachine):
                 == video_rows(self.control.query_video(video)))
         assert ([s.content_digest() for s in self.fleet.shards]
                 == [s.content_digest() for s in self.control.shards])
+
+    @rule(pick=st.integers(0, 2**16))
+    def save_and_reload(self, pick):
+        with tempfile.TemporaryDirectory() as snap:
+            save_sharded_snapshot(snap, self.fleet)
+            self.fleet = load_sharded_snapshot(snap, CameraModel(),
+                                               cache_size=16)
+        self.replicas = ReplicaSet(self.fleet)
+        self.current = False
+        assert ([s.content_digest() for s in self.fleet.shards]
+                == [s.content_digest() for s in self.control.shards])
+        self.query()
+        if self.payloads:
+            payload = self.payloads[pick % len(self.payloads)]
+            assert (self.fleet.ingest_bundle(payload).status
+                    is IngestStatus.DUPLICATE)
 
     @rule(sid=st.integers(0, N_SHARDS - 1))
     def promote_live(self, sid):

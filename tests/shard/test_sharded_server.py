@@ -158,8 +158,8 @@ class TestQuery:
         query ranks against the views it searched, as it would alone:
         a shard's old and new view are two parts of one funnel pass."""
         rng = np.random.default_rng(7)
-        recs = make_records(900, rng)
-        queries = make_queries(8, rng)
+        recs = make_records(900, rng, extent_m=400.0)
+        queries = make_queries(8, rng, extent_m=400.0)
         server = ShardedCloudServer(camera, n_shards=3, origin=ORIGIN,
                                     cache_size=0)
         server.ingest(recs[:600])
@@ -168,6 +168,7 @@ class TestQuery:
                                      cache_size=0)
         control.ingest(recs)
         after = [control.query(q)[:4] for q in queries]
+        assert all(ranked for _, ranked, *_ in before + after)
         boxed = []
 
         def box_then_ingest(query):
