@@ -31,7 +31,6 @@ from repro.core.flatsnap import load_snapshot_file, write_snapshot_file
 from repro.core.fov import RepresentativeFoV
 from repro.core.index import FoVIndex
 from repro.core.query import Query
-from repro.core.retrieval import RetrievalEngine
 from repro.geo.coords import GeoPoint
 from repro.traces.dataset import CityDataset
 
@@ -203,6 +202,23 @@ def _read_fovpack(path: str) -> tuple[FoVIndex, list[RepresentativeFoV]]:
     return FoVIndex.bulk(columns), list(columns)
 
 
+def _read_server(camera: CameraModel, index: FoVIndex,
+                 records: list[RepresentativeFoV], shards: int, obs):
+    """The server a read command answers from, caching nothing: one
+    ``CloudServer`` over ``index``, or a fleet of ``shards`` holding
+    ``records``."""
+    if shards == 1:
+        from repro.core.server import CloudServer
+        return CloudServer(camera, index=index, cache_size=0, obs=obs)
+    from repro.shard import ShardedCloudServer
+    fleet = ShardedCloudServer(camera, n_shards=shards,
+                               origin=records[0].point if records
+                               else GeoPoint(0.0, 0.0),
+                               cache_size=0, obs=obs)
+    fleet.ingest(records)
+    return fleet
+
+
 def _cmd_generate(args) -> int:
     dataset = CityDataset(n_providers=args.providers, seed=args.seed)
     reps = dataset.all_representatives()
@@ -247,16 +263,8 @@ def _cmd_query(args) -> int:
     query = Query(t_start=args.t0, t_end=args.t1,
                   center=GeoPoint(args.lat, args.lng),
                   radius=args.radius, top_n=args.top)
-    if args.shards > 1:
-        from repro.shard import ShardedCloudServer
-        anchor = records[0].point if records else query.center
-        fleet = ShardedCloudServer(camera, n_shards=args.shards,
-                                   origin=anchor, cache_size=0, obs=obs)
-        fleet.ingest(records)
-        result = fleet.query(query)
-    else:
-        engine = RetrievalEngine(index, camera, obs=obs)
-        result = engine.execute(query)
+    result = _read_server(camera, index, records, args.shards,
+                          obs).query(query)
     if args.json:
         from repro.net.jsonio import result_to_json
         print(result_to_json(result, indent=2))
@@ -280,7 +288,6 @@ def _cmd_query(args) -> int:
 
 def _cmd_video_query(args) -> int:
     """Rank stored videos against one stored video's trajectory."""
-    from repro.core.server import CloudServer
     from repro.obs import Observability, format_span_tree
     from repro.video import VideoQuery, discover_pois
 
@@ -304,16 +311,8 @@ def _cmd_video_query(args) -> int:
         per_segment_top_n=args.per_segment_top,
         exclude=frozenset({args.video_id}),
     )
-    if args.shards > 1:
-        from repro.shard import ShardedCloudServer
-        fleet = ShardedCloudServer(camera, n_shards=args.shards,
-                                   origin=records[0].point,
-                                   cache_size=0, obs=obs)
-        fleet.ingest(records)
-        result = fleet.query_video(video_query)
-    else:
-        server = CloudServer(camera, index=index, obs=obs, cache_size=0)
-        result = server.query_video(video_query)
+    result = _read_server(camera, index, records, args.shards,
+                          obs).query_video(video_query)
     pois = (discover_pois(result.harvested, camera, cell_m=args.cell,
                           top_k=args.poi)
             if args.poi > 0 and result.harvested else [])
@@ -442,15 +441,10 @@ def _cmd_ingest(args) -> int:
     control = CloudServer(dataset.camera)
     obs = Observability.tracing() if args.trace else None
     wal = WriteAheadLog(args.wal) if args.wal else None
-    if args.shards > 1:
-        from repro.shard import ShardedCloudServer
-        faulty = ShardedCloudServer(dataset.camera, n_shards=args.shards,
-                                    origin=dataset.origin, obs=obs,
-                                    wal=wal,
-                                    admission_capacity=args.admission_capacity)
-    else:
-        faulty = CloudServer(dataset.camera, obs=obs, wal=wal,
-                             admission_capacity=args.admission_capacity)
+    from repro.shard import ShardedCloudServer
+    faulty = ShardedCloudServer(dataset.camera, n_shards=args.shards,
+                                origin=dataset.origin, obs=obs, wal=wal,
+                                admission_capacity=args.admission_capacity)
     profile = FaultProfile(drop_rate=args.drop, duplicate_rate=args.duplicate,
                            corrupt_rate=args.corrupt,
                            reorder_rate=args.reorder)

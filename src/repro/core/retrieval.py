@@ -3,7 +3,7 @@
 The raw R-tree range search finds FoVs whose *camera positions* fall
 near the query -- but inquirers do not care where the cameras were,
 only whether a camera's viewing sector **covers** the queried spot.
-The engine therefore:
+The funnel therefore:
 
 1. runs the 3-D range search (query radius per the empirical area
    presets, Section V-B item 1);
@@ -19,7 +19,7 @@ The engine therefore:
    (closer FoVs are less likely to be occluded);
 5. truncates to the inquirer's top-N (item 4).
 
-One engine serves it, from the frozen structure-of-arrays snapshot
+One funnel serves it, from the frozen structure-of-arrays snapshot
 (``FoVIndex.packed_view``), gathering evidence by fancy-indexing its
 columns -- the path for read-heavy, ingest-heavy and mixed traffic
 alike (docs/PERFORMANCE.md §1).  After appends the snapshot is a base
@@ -27,24 +27,22 @@ grid plus one tail segment of the rows since; the funnel sees global
 row ids from both, sorts by score, and breaks a score tie on the
 record key and then the row only when a result window holds one, so it
 ranks as over one full rebuild.  It has exactly one filter->rank
-implementation, :func:`_batch_execute`: ``execute_many`` answers a
-whole batch in shared passes over all (query, candidate) pairs,
-``execute`` is its ``n = 1`` case on scalar operands, and the sharded
-router runs it once per call over every shard's hits.  The reference
-the parity suites compare it with is :func:`repro.core.oracle.answer`,
-the paper's R-tree search and Python tie-run sort, which produces
-identical rankings and funnel counters.
+implementation, :func:`_batch_execute`: :func:`_view_pass` runs it
+once over one view's descent (a ``CloudServer`` read, or the bare
+:class:`RetrievalEngine`), and the sharded router once per call over
+every shard's hits.  The reference the parity suites compare it with
+is :func:`repro.core.oracle.answer`, the paper's R-tree search and
+Python tie-run sort, which produces identical rankings and funnel
+counters.
 
 Latency accounting never reads a clock directly (fovlint RF005): the
-engine takes an injectable ``clock`` callable, defaulting to
-:func:`repro.net.clock.default_timer`.  Observability follows the same
-discipline: the engine accepts an :class:`~repro.obs.runtime.Observability`
-bundle and emits per-stage spans (grid descent, projection, orientation
-filter, rank) through its tracer -- a no-op
-:data:`~repro.obs.trace.NULL_TRACER` unless the owner opted into
-tracing -- and turns each pass's descent tally (box hits, rows read)
-into the ``packed.*`` counters.  Instruments observe the funnel;
-they never select a different one.
+funnel takes an injectable ``clock`` callable, defaulting to
+:func:`repro.net.clock.default_timer`.  It emits per-stage spans (grid
+descent, projection, orientation filter, rank) through the tracer its
+caller passes -- the no-op :data:`~repro.obs.trace.NULL_TRACER` by
+default -- and hands back each pass's descent tally (box hits, rows
+read); the server turns the tally into the ``packed.*`` counters.
+Instruments observe the funnel; they never select a different one.
 """
 
 from __future__ import annotations
@@ -63,8 +61,6 @@ from repro.core.query import Query, QueryResult, RankedFoV
 from repro.core.ranking import DistanceRanker
 from repro.geo.earth import _DEG_PER_RAD, pairwise_local_xy
 from repro.net.clock import default_timer
-from repro.obs.metrics import Counter, Gauge
-from repro.obs.runtime import Observability
 from repro.obs.trace import NULL_TRACER, TracerLike
 
 __all__ = ["RetrievalEngine"]
@@ -129,7 +125,7 @@ def _batch_execute(parts: list[Part], queries: list[Query],
     """Rank the descended hits of a query batch in shared passes.
 
     The one packed filter->rank funnel.  ``parts`` are the descent's
-    box hits (:data:`Part`) -- an engine's one view, or the router's
+    box hits (:data:`Part`) -- :func:`_view_pass`'s one view, or the router's
     shards in shard order: one part per shard visit for a single query,
     one per shard for a batch, its visits concatenated in query order --
     and ``hits`` each query's candidate count.  A part's rows are
@@ -300,8 +296,45 @@ def _records(parts: list[Part], starts: list[int],
     return [found[j] for j in range(len(numbers))]
 
 
+def _view_pass(view: PackedFoVIndex, queries: list[Query],
+               camera: CameraModel, strict_cover: bool, ranker: Any,
+               clock: Callable[[], float],
+               tracer: TracerLike = NULL_TRACER
+               ) -> tuple[list[QueryResult], int, int]:
+    """Answer ``queries`` over one packed view in one funnel pass.
+
+    One query descends with ``range_search_ids``, a batch with one
+    ``search_many_ids``; then one :func:`_batch_execute` ranks every
+    hit.  Returns ``(results, box_hits, rows_read)``: the pass's
+    descent tally, summed over its queries.  It counts nothing itself
+    -- its caller owns the ``packed.*`` families.
+    """
+    t0 = clock()
+    n_q = len(queries)
+    cover = camera if strict_cover else None
+    with tracer.span("query.tree_descent", queries=n_q):
+        if n_q == 1:
+            found = [0, 0]              # box hits, rows read
+            qids, ids = None, view.range_search_ids(queries[0], cover, found)
+            hits, read = found[:1], found[1]
+        else:
+            counts = np.zeros((2, n_q), dtype=np.int64)
+            qids, ids = view.search_many_ids(queries, cover, counts)
+            hits, read = counts[0].tolist(), int(counts[1].sum())
+    results = _batch_execute([(view, qids, ids)], queries, hits, camera,
+                             strict_cover, ranker, clock, t0, tracer)
+    return results, sum(hits), read
+
+
 class RetrievalEngine:
-    """Executes queries against an :class:`FoVIndex`.
+    """The packed funnel over one :class:`FoVIndex`, bare.
+
+    No server builds one: every server answers through the fleet's
+    read path (:meth:`~repro.shard.server.ShardedCloudServer.query`),
+    which runs the same :func:`_view_pass` and owns its spans and
+    counters.  The engine is what benchmarks and tests call to run the
+    funnel on its own, with a custom ``ranker`` or an injected
+    ``clock``; it opens no span and counts nothing.
 
     Parameters
     ----------
@@ -322,45 +355,24 @@ class RetrievalEngine:
         Zero-argument monotonic timer used for ``elapsed_s``; defaults
         to :func:`repro.net.clock.default_timer`.  Injectable so the
         deterministic core never reads a clock itself.
-    obs : Observability, optional
-        Instrument bundle.  When given, every pipeline stage emits a
-        span through ``obs.tracer`` (grid descent, projection,
-        orientation filter, rank) and each pass (one
-        ``execute``, or one ``execute_many`` batch) feeds the
-        ``packed.*`` families from its descent tally.  When omitted the
-        same code runs against the no-op tracer and counts nothing.
     """
 
     def __init__(self, index: FoVIndex, camera: CameraModel,
                  strict_cover: bool = True, ranker: Any = None,
-                 clock: Callable[[], float] | None = None,
-                 obs: Observability | None = None):
+                 clock: Callable[[], float] | None = None):
         self.index = index
         self.camera = camera
         self.strict_cover = strict_cover
         self.ranker = ranker if ranker is not None else DistanceRanker()
         self._clock = clock if clock is not None else default_timer
-        self._tracer: TracerLike = obs.tracer if obs is not None else NULL_TRACER
-        self._packed: tuple[Counter, Counter, Counter, Gauge] | None = None
-        if obs is not None:
-            reg = obs.registry
-            self._packed = (
-                reg.counter("packed.descents", "Packed funnel passes"),
-                reg.counter("packed.entries_tested",
-                            "Grid rows read by the box test"),
-                reg.counter("packed.entries_matched",
-                            "Box hits, before the sector-box test"),
-                reg.gauge("packed.frontier_width_peak",
-                          "Most grid rows read by one pass"))
 
     def execute(self, query: Query) -> QueryResult:
         """Run the full filter/rank pipeline; returns a timed result.
 
-        The ``n = 1`` case of the batched funnel
-        (:func:`_batch_execute`), instrumented or not.
+        ``execute_many([query])[0]``: the ``n = 1`` case of the batched
+        funnel (:func:`_batch_execute`).
         """
-        with self._tracer.span("query.execute"):
-            return self._execute_packed([query])[0]
+        return self.execute_many([query])[0]
 
     def execute_many(self, queries: Sequence[Query]) -> list[QueryResult]:
         """Answer a batch of queries.
@@ -374,32 +386,6 @@ class RetrievalEngine:
         The batched path reports ``elapsed_s`` as the batch wall time
         split evenly across its queries.
         """
-        batch = list(queries)
-        with self._tracer.span("query.execute_many", batch=len(batch)):
-            return self._execute_packed(batch)
-
-    def _execute_packed(self, queries: list[Query]) -> list[QueryResult]:
-        view, t0 = self.index.packed_view(), self._clock()
-        n_q = len(queries)
-        cover = self.camera if self.strict_cover else None
-        with self._tracer.span("query.tree_descent", queries=n_q):
-            if n_q == 1:
-                found = [0, 0]          # box hits, rows read
-                qids, ids = None, view.range_search_ids(queries[0], cover,
-                                                        found)
-                hits, read = found[:1], found[1]
-            else:
-                counts = np.zeros((2, n_q), dtype=np.int64)
-                qids, ids = view.search_many_ids(queries, cover, counts)
-                hits, read = counts[0].tolist(), int(counts[1].sum())
-        results = _batch_execute([(view, qids, ids)], queries, hits,
-                                 self.camera, self.strict_cover, self.ranker,
-                                 self._clock, t0, self._tracer)
-        if self._packed is not None and queries:
-            descents, tested, matched, peak = self._packed
-            descents.inc()
-            tested.inc(read)
-            matched.inc(sum(hits))
-            if read > peak.value:
-                peak.set(read)
-        return results
+        return _view_pass(self.index.packed_view(), list(queries),
+                          self.camera, self.strict_cover, self.ranker,
+                          self._clock)[0]

@@ -4,13 +4,15 @@ The server half of Figure 1, as one machine: a
 :class:`~repro.shard.server.ShardedCloudServer` whose fleet is one
 shard.  Bundle ingest, commit groups, the write-ahead log, eviction,
 the result caches, video retrieval and the stats are the fleet's; so
-is failover (``kill_shard(0)`` / ``install_shard(0, index)``).  This
-class adds what a single server has and a fleet does not -- the
-provider registry and segment fetches -- and replaces the read path:
-slot 0 is served by the packed
-:class:`~repro.core.retrieval.RetrievalEngine`, whose batched grid pass
-one index affords, or, on the linear-scan baseline, which holds no
-columns to pack, by :func:`repro.core.oracle.answer`.
+is failover (``kill_shard(0)`` / ``install_shard(0, index)``) and
+every instrument around a read -- the ``server.query`` span, its four
+stage spans and the ``packed.*`` counters.  This class adds what a
+single server has and a fleet does not -- the provider registry and
+segment fetches -- and replaces one step of the read path: slot 0's
+packed view is answered by one
+:func:`~repro.core.retrieval._view_pass`, whose batched grid pass one
+index affords, or, on the linear-scan baseline, which holds no columns
+to pack, by :func:`repro.core.oracle.answer`.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from repro.core.ingest import IngestOutcome, IngestStatus, ServerStats
 from repro.core.oracle import answer
 from repro.core.pipeline import ClientPipeline, StoredSegment
 from repro.core.query import Query, QueryResult
-from repro.core.retrieval import RetrievalEngine
+from repro.core.retrieval import _view_pass
 from repro.core.wal import WriteAheadLog
 from repro.geo.coords import GeoPoint
-from repro.net.traffic import TrafficModel, VideoProfile
+from repro.net.traffic import TrafficModel
 from repro.obs.runtime import Observability
 from repro.shard.server import ShardedCloudServer, ShardUnavailableError
 
@@ -44,9 +46,8 @@ class CloudServer(ShardedCloudServer):
         Index backend; ``"linear"`` swaps in the brute-force baseline,
         which the oracle (:func:`repro.core.oracle.answer`) answers.
     strict_cover : bool
-        Orientation-filter mode (see :class:`RetrievalEngine`).
-    video_profile : VideoProfile, optional
-        Encoding profile used to account segment-fetch bytes.
+        Orientation-filter mode (see
+        :class:`~repro.core.retrieval.RetrievalEngine`).
     engine : {None, "packed", "dynamic"}
         Selects nothing: the index picks the read path.  Kept as a
         check for existing callers -- ``"packed"`` is accepted for a
@@ -61,9 +62,6 @@ class CloudServer(ShardedCloudServer):
         Use an existing index (``FoVIndex.bulk`` over a loaded
         ``.fovpack``'s records, or one built with an ``rtree_config``)
         instead of building an empty one; ``backend`` is then ignored.
-    quarantine_capacity : int
-        How many rejected payloads the dead-letter store retains
-        (older entries age out but stay counted).
     wal : WriteAheadLog, optional
         When given, every accepted payload is appended to this
         write-ahead log *before* it is indexed and fsynced once per
@@ -76,19 +74,18 @@ class CloudServer(ShardedCloudServer):
         ``None`` (default) disables back-pressure.
     obs : Observability, optional
         Instrument bundle shared by every component of this server
-        (stats registry, engine spans, cache counters, journal).  The
-        default -- :meth:`Observability.default` -- keeps metrics and
-        the event journal on (both clock-free) with tracing off; pass
-        :meth:`Observability.tracing` to also collect span trees.
+        (stats registry, funnel spans and counters, cache counters,
+        journal).  The default -- :meth:`Observability.default` --
+        keeps metrics and the event journal on (both clock-free) with
+        tracing off; pass :meth:`Observability.tracing` to also collect
+        span trees.
     """
 
     def __init__(self, camera: CameraModel, backend: str = "rtree",
                  strict_cover: bool = True,
-                 video_profile: VideoProfile | None = None,
                  engine: str | None = None,
                  cache_size: int = 1024,
                  index: FoVIndex | None = None,
-                 quarantine_capacity: int = 256,
                  obs: Observability | None = None,
                  wal: WriteAheadLog | None = None,
                  admission_capacity: int | None = None):
@@ -100,15 +97,11 @@ class CloudServer(ShardedCloudServer):
         # One shard owns every cell, so the plane's origin routes nothing.
         super().__init__(camera, n_shards=1, origin=GeoPoint(0.0, 0.0),
                          strict_cover=strict_cover, cache_size=cache_size,
-                         quarantine_capacity=quarantine_capacity, obs=obs,
-                         wal=wal, admission_capacity=admission_capacity)
-        self.traffic = TrafficModel(video_profile)
+                         obs=obs, wal=wal,
+                         admission_capacity=admission_capacity)
+        self.traffic = TrafficModel()
         self._clients: dict[str, ClientPipeline] = {}
         self._place(0, index)
-        with self._locks[0]:
-            self._engine = RetrievalEngine(index, camera,
-                                           strict_cover=strict_cover,
-                                           obs=self.obs)
 
     # The fleet's own functions, bound here by name because the perf
     # ledger (``benchmarks/perf``) treats the two classes apart: it
@@ -127,9 +120,10 @@ class CloudServer(ShardedCloudServer):
 
     def _answer(self, queries: list[Query]) -> list[QueryResult]:
         """Run a read's cache misses over slot 0, under its lock: one
-        query is the packed engine's ``execute``, several its one
-        batched grid pass; the linear baseline is answered by the
-        oracle a query at a time.  Refused while the slot is down."""
+        :func:`~repro.core.retrieval._view_pass` over its packed view,
+        counted as one pass; the linear baseline is answered, uncounted,
+        by the oracle a query at a time.  Refused while the slot is
+        down."""
         with self._locks[0]:
             # Lock-free on purpose: a kill marks the slot down before it
             # empties it under this lock, an install fills it before it
@@ -141,14 +135,13 @@ class CloudServer(ShardedCloudServer):
             if index.backend == "linear":
                 return [answer(index, q, self.camera, self._strict_cover)
                         for q in queries]
-            engine = self._engine
-            if engine.index is not index:       # a promoted replica
-                engine = self._engine = RetrievalEngine(
-                    index, self.camera, strict_cover=self._strict_cover,
-                    obs=self.obs)
-            if len(queries) == 1:
-                return [engine.execute(queries[0])]
-            return engine.execute_many(queries)
+            results, matched, read = _view_pass(
+                index.packed_view(), queries, self.camera,
+                self._strict_cover, self._ranker, self._clock,
+                self.obs.tracer)
+        if queries:
+            self._count_pass(matched, read)
+        return results
 
     # -- what a single server has and a fleet does not ---------------------
 

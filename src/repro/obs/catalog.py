@@ -39,7 +39,8 @@ METRICS: Final[Mapping[str, tuple[str, str]]] = {
     "upload.outcomes": ("counter", "terminal upload outcomes, by status"),
     # -- single-node server (core/server.py) --------------------------------
     "ingest.bundles": ("counter", "bundles ingested, by dedup outcome"),
-    "ingest.bundles_retried": ("counter", "bundles seen again after a dup digest"),
+    "ingest.bundles_retried": ("counter",
+                               "bundle retransmissions by the retrying uploader"),
     "ingest.records_indexed": ("counter", "FoV records inserted into the index"),
     "ingest.bytes": ("counter", "payload bytes accepted by ingest"),
     "ingest.shed": ("counter", "bundles refused admission by back-pressure"),
@@ -52,7 +53,7 @@ METRICS: Final[Mapping[str, tuple[str, str]]] = {
     "index.records_live": ("gauge", "records currently resident in the index"),
     "index.epoch": ("gauge", "current index mutation epoch"),
     "index.records_evicted": ("counter", "records removed by retention eviction"),
-    "query.requests": ("counter", "queries served, by protocol"),
+    "query.requests": ("counter", "point queries served, cache hits included"),
     "query.cache_hits": ("counter", "server-level query cache hits"),
     "query.cache_misses": ("counter", "server-level query cache misses"),
     "fetch.segments": ("counter", "video segments fetched after ranking"),
@@ -78,8 +79,8 @@ METRICS: Final[Mapping[str, tuple[str, str]]] = {
     "video.cache_misses": ("counter", "video queries that ran the pipeline"),
     "video.segments_harvested": ("counter", "distinct segments harvest surfaced"),
     "video.videos_ranked": ("counter", "candidate videos scored and ranked"),
-    # -- packed funnel descents (core/retrieval.py) -------------------------
-    "packed.descents": ("counter", "packed passes: one per execute or batch"),
+    # -- packed funnel passes (shard/server.py, every fleet shape) ----------
+    "packed.descents": ("counter", "packed funnel passes: one per read call"),
     "packed.entries_tested": ("counter", "grid rows the descent's box test read"),
     "packed.entries_matched": ("counter", "box hits, before the sector-box test"),
     "packed.frontier_width_peak": ("gauge", "most grid rows read by one pass"),
@@ -88,12 +89,10 @@ METRICS: Final[Mapping[str, tuple[str, str]]] = {
 }
 
 SPANS: Final[Mapping[str, str]] = {
-    "query.tree_descent": "R-tree / packed-grid candidate descent",
-    "query.projection": "FoV polygon projection over candidates",
+    "query.tree_descent": "packed-grid candidate descent, every shard visit",
+    "query.projection": "camera positions into each query's local plane",
     "query.orientation_filter": "orientation cone filtering",
-    "query.rank": "overlap scoring and ranking",
-    "query.execute": "one end-to-end ranked query",
-    "query.execute_many": "one query batch through the packed funnel",
+    "query.rank": "distance scoring and top-N ranking",
     "server.ingest_bundle": "server bundle ingest (a fleet of any size)",
     "server.ingest_batch": "server commit-group ingest or WAL replay",
     "server.query": "server single query",

@@ -3,8 +3,8 @@
 :class:`Observability` groups the three instruments of this subsystem
 -- a :class:`~repro.obs.metrics.MetricsRegistry`, a tracer, and an
 :class:`~repro.obs.journal.EventJournal` -- into the one object that
-gets threaded through the request path (``CloudServer`` down to
-``RetrievalEngine`` and the caches).  Two constructors cover the two
+gets threaded through the request path (a server down to its funnel
+pass and its caches).  Two constructors cover the two
 regimes:
 
 * :meth:`Observability.default` -- metrics + journal always on (both

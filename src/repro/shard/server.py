@@ -4,8 +4,9 @@
 ``ingest_bundle`` / ``ingest`` / ``query`` / ``query_many`` /
 ``query_video`` / ``evict_older_than`` -- over a fleet of shards, each
 a bare :class:`~repro.core.index.FoVIndex` (and its packed view); the
-router runs the funnel itself.  :class:`~repro.core.server.CloudServer`
-is its fleet of one, which replaces only the read path.  The router:
+router runs the funnel itself and owns every instrument around a read.
+:class:`~repro.core.server.CloudServer` is its fleet of one, which
+replaces only how a read's cache misses are answered.  The router:
 
 * **routes ingest** by representative-FoV grid cell
   (:class:`~repro.shard.partition.GridPartitioner`), deduplicating
@@ -59,7 +60,7 @@ from repro.net.clock import default_timer
 from repro.obs.runtime import Observability
 from repro.shard.partition import DEFAULT_CELL_M, GridPartitioner
 from repro.video.retrieval import VideoQuery, VideoQueryResult, \
-    VideoQueryStats, serve_video_query
+    VideoQueryStats, retrieve_videos
 
 __all__ = ["ShardCapture", "ShardedCloudServer", "ShardUnavailableError"]
 
@@ -113,14 +114,13 @@ class ShardedCloudServer:
         Grid pitch and hash seed (see
         :class:`~repro.shard.partition.GridPartitioner`).
     strict_cover : bool
-        The orientation filter's cover rule (see RetrievalEngine).
+        The orientation filter's cover rule (see
+        :class:`~repro.core.retrieval.RetrievalEngine`).
     engine : {"packed"}
         Anything else is refused with ``ValueError``.
     cache_size : int
         Router-level result cache capacity (``0`` disables).  Shards
         have no cache -- one cache layer, tagged by the epoch vector.
-    quarantine_capacity : int
-        Dead-letter capacity for payloads rejected at the router.
     obs : Observability, optional
         The router's instrument bundle.  Shards carry none: the router
         exports per-shard state as ``shard.epoch`` /
@@ -142,7 +142,6 @@ class ShardedCloudServer:
                  cell_m: float = DEFAULT_CELL_M, seed: int = 0,
                  strict_cover: bool = True, engine: str = "packed",
                  cache_size: int = 1024,
-                 quarantine_capacity: int = 256,
                  obs: Observability | None = None,
                  clock: Callable[[], float] | None = None,
                  wal: WriteAheadLog | None = None,
@@ -166,8 +165,7 @@ class ShardedCloudServer:
         self._down: set[int] = set()
         self.wal = wal
         self.stats = ServerStats(registry=self.obs.registry)
-        self.quarantine = QuarantineStore(capacity=quarantine_capacity,
-                                          journal=self.obs.journal,
+        self.quarantine = QuarantineStore(journal=self.obs.journal,
                                           registry=self.obs.registry)
         # The write check holds the lock and the set, not the router: the
         # coordinator keeps it, and a bound method would make a cycle.
@@ -209,6 +207,16 @@ class ShardedCloudServer:
         self._dropped = reg.counter(
             "failover.dropped_queries",
             "queries refused while a needed shard was down")
+        self._descents = reg.counter("packed.descents",
+                                     "Packed funnel passes")
+        self._rows_tested = reg.counter("packed.entries_tested",
+                                        "Grid rows read by the box test")
+        self._rows_matched = reg.counter(
+            "packed.entries_matched", "Box hits, before the sector-box test")
+        self._read_peak = reg.gauge("packed.frontier_width_peak",
+                                    "Most grid rows read by one pass")
+        # Raising the peak reads it first; two passes must not interleave.
+        self._peak_lock = threading.Lock()
         for sid in range(n_shards):
             self._epoch_gauge.labels(shard=str(sid)).set(0)
             self._live_gauge.labels(shard=str(sid)).set(0)
@@ -534,7 +542,8 @@ class ShardedCloudServer:
     def _answer(self, queries: list[Query]) -> list[QueryResult]:
         """Descend each query's target shards, each under its lock (the
         targets come sorted), then rank every visit's hits in one
-        :func:`~repro.core.retrieval._batch_execute` pass.
+        :func:`~repro.core.retrieval._batch_execute` pass, counted as
+        one pass.
 
         A single query hands on one funnel part per visit; a batch one
         per shard view, its visits' ids concatenated in query order, in
@@ -548,6 +557,7 @@ class ShardedCloudServer:
         grouped: dict[int, tuple[int, PackedFoVIndex, list[int],
                                  list[np.ndarray]]] = {}
         hits: list[int] = []
+        read = 0                        # rows read over every visit
         with self.obs.tracer.span("query.tree_descent", queries=len(queries)):
             for qi, query in enumerate(queries):
                 targets = self.partitioner.shards_for_query(query)
@@ -580,13 +590,28 @@ class ShardedCloudServer:
                 self._pruned.inc(self.n_shards - len(targets))
                 self._fanout.observe(visited)
                 hits.append(tally[0])
+                read += tally[1]
         for _, view, qis, visits in sorted(grouped.values(),
                                            key=itemgetter(0)):
             parts.append((view, np.repeat(qis, [v.size for v in visits]),
                           np.concatenate(visits)))
-        return _batch_execute(parts, queries, hits, self.camera,
-                              self._strict_cover, self._ranker, self._clock,
-                              t0, self.obs.tracer)
+        results = _batch_execute(parts, queries, hits, self.camera,
+                                 self._strict_cover, self._ranker,
+                                 self._clock, t0, self.obs.tracer)
+        if queries:
+            self._count_pass(sum(hits), read)
+        return results
+
+    def _count_pass(self, matched: int, read: int) -> None:
+        """Count one funnel pass into the ``packed.*`` families: its box
+        hits (the sum of its ``candidates``) and the grid rows its
+        descent read over every visit."""
+        self._descents.inc()
+        self._rows_tested.inc(read)
+        self._rows_matched.inc(matched)
+        with self._peak_lock:
+            if read > self._read_peak.value:
+                self._read_peak.set(read)
 
     def _read_points(self, queries: list[Query]) -> list[QueryResult]:
         """Point queries through the epoch-vector-tagged result cache;
@@ -623,14 +648,29 @@ class ShardedCloudServer:
         The harvest batch rides :meth:`query_many`'s one funnel pass,
         whose rankings are bit-identical to a single server holding
         every record -- so the video top-k is
-        too.  Caching follows the same epoch-vector discipline: a
-        result that raced an ingest is served but never cached.
+        too.  Caching follows the same epoch-vector discipline, with
+        the frozen :class:`VideoQuery` as its own key: a result that
+        raced an ingest is served but never cached.  The request is
+        counted into ``video.*`` and traced as ``video.query``, around
+        :func:`~repro.video.retrieval.retrieve_videos`' stage spans.
         """
-        return serve_video_query(
-            video_query, self.query_many, self.camera,
-            cache=self._video_cache, epoch=self.epoch_vector,
-            stats=self.video_stats, clock=self._clock,
-            tracer=self.obs.tracer)
+        stats = self.video_stats
+
+        def retrieve(_missed: list[int]) -> list[VideoQueryResult]:
+            result = retrieve_videos(video_query, self.query_many,
+                                     self.camera, clock=self._clock,
+                                     tracer=self.obs.tracer)
+            stats._segments_harvested.inc(result.segments_harvested)
+            stats._videos_ranked.inc(result.videos_considered)
+            return [result]
+
+        with self.obs.tracer.span("video.query",
+                                  segments=len(video_query.segments)):
+            stats._queries.inc()
+            result: VideoQueryResult = read_through(
+                self._video_cache, [video_query], self.epoch_vector,
+                retrieve, stats._cache_hits, stats._cache_misses)[0]
+            return result
 
     def close(self) -> None:
         """Release fleet-held resources (idempotent).

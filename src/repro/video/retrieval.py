@@ -1,8 +1,10 @@
 """The harvest -> score -> rank pipeline for video-to-video retrieval.
 
 Engine-agnostic: :func:`retrieve_videos` takes any ``query_many``
-callable -- :meth:`repro.core.server.CloudServer.query_many` or the
-sharded router's -- and the guarantee it needs from it is exactly the
+callable -- a server's
+(:meth:`repro.shard.server.ShardedCloudServer.query_many`, a
+``CloudServer`` being a fleet of one) or a bare engine's
+``execute_many`` -- and the guarantee it needs from it is exactly the
 one the engine-parity suite already pins for point queries: identical
 ranked lists from the oracle, the packed engine and the router.  Harvest
 grouping, similarity scoring and the canonical ``(-score, video_id)``
@@ -13,9 +15,12 @@ top-k inherits the bit-identical parity for free
 The harvest is ONE ``query_many`` call: every representative FoV of the
 query trajectory becomes one point query.  On a
 :class:`~repro.core.server.CloudServer` the whole batch goes through
-the engine's vectorised ``execute_many`` funnel in a single pass (the
+one batched grid descent and one funnel pass over its packed view (the
 benchmark gates this at >= 5x the per-segment sequential loop); the
 sharded router ranks every shard's hits of the batch in one such pass.
+A server's :meth:`~repro.shard.server.ShardedCloudServer.query_video`
+wraps :func:`retrieve_videos` in its result cache, its ``video.*``
+counters and the ``video.query`` span.
 
 Scoring is ONE pass too, candidate-major: all harvested segments of all
 candidate videos are projected and run through Eq. 10 in a single
@@ -35,7 +40,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.core.cache import QueryResultCache, read_through
 from repro.core.camera import CameraModel
 from repro.core.fov import RepresentativeFoV
 from repro.core.query import Query, QueryResult
@@ -53,7 +57,6 @@ __all__ = [
     "VideoQueryResult",
     "VideoQueryStats",
     "retrieve_videos",
-    "serve_video_query",
 ]
 
 #: Sequence scorers a :class:`VideoQuery` may name.
@@ -181,9 +184,8 @@ class VideoQueryStats:
     """Read-through facade over the ``video.*`` metric families.
 
     One class registers the families (single registration site, RF013)
-    and both the single server and the sharded router instantiate it
-    on their own registries, exactly like
-    :class:`~repro.core.ingest.ServerStats`.
+    and every server -- a fleet of any size -- instantiates it on its
+    own registry, exactly like :class:`~repro.core.ingest.ServerStats`.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
@@ -291,7 +293,7 @@ def retrieve_videos(video_query: VideoQuery,
     """Answer one video query against any engine's ``query_many``.
 
     Three spans cover the pipeline stages (``video.harvest``,
-    ``video.score``, ``video.rank``); :func:`serve_video_query` wraps
+    ``video.score``, ``video.rank``); a server's ``query_video`` wraps
     the whole call in ``video.query`` and owns caching and counters.
     Candidates stay columns through scoring and ranking: a
     :class:`VideoMatch` is built only for the ``top_k`` returned.
@@ -328,31 +330,3 @@ def retrieve_videos(video_query: VideoQuery,
         segments_harvested=len(harvested),
         elapsed_s=timer() - t0,
     )
-
-
-def serve_video_query(video_query: VideoQuery,
-                      query_many: Callable[[list[Query]], list[QueryResult]],
-                      camera: CameraModel, *,
-                      cache: QueryResultCache | None,
-                      epoch: Callable[[], object],
-                      stats: VideoQueryStats,
-                      clock: Callable[[], float] | None = None,
-                      tracer: TracerLike = NULL_TRACER) -> VideoQueryResult:
-    """:func:`retrieve_videos` as a server answers it: cached, counted.
-
-    Both server facades call this.  The frozen :class:`VideoQuery` is
-    its own cache key, tagged by whatever ``epoch`` returns (one index
-    epoch, or the router's epoch vector) under the served-but-never-
-    cached rule of :func:`repro.core.cache.read_through`.
-    """
-    def retrieve(_missed: list[int]) -> list[VideoQueryResult]:
-        result = retrieve_videos(video_query, query_many, camera,
-                                 clock=clock, tracer=tracer)
-        stats._segments_harvested.inc(result.segments_harvested)
-        stats._videos_ranked.inc(result.videos_considered)
-        return [result]
-
-    with tracer.span("video.query", segments=len(video_query.segments)):
-        stats._queries.inc()
-        return read_through(cache, [video_query], epoch, retrieve,
-                            stats._cache_hits, stats._cache_misses)[0]

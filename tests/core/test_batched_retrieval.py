@@ -5,11 +5,14 @@ these tests pin the bit-identical half of it on seeded workloads, for
 single queries and batched ``execute_many``; plus the injectable-clock
 determinism and the mask-first ranking invariant.
 
-Every packed engine here is built twice: bare (``obs=None``) and the
-way a server owns one (``obs=Observability.default()``).  Both run the
-one packed funnel -- a single query is its ``n = 1`` case -- so both
-are held to the oracle's answers (:func:`repro.core.oracle.answer`)
-directly.
+The packed funnel is served here two ways: by the bare
+``RetrievalEngine``, and by the ``CloudServer`` that answers from it
+(``cache_size=0``, ``Observability.default()``), whose ``query`` and
+``query_many`` stand in for ``execute`` and ``execute_many``.  Both run
+the one packed funnel -- a single query is its ``n = 1`` case -- so
+both are held to the oracle's answers (:func:`repro.core.oracle.answer`)
+directly.  A server takes no ``ranker`` or ``clock``, so the cases that
+inject one run on the bare engine only.
 """
 
 from functools import partial
@@ -22,7 +25,7 @@ from repro import CameraModel
 from repro.core.index import FoVIndex, query_box_floats
 from repro.core.oracle import answer
 from repro.core.query import Query
-from repro.core.ranking import CompositeRanker
+from repro.core.ranking import CompositeRanker, DistanceRanker
 from repro.core.retrieval import RetrievalEngine
 from repro.core.server import CloudServer
 from repro.geo.coords import GeoPoint
@@ -49,10 +52,27 @@ def workload(seed, n_records, n_queries, radius_hi=400.0):
     return FoVIndex.bulk(reps), queries
 
 
-#: How a packed engine's instruments are built: none, or a server's.
-OBS_FACTORIES = {"bare": lambda: None, "server-owned": Observability.default}
-obs_configs = pytest.mark.parametrize("make_obs", OBS_FACTORIES.values(),
-                                      ids=OBS_FACTORIES.keys())
+class Served:
+    """A ``CloudServer`` over ``index``, called like an engine."""
+
+    def __init__(self, index, strict_cover=True):
+        self.server = CloudServer(CAMERA, index=index, cache_size=0,
+                                  strict_cover=strict_cover,
+                                  obs=Observability.default())
+        self.execute = self.server.query
+        self.execute_many = self.server.query_many
+
+
+def bare(index, **kwargs):
+    return RetrievalEngine(index, CAMERA, **kwargs)
+
+
+#: How the packed funnel is served: by the engine alone, or by a server.
+SERVES = {"bare": bare, "server-owned": Served}
+serve_configs = pytest.mark.parametrize("serve", SERVES.values(),
+                                        ids=SERVES.keys())
+#: For a case that injects a ranker or a clock, which no server takes.
+bare_only = pytest.mark.parametrize("serve", [bare], ids=["bare"])
 
 
 def oracle(index, **kwargs):
@@ -71,10 +91,7 @@ def assert_same(got, want):
 
 
 class TestPackedParity:
-    make_obs = staticmethod(OBS_FACTORIES["bare"])
-
-    def packed(self, index, **kwargs):
-        return RetrievalEngine(index, CAMERA, obs=self.make_obs(), **kwargs)
+    packed = staticmethod(bare)
 
     @pytest.mark.parametrize("strict", [True, False])
     def test_execute_matches_dynamic(self, strict):
@@ -153,20 +170,27 @@ class TestPackedParity:
 
 
 class TestPackedParityServerOwned(TestPackedParity):
-    """The same contract for the engine a ``CloudServer`` constructs."""
+    """The same contract for the funnel a ``CloudServer`` serves."""
 
-    make_obs = staticmethod(OBS_FACTORIES["server-owned"])
+    packed = staticmethod(Served)
+    test_composite_ranker_parity = None     # a server takes no ranker
+
+    def test_packed_requires_rtree_backend(self):
+        """A server answers a linear index with the oracle, and refuses
+        to name the packed engine for one."""
+        with pytest.raises(ValueError):
+            CloudServer(CAMERA, index=FoVIndex(backend="linear"),
+                        engine="packed")
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10_000), strict=st.booleans(),
-       obs=st.sampled_from(sorted(OBS_FACTORIES)))
-def test_prop_batched_equals_sequential(seed, strict, obs):
-    """execute_many on the packed engine == one-at-a-time, any workload."""
+       serve=st.sampled_from(sorted(SERVES)))
+def test_prop_batched_equals_sequential(seed, strict, serve):
+    """execute_many on the packed funnel == one-at-a-time, any workload."""
     index, queries = workload(seed, 300, 12)
     ref = oracle(index, strict_cover=strict)
-    pck = RetrievalEngine(index, CAMERA, strict_cover=strict,
-                          obs=OBS_FACTORIES[obs]())
+    pck = SERVES[serve](index, strict_cover=strict)
     want = [ref(q) for q in queries]
     for got, ref in zip(pck.execute_many(queries), want):
         assert_same(got, ref)
@@ -186,6 +210,21 @@ class SpyRanker:
         return -np.asarray(dist, dtype=float) - 0.01 * np.asarray(dtheta)
 
 
+@pytest.fixture
+def scored(monkeypatch):
+    """How many rows each ``DistanceRanker.scores`` call scores, in
+    order: the default ranker every server and engine holds, watched."""
+    seen: list[int] = []
+    real = DistanceRanker.scores
+
+    def scores(self, camera, q_t_start, q_t_end, dist, *rest):
+        seen.append(len(dist))
+        return real(self, camera, q_t_start, q_t_end, dist, *rest)
+
+    monkeypatch.setattr(DistanceRanker, "scores", scores)
+    return seen
+
+
 def rows(result):
     """Everything a result carries except its wall time."""
     return (result.query, result.ranked, result.candidates,
@@ -197,7 +236,6 @@ FAR_AWAY = Query(t_start=0.0, t_end=1.0, radius=50.0, center=GeoPoint(
     lat=CITY_ORIGIN.lat + 5.0, lng=CITY_ORIGIN.lng + 5.0))
 
 
-@obs_configs
 class TestSingleQueryIsTheBatchOfOne:
     """``execute(q) == execute_many([q])[0] == execute_many(batch)[i]``.
 
@@ -206,8 +244,8 @@ class TestSingleQueryIsTheBatchOfOne:
     kernels on scalar operands, so not one double may differ.
     """
 
-    def check(self, index, queries, make_obs, **kwargs):
-        pck = RetrievalEngine(index, CAMERA, obs=make_obs(), **kwargs)
+    def check(self, index, queries, serve, **kwargs):
+        pck = serve(index, **kwargs)
         ref = oracle(index, **kwargs)
         batched = pck.execute_many(queries)
         assert len(batched) == len(queries)
@@ -218,63 +256,67 @@ class TestSingleQueryIsTheBatchOfOne:
             assert_same(single, ref(q))
         return batched
 
+    @serve_configs
     @pytest.mark.parametrize("strict", [True, False])
-    def test_both_cover_predicates(self, make_obs, strict):
+    def test_both_cover_predicates(self, serve, strict):
         index, queries = workload(47, 2000, 24)
-        batched = self.check(index, queries, make_obs, strict_cover=strict)
+        batched = self.check(index, queries, serve, strict_cover=strict)
         assert any(r.after_filter for r in batched)
 
-    def test_rankers_with_and_without_scores_batch(self, make_obs):
+    @bare_only
+    def test_rankers_with_and_without_scores_batch(self, serve):
         """A non-default ranker: its per-row query windows broadcast in
         a single query and gather per pair in a batch."""
         index, queries = workload(53, 1500, 16)
-        self.check(index, queries, make_obs, ranker=CompositeRanker())
+        self.check(index, queries, serve, ranker=CompositeRanker())
 
-    def test_empty_index(self, make_obs):
+    @serve_configs
+    def test_empty_index(self, serve):
         index, queries = workload(59, 50, 3)
         empty = FoVIndex()
-        for result in self.check(empty, queries, make_obs):
+        for result in self.check(empty, queries, serve):
             assert rows(result)[1:] == ([], 0, 0)
 
-    def test_zero_candidate_query_alone_and_inside_a_batch(self, make_obs):
+    @serve_configs
+    def test_zero_candidate_query_alone_and_inside_a_batch(self, serve):
         index, queries = workload(61, 800, 6)
         mixed = queries[:3] + [FAR_AWAY] + queries[3:]
-        batched = self.check(index, mixed, make_obs)
+        batched = self.check(index, mixed, serve)
         assert rows(batched[3])[1:] == ([], 0, 0)
-        self.check(index, [FAR_AWAY], make_obs)
+        self.check(index, [FAR_AWAY], serve)
 
-    def test_zero_survivors_never_reach_the_ranker(self, make_obs):
+    @serve_configs
+    def test_zero_survivors_never_reach_the_ranker(self, serve, scored):
         """Mask-first on the packed funnel, single and batched."""
         index, queries = workload(37, 1000, 12)
-        ranker = SpyRanker()
-        eng = RetrievalEngine(index, CAMERA, ranker=ranker,
-                              obs=make_obs())
+        eng = serve(index)
         for q in queries + [FAR_AWAY]:
-            ranker.seen.clear()
+            scored.clear()
             res = eng.execute(q)
-            assert ranker.seen == ([res.after_filter] if res.after_filter
-                                   else [])
+            assert scored == ([res.after_filter] if res.after_filter
+                              else [])
         # A batch scores every query's survivors in one call.
-        ranker.seen.clear()
+        scored.clear()
         results = eng.execute_many(queries + [FAR_AWAY])
         survivors = sum(r.after_filter for r in results)
-        assert ranker.seen == ([survivors] if survivors else [])
+        assert scored == ([survivors] if survivors else [])
 
-    def test_a_candidate_nothing_covers(self, make_obs):
+    @serve_configs
+    def test_a_candidate_nothing_covers(self, serve, scored):
         """In the box, outside every sector: counted, never scored."""
         [lone] = random_representative_fovs(1, np.random.default_rng(41))
         # ~167 m north of a camera whose sector reaches 100 m.
         behind = Query(t_start=lone.t_start, t_end=lone.t_end, radius=400.0,
                        center=GeoPoint(lat=lone.lat + 0.0015, lng=lone.lng))
-        ranker = SpyRanker()
         for result in self.check(FoVIndex.bulk([lone]), [behind, behind],
-                                 make_obs, ranker=ranker):
+                                 serve):
             assert rows(result)[1:] == ([], 1, 0)
-        assert ranker.seen == []
+        assert scored == []
 
+    @serve_configs
     @pytest.mark.parametrize("slab_loop_max", [0, 10**9],
                              ids=["vectorised-scan", "slab-loop"])
-    def test_either_side_of_the_grid_slab_cutoff(self, make_obs, monkeypatch,
+    def test_either_side_of_the_grid_slab_cutoff(self, serve, monkeypatch,
                                                  slab_loop_max):
         """Narrow and city-wide boxes through each ``search_ids`` branch."""
         index, queries = workload(67, 6000, 10)
@@ -283,13 +325,13 @@ class TestSingleQueryIsTheBatchOfOne:
         grid = index.packed_view().grid
         assert grid.width * grid.height > grid_mod._CELL_LOOP_MAX
         monkeypatch.setattr(grid_mod, "_CELL_LOOP_MAX", slab_loop_max)
-        batched = self.check(index, queries + [citywide], make_obs)
+        batched = self.check(index, queries + [citywide], serve)
         assert batched[-1].candidates == len(index)
 
 
 class TestSingleQueryBookkeeping:
-    @obs_configs
-    def test_two_clock_reads_per_execute(self, make_obs):
+    @bare_only
+    def test_two_clock_reads_per_execute(self, serve):
         index, queries = workload(71, 300, 6)
         reads: list[float] = []
 
@@ -297,13 +339,13 @@ class TestSingleQueryBookkeeping:
             reads.append(float(len(reads)))
             return reads[-1]
 
-        eng = RetrievalEngine(index, CAMERA, clock=clock,
-                              obs=make_obs())
+        eng = serve(index, clock=clock)
         for n, q in enumerate(queries + [FAR_AWAY], start=1):
             assert eng.execute(q).elapsed_s == 1.0
             assert len(reads) == 2 * n
 
     def test_one_descent_counted_per_execute(self):
+        """One pass per ``query`` and one per ``query_many`` batch."""
         index, queries = workload(73, 300, 6)
         # The same records as a base plus a tail of the last 100.
         reps = random_representative_fovs(300, np.random.default_rng(73))
@@ -313,15 +355,14 @@ class TestSingleQueryBookkeeping:
         tailed.insert_many(reps[200:])
         assert tailed.packed_view().tail is not None
         for idx in (index, tailed):
-            obs = Observability.default()
-            eng = RetrievalEngine(idx, CAMERA, obs=obs)
-            reg = obs.registry
+            server = Served(idx).server
+            reg = server.obs.registry
             descents = reg.get("packed.descents")
             results = []
             for n, q in enumerate(queries + [FAR_AWAY], start=1):
-                results.append(eng.execute(q))
+                results.append(server.query(q))
                 assert descents.value == n
-            results += eng.execute_many(queries)
+            results += server.query_many(queries)
             assert descents.value == len(queries) + 2   # one per batch
             matched = reg.get("packed.entries_matched").value
             assert matched == sum(r.candidates for r in results) > 0
@@ -342,23 +383,22 @@ class TestSingleQueryBookkeeping:
             assert tested == 2 * sum(read) >= matched
 
     def test_frontier_peak_never_falls(self):
-        obs = Observability.default()
         index, queries = workload(79, 500, 4)
-        eng = RetrievalEngine(index, CAMERA, obs=obs)
-        tested = obs.registry.get("packed.entries_tested")
-        peak = obs.registry.get("packed.frontier_width_peak")
+        server = Served(index).server
+        tested = server.obs.registry.get("packed.entries_tested")
+        peak = server.obs.registry.get("packed.frontier_width_peak")
         widest = 0
         for q in [queries[0], FAR_AWAY, *queries[1:]]:
             before = tested.value
-            eng.execute(q)
+            server.query(q)
             widest = max(widest, tested.value - before)
             assert peak.value == widest
         assert widest > 0
         before = tested.value
-        eng.execute_many(queries)       # one pass over every query's rows
+        server.query_many(queries)      # one pass over every query's rows
         batch = tested.value - before
         assert batch >= widest and peak.value == batch
-        eng.execute(FAR_AWAY)           # reads no row: the peak holds
+        server.query(FAR_AWAY)          # reads no row: the peak holds
         assert peak.value == batch
 
 

@@ -81,12 +81,12 @@ class TestQueryTrace:
         out = capsys.readouterr().out
         assert "trace:" in out
         tree = out.split("trace:", 1)[1]
-        assert "query.execute" in tree
+        assert "server.query" in tree
         assert "query.rank" in tree
         assert " ms" in tree
         # nesting is rendered by indentation under the root span
         root_line = next(line for line in tree.splitlines()
-                         if line.startswith("query.execute"))
+                         if line.startswith("server.query"))
         child_lines = [line for line in tree.splitlines()
                        if line.startswith("  query.")]
         assert root_line and child_lines

@@ -49,7 +49,6 @@ from repro.core.index import FoVIndex
 from repro.core.query import Query
 from repro.core.retrieval import RetrievalEngine
 from repro.core.server import CloudServer
-from repro.obs import Observability
 from repro.shard import ShardedCloudServer
 from repro.traces.dataset import random_representative_fovs
 
@@ -129,8 +128,7 @@ def fixed_engine() -> tuple[RetrievalEngine, Query]:
     a few dozen survivors)."""
     reps = random_representative_fovs(4000, np.random.default_rng(7),
                                       extent_m=500.0)
-    engine = RetrievalEngine(FoVIndex.bulk(reps), CameraModel(),
-                             obs=Observability.default())
+    engine = RetrievalEngine(FoVIndex.bulk(reps), CameraModel())
     query = Query(t_start=0.0, t_end=86400.0, center=reps[0].point,
                   radius=100.0, top_n=10)
     return engine, query

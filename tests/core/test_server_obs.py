@@ -9,17 +9,22 @@ Three contracts pinned here:
   server-level cache counters (a stale drop *is* a miss on both sides);
 * with a tracing :class:`Observability` bundle and an injected fake
   clock, a query produces the nested span tree the CLI renders, with
-  per-stage durations determined entirely by the fake clock.
+  per-stage durations determined entirely by the fake clock: the four
+  funnel stages directly under ``server.query`` / ``server.query_many``,
+  as on a fleet of any size.
 """
 
+import numpy as np
 import pytest
 
 from repro import CloudServer, Query
 from repro.core.fov import RepresentativeFoV
+from repro.core.index import FoVIndex
 from repro.core.server import IngestStatus
 from repro.geo.coords import GeoPoint
 from repro.net.protocol import encode_bundle
 from repro.obs import Observability
+from repro.shard import ShardedCloudServer
 from repro.traces.dataset import random_representative_fovs
 
 
@@ -182,9 +187,7 @@ class TestServerTracing:
 
         root = obs.span_tracer.last_trace()
         assert root.name == "server.query"
-        (execute,) = root.children
-        assert execute.name == "query.execute"
-        stages = [c.name for c in execute.children]
+        stages = [c.name for c in root.children]
         assert stages == ["query.tree_descent", "query.projection",
                           "query.orientation_filter", "query.rank"]
         # fake clock: every span closed, durations strictly positive
@@ -192,8 +195,9 @@ class TestServerTracing:
             assert span.end_s is not None
             assert span.duration_s > 0.0
         # children nest inside their parent's window
-        assert execute.start_s >= root.start_s
-        assert execute.end_s <= root.end_s
+        for stage in root.children:
+            assert stage.start_s >= root.start_s
+            assert stage.end_s <= root.end_s
 
     def test_batched_packed_query_traces_batch_stages(self, camera, rng):
         server, obs = self._traced_server(camera)
@@ -204,11 +208,10 @@ class TestServerTracing:
         root = obs.span_tracer.last_trace()
         assert root.name == "server.query_many"
         assert root.attrs["batch"] == 4
-        many = root.children[0]
-        assert many.name == "query.execute_many"
-        stages = [c.name for c in many.children]
+        stages = [c.name for c in root.children]
         assert stages == ["query.tree_descent", "query.projection",
                           "query.orientation_filter", "query.rank"]
+        assert root.children[0].attrs["queries"] == 4
 
     def test_span_durations_populate_the_latency_histogram(self, camera, rng):
         server, obs = self._traced_server(camera)
@@ -217,7 +220,7 @@ class TestServerTracing:
         server.query(_query_for(reps[0]))
         fam = obs.registry.get("span.duration_s")
         assert fam.labels(span="server.query").count == 1
-        assert fam.labels(span="query.execute").count == 1
+        assert fam.labels(span="query.rank").count == 1
         assert fam.labels(span="server.query").sum > 0.0
 
     def test_ingest_trace_records_payload_size(self, camera, rng):
@@ -243,3 +246,56 @@ class TestServerTracing:
         assert reg.get("packed.descents").value >= 1
         tested = reg.get("packed.entries_tested")
         assert sum(c.value for _, c in tested.children()) > 0
+
+
+def _fleet(n_shards):
+    def build(camera, reps, obs):
+        fleet = ShardedCloudServer(camera, n_shards=n_shards,
+                                   origin=reps[0].point, cell_m=100.0,
+                                   cache_size=0, obs=obs)
+        fleet.ingest(reps)
+        return fleet
+    return build
+
+
+#: Every serving shape, each holding the same records.
+SHAPES = {
+    "cloud-server": lambda camera, reps, obs: CloudServer(
+        camera, index=FoVIndex.bulk(reps), cache_size=0, obs=obs),
+    "one-shard-fleet": _fleet(1),
+    "three-shard-fleet": _fleet(3),
+}
+
+STAGES = ["query.tree_descent", "query.projection",
+          "query.orientation_filter", "query.rank"]
+
+
+@pytest.mark.parametrize("batch", [1, 8])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_every_shape_counts_and_traces_a_read_alike(camera, shape, batch):
+    """One read call is one counted funnel pass, traced as the same four
+    stages under the server span, whatever the fleet's size."""
+    reps = random_representative_fovs(2000, np.random.default_rng(5),
+                                      extent_m=400.0)
+    obs = Observability.tracing(clock=FakeClock())
+    server = SHAPES[shape](camera, reps, obs)
+    reg = obs.registry
+    candidates = 0
+    for call in (1, 2):
+        queries = [_query_for(r, radius=150.0)
+                   for r in reps[batch * call: batch * (call + 1)]]
+        if batch == 1:
+            results = [server.query(queries[0])]
+        else:
+            results = server.query_many(queries)
+        candidates += sum(r.candidates for r in results)
+        assert reg.get("packed.descents").value == call
+        matched = reg.get("packed.entries_matched").value
+        assert matched == candidates > 0
+        assert reg.get("packed.entries_tested").value >= matched
+        root = obs.span_tracer.last_trace()
+        assert root.name == ("server.query" if batch == 1
+                             else "server.query_many")
+        assert [c.name for c in root.children] == STAGES
+    if shape == "three-shard-fleet":        # the reads spanned shards
+        assert server._fanout.sum > server._fanout.count

@@ -3,7 +3,7 @@
 from repro import CameraModel
 from repro.core.index import FoVIndex
 from repro.core.query import Query
-from repro.core.retrieval import RetrievalEngine
+from repro.core.server import CloudServer
 from repro.geo.coords import GeoPoint
 from repro.obs import (
     EventJournal,
@@ -44,17 +44,18 @@ class TestObservability:
 
 
 class TestPackedSearchRecorder:
-    """The ``packed.*`` families, fed by the engine from each descent's tally."""
+    """The ``packed.*`` families, fed by the server from each pass's tally."""
 
     def test_real_packed_search_reports_through_the_recorder(self, rng):
         reps = random_representative_fovs(500, rng)
         obs = Observability.default()
-        eng = RetrievalEngine(FoVIndex.bulk(reps), CAMERA, obs=obs)
+        server = CloudServer(CAMERA, index=FoVIndex.bulk(reps), cache_size=0,
+                             obs=obs)
         reg = obs.registry
         rec0 = reps[0]
         q = Query(t_start=rec0.t_start - 1.0, t_end=rec0.t_end + 1.0,
                   center=GeoPoint(rec0.lat, rec0.lng), radius=150.0)
-        result = eng.execute(q)
+        result = server.query(q)
         assert result.candidates >= 1
         assert reg.get("packed.descents").value == 1
         assert reg.get("packed.entries_matched").value == result.candidates
@@ -64,7 +65,8 @@ class TestPackedSearchRecorder:
     def test_batched_search_counts_the_whole_batch(self, rng):
         reps = random_representative_fovs(300, rng)
         obs = Observability.default()
-        eng = RetrievalEngine(FoVIndex.bulk(reps), CAMERA, obs=obs)
+        server = CloudServer(CAMERA, index=FoVIndex.bulk(reps), cache_size=0,
+                             obs=obs)
         reg = obs.registry
         queries = []
         for rec_fov in reps[:8]:
@@ -72,7 +74,7 @@ class TestPackedSearchRecorder:
                                  t_end=rec_fov.t_end + 1.0,
                                  center=GeoPoint(rec_fov.lat, rec_fov.lng),
                                  radius=100.0))
-        results = eng.execute_many(queries)
+        results = server.query_many(queries)
         assert len(results) == len(queries)
         assert sum(r.candidates for r in results) >= 1
         assert reg.get("packed.descents").value == 1

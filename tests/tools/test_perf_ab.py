@@ -164,3 +164,60 @@ def test_both_sides_run_from_fresh_exports(monkeypatch):
     assert len(seen["parent"]) == len(seen["change"]) == 2
     assert seen["parent"][0] != seen["change"][0]
     assert not seen["change"][0].exists()        # the exports are removed
+
+
+def scaled(runs: list[dict], name: str, factor: float) -> list[dict]:
+    """``runs`` with metric ``name`` multiplied by ``factor``."""
+    return [dict(r, metrics=dict(r["metrics"], **{name: {
+        "value": r["metrics"][name]["value"] * factor, "unit": "s"}}))
+        for r in runs]
+
+
+#: ``op_tail_ms`` spread like ROADMAP 1(g)'s ``city_ingest`` parent: an
+#: interquartile range of about 40 % of the median, against a 25 % bound.
+NOISY = [run(1.0, op_tail_ms=v) for v in
+         (0.70, 0.75, 0.80, 0.90, 1.00, 1.05, 1.15, 1.25, 1.30, 1.40)]
+
+
+def test_verdicts_of_quiet_runs():
+    assert {r["verdict"] for r in rows(PARENT, PARENT).values()} \
+        == {"within bound"}
+    faster = [run(0.8 + 0.01 * i) for i in range(10)]
+    assert rows(PARENT, faster)["op_p50_ms"]["verdict"] == "gain"
+    bound = {m["name"]: m["bound"] for m in END_TO_END}["run_s"]
+    beyond = scaled(PARENT, "run_s", 1 + 2 * bound)
+    assert rows(PARENT, beyond)["run_s"]["verdict"] == "worse"
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    got = rows(NOISY, scaled(NOISY, "op_tail_ms", 1.1))["op_tail_ms"]
+    q1, median, q3 = got["parent"]
+    assert q3 - q1 > got["bound"] * median
+    assert got["verdict"] == "unresolved"
+    # Unchanged is unresolved too: the spread hides a move either way.
+    assert rows(NOISY, NOISY)["op_tail_ms"]["verdict"] == "unresolved"
+    # Past the bound is still a failure, whatever the spread.
+    worse = scaled(NOISY, "op_tail_ms", 1.5)
+    assert rows(NOISY, worse)["op_tail_ms"]["verdict"] == "worse"
+    assert verdict(NOISY, worse)[0].startswith("op_tail_ms:")
+
+
+def test_every_change_run_better_than_every_parent_run_is_resolved():
+    better = [run(1.0, op_tail_ms=0.6 - 0.01 * i) for i in range(10)]
+    assert rows(NOISY, better)["op_tail_ms"]["verdict"] == "gain"
+    # Four pairs are too few to claim a gain, yet the spread hides
+    # nothing when no parent run reads as well as any change run.
+    got = rows(NOISY[::3], better[:4])["op_tail_ms"]
+    q1, median, q3 = got["parent"]
+    assert q3 - q1 > got["bound"] * median
+    assert got["verdict"] == "within bound"
+
+
+def test_the_verdict_column_does_not_change_the_exit_rule():
+    assert verdict(NOISY, scaled(NOISY, "op_tail_ms", 1.1)) == []
+
+
+def test_markdown_prints_each_verdict():
+    table = perf_ab.markdown(list(rows(NOISY, NOISY).values()), NOISY, NOISY)
+    assert "| verdict |" in table
+    assert "| unresolved |" in table and "| within bound |" in table

@@ -19,10 +19,19 @@ own copy.
 
 It prints a Markdown table, one row per end-to-end metric of
 ``BENCHMARK.json``: each side's median and quartiles, the change of the
-median, the pairs the working tree won (ties count for neither) and
-whether the gain is claimable (at least ten pairs, of which it won nine
-in ten, and medians that differ by more than the parent's interquartile
-range).
+median, the pairs the working tree won (ties count for neither) and a
+verdict, the first of these that holds:
+
+* ``worse``: the median is worse than the parent's by more than the
+  metric's bound (the failure rule below);
+* ``gain``: the gain is claimable -- at least ten pairs, of which it
+  won nine in ten, and medians that differ by more than the parent's
+  interquartile range;
+* ``unresolved``: the parent's interquartile range is wider than the
+  bound's share of its median, so a move within the bound cannot be
+  told from noise -- unless every run of the change reads better than
+  every run of the parent;
+* ``within bound``.
 
 Exit status: 0 when every digest agrees, no operation failed and no
 metric's median got worse than the parent's by more than its
@@ -101,14 +110,20 @@ def compare(parent: list[dict], change: list[dict],
         qa, qb = quartiles(a), quartiles(b)
         delta = (qb[1] - qa[1]) / qa[1] if qa[1] else 0.0
         wins = sum(sign * (y - x) < 0 for x, y in zip(a, b))
+        worse = sign * delta > metric["bound"]
+        gain = (len(a) >= MIN_CLAIM_PAIRS and wins >= 0.9 * len(a)
+                and sign * (qa[1] - qb[1]) > qa[2] - qa[0])
+        noisy = qa[2] - qa[0] > metric["bound"] * abs(qa[1])
+        every_run_better = max(sign * y for y in b) < min(sign * x for x in a)
         rows.append({
             "name": name, "unit": metric["unit"], "parent": qa, "change": qb,
             "delta": delta, "wins": wins, "pairs": len(a),
-            "bound": metric["bound"],
-            "gain": (len(a) >= MIN_CLAIM_PAIRS and wins >= 0.9 * len(a)
-                     and sign * (qa[1] - qb[1]) > qa[2] - qa[0]),
+            "bound": metric["bound"], "gain": gain,
+            "verdict": ("worse" if worse else "gain" if gain
+                        else "unresolved" if noisy and not every_run_better
+                        else "within bound"),
         })
-        if sign * delta > metric["bound"]:
+        if worse:
             failures.append(f"{name}: median {delta:+.1%} against a bound of "
                             f"{metric['bound']:.0%}")
     return rows, failures
@@ -121,12 +136,12 @@ def markdown(rows: list[dict], parent: list[dict],
         return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
 
     lines = ["| metric | parent median [q1, q3] | change median [q1, q3] "
-             "| Δ median | wins | bound | gain |",
+             "| Δ median | wins | bound | verdict |",
              "|---|---|---|---|---|---|---|"]
     lines += [f"| `{r['name']}` ({r['unit']}) | {cell(r['parent'])} "
               f"| {cell(r['change'])} | {r['delta']:+.1%} "
               f"| {r['wins']}/{r['pairs']} | {r['bound']:.0%} "
-              f"| {'yes' if r['gain'] else 'no'} |" for r in rows]
+              f"| {r['verdict']} |" for r in rows]
     for key in ("workload_digest", "results_digest"):
         seen = {str(run.get(key))[:12] for run in parent + change}
         verdict = "equal" if len(seen) == 1 else "DIFFER"
