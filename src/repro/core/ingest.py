@@ -280,9 +280,9 @@ class IngestCoordinator:
     change, run under one lock (:meth:`exclusive`), so the log's entry
     order is the order the index saw and :meth:`replay_wal` rebuilds
     the same content.  ``check`` (the fleet's "no primary is down")
-    runs under that lock before anything is logged, so a write it
-    refuses leaves no entry for replay to apply.  Like ``land``, it
-    must not be a bound method of the facade.
+    runs once per write, under that lock before anything is logged, so
+    a write it refuses leaves no entry for replay to apply.  Like
+    ``land``, it must not be a bound method of the facade.
 
     A reserved digest stays *pending* until its group has landed; the
     pending set is cleared under the same lock, right after ``land``,
@@ -516,6 +516,8 @@ class IngestCoordinator:
         with self._log_order:
             if own and entry.seq in self._applied_evictions:
                 return
+            if self._check is not None:
+                self._check()
             evict(entry.cutoff_t)
             if own:
                 self._applied_evictions.add(entry.seq)

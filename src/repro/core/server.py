@@ -29,7 +29,7 @@ from repro.core.wal import WriteAheadLog
 from repro.geo.coords import GeoPoint
 from repro.net.traffic import TrafficModel
 from repro.obs.runtime import Observability
-from repro.shard.server import ShardedCloudServer, ShardUnavailableError
+from repro.shard.server import ShardedCloudServer
 
 __all__ = ["CloudServer", "IngestOutcome", "IngestStatus", "ServerStats"]
 
@@ -123,15 +123,9 @@ class CloudServer(ShardedCloudServer):
         :func:`~repro.core.retrieval._view_pass` over its packed view,
         counted as one pass; the linear baseline is answered, uncounted,
         by the oracle a query at a time.  Refused while the slot is
-        down."""
+        down (:meth:`_serving`)."""
         with self._locks[0]:
-            # Lock-free on purpose: a kill marks the slot down before it
-            # empties it under this lock, an install fills it before it
-            # clears the mark, so the set read here matches the slot.
-            if 0 in self._down:  # fovlint: disable=RF009
-                self._dropped.inc()
-                raise ShardUnavailableError(0)
-            index = self.shards[0]
+            index = self._serving(0)
             if index.backend == "linear":
                 return [answer(index, q, self.camera, self._strict_cover)
                         for q in queries]

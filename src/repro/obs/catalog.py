@@ -53,9 +53,9 @@ METRICS: Final[Mapping[str, tuple[str, str]]] = {
     "index.records_live": ("gauge", "records currently resident in the index"),
     "index.epoch": ("gauge", "current index mutation epoch"),
     "index.records_evicted": ("counter", "records removed by retention eviction"),
-    "query.requests": ("counter", "point queries served, cache hits included"),
-    "query.cache_hits": ("counter", "server-level query cache hits"),
-    "query.cache_misses": ("counter", "server-level query cache misses"),
+    "query.requests": ("counter", "inquirer point queries, cache hits included"),
+    "query.cache_hits": ("counter", "query cache hits, video harvests included"),
+    "query.cache_misses": ("counter", "query cache misses, video harvests included"),
     "fetch.segments": ("counter", "video segments fetched after ranking"),
     "fetch.segment_bytes": ("counter", "bytes of video segment payload fetched"),
     # -- sharded router (shard/server.py) -----------------------------------
@@ -64,7 +64,7 @@ METRICS: Final[Mapping[str, tuple[str, str]]] = {
     "shard.fanout_width": ("histogram", "shards consulted per scatter query"),
     "shard.epoch": ("gauge", "per-shard index epoch"),
     "shard.records_live": ("gauge", "per-shard live record count"),
-    "failover.dropped_queries": ("counter", "queries refused during downtime"),
+    "failover.dropped_queries": ("counter", "read calls refused during downtime"),
     # -- shard replica tier (shard/replica.py) ------------------------------
     "failover.kills": ("counter", "shard primaries killed mid-run"),
     "failover.promotions": ("counter", "warm standbys promoted to primary"),

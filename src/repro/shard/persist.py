@@ -20,7 +20,6 @@ from pathlib import Path
 
 from repro.core.camera import CameraModel
 from repro.geo.coords import GeoPoint
-from repro.obs.runtime import Observability
 from repro.shard.partition import GridPartitioner
 from repro.shard.replica import (ReplicaManifest, ReplicaSegment, _pinned,
                                  _verified_index)
@@ -124,24 +123,21 @@ def _read_manifest(root: Path) -> tuple[
 
 
 def load_sharded_snapshot(dirpath: str | Path, camera: CameraModel,
-                          strict_cover: bool = True, cache_size: int = 1024,
-                          obs: Observability | None = None
-                          ) -> ShardedCloudServer:
+                          cache_size: int = 1024) -> ShardedCloudServer:
     """Rebuild a :class:`ShardedCloudServer` from a snapshot directory.
 
     Routing parameters come from the manifest (so the reloaded fleet
-    routes exactly like the one that saved it); serving parameters
-    (camera, cover rule, cache) come from the caller.  Raises
-    ``ValueError`` on a missing, incoherent or v1 manifest, a file
-    failing its sha256, CRC, record count or epoch, or a row the saved
-    routing parameters place on another shard.
+    routes exactly like the one that saved it); the camera and the
+    cache size come from the caller.  Raises ``ValueError`` on a
+    missing, incoherent or v1 manifest, a file failing its sha256, CRC,
+    record count or epoch, or a row the saved routing parameters place
+    on another shard.
     """
     root = Path(dirpath)
     part, shards, digests = _read_manifest(root)
     server = ShardedCloudServer(
         camera, n_shards=part.n_shards, origin=part.origin,
-        cell_m=part.cell_m, seed=part.seed, strict_cover=strict_cover,
-        cache_size=cache_size, obs=obs)
+        cell_m=part.cell_m, seed=part.seed, cache_size=cache_size)
     for sid, (name, pin) in enumerate(shards):
         if not (root / name).is_file():
             raise ValueError(f"manifest names {name!r}, not a file in {root}")

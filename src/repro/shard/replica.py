@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from repro.core.flatsnap import unpack_snapshot
 from repro.core.fov import RecordColumns
@@ -90,15 +90,10 @@ class ReplicaSet:
     ----------
     server : ShardedCloudServer
         The fleet to shadow.  Metrics register on its router registry.
-    clock : callable, optional
-        Monotonic timer for downtime accounting (injectable; defaults
-        to :func:`repro.net.clock.default_timer`).
     """
 
-    def __init__(self, server: ShardedCloudServer,
-                 clock: Callable[[], float] | None = None) -> None:
+    def __init__(self, server: ShardedCloudServer) -> None:
         self._server = server
-        self._clock = clock if clock is not None else default_timer
         self._replicas: list[ShardReplica | None] = [None] * server.n_shards
         self._synced: list[_Synced | None] = [None] * server.n_shards
         self._killed_at: dict[int, float] = {}
@@ -144,12 +139,10 @@ class ReplicaSet:
         count -- and folds into one full capture then.
 
         Raises :class:`~repro.shard.server.ShardUnavailableError` while
-        the shard is down: its slot is an empty placeholder, and
-        capturing it would replace the standby promotion needs with
-        nothing.
+        the shard is down, mid-sync too: its slot is an empty
+        placeholder, and capturing it would replace the standby
+        promotion needs with nothing.
         """
-        if sid in self._server.down_shards:
-            raise ShardUnavailableError(sid)
         replica, synced = self._replicas[sid], self._synced[sid]
         mark = self._server.shard_mark(sid)
         since = None
@@ -178,15 +171,17 @@ class ReplicaSet:
 
         Cheap to call after every commit group: a shard whose content
         mark is unchanged is skipped without packing a byte.  A down
-        shard is skipped too (:meth:`sync_shard` refuses it).
+        shard is skipped too, one that goes down mid-sync included
+        (:meth:`sync_shard` refuses it).
         """
-        down = self._server.down_shards
         synced = 0
         for sid in range(self.n_shards):
-            if sid in down:
-                continue
             before = self._replicas[sid]
-            if self.sync_shard(sid) is not before:
+            try:
+                replica = self.sync_shard(sid)
+            except ShardUnavailableError:
+                continue
+            if replica is not before:
                 synced += 1
         return synced
 
@@ -195,7 +190,7 @@ class ReplicaSet:
     def kill(self, sid: int) -> None:
         """Kill shard ``sid``'s primary and start the downtime clock."""
         self._server.kill_shard(sid)
-        self._killed_at[sid] = self._clock()
+        self._killed_at[sid] = default_timer()
         self._kills.inc()
 
     def downtime_s(self, sid: int) -> float:
@@ -223,7 +218,7 @@ class ReplicaSet:
         self._promotions.inc()
         killed_at = self._killed_at.pop(sid, None)
         if killed_at is not None:
-            downtime = self._clock() - killed_at
+            downtime = default_timer() - killed_at
             self._downtime_s[sid] = downtime
             self._downtime.labels(shard=str(sid)).set(downtime)
         return fresh

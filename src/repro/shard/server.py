@@ -38,7 +38,7 @@ from __future__ import annotations
 import threading
 from functools import partial
 from operator import itemgetter
-from typing import Callable, ContextManager, NamedTuple, Sequence
+from typing import ContextManager, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,12 +77,13 @@ class ShardCapture(NamedTuple):
 class ShardUnavailableError(RuntimeError):
     """A request needed a shard whose primary is down (fail-stop).
 
-    Raised by the query path when routing plus content bounds say the
-    dead shard could contribute rows (an answer without it would be
-    silently wrong), and by every write path while *any* shard is
-    down (a record landing on a placeholder would be discarded at
-    promotion).  Retryable: once :meth:`ShardedCloudServer.install_shard`
-    promotes a replica, the same request succeeds.
+    Raised by every read of the dead shard's slot -- a query whose
+    routing plus content bounds say it could contribute rows, a
+    capture -- where an answer without it would be silently wrong, and
+    by every write path while *any* shard is down (a record landing
+    on a placeholder would be discarded at promotion).  Retryable:
+    once :meth:`ShardedCloudServer.install_shard` promotes a replica,
+    the same request succeeds.
     """
 
     def __init__(self, shard_id: int) -> None:
@@ -125,9 +126,6 @@ class ShardedCloudServer:
         The router's instrument bundle.  Shards carry none: the router
         exports per-shard state as ``shard.epoch`` /
         ``shard.records_live`` gauges labelled by shard id.
-    clock : callable, optional
-        Monotonic timer for ``elapsed_s`` accounting
-        (injectable; defaults to :func:`repro.net.clock.default_timer`).
     wal : WriteAheadLog, optional
         Router-level write-ahead log: accepted payloads are made
         durable before any shard indexes a record, fsynced once per
@@ -143,7 +141,6 @@ class ShardedCloudServer:
                  strict_cover: bool = True, engine: str = "packed",
                  cache_size: int = 1024,
                  obs: Observability | None = None,
-                 clock: Callable[[], float] | None = None,
                  wal: WriteAheadLog | None = None,
                  admission_capacity: int | None = None) -> None:
         if engine != "packed":
@@ -153,7 +150,7 @@ class ShardedCloudServer:
         self.partitioner = GridPartitioner(n_shards=n_shards, origin=origin,
                                            cell_m=cell_m, seed=seed)
         self.obs = obs if obs is not None else Observability.default()
-        self._clock = clock if clock is not None else default_timer
+        self._clock = default_timer
         self._strict_cover = strict_cover
         self._ranker = DistanceRanker()
         self.shards: list[FoVIndex] = [FoVIndex() for _ in range(n_shards)]
@@ -206,7 +203,7 @@ class ShardedCloudServer:
             labelnames=("shard",))
         self._dropped = reg.counter(
             "failover.dropped_queries",
-            "queries refused while a needed shard was down")
+            "read calls refused while a needed shard was down")
         self._descents = reg.counter("packed.descents",
                                      "Packed funnel passes")
         self._rows_tested = reg.counter("packed.entries_tested",
@@ -249,7 +246,7 @@ class ShardedCloudServer:
         out: list[RepresentativeFoV] = []
         for sid in range(self.n_shards):
             with self._locks[sid]:
-                out.extend(self.shards[sid].records())
+                out.extend(self._serving(sid).records())
         return out
 
     # -- failover ---------------------------------------------------------
@@ -265,12 +262,23 @@ class ShardedCloudServer:
         with self._ingest_lock:
             return frozenset(self._down)
 
+    def _serving(self, sid: int) -> FoVIndex:
+        """Slot ``sid``'s index, to a caller holding the slot's lock:
+        every read of a slot comes here, and is refused while it is down
+        (an empty placeholder would answer silently wrong)."""
+        # Lock-free on purpose: a kill marks the slot down before it
+        # empties it under this lock, an install fills it before it
+        # clears the mark, so the set read here matches the slot.
+        if sid in self._down:  # fovlint: disable=RF009
+            raise ShardUnavailableError(sid)
+        return self.shards[sid]
+
     def shard_mark(self, sid: int) -> ContentMark:
         """Shard ``sid``'s :class:`~repro.core.index.ContentMark`, read
         under its lock (the token and count are two fields)."""
         self._check_sid(sid)
         with self._locks[sid]:
-            return self.shards[sid].mark
+            return self._serving(sid).mark
 
     def capture_shard(self, sid: int,
                       since: ContentMark | None = None) -> ShardCapture:
@@ -287,7 +295,7 @@ class ShardedCloudServer:
         """
         self._check_sid(sid)
         with self._locks[sid]:
-            index = self.shards[sid]
+            index = self._serving(sid)
             mark = index.mark
             columns = None if since is None else index.record_columns(since)
             tail = columns is not None
@@ -303,11 +311,9 @@ class ShardedCloudServer:
         commit group or eviction lands in between, and a bundle still
         decoding (its digest reserved, its records not landed) is left
         out: a redelivery of it must index it.  Raises
-        :class:`ShardUnavailableError` while any primary is down: a
-        killed slot is an empty placeholder.
+        :class:`ShardUnavailableError` while any primary is down.
         """
         with self._ingest.exclusive():
-            self._check_fleet_up()
             captures = [self.capture_shard(sid)
                         for sid in range(self.n_shards)]
             return captures, self._ingest.landed_digests()
@@ -410,10 +416,9 @@ class ShardedCloudServer:
 
     def _land(self, columns: RecordColumns) -> int:
         """Check one run of columns, split it across the fleet and land
-        every slice; refused up front while any primary is down
-        (fail-stop).  The whole batch is checked before any shard
-        indexes a record."""
-        self._check_fleet_up()
+        every slice (the caller checked the fleet, under the log-order
+        lock).  The whole batch is checked before any shard indexes a
+        record."""
         _checked_geometry(columns)
         return self._ingest_parts(list(self.partitioner.split(columns)))
 
@@ -423,8 +428,13 @@ class ShardedCloudServer:
         record objects, or columns such as a loaded snapshot.
 
         The whole batch is checked before any shard indexes a record.
+        Like every write, it is refused while a primary is down, and a
+        kill waits for it (the log-order lock).
         """
-        n = self._land(RecordColumns.of(fovs))
+        columns = RecordColumns.of(fovs)
+        with self._ingest.exclusive():
+            self._check_fleet_up()
+            n = self._land(columns)
         self.stats._records_indexed.inc(n)
         return n
 
@@ -513,7 +523,6 @@ class ShardedCloudServer:
         return self._ingest.evict(cutoff_t, self._evict)
 
     def _evict(self, cutoff_t: float) -> int:
-        self._check_fleet_up()
         evicted = 0
         for sid in range(self.n_shards):
             with self._locks[sid]:
@@ -550,7 +559,6 @@ class ShardedCloudServer:
         shard order (a view a concurrent write replaced mid-call gets a
         part of its own, after the shard's earlier one)."""
         t0 = self._clock()
-        down = self.down_shards
         cover = self.camera if self._strict_cover else None
         parts: list[Part] = []
         # id(view) -> (shard, view, query ids, the visits' ids)
@@ -569,13 +577,7 @@ class ShardedCloudServer:
                         if not self._could_match(sid, box):
                             self._pruned.inc()
                             continue
-                        if sid in down:
-                            # The answer would silently miss this
-                            # shard's rows; failing loudly lets the
-                            # caller retry after a replica is promoted.
-                            self._dropped.inc()
-                            raise ShardUnavailableError(sid)
-                        view = self.shards[sid].packed_view()
+                        view = self._serving(sid).packed_view()
                         ids = view.range_search_ids(query, cover, tally)
                     visited += 1
                     if not ids.size:
@@ -621,18 +623,22 @@ class ShardedCloudServer:
         (:func:`~repro.core.cache.read_through`): results are always
         *served*, but only cached when the two reads agree -- a batch
         that raced an ingest cannot poison the cache with a torn
-        snapshot of the fleet.
+        snapshot of the fleet.  A refused call counts one drop.
         """
-        self.stats._queries.inc(len(queries))
-        return read_through(
-            self._cache, [query_cache_key(q) for q in queries],
-            self.epoch_vector,
-            lambda missed: self._answer([queries[i] for i in missed]),
-            self.stats._cache_hits, self.stats._cache_misses)
+        try:
+            return read_through(
+                self._cache, [query_cache_key(q) for q in queries],
+                self.epoch_vector,
+                lambda missed: self._answer([queries[i] for i in missed]),
+                self.stats._cache_hits, self.stats._cache_misses)
+        except ShardUnavailableError:
+            self._dropped.inc()
+            raise
 
     def query(self, query: Query) -> QueryResult:
         """Answer one ranked spatio-temporal query (cache-aware)."""
         with self.obs.tracer.span("server.query"):
+            self.stats._queries.inc()
             return self._read_points([query])[0]
 
     def query_many(self, queries: list[Query]) -> list[QueryResult]:
@@ -640,15 +646,16 @@ class ShardedCloudServer:
         miss is answered in one funnel pass."""
         batch = list(queries)
         with self.obs.tracer.span("server.query_many", batch=len(batch)):
+            self.stats._queries.inc(len(batch))
             return self._read_points(batch)
 
     def query_video(self, video_query: VideoQuery) -> VideoQueryResult:
         """Answer one video retrieval request over the fleet (cache-aware).
 
-        The harvest batch rides :meth:`query_many`'s one funnel pass,
-        whose rankings are bit-identical to a single server holding
-        every record -- so the video top-k is
-        too.  Caching follows the same epoch-vector discipline, with
+        The harvest batch rides :meth:`_read_points` (no inquirer
+        query is counted), whose rankings are bit-identical to a single
+        server holding every record -- so the video top-k is too.
+        Caching follows the same epoch-vector discipline, with
         the frozen :class:`VideoQuery` as its own key: a result that
         raced an ingest is served but never cached.  The request is
         counted into ``video.*`` and traced as ``video.query``, around
@@ -657,7 +664,7 @@ class ShardedCloudServer:
         stats = self.video_stats
 
         def retrieve(_missed: list[int]) -> list[VideoQueryResult]:
-            result = retrieve_videos(video_query, self.query_many,
+            result = retrieve_videos(video_query, self._read_points,
                                      self.camera, clock=self._clock,
                                      tracer=self.obs.tracer)
             stats._segments_harvested.inc(result.segments_harvested)

@@ -12,7 +12,9 @@ from repro.obs import (
     Observability,
     SpanTracer,
 )
+from repro.shard import ShardedCloudServer
 from repro.traces.dataset import random_representative_fovs
+from repro.video.retrieval import VideoQuery
 
 CAMERA = CameraModel(half_angle=30.0, radius=100.0)
 
@@ -80,3 +82,28 @@ class TestPackedSearchRecorder:
         assert reg.get("packed.descents").value == 1
         assert (reg.get("packed.entries_matched").value
                 == sum(r.candidates for r in results))
+
+
+class TestQueryRequests:
+    """``query.requests`` counts the inquirer's point queries only."""
+
+    def test_a_video_harvest_counts_no_point_query(self, rng):
+        reps = random_representative_fovs(300, rng)
+        obs = Observability.tracing()
+        server = ShardedCloudServer(CAMERA, n_shards=3, origin=reps[0].point,
+                                    obs=obs)
+        server.ingest(reps)
+        video = VideoQuery(segments=tuple(reps[:4]), t_start=0.0,
+                           t_end=86400.0, radius=150.0, top_k=5)
+        server.query_video(video)
+        assert server.stats.queries_served == 0
+        assert server.stats.cache_misses == len(video.segments)
+        names = [span.name for _, span in obs.span_tracer.last_trace().walk()]
+        assert names[0] == "video.query" and "query.rank" in names
+        assert "server.query_many" not in names
+        server.query_many([Query(t_start=0.0, t_end=86400.0,
+                                 center=r.point, radius=150.0)
+                           for r in reps[:3]])
+        server.query(Query(t_start=0.0, t_end=86400.0, center=reps[0].point,
+                           radius=150.0))
+        assert server.stats.queries_served == 4

@@ -21,6 +21,7 @@ The replica tier's contract (docs/SHARDING.md §9):
 from __future__ import annotations
 
 import gc
+import threading
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -42,6 +43,9 @@ from repro.obs.runtime import Observability
 from repro.shard import (ReplicaSegment, ReplicaSet, ShardedCloudServer,
                          ShardUnavailableError, load_sharded_snapshot,
                          save_sharded_snapshot)
+from repro.shard import server as server_module
+
+from tests.shard.test_sharded_server import make_records as city_records
 
 ORIGIN = GeoPoint(lat=40.0, lng=116.3)
 N_SHARDS = 3
@@ -450,6 +454,78 @@ def test_sync_shard_refuses_a_down_shard():
     assert replicas.replica(victim) is good
     replicas.promote(victim)
     assert srv.shards[victim].content_digest() == digest
+
+
+def city_fleet():
+    """The mid-call fixtures of ``tests/shard/test_sharded_server.py``:
+    the fleet holds the first 600 of 900 records over 400 m (455 of
+    them on shard 0), and the other 300 (221 on shard 0) are returned."""
+    recs = city_records(900, np.random.default_rng(7), extent_m=400.0)
+    srv = ShardedCloudServer(CAMERA, n_shards=N_SHARDS, origin=ORIGIN,
+                             cache_size=0)
+    srv.ingest(recs[:600])
+    assert len(srv.shards[0]) == 455
+    return srv, recs[600:]
+
+
+def test_a_kill_mid_sync_keeps_the_standby(monkeypatch):
+    """A kill that lands inside a sync's capture of the killed shard:
+    the capture is refused rather than read from the empty placeholder,
+    so the standby keeps its records and promotion installs them."""
+    srv, later = city_fleet()
+    replicas = ReplicaSet(srv)
+    replicas.sync()
+    standby = replicas.replica(0)
+    digest = srv.shards[0].content_digest()
+    srv.ingest(later)               # so shard 0's next sync captures
+    capture = srv.capture_shard
+
+    def kill_then_capture(sid, since=None):
+        replicas.kill(sid)
+        return capture(sid, since=since)
+
+    monkeypatch.setattr(srv, "capture_shard", kill_then_capture)
+    with pytest.raises(ShardUnavailableError) as exc:
+        replicas.sync_shard(0)
+    monkeypatch.undo()
+    assert exc.value.shard_id == 0
+    assert replicas.replica(0) is standby and len(standby) == 455
+    replicas.promote(0)
+    assert srv.shards[0].content_digest() == digest
+
+
+def test_a_kill_waits_for_the_direct_ingest_in_flight(monkeypatch):
+    """``ingest`` checks the fleet and lands under the log-order lock,
+    like every write: a kill waits for it, so no acknowledged row lands
+    in the killed slot's placeholder."""
+    srv, later = city_fleet()
+    check = server_module._checked_geometry
+    entered, release = threading.Event(), threading.Event()
+
+    def held_check(columns):
+        entered.set()
+        release.wait(10)
+        return check(columns)
+
+    monkeypatch.setattr(server_module, "_checked_geometry", held_check)
+    landed = []
+    writer = threading.Thread(target=lambda: landed.append(srv.ingest(later)))
+    killer = threading.Thread(target=srv.kill_shard, args=(0,))
+    writer.start()
+    try:
+        assert entered.wait(10)
+        killer.start()
+        killer.join(0.2)
+        assert killer.is_alive() and not srv.down_shards
+    finally:
+        release.set()
+        writer.join(10)
+        if killer.ident is not None:
+            killer.join(10)
+    assert not writer.is_alive() and not killer.is_alive()
+    assert landed == [300]
+    assert srv.down_shards == {0}
+    assert len(srv.shards[0]) == 0
 
 
 def test_standby_sync_and_snapshot_save_build_nothing(tmp_path, monkeypatch):

@@ -17,6 +17,12 @@ The invariants (the parity contract of docs/SHARDING.md §9):
   direct ``sync_shard`` of the victim is refused, its standby kept;
 * after every promotion, the probes, a video query and each shard's
   ``content_digest()`` equal the control fleet's;
+* a kill that lands inside a sync's capture of the victim
+  (``kill_mid_sync``) leaves its standby as it was, and one that lands
+  inside a ``query_many`` batch's visit loop (``kill_mid_read``)
+  refuses the batch with :class:`ShardUnavailableError` naming the
+  victim, counted once, whenever the victim holds rows; the promotion
+  that follows answers the probes as the oracle does;
 * after every save and reload -- the machine's fleet swapped for the
   reloaded one, with a fresh :class:`ReplicaSet` -- each shard's
   ``content_digest()`` equals the control fleet's, the probes equal the
@@ -59,18 +65,21 @@ from hypothesis.stateful import (RuleBasedStateMachine, precondition,
                                  rule)
 
 from repro.core.camera import CameraModel
+from repro.core.index import query_box_floats
 from repro.core.ingest import IngestStatus
 from repro.core.query import Query
 from repro.core.server import CloudServer
 from repro.geo.coords import GeoPoint
 from repro.shard import (ReplicaSet, ShardUnavailableError,
                          load_sharded_snapshot, save_sharded_snapshot)
+from repro.shard import server as server_module
 from repro.video.retrieval import VideoQuery
 
 from tests.net.test_protocol_fuzz import walk_records
-from tests.shard.test_failover import (N_SHARDS, bundles, dropped_queries,
-                                       make_queries, make_records,
-                                       make_server, rows, standby_records)
+from tests.shard.test_failover import (N_SHARDS, ORIGIN, bundles,
+                                       dropped_queries, make_queries,
+                                       make_records, make_server, rows,
+                                       standby_records)
 
 FUZZ_SEED = int(os.environ.get("FUZZ_SEED", "0"))
 
@@ -112,6 +121,7 @@ class ReplicaMachine(RuleBasedStateMachine):
         self.groups = 0
         self.payloads: list[bytes] = []
         self.current = False        # every standby holds its primary's rows
+        self.reads = 0              # kill_mid_read calls, for fresh windows
 
     @rule(n=st.integers(1, 24), seed=st.integers(0, 2**16))
     def ingest_batch(self, n, seed):
@@ -191,6 +201,72 @@ class ReplicaMachine(RuleBasedStateMachine):
                 == video_rows(self.control.query_video(video)))
         assert ([s.content_digest() for s in self.fleet.shards]
                 == [s.content_digest() for s in self.control.shards])
+
+    @precondition(lambda self: self.current)
+    @rule(sid=st.integers(0, N_SHARDS - 1))
+    def kill_mid_sync(self, sid):
+        """A kill lands inside a sync's capture of the victim.  The
+        victim is failed over first, so that its new primary (a fresh
+        removal token) makes the sync capture it in full."""
+        self.replicas.kill(sid)
+        self.replicas.promote(sid)
+        standby = self.replicas.replica(sid)
+        capture = self.fleet.capture_shard
+
+        def kill_then_capture(shard, since=None):
+            if shard == sid:
+                self.replicas.kill(sid)
+            return capture(shard, since=since)
+
+        self.fleet.capture_shard = kill_then_capture
+        try:
+            self.replicas.sync()
+        finally:
+            del self.fleet.capture_shard
+        assert self.fleet.down_shards == frozenset({sid})
+        assert self.replicas.replica(sid) is standby
+        self.replicas.promote(sid)
+        self.query()
+        assert ([s.content_digest() for s in self.fleet.shards]
+                == [s.content_digest() for s in self.control.shards])
+
+    @precondition(lambda self: self.current)
+    @rule(sid=st.integers(0, N_SHARDS - 1), at=st.integers(0, 15))
+    def kill_mid_read(self, sid, at):
+        """A kill lands in a ``query_many`` batch's visit loop, before
+        the ``at``-th missed query's visits (or the last one's): a batch
+        whose last query needs every shard holding rows is refused and
+        counted once, and a promotion restores the oracle's answers."""
+        narrow, _ = record_probes(self.control.records())
+        self.reads += 1
+        wide = Query(t_start=0.0, t_end=1000.0 + self.reads,
+                     center=ORIGIN, radius=3000.0, top_n=8)
+        batch = PROBES + narrow + [wide]
+        boxed = []
+
+        def box_then_kill(query):
+            boxed.append(query)
+            if len(boxed) == at + 1 or (query is wide and
+                                        not self.fleet.down_shards):
+                self.replicas.kill(sid)
+            return query_box_floats(query)
+
+        dropped_before = dropped_queries(self.fleet)
+        server_module.query_box_floats = box_then_kill
+        try:
+            got = [rows(r) for r in self.fleet.query_many(batch)]
+        except ShardUnavailableError as exc:
+            assert exc.shard_id == sid
+            assert dropped_queries(self.fleet) == dropped_before + 1
+        else:
+            assert not len(self.control.shards[sid])
+            assert got == [rows(r) for r in self.control.query_many(batch)]
+        finally:
+            server_module.query_box_floats = query_box_floats
+        assert self.fleet.down_shards == frozenset({sid})
+        self.replicas.promote(sid)
+        self.query()
+        self.query_many()
 
     @rule(pick=st.integers(0, 2**16))
     def save_and_reload(self, pick):

@@ -11,7 +11,7 @@ from repro.geo.coords import GeoPoint
 from repro.geo.earth import LocalProjection
 from repro.net.protocol import encode_bundle
 from repro.core.index import query_box_floats
-from repro.shard import ShardedCloudServer
+from repro.shard import ShardedCloudServer, ShardUnavailableError
 from repro.shard import server as server_module
 
 ORIGIN = GeoPoint(lat=40.0, lng=116.3)
@@ -214,6 +214,35 @@ class TestQuery:
         got = [r[:4] for r in server.query_many(queries)]
         assert got == before[:4] + after[4:]
         assert before[4:] != after[4:]
+
+    @pytest.mark.parametrize("call, n", [("query", 1), ("query_many", 8)])
+    def test_a_mid_call_kill_refuses_the_call(self, camera, monkeypatch,
+                                              call, n):
+        """A kill that lands after a call started and before a visit of
+        the killed shard refuses the call, counted once: the visit must
+        not read the empty placeholder and rank without its rows."""
+        rng = np.random.default_rng(7)
+        recs = make_records(900, rng, extent_m=400.0)
+        queries = make_queries(8, rng, extent_m=400.0)[:n]
+        server = ShardedCloudServer(camera, n_shards=3, origin=ORIGIN,
+                                    cache_size=0)
+        server.ingest(recs)
+        assert all(server.query(q).candidates for q in queries)
+        boxed = []
+
+        def box_then_kill(query):
+            boxed.append(query)
+            if len(boxed) == n // 2 + 1:    # before this query's visits
+                server.kill_shard(0)
+            return query_box_floats(query)
+
+        monkeypatch.setattr(server_module, "query_box_floats", box_then_kill)
+        with pytest.raises(ShardUnavailableError) as exc:
+            getattr(server, call)(queries[0] if n == 1 else queries)
+        assert exc.value.shard_id == 0
+        assert server.down_shards == {0}
+        assert server.obs.registry.get(
+            "failover.dropped_queries").value == 1
 
     def test_fanout_is_pruned(self, camera):
         """Tight queries over a wide city must not search every shard."""
