@@ -1,11 +1,12 @@
 """RF010: lock acquisitions must follow one global order per class.
 
-The sharded router holds two kinds of lock (``_ingest_lock`` and the
-per-shard ``_locks[i]`` family); the scatter-gather path touches
-several shards per query.  Two threads acquiring the same
-pair of locks in opposite orders deadlock -- silently, under load,
-never in a unit test.  This rule derives the class's **lock-acquisition
-graph** and flags the shapes that can deadlock:
+The sharded router holds two kinds of lock (plain ones such as
+``_log_order`` and the per-shard ``_locks[i]`` family); the
+scatter-gather path touches several shards per query.  Two threads
+acquiring the same pair of locks in opposite orders deadlock --
+silently, under load, never in a unit test.  This rule derives the
+class's **lock-acquisition graph** and flags the shapes that can
+deadlock:
 
 * **order cycles** -- lock *A* held while acquiring *B* at one site,
   *B* held while acquiring *A* at another (directly or transitively

@@ -162,7 +162,8 @@ class CloudServer(ShardedCloudServer):
         This is the only step that moves video-scale bytes, and only
         for segments an inquirer actually selected.
         """
-        device_id = self._ingest.owner_of(fov.video_id)
+        with self._digest_lock:
+            device_id = self._owners.get(fov.video_id)
         if device_id is None or device_id not in self._clients:
             raise KeyError(f"no registered owner for video {fov.video_id!r}")
         segment = self._clients[device_id].fetch_segment(fov.video_id, fov.segment_id)

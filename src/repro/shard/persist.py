@@ -149,5 +149,7 @@ def load_sharded_snapshot(dirpath: str | Path, camera: CameraModel,
                 f"shard file {name!r} holds rows that the manifest's "
                 f"routing parameters place on another shard")
         server._place(sid, index)
-    server._ingest.remember(digests)
+    # The saved bundles' redeliveries ack DUPLICATE; the fleet is not
+    # shared yet, so its digest lock is not taken.
+    server._seen.update(digests)
     return server

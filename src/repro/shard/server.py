@@ -24,21 +24,29 @@ replaces only how a read's cache misses are answered.  The router:
   descent -- a result computed while any shard mutated is served but
   never cached, so a hit always equals the cold recomputation.
 
+The fleet commits its own writes (``docs/PROTOCOL.md`` has the
+delivery-semantics table): a commit group is admitted, each payload's
+content digest reserved, decoded or quarantined, the accepted payloads
+appended to the WAL and fsynced once, landed, and acknowledged.
+
 Thread safety: each shard has its own lock serialising index access
 (a bundle's records land in a shard atomically -- ``insert_many`` is
-one epoch bump); the digest/owner maps and the result caches lock
-themselves (:class:`~repro.core.ingest.IngestCoordinator`,
-:class:`~repro.core.cache.QueryResultCache`), and the router's own
-ingest lock guards only the set of down shards.  Metric increments are
+one epoch bump).  The log-order lock orders every write -- a commit
+group's append and landing, an eviction's, a kill's or an install's
+change to the set of down shards -- so the log's entry order is the
+order the fleet saw.  The digest lock guards the dedup and owner maps,
+and the result caches lock themselves
+(:class:`~repro.core.cache.QueryResultCache`).  Metric increments are
 already thread-safe per family.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
 import threading
-from functools import partial
 from operator import itemgetter
-from typing import ContextManager, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,15 +56,18 @@ from repro.core.flatsnap import pack_snapshot
 from repro.core.fov import RecordColumns, RepresentativeFoV
 from repro.core.index import (Bounds, ContentMark, FoVIndex, PackedFoVIndex,
                               _checked_geometry, query_box_floats)
-from repro.core.ingest import IngestCoordinator, IngestOutcome, ServerStats
+from repro.core.ingest import (AdmissionQueue, IngestOutcome, IngestStatus,
+                               ServerStats)
 from repro.core.query import Query, QueryResult
 from repro.core.quarantine import QuarantineStore
 from repro.core.ranking import DistanceRanker
 from repro.core.retrieval import Part, _batch_execute
-from repro.core.wal import WriteAheadLog
+from repro.core.wal import ENTRY_OVERHEAD, EVICT_ENTRY_SIZE, Eviction, WriteAheadLog
+from repro.core.wal import replay as wal_replay
 from repro.geo.coords import GeoPoint
 from repro.net.channel import FaultyChannel, RetryPolicy, RetryingUploader
 from repro.net.clock import default_timer
+from repro.net.protocol import BundleColumns, decode_bundle_columns
 from repro.obs.runtime import Observability
 from repro.shard.partition import DEFAULT_CELL_M, GridPartitioner
 from repro.video.retrieval import VideoQuery, VideoQueryResult, \
@@ -89,13 +100,6 @@ class ShardUnavailableError(RuntimeError):
     def __init__(self, shard_id: int) -> None:
         super().__init__(f"shard {shard_id} is down")
         self.shard_id = shard_id
-
-
-def _refuse_while_down(lock: ContextManager[object], down: set[int]) -> None:
-    """Writes are refused while any primary is absent (fail-stop)."""
-    with lock:
-        if down:
-            raise ShardUnavailableError(min(down))
 
 
 class ShardedCloudServer:
@@ -158,21 +162,26 @@ class ShardedCloudServer:
         # Each shard index's content box as of its last ingest; the
         # router's copy outlives the primary (kill_shard).
         self._bounds: list[Bounds | None] = [None] * n_shards
-        self._ingest_lock = threading.Lock()
-        self._down: set[int] = set()
+        # Held from a write's fence check to its index change, and by a
+        # kill or install around its change to the down set.
+        self._log_order = threading.Lock()
+        # Rebound whole, never mutated, and only under _log_order.
+        self._down: frozenset[int] = frozenset()
+        # Eviction entries of the configured log already applied, by
+        # sequence number (under _log_order).
+        self._applied_evictions: set[int] = set()
         self.wal = wal
         self.stats = ServerStats(registry=self.obs.registry)
         self.quarantine = QuarantineStore(journal=self.obs.journal,
                                           registry=self.obs.registry)
-        # The write check holds the lock and the set, not the router: the
-        # coordinator keeps it, and a bound method would make a cycle.
-        self._check_fleet_up = partial(_refuse_while_down,
-                                       self._ingest_lock, self._down)
-        self._ingest = IngestCoordinator(
-            stats=self.stats, journal=self.obs.journal,
-            quarantine=self.quarantine, wal=wal,
-            admission_capacity=admission_capacity,
-            check=self._check_fleet_up)
+        self._admission = (AdmissionQueue(admission_capacity)
+                           if admission_capacity is not None else None)
+        # Content digests seen, those whose group has not landed yet,
+        # and video id -> device id (all under _digest_lock).
+        self._digest_lock = threading.Lock()
+        self._seen: set[str] = set()
+        self._pending: set[str] = set()
+        self._owners: dict[str, str] = {}
         self._cache = (
             QueryResultCache(cache_size, registry=self.obs.registry,
                              journal=self.obs.journal)
@@ -259,17 +268,27 @@ class ShardedCloudServer:
     @property
     def down_shards(self) -> frozenset[int]:
         """Shard ids currently without a serving primary."""
-        with self._ingest_lock:
-            return frozenset(self._down)
+        # Lock-free on purpose, so that it never waits for a write in
+        # flight: the set is immutable and rebound whole, so a read is
+        # one load, never torn.
+        return self._down  # fovlint: disable=RF009
+
+    def _refuse_writes_while_down(self) -> None:
+        """The write fence, to a caller holding the log-order lock:
+        every write is refused while any primary is down (a record
+        landing on a placeholder would be discarded at promotion), and
+        is checked here once, before anything is logged."""
+        if self._down:
+            raise ShardUnavailableError(min(self._down))
 
     def _serving(self, sid: int) -> FoVIndex:
         """Slot ``sid``'s index, to a caller holding the slot's lock:
         every read of a slot comes here, and is refused while it is down
         (an empty placeholder would answer silently wrong)."""
-        # Lock-free on purpose: a kill marks the slot down before it
-        # empties it under this lock, an install fills it before it
-        # clears the mark, so the set read here matches the slot.
-        if sid in self._down:  # fovlint: disable=RF009
+        # A kill marks the slot down before it empties it under this
+        # lock, an install fills it before it clears the mark, so the
+        # lock-free set read here matches the slot.
+        if sid in self.down_shards:
             raise ShardUnavailableError(sid)
         return self.shards[sid]
 
@@ -307,16 +326,17 @@ class ShardedCloudServer:
         """Every shard's full capture, and the digests of the bundles
         whose records those captures hold, read as one state.
 
-        Taken under the ingest coordinator's log-order lock, so no
-        commit group or eviction lands in between, and a bundle still
-        decoding (its digest reserved, its records not landed) is left
-        out: a redelivery of it must index it.  Raises
-        :class:`ShardUnavailableError` while any primary is down.
+        Taken under the log-order lock, so no commit group or eviction
+        lands in between, and a bundle still decoding (its digest
+        reserved, its records not landed) is left out: a redelivery of
+        it must index it.  Raises :class:`ShardUnavailableError` while
+        any primary is down.
         """
-        with self._ingest.exclusive():
+        with self._log_order:
             captures = [self.capture_shard(sid)
                         for sid in range(self.n_shards)]
-            return captures, self._ingest.landed_digests()
+            with self._digest_lock:
+                return captures, frozenset(self._seen - self._pending)
 
     def kill_shard(self, sid: int) -> None:
         """Simulate losing shard ``sid``'s primary mid-run.
@@ -336,8 +356,8 @@ class ShardedCloudServer:
         fleet refused part-way.
         """
         self._check_sid(sid)
-        with self._ingest.exclusive(), self._ingest_lock:
-            self._down.add(sid)
+        with self._log_order:
+            self._down = self._down | {sid}
         with self._locks[sid]:
             self.shards[sid] = FoVIndex()
             self._sync_shard_gauges(sid, "kill")
@@ -355,11 +375,11 @@ class ShardedCloudServer:
         :meth:`kill_shard`.
         """
         self._check_sid(sid)
-        if sid not in self.down_shards:
-            raise ValueError(f"shard {sid} is serving, not down")
-        self._place(sid, index)
-        with self._ingest_lock:
-            self._down.discard(sid)
+        with self._log_order:
+            if sid not in self._down:
+                raise ValueError(f"shard {sid} is serving, not down")
+            self._place(sid, index)
+            self._down = self._down - {sid}
         self._clear_result_caches()
 
     def _place(self, sid: int, index: FoVIndex) -> None:
@@ -416,9 +436,9 @@ class ShardedCloudServer:
 
     def _land(self, columns: RecordColumns) -> int:
         """Check one run of columns, split it across the fleet and land
-        every slice (the caller checked the fleet, under the log-order
-        lock).  The whole batch is checked before any shard indexes a
-        record."""
+        every slice (the caller passed the write fence, under the
+        log-order lock).  The whole batch is checked before any shard
+        indexes a record."""
         _checked_geometry(columns)
         return self._ingest_parts(list(self.partitioner.split(columns)))
 
@@ -428,31 +448,33 @@ class ShardedCloudServer:
         record objects, or columns such as a loaded snapshot.
 
         The whole batch is checked before any shard indexes a record.
-        Like every write, it is refused while a primary is down, and a
-        kill waits for it (the log-order lock).
+        Like every write, it passes the write fence under the log-order
+        lock, so it is refused while a primary is down and a kill waits
+        for it.
         """
         columns = RecordColumns.of(fovs)
-        with self._ingest.exclusive():
-            self._check_fleet_up()
+        with self._log_order:
+            self._refuse_writes_while_down()
             n = self._land(columns)
         self.stats._records_indexed.inc(n)
         return n
 
     def register_owner(self, video_id: str, device_id: str) -> None:
         """Name the provider device holding ``video_id``'s footage."""
-        self._ingest.register_owner(video_id, device_id)
+        with self._digest_lock:
+            self._owners[video_id] = device_id
 
     @property
     def seen_digests(self) -> frozenset[str]:
-        """Content digests of every bundle indexed so far (read-only)."""
-        return self._ingest.seen_digests
+        """Content digests of every bundle indexed (or in flight) so far."""
+        with self._digest_lock:
+            return frozenset(self._seen)
 
     def ingest_bundle(self, payload: bytes,
                       device_id: str | None = None) -> IngestOutcome:
         """Ingest one delivered bundle; never raises on bad payloads.
 
-        The at-least-once ack path, a commit group of one
-        (:class:`~repro.core.ingest.IngestCoordinator`): when
+        The at-least-once ack path, a commit group of one: when
         back-pressure is configured and saturated the payload is
         ``SHED`` untouched (retryable); a malformed or corrupt payload
         is quarantined and ``REJECTED``; a byte-identical redelivery of
@@ -466,7 +488,7 @@ class ShardedCloudServer:
         (retryable; nothing indexed, remembered or logged).
         """
         with self.obs.tracer.span("server.ingest_bundle", bytes=len(payload)):
-            return self._ingest.commit([payload], [device_id], self._land)[0]
+            return self._commit([payload], [device_id])[0]
 
     def ingest_batch(self, payloads: Sequence[bytes],
                      device_ids: Sequence[str | None] | None = None,
@@ -481,24 +503,175 @@ class ShardedCloudServer:
         back-pressure the tail beyond the free capacity is ``SHED``.
         """
         with self.obs.tracer.span("server.ingest_batch", batch=len(payloads)):
-            return self._ingest.commit(payloads, device_ids, self._land)
+            return self._commit(payloads, device_ids)
+
+    def _commit(self, payloads: Sequence[bytes],
+                device_ids: Sequence[str | None] | None, *,
+                replaying: bool = False) -> list[IngestOutcome]:
+        """Ingest one commit group: admit -> reserve digest -> decode or
+        quarantine -> WAL append and one fsync -> land -> ack.
+
+        Outcomes are positional, and (with index content, dedup state,
+        owners, quarantine) identical to committing each payload alone,
+        in order.  ``replaying`` marks WAL recovery: no back-pressure,
+        nothing re-appended to the log.
+        """
+        if device_ids is None:
+            device_ids = [None] * len(payloads)
+        if len(device_ids) != len(payloads):
+            raise ValueError("device_ids must match payloads one to one")
+        admission = None if replaying else self._admission
+        admitted = (len(payloads) if admission is None
+                    else admission.try_admit(len(payloads)))
+        try:
+            outcomes = self._commit_admitted(
+                payloads[:admitted], device_ids[:admitted], replaying)
+        finally:
+            if admission is not None:
+                admission.release(admitted)
+        for payload in payloads[admitted:]:
+            digest = hashlib.sha256(payload).hexdigest()
+            self.stats._shed.inc()
+            self.obs.journal.emit("ingest.shed", digest=digest)
+            outcomes.append(IngestOutcome(
+                status=IngestStatus.SHED, records_indexed=0, digest=digest,
+                reason="admission queue full"))
+        return outcomes
+
+    def _commit_admitted(self, payloads: Sequence[bytes],
+                         device_ids: Sequence[str | None],
+                         replaying: bool) -> list[IngestOutcome]:
+        """The admitted part of a group.  A payload's digest is
+        *reserved* before decoding, so a byte-identical redelivery --
+        earlier, concurrent, or later in the same group -- acks
+        ``DUPLICATE`` without a decode.  A ``REJECTED`` payload gives
+        its reservation back (redelivering it rejects again), and so
+        does every member of a group whose WAL write or landing raised:
+        nothing was indexed, so the retry must not be acked as a
+        duplicate.  A reserved digest stays pending until its group has
+        landed, so :meth:`capture_fleet` names exactly the bundles whose
+        records the fleet holds."""
+        stats, journal = self.stats, self.obs.journal
+        outcomes: list[IngestOutcome] = []
+        group: list[tuple[str, str | None, bytes, BundleColumns]] = []
+        reserved: list[str] = []
+        try:
+            for payload, dev in zip(payloads, device_ids):
+                digest = hashlib.sha256(payload).hexdigest()
+                with self._digest_lock:
+                    duplicate = digest in self._seen
+                    if not duplicate:
+                        self._seen.add(digest)
+                        self._pending.add(digest)
+                if duplicate:
+                    stats._duplicated.inc()
+                    journal.emit("ingest.duplicate", digest=digest)
+                    outcomes.append(IngestOutcome(
+                        status=IngestStatus.DUPLICATE, records_indexed=0,
+                        digest=digest))
+                    continue
+                reserved.append(digest)
+                try:
+                    columns = decode_bundle_columns(payload)
+                except ValueError as exc:
+                    self._release([reserved.pop()])
+                    stats._rejected.inc()
+                    self.quarantine.add(payload, str(exc))
+                    journal.emit("ingest.rejected", digest=digest,
+                                 reason=str(exc))
+                    outcomes.append(IngestOutcome(
+                        status=IngestStatus.REJECTED, records_indexed=0,
+                        digest=digest, reason=str(exc)))
+                    continue
+                group.append((digest, dev, payload, columns))
+                outcomes.append(IngestOutcome(
+                    status=IngestStatus.ACCEPTED,
+                    records_indexed=len(columns), digest=digest,
+                    video_id=columns.video_id))
+            if not group:
+                return outcomes
+            wal = None if replaying else self.wal
+            with self._log_order:
+                self._refuse_writes_while_down()
+                if wal is not None:
+                    for _, _, payload, _ in group:
+                        wal.append(payload)
+                        stats._wal_appends.inc()
+                        stats._wal_bytes.inc(len(payload) + ENTRY_OVERHEAD)
+                    wal.commit()
+                    stats._wal_syncs.inc()
+                indexed = self._land(
+                    RecordColumns.concat([c for *_, c in group]))
+                with self._digest_lock:
+                    self._pending.difference_update(reserved)
+        except BaseException:
+            self._release(reserved)
+            raise
+        stats._records_indexed.inc(indexed)
+        for digest, dev, payload, columns in group:
+            if dev is not None:
+                self.register_owner(columns.video_id, dev)
+            stats._accepted.inc()
+            stats._bytes_in.inc(len(payload))
+            if replaying:
+                stats._wal_replayed.inc()
+            journal.emit("ingest.accepted", digest=digest,
+                         video_id=columns.video_id, records=len(columns))
+        return outcomes
+
+    def _release(self, digests: list[str]) -> None:
+        """Give back the reservations of bundles that did not land."""
+        with self._digest_lock:
+            self._seen.difference_update(digests)
+            self._pending.difference_update(digests)
 
     def replay_wal(self, path: str | None = None) -> int:
         """Recover bundles from a write-ahead log after a crash.
 
         Re-offers every committed payload through the normal ingest
-        pipeline *without* re-appending to the WAL, and re-applies
-        every logged eviction at its place in the log; bundles that
-        made it into the fleet before the crash deduplicate as
-        ``DUPLICATE``, the rest are indexed now.  Replaying this
-        server's own log into it again changes nothing: the evictions
-        it already applied are skipped by sequence number, so none
-        drops records that landed after it.  Returns how many bundles
-        were recovered (newly indexed).  Back-pressure does not apply
-        to recovery.
+        pipeline *without* re-appending to the WAL -- each run of
+        bundle payloads as one commit group -- and re-applies every
+        logged eviction at its place in the log; bundles that made it
+        into the fleet before the crash deduplicate as ``DUPLICATE``,
+        the rest are indexed now.  Replaying this server's own log into
+        it again changes nothing: the evictions it already applied are
+        skipped by sequence number, so none drops records that landed
+        after it.  Returns how many bundles were recovered (newly
+        indexed).  Back-pressure does not apply to recovery.
         """
         with self.obs.tracer.span("server.ingest_batch"):
-            return self._ingest.replay_wal(path, self._land, self._evict)
+            if path is None:
+                if self.wal is None:
+                    raise ValueError("no WAL configured and no path given")
+                path = self.wal.path
+            own = (self.wal is not None
+                   and os.path.samefile(path, self.wal.path))
+            offered = recovered = 0
+            run: list[bytes] = []
+            for entry in [*wal_replay(path), None]:
+                if isinstance(entry, bytes):
+                    run.append(entry)
+                    continue
+                if run:
+                    outcomes = self._commit(run, None, replaying=True)
+                    offered += len(run)
+                    recovered += sum(1 for o in outcomes
+                                     if o.status is IngestStatus.ACCEPTED)
+                    run = []
+                if entry is not None:
+                    self._replay_eviction(entry, own)
+            self.obs.journal.emit("ingest.wal_replay", offered=offered,
+                                  recovered=recovered)
+            return recovered
+
+    def _replay_eviction(self, entry: Eviction, own: bool) -> None:
+        with self._log_order:
+            if own and entry.seq in self._applied_evictions:
+                return
+            self._refuse_writes_while_down()
+            self._evict(entry.cutoff_t)
+            if own:
+                self._applied_evictions.add(entry.seq)
 
     def make_uploader(self, channel: FaultyChannel,
                       policy: RetryPolicy | None = None) -> RetryingUploader:
@@ -507,7 +680,10 @@ class ShardedCloudServer:
         Retransmissions are counted into ``stats.bundles_retried`` so
         the operator sees the at-least-once traffic the channel cost.
         """
-        return self._ingest.make_uploader(self.ingest_bundle, channel, policy)
+        return RetryingUploader(channel, self.ingest_bundle, policy=policy,
+                                on_retry=self.stats._retried.inc,
+                                registry=self.stats.registry,
+                                journal=self.obs.journal)
 
     def evict_older_than(self, cutoff_t: float) -> int:
         """Enforce a retention window fleet-wide; returns the count.
@@ -520,7 +696,18 @@ class ShardedCloudServer:
         total.  Content bounds are left as-is: eviction only removes
         records, so the stale (wider) box stays a conservative prune.
         """
-        return self._ingest.evict(cutoff_t, self._evict)
+        wal = self.wal
+        with self._log_order:
+            self._refuse_writes_while_down()
+            if wal is None:
+                return self._evict(cutoff_t)
+            seq = wal.append_eviction(cutoff_t)
+            self.stats._wal_bytes.inc(EVICT_ENTRY_SIZE)
+            wal.commit()
+            self.stats._wal_syncs.inc()
+            evicted = self._evict(cutoff_t)
+            self._applied_evictions.add(seq)
+            return evicted
 
     def _evict(self, cutoff_t: float) -> int:
         evicted = 0

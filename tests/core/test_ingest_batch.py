@@ -5,8 +5,8 @@
 The batched path must be observationally identical to one-at-a-time
 ingest -- same content digest, same dedup decisions, same quarantine
 entries -- while amortising the epoch bump and fsync across the group.
-Both server facades run the same
-:class:`~repro.core.ingest.IngestCoordinator`, so every fleet-bound
+Every server runs the fleet's one commit-group path
+(:class:`~repro.shard.server.ShardedCloudServer`), so every fleet-bound
 class below runs against ``CloudServer`` and is re-bound, by the
 subclasses at the bottom, to a one-shard and a three-shard
 ``ShardedCloudServer``.  (Subclasses rather than a parametrised
@@ -269,9 +269,10 @@ class TestWalDurability:
             assert server.indexed_count == 12
 
     def test_deleting_the_server_frees_its_indexes(self, tmp_path, make):
-        # The coordinator keeps no bound method of its facade, so no
-        # reference cycle outlives the server: refcounting alone frees
-        # every index once the last reference goes.
+        # The fleet commits its own writes: no second object holds a
+        # bound method of it, so no reference cycle outlives the
+        # server, and refcounting alone frees every index once the last
+        # reference goes.
         gc.disable()
         try:
             with WriteAheadLog(tmp_path / "ingest.wal") as wal:

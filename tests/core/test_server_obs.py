@@ -258,23 +258,36 @@ def _fleet(n_shards):
     return build
 
 
-#: Every serving shape, each holding the same records.
+def _linear(camera, reps, obs):
+    server = CloudServer(camera, backend="linear", cache_size=0, obs=obs)
+    server.ingest(reps)
+    return server
+
+
+#: Every serving shape, each holding the same records, and the linear
+#: baseline: the reference the ledger checks answers against, not a
+#: serving shape.
 SHAPES = {
     "cloud-server": lambda camera, reps, obs: CloudServer(
         camera, index=FoVIndex.bulk(reps), cache_size=0, obs=obs),
     "one-shard-fleet": _fleet(1),
     "three-shard-fleet": _fleet(3),
+    "linear-baseline": _linear,
 }
 
 STAGES = ["query.tree_descent", "query.projection",
           "query.orientation_filter", "query.rank"]
+PACKED = ["packed.descents", "packed.entries_matched",
+          "packed.entries_tested", "packed.frontier_width_peak"]
 
 
 @pytest.mark.parametrize("batch", [1, 8])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_every_shape_counts_and_traces_a_read_alike(camera, shape, batch):
     """One read call is one counted funnel pass, traced as the same four
-    stages under the server span, whatever the fleet's size."""
+    stages under the server span, whatever the fleet's size.  The
+    linear baseline, answered by the oracle, is the exception: no stage
+    span, no ``packed.*`` pass."""
     reps = random_representative_fovs(2000, np.random.default_rng(5),
                                       extent_m=400.0)
     obs = Observability.tracing(clock=FakeClock())
@@ -289,13 +302,17 @@ def test_every_shape_counts_and_traces_a_read_alike(camera, shape, batch):
         else:
             results = server.query_many(queries)
         candidates += sum(r.candidates for r in results)
+        root = obs.span_tracer.last_trace()
+        assert root.name == ("server.query" if batch == 1
+                             else "server.query_many")
+        if shape == "linear-baseline":
+            assert candidates > 0 and root.children == []
+            assert [reg.get(name).value for name in PACKED] == [0] * 4
+            continue
         assert reg.get("packed.descents").value == call
         matched = reg.get("packed.entries_matched").value
         assert matched == candidates > 0
         assert reg.get("packed.entries_tested").value >= matched
-        root = obs.span_tracer.last_trace()
-        assert root.name == ("server.query" if batch == 1
-                             else "server.query_many")
         assert [c.name for c in root.children] == STAGES
     if shape == "three-shard-fleet":        # the reads spanned shards
         assert server._fanout.sum > server._fanout.count

@@ -32,7 +32,6 @@ import pytest
 from repro.core.cache import QueryResultCache
 from repro.core.camera import CameraModel
 from repro.core.flatsnap import unpack_snapshot
-from repro.core.ingest import IngestCoordinator
 from repro.core.quarantine import QuarantineStore
 from repro.core.query import Query
 from repro.core.server import ServerStats
@@ -43,7 +42,6 @@ from repro.obs.runtime import Observability
 from repro.shard import (ReplicaSegment, ReplicaSet, ShardedCloudServer,
                          ShardUnavailableError, load_sharded_snapshot,
                          save_sharded_snapshot)
-from repro.shard import server as server_module
 
 from tests.shard.test_sharded_server import make_records as city_records
 
@@ -354,8 +352,8 @@ def test_ingest_stats_and_quarantine_exist_once_per_fleet(monkeypatch):
     instrument bundle and caches; a shard builds none of them, neither
     at start-up nor when a kill and a promotion replace one."""
     built: Counter[str] = Counter()
-    for cls in (IngestCoordinator, ServerStats, QuarantineStore,
-                Observability, QueryResultCache):
+    for cls in (ServerStats, QuarantineStore, Observability,
+                QueryResultCache):
         def counting(self, *args, _init=cls.__init__, _name=cls.__name__,
                      **kwargs):
             built[_name] += 1
@@ -363,9 +361,8 @@ def test_ingest_stats_and_quarantine_exist_once_per_fleet(monkeypatch):
         monkeypatch.setattr(cls, "__init__", counting)
 
     srv = ShardedCloudServer(CAMERA, n_shards=4, origin=ORIGIN, seed=1)
-    assert built == {"IngestCoordinator": 1, "ServerStats": 1,
-                     "QuarantineStore": 1, "Observability": 1,
-                     "QueryResultCache": 2}
+    assert built == {"ServerStats": 1, "QuarantineStore": 1,
+                     "Observability": 1, "QueryResultCache": 2}
     srv.ingest(make_records(40, seed=45))
     replicas = ReplicaSet(srv)
     replicas.sync()
@@ -494,22 +491,44 @@ def test_a_kill_mid_sync_keeps_the_standby(monkeypatch):
     assert srv.shards[0].content_digest() == digest
 
 
-def test_a_kill_waits_for_the_direct_ingest_in_flight(monkeypatch):
-    """``ingest`` checks the fleet and lands under the log-order lock,
-    like every write: a kill waits for it, so no acknowledged row lands
-    in the killed slot's placeholder."""
+#: Each write, as ``(the fleet method its fenced section calls, the
+#: write)``; the write returns the rows it landed or evicted.
+WRITES = {
+    "ingest": ("_land", lambda srv, later: srv.ingest(later)),
+    "ingest_bundle": ("_land", lambda srv, later: srv.ingest_bundle(
+        encode_bundle("late", later)).records_indexed),
+    "ingest_batch": ("_land", lambda srv, later: sum(
+        o.records_indexed for o in srv.ingest_batch(
+            [encode_bundle("late-a", later[:150]),
+             encode_bundle("late-b", later[150:])]))),
+    "evict_older_than": ("_evict",
+                         lambda srv, later: srv.evict_older_than(1800.0)),
+}
+
+
+@pytest.mark.parametrize("write", sorted(WRITES))
+def test_a_kill_waits_for_the_write_in_flight(monkeypatch, write):
+    """Every write passes the fence and changes the fleet under the
+    log-order lock, a commit group and an eviction without a WAL
+    included: a kill waits for the write held inside that section, so
+    no acknowledged row lands in, and no eviction skips, the killed
+    slot's placeholder."""
     srv, later = city_fleet()
-    check = server_module._checked_geometry
+    fenced, run = WRITES[write]
+    want = (300 if fenced == "_land"
+            else sum(r.t_end < 1800.0 for r in srv.records()))
+    assert want > 0
+    inner = getattr(srv, fenced)
     entered, release = threading.Event(), threading.Event()
 
-    def held_check(columns):
+    def held(arg):
         entered.set()
         release.wait(10)
-        return check(columns)
+        return inner(arg)
 
-    monkeypatch.setattr(server_module, "_checked_geometry", held_check)
+    monkeypatch.setattr(srv, fenced, held)
     landed = []
-    writer = threading.Thread(target=lambda: landed.append(srv.ingest(later)))
+    writer = threading.Thread(target=lambda: landed.append(run(srv, later)))
     killer = threading.Thread(target=srv.kill_shard, args=(0,))
     writer.start()
     try:
@@ -523,7 +542,7 @@ def test_a_kill_waits_for_the_direct_ingest_in_flight(monkeypatch):
         if killer.ident is not None:
             killer.join(10)
     assert not writer.is_alive() and not killer.is_alive()
-    assert landed == [300]
+    assert landed == [want]
     assert srv.down_shards == {0}
     assert len(srv.shards[0]) == 0
 

@@ -8,7 +8,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import ingest as ingest_module
 from repro.core.camera import CameraModel
 from repro.core.fov import RepresentativeFoV
 from repro.core.ingest import IngestStatus
@@ -18,6 +17,7 @@ from repro.geo.coords import GeoPoint
 from repro.geo.earth import LocalProjection
 from repro.shard import (ShardedCloudServer, load_sharded_snapshot,
                          save_sharded_snapshot)
+from repro.shard import server as server_module
 from repro.shard.persist import MANIFEST_NAME
 
 from tests.core.test_flatsnap import restamp
@@ -323,7 +323,7 @@ class TestExactlyOnce:
         early, late = bundles(seeded_records(10, seed=62), per=5)
         server.ingest_bundle(early)
         decoding, release = threading.Event(), threading.Event()
-        decode = ingest_module.decode_bundle_columns
+        decode = server_module.decode_bundle_columns
 
         def blocking_decode(payload):
             if payload == late:
@@ -331,7 +331,7 @@ class TestExactlyOnce:
                 assert release.wait(10)
             return decode(payload)
 
-        monkeypatch.setattr(ingest_module, "decode_bundle_columns",
+        monkeypatch.setattr(server_module, "decode_bundle_columns",
                             blocking_decode)
         outcomes = []
         writer = threading.Thread(

@@ -1,13 +1,16 @@
 """The A/B verdict of ``tools/perf_ab.py`` on canned run records.
 
-No subprocess runs here: ``compare`` and ``parse_run`` are pure
-functions of what ``benchmarks/perf/run.py`` prints.
+No ledger run happens here: ``compare`` and ``parse_run`` are pure
+functions of what ``benchmarks/perf/run.py`` prints, and the export
+cases run only git.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -164,6 +167,55 @@ def test_both_sides_run_from_fresh_exports(monkeypatch):
     assert len(seen["parent"]) == len(seen["change"]) == 2
     assert seen["parent"][0] != seen["change"][0]
     assert not seen["change"][0].exists()        # the exports are removed
+
+
+def tree_of(root: Path) -> dict[str, tuple[bytes, int]]:
+    """Every file under ``root``: its bytes and its mode bits."""
+    return {path.relative_to(root).as_posix():
+            (path.read_bytes(), path.stat().st_mode & 0o777)
+            for path in root.rglob("*") if path.is_file()}
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_the_working_tree_exports_like_a_commit(tmp_path):
+    """Both sides are written by one ``git archive``: at a clean tree
+    the working tree's export is the commit's, byte for byte and mode
+    for mode; an untracked file is exported, a deleted or ignored one
+    is not, and the repository's own index is left as it was."""
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / "pkg" / "mod.py").write_text("X = 1\n")
+    (repo / "run.sh").write_text("#!/bin/sh\n")
+    (repo / "run.sh").chmod(0o755)
+    (repo / "gone.txt").write_text("deleted later\n")
+    (repo / ".gitignore").write_text("*.log\n")
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", "-C", str(repo), "-c", "user.name=t",
+             "-c", "user.email=t@example.com", *args],
+            check=True, capture_output=True, text=True).stdout
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    committed, worktree = tmp_path / "committed", tmp_path / "worktree"
+    perf_ab.export("HEAD", committed, repo)
+    perf_ab.export(perf_ab.worktree_tree(repo), worktree, repo)
+    assert tree_of(worktree) == tree_of(committed)
+    assert tree_of(committed)["run.sh"][1] == 0o755
+
+    (repo / "new.py").write_text("Y = 2\n")
+    (repo / "noise.log").write_text("ignored\n")
+    (repo / "gone.txt").unlink()
+    status = git("status", "--porcelain")
+    changed = tmp_path / "changed"
+    perf_ab.export(perf_ab.worktree_tree(repo), changed, repo)
+    names = set(tree_of(changed))
+    assert "new.py" in names
+    assert "gone.txt" not in names and "noise.log" not in names
+    assert names == set(tree_of(committed)) - {"gone.txt"} | {"new.py"}
+    assert git("status", "--porcelain") == status
 
 
 def scaled(runs: list[dict], name: str, factor: float) -> list[dict]:

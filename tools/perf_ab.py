@@ -6,10 +6,12 @@ Usage::
 
     python3 tools/perf_ab.py --parent REF --workload W --pairs N [--seed S]
 
-Both sides run from fresh exports in temporary directories: the parent
-with ``git archive``, the working tree as its tracked files plus the
-untracked ones git does not ignore.  Neither side starts with a bytecode
-cache or a ``.git``, either of which moves ``peak_rss_mb``.  Each pair
+Both sides run from fresh ``git archive`` exports in temporary
+directories, written the same way: the parent's tree, and the working
+tree's -- its tracked files plus the untracked ones git does not
+ignore, written as a tree object through a throwaway index.  Neither
+side starts with a bytecode cache or a ``.git``, either of which moves
+``peak_rss_mb``.  Each pair
 runs the ledger's own command (``BENCHMARK.json``: ``python3
 benchmarks/perf/run.py --workload W --seed S --seconds <run_seconds>``)
 once in each checkout, alternating which side goes first, and reads the
@@ -45,7 +47,6 @@ import argparse
 import io
 import json
 import os
-import shutil
 import statistics
 import subprocess
 import sys
@@ -149,25 +150,31 @@ def markdown(rows: list[dict], parent: list[dict],
     return "\n".join(lines)
 
 
-def export(ref: str, into: Path) -> None:
+def export(ref: str, into: Path, repo: Path = REPO) -> None:
     """Write the tree of ``ref`` into ``into`` with ``git archive``."""
-    tar = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar",
+    tar = subprocess.run(["git", "-C", str(repo), "archive", "--format=tar",
                           ref], check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(into, filter="data")
 
 
-def export_worktree(into: Path) -> None:
-    """Copy the working tree's tracked files, and the untracked ones git
-    does not ignore, into ``into``; a tracked file deleted from the tree
-    is left out."""
-    names = subprocess.run(
-        ["git", "-C", str(REPO), "ls-files", "-z", "--cached", "--others",
-         "--exclude-standard"], check=True, capture_output=True).stdout
-    for name in map(os.fsdecode, filter(None, names.split(b"\0"))):
-        if (REPO / name).is_file():
-            (into / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(REPO / name, into / name)
+def worktree_tree(repo: Path = REPO) -> str:
+    """The working tree as a git tree object, for :func:`export`: the
+    tracked files as they are on disk plus the untracked ones git does
+    not ignore; a tracked file deleted from the tree is left out.  It
+    is staged in a throwaway index, so the repository's own index is
+    left as it was."""
+    with tempfile.TemporaryDirectory(prefix="perf_ab-index-") as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=str(Path(tmp, "index")))
+
+        def git(*args: str) -> str:
+            return subprocess.run(["git", "-C", str(repo), *args], env=env,
+                                  check=True, capture_output=True,
+                                  text=True).stdout.strip()
+
+        git("read-tree", "HEAD")
+        git("add", "-A")
+        return git("write-tree")
 
 
 def run_once(checkout: Path, command: list[str]) -> dict:
@@ -202,7 +209,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="perf_ab-") as tmp:
         old, new = Path(tmp, "parent"), Path(tmp, "change")
         export(args.parent, old)
-        export_worktree(new)
+        export(worktree_tree(), new)
         for pair in range(args.pairs):
             sides = [(old, parent), (new, change)]
             for checkout, runs in sides[::1 if pair % 2 == 0 else -1]:
