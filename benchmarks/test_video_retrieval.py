@@ -34,7 +34,8 @@ from repro.obs import Observability
 from repro.shard import ShardedCloudServer
 from repro.traces.dataset import random_video_trajectories
 from repro.traces.scenarios import CITY_ORIGIN
-from repro.video import VideoQuery, discover_pois, retrieve_videos
+from repro.video import VideoQuery, retrieve_videos
+from repro.video.poi import discover_pois
 
 N_VIDEOS = 6_250
 SEGMENTS_PER_VIDEO = 8

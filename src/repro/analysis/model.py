@@ -22,8 +22,8 @@ justification rather than widening the model until the bug class
 escapes with it.
 
 **The fixpoint walker.**  Private helpers are routinely called with the
-caller's lock already held (``_sync_shard_gauges`` under ``_locks[i]`` in
-the sharded router).  :func:`solve_guaranteed_locks` propagates that
+caller's lock already held (``_publish`` under ``_log_order`` in the
+sharded router).  :func:`solve_guaranteed_locks` propagates that
 context over the intra-class call graph: a private method's
 *guaranteed* lock set is the intersection, over every intra-class call
 site, of the locks held at that site plus the caller's own guarantee.
@@ -33,8 +33,8 @@ class's lock names, intersection only shrinks), so iterating to
 fixpoint terminates; the same walk also yields the transitive
 lock-acquisition edges RF010 checks for cycles.
 
-Indexed lock families (``self._locks[i]`` over a list of per-shard
-locks) are canonicalised to ``"_locks[*]"``: one name per family.  For
+Indexed lock families (``self._stripes[i]`` over a list of lock
+stripes) are canonicalised to ``"_stripes[*]"``: one name per family.  For
 discipline (RF009) that is exact -- the family guards the family's
 data.  For ordering (RF010) it is conservative: nesting two members of
 one family is flagged as a cycle unless an explicit total order is
@@ -190,9 +190,9 @@ class MethodModel:
     #: Filled by the fixpoint: locks every intra-class caller guarantees.
     guaranteed_locks: frozenset[str] = frozenset()
 
-    def locks_at(self, site_locks: frozenset[str]) -> frozenset[str]:
+    def locks_at(self, held: frozenset[str]) -> frozenset[str]:
         """Locks effectively held at a point: lexical plus guaranteed."""
-        return site_locks | self.guaranteed_locks
+        return held | self.guaranteed_locks
 
 
 @dataclass
@@ -261,7 +261,7 @@ def _attr_chain(expr: ast.expr) -> tuple[str, ...]:
 def canonical_lock_name(expr: ast.expr) -> str | None:
     """Canonical name of a ``self``-owned lock expression, or None.
 
-    ``self._lock`` -> ``"_lock"``; ``self._locks[i]`` -> ``"_locks[*]"``
+    ``self._lock`` -> ``"_lock"``; ``self._stripes[i]`` -> ``"_stripes[*]"``
     (one name per indexed family).  Anything not rooted at ``self`` is
     out of the model.
     """
@@ -311,7 +311,7 @@ class _BodyWalker:
     def __init__(self, method: MethodModel, lock_attrs: set[str],
                  epoch_attrs: set[str]) -> None:
         self._m = method
-        self._locks = lock_attrs
+        self._lock_attrs = lock_attrs
         self._epochs = epoch_attrs
         self._held: list[str] = []
         self._loop_depth = 0
@@ -389,7 +389,7 @@ class _BodyWalker:
             self._expr(item.context_expr, top_ctx="with")
             lock = canonical_lock_name(item.context_expr)
             base = lock.split("[", 1)[0] if lock else None
-            if lock is not None and base in self._locks:
+            if lock is not None and base in self._lock_attrs:
                 self._m.acquires.append(AcquireSite(
                     lock=lock, line=item.context_expr.lineno,
                     col=item.context_expr.col_offset,
@@ -602,7 +602,7 @@ def solve_guaranteed_locks(cls: ClassModel) -> None:
     guarantee: the model cannot see its callers (it may be a callback),
     so it assumes none.
     """
-    all_locks = frozenset(
+    acquired = frozenset(
         a.lock for m in cls.methods.values() for a in m.acquires)
     callers: dict[str, list[tuple[MethodModel, CallSite]]] = {}
     for method in cls.methods.values():
@@ -613,7 +613,7 @@ def solve_guaranteed_locks(cls: ClassModel) -> None:
     guarantee: dict[str, frozenset[str]] = {}
     for name, method in cls.methods.items():
         if method.is_private and callers.get(name):
-            guarantee[name] = all_locks
+            guarantee[name] = acquired
         else:
             guarantee[name] = frozenset()
 

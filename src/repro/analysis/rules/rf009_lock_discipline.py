@@ -35,11 +35,11 @@ from repro.analysis.model import ClassModel
 __all__ = ["RF009LockDiscipline"]
 
 
-def _fmt_locks(locks: frozenset[str]) -> str:
+def _fmt_guard(locks: frozenset[str]) -> str:
     return " / ".join(f"'self.{name}'" for name in sorted(locks))
 
 
-def _guard_locks(cls: ClassModel, attr: str) -> frozenset[str]:
+def _guard_set(cls: ClassModel, attr: str) -> frozenset[str]:
     """Locks ever held at a write/mutate of ``attr`` outside ``__init__``."""
     guard: set[str] = set()
     for method, access in cls.accesses_of(attr):
@@ -67,7 +67,7 @@ class RF009LockDiscipline:
             for attr in sorted(cls.attr_names()):
                 if attr in cls.lock_attrs or attr in cls.epoch_attrs:
                     continue
-                guard = _guard_locks(cls, attr)
+                guard = _guard_set(cls, attr)
                 if not guard:
                     continue
                 # A mutator call records both the mutation and the
@@ -98,6 +98,6 @@ class RF009LockDiscipline:
                         line=access.line,
                         col=access.col,
                         message=(f"'{cls.name}.{attr}' is written under "
-                                 f"{_fmt_locks(guard)} but {what}"),
+                                 f"{_fmt_guard(guard)} but {what}"),
                     ))
         return out

@@ -1,10 +1,9 @@
 """RF010: lock acquisitions must follow one global order per class.
 
-The sharded router holds two kinds of lock (plain ones such as
-``_log_order`` and the per-shard ``_locks[i]`` family); the
-scatter-gather path touches several shards per query.  Two threads
-acquiring the same pair of locks in opposite orders deadlock --
-silently, under load, never in a unit test.  This rule derives the
+A class may hold plain locks (the sharded router's ``_log_order`` and
+``_digest_lock``) and indexed families of them (a list of lock
+stripes).  Two threads acquiring the same pair of locks in opposite
+orders deadlock -- silently, under load, never in a unit test.  This rule derives the
 class's **lock-acquisition graph** and flags the shapes that can
 deadlock:
 
@@ -16,10 +15,10 @@ deadlock:
   while ``_lock`` (a plain ``Lock``) is already held, including via a
   helper whose callers all hold it (the fixpoint's guarantee).  That is
   a single-thread self-deadlock.  Re-acquiring an ``RLock`` is fine.
-* **intra-family nesting** -- acquiring ``self._locks[i]`` while
-  holding ``self._locks[j]``.  The model collapses an indexed family
-  to one name (``_locks[*]``), so it cannot prove ``i != j`` or that a
-  total order (e.g. ascending shard id) is respected; nesting within a
+* **intra-family nesting** -- acquiring ``self._stripes[i]`` while
+  holding ``self._stripes[j]``.  The model collapses an indexed family
+  to one name (``_stripes[*]``), so it cannot prove ``i != j`` or that
+  a total order (e.g. ascending index) is respected; nesting within a
   family is flagged and, where the order is real and documented, the
   site carries a suppression saying so.
 

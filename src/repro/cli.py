@@ -289,7 +289,8 @@ def _cmd_query(args) -> int:
 def _cmd_video_query(args) -> int:
     """Rank stored videos against one stored video's trajectory."""
     from repro.obs import Observability, format_span_tree
-    from repro.video import VideoQuery, discover_pois
+    from repro.video import VideoQuery
+    from repro.video.poi import discover_pois
 
     index, records = _read_fovpack(args.snapshot)
     segs = sorted((r for r in records if r.video_id == args.video_id),

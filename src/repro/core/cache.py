@@ -1,17 +1,13 @@
-"""Epoch-tagged LRU cache for query results.
+"""Tagged LRU cache for query results.
 
 Crowd-sourced query traffic is heavily repetitive -- an incident draws
 many inquirers to the same spot and time window -- while the index
 mutates in bursts (upload bundles, retention eviction).  The cache
-therefore tags every entry with the index *epoch* at answer time: a
-monotonic counter the index bumps on every insert, delete or eviction.
-A lookup whose stored epoch no longer matches the index's current epoch
-is treated as a miss and dropped, so invalidation is O(1) bookkeeping
-on the write path instead of a scan of cached keys.
-
-Capacity is bounded with least-recently-used eviction (an
-``OrderedDict`` in move-to-end discipline), keeping the memory ceiling
-independent of traffic volume.
+therefore tags every entry with the state it was answered from (the
+fleet's publication sequence number, which every write advances), and
+drops an entry whose tag no longer matches on sight, so invalidation
+is O(1) bookkeeping on the write path instead of a scan of cached keys.
+Capacity is bounded with least-recently-used eviction.
 """
 
 from __future__ import annotations
@@ -38,19 +34,13 @@ def query_cache_key(query: Query) -> tuple[float, float, float, float, float, in
 
 
 class QueryResultCache:
-    """Bounded LRU mapping ``key -> (epoch, value)``.
+    """Bounded LRU mapping ``key -> (tag, value)``.
 
-    ``get`` returns the cached value only when the caller's current
-    epoch matches the epoch the value was computed under; a stale entry
-    is evicted on sight.  The cache never recomputes -- it only stores
-    what the owner puts in -- so a hit is exactly the object a cold
-    miss would have produced under the same epoch.
-
-    The epoch tag is any hashable token compared by equality: a single
-    server passes its index's integer epoch, the geo-sharded tier
-    passes the *tuple* of per-shard epochs (the epoch vector), so one
-    shard mutating invalidates exactly the entries computed over it
-    (docs/SHARDING.md).
+    ``get`` returns the cached value only when the caller's current tag
+    -- any hashable token, compared by equality -- matches the tag the
+    value was computed under; a stale entry is evicted on sight.  The
+    cache never recomputes -- it only stores what the owner puts in --
+    so a hit is exactly the object a cold miss would have produced.
 
     The cache owns its traffic accounting: ``cache.hits`` /
     ``cache.misses`` / ``cache.stale_drops`` / ``cache.evictions``
@@ -83,7 +73,7 @@ class QueryResultCache:
             "Query-cache lookups that fell through (incl. stale drops)")
         self._stale = reg.counter(
             "cache.stale_drops",
-            "Cache entries dropped on sight for an epoch mismatch")
+            "Cache entries dropped on sight for a tag mismatch")
         self._evictions = reg.counter(
             "cache.evictions", "Cache entries evicted by LRU overflow")
 
@@ -107,7 +97,7 @@ class QueryResultCache:
 
     @property
     def stale_drops(self) -> int:
-        """Entries dropped on sight for an epoch mismatch (lifetime)."""
+        """Entries dropped on sight for a tag mismatch (lifetime)."""
         return int(self._stale.value)
 
     @property
@@ -115,11 +105,11 @@ class QueryResultCache:
         """Entries evicted by LRU capacity pressure (lifetime)."""
         return int(self._evictions.value)
 
-    def get(self, key: Hashable, epoch: Hashable) -> Any | None:
-        """The cached value, or None on a miss or an epoch mismatch."""
+    def get(self, key: Hashable, tag: Hashable) -> Any | None:
+        """The cached value, or None on a miss or a tag mismatch."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and entry[0] == epoch:
+            if entry is not None and entry[0] == tag:
                 self._entries.move_to_end(key)
                 self._hits.inc()
                 return entry[1]
@@ -129,10 +119,10 @@ class QueryResultCache:
             self._misses.inc()
             return None
 
-    def put(self, key: Hashable, epoch: Hashable, value: Any) -> None:
-        """Store a value computed under ``epoch``; evicts LRU overflow."""
+    def put(self, key: Hashable, tag: Hashable, value: Any) -> None:
+        """Store a value computed under ``tag``; evicts LRU overflow."""
         with self._lock:
-            self._entries[key] = (epoch, value)
+            self._entries[key] = (tag, value)
             self._entries.move_to_end(key)
             while len(self._entries) > self._capacity:
                 self._entries.popitem(last=False)
@@ -148,32 +138,26 @@ class QueryResultCache:
 
 
 def read_through(cache: QueryResultCache | None, keys: Sequence[Hashable],
-                 epoch: Callable[[], Hashable],
+                 tag: Hashable,
                  compute: Callable[[list[int]], Sequence[Any]],
                  hits: Counter, misses: Counter) -> list[Any]:
     """One value per key: cached where possible, computed otherwise.
 
     ``compute(missed)`` gets the positions in ``keys`` that fell
-    through and returns one value per position.  ``epoch()`` -- one
-    index epoch, or the router's epoch vector -- is read before the
-    lookups and again after ``compute``: results are always *served*
-    but cached only when the two reads agree, so an answer that raced
-    a mutation is never stored under a tag it was not computed from.
+    through and returns one value per position, computed from the one
+    state that ``tag`` names -- the router passes its publication's
+    sequence number -- so every computed value is stored under ``tag``.
     ``hits`` / ``misses`` are the owner's tallies; without a cache
     every key is computed and neither is touched.
     """
     if cache is None:
         return list(compute(list(range(len(keys)))))
-    pre = epoch()
-    results = [cache.get(key, pre) for key in keys]
+    results = [cache.get(key, tag) for key in keys]
     missed = [i for i, cached in enumerate(results) if cached is None]
     hits.inc(len(keys) - len(missed))
     misses.inc(len(missed))
     if missed:
-        computed = compute(missed)
-        cacheable = epoch() == pre
-        for i, value in zip(missed, computed):
+        for i, value in zip(missed, compute(missed)):
             results[i] = value
-            if cacheable:
-                cache.put(keys[i], pre, value)
+            cache.put(keys[i], tag, value)
     return results

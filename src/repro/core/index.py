@@ -40,8 +40,9 @@ from repro.spatial.linear import LinearScanIndex
 if TYPE_CHECKING:
     from repro.spatial.rtree import RTree, RTreeConfig
 
-__all__ = ["Bounds", "ContentMark", "FoVIndex", "PackedFoVIndex",
-           "fov_box", "must_fold", "query_box", "query_box_floats"]
+__all__ = ["Bounds", "ContentMark", "FoVIndex", "IndexState",
+           "PackedFoVIndex", "fov_box", "must_fold", "query_box",
+           "query_box_floats"]
 
 
 def fov_box(fov: RepresentativeFoV) -> tuple[np.ndarray, np.ndarray]:
@@ -365,6 +366,41 @@ def must_fold(base: ContentMark, mark: ContentMark) -> bool:
             or mark.count - base.count >= base.count)
 
 
+class IndexState(NamedTuple):
+    """A :class:`FoVIndex`'s content at one moment, readable without a
+    lock (:meth:`FoVIndex.frozen`): ``rows``, the memoised slices of
+    the column store's rows ``[:count]``, which are never rewritten,
+    ``geom``, the store's geometry buffer, and the ``mark`` and
+    ``epoch`` of that moment.  The linear baseline keeps no columns:
+    its ``mark``, ``rows`` and ``geom`` are ``None``."""
+
+    index: FoVIndex
+    epoch: int
+    count: int
+    mark: ContentMark | None
+    rows: _MemoRows | None
+    geom: np.ndarray | None
+
+    @overload
+    def columns(self, since: None = None) -> RecordColumns: ...
+
+    @overload
+    def columns(self, since: ContentMark) -> RecordColumns | None: ...
+
+    def columns(self, since: ContentMark | None = None
+                ) -> RecordColumns | None:
+        """:meth:`FoVIndex.record_columns` of this state."""
+        if self.rows is None or self.mark is None:
+            raise TypeError("record_columns() requires the rtree backend")
+        start = 0
+        if since is not None:
+            if since.token is not self.mark.token:
+                return None
+            start = since.count
+        return RecordColumns(**self.rows._picked(slice(start, None)),
+                             epoch=self.epoch)
+
+
 class _ServingBase(NamedTuple):
     """The full rebuild that :meth:`FoVIndex.packed_view` extends."""
 
@@ -441,35 +477,56 @@ class FoVIndex:
             raise TypeError(f"{caller} requires the rtree backend")
         return self._store
 
-    def packed_view(self) -> PackedFoVIndex:
-        """The current columnar snapshot, a new frozen view per epoch.
+    def frozen(self) -> IndexState:
+        """The current content as an :class:`IndexState`, in O(1)."""
+        store = self._store
+        if not isinstance(store, _ColumnStore):
+            return IndexState(self, self._epoch, len(store), None, None,
+                              None)
+        return IndexState(self, self._epoch, len(store), self.mark,
+                          store.served(self._epoch), store._geom)
+
+    def packed_view(self, state: IndexState | None = None
+                    ) -> PackedFoVIndex:
+        """The columnar snapshot of ``state`` (by default the current
+        one), a new frozen view per epoch.
 
         Requires the R-tree backend (the linear baseline keeps no
-        columns).  Successive calls between mutations return the same
+        columns).  Successive calls for one epoch return the same
         object, so a query burst pays for it once.  The view shares the
-        column store's arrays; what it derives depends on what changed
+        state's column slices; what it derives depends on what changed
         since the last full rebuild, its *base*:
 
         * only appends, fewer rows than the base holds
           (:func:`must_fold`): the base's grid plus a ``tail`` over the
           rows since, whose own grid is built in O(rows since the
           base) -- no column of the base is copied;
-        * a removal, or a tail grown to the base's size: the cell grid
-          over every row, which becomes the new base.
+        * a removal, a tail grown to the base's size, or a base newer
+          than ``state``: the cell grid over every row, which becomes
+          the new base.
+
+        A lock-free reader passes the state it took, while writers move
+        the index on.  Readers may write the memo (the last view and
+        base) concurrently: each use checks it against the state's epoch
+        and mark, so a memo is used only when it describes the rows.
         """
-        store = self._columns("packed_view()")
+        if state is None:
+            state = self.frozen()
+        if state.rows is None or state.mark is None:
+            raise TypeError("packed_view() requires the rtree backend")
         view = self._packed
-        if view is not None and view.epoch == self._epoch:
+        if view is not None and view.epoch == state.epoch:
             return view
-        mark, base = self.mark, self._base
-        rows, geom = store.served(self._epoch), store._geom
-        if base is None or must_fold(base.mark, mark):
-            view = PackedFoVIndex(rows, geom=geom)
+        mark, base = state.mark, self._base
+        if (base is None or base.mark.count > mark.count
+                or must_fold(base.mark, mark)):
+            view = PackedFoVIndex(state.rows, geom=state.geom)
             self._base = _ServingBase(mark, view.grid)
         else:
-            view = PackedFoVIndex(
-                rows, grid=base.grid, geom=geom,
-                tail=PackedFoVIndex(store.rows(base.mark.count, self._epoch)))
+            tail = state.columns(base.mark)     # same token: never None
+            assert tail is not None
+            view = PackedFoVIndex(state.rows, grid=base.grid,
+                                  geom=state.geom, tail=PackedFoVIndex(tail))
         self._packed = view
         return view
 
@@ -495,13 +552,7 @@ class FoVIndex:
         store -- no grid, no record object -- and
         ``epoch`` is the current one.
         """
-        store = self._columns("record_columns()")
-        start = 0
-        if since is not None:
-            if since.token is not store.token:
-                return None
-            start = since.count
-        return store.rows(start, self._epoch)
+        return self.frozen().columns(since)
 
     def rtree(self) -> RTree:
         """The Section V-A R-tree over the current records.

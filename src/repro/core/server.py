@@ -9,10 +9,10 @@ every instrument around a read -- the ``server.query`` span, its four
 stage spans and the ``packed.*`` counters.  This class adds what a
 single server has and a fleet does not -- the provider registry and
 segment fetches -- and replaces one step of the read path: slot 0's
-packed view is answered by one
-:func:`~repro.core.retrieval._view_pass`, whose batched grid pass one
-index affords, or, on the linear-scan baseline, which holds no columns
-to pack, by :func:`repro.core.oracle.answer`.
+published state is answered by one
+:func:`~repro.core.retrieval._view_pass` over its packed view, whose
+batched grid pass one index affords, or, on the linear-scan baseline,
+which holds no columns to pack, by :func:`repro.core.oracle.answer`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.core.wal import WriteAheadLog
 from repro.geo.coords import GeoPoint
 from repro.net.traffic import TrafficModel
 from repro.obs.runtime import Observability
-from repro.shard.server import ShardedCloudServer
+from repro.shard.server import Publication, ShardedCloudServer
 
 __all__ = ["CloudServer", "IngestOutcome", "IngestStatus", "ServerStats"]
 
@@ -54,10 +54,8 @@ class CloudServer(ShardedCloudServer):
         column store, ``"dynamic"`` for the linear baseline, anything
         else raises ``ValueError``.
     cache_size : int
-        Capacity of the epoch-tagged LRU query-result cache; ``0``
-        disables caching.  Entries are invalidated automatically
-        whenever the index mutates (insert, delete, eviction) via the
-        index epoch, so a hit always equals the cold recomputation.
+        Capacity of the LRU query-result cache (``0`` disables); every
+        write invalidates it, so a hit equals the cold recomputation.
     index : FoVIndex, optional
         Use an existing index (``FoVIndex.bulk`` over a loaded
         ``.fovpack``'s records, or one built with an ``rtree_config``)
@@ -115,24 +113,41 @@ class CloudServer(ShardedCloudServer):
     @property
     def index(self) -> FoVIndex:
         """The index serving slot 0 now (a promoted one after failover)."""
-        with self._locks[0]:
+        with self._log_order:
             return self.shards[0]
 
-    def _answer(self, queries: list[Query]) -> list[QueryResult]:
-        """Run a read's cache misses over slot 0, under its lock: one
-        :func:`~repro.core.retrieval._view_pass` over its packed view,
-        counted as one pass; the linear baseline is answered, uncounted,
-        by the oracle a query at a time.  Refused while the slot is
-        down (:meth:`_serving`)."""
-        with self._locks[0]:
-            index = self._serving(0)
-            if index.backend == "linear":
-                return [answer(index, q, self.camera, self._strict_cover)
-                        for q in queries]
-            results, matched, read = _view_pass(
-                index.packed_view(), queries, self.camera,
-                self._strict_cover, self._ranker, self._clock,
-                self.obs.tracer)
+    def _published(self) -> Publication:
+        """The publication, after publishing a change made to the index
+        directly, not through this server (the caller of ``index=``
+        holds it too); no write holds the log-order lock then, while a
+        write in flight publishes its own change when it ends."""
+        pub = super()._published()
+        state = pub.states[0]
+        if (state is not None and state.epoch != state.index.epoch
+                and self._log_order.acquire(blocking=False)):
+            try:
+                self._publish("ingest", [0])
+                pub = super()._published()
+            finally:
+                self._log_order.release()
+        return pub
+
+    def _answer(self, pub: Publication,
+                queries: list[Query]) -> list[QueryResult]:
+        """Run a read's cache misses over slot 0's state in ``pub``:
+        one :func:`~repro.core.retrieval._view_pass` over its packed
+        view, counted as one pass.  The linear baseline, which keeps no
+        frozen rows, is answered, uncounted, by the oracle a query at a
+        time under the log-order lock (it is the reference, not a
+        serving shape).  Refused while the slot is down."""
+        state = pub.serving(0)
+        if state.rows is None:
+            with self._log_order:
+                return [answer(self.shards[0], q, self.camera,
+                               self._strict_cover) for q in queries]
+        results, matched, read = _view_pass(
+            state.index.packed_view(state), queries, self.camera,
+            self._strict_cover, self._ranker, self._clock, self.obs.tracer)
         if queries:
             self._count_pass(matched, read)
         return results

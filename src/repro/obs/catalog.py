@@ -29,7 +29,8 @@ METRICS: Final[Mapping[str, tuple[str, str]]] = {
     # -- query result cache (core/cache.py) ---------------------------------
     "cache.hits": ("counter", "lookups answered from the result cache"),
     "cache.misses": ("counter", "lookups that fell through to the engine"),
-    "cache.stale_drops": ("counter", "entries dropped on epoch-vector mismatch"),
+    "cache.stale_drops": ("counter",
+                          "entries dropped on a publication-tag mismatch"),
     "cache.evictions": ("counter", "entries evicted by the LRU capacity bound"),
     # -- lossy upload channel (net/channel.py) ------------------------------
     "channel.transmissions": ("counter", "bundle transmissions attempted"),

@@ -12,32 +12,30 @@ replaces only how a read's cache misses are answered.  The router:
   (:class:`~repro.shard.partition.GridPartitioner`), deduplicating
   bundle redeliveries fleet-wide by content digest before any shard is
   touched;
-* **answers a call's queries in one funnel pass**: the partitioner
-  names the shards whose cells could intersect each query's ``(p, r,
-  [ts, te])`` box, a per-shard content bounding box prunes further,
-  each surviving shard is descended under its lock, and the hits of
-  every shard and query are projected, filtered, scored and sorted
-  once, into rankings **bit-identical** to a single server holding
-  every record (docs/SHARDING.md has the argument);
-* **caches under the epoch vector**: the router-level result cache tags
-  entries with the tuple of per-shard index epochs, re-read after the
-  descent -- a result computed while any shard mutated is served but
-  never cached, so a hit always equals the cold recomputation.
+* **answers a call's queries in one funnel pass over one published
+  fleet state**: the partitioner names the shards whose cells could
+  intersect each query's ``(p, r, [ts, te])`` box, a per-shard content
+  bounding box prunes further, each surviving shard is descended, and
+  the hits of every shard and query are projected, filtered, scored and
+  sorted once, into rankings **bit-identical** to a single server
+  holding every record (docs/SHARDING.md has the argument);
+* **caches under the publication's sequence number**, which every
+  write that changes the fleet advances, so a hit always equals the
+  cold recomputation.
 
 The fleet commits its own writes (``docs/PROTOCOL.md`` has the
 delivery-semantics table): a commit group is admitted, each payload's
 content digest reserved, decoded or quarantined, the accepted payloads
 appended to the WAL and fsynced once, landed, and acknowledged.
 
-Thread safety: each shard has its own lock serialising index access
-(a bundle's records land in a shard atomically -- ``insert_many`` is
-one epoch bump).  The log-order lock orders every write -- a commit
-group's append and landing, an eviction's, a kill's or an install's
-change to the set of down shards -- so the log's entry order is the
-order the fleet saw.  The digest lock guards the dedup and owner maps,
-and the result caches lock themselves
-(:class:`~repro.core.cache.QueryResultCache`).  Metric increments are
-already thread-safe per family.
+Thread safety: every write -- a commit group's append and landing, an
+eviction, a kill, an install -- runs under the log-order lock, so the
+log's entry order is the order the fleet saw, and ends by rebinding one
+immutable :class:`Publication`.  A read takes the publication once and
+touches no live index, so it never waits for a write's fsync and never
+sees part of one.  The digest lock guards the dedup and owner maps, and
+the result caches lock themselves.  Metric increments are already
+thread-safe per family.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -54,8 +51,9 @@ from repro.core.camera import CameraModel
 from repro.core.cache import QueryResultCache, query_cache_key, read_through
 from repro.core.flatsnap import pack_snapshot
 from repro.core.fov import RecordColumns, RepresentativeFoV
-from repro.core.index import (Bounds, ContentMark, FoVIndex, PackedFoVIndex,
-                              _checked_geometry, query_box_floats)
+from repro.core.index import (Bounds, ContentMark, FoVIndex, IndexState,
+                              PackedFoVIndex, _checked_geometry,
+                              query_box_floats)
 from repro.core.ingest import (AdmissionQueue, IngestOutcome, IngestStatus,
                                ServerStats)
 from repro.core.query import Query, QueryResult
@@ -73,7 +71,8 @@ from repro.shard.partition import DEFAULT_CELL_M, GridPartitioner
 from repro.video.retrieval import VideoQuery, VideoQueryResult, \
     VideoQueryStats, retrieve_videos
 
-__all__ = ["ShardCapture", "ShardedCloudServer", "ShardUnavailableError"]
+__all__ = ["Publication", "ShardCapture", "ShardedCloudServer",
+           "ShardUnavailableError"]
 
 
 class ShardCapture(NamedTuple):
@@ -102,6 +101,41 @@ class ShardUnavailableError(RuntimeError):
         self.shard_id = shard_id
 
 
+class Publication(NamedTuple):
+    """One fleet state: what a read call answers from.  It refers to no
+    server, so it forms no reference cycle with an index."""
+
+    seq: int                                #: result-cache tag; monotonic
+    states: tuple[IndexState | None, ...]   #: per slot; ``None``: down
+    bounds: tuple[Bounds | None, ...]       #: per slot; outlive a kill
+
+    def serving(self, sid: int) -> IndexState:
+        """Slot ``sid``'s state; refused while the slot is down (an
+        empty placeholder would answer silently wrong)."""
+        state = self.states[sid]
+        if state is None:
+            raise ShardUnavailableError(sid)
+        return state
+
+    @property
+    def down(self) -> frozenset[int]:
+        """Slots without a serving primary."""
+        return frozenset(sid for sid, state in enumerate(self.states)
+                         if state is None)
+
+    def could_match(self, sid: int, box: tuple[float, float, float, float,
+                                               float, float]) -> bool:
+        """Can slot ``sid``'s content box intersect the query box?
+
+        ``box`` is :func:`~repro.core.index.query_box_floats`' six floats,
+        ``(min_lng, min_lat, min_t, max_lng, max_lat, max_t)``.
+        """
+        b = self.bounds[sid]
+        return (b is not None and b[0] <= box[3] and b[1] >= box[0]
+                and b[2] <= box[4] and b[3] >= box[1]
+                and b[4] <= box[5] and b[5] >= box[2])
+
+
 class ShardedCloudServer:
     """Scatter-gather retrieval service over geo-partitioned shards.
 
@@ -125,7 +159,8 @@ class ShardedCloudServer:
         Anything else is refused with ``ValueError``.
     cache_size : int
         Router-level result cache capacity (``0`` disables).  Shards
-        have no cache -- one cache layer, tagged by the epoch vector.
+        have no cache -- one cache layer, tagged by the publication's
+        sequence number.
     obs : Observability, optional
         The router's instrument bundle.  Shards carry none: the router
         exports per-shard state as ``shard.epoch`` /
@@ -157,16 +192,13 @@ class ShardedCloudServer:
         self._clock = default_timer
         self._strict_cover = strict_cover
         self._ranker = DistanceRanker()
+        # The live indexes: changed, and read, only under _log_order.
         self.shards: list[FoVIndex] = [FoVIndex() for _ in range(n_shards)]
-        self._locks = [threading.RLock() for _ in range(n_shards)]
-        # Each shard index's content box as of its last ingest; the
-        # router's copy outlives the primary (kill_shard).
-        self._bounds: list[Bounds | None] = [None] * n_shards
-        # Held from a write's fence check to its index change, and by a
-        # kill or install around its change to the down set.
+        # Held from a write's fence check to its publication.
         self._log_order = threading.Lock()
         # Rebound whole, never mutated, and only under _log_order.
-        self._down: frozenset[int] = frozenset()
+        self._pub = Publication(0, tuple(s.frozen() for s in self.shards),
+                                (None,) * n_shards)
         # Eviction entries of the configured log already applied, by
         # sequence number (under _log_order).
         self._applied_evictions: set[int] = set()
@@ -187,7 +219,7 @@ class ShardedCloudServer:
                              journal=self.obs.journal)
             if cache_size > 0 else None
         )
-        # Video retrieval caches under the epoch *vector* (like point
+        # Video retrieval caches under the publication (like point
         # queries); a private registry keeps ``cache.*`` reconcilable.
         self.video_stats = VideoQueryStats(registry=self.obs.registry)
         self._video_cache = (
@@ -231,31 +263,40 @@ class ShardedCloudServer:
     def n_shards(self) -> int:
         return self.partitioner.n_shards
 
+    def _published(self) -> Publication:
+        """The fleet state a read answers from, taken once per call.
+
+        Lock-free by design: the publication is immutable and rebound
+        whole under the log-order lock, so one load is never torn and
+        never waits for a write's fsync.
+        """
+        return self._pub  # fovlint: disable=RF009
+
     @property
     def indexed_count(self) -> int:
-        """Total live records across the fleet.
-
-        Lock-free by design: called from gauge syncs that already hold
-        one shard lock, where taking every lock would nest shard locks
-        (forbidden by the RF010 lock order).  The count is advisory.
-        """
-        return sum(len(s) for s in self.shards)  # fovlint: disable=RF009
+        """Total live records across the published fleet."""
+        return sum(state.count for state in self._published().states
+                   if state is not None)
 
     def epoch_vector(self) -> tuple[int, ...]:
-        """Per-shard index epochs -- the fleet's cache-invalidation tag.
-
-        Deliberately lock-free: callers read the vector before and
-        after a descent and only trust results when the two reads
-        agree, so a torn read is detected, never cached.
-        """
-        return tuple([s.epoch for s in self.shards])  # fovlint: disable=RF009
+        """Per-shard index epochs of the published fleet (0 while a
+        slot is down)."""
+        return tuple([0 if state is None else state.epoch
+                      for state in self._published().states])
 
     def records(self) -> list[RepresentativeFoV]:
-        """Every indexed record, shard by shard (audits, snapshots)."""
+        """Every indexed record, shard by shard (audits, snapshots); the
+        linear baseline, which keeps no frozen rows, is read live under
+        the log-order lock."""
         out: list[RepresentativeFoV] = []
+        pub = self._published()
         for sid in range(self.n_shards):
-            with self._locks[sid]:
-                out.extend(self._serving(sid).records())
+            state = pub.serving(sid)
+            if state.rows is not None:
+                out.extend(state.columns())
+                continue
+            with self._log_order:
+                out.extend(self.shards[sid].records())
         return out
 
     # -- failover ---------------------------------------------------------
@@ -268,36 +309,55 @@ class ShardedCloudServer:
     @property
     def down_shards(self) -> frozenset[int]:
         """Shard ids currently without a serving primary."""
-        # Lock-free on purpose, so that it never waits for a write in
-        # flight: the set is immutable and rebound whole, so a read is
-        # one load, never torn.
-        return self._down  # fovlint: disable=RF009
+        return self._published().down
 
     def _refuse_writes_while_down(self) -> None:
         """The write fence, to a caller holding the log-order lock:
         every write is refused while any primary is down (a record
         landing on a placeholder would be discarded at promotion), and
         is checked here once, before anything is logged."""
-        if self._down:
-            raise ShardUnavailableError(min(self._down))
+        down = self._pub.down
+        if down:
+            raise ShardUnavailableError(min(down))
 
-    def _serving(self, sid: int) -> FoVIndex:
-        """Slot ``sid``'s index, to a caller holding the slot's lock:
-        every read of a slot comes here, and is refused while it is down
-        (an empty placeholder would answer silently wrong)."""
-        # A kill marks the slot down before it empties it under this
-        # lock, an install fills it before it clears the mark, so the
-        # lock-free set read here matches the slot.
-        if sid in self.down_shards:
-            raise ShardUnavailableError(sid)
-        return self.shards[sid]
+    def _publish(self, cause: str, sids: list[int], down: bool = False
+                 ) -> None:
+        """End a write that changed slots ``sids``, to a caller holding
+        the log-order lock: rebind the publication, in one assignment,
+        with each slot's frozen state -- ``None`` when ``down`` -- and
+        its content bounds (the index's own; a down slot keeps its
+        last).  Then refresh the slots' gauges, journaling an
+        ``index.epoch_bump`` for each whose epoch moved (``cause`` is
+        ``ingest``, ``evict``, ``kill`` or ``install``); the fleet's
+        ``index.epoch`` is the sum of the epoch vector."""
+        pub = self._pub
+        states, bounds = list(pub.states), list(pub.bounds)
+        for sid in sids:
+            states[sid] = None if down else self.shards[sid].frozen()
+            if not down:
+                bounds[sid] = self.shards[sid].bounds()
+        self._pub = Publication(pub.seq + 1, tuple(states), tuple(bounds))
+        for sid in sids:
+            state = states[sid]
+            epoch, live = (0, 0) if state is None else (state.epoch,
+                                                        state.count)
+            gauge = self._epoch_gauge.labels(shard=str(sid))
+            if epoch != gauge.value:
+                gauge.set(epoch)
+                self.obs.journal.emit("index.epoch_bump", cause=cause,
+                                      shard=sid, epoch=epoch)
+            self._live_gauge.labels(shard=str(sid)).set(live)
+        self.stats._epoch.set(sum(self.epoch_vector()))
+        self.stats._live.set(self.indexed_count)
 
     def shard_mark(self, sid: int) -> ContentMark:
-        """Shard ``sid``'s :class:`~repro.core.index.ContentMark`, read
-        under its lock (the token and count are two fields)."""
+        """Shard ``sid``'s published
+        :class:`~repro.core.index.ContentMark`."""
         self._check_sid(sid)
-        with self._locks[sid]:
-            return self._serving(sid).mark
+        mark = self._published().serving(sid).mark
+        if mark is None:
+            raise TypeError("mark requires the rtree backend")
+        return mark
 
     def capture_shard(self, sid: int,
                       since: ContentMark | None = None) -> ShardCapture:
@@ -306,21 +366,20 @@ class ShardedCloudServer:
         With ``since`` -- a mark an earlier capture returned -- the
         buffer holds only the rows appended after it (``tail=True``)
         when the shard's token still matches, and every row otherwise.
-        The mark and the column slices
-        (:meth:`~repro.core.index.FoVIndex.record_columns`) are taken
-        together under the shard lock; packing happens outside it (the
-        slices are frozen).  No search structure is built, and the
-        shard's serving view is left as it was.
+        The mark and the column slices are one published state's
+        (:meth:`~repro.core.index.IndexState.columns`), and frozen.  No
+        search structure is built, and the shard's serving view is left
+        as it was.
         """
         self._check_sid(sid)
-        with self._locks[sid]:
-            index = self._serving(sid)
-            mark = index.mark
-            columns = None if since is None else index.record_columns(since)
-            tail = columns is not None
-            if columns is None:
-                columns = index.record_columns()
-        return ShardCapture(columns.epoch, mark, pack_snapshot(columns), tail)
+        state = self._published().serving(sid)
+        columns = None if since is None else state.columns(since)
+        tail = columns is not None
+        if columns is None:
+            columns = state.columns()
+        assert state.mark is not None       # columns() refused linear
+        return ShardCapture(columns.epoch, state.mark,
+                            pack_snapshot(columns), tail)
 
     def capture_fleet(self) -> tuple[list[ShardCapture], frozenset[str]]:
         """Every shard's full capture, and the digests of the bundles
@@ -341,15 +400,14 @@ class ShardedCloudServer:
     def kill_shard(self, sid: int) -> None:
         """Simulate losing shard ``sid``'s primary mid-run.
 
-        The slot is replaced by an empty index, so the dead
-        primary's data is really gone from the serving path: queries
-        whose routing plus content bounds need the shard raise
+        The slot is replaced by an empty index and published down, so
+        the dead primary's data is really gone from the serving path:
+        queries whose routing plus content bounds need the shard raise
         :class:`ShardUnavailableError`, and every write (ingest,
         eviction, WAL replay) is refused fleet-wide until
-        :meth:`install_shard` restores the slot.  Router-level caches
-        are cleared -- the empty index restarts the slot's epoch
-        counter, so existing epoch-vector tags no longer identify the
-        content they were computed from.  The dead primary is dropped.
+        :meth:`install_shard` restores the slot.  The dead primary is
+        dropped; only a read that took the publication before the kill
+        still holds its state, and answers from it.
 
         The slot goes down between writes, never between a write's
         fleet check and its index change, so a WAL holds no write the
@@ -357,11 +415,8 @@ class ShardedCloudServer:
         """
         self._check_sid(sid)
         with self._log_order:
-            self._down = self._down | {sid}
-        with self._locks[sid]:
             self.shards[sid] = FoVIndex()
-            self._sync_shard_gauges(sid, "kill")
-        self._clear_result_caches()
+            self._publish("kill", [sid], down=True)
 
     def install_shard(self, sid: int, index: FoVIndex) -> None:
         """Promote ``index`` into slot ``sid`` and resume serving it.
@@ -370,77 +425,44 @@ class ShardedCloudServer:
         slot is down: a serving primary holds rows its standby may lack.
 
         The slot's content bounds become ``index``'s own, which cover
-        every row it holds, so they still prune safely.  Caches are
-        cleared for the same epoch-counter reason as
-        :meth:`kill_shard`.
+        every row it holds, so they still prune safely.
         """
         self._check_sid(sid)
         with self._log_order:
-            if sid not in self._down:
+            if self._pub.states[sid] is not None:
                 raise ValueError(f"shard {sid} is serving, not down")
             self._place(sid, index)
-            self._down = self._down - {sid}
-        self._clear_result_caches()
 
     def _place(self, sid: int, index: FoVIndex) -> None:
-        """Fill slot ``sid`` with ``index``, under the slot's lock: the
+        """Fill slot ``sid`` with ``index`` and publish it serving: the
         slot, its content bounds (the index's own) and its gauges."""
-        with self._locks[sid]:
-            self.shards[sid] = index
-            self._bounds[sid] = index.bounds()
-            self._sync_shard_gauges(sid, "install")
-
-    def _clear_result_caches(self) -> None:
-        for cache in (self._cache, self._video_cache):
-            if cache is not None:
-                cache.clear()
+        self.shards[sid] = index
+        self._publish("install", [sid])
 
     # -- ingest -----------------------------------------------------------
 
-    def _sync_shard_gauges(self, sid: int, cause: str) -> None:
-        """Refresh shard ``sid``'s gauges and the fleet's after it
-        changed, journaling an ``index.epoch_bump`` when its epoch moved
-        (``cause`` is ``ingest``, ``evict``, ``kill`` or ``install``).
-        The fleet's ``index.epoch`` is the sum of the epoch vector."""
-        index = self.shards[sid]
-        gauge = self._epoch_gauge.labels(shard=str(sid))
-        if index.epoch != gauge.value:
-            gauge.set(index.epoch)
-            self.stats._epoch.set(sum(self.epoch_vector()))
-            self.obs.journal.emit("index.epoch_bump", cause=cause, shard=sid,
-                                  epoch=index.epoch)
-        self._live_gauge.labels(shard=str(sid)).set(len(index))
-        self.stats._live.set(self.indexed_count)
-
-    def _ingest_parts(self, parts: list[RecordColumns | None]) -> int:
-        """Land a pre-split record set, shard by shard; returns the count.
-
-        Each shard's column slice lands atomically under that shard's
-        lock (``insert_many`` -- one epoch bump, all-or-nothing within
-        the shard); geometry was validated before this is called, so no
-        shard can reject its slice after a sibling already indexed.  A
-        slice is dropped from ``parts`` once taken, so the split batch
-        and the rows it has become in the stores are never both held.
-        """
-        n = 0
+    def _land(self, columns: RecordColumns) -> int:
+        """Check one run of columns, split it across the fleet, land
+        each shard's slice as one ``insert_many`` (one epoch bump) and
+        publish them together; returns the count (the caller passed the
+        write fence, under the log-order lock).  The whole batch is
+        checked before any shard indexes a record.  A slice is dropped
+        from ``parts`` once taken, so the split batch and the rows it
+        has become in the stores are never both held."""
+        _checked_geometry(columns)
+        parts: list[RecordColumns | None] = list(
+            self.partitioner.split(columns))
+        n, landed = 0, list[int]()
         for sid, part in enumerate(parts):
             parts[sid] = None
             if part is None or not len(part):
                 continue
-            with self._locks[sid]:
-                n += self.shards[sid].insert_many(part)
-                self._bounds[sid] = self.shards[sid].bounds()
-                self._sync_shard_gauges(sid, "ingest")
+            n += self.shards[sid].insert_many(part)
+            landed.append(sid)
             self._route.labels(shard=str(sid)).inc(len(part))
+        if landed:
+            self._publish("ingest", landed)
         return n
-
-    def _land(self, columns: RecordColumns) -> int:
-        """Check one run of columns, split it across the fleet and land
-        every slice (the caller passed the write fence, under the
-        log-order lock).  The whole batch is checked before any shard
-        indexes a record."""
-        _checked_geometry(columns)
-        return self._ingest_parts(list(self.partitioner.split(columns)))
 
     def ingest(self, fovs: RecordColumns | Sequence[RepresentativeFoV]
                ) -> int:
@@ -548,9 +570,9 @@ class ShardedCloudServer:
         its reservation back (redelivering it rejects again), and so
         does every member of a group whose WAL write or landing raised:
         nothing was indexed, so the retry must not be acked as a
-        duplicate.  A reserved digest stays pending until its group has
-        landed, so :meth:`capture_fleet` names exactly the bundles whose
-        records the fleet holds."""
+        duplicate.  A reserved digest stays pending until its group lands,
+        in the same log-order section, so :meth:`capture_fleet` names
+        exactly the bundles whose records the fleet holds."""
         stats, journal = self.stats, self.obs.journal
         outcomes: list[IngestOutcome] = []
         group: list[tuple[str, str | None, bytes, BundleColumns]] = []
@@ -600,17 +622,20 @@ class ShardedCloudServer:
                         stats._wal_bytes.inc(len(payload) + ENTRY_OVERHEAD)
                     wal.commit()
                     stats._wal_syncs.inc()
-                indexed = self._land(
-                    RecordColumns.concat([c for *_, c in group]))
+                # Owners before the landing publishes, so a read that
+                # returns a video can fetch its segments.
                 with self._digest_lock:
                     self._pending.difference_update(reserved)
+                    self._owners.update((c.video_id, dev)
+                                        for _, dev, _, c in group
+                                        if dev is not None)
+                indexed = self._land(
+                    RecordColumns.concat([c for *_, c in group]))
         except BaseException:
             self._release(reserved)
             raise
         stats._records_indexed.inc(indexed)
-        for digest, dev, payload, columns in group:
-            if dev is not None:
-                self.register_owner(columns.video_id, dev)
+        for digest, _, payload, columns in group:
             stats._accepted.inc()
             stats._bytes_in.inc(len(payload))
             if replaying:
@@ -710,46 +735,34 @@ class ShardedCloudServer:
             return evicted
 
     def _evict(self, cutoff_t: float) -> int:
-        evicted = 0
+        evicted, changed = 0, list[int]()
         for sid in range(self.n_shards):
-            with self._locks[sid]:
-                evicted += self.shards[sid].evict_older_than(cutoff_t)
-                self._sync_shard_gauges(sid, "evict")
+            n = self.shards[sid].evict_older_than(cutoff_t)
+            if n:
+                evicted += n
+                changed.append(sid)
+        if changed:
+            self._publish("evict", changed)
         self.stats._evicted.inc(evicted)
         return evicted
 
     # -- query ------------------------------------------------------------
 
-    def _could_match(self, sid: int,
-                     box: tuple[float, float, float, float, float, float]
-                     ) -> bool:
-        """Can shard ``sid``'s content box intersect the query box?
-
-        ``box`` is :func:`~repro.core.index.query_box_floats`' six
-        floats, ``(min_lng, min_lat, min_t, max_lng, max_lat, max_t)``.
-        """
-        b = self._bounds[sid]
-        if b is None:
-            return False
-        return (b[0] <= box[3] and b[1] >= box[0]
-                and b[2] <= box[4] and b[3] >= box[1]
-                and b[4] <= box[5] and b[5] >= box[2])
-
-    def _answer(self, queries: list[Query]) -> list[QueryResult]:
-        """Descend each query's target shards, each under its lock (the
-        targets come sorted), then rank every visit's hits in one
+    def _answer(self, pub: Publication,
+                queries: list[Query]) -> list[QueryResult]:
+        """Descend each query's target shards in ``pub`` (the targets
+        come sorted), then rank every visit's hits in one
         :func:`~repro.core.retrieval._batch_execute` pass, counted as
         one pass.
 
         A single query hands on one funnel part per visit; a batch one
-        per shard view, its visits' ids concatenated in query order, in
-        shard order (a view a concurrent write replaced mid-call gets a
-        part of its own, after the shard's earlier one)."""
+        per shard, its visits' ids concatenated in query order, in
+        shard order."""
         t0 = self._clock()
         cover = self.camera if self._strict_cover else None
         parts: list[Part] = []
-        # id(view) -> (shard, view, query ids, the visits' ids)
-        grouped: dict[int, tuple[int, PackedFoVIndex, list[int],
+        # shard -> (its view, query ids, the visits' ids)
+        grouped: dict[int, tuple[PackedFoVIndex, list[int],
                                  list[np.ndarray]]] = {}
         hits: list[int] = []
         read = 0                        # rows read over every visit
@@ -760,28 +773,27 @@ class ShardedCloudServer:
                 tally = [0, 0]          # box hits, rows read
                 visited = 0
                 for sid in targets:
-                    with self._locks[sid]:
-                        if not self._could_match(sid, box):
-                            self._pruned.inc()
-                            continue
-                        view = self._serving(sid).packed_view()
-                        ids = view.range_search_ids(query, cover, tally)
+                    if not pub.could_match(sid, box):
+                        self._pruned.inc()
+                        continue
+                    state = pub.serving(sid)
+                    view = state.index.packed_view(state)
+                    ids = view.range_search_ids(query, cover, tally)
                     visited += 1
                     if not ids.size:
                         continue
                     if len(queries) == 1:
                         parts.append((view, None, ids))
                     else:
-                        group = grouped.setdefault(
-                            id(view), (sid, view, [], []))
-                        group[2].append(qi)
-                        group[3].append(ids)
+                        group = grouped.setdefault(sid, (view, [], []))
+                        group[1].append(qi)
+                        group[2].append(ids)
                 self._pruned.inc(self.n_shards - len(targets))
                 self._fanout.observe(visited)
                 hits.append(tally[0])
                 read += tally[1]
-        for _, view, qis, visits in sorted(grouped.values(),
-                                           key=itemgetter(0)):
+        for sid in sorted(grouped):
+            view, qis, visits = grouped[sid]
             parts.append((view, np.repeat(qis, [v.size for v in visits]),
                           np.concatenate(visits)))
         results = _batch_execute(parts, queries, hits, self.camera,
@@ -802,21 +814,19 @@ class ShardedCloudServer:
             if read > self._read_peak.value:
                 self._read_peak.set(read)
 
-    def _read_points(self, queries: list[Query]) -> list[QueryResult]:
-        """Point queries through the epoch-vector-tagged result cache;
-        every miss is answered in one :meth:`_answer` call.
-
-        The epoch vector is read before the descent and again after
-        (:func:`~repro.core.cache.read_through`): results are always
-        *served*, but only cached when the two reads agree -- a batch
-        that raced an ingest cannot poison the cache with a torn
-        snapshot of the fleet.  A refused call counts one drop.
-        """
+    def _read_points(self, queries: list[Query],
+                     pub: Publication | None = None) -> list[QueryResult]:
+        """Point queries through the result cache; every miss is
+        answered in one :meth:`_answer` call.  The whole call answers
+        from one publication -- ``pub``, or the current one -- and
+        caches under its sequence number, so a write landing mid-call is
+        not seen at all.  A refused call counts one drop."""
+        taken = self._published() if pub is None else pub
         try:
             return read_through(
-                self._cache, [query_cache_key(q) for q in queries],
-                self.epoch_vector,
-                lambda missed: self._answer([queries[i] for i in missed]),
+                self._cache, [query_cache_key(q) for q in queries], taken.seq,
+                lambda missed: self._answer(taken, [queries[i]
+                                                    for i in missed]),
                 self.stats._cache_hits, self.stats._cache_misses)
         except ShardUnavailableError:
             self._dropped.inc()
@@ -841,19 +851,20 @@ class ShardedCloudServer:
 
         The harvest batch rides :meth:`_read_points` (no inquirer
         query is counted), whose rankings are bit-identical to a single
-        server holding every record -- so the video top-k is too.
-        Caching follows the same epoch-vector discipline, with
-        the frozen :class:`VideoQuery` as its own key: a result that
-        raced an ingest is served but never cached.  The request is
-        counted into ``video.*`` and traced as ``video.query``, around
+        server holding every record -- so the video top-k is too.  The
+        harvest answers from the publication the request took, and the
+        result caches under it, keyed by the frozen :class:`VideoQuery`.
+        The request is counted into ``video.*`` and traced as
+        ``video.query``, around
         :func:`~repro.video.retrieval.retrieve_videos`' stage spans.
         """
         stats = self.video_stats
+        pub = self._published()
 
         def retrieve(_missed: list[int]) -> list[VideoQueryResult]:
-            result = retrieve_videos(video_query, self._read_points,
-                                     self.camera, clock=self._clock,
-                                     tracer=self.obs.tracer)
+            result = retrieve_videos(
+                video_query, lambda batch: self._read_points(batch, pub),
+                self.camera, clock=self._clock, tracer=self.obs.tracer)
             stats._segments_harvested.inc(result.segments_harvested)
             stats._videos_ranked.inc(result.videos_considered)
             return [result]
@@ -862,14 +873,14 @@ class ShardedCloudServer:
                                   segments=len(video_query.segments)):
             stats._queries.inc()
             result: VideoQueryResult = read_through(
-                self._video_cache, [video_query], self.epoch_vector,
+                self._video_cache, [video_query], pub.seq,
                 retrieve, stats._cache_hits, stats._cache_misses)[0]
             return result
 
     def close(self) -> None:
         """Release fleet-held resources (idempotent).
 
-        There is currently nothing to release, so no shard lock is
-        taken; the call stays so that owners can shut a fleet down
-        without knowing what it holds.
+        There is currently nothing to release: a read holds no lock and
+        the publication is plain data.  The call stays so that owners
+        can shut a fleet down without knowing what it holds.
         """

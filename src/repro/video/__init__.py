@@ -21,10 +21,11 @@ Pipeline (``docs/VIDEO_RETRIEVAL.md``):
    ``(-score, video_id)`` total order, bit-identical between the
    oracle, the packed engine and the sharded router;
 4. **POI** -- harvested coverage rasterises into most-observed cells,
-   weighted by the Section VII submodular utility.
+   weighted by the Section VII submodular utility
+   (:mod:`repro.video.poi`, imported where it is used: it reaches the
+   evaluation and utility code, which the serving path never loads).
 """
 
-from repro.video.poi import POICell, discover_pois
 from repro.video.retrieval import (
     SCORERS,
     VideoMatch,
@@ -42,8 +43,6 @@ from repro.video.scoring import (
 )
 
 __all__ = [
-    "POICell",
-    "discover_pois",
     "SCORERS",
     "VideoMatch",
     "VideoQuery",

@@ -93,7 +93,7 @@ def test_a_result_builds_each_row_once(built):
     # each shard visit builds its top rows; the merge keeps some
     assert fovs and {id(f) for f in fovs} <= {id(f) for f in built}
     n = len(built)
-    srv._clear_result_caches()
+    srv._cache.clear()
     again = [srv.query(q).ranked for q in queries]
     assert again == first and len(built) == n       # the memo answered
     assert all(a.fov is b.fov for x, y in zip(first, again)

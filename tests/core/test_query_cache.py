@@ -87,7 +87,7 @@ class TestReadThrough:
             if bump:                       # a writer lands mid-compute
                 self.epoch += 1
             return [keys[i].upper() for i in missed]
-        return read_through(cache, keys, lambda: self.epoch, compute,
+        return read_through(cache, keys, self.epoch, compute,
                             self.hits, self.misses)
 
     def test_only_misses_are_computed_and_then_cached(self):
@@ -101,12 +101,16 @@ class TestReadThrough:
         assert (self.hits.value, self.misses.value) == (4, 2)
         assert (cache.hits, cache.misses) == (4, 2)
 
-    def test_result_that_raced_a_mutation_is_served_not_cached(self):
+    def test_a_value_is_cached_under_the_tag_it_was_read_with(self):
+        """The caller's tag names the state every value was computed
+        from, so a write during the compute does not change it; the
+        next read, under the write's new tag, misses."""
         cache = QueryResultCache(8)
         assert self.read(cache, ["a"], bump=True) == ["A"]
-        assert len(cache) == 0
-        assert self.read(cache, ["a"]) == ["A"]   # quiet this time: cached
-        assert len(cache) == 1 and self.computed == [[0], [0]]
+        assert len(cache) == 1 and cache.get("a", 0) == "A"
+        assert self.read(cache, ["a"]) == ["A"]   # the new tag misses
+        assert self.computed == [[0], [0]]
+        assert cache.stale_drops == 1
 
     def test_without_a_cache_everything_is_computed_uncounted(self):
         assert self.read(None, ["a", "b"]) == ["A", "B"]

@@ -5,17 +5,19 @@ hammer one :class:`ShardedCloudServer` -- a four-shard fleet, and a
 ``CloudServer``, the fleet of one -- from writer and reader threads and
 pin the concurrency contract:
 
-* **No torn bundles.**  Every bundle here sits in a single grid cell,
-  so its records land on one shard under one ``insert_many`` (one
-  epoch bump).  A concurrent reader must therefore see each bundle
+* **No torn bundles.**  Half the bundles sit at one point, so their
+  records land on one shard; the other half straddle a shard boundary,
+  so they land on two shards, one ``insert_many`` each.  A read answers
+  from one published fleet state, and a write publishes only once
+  every shard has landed, so a concurrent reader must see each bundle
   all-or-nothing: either every record of a video matches, or none.
 * **Accounting reconciles exactly.**  Every query passes the result
   cache exactly once, so ``cache.hits + cache.misses ==
   queries_served`` -- regardless of interleaving -- and fleet-wide
   ingest dedup keeps redelivered bundles exactly-once.
-* **No torn cache.**  Entries are only cached when the epoch vector is
-  unchanged across the scatter, so once writers stop, answers are
-  bit-identical to a fresh single server over the same records.
+* **No torn cache.**  Entries are cached under the publication they
+  were computed from, so once writers stop, answers are bit-identical
+  to a fresh single server over the same records.
 """
 
 import sys
@@ -28,7 +30,7 @@ from repro.core.server import CloudServer, IngestStatus
 from repro.geo.coords import GeoPoint
 from repro.geo.earth import LocalProjection
 from repro.net.protocol import encode_bundle
-from repro.shard import ShardedCloudServer
+from repro.shard import GridPartitioner, ShardedCloudServer
 
 ORIGIN = GeoPoint(lat=40.0, lng=116.3)
 PROJ = LocalProjection(ORIGIN)
@@ -37,25 +39,48 @@ N_WRITERS = 4
 BUNDLES_PER_WRITER = 6
 RECORDS_PER_BUNDLE = 12
 HORIZON_S = 3600.0
+#: The four-shard fleet's routing, to place bundles across a boundary.
+ROUTING = GridPartitioner(n_shards=4, origin=ORIGIN)
+
+
+def _straddle(x: float, y: float) -> float:
+    """The first x at or east of ``x`` whose points 10 m west and east
+    of it land on two shards of the four-shard fleet."""
+    while True:
+        west, east = PROJ.to_geo(x - 10.0, y), PROJ.to_geo(x + 10.0, y)
+        sids = ROUTING.shards_of([west.lat, east.lat], [west.lng, east.lng])
+        if sids[0] != sids[1]:
+            return x
+        x += 5.0
 
 
 def _bundle(writer: int, b: int) -> tuple[str, bytes, Query]:
-    """One single-cell bundle plus a query that matches all its records.
+    """One bundle plus a query that matches all its records.
 
     Each (writer, bundle) pair gets its own lattice point far from its
     neighbours (>= 900 m, beyond any camera radius used here), so a
-    query centred there matches exactly that bundle's records.
+    query centred there matches exactly that bundle's records.  An even
+    bundle sits at the point; an odd one is moved east to a shard
+    boundary and straddles it, half its records 10 m west of the query
+    centre looking east, half 10 m east looking west.
     """
     video_id = f"w{writer}-b{b}"
     x = 900.0 * (writer + 1)
     y = 900.0 * (b + 1)
+    if b % 2:
+        x = _straddle(x, y)
     p = PROJ.to_geo(x, y)
-    fovs = [
-        RepresentativeFoV(lat=p.lat, lng=p.lng, theta=float(37 * i % 360),
-                          t_start=0.0, t_end=HORIZON_S,
-                          video_id=video_id, segment_id=i)
-        for i in range(RECORDS_PER_BUNDLE)
-    ]
+    fovs = []
+    for i in range(RECORDS_PER_BUNDLE):
+        if b % 2:
+            side = -1.0 if i % 2 else 1.0
+            at = PROJ.to_geo(x + 10.0 * side, y)
+            theta = 270.0 if side > 0 else 90.0
+        else:
+            at, theta = p, float(37 * i % 360)
+        fovs.append(RepresentativeFoV(
+            lat=at.lat, lng=at.lng, theta=theta, t_start=0.0,
+            t_end=HORIZON_S, video_id=video_id, segment_id=i))
     query = Query(t_start=0.0, t_end=HORIZON_S, center=p, radius=50.0,
                   top_n=RECORDS_PER_BUNDLE * 2)
     return video_id, encode_bundle(video_id, fovs), query
@@ -68,8 +93,8 @@ def test_interleaved_ingest_and_query():
 
 
 def test_interleaved_ingest_and_query_on_one_server():
-    """A ``CloudServer`` is a fleet of one whose reads run the engine on
-    slot 0 under the slot's lock: the same contract holds."""
+    """A ``CloudServer`` is a fleet of one whose reads answer from slot
+    0's published state: the same contract holds."""
     camera = CameraModel()
     _hammer(CloudServer(camera, cache_size=256), camera)
 
@@ -149,11 +174,14 @@ def _hammer(server, camera):
     assert stats.cache_hits + stats.cache_misses == stats.queries_served
     assert stats.queries_served > 0
 
-    # Settled answers are bit-identical to a fresh unsharded server.
+    # Settled answers are bit-identical to a fresh unsharded server,
+    # and each query finds its whole bundle, straddling ones included.
     single = CloudServer(camera, cache_size=0)
     single.ingest(server.records())
     sharded_res = server.query_many(all_queries)
     single_res = single.query_many(all_queries)
+    assert [len(r.ranked) for r in sharded_res] == (
+        [RECORDS_PER_BUNDLE] * len(all_queries))
     for a, b in zip(sharded_res, single_res):
         assert a.candidates == b.candidates
         assert a.after_filter == b.after_filter

@@ -232,17 +232,20 @@ def test_a_batch_that_needs_a_down_shard_caches_nothing():
     wide = Query(t_start=0.0, t_end=1000.0, center=ORIGIN,
                  radius=3000.0, top_n=8)
     assert len(narrow) == 3
+    srv.query_many(narrow)                  # cached before the kill
     replicas.kill(victim)
-    assert len(srv._cache) == 0             # a kill clears the cache
 
     with pytest.raises(ShardUnavailableError) as exc:
         srv.query_many(narrow[:2] + [wide] + narrow[2:])
     assert exc.value.shard_id == victim
     assert dropped_queries(srv) == 1
-    assert len(srv._cache) == 0
 
+    # The kill moved the fleet's publication, and the refused batch
+    # cached nothing under the new one: the next read misses every key.
+    misses = srv.stats.cache_misses
     got = [rows(r) for r in srv.query_many(narrow)]
     assert got == [rows(r) for r in control.query_many(narrow)]
+    assert srv.stats.cache_misses == misses + len(narrow)
     assert any(got) and len(srv._cache) == len(narrow)
 
 

@@ -19,10 +19,12 @@ The invariants (the parity contract of docs/SHARDING.md §9):
   ``content_digest()`` equal the control fleet's;
 * a kill that lands inside a sync's capture of the victim
   (``kill_mid_sync``) leaves its standby as it was, and one that lands
-  inside a ``query_many`` batch's visit loop (``kill_mid_read``)
-  refuses the batch with :class:`ShardUnavailableError` naming the
-  victim, counted once, whenever the victim holds rows; the promotion
-  that follows answers the probes as the oracle does;
+  inside a ``query_many`` batch's visit loop (``kill_mid_read``) is not
+  seen by the batch, which took the fleet's publication before it: the
+  batch equals the oracle over the pre-kill state and nothing is
+  refused, while the next read that needs the victim is refused and
+  counted once; the promotion that follows answers the probes as the
+  oracle does;
 * after every save and reload -- the machine's fleet swapped for the
   reloaded one, with a fresh :class:`ReplicaSet` -- each shard's
   ``content_digest()`` equals the control fleet's, the probes equal the
@@ -234,9 +236,12 @@ class ReplicaMachine(RuleBasedStateMachine):
     @rule(sid=st.integers(0, N_SHARDS - 1), at=st.integers(0, 15))
     def kill_mid_read(self, sid, at):
         """A kill lands in a ``query_many`` batch's visit loop, before
-        the ``at``-th missed query's visits (or the last one's): a batch
-        whose last query needs every shard holding rows is refused and
-        counted once, and a promotion restores the oracle's answers."""
+        the ``at``-th missed query's visits (or the last one's): the
+        batch answers from the publication it took before the kill, as
+        the oracle does over the pre-kill state, and refuses nothing; a
+        batch after the kill whose last query needs every shard holding
+        rows is refused and counted once, and a promotion restores the
+        oracle's answers."""
         narrow, _ = record_probes(self.control.records())
         self.reads += 1
         wide = Query(t_start=0.0, t_end=1000.0 + self.reads,
@@ -255,15 +260,19 @@ class ReplicaMachine(RuleBasedStateMachine):
         server_module.query_box_floats = box_then_kill
         try:
             got = [rows(r) for r in self.fleet.query_many(batch)]
+        finally:
+            server_module.query_box_floats = query_box_floats
+        assert got == [rows(r) for r in self.oracle.query_many(batch)]
+        assert dropped_queries(self.fleet) == dropped_before
+        assert self.fleet.down_shards == frozenset({sid})
+        try:
+            after = [rows(r) for r in self.fleet.query_many(batch)]
         except ShardUnavailableError as exc:
             assert exc.shard_id == sid
             assert dropped_queries(self.fleet) == dropped_before + 1
         else:
             assert not len(self.control.shards[sid])
-            assert got == [rows(r) for r in self.control.query_many(batch)]
-        finally:
-            server_module.query_box_floats = query_box_floats
-        assert self.fleet.down_shards == frozenset({sid})
+            assert after == got
         self.replicas.promote(sid)
         self.query()
         self.query_many()

@@ -152,11 +152,10 @@ class TestQuery:
                     == [(r.fov.key(), r.distance, r.covers, r.score)
                         for r in b.ranked])
 
-    def test_a_mid_call_mutation_answers_from_two_views(self, camera,
-                                                         monkeypatch):
-        """When the fleet mutates between two queries of one call, each
-        query ranks against the views it searched, as it would alone:
-        a shard's old and new view are two parts of one funnel pass."""
+    def test_a_mid_call_mutation_is_not_seen(self, camera, monkeypatch):
+        """When the fleet mutates between two queries of one call, the
+        whole call answers from the state it started on: the later
+        queries rank as they would have before the ingest."""
         rng = np.random.default_rng(7)
         recs = make_records(900, rng, extent_m=400.0)
         queries = make_queries(8, rng, extent_m=400.0)
@@ -180,14 +179,15 @@ class TestQuery:
         monkeypatch.setattr(server_module, "query_box_floats",
                             box_then_ingest)
         got = [r[:4] for r in server.query_many(queries)]
-        assert got == before[:4] + after[4:]
+        assert got == before
         assert before[4:] != after[4:]
+        monkeypatch.undo()
+        assert [r[:4] for r in server.query_many(queries)] == after
 
-    def test_a_mid_call_eviction_answers_from_two_views(self, camera,
-                                                         monkeypatch):
+    def test_a_mid_call_eviction_is_not_seen(self, camera, monkeypatch):
         """An eviction renumbers a shard's rows: a batch whose later
-        queries search the shard's new view must not read their rows
-        against the old view that earlier queries searched."""
+        queries run after it still reads every row against the state
+        the call started on."""
         rng = np.random.default_rng(8)
         recs = make_records(900, rng, extent_m=400.0)
         queries = make_queries(8, rng, extent_m=400.0)
@@ -212,22 +212,26 @@ class TestQuery:
         monkeypatch.setattr(server_module, "query_box_floats",
                             box_then_evict)
         got = [r[:4] for r in server.query_many(queries)]
-        assert got == before[:4] + after[4:]
+        assert got == before
         assert before[4:] != after[4:]
+        monkeypatch.undo()
+        assert [r[:4] for r in server.query_many(queries)] == after
 
     @pytest.mark.parametrize("call, n", [("query", 1), ("query_many", 8)])
-    def test_a_mid_call_kill_refuses_the_call(self, camera, monkeypatch,
-                                              call, n):
+    def test_a_mid_call_kill_answers_from_before_it(self, camera,
+                                                    monkeypatch, call, n):
         """A kill that lands after a call started and before a visit of
-        the killed shard refuses the call, counted once: the visit must
-        not read the empty placeholder and rank without its rows."""
+        the killed shard: the call took the publication before the kill,
+        so it answers from the pre-kill state, nothing is refused, and
+        the next call is refused, counted once."""
         rng = np.random.default_rng(7)
         recs = make_records(900, rng, extent_m=400.0)
         queries = make_queries(8, rng, extent_m=400.0)[:n]
         server = ShardedCloudServer(camera, n_shards=3, origin=ORIGIN,
                                     cache_size=0)
         server.ingest(recs)
-        assert all(server.query(q).candidates for q in queries)
+        want = [server.query(q)[:4] for q in queries]
+        assert all(r[1] for r in want)
         boxed = []
 
         def box_then_kill(query):
@@ -237,12 +241,17 @@ class TestQuery:
             return query_box_floats(query)
 
         monkeypatch.setattr(server_module, "query_box_floats", box_then_kill)
-        with pytest.raises(ShardUnavailableError) as exc:
-            getattr(server, call)(queries[0] if n == 1 else queries)
-        assert exc.value.shard_id == 0
+        arg = queries[0] if n == 1 else queries
+        got = getattr(server, call)(arg)
+        assert [r[:4] for r in ([got] if n == 1 else got)] == want
         assert server.down_shards == {0}
-        assert server.obs.registry.get(
-            "failover.dropped_queries").value == 1
+        dropped = server.obs.registry.get("failover.dropped_queries")
+        assert dropped.value == 0
+        monkeypatch.undo()
+        with pytest.raises(ShardUnavailableError) as exc:
+            getattr(server, call)(arg)
+        assert exc.value.shard_id == 0
+        assert dropped.value == 1
 
     def test_fanout_is_pruned(self, camera):
         """Tight queries over a wide city must not search every shard."""

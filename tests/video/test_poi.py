@@ -7,7 +7,7 @@ from repro.core.camera import CameraModel
 from repro.core.fov import RepresentativeFoV
 from repro.geo.coords import GeoPoint
 from repro.geo.earth import LocalProjection
-from repro.video import POICell, discover_pois
+from repro.video.poi import POICell, discover_pois
 
 ORIGIN = GeoPoint(lat=40.003, lng=116.326)
 PROJ = LocalProjection(ORIGIN)
